@@ -44,12 +44,9 @@ Axes that can be compared:
 * **batched vs per-device decisions** (``--assign-batch-compare``): every
   vectorized cell re-run with ``SimulationConfig(batched_assign=False)``,
   so large dispatch cohorts go through per-device ``assign`` consults
-  instead of ``assign_batch``/``assign_batch_bulk``.  Decision hash,
-  metrics digest and event count must match bit-for-bit (fatal), and the
-  batched/unbatched events-per-second ratio is recorded.  Add
-  ``--decision-profile`` for an instrumented cell with a per-phase
-  breakdown of the batched decision path (candidate lookup / admission /
-  bookkeeping / outcome sampling).
+  instead of ``assign_batch_bulk``.  Decision hash, metrics digest and
+  event count must match bit-for-bit (fatal), and the batched/unbatched
+  events-per-second ratio is recorded.
 * **checkpointed vs uncheckpointed** (``--checkpoint-compare``, interval
   ``--checkpoint-every``): the primary cell re-run with periodic
   full-state snapshots (``SimulationConfig(checkpoint_interval=N)``,
@@ -109,7 +106,7 @@ if _SRC not in sys.path:  # allow running without pip install / PYTHONPATH
 
 from repro.core.baselines import make_policy  # noqa: E402
 from repro.resilience.record import (  # noqa: E402
-    decision_hash,
+    RecordingPolicy,
     describe_metrics_divergence,
     format_divergence,
     metrics_digest,
@@ -124,100 +121,40 @@ from repro.traces.device_trace import (  # noqa: E402
 from repro.traces.workloads import WorkloadConfig, WorkloadGenerator  # noqa: E402
 
 
-class TimedPolicy:
-    """Transparent policy wrapper timing and recording every ``assign``.
+class TimedPolicy(RecordingPolicy):
+    """:class:`~repro.resilience.record.RecordingPolicy` plus wall-clock
+    timing of the decision entry points.
 
-    Actual assignments are recorded as plain ``(now, device_id, job_id)``
-    tuples (None decisions excluded, so the digest is comparable between
-    the indexed and legacy dispatch paths, which offer different — but
-    decision-equivalent — device streams to the policy).  Plain tuples
-    instead of a running ``hashlib`` object buy two things: the wrapper
-    pickles into engine checkpoints (``--checkpoint-compare``), and a
-    failed identity gate can print the *first divergent decision* instead
-    of two opaque hex strings.  The hash itself
-    (:func:`repro.resilience.record.decision_hash`) is byte-compatible
-    with the historical accumulator.
+    The base class records actual assignments as plain ``(now, device_id,
+    job_id)`` tuples (None decisions excluded, so the digest is comparable
+    between the indexed and legacy dispatch paths, which offer different —
+    but decision-equivalent — device streams to the policy), pickles into
+    engine checkpoints (``--checkpoint-compare``) and lets a failed
+    identity gate print the *first divergent decision* instead of two
+    opaque hex strings.  This subclass only adds the per-``assign`` latency
+    list and the batched-consult timers.
     """
 
     def __init__(self, inner) -> None:
-        self._inner = inner
-        self.name = getattr(inner, "name", type(inner).__name__)
+        super().__init__(inner)
         self.assign_latencies: List[float] = []
-        self.decisions: List[Tuple[float, int, int]] = []
         self.batch_assign_s = 0.0
         self.batch_devices = 0
         self.batch_proposals = 0
-        if not hasattr(inner, "assign_batch_bulk"):
-            # Don't advertise the ledger path for policies that lack it —
-            # the engine probes with getattr and must fall back cleanly.
-            self.assign_batch_bulk = None
 
     def assign(self, device, now):
         t0 = time.perf_counter()
-        out = self._inner.assign(device, now)
+        out = super().assign(device, now)
         self.assign_latencies.append(time.perf_counter() - t0)
-        if out is not None:
-            self.decisions.append((now, device.device_id, out.job_id))
-        return out
-
-    def assign_batch(self, devices, now, commit):
-        # Explicit wrapper (``__getattr__`` delegation would bypass
-        # recording): proposals are logged from inside the commit callback,
-        # which the policy invokes in offer order — the same order the
-        # scalar path appends its records.  Commit-time recording matches
-        # assign-time recording because every shipped policy's proposals
-        # pass engine validation (they all pre-filter on open/demand/
-        # not-assigned before proposing).
-        decisions = self.decisions
-        device_ids = [d.device_id for d in devices]
-
-        def recording_commit(i, request):
-            decisions.append((now, device_ids[i], request.job_id))
-            self.batch_proposals += 1
-            return commit(i, request)
-
-        t0 = time.perf_counter()
-        out = self._inner.assign_batch(devices, now, recording_commit)
-        self.batch_assign_s += time.perf_counter() - t0
-        self.batch_devices += len(devices)
         return out
 
     def assign_batch_bulk(self, devices, now):
-        # Same reasoning as assign_batch: without an explicit wrapper the
-        # engine would resolve the inner policy's ledger path directly and
-        # the proposals would never reach the decision record.
         t0 = time.perf_counter()
-        consumed, proposals = self._inner.assign_batch_bulk(devices, now)
+        consumed, proposals = super().assign_batch_bulk(devices, now)
         self.batch_assign_s += time.perf_counter() - t0
         self.batch_devices += consumed
         self.batch_proposals += len(proposals)
-        decisions = self.decisions
-        for i, request in proposals:
-            decisions.append((now, devices[i].device_id, request.job_id))
         return consumed, proposals
-
-    @property
-    def decision_hash(self) -> str:
-        return decision_hash(self.decisions)
-
-    @property
-    def profile_decisions(self):
-        return getattr(self._inner, "profile_decisions", False)
-
-    @profile_decisions.setter
-    def profile_decisions(self, value):
-        # The engine flips this flag on the policy it was handed; plain
-        # assignment would land in the wrapper's dict, not the inner
-        # policy's, and profiling would silently stay off.
-        self._inner.profile_decisions = value
-
-    def __getattr__(self, item):
-        # Guarded like RecordingPolicy: pickle probes attributes on an
-        # empty instance dict during unpickling.
-        inner = self.__dict__.get("_inner")
-        if inner is None:
-            raise AttributeError(item)
-        return getattr(inner, item)
 
 
 def build_cell(num_devices: int, num_jobs: int, horizon: float, seed: int):
@@ -273,8 +210,6 @@ def run_cell(
     vectorized: bool = False,
     checkpoint_interval: Optional[int] = None,
     batched: bool = True,
-    batched_response: bool = True,
-    profile_decisions: bool = False,
 ) -> Dict:
     """Run one cell ``repeats`` times and keep the fastest run.
 
@@ -288,7 +223,7 @@ def run_cell(
         cell = _run_cell_once(
             num_devices, num_jobs, horizon, seed, policy_name, indexed,
             maintenance, num_shards, vectorized, checkpoint_interval,
-            batched, batched_response, profile_decisions,
+            batched,
         )
         if best is not None and cell["decision_hash"] != best["decision_hash"]:
             raise AssertionError(
@@ -312,8 +247,6 @@ def _run_cell_once(
     vectorized: bool = False,
     checkpoint_interval: Optional[int] = None,
     batched: bool = True,
-    batched_response: bool = True,
-    profile_decisions: bool = False,
 ) -> Dict:
     devices, trace, workload = build_cell(num_devices, num_jobs, horizon, seed)
     kwargs = {}
@@ -331,20 +264,14 @@ def _run_cell_once(
         vectorized_dispatch=vectorized,
         checkpoint_interval=checkpoint_interval,
         batched_assign=batched,
-        batched_response=batched_response,
-        profile_decisions=profile_decisions,
     )
     sim = Simulator(devices, trace, workload, policy, config)
     t0 = time.perf_counter()
     metrics = sim.run()
     wall = time.perf_counter() - t0
     lat = np.asarray(policy.assign_latencies, dtype=float)
-    if profile_decisions:
-        path = "decision-profile"
-    elif vectorized and not batched:
+    if vectorized and not batched:
         path = "vectorized-unbatched"
-    elif vectorized and not batched_response:
-        path = "vectorized-response-scalar"
     elif vectorized:
         path = "vectorized"
     elif num_shards > 1:
@@ -389,25 +316,6 @@ def _run_cell_once(
         cell["batch_devices"] = policy.batch_devices
         cell["batch_proposals"] = policy.batch_proposals
         cell["batch_assign_s"] = round(policy.batch_assign_s, 4)
-        cell["batched_response"] = batched_response
-        cell["response_cohorts"] = sim.response_cohorts
-        cell["response_batched_events"] = sim.response_batched_events
-    if profile_decisions:
-        # Per-phase wall-time breakdown of the batched decision path: the
-        # policy accounts candidate lookup / admission / bookkeeping, the
-        # engine accounts outcome sampling (the batched rng draws at
-        # flush time).
-        breakdown = dict(getattr(policy, "decision_profile", {}) or {})
-        for key_, value in list(breakdown.items()):
-            if isinstance(value, float):
-                breakdown[key_] = round(value, 4)
-        breakdown["outcome_sampling_s"] = round(sim.outcome_sampling_s, 4)
-        # Response-phase breakdown: how much of the drain ran through the
-        # cohort path and what it cost.
-        breakdown["response_cohorts"] = sim.response_cohorts
-        breakdown["response_batched_events"] = sim.response_batched_events
-        breakdown["response_batch_s"] = round(sim.response_batch_s, 4)
-        cell["decision_profile"] = breakdown
     if checkpoint_interval is not None:
         cell["checkpoint_interval"] = checkpoint_interval
         cell["checkpoints_taken"] = sim.checkpoints_taken
@@ -552,19 +460,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "metrics hash and event count must match the "
                              "batched run bit-for-bit (fatal otherwise).  "
                              "Implies --vectorized-compare")
-    parser.add_argument("--response-batch-compare", action="store_true",
-                        help="run a response-scalar (batched_response="
-                             "False) twin of every vectorized cell; "
-                             "decision hash, metrics hash and event count "
-                             "must match the cohort-drained run "
-                             "bit-for-bit (fatal otherwise).  Implies "
-                             "--vectorized-compare")
-    parser.add_argument("--decision-profile", action="store_true",
-                        help="add an instrumented vectorized cell per sweep "
-                             "point with a per-phase breakdown of the "
-                             "batched decision path (candidate lookup / "
-                             "admission / bookkeeping / outcome sampling) "
-                             "in the JSON artifact")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny sweep for CI (overrides sweep + horizon, "
                              "implies --compare, --maintenance-compare and "
@@ -593,11 +488,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.vectorized_compare = True
         args.checkpoint_compare = True
         args.assign_batch_compare = True
-        args.response_batch_compare = True
         if args.shard_counts == [1]:
             args.shard_counts = [1, 2]
-    if args.assign_batch_compare or args.response_batch_compare:
-        # The unbatched twins compare against the vectorized cell.
+    if args.assign_batch_compare:
+        # The unbatched twin compares against the vectorized cell.
         args.vectorized_compare = True
 
     policy_is_venn = args.policy.startswith("venn")
@@ -799,104 +693,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "events_per_sec_ratio": round(ratio, 3),
                         "decisions_identical": identical,
                     })
-
-            if args.response_batch_compare:
-                for shards in sorted(set(args.shard_counts)):
-                    vec_cell = by_combo.get(
-                        ("vectorized", maint_primary, shards)
-                    )
-                    if vec_cell is None:
-                        continue
-                    print(
-                        f"[cell] devices={n_dev} jobs={n_jobs} "
-                        f"path=vectorized-response-scalar "
-                        f"maintenance={maint_primary} shards={shards} ...",
-                        file=sys.stderr, flush=True,
-                    )
-                    rsp_cell = run_cell(
-                        n_dev, n_jobs, horizon, args.seed, args.policy,
-                        True, maint_primary, repeats=args.repeats,
-                        num_shards=shards, vectorized=True,
-                        batched_response=False,
-                    )
-                    cells.append(rsp_cell)
-                    identical = (
-                        rsp_cell["decision_hash"] == vec_cell["decision_hash"]
-                        and rsp_cell["metrics_hash"] == vec_cell["metrics_hash"]
-                        and rsp_cell["events"] == vec_cell["events"]
-                    )
-                    if not identical:
-                        # Fatal: the cohort-drained response path promises
-                        # bit-identical decisions AND metrics to the
-                        # per-event response handler.
-                        decision_mismatch = True
-                        print(
-                            f"[cell] devices={n_dev} jobs={n_jobs} "
-                            f"RESPONSE-BATCH IDENTITY DIVERGENCE at "
-                            f"num_shards={shards}: decisions "
-                            f"{rsp_cell['decision_hash'][:12]} vs "
-                            f"{vec_cell['decision_hash'][:12]}, metrics "
-                            f"{rsp_cell['metrics_hash'][:12]} vs "
-                            f"{vec_cell['metrics_hash'][:12]}, events "
-                            f"{rsp_cell['events']} vs {vec_cell['events']}",
-                            file=sys.stderr, flush=True,
-                        )
-                        _print_divergence(
-                            rsp_cell, vec_cell,
-                            label_a="response-scalar", label_b="batched",
-                        )
-                    ratio = (
-                        vec_cell["events_per_sec"]
-                        / max(rsp_cell["events_per_sec"], 1e-9)
-                    )
-                    print(
-                        f"[cell] devices={n_dev} jobs={n_jobs} "
-                        f"response batched/scalar(shards={shards}) = "
-                        f"{ratio:.2f}x over "
-                        f"{vec_cell.get('response_cohorts', 0)} cohorts "
-                        f"({vec_cell.get('response_batched_events', 0)} "
-                        f"batched events), identical: {identical}",
-                        file=sys.stderr, flush=True,
-                    )
-                    cells.append({
-                        "devices": n_dev, "jobs": n_jobs,
-                        "summary": "response-batch", "num_shards": shards,
-                        "events_per_sec_ratio": round(ratio, 3),
-                        "decisions_identical": identical,
-                    })
-
-            if args.decision_profile:
-                print(
-                    f"[cell] devices={n_dev} jobs={n_jobs} "
-                    f"path=decision-profile maintenance={maint_primary} "
-                    f"shards=1 ...",
-                    file=sys.stderr, flush=True,
-                )
-                prof_cell = run_cell(
-                    n_dev, n_jobs, horizon, args.seed, args.policy,
-                    True, maint_primary, repeats=args.repeats,
-                    num_shards=1, vectorized=True, profile_decisions=True,
-                )
-                cells.append(prof_cell)
-                breakdown = prof_cell.get("decision_profile", {})
-                print(
-                    f"[cell]   decision phases: "
-                    f"lookup {breakdown.get('candidate_lookup_s', 0.0):.3f}s "
-                    f"admission {breakdown.get('admission_s', 0.0):.3f}s "
-                    f"bookkeeping {breakdown.get('bookkeeping_s', 0.0):.3f}s "
-                    f"outcome-sampling "
-                    f"{breakdown.get('outcome_sampling_s', 0.0):.3f}s over "
-                    f"{breakdown.get('batch_devices', 0)} batched consults",
-                    file=sys.stderr, flush=True,
-                )
-                print(
-                    f"[cell]   response phases: "
-                    f"{breakdown.get('response_cohorts', 0)} cohorts, "
-                    f"{breakdown.get('response_batched_events', 0)} batched "
-                    f"events, batch kernel "
-                    f"{breakdown.get('response_batch_s', 0.0):.3f}s",
-                    file=sys.stderr, flush=True,
-                )
 
             if args.checkpoint_compare and base_cell is not None:
                 print(

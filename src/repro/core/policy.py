@@ -70,30 +70,6 @@ class SchedulingPolicy(abc.ABC):
         Optional hook; the default implementation ignores it.
         """
 
-    def on_response_batch(
-        self, request: ResourceRequest, devices, now: float
-    ) -> None:
-        """A same-time batch of devices assigned to ``request`` reported back.
-
-        Called by the batched response path instead of per-event
-        :meth:`on_response` when a same-timestamp run of responses is
-        drained as one cohort.  ``devices`` holds the reporting devices'
-        profiles in the exact order the per-event loop would have delivered
-        them (response-sequence order within the request); the engine calls
-        this once per touched request, in first-occurrence order across the
-        cohort.  Implementations must leave the policy in *exactly* the
-        state per-event :meth:`on_response` calls would have — the scalar
-        path is the decision-hash oracle, and per-request grouping is only
-        sound because response bookkeeping for different requests commutes
-        (the batch contract; Venn's per-job matchers satisfy it).  The
-        default delegates to the scalar hook per device, and skips the loop
-        entirely for policies that never overrode it.
-        """
-        if type(self).on_response is SchedulingPolicy.on_response:
-            return
-        for device in devices:
-            self.on_response(request, device, now)
-
     def on_device_checkin(self, device: DeviceProfile, now: float) -> None:
         """A device became available (called before :meth:`assign`).
 
@@ -124,41 +100,6 @@ class SchedulingPolicy(abc.ABC):
             return
         for i in range(len(device_ids)):
             self.on_device_checkin(profile_of(int(device_ids[i])), float(times[i]))
-
-    def assign_batch(self, devices, now: float, commit) -> None:
-        """Batched twin of :meth:`assign` over a same-time device cohort.
-
-        ``devices`` is the sequence of checked-in device profiles in the
-        exact order the engine would have offered them one at a time, and
-        ``commit(i, request)`` is the engine's bookkeeping callback: it
-        records the proposal for ``devices[i]`` (validation, demand
-        decrement, response scheduling) *before* the next device is
-        decided, and returns ``False`` when the engine stops offering this
-        cohort — demand emptied entirely (the per-device loop's break), or
-        the commit narrowed the pending-requirement set and the engine
-        must re-filter the remainder before offering more devices.  The
-        contract mirrors the scalar path exactly:
-
-        * decisions must be bit-identical to calling ``assign`` per device
-          in order with the engine committing between calls (the scalar
-          path is the decision-hash oracle);
-        * every random draw must happen in the same order as the scalar
-          walk would have drawn it;
-        * after ``commit`` returns ``False`` the policy must stop
-          immediately, without touching state or randomness for the
-          unvisited remainder — the engine re-offers any devices that
-          still matter in a follow-up call.
-
-        The default implementation is the scalar fallback — it delegates
-        to :meth:`assign` per device — so policies that never override it
-        (the baselines) keep their behaviour under batch-dispatching
-        engines.
-        """
-        assign = self.assign
-        for i, device in enumerate(devices):
-            request = assign(device, now)
-            if request is not None and not commit(i, request):
-                return
 
     def bind_rng(self, rng: "np.random.Generator") -> None:
         """Adopt the simulation's random generator (seed plumbing).

@@ -193,19 +193,6 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         #: serialises (``(plan_version, plan_dirty)``).
         self._snapshot_cache: Optional[Dict[str, object]] = None
         self._snapshot_key = (-1, True)
-        #: When ``True`` the batched decision path accumulates a per-phase
-        #: wall-time breakdown into :attr:`decision_profile` (candidate
-        #: lookup / admission walk / commit bookkeeping).  Off by default:
-        #: the clock reads are per device, so profiling is opt-in
-        #: (``bench_scalability.py --decision-profile``).
-        self.profile_decisions = False
-        self.decision_profile: Dict[str, float] = {
-            "candidate_lookup_s": 0.0,
-            "admission_s": 0.0,
-            "bookkeeping_s": 0.0,
-            "batch_devices": 0,
-            "batch_proposals": 0,
-        }
         # Derive the ablation-aware display name.
         if not self.enable_scheduling and self.enable_matching:
             self.name = "venn_wo_sched"
@@ -369,28 +356,6 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         if assigned_at is None:
             return
         matcher.record_participation(device, max(0.0, now - assigned_at))
-
-    def on_response_batch(self, request, devices, now: float) -> None:
-        """Record a response cohort into the job's matching profile.
-
-        One matcher lookup per request instead of per response; the
-        participations land in the matcher's history deques in the exact
-        order the per-event hook would have appended them (``devices`` is
-        in response order), so the resulting profile state — and every
-        tier decision derived from it — is bit-identical to the scalar
-        path.  Per-job matchers are disjoint objects, which is what makes
-        the engine's per-request grouping across a cohort sound.
-        """
-        matcher = self._matchers.get(request.job_id)
-        if matcher is None:
-            return
-        record = matcher.record_participation
-        assigned_ids = request.assigned_ids
-        for device in devices:
-            assigned_at = assigned_ids.get(device.device_id)
-            if assigned_at is None:
-                continue
-            record(device, max(0.0, now - assigned_at))
 
     # ------------------------------------------------------------------ #
     # Plan construction
@@ -792,42 +757,6 @@ class VennScheduler(SeededRngMixin, BasePolicy):
             self._demand_dirty.add(fallback.job_id)
         return fallback
 
-    def assign_batch(self, devices, now: float, commit) -> None:
-        """Batched decision path: one plan refresh and one signature →
-        candidate resolution per *interned signature*, not per device.
-
-        Decision-identical to the scalar oracle by construction: devices
-        are walked in offer order over the same (memoised, pruned)
-        candidate entries the scalar :meth:`assign` walk would visit, tier
-        decisions resolve lazily at the same walk positions (identical rng
-        draw order), and ``commit`` performs the engine's demand
-        bookkeeping between consecutive devices exactly like the per-event
-        loop.  The plan refresh can only trigger before the first device —
-        assignments never dirty the plan mid-cohort — so hoisting it out
-        of the loop is exact.
-        """
-        if not self.open_requests:
-            return
-        if self._plan_dirty:
-            self.refresh_plan(now)
-        if not self.use_index:
-            # Legacy-scan mode keeps the per-device oracle walk (the scan
-            # path exists for apples-to-apples benchmarking only).
-            for i, device in enumerate(devices):
-                request = self.assign(device, now)
-                if request is not None and not commit(i, request):
-                    return
-            return
-        if self.profile_decisions:
-            return self._assign_batch_profiled(devices, commit)
-        signature_for = self._signature_for
-        live_for = self._live_candidates
-        match = self._match_device
-        for i, device in enumerate(devices):
-            request = match(device, live_for(signature_for(device)))
-            if request is not None and not commit(i, request):
-                return
-
     def assign_batch_bulk(self, devices, now: float):
         """Ledger-mode batched decisions: resolve a cohort prefix at once.
 
@@ -859,7 +788,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         The caller must commit every returned proposal at ``now`` before
         the next consult (see the engine's ``_commit_cohort_vec``).  Only
         the indexed path supports ledger mode; callers fall back to
-        :meth:`assign_batch` otherwise.
+        per-device :meth:`assign` consults otherwise.
 
         Signatures whose entire candidate list shows zero ledger demand
         are marked dead for the rest of the cohort: ledger demand is
@@ -930,27 +859,6 @@ class VennScheduler(SeededRngMixin, BasePolicy):
                 elif not any_live:
                     dead.add(signature)
         return len(devices), proposals
-
-    def _assign_batch_profiled(self, devices, commit) -> None:
-        """Instrumented twin of the batched walk (same decisions, plus a
-        per-phase wall-time breakdown into :attr:`decision_profile`)."""
-        profile = self.decision_profile
-        clock = time.perf_counter
-        for i, device in enumerate(devices):
-            t0 = clock()
-            live = self._live_candidates(self._signature_for(device))
-            t1 = clock()
-            request = self._match_device(device, live)
-            t2 = clock()
-            profile["candidate_lookup_s"] += t1 - t0
-            profile["admission_s"] += t2 - t1
-            profile["batch_devices"] += 1
-            if request is not None:
-                profile["batch_proposals"] += 1
-                more = commit(i, request)
-                profile["bookkeeping_s"] += clock() - t2
-                if not more:
-                    return
 
 
 __all__ = ["VennScheduler"]

@@ -241,9 +241,9 @@ class SupplyEstimator:
         observation span (and hence the prior-blend fill factor) depends
         only on ``now`` — never on the signature — so it is computed once
         and reused, and per-signature pruning is exactly the per-call
-        prune.  This is the supply read the batched response rail triggers
-        (a completed round re-opens demand and the next plan refresh
-        queries every atom), so it avoids re-deriving the span per atom.
+        prune.  This is the supply read of every plan refresh (a completed
+        round re-opens demand and the next refresh queries every atom), so
+        it avoids re-deriving the span per atom.
         """
         span = self._effective_span(now)
         fill = (

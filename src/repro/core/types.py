@@ -277,26 +277,6 @@ class ResourceRequest:
             raise ValueError(f"device {device_id} was never assigned to this request")
         self.responses[device_id] = now
 
-    def record_responses_bulk(self, device_ids: list, now: float) -> None:
-        """Bulk twin of :meth:`record_response` for a same-time cohort.
-
-        State-identical to calling :meth:`record_response` once per id in
-        order: the ``responses`` dict gains the same keys in the same
-        insertion order with the same timestamp, and the same invariant is
-        enforced once per batch — every reporting device must have been
-        assigned here (ids within a batch are unique by construction: a
-        device has at most one in-flight response per request).
-        """
-        assigned_ids = self.assigned_ids
-        for device_id in device_ids:
-            if device_id not in assigned_ids:
-                raise ValueError(
-                    f"device {device_id} was never assigned to this request"
-                )
-        responses = self.responses
-        for device_id in device_ids:
-            responses[device_id] = now
-
     @property
     def scheduling_delay(self) -> Optional[float]:
         """Time from submission to full acquisition, if acquired."""

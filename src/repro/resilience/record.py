@@ -79,13 +79,10 @@ class RecordingPolicy:
     are not recorded (the digest stays comparable between dispatch paths
     that offer different — but decision-equivalent — device streams).
 
-    Only the *decision* entry points need explicit wrappers (below).  The
-    response-side hooks — ``on_response`` and the batched
-    ``on_response_batch`` — are deliberately left to ``__getattr__``
-    forwarding: they resolve to the inner policy's bound methods, so the
-    default batch hook's "policy never overrode ``on_response``" check
-    evaluates against the inner policy's type, exactly as if the wrapper
-    were not there.
+    Only the *decision* entry points need explicit wrappers (below):
+    ``__getattr__`` delegation would resolve them on the inner policy
+    directly and their proposals would never reach the decision record.
+    Every other hook is forwarded untouched.
     """
 
     def __init__(self, inner) -> None:
@@ -103,21 +100,6 @@ class RecordingPolicy:
             self.decisions.append((now, device.device_id, out.job_id))
         return out
 
-    def assign_batch(self, devices, now, commit):
-        # Explicit wrappers for the batched decision paths: ``__getattr__``
-        # delegation would resolve them on the inner policy directly and
-        # batched proposals would never reach the decision record.  The
-        # commit protocol records from inside the callback (proposals are
-        # logged in offer order, like the scalar path's append-per-assign);
-        # the ledger protocol records from the returned proposal list.
-        decisions = self.decisions
-
-        def recording_commit(i, request):
-            decisions.append((now, devices[i].device_id, request.job_id))
-            return commit(i, request)
-
-        return self._inner.assign_batch(devices, now, recording_commit)
-
     def assign_batch_bulk(self, devices, now):
         consumed, proposals = self._inner.assign_batch_bulk(devices, now)
         decisions = self.decisions
@@ -128,17 +110,6 @@ class RecordingPolicy:
     @property
     def decision_hash(self) -> str:
         return decision_hash(self.decisions)
-
-    @property
-    def profile_decisions(self):
-        return getattr(self._inner, "profile_decisions", False)
-
-    @profile_decisions.setter
-    def profile_decisions(self, value):
-        # The engine flips this flag on the policy it was handed; plain
-        # attribute assignment would land in the wrapper's instance dict
-        # and the inner policy would keep profiling disabled.
-        self._inner.profile_decisions = value
 
     def __getattr__(self, item):
         # Guarded forwarding: during unpickling the instance dict is empty

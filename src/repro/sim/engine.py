@@ -168,10 +168,11 @@ class SimulationConfig:
     #: metrics for any shard count** (enforced by the shard-identity tests
     #: and the benchmark's decision hash).
     num_shards: int = 1
-    #: Force the sharded engine on (``True``) or off (``False``) regardless
-    #: of ``num_shards``; ``None`` selects it automatically when
-    #: ``num_shards > 1``.  Mainly for tests that exercise the sharded path
-    #: with a single shard.
+    #: ``None`` selects the sharded engine automatically when
+    #: ``num_shards > 1``; ``True`` forces it on at ``num_shards=1`` (mainly
+    #: for tests that exercise the sharded path with a single shard);
+    #: ``False`` pins the single-queue engine and is rejected with
+    #: ``num_shards > 1``.
     sharded_dispatch: Optional[bool] = None
     #: Run the vectorized hot path: struct-of-arrays device state
     #: (:mod:`repro.sim.vector`), batched fold kernels for static check-in/
@@ -198,30 +199,14 @@ class SimulationConfig:
     #: ``None`` (the default) is a strict no-op — pristine runs replay the
     #: historical event and draw sequences exactly.
     fault_plan: Optional[FaultPlan] = None
-    #: Batched decision path: hand same-time device cohorts to the policy's
-    #: ``assign_batch`` in chunks instead of one ``assign`` per device.
-    #: Decisions and metrics are **bit-identical** either way (the scalar
-    #: consult is the oracle; enforced by the differential suite and the
-    #: benchmark's ``--assign-batch-compare`` gate).  Only the vectorized
-    #: engine consults it; scalar/sharded runs always use per-device
-    #: consults.
+    #: Batched decision path: hand large same-time device cohorts to the
+    #: policy's ``assign_batch_bulk`` (when it offers one) instead of one
+    #: ``assign`` per device.  Decisions and metrics are **bit-identical**
+    #: either way (the scalar consult is the oracle; enforced by the
+    #: differential suite and the benchmark's ``--assign-batch-compare``
+    #: gate).  Only the vectorized engine consults it; scalar/sharded runs
+    #: always use per-device consults.
     batched_assign: bool = True
-    #: Batched response path: same-timestamp runs of device responses on
-    #: one shard are drained as a cohort — one array pass for the device
-    #: state transitions, grouped per-request bookkeeping through the bulk
-    #: response hooks, completion checks deferred to the cohort's cut
-    #: points — instead of one handler call per event.  The per-event
-    #: handler stays the oracle; decisions and metrics are
-    #: **bit-identical** either way (enforced by the differential suite
-    #: and the benchmark's ``--response-batch-compare`` gate).  Only the
-    #: vectorized engine consults it.
-    batched_response: bool = True
-    #: Record a per-phase wall-time breakdown of the batched decision path
-    #: (candidate lookup / admission / bookkeeping on the policy, outcome
-    #: sampling on the engine).  Adds clock reads to the hot loop — leave
-    #: off except when profiling (``bench_scalability.py
-    #: --decision-profile``).
-    profile_decisions: bool = False
 
     def __post_init__(self) -> None:
         if self.horizon <= 0:
@@ -230,6 +215,12 @@ class SimulationConfig:
             raise ValueError("max_events must be positive")
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
+        if self.num_shards > 1 and self.sharded_dispatch is False:
+            raise ValueError(
+                "sharded_dispatch=False runs the single-queue engine, which "
+                "has no shards; it cannot be combined with "
+                f"num_shards={self.num_shards}"
+            )
         if self.vectorized_dispatch and self.sharded_dispatch is False:
             raise ValueError(
                 "vectorized_dispatch runs on the coordinator/shard engine; "
@@ -402,39 +393,17 @@ class Simulator:
         #: was last cached (assignment messages land mid-decision).
         self._dirty_shards: set = set()
         self._policy_has_plan_version = hasattr(policy, "plan_version")
-        #: Batched decision path (vectorized engine only): dispatch sweeps
-        #: hand same-time cohorts to ``policy.assign_batch`` in chunks.
-        self._batched_assign = bool(self.config.batched_assign)
-        #: Ledger-mode fast path: policies exposing ``assign_batch_bulk``
-        #: (Venn on the indexed path) resolve a whole cohort in one call
-        #: and the engine commits the proposals in bulk.  Falls back to the
-        #: commit-callback protocol for every other policy, for the legacy
-        #: scan path, and under ``profile_decisions`` (the instrumented
-        #: path has the per-phase timers).
+        #: Batched decision path (vectorized engine only): policies exposing
+        #: ``assign_batch_bulk`` (Venn on the indexed path) resolve a whole
+        #: dispatch cohort in one call and the engine commits the proposals
+        #: in bulk.  ``None`` — ``batched_assign`` off, a policy without the
+        #: hook, the legacy scan path — keeps every sweep on per-device
+        #: consults.
         self._policy_bulk_assign = (
             getattr(policy, "assign_batch_bulk", None)
-            if self._batched_assign
-            and not self.config.profile_decisions
-            and getattr(policy, "use_index", True)
+            if self.config.batched_assign and getattr(policy, "use_index", True)
             else None
         )
-        #: Batched response path (vectorized engine only): same-timestamp
-        #: response runs drain as cohorts (see ``_handle_response_cohort``).
-        self._batched_response = bool(self.config.batched_response)
-        self._profile_decisions = bool(self.config.profile_decisions)
-        if self._profile_decisions and hasattr(policy, "profile_decisions"):
-            policy.profile_decisions = True
-        #: Engine-side share of the decision profile: wall time spent in
-        #: batched outcome draws (``--decision-profile``).
-        self.outcome_sampling_s = 0.0
-        #: Response-phase breakdown (``--decision-profile``): cohorts
-        #: drained by the batched response path, events they covered, and
-        #: wall time spent in the batched prefix passes.  The counters are
-        #: maintained unconditionally (two integer adds per cohort); the
-        #: timer only runs under ``profile_decisions``.
-        self.response_cohorts = 0
-        self.response_batched_events = 0
-        self.response_batch_s = 0.0
         # The engine's own signature space: the workload's full requirement
         # set is known up front, so each device's eligibility signature is
         # computed once (lazily, at first check-in) and cached forever.
@@ -772,7 +741,6 @@ class Simulator:
             if self._vectorized
             else self._handle_shard_response
         )
-        cohort_responses = self._vectorized and self._batched_response
         heads = [sh.head_key() for sh in shards]
         dirty = self._dirty_shards
         q_key = queue.peek_key() or INF_KEY
@@ -821,43 +789,9 @@ class Simulator:
                     shard.heap
                 )
                 self.now = t
-                handled = 1
-                run = None
-                if cohort_responses and shard.heap and shard.heap[0][0] == t:
-                    # Same-timestamp response run on this shard: gather
-                    # every entry that is still globally next — strictly
-                    # before the coordinator queue, every other shard's
-                    # head and this shard's own next static event — and
-                    # drain the run as one cohort.  Anything scheduled
-                    # *during* the cohort carries a larger sequence number
-                    # and re-enters the merge loop normally.
-                    limit = q_key
-                    for i in range(num_shards):
-                        if i != best_i and heads[i] < limit:
-                            limit = heads[i]
-                    cur = shard.cursor
-                    if cur < shard.st_len:
-                        sk = (shard.st_time[cur], shard.st_seq[cur])
-                        if sk < limit:
-                            limit = sk
-                    sheap = shard.heap
-                    while (
-                        sheap
-                        and sheap[0][0] == t
-                        and (t, sheap[0][1]) < limit
-                    ):
-                        if run is None:
-                            run = [
-                                (t, _seq, device_id, request_id,
-                                 _job_id, success)
-                            ]
-                        run.append(heapq.heappop(sheap))
-                if run is not None:
-                    handled = self._handle_response_cohort(shard, run)
-                else:
-                    handle_response(shard, device_id, request_id, success)
-                self._events_processed += handled
-                shard.events_processed += handled
+                handle_response(shard, device_id, request_id, success)
+                self._events_processed += 1
+                shard.events_processed += 1
                 if self._events_processed >= self.config.max_events:
                     raise RuntimeError(
                         "simulation exceeded max_events; check for livelock "
@@ -1379,322 +1313,20 @@ class Simulator:
             self._try_assign_vec(slot)
             self._flush_assignments()
 
-    def _handle_response_cohort(self, shard: DeviceShard, run: list) -> int:
-        """Drain a same-timestamp run of responses as batched stretches.
-
-        Returns the number of entries actually consumed.  That is
-        ``len(run)`` except when a completion finishes the *last* job: the
-        merge loop stops right after such an event, so the unconsumed tail
-        is pushed back onto the shard heap (same keys, order preserved)
-        and left unprocessed — exactly like the per-event loop.
-
-        ``run`` holds the shard's popped heap entries, in sequence order —
-        the exact order the per-event loop would have handled them.  The
-        per-event handler interleaves four effects per response: the
-        device state transition, the request bookkeeping, the completion
-        check and the freed-device re-dispatch.  Within a stretch where no
-        response completes its request and none is a re-dispatch candidate,
-        those effects commute across responses (distinct devices, per-
-        request bookkeeping, provably no-op completion checks, no
-        dispatches), so the stretch collapses into one batched pass.  The
-        scan below finds the first *sequential point* — a response that
-        would complete its request (its success would lift the response
-        count to ``min_reports`` with demand already met) or would attempt
-        a re-dispatch (session still open, demand pending, daily budget
-        available after any refund) — batches the prefix before it, hands
-        the sequential response to the per-event oracle handler, and
-        repeats.  Classification runs against pre-stretch state, which the
-        commuting argument makes exact; a conservative misclassification
-        only shortens a stretch, never changes results.
-        """
-        vec = self._vec
-        slot_of = vec.slot_of
-        sess = vec.sess
-        last_day = vec.last_day
-        requests = self._requests
-        enforce_daily = self.config.enforce_daily_limit
-        t = run[0][0]
-        today = int(t // SECONDS_PER_DAY)
-        n = len(run)
-        self.response_cohorts += 1
-        i = 0
-        while i < n:
-            pending = bool(self._pending)
-            #: Successes counted per open request with met demand in this
-            #: stretch (completion classification is exact: demand cannot
-            #: change inside a stretch, so only the response count moves).
-            counts: dict = {}
-            hard = False
-            j = i
-            while j < n:
-                entry = run[j]
-                request = requests.get(entry[3])
-                slot = slot_of[entry[2]]
-                if entry[5] and request is not None and request.is_open:
-                    if request.remaining_demand == 0:
-                        c = counts.get(entry[3], 0) + 1
-                        if len(request.responses) + c >= request.min_reports:
-                            hard = True
-                            break  # completes its request
-                        counts[entry[3]] = c
-                    if (
-                        pending
-                        and t < sess[slot]
-                        and not (
-                            enforce_daily and last_day[slot] == today
-                        )
-                    ):
-                        # Re-dispatch candidate whose own bookkeeping
-                        # (``on_response``) interleaves with the consult:
-                        # only the per-event oracle preserves that order.
-                        hard = True
-                        break
-                elif (
-                    pending
-                    and t < sess[slot]
-                    and not (
-                        enforce_daily
-                        and request is not None
-                        and request.is_open
-                        and last_day[slot] == today
-                    )
-                ):
-                    # Re-dispatch candidate with no policy-visible
-                    # bookkeeping (failure, or a straggler of a closed
-                    # request — the refund restores its daily budget):
-                    # batchable through the cohort dispatch machinery.
-                    break
-                j += 1
-            if j > i:
-                if self._profile_decisions:
-                    t0 = time.perf_counter()
-                    self._apply_response_prefix(shard, run, i, j, t)
-                    self.response_batch_s += time.perf_counter() - t0
-                else:
-                    self._apply_response_prefix(shard, run, i, j, t)
-                self.response_batched_events += j - i
-            if j >= n:
-                i = j
-            elif hard:
-                entry = run[j]
-                self._handle_shard_response_vec(
-                    shard, entry[2], entry[3], entry[5]
-                )
-                i = j + 1
-                if self._unfinished_jobs == 0 and i < n:
-                    # The last job just finished; the run's tail stays
-                    # unprocessed, exactly as under the per-event loop.
-                    sheap = shard.heap
-                    for p in range(i, n):
-                        heapq.heappush(sheap, run[p])
-                    return i
-            else:
-                # A run of consecutive responses none of which touches the
-                # policy (failures and closed-request stragglers): batch
-                # their transitions/refunds in one pass, then offer the
-                # freed devices to the policy through the batched dispatch
-                # path — consult order is entry order, exactly the scalar
-                # loop's, and no bookkeeping interleaves by construction.
-                k = j + 1
-                while k < n:
-                    entry = run[k]
-                    request = requests.get(entry[3])
-                    if entry[5] and request is not None and request.is_open:
-                        break
-                    k += 1
-                if self._profile_decisions:
-                    t0 = time.perf_counter()
-                    self._apply_response_prefix(shard, run, j, k, t)
-                    self.response_batch_s += time.perf_counter() - t0
-                else:
-                    self._apply_response_prefix(shard, run, j, k, t)
-                self.response_batched_events += k - j
-                self._dispatch_response_freed(run, j, k, t, today)
-                i = k
-        return n
-
-    #: Below this stretch length the per-event status loop beats the numpy
-    #: gather/scatter (same trade-off as ``_FOLD_KERNEL_MIN``); the two
-    #: bodies replay the identical transition, so the cutoff affects only
-    #: wall time, never results.
-    _RESPONSE_KERNEL_MIN = 32
-
-    def _apply_response_prefix(
-        self, shard: DeviceShard, run: list, lo: int, hi: int, t: float
-    ) -> None:
-        """Batch one completion- and dispatch-free stretch of responses.
-
-        Replays exactly the per-event handler's effects for ``run[lo:hi]``:
-        one pass over the device arrays for the ``finish_task`` transitions
-        and counters, then one grouped pass per touched request for the
-        bookkeeping — ``record_responses_bulk`` plus the policy's
-        ``on_response_batch`` for successes on open requests (per-request
-        grouping in first-occurrence order; sound because response
-        bookkeeping commutes across requests), budget refunds and request
-        eviction for responses to closed requests.  The deferred
-        completion check runs once per touched request and is provably a
-        no-op (the cohort scan cuts at the first completing response); it
-        is kept as a cheap guard.  No response in the stretch is a
-        re-dispatch candidate, so the freed-device dispatch attempts are
-        skipped entirely — that is what the scan guaranteed.
-        """
-        vec = self._vec
-        slot_of = vec.slot_of
-        sess = vec.sess
-        status = vec.status
-        last_day = vec.last_day
-        tasks_completed = vec.tasks_completed
-        tasks_failed = vec.tasks_failed
-        requests = self._requests
-        profiles = vec.profiles
-        policy = self.policy
-        m = hi - lo
-        status_done = False
-        if m >= self._RESPONSE_KERNEL_MIN:
-            # One gather/scatter settles every status transition: devices
-            # are unique within a run (one in-flight response per device).
-            slots_arr = np.fromiter(
-                (slot_of[run[p][2]] for p in range(lo, hi)),
-                dtype=np.int64,
-                count=m,
-            )
-            status[slots_arr] = np.where(
-                sess[slots_arr] > t, STATUS_IDLE, STATUS_OFFLINE
-            )
-            status_done = True
-        n_ok = 0
-        n_fail = 0
-        #: request_id -> (request, [reporting device ids]) for successes on
-        #: open requests, in first-occurrence order, ids in response order.
-        recorded: dict = {}
-        for p in range(lo, hi):
-            entry = run[p]
-            device_id = entry[2]
-            slot = slot_of[device_id]
-            if not status_done:
-                status[slot] = (
-                    STATUS_IDLE if t < sess[slot] else STATUS_OFFLINE
-                )
-            if entry[5]:
-                tasks_completed[slot] += 1
-                n_ok += 1
-            else:
-                tasks_failed[slot] += 1
-                n_fail += 1
-            request = requests.get(entry[3])
-            if request is None:
-                continue
-            request.in_flight -= 1
-            if request.is_open:
-                if entry[5]:
-                    group = recorded.get(entry[3])
-                    if group is None:
-                        recorded[entry[3]] = group = (request, [])
-                    group[1].append(device_id)
-            else:
-                # Aborted round: the device keeps its daily budget.
-                last_day[slot] = -1
-                if request.in_flight == 0:
-                    self._evict_request(request)
-        shard.metrics.total_responses += n_ok
-        shard.metrics.total_failures += n_fail
-        for request, device_ids in recorded.values():
-            request.record_responses_bulk(device_ids, t)
-            policy.on_response_batch(
-                request,
-                [profiles[slot_of[d]] for d in device_ids],
-                t,
-            )
-            self._maybe_complete_request(request)
-
-    def _dispatch_response_freed(
-        self, run: list, lo: int, hi: int, t: float, today: int
-    ) -> None:
-        """Offer the devices freed by ``run[lo:hi]`` back to the policy.
-
-        The cohort scan guaranteed no response in the stretch touched the
-        policy, so the per-event loop's consult sequence is exactly "each
-        freed, still-dispatchable device in response order" — which is a
-        device cohort the batched decision path (PR 9's ``assign_batch``
-        with the engine commit callback) can serve.  The candidate filter
-        (still idle — i.e. session open, daily budget left after any
-        refund, signature eligible for a pending requirement) drops exactly
-        the devices whose scalar consult is a guaranteed no-op; unlike the
-        idle-pool sweep the queue keeps *response order*, not ascending
-        device id, because that is the scalar loop's offer order here.
-        Small cohorts stay on the scalar consult loop, same cutoff as the
-        sweep.
-        """
-        pending = self._pending
-        if not pending:
-            return
-        vec = self._vec
-        slot_of = vec.slot_of
-        sig_id = vec.sig_id
-        m = hi - lo
-        slots = np.fromiter(
-            (slot_of[run[p][2]] for p in range(lo, hi)),
-            dtype=np.int64,
-            count=m,
-        )
-        keep = vec.status[slots] == STATUS_IDLE
-        if self.config.enforce_daily_limit:
-            keep &= vec.last_day[slots] != today
-        version = pending.names_version
-        elig = vec.sig_eligibility(pending.pending_requirements())
-        keep &= elig[sig_id[slots]]
-        queue = slots[keep]
-        if not queue.size:
-            return
-        if self._batched_assign and queue.size > self._DRAIN_SCALAR_MAX:
-            self._dispatch_cohort_batched(queue, version)
-            self._flush_assignments()
-            return
-        status = vec.status
-        qlist = queue.tolist()
-        i = 0
-        n = len(qlist)
-        while i < n:
-            if not pending:
-                break
-            if pending.names_version != version:
-                version = pending.names_version
-                elig = vec.sig_eligibility(pending.pending_requirements())
-                queue = queue[i:]
-                queue = queue[elig[sig_id[queue]]]
-                qlist = queue.tolist()
-                n = len(qlist)
-                i = 0
-                continue
-            slot = qlist[i]
-            i += 1
-            if status[slot] != STATUS_IDLE:
-                continue
-            self._try_assign_vec(slot)
-        self._flush_assignments()
-
     def _try_assign_vec(self, slot: int) -> None:
         """Vectorized twin of :meth:`_try_assign`: same policy consultation
         and validity checks, state transition on the arrays, and the latency
         draw deferred to :meth:`_flush_assignments` (the response's sequence
         number and plan version are claimed here, in decision order)."""
-        profile = self._vec.profiles[slot]
+        vec = self._vec
+        profile = vec.profiles[slot]
         request = self.policy.assign(profile, self.now)
-        if request is not None:
-            self._commit_assign_vec(slot, profile, request)
-
-    def _commit_assign_vec(self, slot: int, profile, request) -> bool:
-        """Record one policy proposal on the array state (the ``commit``
-        callback of the batched decision path — also the tail of the scalar
-        consult).  Validation, demand bookkeeping and the response-sequence
-        claim are exactly the scalar path's, so a batch of commits in offer
-        order is state-identical to per-device consults.  Returns whether
-        any request still has unmet demand — ``False`` tells the policy the
-        per-device engine loop would have stopped offering devices."""
+        if request is None:
+            return
         if not request.is_open or request.remaining_demand <= 0:
-            return bool(self._pending)
+            return
         if request.is_assigned(profile.device_id):
-            return bool(self._pending)
+            return
         job = self.jobs.get(request.job_id)
         if job is None:
             raise ValueError(
@@ -1709,7 +1341,6 @@ class Simulator:
         request.record_assignment(profile.device_id, self.now)
         if request.remaining_demand == 0:
             self._pending.remove(request.job_id)
-        vec = self._vec
         vec.status[slot] = STATUS_BUSY
         vec.last_day[slot] = int(self.now // SECONDS_PER_DAY)
         self._assign_buf.append(
@@ -1727,7 +1358,6 @@ class Simulator:
                 ),
             )
         )
-        return bool(self._pending)
 
     def _flush_assignments(self) -> None:
         """Draw outcomes for the buffered assignments and queue responses.
@@ -1746,7 +1376,6 @@ class Simulator:
         shards = self._shards
         num_shards = self._num_shards
         dirty = self._dirty_shards
-        t0 = time.perf_counter() if self._profile_decisions else 0.0
         if len(buf) == 1:
             # Size-1 flushes dominate contended workloads; the batch kernel
             # already falls back to a per-element loop there, so skip its
@@ -1761,8 +1390,6 @@ class Simulator:
                 [entry[1] for entry in buf],
                 now=now,
             )
-        if self._profile_decisions:
-            self.outcome_sampling_s += time.perf_counter() - t0
         for (slot, profile, job, request, seq, send, pv), (
             duration,
             dropped,
@@ -1785,11 +1412,6 @@ class Simulator:
             )
             dirty.add(shard_index)
 
-    #: Cohort chunk size for the batched dispatch sweep: bounds the
-    #: profile-list build between re-filters so a sweep that stops early
-    #: (demand exhausted) never materialises the whole idle queue.
-    _DISPATCH_CHUNK = 1024
-
     def _dispatch_idle_devices_vec(self) -> None:
         """Mask-based twin of the idle-pool dispatch sweep.
 
@@ -1799,14 +1421,15 @@ class Simulator:
         device-id order (slots are id-ranked); the pending-name narrowing
         on ``names_version`` changes mirrors the bucket re-filter.
 
-        Large cohorts go through the policy's batched decision path
-        (``assign_batch`` with :meth:`_commit_assign_vec` as the commit
-        callback): one plan refresh and one candidate resolution per
-        interned signature instead of per device, decisions bit-identical
-        to per-device consults (the differential suite and the benchmark's
-        ``--assign-batch-compare`` gate hold the line).  Cohorts up to
-        ``_DRAIN_SCALAR_MAX`` stay on the scalar consult loop, where the
-        batch plumbing costs more than it saves.
+        Large cohorts go through the policy's ``assign_batch_bulk`` when it
+        offers one (:meth:`_dispatch_cohort_batched`): one plan refresh and
+        one candidate resolution per interned signature instead of per
+        device, decisions bit-identical to per-device consults (the
+        differential suite and the benchmark's ``--assign-batch-compare``
+        gate hold the line).  Every other sweep — cohorts up to
+        ``_DRAIN_SCALAR_MAX``, where the batch plumbing costs more than it
+        saves, and policies without the hook — stays on the scalar consult
+        loop.
         """
         pending = self._pending
         vec = self._vec
@@ -1827,7 +1450,10 @@ class Simulator:
             keep &= elig[sig_id[idle]]
             idle = idle[keep]
         queue = idle
-        if self._batched_assign and queue.size > self._DRAIN_SCALAR_MAX:
+        if (
+            self._policy_bulk_assign is not None
+            and queue.size > self._DRAIN_SCALAR_MAX
+        ):
             self._dispatch_cohort_batched(queue, version)
             self._flush_assignments()
             return
@@ -1858,19 +1484,18 @@ class Simulator:
         self._flush_assignments()
 
     def _dispatch_cohort_batched(self, queue, version: int) -> None:
-        """Drive one dispatch sweep through ``policy.assign_batch``.
+        """Drive one dispatch sweep through ``policy.assign_batch_bulk``.
 
         The cohort is the already-filtered idle queue in ascending slot
         (= device-id) order — exactly the scalar sweep's offer order.  It
         is fed to the policy one chunk at a time.  The scalar sweep
         re-checks ``names_version`` before *every* consult; the batch gets
         the same semantics by construction: the name set can only narrow
-        as the result of a commit (a job's demand emptying), so the commit
-        callback detects the change at the very commit that caused it,
-        stops the batch (``False``) and records where to resume — the
-        unvisited remainder is then re-filtered in one array op before the
-        next chunk, and no device the scalar re-filter would have dropped
-        is ever consulted.  Buffered proposals are flushed once by the
+        as the result of a commit (a job's demand emptying), and the
+        policy's walk stops at the first demand-zeroing proposal, so the
+        engine commits, re-filters the unvisited remainder in one array op
+        and resumes — no device the scalar re-filter would have dropped is
+        ever consulted.  Buffered proposals are flushed once by the
         caller: responses only land on shard heaps and never influence a
         decision within the sweep.
         """
@@ -1880,12 +1505,6 @@ class Simulator:
         sig_id = vec.sig_id
         now = self.now
         bulk = self._policy_bulk_assign
-        assign_batch = self.policy.assign_batch
-        commit_one = self._commit_assign_vec
-        # ``state[0]``: resume offset within the current chunk when the
-        # batch stopped on a names_version narrowing (−1 = ran to the end
-        # or stopped because demand emptied entirely).
-        state = [-1]
         i = 0
         n = queue.size
         while i < n and pending:
@@ -1897,60 +1516,23 @@ class Simulator:
                 n = queue.size
                 i = 0
                 continue
-            if bulk is not None:
-                # Ledger mode stops itself at the first demand-zeroing
-                # proposal and the cohort view materialises profiles on
-                # demand, so chunks can be generous — the consulted
-                # prefix, not the chunk width, bounds the work.
-                chunk = queue[i : i + min(n - i, 8192)].tolist()
-                cohort = _CohortView(profiles, chunk)
-                consumed, proposals = bulk(cohort, now)
-                if proposals:
-                    self._commit_cohort_vec(chunk, cohort, proposals)
-                if consumed == 0:
-                    # No open requests on the policy side (a consumed
-                    # cohort always advances): nothing left to offer.
-                    break
-                i += consumed
-                continue
-            # Commit-callback mode walks the whole chunk unless a commit
-            # stops it, so size the cohort against the demand actually
-            # outstanding: a sweep stops once demand fills, and nearly
-            # every consult of a pre-filtered queue produces a proposal,
-            # so building profile lists much past the remaining demand is
-            # pure waste.
-            est = self._pending_demand_estimate()
-            chunk_size = min(n - i, max(64, min(est + (est >> 3), 8192)))
-            chunk = queue[i : i + chunk_size].tolist()
-            cohort = [profiles[slot] for slot in chunk]
-            state[0] = -1
-
-            def commit(j, request, _chunk=chunk, _cohort=cohort):
-                if not commit_one(_chunk[j], _cohort[j], request):
-                    return False
-                if pending.names_version != version:
-                    state[0] = j + 1
-                    return False
-                return True
-
-            assign_batch(cohort, now, commit)
-            if state[0] >= 0:
-                i += state[0]
-            else:
-                i += len(chunk)
-
-    def _pending_demand_estimate(self) -> int:
-        """Total unmet demand across jobs with open requests (O(#pending))."""
-        jobs = self.jobs
-        total = 0
-        for job_id in self._pending.pending_jobs():
-            job = jobs.get(job_id)
-            if job is not None and job.open_request is not None:
-                total += job.open_request.remaining_demand
-        return total
+            # The walk stops itself at the first demand-zeroing proposal
+            # and the cohort view materialises profiles on demand, so
+            # chunks can be generous — the consulted prefix, not the chunk
+            # width, bounds the work.
+            chunk = queue[i : i + min(n - i, 8192)].tolist()
+            cohort = _CohortView(profiles, chunk)
+            consumed, proposals = bulk(cohort, now)
+            if proposals:
+                self._commit_cohort_vec(chunk, cohort, proposals)
+            if consumed == 0:
+                # No open requests on the policy side (a consumed cohort
+                # always advances): nothing left to offer.
+                break
+            i += consumed
 
     def _commit_cohort_vec(self, slots, cohort, proposals) -> None:
-        """Bulk twin of per-proposal :meth:`_commit_assign_vec`.
+        """Bulk twin of the commit tail of :meth:`_try_assign_vec`.
 
         ``proposals`` is the ledger-validated output of
         ``assign_batch_bulk`` — every request is open with enough demand
@@ -1960,8 +1542,8 @@ class Simulator:
         so the per-proposal eligibility re-check is redundant.  Response
         sequence numbers are claimed per proposal in offer order; demand
         bookkeeping is applied per request in bulk.  State after this call
-        is identical to having interleaved :meth:`_commit_assign_vec` with
-        the consults.
+        is identical to having interleaved per-device commits with the
+        consults.
         """
         vec = self._vec
         status = vec.status

@@ -1,22 +1,21 @@
 """Differential tests for the batched decision path.
 
-The scalar ``assign`` walk is the decision oracle; ``assign_batch`` (the
-commit-callback protocol) and ``assign_batch_bulk`` (the ledger protocol,
-Venn only) must produce byte-for-byte identical decision sequences for any
-cohort, any plan, any demand shape — including the quota edges where the
-protocols differ structurally from the scalar loop: demand zeroing
-mid-cohort, a request closing between consults, devices already assigned
-to the only candidate, and the cohort-local ledger replaying demand the
-engine has not committed yet.
+The scalar ``assign`` walk is the decision oracle; ``assign_batch_bulk``
+(the ledger protocol, Venn only) must produce byte-for-byte identical
+decision sequences for any cohort, any plan, any demand shape — including
+the quota edges where the protocol differs structurally from the scalar
+loop: demand zeroing mid-cohort, a request closing between consults,
+devices already assigned to the only candidate, and the cohort-local
+ledger replaying demand the engine has not committed yet.
 
 Three layers:
 
-* **Policy-level differential** — every registered policy, one scenario:
-  fresh policy + fresh requests per protocol, decisions compared.
+* **Scenario differentials** — fresh policy + fresh requests per protocol,
+  decisions compared, one quota edge each.
 * **Hypothesis differential** — random plans, cohorts and demand shapes
-  through the Venn scheduler (the only policy with its own batched
-  implementations; the baselines share the default fallback, exercised by
-  the scenario test above).
+  through the Venn scheduler (the only policy with a batched
+  implementation; on the engine every other policy keeps per-device
+  consults, pinned by ``tests/sim/test_batched_dispatch.py``).
 * **Protocol units** — ``record_assignments_bulk`` validation and the
   bulk walk's early-stop/dead-signature behaviour.
 """
@@ -28,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.baselines import POLICY_NAMES, make_policy
+from repro.core.baselines import make_policy
 from repro.core.requirements import (
     COMPUTE_RICH,
     GENERAL,
@@ -80,19 +79,6 @@ def run_scalar(policy, devices, now):
     return decisions
 
 
-def run_batch(policy, devices, now):
-    """Commit-callback protocol with an engine-like always-continue commit."""
-    decisions = [None] * len(devices)
-
-    def commit(i, request):
-        decisions[i] = request.request_id
-        request.record_assignment(devices[i].device_id, now)
-        return True
-
-    policy.assign_batch(devices, now, commit)
-    return decisions
-
-
 def run_bulk(policy, devices, now):
     """Ledger protocol driven the way the engine drives it: bulk-commit
     every returned proposal, then resume from the unconsulted remainder."""
@@ -114,6 +100,10 @@ def run_bulk(policy, devices, now):
     return decisions
 
 
+#: Protocol name -> driver; the scalar walk is the oracle.
+RUNNERS = {"scalar": run_scalar, "bulk": run_bulk}
+
+
 def diverse_devices(n, id_base=0):
     """A cohort spanning the capability spectrum, ascending device ids."""
     devices = []
@@ -127,41 +117,6 @@ def diverse_devices(n, id_base=0):
             )
         )
     return devices
-
-
-# --------------------------------------------------------------------- #
-# Every registered policy: batch fallback == scalar oracle
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize("name", POLICY_NAMES)
-def test_assign_batch_matches_scalar_for_every_policy(name):
-    jobs = [
-        make_job(1, GENERAL, demand=7),
-        make_job(2, HIGH_PERFORMANCE, demand=4),
-        make_job(3, COMPUTE_RICH, demand=5),
-    ]
-    devices = diverse_devices(40)
-    scal_policy, _ = build_policy(name, jobs, checkins=devices)
-    batch_policy, _ = build_policy(name, jobs, checkins=devices)
-    scalar = run_scalar(scal_policy, devices, now=10.0)
-    batch = run_batch(batch_policy, devices, now=10.0)
-    assert batch == scalar
-
-
-@pytest.mark.parametrize("name", POLICY_NAMES)
-def test_assign_batch_stops_on_commit_false(name):
-    """A ``False`` commit must stop the batch immediately: no decisions —
-    and for seeded policies no rng draws — for the unvisited remainder."""
-    jobs = [make_job(1, GENERAL, demand=30)]
-    devices = diverse_devices(12)
-    policy, _ = build_policy(name, jobs, checkins=devices)
-    seen = []
-
-    def commit(i, request):
-        seen.append(i)
-        return len(seen) < 3
-
-    policy.assign_batch(devices, 10.0, commit)
-    assert len(seen) == 3
 
 
 def test_bulk_matches_scalar_venn():
@@ -188,15 +143,13 @@ def test_zero_remaining_demand_skipped_identically():
     jobs = [make_job(1, GENERAL, demand=2), make_job(2, GENERAL, demand=5)]
     devices = diverse_devices(10)
     results = {}
-    for mode in ("scalar", "batch", "bulk"):
+    for mode, runner in RUNNERS.items():
         policy, requests = build_policy("venn", jobs, checkins=devices)
         # Exhaust job 1's demand out-of-band, as if an earlier sweep
         # committed it, then let the policy observe the drained request.
         requests[0].record_assignment(900, 5.0)
         requests[0].record_assignment(901, 5.0)
-        runner = {"scalar": run_scalar, "batch": run_batch, "bulk": run_bulk}
-        results[mode] = runner[mode](policy, devices, 10.0)
-    assert results["batch"] == results["scalar"]
+        results[mode] = runner(policy, devices, 10.0)
     assert results["bulk"] == results["scalar"]
     assert 1 not in results["scalar"]
 
@@ -221,12 +174,11 @@ def test_mid_batch_close_is_respected():
     jobs = [make_job(1, GENERAL, demand=4), make_job(2, GENERAL, demand=4)]
     devices = diverse_devices(8)
     results = {}
-    for mode in ("scalar", "batch"):
+    for mode, runner in RUNNERS.items():
         policy, requests = build_policy("venn", jobs, checkins=devices)
         requests[0].state = RequestState.CANCELLED
-        runner = {"scalar": run_scalar, "batch": run_batch}
-        results[mode] = runner[mode](policy, devices, 10.0)
-    assert results["batch"] == results["scalar"]
+        results[mode] = runner(policy, devices, 10.0)
+    assert results["bulk"] == results["scalar"]
     assert 1 not in results["scalar"]
 
 
@@ -236,12 +188,10 @@ def test_already_assigned_device_not_reassigned():
     jobs = [make_job(1, GENERAL, demand=5)]
     devices = diverse_devices(4)
     results = {}
-    for mode in ("scalar", "batch", "bulk"):
+    for mode, runner in RUNNERS.items():
         policy, requests = build_policy("venn", jobs, checkins=devices)
         requests[0].record_assignment(devices[1].device_id, 5.0)
-        runner = {"scalar": run_scalar, "batch": run_batch, "bulk": run_bulk}
-        results[mode] = runner[mode](policy, devices, 10.0)
-    assert results["batch"] == results["scalar"]
+        results[mode] = runner(policy, devices, 10.0)
     assert results["bulk"] == results["scalar"]
     assert results["scalar"][1] is None
 
@@ -256,7 +206,7 @@ def test_candidate_memo_invalidated_on_plan_bump():
     jobs = [make_job(1, GENERAL, demand=2)]
     devices = diverse_devices(30)
     policy, _ = build_policy("venn", jobs, checkins=devices)
-    assert run_batch(policy, devices[:10], 10.0).count(1) == 2
+    assert run_bulk(policy, devices[:10], 10.0).count(1) == 2
     # Open a second job after the first cohort drained job 1.
     job2 = make_job(2, GENERAL, demand=3)
     policy.on_job_arrival(job2, 20.0)
@@ -269,7 +219,7 @@ def test_candidate_memo_invalidated_on_plan_bump():
         min_reports=job2.min_reports,
     )
     policy.on_request_open(request2, 20.0)
-    second = run_batch(policy, devices[10:20], 20.0)
+    second = run_bulk(policy, devices[10:20], 20.0)
     assert second.count(2) == 3
 
 
@@ -365,10 +315,10 @@ def scenario(draw):
 
 @given(scenario())
 @settings(max_examples=60, deadline=None)
-def test_hypothesis_batch_and_bulk_match_scalar(scene):
+def test_hypothesis_bulk_matches_scalar(scene):
     jobs, devices, pre_assigned = scene
     results = {}
-    for mode in ("scalar", "batch", "bulk"):
+    for mode, runner in RUNNERS.items():
         policy, requests = build_policy("venn", jobs, checkins=devices)
         for job_index, device_index in pre_assigned:
             request = requests[job_index]
@@ -378,23 +328,5 @@ def test_hypothesis_batch_and_bulk_match_scalar(scene):
                 and device_id not in request.assigned_ids
             ):
                 request.record_assignment(device_id, 1.0)
-        runner = {"scalar": run_scalar, "batch": run_batch, "bulk": run_bulk}
-        results[mode] = runner[mode](policy, devices, 10.0)
-    assert results["batch"] == results["scalar"]
+        results[mode] = runner(policy, devices, 10.0)
     assert results["bulk"] == results["scalar"]
-
-
-@given(
-    st.sampled_from(
-        ["random", "uniform_random", "client_driven_random", "fifo", "srsf"]
-    ),
-    scenario(),
-)
-@settings(max_examples=30, deadline=None)
-def test_hypothesis_fallback_matches_scalar_for_baselines(name, scene):
-    jobs, devices, _ = scene
-    scal_policy, _ = build_policy(name, jobs, checkins=devices)
-    batch_policy, _ = build_policy(name, jobs, checkins=devices)
-    assert run_batch(batch_policy, devices, 10.0) == run_scalar(
-        scal_policy, devices, 10.0
-    )

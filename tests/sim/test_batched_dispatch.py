@@ -1,21 +1,22 @@
 """Engine-level identity tests for the batched decision path.
 
 ``batched_assign=True`` routes large dispatch cohorts through the policy's
-batched protocols (``assign_batch`` / ``assign_batch_bulk``); the scalar
-per-consult sweep is the oracle.  These tests use a population large
-enough that dispatch sweeps exceed ``_DRAIN_SCALAR_MAX`` (the batched
-path's activation threshold) and assert the full decision sequence and
-metrics digest are bit-identical across the batched/unbatched toggle, at
-several shard counts, for the Venn scheduler (ledger protocol), a
-fallback-only baseline (default ``assign_batch``), and with the daily
-participation quota active across a day boundary.
+``assign_batch_bulk`` when it offers one; the scalar per-consult sweep is
+the oracle.  These tests use a population large enough that dispatch
+sweeps exceed ``_DRAIN_SCALAR_MAX`` (the batched path's activation
+threshold) and assert the full decision sequence and metrics digest are
+bit-identical across the batched/unbatched toggle, at several shard
+counts, for the Venn scheduler (ledger protocol) and for every shipped
+policy without the hook (their large cohorts stay on per-device consults
+either way), with the daily participation quota active across a day
+boundary.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.baselines import make_policy
+from repro.core.baselines import POLICY_NAMES, make_policy
 from repro.core.requirements import COMPUTE_RICH, GENERAL, MEMORY_RICH
 from repro.core.types import JobSpec
 from repro.resilience.record import RecordingPolicy, metrics_digest
@@ -54,8 +55,7 @@ def batch_scenario(num_devices=1500):
     return devices, trace, jobs
 
 
-def run_recorded(policy_name, batched, num_shards=1,
-                 profile_decisions=False):
+def run_recorded(policy_name, batched, num_shards=1):
     devices, trace, jobs = batch_scenario()
     policy = RecordingPolicy(make_policy(policy_name, seed=5))
     config = SimulationConfig(
@@ -66,7 +66,6 @@ def run_recorded(policy_name, batched, num_shards=1,
         vectorized_dispatch=True,
         enforce_daily_limit=True,
         batched_assign=batched,
-        profile_decisions=profile_decisions,
     )
     sim = Simulator(devices, trace, jobs, policy, config)
     metrics = sim.run()
@@ -74,7 +73,7 @@ def run_recorded(policy_name, batched, num_shards=1,
 
 
 class TestBatchedDispatchIdentity:
-    @pytest.mark.parametrize("policy_name", ["venn", "fifo", "random"])
+    @pytest.mark.parametrize("policy_name", POLICY_NAMES)
     def test_batched_matches_unbatched(self, policy_name):
         scalar_decisions, scalar_metrics = run_recorded(
             policy_name, batched=False
@@ -96,33 +95,6 @@ class TestBatchedDispatchIdentity:
         )
         assert batched_decisions == scalar_decisions
         assert batched_metrics == scalar_metrics
-
-    def test_profiled_path_is_decision_identical(self):
-        """``profile_decisions=True`` swaps in the instrumented batch walk
-        (and disables the ledger protocol); decisions must not change."""
-        plain_decisions, plain_metrics = run_recorded("venn", batched=True)
-        devices, trace, jobs = batch_scenario()
-        policy = RecordingPolicy(make_policy("venn", seed=5))
-        config = SimulationConfig(
-            horizon=HORIZON,
-            seed=21,
-            latency=LatencyConfig(compute_sigma=0.3, comm_min=5.0,
-                                  comm_max=20.0),
-            num_shards=1,
-            vectorized_dispatch=True,
-            enforce_daily_limit=True,
-            batched_assign=True,
-            profile_decisions=True,
-        )
-        sim = Simulator(devices, trace, jobs, policy, config)
-        metrics = sim.run()
-        assert list(policy.decisions) == plain_decisions
-        assert metrics_digest(metrics) == plain_metrics
-        profile = sim.policy.decision_profile
-        assert profile["batch_devices"] > 0
-        assert profile["candidate_lookup_s"] >= 0.0
-        assert profile["admission_s"] >= 0.0
-        assert profile["bookkeeping_s"] >= 0.0
 
     def test_batched_assign_defaults_on(self):
         assert SimulationConfig().batched_assign is True

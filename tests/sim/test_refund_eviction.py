@@ -1,23 +1,18 @@
-"""Engine-level differentials for the batched response pipeline.
+"""Refund symmetry, request-table eviction and same-timestamp responses.
 
-The scalar per-event response path is the oracle; the cohort path
-(``batched_response=True`` on the vectorized engine) must be decision- and
-metrics-identical on every scenario, including the regimes that exercise
-its sequential-point logic: round completions mid-cohort (hard cuts),
-failure bursts re-dispatched through the batched cohort machinery
-(dispatch runs), and daily-budget refunds.
-
-The file also pins the response/abort/refund bugfix sweep:
+Pins the response/abort/refund bugfix sweep on every engine:
 
 * **Refund symmetry** — a device whose daily budget is refunded (round
   abort, or a straggler response on a closed request) must be
   *immediately* re-dispatchable at that same timestamp, identically on
-  every engine (single-queue indexed / legacy, sharded scalar, vectorized
-  batched / unbatched).
+  every engine (single-queue indexed / legacy, sharded scalar, vectorized).
 * **Request-table boundedness** — closed requests are evicted from
   ``Simulator._requests`` (and their job's ``request_history``) once the
   last in-flight response fires, so multi-round runs no longer retain
   every request ever opened.
+* **Same-timestamp response runs** — with deterministic latency whole
+  rounds answer on one timestamp; the vectorized engine's per-event merge
+  order through such runs must match the single-queue reference.
 """
 
 from __future__ import annotations
@@ -30,15 +25,13 @@ from repro.sim.engine import SimulationConfig, Simulator
 from tests.conftest import make_device, make_job
 from tests.sim.test_engine import DETERMINISTIC_LATENCY, always_on_trace, make_trace
 
-#: Engine variants every refund/boundedness differential runs on.  The
-#: single-queue indexed engine is the reference; the response-cohort path
-#: is the last entry.
+#: Engine variants every differential runs on.  The single-queue indexed
+#: engine is the reference.
 ENGINES = {
     "single-indexed": dict(),
     "single-legacy": dict(indexed=False),
     "sharded": dict(num_shards=2),
-    "vec-unbatched": dict(vectorized=True, batched_response=False),
-    "vec-batched": dict(vectorized=True, batched_response=True),
+    "vectorized": dict(vectorized=True),
 }
 
 
@@ -53,7 +46,6 @@ def run_engine(
     seed=0,
     num_shards=1,
     vectorized=False,
-    batched_response=True,
     indexed=True,
     latency=DETERMINISTIC_LATENCY,
     fault_plan=None,
@@ -68,7 +60,6 @@ def run_engine(
         indexed_dispatch=indexed,
         num_shards=num_shards,
         vectorized_dispatch=vectorized,
-        batched_response=batched_response,
         fault_plan=fault_plan,
     )
     sim = Simulator(
@@ -183,7 +174,7 @@ class TestRequestTableBoundedness:
         return run_engine(devices, trace, jobs, **kwargs)
 
     @pytest.mark.parametrize(
-        "engine", ["single-indexed", "sharded", "vec-batched"]
+        "engine", ["single-indexed", "sharded", "vectorized"]
     )
     def test_requests_evicted_once_drained(self, engine):
         sim, _, metrics = self._run(**ENGINES[engine])
@@ -208,13 +199,14 @@ class TestRequestTableBoundedness:
 
 
 # --------------------------------------------------------------------- #
-# Tentpole: cohort path twin identity
+# Same-timestamp response runs through the per-event merge order
 # --------------------------------------------------------------------- #
 def contended_scenario():
     """Same-speed devices + deterministic latency: whole rounds respond at
-    one timestamp, so the vectorized run drains them as cohorts — mixed
-    success/failure (reliability split), completions mid-cohort, and
-    failure runs re-dispatched to the other job's open demand."""
+    one timestamp — mixed success/failure (reliability split), completions
+    mid-run, and failed devices re-dispatched to the other job's open
+    demand.  The only scenario that drives long same-``time`` response runs
+    through the sharded merge loop."""
     devices = [
         make_device(
             device_id=i,
@@ -235,30 +227,26 @@ def contended_scenario():
     return devices, trace, jobs
 
 
-class TestResponseCohortIdentity:
+class TestSameTimestampResponseRuns:
     @pytest.mark.parametrize("policy_name", ["venn", "fifo", "random"])
     @pytest.mark.parametrize("daily", [False, True])
-    def test_batched_matches_unbatched(self, policy_name, daily):
+    def test_vectorized_matches_single_queue(self, policy_name, daily):
         devices, trace, jobs = contended_scenario()
-        sim_b, pol_b, met_b = run_engine(
+        _, pol_v, met_v = run_engine(
             devices, trace, jobs, horizon=30_000.0, policy_name=policy_name,
-            daily=daily, vectorized=True, batched_response=True,
+            daily=daily, vectorized=True,
         )
-        _, pol_u, met_u = run_engine(
+        _, pol_s, met_s = run_engine(
             devices, trace, jobs, horizon=30_000.0, policy_name=policy_name,
-            daily=daily, vectorized=True, batched_response=False,
+            daily=daily,
         )
-        assert pol_b.decisions == pol_u.decisions
-        assert metrics_digest(met_b) == metrics_digest(met_u)
-        # The cohort path actually ran — this scenario is built to collide
-        # response timestamps.
-        assert sim_b.response_cohorts > 0
-        assert sim_b.response_batched_events > 0
+        assert pol_v.decision_hash == pol_s.decision_hash
+        assert metrics_digest(met_v) == metrics_digest(met_s)
 
-    def test_batched_matches_scalar_under_faults(self):
+    def test_vectorized_matches_sharded_under_faults(self):
         """``kill_until`` rewrites in-flight responses onto one timestamp —
-        the largest-cohort regime.  The cohort path must match the sharded
-        scalar oracle through it."""
+        the longest same-timestamp runs.  Shard faults need the
+        coordinator/shard engine, so the oracle here is its scalar mode."""
         devices, trace, jobs = contended_scenario()
         plan = FaultPlan(
             (
@@ -268,33 +256,13 @@ class TestResponseCohortIdentity:
                           duration=800.0),
             )
         )
-        sim_b, pol_b, met_b = run_engine(
+        _, pol_v, met_v = run_engine(
             devices, trace, jobs, horizon=30_000.0, num_shards=2,
-            vectorized=True, batched_response=True, fault_plan=plan,
+            vectorized=True, fault_plan=plan,
         )
         _, pol_s, met_s = run_engine(
             devices, trace, jobs, horizon=30_000.0, num_shards=2,
-            vectorized=False, fault_plan=plan,
+            fault_plan=plan,
         )
-        assert pol_b.decisions == pol_s.decisions
-        assert metrics_digest(met_b) == metrics_digest(met_s)
-        assert sim_b.response_cohorts > 0
-
-    def test_kernel_cutoff_paths_identical(self, monkeypatch):
-        """The numpy status pass and the scalar fallback inside
-        ``_apply_response_prefix`` are interchangeable: forcing either one
-        for every stretch changes nothing observable."""
-        devices, trace, jobs = contended_scenario()
-
-        def run(cutoff):
-            monkeypatch.setattr(Simulator, "_RESPONSE_KERNEL_MIN", cutoff)
-            sim, policy, metrics = run_engine(
-                devices, trace, jobs, horizon=30_000.0, vectorized=True,
-                batched_response=True,
-            )
-            assert sim.response_cohorts > 0
-            return policy.decisions, metrics_digest(metrics)
-
-        always_numpy = run(1)
-        never_numpy = run(1 << 30)
-        assert always_numpy == never_numpy
+        assert pol_v.decision_hash == pol_s.decision_hash
+        assert metrics_digest(met_v) == metrics_digest(met_s)

@@ -214,6 +214,12 @@ class TestShardedEngineMechanics:
         with pytest.raises(ValueError, match="indexed_dispatch"):
             SimulationConfig(num_shards=2, indexed_dispatch=False)
 
+    def test_unsharded_engine_rejects_shard_count(self):
+        """``sharded_dispatch=False`` used to run the single-queue engine
+        and silently ignore ``num_shards``."""
+        with pytest.raises(ValueError, match="num_shards=4"):
+            SimulationConfig(num_shards=4, sharded_dispatch=False)
+
     def test_num_shards_validated(self):
         with pytest.raises(ValueError, match="num_shards"):
             SimulationConfig(num_shards=0)

@@ -36,7 +36,7 @@ def main() -> None:
     env = build_environment(config)
     print(
         f"Workload total demand: {env.workload.total_demand} device-participations; "
-        f"{len(env.availability.sessions)} availability sessions\n"
+        f"{len(env.availability)} availability sessions\n"
     )
 
     results = run_policies(env, POLICIES)

@@ -50,7 +50,7 @@ def build_environment(num_devices: int, num_jobs: int, horizon: float,
         seed=seed + 2,
     ).generate()
     print(f"  environment ready in {time.perf_counter() - t0:.1f} s "
-          f"({len(trace.sessions):,} availability sessions)")
+          f"({len(trace):,} availability sessions)")
     return devices, trace, workload
 
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize, sparse
 
 
 @dataclass(frozen=True)
@@ -115,6 +114,10 @@ def solve_irs_milp(
     instance: IRSInstance, time_limit: Optional[float] = None
 ) -> IRSSolution:
     """Solve the Appendix-B ILP with HiGHS via :func:`scipy.optimize.milp`."""
+    # Imported here: the oracle is the only scipy user on the import path of
+    # ``import repro``, and every simulation would pay for it.
+    from scipy import optimize, sparse
+
     q, m = instance.num_devices, instance.num_jobs
     t = np.asarray(instance.arrival_times, dtype=float)
     elig = np.asarray(instance.eligibility, dtype=bool)

@@ -35,7 +35,7 @@ def estimate_solo_jct(job: JobSpec, env: Environment) -> float:
     """
     eligible = [d for d in env.devices if job.requirement.is_eligible(d)]
     eligible_fraction = len(eligible) / max(1, len(env.devices))
-    total_checkins = len(env.availability.sessions)
+    total_checkins = len(env.availability)
     horizon = max(env.availability.horizon, 1.0)
     arrival_rate = max(1e-9, total_checkins / horizon * eligible_fraction)
     sched_per_round = job.demand_per_round / arrival_rate

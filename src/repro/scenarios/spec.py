@@ -196,10 +196,15 @@ def validate_environment(env: Environment) -> None:
     assert len(device_ids) == len(env.devices), "duplicate device ids"
     assert len(env.devices) == config.num_devices, "device count mismatch"
     horizon = config.horizon
-    for s in env.availability.sessions:
-        assert s.device_id in device_ids, f"session for unknown device {s.device_id}"
-        assert 0.0 <= s.start < s.end, "session bounds out of order"
-        assert s.end <= horizon + 1e-9, "session extends past the horizon"
+    trace = env.availability
+    unknown = ~np.isin(trace.device_ids, list(device_ids))
+    assert not unknown.any(), (
+        f"session for unknown device {trace.device_ids[unknown.argmax()]}"
+    )
+    assert (
+        (0.0 <= trace.starts) & (trace.starts < trace.ends)
+    ).all(), "session bounds out of order"
+    assert (trace.ends <= horizon + 1e-9).all(), "session extends past the horizon"
     assert env.availability.horizon == horizon, "trace horizon mismatch"
     job_ids = set()
     for job in env.workload.jobs:

@@ -349,12 +349,12 @@ class Simulator:
         self.devices: Dict[int, DeviceRuntime] = {
             d.device_id: DeviceRuntime(profile=d) for d in self._device_profiles
         }
-        missing = {
-            s.device_id for s in availability.sessions
-        } - set(self.devices)
-        if missing:
+        known = np.fromiter(self.devices, dtype=np.int64, count=len(self.devices))
+        unknown = ~np.isin(availability.device_ids, known)
+        if unknown.any():
+            missing = np.unique(availability.device_ids[unknown])
             raise ValueError(
-                f"availability trace references unknown devices: {sorted(missing)[:5]}"
+                f"availability trace references unknown devices: {missing[:5].tolist()}"
             )
         self.availability = availability
         self.jobs: Dict[int, JobRuntime] = {j.job_id: JobRuntime(spec=j) for j in jobs}

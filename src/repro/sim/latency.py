@@ -35,9 +35,12 @@ spawning one ``numpy`` generator per device: constructing a
 ~15 µs, and under the one-job-per-day constraint nearly every assignment
 lands on a *distinct* device, so per-device generator objects would add
 ~10 s to a million-device day — per-draw key hashing costs ~2 µs with no
-per-device state beyond a draw counter.  The master entropy is still
-derived through :class:`numpy.random.SeedSequence`, so a config seed keys
-the whole family the same way the rest of the repo derives streams.
+per-device state beyond a draw counter.  (The availability generator, which
+does need a full generator per device, avoids the same constructor by
+re-seeding one reused generator: :mod:`repro.traces.streams`, ~3 µs.)  The
+master entropy is still derived through :class:`numpy.random.SeedSequence`,
+so a config seed keys the whole family the same way the rest of the repo
+derives streams.
 
 Network-degradation layer
 -------------------------

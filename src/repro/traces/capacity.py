@@ -132,27 +132,21 @@ class CapacitySampler:
     def sample_devices(self, n: int, start_id: int = 0) -> List[DeviceProfile]:
         """Sample a population of ``n`` devices."""
         cfg = self.config
-        scores = self.sample_scores(n)
+        data_domains, p_domain = cfg.data_domains, cfg.domain_probability
+        mean_reliability = cfg.mean_reliability
+        random, beta, speed_factor = self._rng.random, self._rng.beta, self.speed_factor
         devices: List[DeviceProfile] = []
-        for k in range(n):
-            cpu, mem = float(scores[k, 0]), float(scores[k, 1])
-            domains = frozenset(
-                d
-                for d in cfg.data_domains
-                if self._rng.random() < cfg.domain_probability
-            )
-            reliability = float(
-                np.clip(self._rng.beta(9.0, 1.0) * cfg.mean_reliability / 0.9, 0.0, 1.0)
-            )
+        # One stream, draws interleaved per device (domains, reliability,
+        # speed noise): the order is part of the seed's meaning.
+        for k, (cpu, mem) in enumerate(self.sample_scores(n).tolist(), start_id):
+            domains = frozenset([d for d in data_domains if random() < p_domain])
+            reliability = beta(9.0, 1.0) * mean_reliability / 0.9
+            if reliability > 1.0:
+                reliability = 1.0
+            elif reliability < 0.0:
+                reliability = 0.0
             devices.append(
-                DeviceProfile(
-                    device_id=start_id + k,
-                    cpu_score=cpu,
-                    memory_score=mem,
-                    speed_factor=self.speed_factor(cpu, mem),
-                    data_domains=domains,
-                    reliability=reliability,
-                )
+                DeviceProfile(k, cpu, mem, speed_factor(cpu, mem), domains, reliability)
             )
         return devices
 

@@ -12,17 +12,26 @@ traces with the same behaviourally relevant structure:
 * session lengths are log-normal (most sessions are an hour or two, a few
   last all night).
 
-A trace is a list of :class:`AvailabilitySession` per device plus helpers to
-compute the availability curve that reproduces Figure 2a.
+A :class:`DeviceAvailabilityTrace` is **columnar**: three parallel arrays
+(``device_ids``, ``starts``, ``ends``), one entry per session, are its single
+representation, because that is what its consumers read — the engine's stream
+builder takes one ``lexsort`` of them, the unknown-device check one
+``np.isin``, the availability curve of Figure 2a two ``searchsorted``.
+:class:`AvailabilitySession` objects are a view for small-scale callers
+(scenario transforms, examples, tests), built on demand by ``.sessions`` and
+accepted back through ``sessions=``.  The generator appends straight into the
+columns and seeds each device's stream through :mod:`repro.traces.streams`,
+so building a day's trace costs about what its random draws cost.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .streams import device_streams
 
 #: Seconds per day, used throughout the module.
 DAY = 24 * 3600.0
@@ -78,41 +87,78 @@ class DiurnalConfig:
         return float(mid + amp * np.cos(phase))
 
 
-@dataclass
 class DeviceAvailabilityTrace:
-    """All availability sessions of a device population over a horizon."""
+    """All availability sessions of a device population over a horizon.
 
-    horizon: float
-    sessions: List[AvailabilitySession] = field(default_factory=list)
+    Three parallel arrays — ``device_ids`` (int64), ``starts`` and ``ends``
+    (float64), one entry per session in construction order — are the single
+    representation.  Build one from columns or from ``sessions=``; either
+    way every session must satisfy ``end > start``.
+    """
+
+    def __init__(
+        self,
+        horizon: float,
+        sessions: Optional[Sequence[AvailabilitySession]] = None,
+        *,
+        device_ids: Sequence[int] = (),
+        starts: Sequence[float] = (),
+        ends: Sequence[float] = (),
+    ) -> None:
+        if sessions is not None:
+            if len(device_ids) or len(starts) or len(ends):
+                raise ValueError("give sessions or columns, not both")
+            device_ids = [s.device_id for s in sessions]
+            starts = [s.start for s in sessions]
+            ends = [s.end for s in sessions]
+        self.horizon = horizon
+        self.device_ids = np.array(device_ids, dtype=np.int64)
+        self.starts = np.array(starts, dtype=np.float64)
+        self.ends = np.array(ends, dtype=np.float64)
+        if self.starts.ndim != 1 or not (
+            self.device_ids.shape == self.starts.shape == self.ends.shape
+        ):
+            raise ValueError("device_ids, starts and ends must be 1-d and equally long")
+        if (self.ends <= self.starts).any():
+            raise ValueError("session end must be after start")
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def _sessions(self, mask=slice(None)) -> List[AvailabilitySession]:
+        return [
+            AvailabilitySession(d, s, e)
+            for d, s, e in zip(
+                self.device_ids[mask].tolist(),
+                self.starts[mask].tolist(),
+                self.ends[mask].tolist(),
+            )
+        ]
+
+    @property
+    def sessions(self) -> List[AvailabilitySession]:
+        """The sessions as objects, built on every access and not retained —
+        for small-scale callers; mutating the list does not touch the trace."""
+        return self._sessions()
 
     def sessions_of(self, device_id: int) -> List[AvailabilitySession]:
-        return [s for s in self.sessions if s.device_id == device_id]
+        return self._sessions(self.device_ids == device_id)
 
     def checkin_events(self) -> List[Tuple[float, int, float]]:
         """Sorted ``(start, device_id, end)`` tuples — the simulator's input."""
-        events = [(s.start, s.device_id, s.end) for s in self.sessions]
-        events.sort()
-        return events
+        starts, ids, ends = self.checkin_events_arrays()
+        return list(zip(starts.tolist(), ids.tolist(), ends.tolist()))
 
     def checkin_events_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`checkin_events` as parallel numpy arrays
         ``(starts, device_ids, ends)``.
 
         Same (start, device_id, end) lexicographic order as the tuple form,
-        but built through one vectorised lexsort — the representation the
-        sharded engine's stream builder consumes (it avoids materialising
-        millions of Python tuples at 10^6-device scale).
+        one vectorised lexsort over the columns — the representation the
+        sharded engine's stream builder consumes.
         """
-        n = len(self.sessions)
-        starts = np.empty(n, dtype=np.float64)
-        ids = np.empty(n, dtype=np.int64)
-        ends = np.empty(n, dtype=np.float64)
-        for i, s in enumerate(self.sessions):
-            starts[i] = s.start
-            ids[i] = s.device_id
-            ends[i] = s.end
-        order = np.lexsort((ends, ids, starts))
-        return starts[order], ids[order], ends[order]
+        order = np.lexsort((self.ends, self.device_ids, self.starts))
+        return self.starts[order], self.device_ids[order], self.ends[order]
 
     def availability_curve(
         self, resolution: float = 600.0
@@ -125,25 +171,14 @@ class DeviceAvailabilityTrace:
         if resolution <= 0:
             raise ValueError("resolution must be positive")
         times = np.arange(0.0, self.horizon + resolution, resolution)
-        counts = np.zeros_like(times)
-        # Sweep-line over session boundaries.
-        deltas: Dict[float, int] = {}
-        for s in self.sessions:
-            deltas[s.start] = deltas.get(s.start, 0) + 1
-            deltas[s.end] = deltas.get(s.end, 0) - 1
-        boundary_times = sorted(deltas)
-        online = 0
-        idx = 0
-        for k, t in enumerate(times):
-            while idx < len(boundary_times) and boundary_times[idx] <= t:
-                online += deltas[boundary_times[idx]]
-                idx += 1
-            counts[k] = online
-        return times, counts
+        # Online at t = sessions started by t minus sessions ended by t.
+        started = np.searchsorted(np.sort(self.starts), times, side="right")
+        ended = np.searchsorted(np.sort(self.ends), times, side="right")
+        return times, (started - ended).astype(times.dtype)
 
     @property
     def num_devices(self) -> int:
-        return len({s.device_id for s in self.sessions})
+        return len(np.unique(self.device_ids))
 
 
 class DiurnalAvailabilityModel:
@@ -155,12 +190,13 @@ class DiurnalAvailabilityModel:
     session.  The resulting population-level availability tracks the
     configured peak/trough fractions.
 
-    Every device draws from its **own random stream**, a
-    :class:`numpy.random.SeedSequence` child keyed by the global device id
-    (``spawn_key=(device_id,)``).  A device's sessions therefore depend only
-    on the model seed and its id — never on how many other devices exist or
-    in which order they are generated — so a sharded builder can generate
-    any subset of devices and obtain bit-identical sessions.
+    Every device draws from its **own random stream**, numpy's
+    ``SeedSequence(entropy, spawn_key=(device_id,))`` child, seeded through
+    :func:`~repro.traces.streams.device_streams`.  A device's sessions
+    therefore depend only on the model seed and its id — never on how many
+    other devices exist or in which order they are generated — so a sharded
+    builder can generate any subset of devices and obtain bit-identical
+    sessions.
     """
 
     def __init__(
@@ -173,49 +209,49 @@ class DiurnalAvailabilityModel:
         # seed=None (a random run is still internally consistent).
         self._entropy = np.random.SeedSequence(seed).entropy
 
-    def _device_rng(self, device_id: int) -> np.random.Generator:
-        """The per-device stream keyed by global device id."""
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=self._entropy, spawn_key=(device_id,))
-        )
+    def _columns(self, device_ids: Sequence[int]) -> Tuple[List[int], List[float], List[float]]:
+        """Session columns of the listed devices, device by device.
 
-    def _sample_session_length(self, rng: np.random.Generator) -> float:
-        cfg = self.config
-        return float(
-            np.exp(rng.normal(np.log(cfg.median_session), cfg.session_sigma))
-        )
-
-    def _mean_offline_gap(self, t: float) -> float:
-        """Mean offline gap so the stationary online fraction matches the target.
-
-        With online fraction ``p`` and mean session ``s`` the mean gap must be
-        ``s * (1 - p) / p``.
+        Per device: a random initial phase (so devices are not synchronised),
+        then exponential offline gaps alternating with log-normal sessions.
+        With online fraction ``p`` and mean session ``s`` the mean gap is
+        ``s * (1 - p) / p``, which makes the stationary online fraction track
+        :meth:`DiurnalConfig.availability_at`.
         """
         cfg = self.config
-        p = max(1e-3, cfg.availability_at(t))
+        horizon = cfg.horizon
+        mid = (cfg.peak_availability + cfg.trough_availability) / 2.0
+        amp = (cfg.peak_availability - cfg.trough_availability) / 2.0
+        two_pi, peak_phase = 2.0 * np.pi, cfg.peak_hour / 24.0
         mean_session = cfg.median_session * float(np.exp(cfg.session_sigma**2 / 2))
-        return mean_session * (1.0 - p) / p
+        log_median, sigma = np.log(cfg.median_session), cfg.session_sigma
+        cos, exp = np.cos, np.exp
+
+        def mean_gap(t: float) -> float:  # cfg.availability_at(t), constants hoisted
+            p = max(1e-3, mid + amp * float(cos(two_pi * ((t / DAY) - peak_phase))))
+            return mean_session * (1.0 - p) / p
+
+        first_gap = mean_gap(0.0)
+        ids: List[int] = []
+        starts: List[float] = []
+        ends: List[float] = []
+        for dev, rng in zip(device_ids, device_streams(self._entropy, device_ids)):
+            exponential, normal = rng.exponential, rng.normal
+            t = rng.uniform(0.0, first_gap)
+            while t < horizon:
+                start = t + exponential(mean_gap(t))
+                if start >= horizon:
+                    break
+                t = min(start + float(exp(normal(log_median, sigma))), horizon)
+                if t > start:
+                    ids.append(dev)
+                    starts.append(start)
+                    ends.append(t)
+        return ids, starts, ends
 
     def device_sessions(self, device_id: int) -> List[AvailabilitySession]:
         """Sessions of one device, independent of every other device."""
-        cfg = self.config
-        rng = self._device_rng(device_id)
-        sessions: List[AvailabilitySession] = []
-        # Random initial phase so devices are not synchronised.
-        t = float(rng.uniform(0.0, self._mean_offline_gap(0.0)))
-        while t < cfg.horizon:
-            gap = float(rng.exponential(self._mean_offline_gap(t)))
-            start = t + gap
-            if start >= cfg.horizon:
-                break
-            length = self._sample_session_length(rng)
-            end = min(start + length, cfg.horizon)
-            if end > start:
-                sessions.append(
-                    AvailabilitySession(device_id=device_id, start=start, end=end)
-                )
-            t = end
-        return sessions
+        return self.generate(1, device_ids=[device_id]).sessions
 
     def generate(
         self, num_devices: int, device_ids: Optional[Sequence[int]] = None
@@ -228,29 +264,28 @@ class DiurnalAvailabilityModel:
         """
         if num_devices <= 0:
             raise ValueError("num_devices must be positive")
-        ids = range(num_devices) if device_ids is None else device_ids
-        sessions: List[AvailabilitySession] = []
-        for dev in ids:
-            sessions.extend(self.device_sessions(dev))
+        ids, starts, ends = self._columns(
+            range(num_devices) if device_ids is None else device_ids
+        )
         return DeviceAvailabilityTrace(
-            horizon=self.config.horizon, sessions=sessions
+            self.config.horizon, device_ids=ids, starts=starts, ends=ends
         )
 
 
 def merge_traces(traces: Sequence[DeviceAvailabilityTrace]) -> DeviceAvailabilityTrace:
-    """Merge traces over disjoint device-id ranges into one trace."""
+    """Merge traces over disjoint device-id ranges into one trace, sessions
+    ordered by ``(start, index of the input trace)`` and, within one input
+    trace, in that trace's order."""
     if not traces:
         raise ValueError("need at least one trace")
-    horizon = max(t.horizon for t in traces)
-    merged = DeviceAvailabilityTrace(horizon=horizon)
-    heap: List[Tuple[float, int, AvailabilitySession]] = []
-    for i, tr in enumerate(traces):
-        for s in tr.sessions:
-            heapq.heappush(heap, (s.start, i, s))
-    while heap:
-        _, _, s = heapq.heappop(heap)
-        merged.sessions.append(s)
-    return merged
+    starts = np.concatenate([t.starts for t in traces])
+    order = np.argsort(starts, kind="stable")
+    return DeviceAvailabilityTrace(
+        max(t.horizon for t in traces),
+        device_ids=np.concatenate([t.device_ids for t in traces])[order],
+        starts=starts[order],
+        ends=np.concatenate([t.ends for t in traces])[order],
+    )
 
 
 def iter_checkins(

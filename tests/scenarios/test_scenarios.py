@@ -138,6 +138,28 @@ class TestSpecApplication:
         with pytest.raises(AssertionError, match="job count"):
             validate_environment(env)
 
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (([0, 10**6, 10**6 + 1], [1.0, 2.0, 3.0], [5.0, 6.0, 7.0]),
+             "session for unknown device 1000000"),
+            (([0], [-1.0], [5.0]), "session bounds out of order"),
+            (([0], [1.0], [10 * DAY]), "session extends past the horizon"),
+        ],
+    )
+    def test_validate_environment_session_messages(self, columns, message):
+        from dataclasses import replace
+
+        from repro.traces.device_trace import DeviceAvailabilityTrace
+
+        env = get_scenario("even").build_environment(tiny_base())
+        ids, starts, ends = columns
+        bad = DeviceAvailabilityTrace(
+            env.availability.horizon, device_ids=ids, starts=starts, ends=ends
+        )
+        with pytest.raises(AssertionError, match=message):
+            validate_environment(replace(env, availability=bad))
+
 
 class TestFlashCrowd:
     def test_burst_concentrates_arrivals(self):

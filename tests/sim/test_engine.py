@@ -180,6 +180,17 @@ class TestEngineValidation:
         with pytest.raises(ValueError):
             Simulator(devices, trace, [make_job(1)], FIFOPolicy(), sim_config(100.0))
 
+    def test_unknown_devices_named_first_five_sorted(self):
+        devices = [make_device(device_id=0), make_device(device_id=3)]
+        trace = make_trace(
+            [(d, 0.0, 100.0) for d in (9, 3, 7, 7, 0, 12, 8, 11, 10)]
+        )
+        with pytest.raises(ValueError) as err:
+            Simulator(devices, trace, [make_job(1)], FIFOPolicy(), sim_config(100.0))
+        assert str(err.value) == (
+            "availability trace references unknown devices: [7, 8, 9, 10, 11]"
+        )
+
     def test_duplicate_job_ids_rejected(self):
         devices = [make_device(device_id=0)]
         trace = always_on_trace(1, 100.0)

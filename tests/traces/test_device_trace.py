@@ -123,6 +123,32 @@ class TestAvailabilityCurveAndMerge:
         starts = [s.start for s in merged.sessions]
         assert starts == sorted(starts)
 
+    def test_merge_same_start_within_one_trace(self):
+        """Regression: the healing edge of ``regional_outage`` gives thousands
+        of sessions of one trace the same start; the heap of
+        ``(start, trace_index, session)`` tuples then compared sessions and
+        raised ``TypeError``.  Order is (start, input trace, input position)."""
+        t0 = DeviceAvailabilityTrace(
+            horizon=100.0,
+            sessions=[
+                AvailabilitySession(3, 50.0, 60.0),
+                AvailabilitySession(1, 50.0, 90.0),
+                AvailabilitySession(2, 10.0, 20.0),
+            ],
+        )
+        t1 = DeviceAvailabilityTrace(
+            horizon=100.0,
+            sessions=[
+                AvailabilitySession(9, 50.0, 55.0),
+                AvailabilitySession(8, 5.0, 6.0),
+            ],
+        )
+        merged = merge_traces([t0, t1])
+        assert [s.device_id for s in merged.sessions] == [8, 2, 3, 1, 9]
+        assert merged.checkin_events() == sorted(
+            t0.checkin_events() + t1.checkin_events()
+        )
+
     def test_merge_requires_input(self):
         with pytest.raises(ValueError):
             merge_traces([])
@@ -139,6 +165,113 @@ class TestAvailabilityCurveAndMerge:
         assert len(events) == len(trace.sessions)
         assert all(start < end for (start, _, end) in events)
         assert [e[0] for e in events] == sorted(e[0] for e in events)
+
+
+def sweep_line_curve(trace, resolution):
+    """The dict sweep-line ``availability_curve`` used before the trace went
+    columnar — kept as the reference for the sort + searchsorted form."""
+    times = np.arange(0.0, trace.horizon + resolution, resolution)
+    counts = np.zeros_like(times)
+    deltas = {}
+    for s in trace.sessions:
+        deltas[s.start] = deltas.get(s.start, 0) + 1
+        deltas[s.end] = deltas.get(s.end, 0) - 1
+    boundary_times = sorted(deltas)
+    online = 0
+    idx = 0
+    for k, t in enumerate(times):
+        while idx < len(boundary_times) and boundary_times[idx] <= t:
+            online += deltas[boundary_times[idx]]
+            idx += 1
+        counts[k] = online
+    return times, counts
+
+
+class TestColumnarTrace:
+    def test_columns_are_the_representation(self):
+        trace = DeviceAvailabilityTrace(
+            100.0, device_ids=[4, 2], starts=[1.0, 0.5], ends=[2.0, 50.0]
+        )
+        assert len(trace) == 2
+        assert trace.device_ids.dtype == np.int64
+        assert trace.starts.dtype == trace.ends.dtype == np.float64
+        assert trace.sessions == [
+            AvailabilitySession(4, 1.0, 2.0),
+            AvailabilitySession(2, 0.5, 50.0),
+        ]
+        assert trace.sessions is not trace.sessions  # built on demand
+        same = DeviceAvailabilityTrace(100.0, sessions=trace.sessions)
+        assert same.checkin_events() == trace.checkin_events() == [
+            (0.5, 2, 50.0),
+            (1.0, 4, 2.0),
+        ]
+        assert trace.num_devices == 2
+        assert trace.sessions_of(2) == [AvailabilitySession(2, 0.5, 50.0)]
+        assert trace.sessions_of(7) == []
+
+    def test_empty_trace(self):
+        trace = DeviceAvailabilityTrace(horizon=10.0)
+        assert len(trace) == 0 and trace.sessions == [] and trace.num_devices == 0
+        assert trace.checkin_events() == []
+        assert [a.size for a in trace.checkin_events_arrays()] == [0, 0, 0]
+
+    def test_end_must_follow_start_from_columns_and_from_sessions(self):
+        with pytest.raises(ValueError, match="end must be after start"):
+            DeviceAvailabilityTrace(
+                10.0, device_ids=[0, 1], starts=[1.0, 5.0], ends=[2.0, 5.0]
+            )
+        with pytest.raises(ValueError, match="end must be after start"):
+            AvailabilitySession(0, 5.0, 4.0)
+
+        class Raw:  # a session-shaped object that skipped the dataclass check
+            device_id, start, end = 0, 5.0, 4.0
+
+        with pytest.raises(ValueError, match="end must be after start"):
+            DeviceAvailabilityTrace(10.0, sessions=[Raw()])
+
+    def test_columns_must_line_up(self):
+        with pytest.raises(ValueError):
+            DeviceAvailabilityTrace(10.0, device_ids=[0, 1], starts=[1.0], ends=[2.0])
+        with pytest.raises(ValueError):
+            DeviceAvailabilityTrace(
+                10.0,
+                sessions=[AvailabilitySession(0, 1.0, 2.0)],
+                device_ids=[0], starts=[1.0], ends=[2.0],
+            )
+
+    @given(
+        sessions=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=9),
+                # Coarse grid: starts, ends and sample times collide often.
+                st.integers(min_value=0, max_value=40),
+                st.integers(min_value=1, max_value=30),
+            ),
+            max_size=60,
+        ),
+        resolution=st.sampled_from([2.5, 5.0, 7.0, 50.0, 300.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_curve_equals_the_sweep_line(self, sessions, resolution):
+        trace = DeviceAvailabilityTrace(
+            horizon=200.0,
+            sessions=[
+                AvailabilitySession(d, 2.5 * s, 2.5 * (s + length))
+                for d, s, length in sessions
+            ],
+        )
+        times, counts = trace.availability_curve(resolution)
+        ref_times, ref_counts = sweep_line_curve(trace, resolution)
+        assert times.tolist() == ref_times.tolist()
+        assert counts.dtype == ref_counts.dtype
+        assert counts.tolist() == ref_counts.tolist()
+
+    def test_curve_equals_the_sweep_line_on_a_generated_trace(self):
+        trace = DiurnalAvailabilityModel(DiurnalConfig(horizon=DAY), seed=9).generate(300)
+        for got, want in zip(
+            trace.availability_curve(600.0), sweep_line_curve(trace, 600.0)
+        ):
+            assert got.tolist() == want.tolist()
 
 
 class TestPerDeviceStreams:
@@ -162,6 +295,11 @@ class TestPerDeviceStreams:
         for dev in subset_ids:
             assert subset.sessions_of(dev) == full.sessions_of(dev)
         assert {s.device_id for s in subset.sessions} <= set(subset_ids)
+
+    def test_device_sessions_is_the_one_device_subset(self):
+        full = self._model().generate(6)
+        for dev in (0, 5):
+            assert self._model().device_sessions(dev) == full.sessions_of(dev)
 
     def test_population_size_does_not_change_a_device(self):
         small = self._model().generate(3)

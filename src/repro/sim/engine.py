@@ -133,7 +133,6 @@ from .latency import LatencyConfig, ResponseLatencyModel
 from .metrics import SimulationMetrics, collect_job_metrics
 from .shard import (
     INF_KEY,
-    KIND_CHECKIN,
     DeviceShard,
     build_shards,
     compute_signatures,
@@ -349,6 +348,8 @@ class Simulator:
         self.devices: Dict[int, DeviceRuntime] = {
             d.device_id: DeviceRuntime(profile=d) for d in self._device_profiles
         }
+        if len(self.devices) != len(self._device_profiles):
+            raise ValueError("device ids must be unique")
         known = np.fromiter(self.devices, dtype=np.int64, count=len(self.devices))
         unknown = ~np.isin(availability.device_ids, known)
         if unknown.any():
@@ -850,13 +851,9 @@ class Simulator:
         can make another source's next event earlier, which is what makes
         the batch safe.
         """
-        times = shard.st_time
-        seqs = shard.st_seq
-        devs = shard.st_dev
-        sends = shard.st_send
-        kinds = shard.st_kind
         cursor = shard.cursor
         length = shard.st_len
+        rows, off, w_hi = shard.w_rows, shard.w_lo, shard.w_hi
         heap = shard.heap
         runtimes = shard.runtimes
         pool = shard.pool
@@ -867,25 +864,22 @@ class Simulator:
         enforce_daily = self.config.enforce_daily_limit
         limit_t, limit_s = limit
         busy = DeviceStatus.BUSY
-        kind_checkin = KIND_CHECKIN
         budget = self.config.max_events - self._events_processed
         processed = 0
         while cursor < length:
-            t = times[cursor]
-            seq = seqs[cursor]
+            if not off <= cursor < w_hi:
+                rows, off, w_hi = shard.refill(cursor)
+            t, seq, device_id, session_end, is_checkin = rows[cursor - off]
             if t > limit_t or (t == limit_t and seq > limit_s) or t > horizon:
                 break
             if heap:
                 head = heap[0]
                 if head[0] < t or (head[0] == t and head[1] < seq):
                     break  # a response of this shard is due first
-            device_id = devs[cursor]
-            session_end = sends[cursor]
-            kind = kinds[cursor]
             cursor += 1
             self.now = t
             device = runtimes[device_id]
-            if kind == kind_checkin:
+            if is_checkin:
                 if device.status is busy:
                     # The previous task overran into this session; treat the
                     # new session as extending the device's online window.
@@ -966,12 +960,13 @@ class Simulator:
     # Vectorized hot path (SimulationConfig.vectorized_dispatch)
     # ------------------------------------------------------------------ #
     def _setup_vector_state(self) -> None:
-        """Build the struct-of-arrays device state and stream array twins."""
+        """Build the struct-of-arrays device state and the streams' slot
+        columns (computed once, vectorized)."""
         self._vec = VectorDeviceState(
             self._device_profiles, self._device_signatures
         )
         for shard in self._shards:
-            shard.attach_vector_arrays(self._vec.slots_for(shard.st_dev))
+            shard.sa_slot = self._vec.slots_for(shard.sa_dev)
 
     def _vec_profile_of(self, device_id: int) -> DeviceProfile:
         return self.devices[device_id].profile
@@ -1012,7 +1007,7 @@ class Simulator:
                 self._vec.sig_table,
                 self._vec_profile_of,
             )
-        self.now = shard.st_time[hi - 1]
+        self.now = float(shard.sa_time[hi - 1])
         return hi - lo
 
     def _fold_small(self, shard: DeviceShard, lo: int, hi: int) -> int:
@@ -1021,23 +1016,21 @@ class Simulator:
         Replays exactly the transitions :meth:`VectorDeviceState.fold_slice`
         batches — busy check-ins max-extend the session, non-busy check-ins
         re-open it, checkouts end an idle session they cover — against the
-        same arrays, reading the stream through its Python lists (cheaper
-        than numpy scalar indexing at this size).
+        same arrays, reading the stream through the shard's decoded window
+        (cheaper than numpy scalar indexing at this size).
         """
         vec = self._vec
         status = vec.status
         sess = vec.sess
         profiles = vec.profiles
-        st_time = shard.st_time
-        st_send = shard.st_send
-        st_kind = shard.st_kind
-        sl_slot = shard.sl_slot
         metrics = shard.metrics
         policy_checkin = self.policy.on_device_checkin
+        rows, off, w_hi = shard.w_rows, shard.w_lo, shard.w_hi
         for p in range(lo, hi):
-            slot = sl_slot[p]
-            send = st_send[p]
-            if st_kind[p] == KIND_CHECKIN:
+            if not off <= p < w_hi:
+                rows, off, w_hi = shard.refill(p)
+            t, _seq, slot, send, is_checkin = rows[p - off]
+            if is_checkin:
                 if status[slot] == STATUS_BUSY:
                     if send > sess[slot]:
                         sess[slot] = send
@@ -1045,10 +1038,10 @@ class Simulator:
                     status[slot] = STATUS_IDLE
                     sess[slot] = send
                     metrics.total_checkins += 1
-                    policy_checkin(profiles[slot], st_time[p])
+                    policy_checkin(profiles[slot], t)
             elif status[slot] == STATUS_IDLE and sess[slot] <= send:
                 status[slot] = STATUS_OFFLINE
-        self.now = st_time[hi - 1]
+        self.now = t
         return hi - lo
 
     #: Slices at or below this length are drained by the per-event loop
@@ -1073,28 +1066,24 @@ class Simulator:
         sess = vec.sess
         last_day = vec.last_day
         profiles = vec.profiles
-        st_time = shard.st_time
-        st_seq = shard.st_seq
-        st_send = shard.st_send
-        st_kind = shard.st_kind
-        sl_slot = shard.sl_slot
         heap = shard.heap
         metrics = shard.metrics
         pending = self._pending
         enforce_daily = self.config.enforce_daily_limit
         policy_checkin = self.policy.on_device_checkin
+        rows, off, w_hi = shard.w_rows, shard.w_lo, shard.w_hi
         flushed = False
         p = lo
         while p < hi:
-            t = st_time[p]
+            if not off <= p < w_hi:
+                rows, off, w_hi = shard.refill(p)
+            t, seq, slot, send, is_checkin = rows[p - off]
             if flushed and heap:
                 h0 = heap[0][0]
-                if t > h0 or (t == h0 and st_seq[p] > heap[0][1]):
+                if t > h0 or (t == h0 and seq > heap[0][1]):
                     break
-            slot = sl_slot[p]
-            send = st_send[p]
             self.now = t
-            if st_kind[p] == KIND_CHECKIN:
+            if is_checkin:
                 if status[slot] == STATUS_BUSY:
                     if send > sess[slot]:
                         sess[slot] = send
@@ -1141,27 +1130,17 @@ class Simulator:
         sa_ci = shard.sa_ci
         cursor = shard.cursor
         heap = shard.heap
-        st_time = shard.st_time
-        st_seq = shard.st_seq
-        n_static = len(st_time)
         bt, bs = limit
         if heap:
             h0, h1 = heap[0][0], heap[0][1]
             if h0 < bt or (h0 == bt and h1 < bs):
                 # Static events must stay strictly before the response.
                 bt, bs = h0, h1 - 1
-        # One list read usually settles the slice bound: in
-        # response-dominated stretches the next static event lies past
-        # the limit, so the binary searches can be skipped entirely.
+        # The merge loop drains a shard only when its next static event is
+        # the globally next event, so the slice is never empty and its end
+        # is found by binary search on the columns.
         if bt > horizon:
-            if cursor >= n_static or st_time[cursor] > horizon:
-                hi = cursor
-            else:
-                hi = int(sa_time.searchsorted(horizon, "right"))
-        elif cursor >= n_static or st_time[cursor] > bt or (
-            st_time[cursor] == bt and st_seq[cursor] > bs
-        ):
-            hi = cursor
+            hi = int(sa_time.searchsorted(horizon, "right"))
         else:
             lo_eq = int(sa_time.searchsorted(bt, "left"))
             hi_eq = int(sa_time.searchsorted(bt, "right"))
@@ -1178,12 +1157,10 @@ class Simulator:
         metrics = shard.metrics
         policy_checkin = self.policy.on_device_checkin
         profiles = vec.profiles
-        st_send = shard.st_send
-        sl_slot = shard.sl_slot
         if 0 < hi - cursor <= self._DRAIN_SCALAR_MAX:
             # Short slices (the common case in response-dominated
             # stretches) skip the mask machinery: a per-event loop over
-            # the shard's Python lists replays the scalar engine's drain
+            # the shard's decoded window replays the scalar engine's drain
             # exactly, including the per-event response-head check.
             processed, cursor = self._drain_small(shard, cursor, hi)
             hi = cursor
@@ -1213,9 +1190,9 @@ class Simulator:
                     break  # outer loop folds the assignment-free remainder
                 if p > cursor:
                     processed += self._fold_into(shard, cursor, p)
-                t = st_time[p]
-                slot = sl_slot[p]
-                send = st_send[p]
+                if not shard.w_lo <= p < shard.w_hi:
+                    shard.refill(p)
+                t, _seq, slot, send, _ci = shard.w_rows[p - shard.w_lo]
                 self.now = t
                 if status[slot] == STATUS_BUSY:
                     # Became busy earlier in this drain: the new session
@@ -1242,7 +1219,7 @@ class Simulator:
                             # the slice (task durations are minutes), so a
                             # one-read time comparison skips the binary
                             # searches almost every time.
-                            if heap and heap[0][0] <= st_time[hi - 1]:
+                            if heap and heap[0][0] <= sa_time[hi - 1]:
                                 h0, h1 = heap[0][0], heap[0][1]
                                 lo_eq = int(sa_time.searchsorted(h0, "left"))
                                 hi_eq = int(sa_time.searchsorted(h0, "right"))
@@ -1593,14 +1570,21 @@ class Simulator:
         """
         vec = self._vec
         status_of = (DeviceStatus.OFFLINE, DeviceStatus.IDLE, DeviceStatus.BUSY)
-        for slot, device_id in enumerate(vec.ids.tolist()):
-            device = self.devices[device_id]
-            device.status = status_of[int(vec.status[slot])]
-            device.session_end = float(vec.sess[slot])
-            day = int(vec.last_day[slot])
+        devices = self.devices
+        for device_id, status, sess, day, completed, failed in zip(
+            vec.ids.tolist(),
+            vec.status.tolist(),
+            vec.sess.tolist(),
+            vec.last_day.tolist(),
+            vec.tasks_completed,
+            vec.tasks_failed,
+        ):
+            device = devices[device_id]
+            device.status = status_of[status]
+            device.session_end = sess
             device.last_participation_day = day if day >= 0 else None
-            device.tasks_completed = int(vec.tasks_completed[slot])
-            device.tasks_failed = int(vec.tasks_failed[slot])
+            device.tasks_completed = completed
+            device.tasks_failed = failed
 
     def shard_stats(self) -> List[Dict[str, object]]:
         """Per-shard event/message counters (sharded runs only)."""

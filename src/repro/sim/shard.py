@@ -7,8 +7,12 @@ work across N :class:`DeviceShard` objects, each owning a partition of the
 device population (``device_id % num_shards == shard_index``):
 
 * the shard's **static event stream** — every check-in / checkout of its
-  devices over the horizon — is built once as sorted parallel arrays
-  instead of millions of heap pushes;
+  devices over the horizon — is built once as sorted parallel numpy
+  columns instead of millions of heap pushes.  The columns are the only
+  copy: the batched kernels slice them, and the per-event readers go
+  through one bounded window of decoded Python rows
+  (:meth:`DeviceShard.refill`, :data:`STREAM_WINDOW` events at a time) that
+  follows the shard's monotone cursor;
 * the shard's **dynamic queue** holds the response events of its devices
   (scheduled by the coordinator when it assigns one of the shard's devices);
 * the shard's **idle pool** (:class:`~repro.sim.dispatch.IdleDevicePool`)
@@ -46,7 +50,6 @@ processes are pure overhead).
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,12 +60,20 @@ from .device import DeviceRuntime
 from .dispatch import IdleDevicePool
 from .metrics import SimulationMetrics
 
-#: Static-stream event kinds (dynamic responses live in the shard heap).
-KIND_CHECKIN = 0
-KIND_CHECKOUT = 1
-
 #: Sentinel key sorting after every real event.
 INF_KEY: Tuple[float, int] = (float("inf"), 1 << 62)
+
+#: Static events decoded into Python rows per window refill.  Element access
+#: on decoded rows is several times cheaper than numpy scalar extraction, so
+#: the per-event loops read rows; decoding only a window keeps the boxed
+#: values at O(window) instead of O(stream).  Affects wall time and memory
+#: only, never results (``tests/sim/test_stream_window.py`` runs the engines
+#: at 1, 3 and 64).
+STREAM_WINDOW = 1024
+
+#: One shard's static stream: ``(time, seq, device_id, session_end,
+#: is_checkin)`` columns sorted by ``(time, seq)``.
+StaticStream = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def shard_of(device_id: int, num_shards: int) -> int:
@@ -135,34 +146,30 @@ def make_static_stream(
     ends: np.ndarray,
     seqs: np.ndarray,
     horizon: float,
-) -> Tuple[list, list, list, list, list]:
+) -> StaticStream:
     """Build one shard's sorted static event stream.
 
     Inputs are the shard's sessions *in global session-sort order* together
     with the global sequence number of each session's check-in event (the
-    checkout takes ``seq + 1``).  Returns five parallel Python lists
-    ``(time, seq, device_id, session_end, kind)`` sorted by ``(time, seq)``
-    — plain lists, because element access in the merge loop is measurably
-    cheaper than numpy scalar extraction.
+    checkout takes ``seq + 1``).  Returns five parallel numpy columns
+    ``(time, seq, device_id, session_end, is_checkin)`` sorted by
+    ``(time, seq)`` — the inputs' dtypes (the trace's float64 / int64) and
+    one bool column.  They stay arrays for the whole run;
+    :meth:`DeviceShard.refill` decodes a window at a time for the per-event
+    readers.
     """
     n = len(starts)
     times = np.concatenate([starts, np.minimum(ends, horizon)])
     seq_all = np.concatenate([seqs, seqs + 1])
-    devs = np.concatenate([device_ids, device_ids])
-    sends = np.concatenate([ends, ends])
-    kinds = np.concatenate(
-        [
-            np.full(n, KIND_CHECKIN, dtype=np.int8),
-            np.full(n, KIND_CHECKOUT, dtype=np.int8),
-        ]
-    )
     order = np.lexsort((seq_all, times))
+    is_checkin = order < n
+    session = np.where(is_checkin, order, order - n)
     return (
-        times[order].tolist(),
-        seq_all[order].tolist(),
-        devs[order].tolist(),
-        sends[order].tolist(),
-        kinds[order].tolist(),
+        times[order],
+        seq_all[order],
+        device_ids[session],
+        ends[session],
+        is_checkin,
     )
 
 
@@ -188,21 +195,32 @@ class DeviceShard:
     def __init__(
         self,
         index: int,
-        stream: Tuple[list, list, list, list, list],
+        stream: StaticStream,
         runtimes: Dict[int, DeviceRuntime],
         policy_name: str,
         horizon: float,
     ) -> None:
         self.index = index
+        #: The static stream, as numpy columns sorted by ``(time, seq)``.
         (
-            self.st_time,
-            self.st_seq,
-            self.st_dev,
-            self.st_send,
-            self.st_kind,
+            self.sa_time,
+            self.sa_seq,
+            self.sa_dev,
+            self.sa_send,
+            self.sa_ci,
         ) = stream
-        self.st_len = len(self.st_time)
+        #: Global :class:`~repro.sim.vector.VectorDeviceState` slot of each
+        #: event's device (vectorized engine only; set by the engine).  When
+        #: present, window rows carry the slot instead of the device id.
+        self.sa_slot: Optional[np.ndarray] = None
+        self.st_len = len(self.sa_time)
         self.cursor = 0
+        #: Decoded window: ``w_rows[p - w_lo]`` is event ``p`` as a
+        #: ``(time, seq, device_id | slot, session_end, is_checkin)`` tuple
+        #: of Python values, for ``w_lo <= p < w_hi`` (see :meth:`refill`).
+        self.w_rows: List[tuple] = []
+        self.w_lo = 0
+        self.w_hi = 0
         #: Dynamic (response) min-heap of
         #: ``(time, seq, device_id, request_id, job_id, success)`` tuples.
         #: Same-timestamp runs at the heap head are drained as *cohorts*
@@ -236,41 +254,49 @@ class DeviceShard:
         self.static_skipped = 0
         self.responses_failed_by_fault = 0
         self.responses_delayed_by_fault = 0
-        #: Numpy twins of the static stream (vectorized engine only; built
-        #: by :meth:`attach_vector_arrays`).
-        self.sa_time: Optional[np.ndarray] = None
-        self.sa_seq: Optional[np.ndarray] = None
-        self.sa_slot: Optional[np.ndarray] = None
-        self.sa_send: Optional[np.ndarray] = None
-        self.sa_ci: Optional[np.ndarray] = None
 
-    def attach_vector_arrays(self, slots: "np.ndarray") -> None:
-        """Build numpy twins of the static stream for the vectorized engine.
-
-        ``slots`` maps each stream event's device id to its global slot in
-        the engine's :class:`~repro.sim.vector.VectorDeviceState` (computed
-        once, vectorized, by the engine).  The Python lists stay around for
-        :meth:`head_key`; the arrays are what the batched drain kernels
-        slice.
-        """
-        self.sa_time = np.asarray(self.st_time, dtype=np.float64)
-        self.sa_seq = np.asarray(self.st_seq, dtype=np.int64)
-        self.sa_slot = np.asarray(slots, dtype=np.int64)
-        self.sa_send = np.asarray(self.st_send, dtype=np.float64)
-        self.sa_ci = (
-            np.asarray(self.st_kind, dtype=np.int8) == KIND_CHECKIN
-        )
-        #: Python-int twin of ``sa_slot`` for the engine's small-run fold
-        #: loop (plain list indexing beats numpy scalar indexing there).
-        self.sl_slot = self.sa_slot.tolist()
+    def __getstate__(self) -> dict:
+        # Snapshots carry the columns, never the decoded window: a resumed
+        # shard refills at its cursor on first read.
+        state = self.__dict__.copy()
+        state["w_rows"] = []
+        state["w_lo"] = state["w_hi"] = 0
+        return state
 
     # ------------------------------------------------------------------ #
     # Stream interface
     # ------------------------------------------------------------------ #
+    def refill(self, p: int) -> Tuple[List[tuple], int, int]:
+        """Decode events ``[p, p + STREAM_WINDOW)`` into the window.
+
+        Every per-event reader calls this when the position it needs lies
+        outside ``[w_lo, w_hi)``.  Readers consume the stream in cursor
+        order, so consecutive refills are at least a window apart and the
+        run decodes each event at most once.  Returns the new
+        ``(w_rows, w_lo, w_hi)`` for loops that keep them in locals.
+        """
+        hi = min(p + STREAM_WINDOW, self.st_len)
+        who = self.sa_dev if self.sa_slot is None else self.sa_slot
+        self.w_rows = list(
+            zip(
+                self.sa_time[p:hi].tolist(),
+                self.sa_seq[p:hi].tolist(),
+                who[p:hi].tolist(),
+                self.sa_send[p:hi].tolist(),
+                self.sa_ci[p:hi].tolist(),
+            )
+        )
+        self.w_lo = p
+        self.w_hi = hi
+        return self.w_rows, p, hi
+
     def head_key(self) -> Tuple[float, int]:
         """(time, seq) of the shard's next event; :data:`INF_KEY` if done."""
-        if self.cursor < self.st_len:
-            static = (self.st_time[self.cursor], self.st_seq[self.cursor])
+        cursor = self.cursor
+        if cursor < self.st_len:
+            if not self.w_lo <= cursor < self.w_hi:
+                self.refill(cursor)
+            static = self.w_rows[cursor - self.w_lo][0:2]
             if self.heap and self.heap[0][0:2] < static:
                 return self.heap[0][0:2]
             return static
@@ -346,7 +372,7 @@ class DeviceShard:
             if changed:
                 heapq.heapify(rewritten)
                 self.heap = rewritten
-        hi = bisect_left(self.st_time, end, self.cursor)
+        hi = int(self.sa_time.searchsorted(end, "left"))
         if hi > self.cursor:
             self.static_skipped += hi - self.cursor
             self.cursor = hi
@@ -442,14 +468,16 @@ def build_shards(
             streams = list(ex.map(_build_stream_worker, jobs_args))
     else:
         streams = [make_static_stream(*args) for args in jobs_args]
-    runtimes_per_shard: List[Dict[int, DeviceRuntime]] = [
-        {} for _ in range(num_shards)
-    ]
-    for d in devices:
-        device_id = d.device_id
-        runtimes_per_shard[device_id % num_shards][device_id] = runtimes[
-            device_id
-        ]
+    if num_shards == 1:
+        # One shard owns every device: share the coordinator's dict.
+        runtimes_per_shard = [runtimes]
+    else:
+        runtimes_per_shard = [{} for _ in range(num_shards)]
+        for d in devices:
+            device_id = d.device_id
+            runtimes_per_shard[device_id % num_shards][device_id] = runtimes[
+                device_id
+            ]
     shards = [
         DeviceShard(
             index=k,
@@ -466,8 +494,7 @@ def build_shards(
 __all__ = [
     "DeviceShard",
     "INF_KEY",
-    "KIND_CHECKIN",
-    "KIND_CHECKOUT",
+    "STREAM_WINDOW",
     "build_shards",
     "compute_signatures",
     "make_static_stream",

@@ -56,9 +56,7 @@ class VectorDeviceState:
         n = len(ordered)
         self.profiles: List[DeviceProfile] = ordered
         self.ids = np.array([p.device_id for p in ordered], dtype=np.int64)
-        self.slot_of: Dict[int, int] = {
-            int(d): i for i, d in enumerate(self.ids)
-        }
+        self.slot_of: Dict[int, int] = dict(zip(self.ids.tolist(), range(n)))
         self.status = np.zeros(n, dtype=np.int8)
         self.sess = np.zeros(n, dtype=np.float64)
         self.last_day = np.full(n, -1, dtype=np.int64)

@@ -136,10 +136,14 @@ class CapacitySampler:
         mean_reliability = cfg.mean_reliability
         random, beta, speed_factor = self._rng.random, self._rng.beta, self.speed_factor
         devices: List[DeviceProfile] = []
+        # One frozenset per distinct domain combination (at most
+        # 2**len(data_domains)), shared by every device that drew it.
+        shared: Dict[frozenset, frozenset] = {}
         # One stream, draws interleaved per device (domains, reliability,
         # speed noise): the order is part of the seed's meaning.
         for k, (cpu, mem) in enumerate(self.sample_scores(n).tolist(), start_id):
             domains = frozenset([d for d in data_domains if random() < p_domain])
+            domains = shared.setdefault(domains, domains)
             reliability = beta(9.0, 1.0) * mean_reliability / 0.9
             if reliability > 1.0:
                 reliability = 1.0

@@ -198,6 +198,20 @@ class TestEngineValidation:
         with pytest.raises(ValueError):
             Simulator(devices, trace, jobs, FIFOPolicy(), sim_config(100.0))
 
+    @pytest.mark.parametrize(
+        "engine",
+        [{}, {"sharded_dispatch": True}, {"vectorized_dispatch": True}],
+        ids=["single-queue", "sharded", "vectorized"],
+    )
+    def test_duplicate_device_ids_rejected(self, engine):
+        """Two profiles with one id used to collapse into one DeviceRuntime,
+        and the engines then disagreed on the check-in count (3 vs 2)."""
+        devices = [make_device(device_id=i) for i in (0, 0, 1)]
+        trace = always_on_trace(2, 100.0)
+        config = SimulationConfig(horizon=100.0, seed=0, **engine)
+        with pytest.raises(ValueError, match="device ids must be unique"):
+            Simulator(devices, trace, [make_job(1)], FIFOPolicy(), config)
+
     def test_ineligible_policy_assignment_detected(self):
         class BadPolicy(BasePolicy):
             name = "bad"

@@ -124,29 +124,41 @@ class TestStaticStream:
         ids = np.array([4, 2, 0])
         ends = np.array([5.0, 9.0, 6.0])
         seqs = np.array([10, 12, 14])  # seq_start 10, 2 per session
-        times, seq, devs, sends, kinds = make_static_stream(
+        times, seq, devs, sends, is_checkin = make_static_stream(
             starts, ids, ends, seqs, horizon=8.0
         )
         # Events: checkin(1, s10), checkin(2, s12), checkout(5, s11),
         # checkin(5, s14), checkout(min(6,8)=6, s15), checkout(min(9,8)=8, s13)
-        assert times == [1.0, 2.0, 5.0, 5.0, 6.0, 8.0]
-        assert seq == [10, 12, 11, 14, 15, 13]
-        assert kinds == [0, 0, 1, 0, 1, 1]
+        assert np.array_equal(times, [1.0, 2.0, 5.0, 5.0, 6.0, 8.0])
+        assert np.array_equal(seq, [10, 12, 11, 14, 15, 13])
+        assert np.array_equal(is_checkin, [True, True, False, True, False, False])
         # Checkout events carry the *original* session end.
-        assert sends == [5.0, 9.0, 5.0, 6.0, 6.0, 9.0]
-        assert devs == [4, 2, 4, 0, 0, 2]
+        assert np.array_equal(sends, [5.0, 9.0, 5.0, 6.0, 6.0, 9.0])
+        assert np.array_equal(devs, [4, 2, 4, 0, 0, 2])
+        # The columns are the stream: arrays, one fixed dtype each.
+        assert [c.dtype for c in (times, seq, devs, sends, is_checkin)] == [
+            np.float64, np.int64, np.int64, np.float64, np.bool_
+        ]
 
     def test_same_time_checkout_sorts_before_later_seq_checkin(self):
         # Session A [1, 5] (seqs 0/1), session B [5, 9] (seqs 2/3): at t=5
         # A's checkout (seq 1) precedes B's check-in (seq 2), like the
         # single-queue engine's insertion order.
-        times, seq, devs, sends, kinds = make_static_stream(
+        times, seq, devs, sends, is_checkin = make_static_stream(
             np.array([1.0, 5.0]), np.array([7, 7]), np.array([5.0, 9.0]),
             np.array([0, 2]), horizon=100.0,
         )
-        assert list(zip(times, kinds)) == [
-            (1.0, 0), (5.0, 1), (5.0, 0), (9.0, 1)
+        assert list(zip(times.tolist(), is_checkin.tolist())) == [
+            (1.0, True), (5.0, False), (5.0, True), (9.0, False)
         ]
+
+    def test_empty_stream_keeps_dtypes(self):
+        empty_f, empty_i = np.array([], dtype=float), np.array([], dtype=np.int64)
+        stream = make_static_stream(empty_f, empty_i, empty_f, empty_i, 10.0)
+        assert [c.dtype for c in stream] == [
+            np.float64, np.int64, np.int64, np.float64, np.bool_
+        ]
+        assert all(len(c) == 0 for c in stream)
 
 
 def _trace(sessions):
@@ -172,8 +184,9 @@ class TestBuildShards:
         assert [sorted(sh.runtimes) for sh in shards] == [
             [0, 3], [1, 4], [2, 5]
         ]
-        all_seqs = sorted(s for sh in shards for s in sh.st_seq)
-        assert all_seqs == list(range(2, 14))
+        assert all(sh.sa_seq.dtype == np.int64 for sh in shards)
+        all_seqs = np.sort(np.concatenate([sh.sa_seq for sh in shards]))
+        assert np.array_equal(all_seqs, np.arange(2, 14))
 
     def test_sessions_past_horizon_consume_no_seqs(self):
         devices = [make_device(device_id=0), make_device(device_id=1)]
@@ -218,11 +231,10 @@ class TestBuildShards:
         )
         assert c1 == c2
         for a, b in zip(inline, pooled):
-            assert a.st_time == b.st_time
-            assert a.st_seq == b.st_seq
-            assert a.st_dev == b.st_dev
-            assert a.st_send == b.st_send
-            assert a.st_kind == b.st_kind
+            for name in ("sa_time", "sa_seq", "sa_dev", "sa_send", "sa_ci"):
+                col_a, col_b = getattr(a, name), getattr(b, name)
+                assert col_a.dtype == col_b.dtype, name
+                assert np.array_equal(col_a, col_b), name
 
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError):

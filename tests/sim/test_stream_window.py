@@ -1,0 +1,176 @@
+"""The static stream's decode window changes wall time and memory, never
+results (:data:`repro.sim.shard.STREAM_WINDOW`).
+
+A shard keeps its static stream as numpy columns and decodes
+``STREAM_WINDOW`` events at a time into Python rows for the per-event
+readers.  Every test here shrinks the window to 1, 3 and 64 events — so
+refills land inside folds, drains, fault jumps and right after a resume —
+and requires the decision hash, the metrics digest and the event count of
+the default-window run.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+import repro.sim.shard as shard_module
+from repro.core.requirements import GENERAL, EligibilityRequirement
+from repro.core.scheduler import VennScheduler
+from repro.core.types import JobSpec
+from repro.resilience import (
+    FaultPlan,
+    FaultSpec,
+    RecordingPolicy,
+    SimulatedCrash,
+    metrics_digest,
+)
+from repro.sim.engine import SimulationConfig, Simulator
+from repro.traces.capacity import CapacitySampler
+from repro.traces.device_trace import DAY, DiurnalAvailabilityModel, DiurnalConfig
+from tests.golden.test_golden_regression import GOLDEN_LATENCY, scenario
+from tests.resilience.conftest import build_sim
+
+WINDOWS = (1, 3, 64)
+ENGINES = pytest.mark.parametrize(
+    "vectorized", [False, True], ids=["scalar-sharded", "vectorized"]
+)
+
+
+def fingerprint(sim: Simulator) -> tuple:
+    """(decision hash, metrics digest, events) of a finished or fresh run."""
+    metrics = sim.run()
+    return (
+        sim.policy.decision_hash,
+        metrics_digest(metrics),
+        sim.events_processed,
+    )
+
+
+def golden_sim(name: str, num_shards: int, vectorized: bool) -> Simulator:
+    devices, trace, jobs, horizon = scenario(name)
+    return Simulator(
+        devices=devices,
+        availability=trace,
+        workload=jobs,
+        policy=RecordingPolicy(VennScheduler(seed=7)),
+        config=SimulationConfig(
+            horizon=horizon,
+            seed=11,
+            latency=GOLDEN_LATENCY,
+            num_shards=num_shards,
+            sharded_dispatch=True,
+            vectorized_dispatch=vectorized,
+            enforce_daily_limit=(name == "contended"),
+        ),
+    )
+
+
+@ENGINES
+@pytest.mark.parametrize("num_shards", [1, 2, 4])
+@pytest.mark.parametrize("name", ["uncontended", "contended"])
+def test_golden_scenarios_identical_at_tiny_windows(
+    monkeypatch, name, num_shards, vectorized
+):
+    expected = fingerprint(golden_sim(name, num_shards, vectorized))
+    assert shard_module.STREAM_WINDOW > max(WINDOWS)
+    for window in WINDOWS:
+        monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
+        sim = golden_sim(name, num_shards, vectorized)
+        assert fingerprint(sim) == expected, window
+        assert all(len(sh.w_rows) <= window for sh in sim._shards)
+
+
+def starved_sim(num_shards: int, vectorized: bool) -> Simulator:
+    """600 devices, one day; job 2 wants hardware almost nobody has, so
+    demand stays pending while hundreds of static events pass between
+    responses — the vectorized drain's candidate loop and the short folds
+    between candidates (goldens only reach the short-slice drain)."""
+    rare = EligibilityRequirement("rare", min_cpu=0.97, min_memory=0.9)
+    jobs = [
+        JobSpec(1, GENERAL, demand_per_round=20, num_rounds=3, arrival_time=50.0,
+                round_deadline=3_000.0, base_task_duration=60.0),
+        JobSpec(2, rare, demand_per_round=5, num_rounds=2, arrival_time=100.0,
+                round_deadline=20_000.0, base_task_duration=60.0),
+    ]
+    return Simulator(
+        devices=CapacitySampler(seed=3).sample_devices(600),
+        availability=DiurnalAvailabilityModel(
+            DiurnalConfig(horizon=DAY), seed=4
+        ).generate(600),
+        workload=jobs,
+        policy=RecordingPolicy(VennScheduler(seed=1)),
+        config=SimulationConfig(
+            horizon=DAY, seed=5, num_shards=num_shards, sharded_dispatch=True,
+            vectorized_dispatch=vectorized,
+        ),
+    )
+
+
+@ENGINES
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_long_pending_slices_identical_at_tiny_windows(
+    monkeypatch, num_shards, vectorized
+):
+    expected = fingerprint(starved_sim(num_shards, vectorized))
+    refills_by_reader = set()
+    refill = shard_module.DeviceShard.refill
+
+    def counting_refill(self, p):
+        refills_by_reader.add(sys._getframe(1).f_code.co_name)
+        return refill(self, p)
+
+    monkeypatch.setattr(shard_module.DeviceShard, "refill", counting_refill)
+    for window in WINDOWS:
+        monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
+        assert fingerprint(starved_sim(num_shards, vectorized)) == expected, window
+    if vectorized and num_shards == 1:
+        # Every windowed reader of the vectorized engine refilled mid-run.
+        assert refills_by_reader == {
+            "head_key", "_drain_shard_vec", "_drain_small", "_fold_small"
+        }
+
+
+@ENGINES
+def test_shard_faults_identical_when_the_jump_leaves_the_window(
+    monkeypatch, vectorized
+):
+    """``kill_until`` moves the cursor past the decoded rows: the next read
+    must refill at the new cursor, not index a stale window."""
+    plan = FaultPlan(
+        (
+            FaultSpec("kill_shard", 12, shard=0, duration=2_500.0),
+            FaultSpec("stall_shard", 30, shard=1, duration=900.0),
+        )
+    )
+
+    def run():
+        sim = build_sim(num_shards=2, vectorized=vectorized, fault_plan=plan)
+        return fingerprint(sim), sim.fault_stats()
+
+    expected, stats = run()
+    assert stats["shard_static_skipped"] > 3  # jumps clear of windows 1 and 3
+    assert stats["shard_responses_delayed_by_fault"] > 0
+    for window in WINDOWS:
+        monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
+        assert run() == (expected, stats), window
+
+
+@ENGINES
+@pytest.mark.parametrize("window", WINDOWS)
+def test_snapshot_mid_window_resumes_identically(monkeypatch, window, vectorized):
+    kwargs = dict(num_shards=2, vectorized=vectorized)
+    expected = fingerprint(build_sim(**kwargs))
+    monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
+    crashed = build_sim(fault_plan=FaultPlan.crash_at(25), **kwargs)
+    with pytest.raises(SimulatedCrash):
+        crashed.run()
+    if window > 1:
+        # The crash point sits strictly inside a decoded window.
+        assert any(sh.w_lo < sh.cursor < sh.w_hi for sh in crashed._shards)
+    resumed = Simulator.resume(crashed.snapshot(), fault_plan=None)
+    # Shards pickle as columns; the window is rebuilt at the cursor.
+    assert all(sh.w_rows == [] and sh.w_hi == 0 for sh in resumed._shards)
+    assert any(sh.cursor > 0 for sh in resumed._shards)
+    assert fingerprint(resumed) == expected

@@ -153,9 +153,5 @@ class AtomIndex:
         self.epoch += 1
         return patched
 
-    @property
-    def num_known_atoms(self) -> int:
-        return len(self._known)
-
 
 __all__ = ["AtomIndex", "CandidateList"]

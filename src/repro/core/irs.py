@@ -44,8 +44,8 @@ plan; a full rebuild replaces the plan (and with it the index), while the
 incremental maintenance layer (:mod:`repro.core.plan_delta`) mutates the
 plan in place and patches the live index epoch-by-epoch.
 :meth:`SchedulingPlan.ordered_jobs_for` retains the original linear
-flattening and serves as the reference ("legacy scan") implementation for
-benchmarks and equivalence tests.
+flattening and serves as the reference ("legacy scan") implementation the
+equivalence tests compare the index against.
 
 Incremental maintenance
 -----------------------

@@ -31,8 +31,8 @@ This module makes the plan pay only for what changed:
   - phases 2+3 of Algorithm 1 re-run through *exactly* the code
     ``build_plan`` uses (:func:`~repro.core.irs._phase23_allocate`), so the
     refreshed allocation is bit-identical to a from-scratch rebuild — and
-    they are skipped entirely when no group state changed and the supply
-    estimates did not drift beyond ``supply_drift_tolerance``;
+    they are skipped entirely when no group state changed and no atom's
+    supply estimate moved;
   - the live :class:`~repro.core.atom_index.AtomIndex` is patched
     epoch-by-epoch (:meth:`AtomIndex.patch`) for just the signatures whose
     candidate tuples changed, instead of dying with the plan.
@@ -41,13 +41,10 @@ Full ``build_plan`` remains the **oracle**: requirement-set changes (a job
 arriving with a new requirement, the last job of a requirement leaving) and
 active fairness (ε > 0 makes every job's adjusted demand a function of
 *now*, so nothing is clean) fall back to it, and the scheduler's
-``plan_maintenance="full"`` knob forces it for every trigger.  With the
-default ``supply_drift_tolerance=0.0`` the incremental plan is *equal* to
-the oracle's at every decision point — pinned by property-based tests
-driving random trigger sequences through both modes
-(``tests/core/test_plan_delta.py``) and by the golden fixtures.  A non-zero
-tolerance additionally skips allocation re-runs while group supply rates
-stay within the tolerance, trading exact rate bookkeeping for speed.
+``plan_maintenance="full"`` knob forces it for every trigger.  The
+incremental plan is *equal* to the oracle's at every decision point —
+pinned by property-based tests driving random trigger sequences through
+both modes (``tests/core/test_plan_delta.py``) and by the golden fixtures.
 """
 
 from __future__ import annotations
@@ -178,10 +175,7 @@ class PlanMaintainer:
     churn happens for clean groups.
     """
 
-    def __init__(self, supply_drift_tolerance: float = 0.0) -> None:
-        if supply_drift_tolerance < 0:
-            raise ValueError("supply_drift_tolerance must be non-negative")
-        self.supply_drift_tolerance = float(supply_drift_tolerance)
+    def __init__(self) -> None:
         self.delta = PlanDelta()
         self._plan: Optional[SchedulingPlan] = None
         self._groups: Dict[str, JobGroup] = {}
@@ -194,12 +188,9 @@ class PlanMaintainer:
         #: Version stamps the cached eligible sets are valid for.
         self._supply_version: int = -1
         self._space_atom_count: int = -1
-        #: Group supply rates at the last phase-2/3 run (drift reference).
-        self._alloc_supply: Dict[str, float] = {}
-        #: Exact per-atom rates the last phase-2/3 run consumed: at
-        #: tolerance 0 an allocation skip requires these to be unchanged
-        #: (group *sums* matching is not enough — phases 2/3 also consume
-        #: per-atom rates).
+        #: Exact per-atom rates the last phase-2/3 run consumed: an
+        #: allocation skip requires these to be unchanged (group *sums*
+        #: matching is not enough — phases 2/3 also consume per-atom rates).
         self._last_rates: Dict[AtomSignature, float] = {}
 
     # ------------------------------------------------------------------ #
@@ -223,7 +214,6 @@ class PlanMaintainer:
         self._atoms_sorted = []
         self._supply_version = -1
         self._space_atom_count = -1
-        self._alloc_supply = {}
         self._last_rates = {}
         self.delta.clear()
 
@@ -252,9 +242,6 @@ class PlanMaintainer:
         self._refresh_eligible(space, rates)
         self._supply_version = supply_version
         self._space_atom_count = len(space.atoms)
-        self._alloc_supply = {
-            key: alloc.supply_rate for key, alloc in plan.allocations.items()
-        }
         self._last_rates = dict(_normalized_rates(rates))
         self.delta.clear()
 
@@ -365,10 +352,6 @@ class PlanMaintainer:
             self._space_atom_count = len(space.atoms)
 
         # ---- Supply-drift classification / allocation re-run ------------ #
-        new_supply = {
-            key: _rate_sum(rates, self._sorted_eligible[key])
-            for key in self._groups
-        }
         old_allocations = plan.allocations
         queue_changed = any(
             float(group.queue_length) != old_allocations[key].queue_length
@@ -378,23 +361,18 @@ class PlanMaintainer:
             profile.record_trigger(Trigger.SUPPLY_DRIFT)
             profile.supply_only_refreshes += 1
 
-        if self.supply_drift_tolerance == 0.0:
-            # Exact mode: a skip is only sound when the allocation phases
-            # would consume identical inputs, i.e. every atom rate is
-            # unchanged since the last re-run.
-            drift_ok = rates == self._last_rates
-        else:
-            drift_ok = self._within_tolerance(new_supply)
-
         group_order_changed = False
-        if not atoms_changed and not queue_changed and drift_ok:
+        if (
+            not atoms_changed
+            and not queue_changed
+            and rates == self._last_rates
+        ):
             # Everything Algorithm 1's allocation phases consume is
-            # unchanged up to tolerated supply drift: keep the current
-            # group order, ownership and preference lists.  With the
-            # default tolerance 0.0 this branch is taken only when the
-            # drift is exactly zero, so the kept allocation is the one the
-            # oracle would recompute, bit for bit.  Dirty groups' job
-            # orders were still re-sorted above and are patched below.
+            # unchanged (every atom rate is what the last re-run saw): keep
+            # the current group order, ownership and preference lists — the
+            # kept allocation is the one the oracle would recompute, bit
+            # for bit.  Dirty groups' job orders were still re-sorted above
+            # and are patched below.
             if profile is not None:
                 profile.allocation_skips += 1
             prefs = plan.atom_preferences
@@ -403,7 +381,7 @@ class PlanMaintainer:
             allocations: Dict[str, GroupAllocation] = {
                 key: GroupAllocation(
                     key=key,
-                    supply_rate=new_supply[key],
+                    supply_rate=_rate_sum(rates, self._sorted_eligible[key]),
                     queue_length=float(group.queue_length),
                 )
                 for key, group in self._groups.items()
@@ -413,7 +391,6 @@ class PlanMaintainer:
             )
             if profile is not None:
                 profile.allocation_reruns += 1
-            self._alloc_supply = new_supply
             self._last_rates = dict(rates)
 
             # ---- Diff decision-relevant output ---------------------------- #
@@ -465,18 +442,6 @@ class PlanMaintainer:
 
         delta.clear()
         return plan
-
-    def _within_tolerance(self, new_supply: Mapping[str, float]) -> bool:
-        """Max relative group-supply drift since the last allocation run."""
-        tol = self.supply_drift_tolerance
-        for key, rate in new_supply.items():
-            old = self._alloc_supply.get(key)
-            if old is None:
-                return False
-            denom = max(abs(old), 1e-12)
-            if abs(rate - old) / denom > tol:
-                return False
-        return True
 
 
 __all__ = [

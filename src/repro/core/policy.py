@@ -199,9 +199,6 @@ class BasePolicy(SchedulingPolicy):
     # ------------------------------------------------------------------ #
     # Helpers for subclasses
     # ------------------------------------------------------------------ #
-    def requirement_of(self, job_id: int) -> EligibilityRequirement:
-        return self.jobs[job_id].requirement
-
     def eligible_open_requests(
         self, device: DeviceProfile
     ) -> List[ResourceRequest]:

@@ -18,8 +18,8 @@ counters that make both claims *measurable* per run:
 
 The profile is a plain mutable dataclass owned by the scheduler
 (``VennScheduler.plan_profile``); the engine snapshots it into
-``SimulationMetrics.plan_maintenance`` at the end of a run, and
-``benchmarks/bench_scalability.py`` surfaces it in the JSON artifact.
+``SimulationMetrics.plan_maintenance`` at the end of a run, where
+``python3 -m bench`` reads the ``core.plan_*`` layer metrics from.
 Counters are incremented from the scheduler's maintenance paths only —
 never per check-in — so the instrumentation itself stays off the hot path.
 
@@ -49,8 +49,8 @@ class PlanMaintenanceProfile:
     #: Phase-2/3 (allocation + reallocation) re-runs inside incremental
     #: updates.
     allocation_reruns: int = 0
-    #: Phase-2/3 runs skipped because no group state changed and supply
-    #: drift stayed within the configured tolerance.
+    #: Phase-2/3 runs skipped because no group state changed and no atom's
+    #: supply estimate moved.
     allocation_skips: int = 0
     #: Per-group intra-group job re-sorts performed by incremental updates.
     groups_resorted: int = 0
@@ -84,12 +84,6 @@ class PlanMaintenanceProfile:
     def maintenance_time_s(self) -> float:
         """Total wall time spent maintaining the plan, either path."""
         return self.full_rebuild_time_s + self.incremental_time_s
-
-    def time_share(self, wall_s: float) -> float:
-        """Fraction of ``wall_s`` spent in plan maintenance."""
-        if wall_s <= 0:
-            return 0.0
-        return self.maintenance_time_s / wall_s
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready snapshot (used by metrics and benchmark artifacts)."""

@@ -18,8 +18,6 @@ trigger points named in the paper — and consulted at device check-in through
 the plan's :class:`~repro.core.atom_index.AtomIndex`: the device's cached
 atom signature resolves to a precomputed candidate tuple, so a check-in is
 a dictionary lookup plus a walk over the (usually short) candidate prefix.
-The pre-index linear scan is retained behind ``use_index=False`` for
-benchmarks (``--legacy-scan``) and decision-equivalence tests.
 
 How an invalidated plan is brought up to date is governed by the
 ``plan_maintenance`` knob: ``"incremental"`` (default) classifies every
@@ -31,8 +29,7 @@ and patching the live index; ``"full"`` preserves the paper-literal
 from-scratch :meth:`VennScheduler.rebuild_plan` on every trigger and serves
 as the oracle for equivalence tests.  Requirement-set changes and active
 fairness (ε > 0) always fall back to the oracle.  Both modes make
-bit-identical scheduling decisions (with the default
-``supply_drift_tolerance=0.0``); the per-run counters live in
+bit-identical scheduling decisions; the per-run counters live in
 ``VennScheduler.plan_profile``.
 """
 
@@ -88,12 +85,6 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         Seed of the RNG used for Algorithm 2's random tier choice.  When
         ``None``, the scheduler adopts the simulation's injected generator
         via :meth:`bind_rng`.
-    use_index:
-        When ``True`` (default) device check-ins are resolved through the
-        plan's precomputed :class:`~repro.core.atom_index.AtomIndex` and a
-        per-device signature cache.  ``False`` restores the pre-index linear
-        scan (same decisions, strictly more work per check-in) for
-        apples-to-apples benchmarking.
     plan_maintenance:
         ``"incremental"`` (default) serves plan-invalidating triggers with
         in-place deltas through :class:`~repro.core.plan_delta.PlanMaintainer`
@@ -101,12 +92,6 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         full :meth:`rebuild_plan` oracle on requirement-set changes and
         active fairness.  ``"full"`` rebuilds from scratch on every trigger
         (the paper-literal behaviour, kept as the equivalence oracle).
-    supply_drift_tolerance:
-        Maximum relative drift of any group's supply rate for which an
-        incremental update may *skip* re-running the allocation phases when
-        nothing else changed.  The default ``0.0`` keeps incremental mode
-        bit-identical to the oracle; larger values trade exact supply
-        bookkeeping for fewer allocation re-runs.
     """
 
     name = "venn"
@@ -122,9 +107,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         demand_mode: str = "total",
         solo_jct_estimator: Optional[Callable[[JobSpec], float]] = None,
         seed: Optional[int] = None,
-        use_index: bool = True,
         plan_maintenance: str = "incremental",
-        supply_drift_tolerance: float = 0.0,
     ) -> None:
         super().__init__()
         if num_tiers < 1:
@@ -140,7 +123,6 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         self.enable_matching = bool(enable_matching)
         self.enable_reallocation = bool(enable_reallocation)
         self.demand_mode = demand_mode
-        self.use_index = bool(use_index)
         self.plan_maintenance = plan_maintenance
         self.supply = SupplyEstimator(window=supply_window)
         self.fairness = FairnessController(
@@ -175,9 +157,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         #: Per-run plan-maintenance counters + wall time (see
         #: :class:`~repro.core.profile.PlanMaintenanceProfile`).
         self.plan_profile = PlanMaintenanceProfile()
-        self._maintainer = PlanMaintainer(
-            supply_drift_tolerance=supply_drift_tolerance
-        )
+        self._maintainer = PlanMaintainer()
         #: Jobs whose ordering inputs may have changed since the last plan
         #: refresh.  Every demand change flows through a lifecycle trigger
         #: or through :meth:`assign` returning a request (the engine then
@@ -320,10 +300,10 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         order.  Supply rings then update through
         :meth:`SupplyEstimator.record_checkins_batch`, which is
         state-identical to per-event recording.  Without a usable provider
-        (legacy scan, requirement mismatch) the scalar hook runs per event.
+        (requirement mismatch) the scalar hook runs per event.
         """
         space = self._ensure_atom_space()
-        if not (self.use_index and self._provider_ok):
+        if not self._provider_ok:
             for i in range(len(device_ids)):
                 self.on_device_checkin(
                     profile_of(int(device_ids[i])), float(times[i])
@@ -418,11 +398,8 @@ class VennScheduler(SeededRngMixin, BasePolicy):
 
         Device profiles are immutable and the cache is cleared whenever the
         requirement set (and therefore the atom space) changes, so cached
-        signatures are always exact.  The legacy scan path bypasses the
-        cache to reproduce the pre-index per-check-in cost.
+        signatures are always exact.
         """
-        if not self.use_index:
-            return self._ensure_atom_space().signature(device)
         # Cache first: the cache is cleared together with any atom-space
         # invalidation, so a hit is always valid for the current space and
         # skips the space liveness check entirely.
@@ -690,10 +667,10 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         return live
 
     def _match_device(self, device: DeviceProfile, live: list):
-        """Walk pruned live candidates exactly like the scalar oracle walk:
-        first open request with unmet demand that the device is not already
-        serving and whose tier accepts it wins; the first tier-restricted
-        request is remembered as the fallback."""
+        """Walk pruned live candidates in plan order: the first open request
+        with unmet demand that the device is not already serving and whose
+        tier accepts it wins; the first tier-restricted request is
+        remembered as the fallback."""
         fallback: Optional[ResourceRequest] = None
         fallback_job = -1
         device_id = device.device_id
@@ -726,36 +703,14 @@ class VennScheduler(SeededRngMixin, BasePolicy):
             return None
         if self._plan_dirty:
             self.refresh_plan(now)
-        signature = self._signature_for(device)
-        if self.use_index:
-            # Indexed fast path: the precomputed candidate tuple only lists
-            # groups contained in the signature, so every candidate job is
-            # eligible by construction and no per-job requirement re-check
-            # is needed; the per-generation memo additionally drops
-            # candidates that are provably dead for the current plan.
-            return self._match_device(device, self._live_candidates(signature))
-        candidates = self._plan.ordered_jobs_for(signature)
-        fallback: Optional[ResourceRequest] = None
-        device_id = device.device_id
-        for _group_key, job_id in candidates:
-            request = self.open_requests.get(job_id)
-            if request is None or not request.is_open or request.remaining_demand <= 0:
-                continue
-            if request.is_assigned(device_id):
-                # One device participates at most once per round request.
-                continue
-            job = self.jobs.get(job_id)
-            if job is None or not job.requirement.is_eligible(device):
-                continue
-            decision = self._tier_decision_for(request)
-            if decision.accepts(device):
-                self._demand_dirty.add(job_id)
-                return request
-            if fallback is None:
-                fallback = request
-        if fallback is not None:
-            self._demand_dirty.add(fallback.job_id)
-        return fallback
+        # The precomputed candidate tuple only lists groups contained in the
+        # signature, so every candidate job is eligible by construction and
+        # no per-job requirement re-check is needed; the per-generation memo
+        # additionally drops candidates that are provably dead for the
+        # current plan.
+        return self._match_device(
+            device, self._live_candidates(self._signature_for(device))
+        )
 
     def assign_batch_bulk(self, devices, now: float):
         """Ledger-mode batched decisions: resolve a cohort prefix at once.
@@ -786,9 +741,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         request closes.
 
         The caller must commit every returned proposal at ``now`` before
-        the next consult (see the engine's ``_commit_cohort_vec``).  Only
-        the indexed path supports ledger mode; callers fall back to
-        per-device :meth:`assign` consults otherwise.
+        the next consult (see the engine's ``_commit_cohort_vec``).
 
         Signatures whose entire candidate list shows zero ledger demand
         are marked dead for the rest of the cohort: ledger demand is

@@ -172,13 +172,6 @@ class ExperimentConfig:
         """Copy of this config on the vectorized (or scalar) hot path."""
         return replace(self, vectorized=vectorized)
 
-    def with_checkpointing(
-        self, interval: Optional[int]
-    ) -> "ExperimentConfig":
-        """Copy of this config checkpointing every ``interval`` events
-        (``None`` disables)."""
-        return replace(self, checkpoint_interval=interval)
-
 
 def _scaled_workload(
     max_rounds: int,

@@ -41,7 +41,7 @@ from .record import (
     format_divergence,
     metrics_digest,
 )
-from .snapshot import LatestSnapshotStore, SimulationSnapshot
+from .snapshot import LatestSnapshotStore, SimulationSnapshot, SnapshotError
 
 __all__ = [
     "COORDINATOR_CRASH",
@@ -58,6 +58,7 @@ __all__ = [
     "STALL_SHARD",
     "SimulatedCrash",
     "SimulationSnapshot",
+    "SnapshotError",
     "decision_hash",
     "describe_metrics_divergence",
     "first_divergence",

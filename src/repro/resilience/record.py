@@ -3,9 +3,9 @@
 The repo's identity gates (shard identity, vectorized identity, plan
 maintenance, and now kill-and-resume) compare runs by a blake2b digest of
 the assignment sequence.  A digest answers *whether* two runs diverged but
-not *where*; and the benchmark's original hashing wrapper accumulated a
-``hashlib`` object, which cannot be pickled into a
-:meth:`~repro.sim.engine.Simulator.snapshot`.  This module fixes both:
+not *where*; and a wrapper that accumulates a ``hashlib`` object cannot be
+pickled into a :meth:`~repro.sim.engine.Simulator.snapshot`.  This module
+fixes both:
 
 * :class:`RecordingPolicy` — a transparent, **picklable** policy wrapper
   that records every actual assignment as a plain
@@ -14,7 +14,7 @@ not *where*; and the benchmark's original hashing wrapper accumulated a
   decision sequence of a kill-and-resume run is directly comparable with
   its uninterrupted twin.
 * :func:`decision_hash` / :func:`metrics_digest` — the canonical digests
-  (shared with ``benchmarks/bench_scalability.py``).
+  (shared by the tests, the chaos harness and ``python3 -m bench``).
 * :func:`first_divergence` / :func:`format_divergence` /
   :func:`describe_metrics_divergence` — actionable gate output: the first
   divergent decision record (index, time, device, job, both values)
@@ -37,8 +37,7 @@ DecisionRecord = Tuple[float, int, int]
 def decision_hash(decisions: Sequence[DecisionRecord]) -> str:
     """blake2b digest of an assignment sequence.
 
-    Byte-compatible with the benchmark's historical ``TimedPolicy`` hash:
-    each record contributes ``struct.pack("<dqq", now, device_id,
+    Each record contributes ``struct.pack("<dqq", now, device_id,
     job_id)``, None decisions are never recorded.
     """
     fp = hashlib.blake2b(digest_size=16)

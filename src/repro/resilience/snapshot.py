@@ -21,6 +21,19 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 
+#: Version of the pickled simulator graph.  Bump it in any change that alters
+#: what ``Simulator.snapshot`` pickles (a field added to or removed from
+#: ``Simulator``, ``SimulationConfig``, a shard or a policy), so a snapshot
+#: written before the change is refused instead of resuming into a graph
+#: with missing attributes.
+SNAPSHOT_FORMAT_VERSION = 1
+
+
+class SnapshotError(ValueError):
+    """A snapshot cannot be resumed: empty, truncated or undecodable
+    payload, or one written under another ``SNAPSHOT_FORMAT_VERSION``."""
+
+
 @dataclass(frozen=True)
 class SimulationSnapshot:
     """One full-state checkpoint of a :class:`~repro.sim.engine.Simulator`.
@@ -28,13 +41,16 @@ class SimulationSnapshot:
     ``payload`` is the pickled simulator; ``events_processed`` / ``now`` /
     ``started`` describe the capture point without deserialising (a
     pre-run snapshot has ``started=False`` — resuming it replays the whole
-    run from scratch).
+    run from scratch); ``format_version`` is the
+    :data:`SNAPSHOT_FORMAT_VERSION` the payload was written under, checked
+    by :meth:`~repro.sim.engine.Simulator.resume`.
     """
 
     payload: bytes
     events_processed: int
     now: float
     started: bool
+    format_version: int = SNAPSHOT_FORMAT_VERSION
 
     @property
     def size_bytes(self) -> int:
@@ -63,4 +79,9 @@ class LatestSnapshotStore:
             self.history.append(snapshot)
 
 
-__all__ = ["LatestSnapshotStore", "SimulationSnapshot"]
+__all__ = [
+    "SNAPSHOT_FORMAT_VERSION",
+    "LatestSnapshotStore",
+    "SimulationSnapshot",
+    "SnapshotError",
+]

@@ -26,10 +26,9 @@ provides the two indexed replacements:
     blackout day ends, so they cost nothing while ineligible.
 
 Both structures are pure bookkeeping: they never decide *which* request a
-device serves (the policy does) and the engine's legacy full-scan dispatch
-remains available via ``SimulationConfig(indexed_dispatch=False)`` — the two
-paths produce identical assignment sequences, which the golden regression
-tests assert.
+device serves (the policy does), and they offer devices in the ascending-id
+order of the scans they replaced — the golden regression tests pin the
+resulting assignment sequences.
 """
 
 from __future__ import annotations
@@ -89,22 +88,13 @@ class PendingRequestPool:
         """Requirement names with at least one unsatisfied request."""
         return set(self._req_counts)
 
-    def pending_jobs(self):
-        """Job ids with open, unsatisfied requests (iteration view).
-
-        Used by the batched dispatch path to size decision cohorts against
-        the actual remaining demand instead of a fixed chunk width.
-        """
-        return self._jobs.keys()
-
 
 class IdleDevicePool:
     """Idle devices bucketed by atom signature for targeted dispatch.
 
-    The pool is an *overlay* over the engine's authoritative idle set: every
-    heap entry is validated against the active-membership dict at pop time,
-    so stale entries (devices that went busy or offline since being pushed)
-    are discarded lazily.
+    Bucket heaps are lazy: every entry is validated against the
+    active-membership dict at pop time, so stale entries (devices that went
+    busy or offline since being pushed) are discarded then.
     """
 
     def __init__(self) -> None:
@@ -166,10 +156,6 @@ class IdleDevicePool:
 
     def __contains__(self, device_id: int) -> bool:
         return device_id in self._active or device_id in self._parked
-
-    @property
-    def active_count(self) -> int:
-        return len(self._active)
 
     @property
     def parked_count(self) -> int:

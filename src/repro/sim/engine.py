@@ -25,8 +25,8 @@ one-job-per-day realism constraint.
 Check-in fast path (million-device traces)
 ------------------------------------------
 
-With ``SimulationConfig(indexed_dispatch=True)`` — the default — the engine
-runs an indexed hot path sized for 10^5–10^6-device traces:
+The single-queue engine runs an indexed hot path sized for 10^5–10^6-device
+traces:
 
 * same-timestamp device check-ins are popped from the event heap as one
   batch (:meth:`~repro.sim.events.EventQueue.pop_run`), so the per-event
@@ -42,10 +42,9 @@ runs an indexed hot path sized for 10^5–10^6-device traces:
   that spent their one-job-per-day budget are parked on a calendar heap
   until their blackout ends instead of being rescanned on every dispatch.
 
-``indexed_dispatch=False`` restores the seed's full linear scans (the
-``--legacy-scan`` mode of ``benchmarks/bench_scalability.py``).  Both paths
-offer devices to the policy in ascending device-id order and produce
-identical assignment sequences; the golden regression tests pin this.
+Devices are offered to the policy in ascending device-id order — the order
+of the seed's full linear scans, which this path replaced; the golden
+regression tests pin the resulting assignment sequences.
 
 Coordinator/shard engine (multi-core single-scenario runs)
 ----------------------------------------------------------
@@ -59,8 +58,9 @@ eligibility signatures and per-shard metrics counters.  Events merge by
 ``(time, seq)`` with the exact sequence enumeration of the single-queue
 engine, so **decisions and metrics are bit-identical for any shard count**
 — enforced by twin-run property tests, the golden fixtures and the
-benchmark's decision/metrics hashes.  See ``docs/ARCHITECTURE.md`` for the
-message protocol and the determinism contract.
+decision/metrics hashes of ``tests/sim/test_engine_matrix.py``.  See
+``docs/ARCHITECTURE.md`` for the message protocol and the determinism
+contract.
 
 Randomness splits in two: device latency/failure draws come from
 per-device counter-based streams keyed by ``(SimulationConfig.seed,
@@ -108,7 +108,6 @@ from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -122,7 +121,11 @@ from ..core.policy import SchedulingPolicy
 from ..core.requirements import signature_of
 from ..core.types import DeviceProfile, JobSpec, ResourceRequest
 from ..resilience.faults import FaultInjector, FaultPlan
-from ..resilience.snapshot import SimulationSnapshot
+from ..resilience.snapshot import (
+    SNAPSHOT_FORMAT_VERSION,
+    SimulationSnapshot,
+    SnapshotError,
+)
 from ..traces.device_trace import DeviceAvailabilityTrace
 from ..traces.workloads import Workload
 from .device import SECONDS_PER_DAY, DeviceRuntime, DeviceStatus, day_index
@@ -156,16 +159,12 @@ class SimulationConfig:
     max_events: int = 10_000_000
     #: Latency model parameters.
     latency: LatencyConfig = field(default_factory=LatencyConfig)
-    #: Use the indexed check-in fast path (batched check-ins, pending-request
-    #: pool, signature-bucketed idle pool).  ``False`` restores the seed's
-    #: linear scans; scheduling decisions are identical either way.
-    indexed_dispatch: bool = True
     #: Number of device shards.  ``1`` (the default) runs the in-process
     #: single-queue engine; ``N > 1`` runs the coordinator/shard engine of
     #: :mod:`repro.sim.shard` — device physics partitioned across N shards,
     #: decisions still made centrally, and **bit-identical decisions and
     #: metrics for any shard count** (enforced by the shard-identity tests
-    #: and the benchmark's decision hash).
+    #: and the engine-matrix decision hash).
     num_shards: int = 1
     #: ``None`` selects the sharded engine automatically when
     #: ``num_shards > 1``; ``True`` forces it on at ``num_shards=1`` (mainly
@@ -177,7 +176,7 @@ class SimulationConfig:
     #: (:mod:`repro.sim.vector`), batched fold kernels for static check-in/
     #: checkout runs, mask-based idle dispatch and batched latency draws.
     #: Decisions and metrics are **bit-identical** to the scalar oracle for
-    #: any shard count (enforced by golden fixtures, the benchmark's
+    #: any shard count (enforced by golden fixtures, the engine-matrix
     #: blake2b gates and the scenario fuzzer's twin mode).  Implies the
     #: coordinator/shard engine even at ``num_shards=1``.
     vectorized_dispatch: bool = False
@@ -202,9 +201,9 @@ class SimulationConfig:
     #: policy's ``assign_batch_bulk`` (when it offers one) instead of one
     #: ``assign`` per device.  Decisions and metrics are **bit-identical**
     #: either way (the scalar consult is the oracle; enforced by the
-    #: differential suite and the benchmark's ``--assign-batch-compare``
-    #: gate).  Only the vectorized engine consults it; scalar/sharded runs
-    #: always use per-device consults.
+    #: differential suite and the engine-matrix test).  Only the vectorized
+    #: engine consults it; scalar/sharded runs always use per-device
+    #: consults.
     batched_assign: bool = True
 
     def __post_init__(self) -> None:
@@ -224,16 +223,6 @@ class SimulationConfig:
             raise ValueError(
                 "vectorized_dispatch runs on the coordinator/shard engine; "
                 "it cannot be combined with sharded_dispatch=False"
-            )
-        if self.vectorized_dispatch and not self.indexed_dispatch:
-            raise ValueError(
-                "vectorized_dispatch requires indexed_dispatch=True "
-                "(the legacy scan path stays scalar)"
-            )
-        if self.use_sharded_engine and not self.indexed_dispatch:
-            raise ValueError(
-                "the sharded engine subsumes the indexed fast path; "
-                "indexed_dispatch=False is only meaningful with num_shards=1"
             )
         if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be positive (or None)")
@@ -373,8 +362,6 @@ class Simulator:
         self._request_counter = 0
         self._requests: Dict[int, ResourceRequest] = {}
         self._deadline_events: Dict[int, Event] = {}
-        self._idle_devices: set = set()
-        self._indexed = bool(self.config.indexed_dispatch)
         self._pending = PendingRequestPool()
         self._idle_pool = IdleDevicePool()
         #: Coordinator/shard engine state (built lazily in ``run`` so shard
@@ -395,14 +382,13 @@ class Simulator:
         self._dirty_shards: set = set()
         self._policy_has_plan_version = hasattr(policy, "plan_version")
         #: Batched decision path (vectorized engine only): policies exposing
-        #: ``assign_batch_bulk`` (Venn on the indexed path) resolve a whole
-        #: dispatch cohort in one call and the engine commits the proposals
-        #: in bulk.  ``None`` — ``batched_assign`` off, a policy without the
-        #: hook, the legacy scan path — keeps every sweep on per-device
-        #: consults.
+        #: ``assign_batch_bulk`` (Venn) resolve a whole dispatch cohort in
+        #: one call and the engine commits the proposals in bulk.  ``None``
+        #: — ``batched_assign`` off or a policy without the hook — keeps
+        #: every sweep on per-device consults.
         self._policy_bulk_assign = (
             getattr(policy, "assign_batch_bulk", None)
-            if self.config.batched_assign and getattr(policy, "use_index", True)
+            if self.config.batched_assign
             else None
         )
         # The engine's own signature space: the workload's full requirement
@@ -490,7 +476,6 @@ class Simulator:
             EventType.DEVICE_RESPONSE: self._on_device_response,
             EventType.REQUEST_DEADLINE: self._on_request_deadline,
         }
-        batch_checkins = self._indexed
         # One pristine-path branch per event: with no checkpointing and no
         # faults the loop body is byte-for-byte the historical one.
         hook = (
@@ -504,7 +489,7 @@ class Simulator:
             if event.time > self.config.horizon:
                 break
             self.now = event.time
-            if batch_checkins and event.type is EventType.DEVICE_CHECKIN:
+            if event.type is EventType.DEVICE_CHECKIN:
                 # Batch the contiguous run of same-timestamp check-ins: one
                 # heap drain, one handler loop.  Each device is still
                 # registered and offered in the original order.
@@ -586,13 +571,33 @@ class Simulator:
         fault-free (what the chaos harness does so the crash that killed
         the original run does not fire again), or a new
         :class:`~repro.resilience.FaultPlan` to swap plans.
+
+        Raises :class:`~repro.resilience.SnapshotError` for a payload that
+        is empty, truncated or otherwise undecodable, and for a snapshot
+        written under another format version; ``TypeError`` for a
+        well-formed pickle of something that is not a simulator.  Raw bytes
+        carry no version, so only :class:`SimulationSnapshot` arguments are
+        version-checked.
         """
-        payload = (
-            snapshot.payload
-            if isinstance(snapshot, SimulationSnapshot)
-            else snapshot
-        )
-        sim = pickle.loads(payload)
+        if isinstance(snapshot, SimulationSnapshot):
+            if snapshot.format_version != SNAPSHOT_FORMAT_VERSION:
+                raise SnapshotError(
+                    f"snapshot format version {snapshot.format_version} "
+                    f"cannot be resumed by this engine (expects "
+                    f"{SNAPSHOT_FORMAT_VERSION})"
+                )
+            payload = snapshot.payload
+        else:
+            payload = snapshot
+        try:
+            sim = pickle.loads(payload)
+        except Exception as exc:
+            # Corrupt pickle bytes can raise nearly anything (EOFError,
+            # UnpicklingError, AttributeError, ValueError, ...).
+            raise SnapshotError(
+                f"snapshot payload cannot be decoded: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         if not isinstance(sim, cls):
             raise TypeError(
                 f"snapshot does not contain a {cls.__name__} "
@@ -1402,8 +1407,8 @@ class Simulator:
         offers one (:meth:`_dispatch_cohort_batched`): one plan refresh and
         one candidate resolution per interned signature instead of per
         device, decisions bit-identical to per-device consults (the
-        differential suite and the benchmark's ``--assign-batch-compare``
-        gate hold the line).  Every other sweep — cohorts up to
+        differential suite and the engine-matrix unbatched twins hold the
+        line).  Every other sweep — cohorts up to
         ``_DRAIN_SCALAR_MAX``, where the batch plumbing costs more than it
         saves, and policies without the hook — stays on the scalar consult
         loop.
@@ -1620,53 +1625,33 @@ class Simulator:
             self._device_signatures[device.device_id] = sig
         return sig
 
+    def _pool_of(self, device_id: int) -> IdleDevicePool:
+        """The idle pool tracking ``device_id``: its shard's, or the
+        single-queue engine's one pool."""
+        if self._sharded:
+            return self._shards[device_id % self._num_shards].pool
+        return self._idle_pool
+
     def _note_idle(self, device: DeviceRuntime) -> None:
         """Device became idle: track it, parking daily-spent devices."""
-        if self._sharded:
-            pool = self._shards[device.device_id % self._num_shards].pool
-            sig = self._device_signatures[device.device_id]
-            if self.config.enforce_daily_limit and device.participated_today(
-                self.now
-            ):
-                pool.park(device.device_id, sig, device.last_participation_day + 1)
-            else:
-                pool.add(device.device_id, sig)
-            return
-        self._idle_devices.add(device.device_id)
-        if not self._indexed:
-            return
+        pool = self._pool_of(device.device_id)
         sig = self._signature(device)
         if self.config.enforce_daily_limit and device.participated_today(self.now):
-            self._idle_pool.park(
-                device.device_id, sig, device.last_participation_day + 1
-            )
+            pool.park(device.device_id, sig, device.last_participation_day + 1)
         else:
-            self._idle_pool.add(device.device_id, sig)
+            pool.add(device.device_id, sig)
 
     def _note_not_idle(self, device_id: int) -> None:
-        if self._sharded:
-            self._shards[device_id % self._num_shards].pool.discard(device_id)
-            return
-        self._idle_devices.discard(device_id)
-        if self._indexed:
-            self._idle_pool.discard(device_id)
+        self._pool_of(device_id).discard(device_id)
 
     def _refund_daily_budget(self, device: DeviceRuntime) -> None:
         """The device's round was discarded; it keeps its daily budget."""
         device.last_participation_day = None
-        if self._sharded:
-            pool = self._shards[device.device_id % self._num_shards].pool
-            if device.is_idle:
-                pool.unpark(device.device_id)
-            else:
-                pool.discard(device.device_id)
-            return
-        if not self._indexed:
-            return
+        pool = self._pool_of(device.device_id)
         if device.is_idle:
-            self._idle_pool.unpark(device.device_id)
+            pool.unpark(device.device_id)
         else:
-            self._idle_pool.discard(device.device_id)
+            pool.discard(device.device_id)
 
     # ------------------------------------------------------------------ #
     # Event handlers
@@ -1696,7 +1681,7 @@ class Simulator:
         # next demand-creating trigger anyway — so skipping the call cannot
         # change a decision, it only avoids dead work during the long
         # collection phases of large rounds.
-        if self._has_unsatisfied_request() and device.can_take_task(
+        if self._pending and device.can_take_task(
             self.now, self.config.enforce_daily_limit
         ):
             self._try_assign(device)
@@ -1740,7 +1725,7 @@ class Simulator:
         # A freed device may immediately serve another job (when the daily
         # limit permits and some request has unmet demand — see the
         # matching guard in ``_on_device_checkin``).
-        if self._has_unsatisfied_request() and device.can_take_task(
+        if self._pending and device.can_take_task(
             self.now, self.config.enforce_daily_limit
         ):
             self._try_assign(device)
@@ -1852,18 +1837,6 @@ class Simulator:
     # ------------------------------------------------------------------ #
     # Assignment helpers
     # ------------------------------------------------------------------ #
-    def _has_unsatisfied_request(self) -> bool:
-        if self._indexed:
-            return bool(self._pending)
-        return any(
-            r.is_open and r.remaining_demand > 0 for r in self._open_requests()
-        )
-
-    def _open_requests(self) -> Iterable[ResourceRequest]:
-        for job in self.jobs.values():
-            if job.open_request is not None and job.open_request.is_open:
-                yield job.open_request
-
     def _try_assign(self, device: DeviceRuntime) -> None:
         request = self.policy.assign(device.profile, self.now)
         if request is None:
@@ -1934,25 +1907,23 @@ class Simulator:
     def _dispatch_idle_devices(self) -> None:
         """Offer idle online devices to the policy while demand remains.
 
-        Devices are visited in ascending device-id order on both dispatch
-        paths, so the indexed pool (which skips devices that cannot satisfy
-        any pending requirement) produces exactly the same assignments as
-        the legacy full scan.
+        Devices are visited in ascending device-id order; the pools skip
+        devices that cannot satisfy any pending requirement.
         """
-        if not self._has_unsatisfied_request():
+        if not self._pending:
             return
         if self._vectorized and self._vec is not None:
             self._dispatch_idle_devices_vec()
             return
+        cfg_daily = self.config.enforce_daily_limit
+        devices = self.devices
+
+        def visit(device_id: int) -> None:
+            device = devices[device_id]
+            if device.can_take_task(self.now, cfg_daily):
+                self._try_assign(device)
+
         if self._sharded:
-            cfg_daily = self.config.enforce_daily_limit
-            devices = self.devices
-
-            def visit(device_id: int) -> None:
-                device = devices[device_id]
-                if device.can_take_task(self.now, cfg_daily):
-                    self._try_assign(device)
-
             # k-way merge across the shard-resident pools: globally
             # ascending device-id order, exactly like one union pool.
             dispatch_pools(
@@ -1961,24 +1932,8 @@ class Simulator:
                 self.now,
                 visit,
             )
-            return
-        if self._indexed:
-            cfg_daily = self.config.enforce_daily_limit
-
-            def visit(device_id: int) -> None:
-                device = self.devices[device_id]
-                if device.can_take_task(self.now, cfg_daily):
-                    self._try_assign(device)
-
+        else:
             self._idle_pool.dispatch(self._pending, self.now, visit)
-            return
-        for device_id in sorted(self._idle_devices):
-            device = self.devices[device_id]
-            if not device.can_take_task(self.now, self.config.enforce_daily_limit):
-                continue
-            self._try_assign(device)
-            if not self._has_unsatisfied_request():
-                break
 
 
 def run_simulation(

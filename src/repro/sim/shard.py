@@ -38,7 +38,7 @@ globally-sorted session list takes ``J + 2i`` for its check-in and
 sequence numbers from the same counter.  Merging shard streams by
 ``(time, seq)`` therefore reproduces the legacy engine's processing order
 *exactly*, for any shard count — the property the shard-identity tests and
-the benchmark's decision hash enforce.
+the engine-matrix decision hash enforce.
 
 Shard builds are embarrassingly parallel (each shard touches only its own
 sessions and devices); :func:`build_shards` fans the per-shard array

@@ -1,8 +1,7 @@
 """Incremental-vs-full plan-maintenance equivalence and delta-layer units.
 
 The headline guarantee of the incremental maintenance subsystem
-(``repro/core/plan_delta.py``) is that, with the default
-``supply_drift_tolerance=0.0``, a scheduler running
+(``repro/core/plan_delta.py``) is that a scheduler running
 ``plan_maintenance="incremental"`` makes **bit-identical** scheduling
 decisions to the from-scratch ``build_plan`` oracle at every decision
 point.  The property tests here drive *random trigger sequences* — job
@@ -18,8 +17,8 @@ pair of schedulers (one per mode) and after **every** operation assert
   flatten of its own (mutated) plan.
 
 Unit tests cover the pieces: trigger classification counters, in-place
-index patching (same index object across epochs), the supply-drift
-tolerance knob, and the estimator's signature version.
+index patching (same index object across epochs), the exact-zero-drift
+allocation skip, and the estimator's signature version.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.plan_delta import PlanMaintainer, Trigger
+from repro.core.plan_delta import Trigger
 from repro.core.requirements import (
     DEFAULT_CATEGORIES,
     EligibilityRequirement,
@@ -72,13 +71,9 @@ def pool_device(device_id: int) -> DeviceProfile:
 class TwinHarness:
     """Drives one trigger sequence through both maintenance modes."""
 
-    def __init__(self, seed: int, tolerance: float = 0.0) -> None:
+    def __init__(self, seed: int) -> None:
         self.full = VennScheduler(num_tiers=1, plan_maintenance="full")
-        self.inc = VennScheduler(
-            num_tiers=1,
-            plan_maintenance="incremental",
-            supply_drift_tolerance=tolerance,
-        )
+        self.inc = VennScheduler(num_tiers=1, plan_maintenance="incremental")
         self.schedulers = (self.full, self.inc)
         self.rng = np.random.default_rng(seed)
         self.now = 0.0
@@ -364,8 +359,6 @@ class TestTriggerClassification:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             VennScheduler(plan_maintenance="sometimes")
-        with pytest.raises(ValueError):
-            PlanMaintainer(supply_drift_tolerance=-0.1)
 
 
 class TestIndexPatching:
@@ -405,10 +398,8 @@ class TestIndexPatching:
 
 
 class TestSupplyDriftTolerance:
-    def _drive(self, tolerance: float):
-        sched = VennScheduler(
-            num_tiers=1, supply_drift_tolerance=tolerance
-        )
+    def _drive(self):
+        sched = VennScheduler(num_tiers=1)
         job = JobSpec(1, GENERAL, demand_per_round=50, num_rounds=5)
         sched.on_job_arrival(job, 0.0)
         request = ResourceRequest(1, 1, 50, 0.0, 1e9, 1)
@@ -431,15 +422,15 @@ class TestSupplyDriftTolerance:
         return sched
 
     def test_zero_tolerance_always_reruns_allocation(self):
-        sched = self._drive(0.0)
+        sched = self._drive()
         assert sched.plan_profile.allocation_skips == 0
         assert sched.plan_profile.allocation_reruns >= 10
 
     def test_zero_tolerance_skips_only_at_exact_zero_drift(self):
         """Evenly spaced check-ins keep count/span — and hence every atom
-        rate — exactly constant; the tolerance-0 skip may then keep the
+        rate — exactly constant; the zero-drift skip may then keep the
         allocation because the oracle would recompute the very same one."""
-        sched = VennScheduler(num_tiers=1, supply_drift_tolerance=0.0)
+        sched = VennScheduler(num_tiers=1)
         job = JobSpec(1, GENERAL, demand_per_round=50, num_rounds=5)
         sched.on_job_arrival(job, 0.0)
         request = ResourceRequest(1, 1, 50, 0.0, 1e9, 1)
@@ -456,11 +447,3 @@ class TestSupplyDriftTolerance:
             sched.refresh_plan(now)
         assert sched.plan_profile.allocation_skips >= 1
         assert sched.plan.group_order == ["general"]
-
-    def test_loose_tolerance_skips_allocation_reruns(self):
-        sched = self._drive(1e9)
-        assert sched.plan_profile.allocation_skips >= 1
-        # Skipping must never corrupt the plan's decision surface.
-        plan = sched.plan
-        assert plan.group_order == ["general"]
-        assert plan.job_order["general"] == [1]

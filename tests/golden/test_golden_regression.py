@@ -13,11 +13,11 @@ fixtures:
 
 Any hot-path refactor that silently changes a scheduling decision shows up
 here as a diff against the fixture.  The tests also run every scenario on
-both the indexed fast path and the ``--legacy-scan`` path, and in both
-plan-maintenance modes (incremental deltas vs the full ``build_plan``
-oracle), and require *bit-identical* outcomes — the acceptance evidence
-that the ``AtomIndex`` and ``PlanDelta`` machinery change performance, not
-decisions.
+every engine and in both plan-maintenance modes (incremental deltas vs the
+full ``build_plan`` oracle), and require *bit-identical* outcomes — the
+acceptance evidence that the ``PlanDelta`` machinery changes performance,
+not decisions.  (The fixtures were also reproduced by the pre-index linear
+scans until those were removed, so they pin the ``AtomIndex`` decisions.)
 
 Regenerate fixtures intentionally with::
 
@@ -105,15 +105,11 @@ def scenario(name: str):
     return devices, trace, jobs, horizon
 
 
-def plan_snapshot(
-    name: str, use_index: bool, plan_maintenance: str = "incremental"
-) -> dict:
+def plan_snapshot(name: str, plan_maintenance: str = "incremental") -> dict:
     """Deterministic mid-workload plan: register jobs, observe supply,
     rebuild, and serialise the plan."""
     devices, _trace, jobs, _horizon = scenario(name)
-    policy = VennScheduler(
-        seed=7, use_index=use_index, plan_maintenance=plan_maintenance
-    )
+    policy = VennScheduler(seed=7, plan_maintenance=plan_maintenance)
     now = 0.0
     for job in jobs:
         policy.on_job_arrival(job, job.arrival_time)
@@ -150,18 +146,15 @@ def job_request(job: JobSpec):
 
 
 def simulation_snapshot(
-    name: str, use_index: bool, plan_maintenance: str = "incremental",
+    name: str, plan_maintenance: str = "incremental",
     num_shards: int = 1, vectorized: bool = False,
 ) -> dict:
     devices, trace, jobs, horizon = scenario(name)
-    policy = VennScheduler(
-        seed=7, use_index=use_index, plan_maintenance=plan_maintenance
-    )
+    policy = VennScheduler(seed=7, plan_maintenance=plan_maintenance)
     config = SimulationConfig(
         horizon=horizon,
         seed=11,
         latency=GOLDEN_LATENCY,
-        indexed_dispatch=use_index,
         num_shards=num_shards,
         vectorized_dispatch=vectorized,
         # The contended scenario keeps the paper's one-job-per-day realism
@@ -185,8 +178,8 @@ def simulation_snapshot(
 
 def golden(name: str) -> dict:
     return {
-        "plan": plan_snapshot(name, use_index=True),
-        "jobs": simulation_snapshot(name, use_index=True),
+        "plan": plan_snapshot(name),
+        "jobs": simulation_snapshot(name),
     }
 
 
@@ -225,32 +218,25 @@ class TestGoldenScenarios:
             expected = json.load(fh)
         assert_matches(snapshot, expected)
 
-    def test_indexed_and_legacy_paths_agree_exactly(self, name):
-        """The AtomIndex fast path and the pre-index linear scan must make
-        bit-identical scheduling decisions."""
-        assert plan_snapshot(name, True) == plan_snapshot(name, False)
-        fast = simulation_snapshot(name, True)
-        legacy = simulation_snapshot(name, False)
-        assert fast == legacy
-
     def test_sharded_engine_reproduces_fixture_exactly(self, name):
         """The coordinator/shard engine must land on the frozen fixture for
         several shard counts — the golden half of the shard-identity
-        contract (the benchmark's decision hash is the other half)."""
+        contract (``tests/sim/test_engine_matrix.py``'s decision hash is
+        the other half)."""
         path = fixture_path(name)
         if os.environ.get("REGEN_GOLDEN"):
             pytest.skip("fixtures being regenerated")
         with open(path) as fh:
             expected = json.load(fh)
         for num_shards in (1, 3):
-            sharded = simulation_snapshot(name, True, num_shards=num_shards)
+            sharded = simulation_snapshot(name, num_shards=num_shards)
             assert_matches(sharded, expected["jobs"])
 
     def test_vectorized_engine_reproduces_fixture_exactly(self, name):
         """The struct-of-arrays hot path must land on the frozen fixture at
         several shard counts — the golden half of the vectorized-identity
         contract (the scenario fuzzer's ``--vectorized`` twin mode and the
-        benchmark's decision-hash gate are the live halves)."""
+        engine-matrix decision-hash test are the live halves)."""
         path = fixture_path(name)
         if os.environ.get("REGEN_GOLDEN"):
             pytest.skip("fixtures being regenerated")
@@ -258,7 +244,7 @@ class TestGoldenScenarios:
             expected = json.load(fh)
         for num_shards in (1, 2, 4):
             vec = simulation_snapshot(
-                name, True, num_shards=num_shards, vectorized=True
+                name, num_shards=num_shards, vectorized=True
             )
             assert_matches(vec, expected["jobs"])
 
@@ -267,11 +253,9 @@ class TestGoldenScenarios:
         scheduling decisions to the from-scratch ``build_plan`` oracle —
         including on the frozen golden fixture, which both modes must
         reproduce."""
-        assert plan_snapshot(name, True, "incremental") == plan_snapshot(
-            name, True, "full"
-        )
-        incremental = simulation_snapshot(name, True, "incremental")
-        full = simulation_snapshot(name, True, "full")
+        assert plan_snapshot(name, "incremental") == plan_snapshot(name, "full")
+        incremental = simulation_snapshot(name, "incremental")
+        full = simulation_snapshot(name, "full")
         assert incremental == full
         path = fixture_path(name)
         if not os.environ.get("REGEN_GOLDEN"):

@@ -8,11 +8,14 @@ single-queue engine, the sharded engine and the vectorized hot path alike.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.resilience import (
     LatestSnapshotStore,
     SimulationSnapshot,
+    SnapshotError,
     metrics_digest,
 )
 from repro.sim.engine import Simulator
@@ -114,6 +117,32 @@ class TestCheckpointing:
 
         with pytest.raises(TypeError):
             Simulator.resume(pickle.dumps({"not": "a simulator"}))
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda payload: b"", id="empty"),
+            pytest.param(lambda payload: payload[: len(payload) // 2],
+                         id="truncated"),
+            pytest.param(lambda payload: b"garbage", id="garbage"),
+        ],
+    )
+    def test_resume_rejects_undecodable_payload(self, corrupt):
+        """Corrupt bytes raise the typed error (with the pickle failure as
+        its cause), whether passed raw or inside a snapshot."""
+        snap = build_sim().snapshot()
+        payload = corrupt(snap.payload)
+        with pytest.raises(SnapshotError) as raw:
+            Simulator.resume(payload)
+        assert raw.value.__cause__ is not None
+        with pytest.raises(SnapshotError):
+            Simulator.resume(replace(snap, payload=payload))
+
+    def test_resume_rejects_other_format_version(self):
+        snap = build_sim().snapshot()
+        stale = replace(snap, format_version=snap.format_version + 1)
+        with pytest.raises(SnapshotError, match="format version"):
+            Simulator.resume(stale)
 
     def test_resume_reattaches_callbacks(self):
         """Sinks/callbacks are dropped from snapshots and must be

@@ -1,0 +1,128 @@
+"""Engine-mode identity at scale: every engine configuration on one cell.
+
+The other identity suites (``test_sharded_engine``, ``test_vectorized_engine``,
+``test_batched_dispatch``, the goldens) use tens to hundreds of devices, where
+the fold kernels, the batched-assign ledger and the decode window see short
+runs.  This module is the one input at *scale*: a 5,000-device x 8-job x 6 h
+diurnal cell (the ``bench/workloads.py::day_inputs`` recipe at seed 7), built
+once, run on the single-queue reference engine and on every other engine
+configuration, each of which must reproduce the reference's decision hash,
+metrics digest and event count.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core.baselines import make_policy
+from repro.resilience import (
+    RecordingPolicy,
+    describe_metrics_divergence,
+    format_divergence,
+    metrics_digest,
+)
+from repro.sim.engine import SimulationConfig, Simulator
+from repro.traces import (
+    CapacitySampler,
+    DiurnalAvailabilityModel,
+    DiurnalConfig,
+    WorkloadConfig,
+    WorkloadGenerator,
+)
+
+DEVICES = 5_000
+JOBS = 8
+HORIZON_S = 6 * 3600.0
+SEED = 7
+
+#: name -> ``run`` keywords: SimulationConfig overrides, plus Venn's
+#: plan-maintenance mode where it is not the default.
+CONFIGS = {
+    "sharded-1": dict(sharded_dispatch=True),
+    "sharded-2": dict(num_shards=2),
+    "sharded-4": dict(num_shards=4),
+    "vectorized-1": dict(vectorized_dispatch=True),
+    "vectorized-2": dict(vectorized_dispatch=True, num_shards=2),
+    "vectorized-4": dict(vectorized_dispatch=True, num_shards=4),
+    "vectorized-unbatched-1": dict(
+        vectorized_dispatch=True, batched_assign=False
+    ),
+    "vectorized-unbatched-2": dict(
+        vectorized_dispatch=True, batched_assign=False, num_shards=2
+    ),
+    "full-maintenance": dict(maintenance="full"),
+    "checkpointed": dict(checkpoint_interval=2000),
+}
+
+
+@pytest.fixture(scope="module")
+def cell():
+    """Devices, availability trace and job trace, demand sized against the
+    device pool so the cell stays contended for the whole horizon."""
+    devices = CapacitySampler(seed=SEED).sample_devices(DEVICES)
+    availability = DiurnalAvailabilityModel(
+        DiurnalConfig(horizon=HORIZON_S), seed=SEED + 1
+    ).generate(DEVICES)
+    jobs = WorkloadGenerator(
+        WorkloadConfig(
+            num_jobs=JOBS,
+            demand_scale=0.5,
+            min_demand=5,
+            max_demand=max(10, DEVICES // 10),
+            rounds_scale=0.5,
+            max_rounds=25,
+            mean_interarrival=max(60.0, HORIZON_S / (2.0 * JOBS)),
+        ),
+        seed=SEED + 2,
+    ).generate()
+    return devices, availability, jobs
+
+
+def run(cell, maintenance="incremental", **overrides):
+    """One recorded run; returns ``(policy, metrics, events_processed)``."""
+    devices, availability, jobs = cell
+    policy = RecordingPolicy(
+        make_policy("venn", seed=SEED, plan_maintenance=maintenance)
+    )
+    config = SimulationConfig(horizon=HORIZON_S, seed=SEED, **overrides)
+    sim = Simulator(devices, availability, jobs, policy, config)
+    metrics = sim.run()
+    return policy, metrics, sim.events_processed
+
+
+@pytest.fixture(scope="module")
+def reference(cell):
+    return run(cell)
+
+
+def test_reference_cell_is_contended(reference):
+    """The comparison is only worth its time if the cell does real work."""
+    policy, metrics, events = reference
+    assert len(policy.decisions) > 1_000
+    assert metrics.total_responses > 1_000
+    assert events > 5_000
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_matches_single_queue_reference(cell, reference, name):
+    ref_policy, ref_metrics, ref_events = reference
+    policy, metrics, events = run(cell, **CONFIGS[name])
+    identical = (
+        policy.decision_hash == ref_policy.decision_hash
+        and metrics_digest(metrics) == metrics_digest(ref_metrics)
+        and events == ref_events
+    )
+    if not identical:
+        print(
+            format_divergence(
+                ref_policy.decisions, policy.decisions,
+                label_a="single-queue", label_b=name,
+            )
+        )
+        print(
+            describe_metrics_divergence(
+                ref_metrics, metrics, label_a="single-queue", label_b=name
+            )
+        )
+        print(f"events: single-queue={ref_events} {name}={events}")
+    assert identical, f"{name} diverged from the single-queue reference"

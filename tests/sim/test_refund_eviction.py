@@ -5,7 +5,7 @@ Pins the response/abort/refund bugfix sweep on every engine:
 * **Refund symmetry** — a device whose daily budget is refunded (round
   abort, or a straggler response on a closed request) must be
   *immediately* re-dispatchable at that same timestamp, identically on
-  every engine (single-queue indexed / legacy, sharded scalar, vectorized).
+  every engine (single-queue, sharded scalar, vectorized).
 * **Request-table boundedness** — closed requests are evicted from
   ``Simulator._requests`` (and their job's ``request_history``) once the
   last in-flight response fires, so multi-round runs no longer retain
@@ -29,7 +29,6 @@ from tests.sim.test_engine import DETERMINISTIC_LATENCY, always_on_trace, make_t
 #: engine is the reference.
 ENGINES = {
     "single-indexed": dict(),
-    "single-legacy": dict(indexed=False),
     "sharded": dict(num_shards=2),
     "vectorized": dict(vectorized=True),
 }
@@ -46,7 +45,6 @@ def run_engine(
     seed=0,
     num_shards=1,
     vectorized=False,
-    indexed=True,
     latency=DETERMINISTIC_LATENCY,
     fault_plan=None,
 ):
@@ -57,7 +55,6 @@ def run_engine(
         seed=seed,
         latency=latency,
         enforce_daily_limit=daily,
-        indexed_dispatch=indexed,
         num_shards=num_shards,
         vectorized_dispatch=vectorized,
         fault_plan=fault_plan,

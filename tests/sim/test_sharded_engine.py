@@ -210,10 +210,6 @@ class TestShardedEngineMechanics:
         with pytest.raises(RuntimeError, match="max_events"):
             sim.run()
 
-    def test_sharded_requires_indexed_dispatch(self):
-        with pytest.raises(ValueError, match="indexed_dispatch"):
-            SimulationConfig(num_shards=2, indexed_dispatch=False)
-
     def test_unsharded_engine_rejects_shard_count(self):
         """``sharded_dispatch=False`` used to run the single-queue engine
         and silently ignore ``num_shards``."""

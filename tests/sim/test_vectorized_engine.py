@@ -297,8 +297,6 @@ class TestVectorizedEngineIdentity:
     def test_vectorized_requires_sharded_engine(self):
         with pytest.raises(ValueError):
             SimulationConfig(vectorized_dispatch=True, sharded_dispatch=False)
-        with pytest.raises(ValueError):
-            SimulationConfig(vectorized_dispatch=True, indexed_dispatch=False)
 
     def test_runtime_state_synced_back_after_run(self):
         """After a vectorized run the per-device DeviceRuntime objects must

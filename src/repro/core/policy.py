@@ -22,7 +22,7 @@ matching decision itself.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -78,19 +78,19 @@ class SchedulingPolicy(abc.ABC):
 
     def on_device_checkin_batch(
         self,
-        device_ids: "np.ndarray",
+        devices: Sequence[DeviceProfile],
         times: "np.ndarray",
         sig_ids: "np.ndarray",
         sig_table,
-        profile_of,
     ) -> None:
         """A time-ordered batch of devices became available (vectorized path).
 
         Called by the vectorized engine instead of per-event
         :meth:`on_device_checkin` when a run of check-ins is folded in one
-        kernel.  ``sig_ids[i]`` indexes ``sig_table`` (the engine's interned
-        signature list) and ``profile_of(device_id)`` recovers the profile
-        for policies that need it.  Implementations must leave the policy in
+        kernel.  ``devices`` is a lazy view (``len``, iteration, indexing)
+        that builds nothing for policies that never look at it, and
+        ``sig_ids[i]`` indexes ``sig_table`` (the engine's interned
+        signature list).  Implementations must leave the policy in
         *exactly* the state the per-event hook would have — the scalar path
         is the decision-hash oracle.  The default delegates to the scalar
         hook per event, and skips the loop entirely for policies that never
@@ -98,8 +98,8 @@ class SchedulingPolicy(abc.ABC):
         """
         if type(self).on_device_checkin is SchedulingPolicy.on_device_checkin:
             return
-        for i in range(len(device_ids)):
-            self.on_device_checkin(profile_of(int(device_ids[i])), float(times[i]))
+        for device, now in zip(devices, times.tolist()):
+            self.on_device_checkin(device, now)
 
     def bind_rng(self, rng: "np.random.Generator") -> None:
         """Adopt the simulation's random generator (seed plumbing).

@@ -287,9 +287,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
     def on_device_checkin(self, device: DeviceProfile, now: float) -> None:
         self.supply.record_checkin(self._signature_for(device), now)
 
-    def on_device_checkin_batch(
-        self, device_ids, times, sig_ids, sig_table, profile_of
-    ) -> None:
+    def on_device_checkin_batch(self, devices, times, sig_ids, sig_table) -> None:
         """Record a batch of check-ins into the supply estimator (vectorized).
 
         ``sig_table`` holds the engine's interned *full* signatures — the
@@ -304,10 +302,8 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         """
         space = self._ensure_atom_space()
         if not self._provider_ok:
-            for i in range(len(device_ids)):
-                self.on_device_checkin(
-                    profile_of(int(device_ids[i])), float(times[i])
-                )
+            for device, now in zip(devices, times.tolist()):
+                self.on_device_checkin(device, now)
             return
         uniq, first = np.unique(sig_ids, return_index=True)
         remap = np.zeros(int(uniq[-1]) + 1, dtype=np.int64) if len(uniq) else None

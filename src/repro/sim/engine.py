@@ -251,15 +251,15 @@ _KEEP_FAULTS = object()
 
 
 class _CohortView:
-    """Lazy device-profile cohort for the ledger-mode decision path.
+    """Lazy device-profile cohort: what the policy sees of a run of slots.
 
     ``assign_batch_bulk`` consults a cohort prefix and stops at the first
-    demand-zeroing proposal, so eagerly materialising a profile list for
-    the whole chunk wastes work proportional to the unconsulted tail —
-    which at 100k-device scale is most of the chunk.  This view fetches
-    ``profiles[slots[i]]`` on demand: sequential iteration (the bulk
-    walk) and random indexing (commit, recording wrappers) both work,
-    and the unvisited tail costs nothing.
+    demand-zeroing proposal, and ``on_device_checkin_batch`` usually reads
+    no profile at all, so eagerly materialising a profile list wastes work
+    proportional to the untouched part — at 100k-device scale, most of it.
+    This view fetches ``profiles[slots[i]]`` on demand: sequential
+    iteration (the bulk walk) and random indexing (commit, recording
+    wrappers) both work, and the unvisited tail costs nothing.
     """
 
     __slots__ = ("_profiles", "_slots")
@@ -334,12 +334,9 @@ class Simulator:
             self._categories.setdefault(job.job_id, job.requirement.name)
 
         self._device_profiles: List[DeviceProfile] = list(devices)
-        self.devices: Dict[int, DeviceRuntime] = {
-            d.device_id: DeviceRuntime(profile=d) for d in self._device_profiles
-        }
-        if len(self.devices) != len(self._device_profiles):
+        known = np.array([d.device_id for d in self._device_profiles], dtype=np.int64)
+        if len(np.unique(known)) != len(known):
             raise ValueError("device ids must be unique")
-        known = np.fromiter(self.devices, dtype=np.int64, count=len(self.devices))
         unknown = ~np.isin(availability.device_ids, known)
         if unknown.any():
             missing = np.unique(availability.device_ids[unknown])
@@ -371,9 +368,13 @@ class Simulator:
         self._num_shards = int(self.config.num_shards)
         self._shards: List["DeviceShard"] = []
         #: Vectorized hot path: struct-of-arrays device state + batched
-        #: kernels (built in ``_setup_vector_state`` on sharded setup).
+        #: kernels (built in ``_setup_vector_state`` on sharded setup).  A
+        #: device is its slot there: :attr:`devices` stays unbuilt until read.
         self._vectorized = bool(self.config.vectorized_dispatch)
         self._vec: Optional[VectorDeviceState] = None
+        self._devices: Optional[Dict[int, DeviceRuntime]] = None
+        if not self._vectorized:
+            self._build_devices()  # these engines mutate them per event
         #: Deferred assignments awaiting their batched latency draw:
         #: ``(slot, profile, job, request, seq, session_end, plan_version)``.
         self._assign_buf: list = []
@@ -530,6 +531,8 @@ class Simulator:
         state["_round_callback"] = None
         state["_checkpoint_sink"] = None
         state["last_snapshot"] = None
+        if self._vectorized:
+            state["_devices"] = None  # a view of the arrays, rebuilt on read
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -694,7 +697,7 @@ class Simulator:
                 arrivals += 1
         self._shards, consumed = build_shards(
             self._device_profiles,
-            self.devices,
+            {} if self._vectorized else self._devices,
             self.availability,
             self._num_shards,
             self.config.horizon,
@@ -791,11 +794,11 @@ class Simulator:
             shard = shards[best_i]
             if shard.heap and shard.heap[0][:2] == best:
                 # Dynamic shard event: a device response.
-                t, _seq, device_id, request_id, _job_id, success = heapq.heappop(
+                t, _seq, who, request_id, _job_id, success = heapq.heappop(
                     shard.heap
                 )
                 self.now = t
-                handle_response(shard, device_id, request_id, success)
+                handle_response(shard, who, request_id, success)
                 self._events_processed += 1
                 shard.events_processed += 1
                 if self._events_processed >= self.config.max_events:
@@ -972,9 +975,7 @@ class Simulator:
         )
         for shard in self._shards:
             shard.sa_slot = self._vec.slots_for(shard.sa_dev)
-
-    def _vec_profile_of(self, device_id: int) -> DeviceProfile:
-        return self.devices[device_id].profile
+            shard.sa_dev = None  # one identity column: rows carry the slot
 
     #: Below this run length the per-event loop beats the numpy kernel:
     #: a fold_slice call costs ~100 us of array-op overhead regardless of
@@ -1006,11 +1007,10 @@ class Simulator:
         if n_ci:
             shard.metrics.total_checkins += n_ci
             self.policy.on_device_checkin_batch(
-                self._vec.ids[ci_slots],
+                _CohortView(self._vec.profiles, ci_slots),
                 ci_times,
                 self._vec.sig_id[ci_slots],
                 self._vec.sig_table,
-                self._vec_profile_of,
             )
         self.now = float(shard.sa_time[hi - 1])
         return hi - lo
@@ -1252,11 +1252,10 @@ class Simulator:
             )
 
     def _handle_shard_response_vec(
-        self, shard: DeviceShard, device_id: int, request_id: int, success: bool
+        self, shard: DeviceShard, slot: int, request_id: int, success: bool
     ) -> None:
-        """Vectorized twin of :meth:`_handle_shard_response` (array state)."""
+        """Vectorized twin of :meth:`_handle_shard_response`; heap rows carry slots."""
         vec = self._vec
-        slot = vec.slot_of[device_id]
         request = self._requests.get(request_id)
         now = self.now
         if request is not None:
@@ -1275,8 +1274,9 @@ class Simulator:
         sess_open = now < vec.sess[slot]
         vec.status[slot] = STATUS_IDLE if sess_open else STATUS_OFFLINE
         if success and request is not None and request.is_open:
-            request.record_response(device_id, now)
-            self.policy.on_response(request, vec.profiles[slot], now)
+            profile = vec.profiles[slot]
+            request.record_response(profile.device_id, now)
+            self.policy.on_response(request, profile, now)
             self._maybe_complete_request(request)
         elif request is not None and not request.is_open:
             # Aborted round: the device keeps its daily budget.
@@ -1386,7 +1386,7 @@ class Simulator:
             shards[shard_index].schedule_response(
                 finish_time,
                 seq,
-                profile.device_id,
+                slot,
                 request.request_id,
                 job.job_id,
                 success,
@@ -1564,18 +1564,29 @@ class Simulator:
             if request.remaining_demand == 0:
                 pending.remove(request.job_id)
 
-    def _sync_vector_state(self) -> None:
-        """Copy the final array state back onto the DeviceRuntime objects.
+    @property
+    def devices(self) -> Dict[int, DeviceRuntime]:
+        """``DeviceRuntime`` objects by device id.  The vectorized engine
+        never reads them: there the dict is built from the arrays on first
+        read and refreshed once, when the run finalises (a mid-run read
+        shows the state as of the first read; snapshots do not carry it)."""
+        if self._devices is None:
+            self._build_devices()
+        return self._devices
 
-        Post-run inspection code (tests, notebooks) reads
-        ``sim.devices[...].status`` etc.; the vectorized run never mutated
-        those objects, so mirror the arrays back once at finalisation.
-        ``current_job``/``current_request`` are not tracked per device on
-        the vectorized path and stay ``None``.
-        """
+    def _build_devices(self) -> None:
+        """Create the runtimes (first call); once a vectorized run has its
+        arrays, copy their state onto them (``current_job`` and
+        ``current_request`` are not tracked per device there: ``None``)."""
+        if self._devices is None:
+            self._devices = {
+                d.device_id: DeviceRuntime(profile=d) for d in self._device_profiles
+            }
         vec = self._vec
+        if vec is None:
+            return
         status_of = (DeviceStatus.OFFLINE, DeviceStatus.IDLE, DeviceStatus.BUSY)
-        devices = self.devices
+        devices = self._devices
         for device_id, status, sess, day, completed, failed in zip(
             vec.ids.tolist(),
             vec.status.tolist(),
@@ -1596,8 +1607,8 @@ class Simulator:
         return [shard.stats() for shard in self._shards]
 
     def _finalise(self) -> None:
-        if self._vectorized and self._vec is not None:
-            self._sync_vector_state()
+        if self._vectorized and self._devices is not None:
+            self._build_devices()
         horizon = self.config.horizon
         for job in self.jobs.values():
             if not job.is_finished:
@@ -1663,7 +1674,7 @@ class Simulator:
         self._dispatch_idle_devices()
 
     def _on_device_checkin(self, event: Event) -> None:
-        device = self.devices[event.device_id]
+        device = self._devices[event.device_id]
         session_end = event.session_end
         if device.status is DeviceStatus.BUSY:
             # The previous task overran into this session; treat the new
@@ -1687,7 +1698,7 @@ class Simulator:
             self._try_assign(device)
 
     def _on_device_checkout(self, event: Event) -> None:
-        device = self.devices[event.device_id]
+        device = self._devices[event.device_id]
         session_end = event.session_end
         if device.status is DeviceStatus.BUSY:
             return  # resolved when the task finishes
@@ -1696,7 +1707,7 @@ class Simulator:
             self._note_not_idle(device.device_id)
 
     def _on_device_response(self, event: Event) -> None:
-        device = self.devices[event.device_id]
+        device = self._devices[event.device_id]
         success: bool = event.success
         request = self._requests.get(event.request_id)
         if request is not None:
@@ -1745,13 +1756,12 @@ class Simulator:
         # is still charging/idle, so it may be re-matched.  Devices still
         # executing the aborted task are released when their response fires.
         if self._vectorized and self._vec is not None:
-            for device_id in request.assigned:
-                slot = self._vec.slot_of[device_id]
-                if self._vec.status[slot] != STATUS_BUSY:
-                    self._vec.last_day[slot] = -1
+            vec = self._vec
+            slots = vec.slots_for(request.assigned)
+            vec.last_day[slots[vec.status[slots] != STATUS_BUSY]] = -1
         else:
             for device_id in request.assigned:
-                device = self.devices[device_id]
+                device = self._devices[device_id]
                 if device.status is not DeviceStatus.BUSY:
                     self._refund_daily_budget(device)
         if request.in_flight == 0:
@@ -1916,7 +1926,7 @@ class Simulator:
             self._dispatch_idle_devices_vec()
             return
         cfg_daily = self.config.enforce_daily_limit
-        devices = self.devices
+        devices = self._devices
 
         def visit(device_id: int) -> None:
             device = devices[device_id]

@@ -199,8 +199,11 @@ class DeviceShard:
         runtimes: Dict[int, DeviceRuntime],
         policy_name: str,
         horizon: float,
+        num_devices: int,
     ) -> None:
         self.index = index
+        #: Devices owned (``runtimes`` is empty on the vectorized engine).
+        self.num_devices = num_devices
         #: The static stream, as numpy columns sorted by ``(time, seq)``.
         (
             self.sa_time,
@@ -210,8 +213,8 @@ class DeviceShard:
             self.sa_ci,
         ) = stream
         #: Global :class:`~repro.sim.vector.VectorDeviceState` slot of each
-        #: event's device (vectorized engine only; set by the engine).  When
-        #: present, window rows carry the slot instead of the device id.
+        #: event's device (vectorized engine only; the engine sets it and
+        #: releases ``sa_dev``).  Window rows then carry the slot, not the id.
         self.sa_slot: Optional[np.ndarray] = None
         self.st_len = len(self.sa_time)
         self.cursor = 0
@@ -222,12 +225,11 @@ class DeviceShard:
         self.w_lo = 0
         self.w_hi = 0
         #: Dynamic (response) min-heap of
-        #: ``(time, seq, device_id, request_id, job_id, success)`` tuples.
-        #: Same-timestamp runs at the heap head are drained as *cohorts*
-        #: by the merge loop's batched response path (fault rewrites —
-        #: :meth:`kill_until`, :meth:`delay_responses_until` — pile
-        #: responses onto one timestamp, which is exactly the regime the
-        #: cohort drain targets); each entry still fires exactly once.
+        #: ``(time, seq, device_id | slot, request_id, job_id, success)``
+        #: tuples — like the window rows, the third field is the device id
+        #: on the scalar engine and the slot on the vectorized one.  The
+        #: fault rewrites (:meth:`kill_until`, :meth:`delay_responses_until`)
+        #: move entries in time and pass that field through untouched.
         self.heap: List[Tuple[float, int, int, int, int, bool]] = []
         self.runtimes = runtimes
         self.pool = IdleDevicePool()
@@ -315,7 +317,8 @@ class DeviceShard:
         plan_version: Optional[int] = None,
     ) -> None:
         """Coordinator→shard message: one of this shard's devices was
-        assigned; its (pre-drawn) response fires at ``time``."""
+        assigned; its (pre-drawn) response fires at ``time``.  ``device_id``
+        is opaque here: the vectorized engine passes the slot."""
         if time < self.down_until:
             # Fault injection: the shard is dead when this task would have
             # reported.  The work is lost; the coordinator observes the
@@ -415,7 +418,7 @@ class DeviceShard:
         """Per-shard summary for benchmarks and the scaling example."""
         return {
             "shard": self.index,
-            "devices": len(self.runtimes),
+            "devices": self.num_devices,
             "static_events": self.st_len,
             "events_processed": self.events_processed,
             "checkins": self.metrics.total_checkins,
@@ -470,14 +473,16 @@ def build_shards(
         streams = [make_static_stream(*args) for args in jobs_args]
     if num_shards == 1:
         # One shard owns every device: share the coordinator's dict.
-        runtimes_per_shard = [runtimes]
+        runtimes_per_shard, owned = [runtimes], [len(devices)]
     else:
         runtimes_per_shard = [{} for _ in range(num_shards)]
+        owned = [0] * num_shards
         for d in devices:
             device_id = d.device_id
-            runtimes_per_shard[device_id % num_shards][device_id] = runtimes[
-                device_id
-            ]
+            owned[device_id % num_shards] += 1
+            if runtimes:  # empty on the vectorized engine
+                part = runtimes_per_shard[device_id % num_shards]
+                part[device_id] = runtimes[device_id]
     shards = [
         DeviceShard(
             index=k,
@@ -485,6 +490,7 @@ def build_shards(
             runtimes=runtimes_per_shard[k],
             policy_name=policy_name,
             horizon=horizon,
+            num_devices=owned[k],
         )
         for k in range(num_shards)
     ]

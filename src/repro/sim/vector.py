@@ -1,10 +1,10 @@
 """Struct-of-arrays device state for the vectorized engine hot path.
 
 With ``SimulationConfig(vectorized_dispatch=True)`` the coordinator/shard
-engine stops mutating per-device :class:`~repro.sim.device.DeviceRuntime`
-objects on the hot path and instead keeps the whole fleet's dynamic state in
-parallel numpy arrays indexed by *slot* (the device's rank in ascending
-device-id order):
+engine keeps no per-device :class:`~repro.sim.device.DeviceRuntime` object
+at all: the whole fleet's dynamic state lives in parallel numpy arrays
+indexed by *slot* (the device's rank in ascending device-id order), and the
+slot is the only name the engine has for a device:
 
 * ``status`` — 0 offline / 1 idle / 2 busy (``int8``),
 * ``sess`` — end of the current availability session,
@@ -56,7 +56,6 @@ class VectorDeviceState:
         n = len(ordered)
         self.profiles: List[DeviceProfile] = ordered
         self.ids = np.array([p.device_id for p in ordered], dtype=np.int64)
-        self.slot_of: Dict[int, int] = dict(zip(self.ids.tolist(), range(n)))
         self.status = np.zeros(n, dtype=np.int8)
         self.sess = np.zeros(n, dtype=np.float64)
         self.last_day = np.full(n, -1, dtype=np.int64)
@@ -90,8 +89,14 @@ class VectorDeviceState:
     # Lookups
     # ------------------------------------------------------------------ #
     def slots_for(self, device_ids: Sequence[int]) -> np.ndarray:
-        """Vectorized device-id -> slot translation (ids must be known)."""
-        return np.searchsorted(self.ids, np.asarray(device_ids, dtype=np.int64))
+        """The only device-id -> slot translation; ``KeyError`` if unknown."""
+        wanted = np.asarray(device_ids, dtype=np.int64)
+        slots = self.ids.searchsorted(wanted)
+        known = slots < len(self.ids)
+        known[known] = self.ids[slots[known]] == wanted[known]
+        if not known.all():
+            raise KeyError(f"unknown device ids: {wanted[~known][:5].tolist()}")
+        return slots
 
     def sig_eligibility(self, pending_names: set) -> np.ndarray:
         """``bool[sig_id]``: does the signature intersect a pending name?

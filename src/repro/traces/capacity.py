@@ -140,8 +140,10 @@ class CapacitySampler:
         # 2**len(data_domains)), shared by every device that drew it.
         shared: Dict[frozenset, frozenset] = {}
         # One stream, draws interleaved per device (domains, reliability,
-        # speed noise): the order is part of the seed's meaning.
-        for k, (cpu, mem) in enumerate(self.sample_scores(n).tolist(), start_id):
+        # speed noise): the order is part of the seed's meaning.  The scores
+        # are two flat columns, not n two-element lists that die with the loop.
+        cpus, mems = self.sample_scores(n).T.tolist()
+        for k, (cpu, mem) in enumerate(zip(cpus, mems), start_id):
             domains = frozenset([d for d in data_domains if random() < p_domain])
             domains = shared.setdefault(domains, domains)
             reliability = beta(9.0, 1.0) * mean_reliability / 0.9

@@ -26,6 +26,7 @@ so building a day's trace costs about what its random draws cost.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -209,7 +210,7 @@ class DiurnalAvailabilityModel:
         # seed=None (a random run is still internally consistent).
         self._entropy = np.random.SeedSequence(seed).entropy
 
-    def _columns(self, device_ids: Sequence[int]) -> Tuple[List[int], List[float], List[float]]:
+    def _columns(self, device_ids: Sequence[int]) -> Tuple[array, array, array]:
         """Session columns of the listed devices, device by device.
 
         Per device: a random initial phase (so devices are not synchronised),
@@ -232,9 +233,8 @@ class DiurnalAvailabilityModel:
             return mean_session * (1.0 - p) / p
 
         first_gap = mean_gap(0.0)
-        ids: List[int] = []
-        starts: List[float] = []
-        ends: List[float] = []
+        # Typed columns: boxed list items would die as holes once copied.
+        ids, starts, ends = array("q"), array("d"), array("d")
         for dev, rng in zip(device_ids, device_streams(self._entropy, device_ids)):
             exponential, normal = rng.exponential, rng.normal
             t = rng.uniform(0.0, first_gap)

@@ -13,11 +13,14 @@ from dataclasses import replace
 import pytest
 
 from repro.resilience import (
+    FaultPlan,
     LatestSnapshotStore,
+    SimulatedCrash,
     SimulationSnapshot,
     SnapshotError,
     metrics_digest,
 )
+from repro.resilience.snapshot import SNAPSHOT_FORMAT_VERSION
 from repro.sim.engine import Simulator
 from tests.resilience.conftest import build_sim, kill_and_resume
 
@@ -67,6 +70,61 @@ class TestExactResume:
         res_metrics = resumed.run()
         assert resumed.events_processed == sim.events_processed
         assert metrics_digest(res_metrics) == metrics_digest(metrics)
+
+
+class TestVectorizedDevicesAcrossSnapshots:
+    """On the vectorized engine ``sim.devices`` is a view of the arrays,
+    built on first read; snapshots never carry it."""
+
+    MODE = {"num_shards": 2, "vectorized": True}
+
+    def _killed_mid_run(self):
+        store = LatestSnapshotStore()
+        crashed = build_sim(
+            fault_plan=FaultPlan.crash_at(25), checkpoint_interval=10,
+            checkpoint_sink=store, **self.MODE,
+        )
+        with pytest.raises(SimulatedCrash):
+            crashed.run()
+        assert crashed._devices is None  # nobody read them before the crash
+        return store.latest
+
+    def test_resumed_run_builds_devices_from_the_restored_arrays(self):
+        snap = self._killed_mid_run()
+        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 2
+        resumed = Simulator.resume(snap, fault_plan=None)
+        assert resumed._devices is None
+        # Mid-run read on the resumed simulator: the checkpoint's state.
+        vec = resumed._vec
+        mid = resumed.devices
+        assert len(mid) == len(vec.ids)
+        assert sum(d.tasks_completed for d in mid.values()) == sum(
+            vec.tasks_completed
+        )
+        assert sum(d.is_online for d in mid.values()) == int(
+            (vec.status != 0).sum()
+        ) > 0
+        # ... and the same objects are brought up to date when it finishes.
+        metrics = resumed.run()
+        assert resumed.devices is mid
+        assert sum(d.tasks_completed for d in mid.values()) == (
+            metrics.total_responses
+        ) > 0
+        assert sum(d.tasks_failed for d in mid.values()) == metrics.total_failures
+
+    def test_reading_devices_does_not_put_them_into_snapshots(self):
+        sim = build_sim(**self.MODE)
+        plain = sim.snapshot().size_bytes
+        assert len(sim.devices) == 40
+        assert sim.snapshot().size_bytes == plain
+        assert Simulator.resume(sim.snapshot())._devices is None
+
+    def test_scalar_snapshots_still_carry_the_runtimes(self):
+        sim = build_sim(num_shards=2)
+        resumed = Simulator.resume(sim.snapshot())
+        assert resumed._devices is not None
+        assert resumed._devices is not sim._devices
+        assert list(resumed.devices) == list(sim.devices)
 
 
 class TestCheckpointing:

@@ -1,12 +1,16 @@
 """Memory footprint gates that do not depend on the host (tier-1).
 
 ``peak_rss_mb`` is a benchmark metric, measured on whatever box runs it;
-these tests pin the two *structural* facts behind it with ``tracemalloc``
-and object identity, so a regression fails here before it shows as RSS:
+these tests pin the *structural* facts behind it with ``tracemalloc`` and
+object identity, so a regression fails here before it shows as RSS:
 
 * a shard's static stream lives as numpy columns plus one bounded window of
   decoded rows — tens of bytes per static event, not the ~190–230 B/event of
   per-event Python objects (five lists of boxed values) it used to cost;
+* on the vectorized engine a device is its slot: the engine keeps arrays and
+  no per-device Python object (no ``DeviceRuntime`` fleet, no id -> slot
+  dict) unless somebody reads ``sim.devices``, which then agrees with the
+  arrays field for field;
 * sampled devices share one ``frozenset`` per distinct domain combination.
 """
 
@@ -14,7 +18,10 @@ from __future__ import annotations
 
 import tracemalloc
 
+import pytest
+
 from repro.core.scheduler import VennScheduler
+from repro.sim.device import DeviceStatus
 from repro.sim.engine import SimulationConfig, Simulator
 from repro.traces.capacity import DEFAULT_DATA_DOMAINS, CapacitySampler
 from repro.traces.device_trace import DAY, DiurnalAvailabilityModel, DiurnalConfig
@@ -29,8 +36,15 @@ N = 5_000
 #: 231 B/event on the same cell.
 MAX_SHARD_BYTES_PER_STATIC_EVENT = 96
 
+#: Budget for what ``sim/engine.py`` + ``sim/vector.py`` hold per device at
+#: the end of a vectorized day: the state arrays, the two counter lists and
+#: the profile list.  Measured 56 B; with the eager ``DeviceRuntime`` dict
+#: (172 B) and the ``slot_of`` dict (116 B) it measured 303 B.
+MAX_ENGINE_BYTES_PER_DEVICE = 96
 
-def test_static_stream_costs_columns_plus_a_window():
+
+@pytest.fixture(scope="module")
+def cell():
     devices = CapacitySampler(seed=3).sample_devices(N)
     availability = DiurnalAvailabilityModel(
         DiurnalConfig(horizon=DAY), seed=4
@@ -42,27 +56,97 @@ def test_static_stream_costs_columns_plus_a_window():
         ),
         seed=9,
     ).generate()
-    sim = Simulator(
-        devices, availability, jobs, VennScheduler(seed=1),
-        SimulationConfig(horizon=DAY, seed=5, vectorized_dispatch=True),
+    return devices, availability, jobs
+
+
+def simulator(cell, **overrides):
+    return Simulator(
+        *cell, VennScheduler(seed=1),
+        SimulationConfig(horizon=DAY, seed=5, **overrides),
     )
-    # Shards are built inside run(): trace the run, then count what
-    # sim/shard.py still holds (numpy buffers are traced too).
+
+
+def held_under(snapshot, *patterns):
+    return sum(
+        stat.size
+        for pattern in patterns
+        for stat in snapshot.filter_traces(
+            [tracemalloc.Filter(True, pattern)]
+        ).statistics("filename")
+    )
+
+
+def assert_devices_mirror_arrays(sim):
+    vec = sim._vec
+    status_of = (DeviceStatus.OFFLINE, DeviceStatus.IDLE, DeviceStatus.BUSY)
+    assert list(sim.devices) == [d.device_id for d in sim._device_profiles]
+    for slot, device_id in enumerate(vec.ids.tolist()):
+        device = sim.devices[device_id]
+        day = int(vec.last_day[slot])
+        assert device.profile is vec.profiles[slot]
+        assert device.status is status_of[vec.status[slot]]
+        assert device.session_end == vec.sess[slot]
+        assert device.last_participation_day == (day if day >= 0 else None)
+        assert device.tasks_completed == vec.tasks_completed[slot]
+        assert device.tasks_failed == vec.tasks_failed[slot]
+
+
+@pytest.fixture(scope="module")
+def traced_vectorized_day(cell):
+    """Trace construction and the run (shards are built inside run()), then
+    count what the modules still hold (numpy buffers are traced too)."""
     tracemalloc.start()
     try:
-        sim.run()
+        sim = simulator(cell, vectorized_dispatch=True)
+        metrics = sim.run()
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    held = sum(
-        stat.size
-        for stat in snapshot.filter_traces(
-            [tracemalloc.Filter(True, "*/sim/shard.py")]
-        ).statistics("filename")
-    )
+    return sim, metrics, snapshot
+
+
+def test_static_stream_costs_columns_plus_a_window(traced_vectorized_day):
+    sim, _metrics, snapshot = traced_vectorized_day
     static_events = sum(shard.st_len for shard in sim._shards)
     assert static_events > 3 * N  # a real day, not a degenerate trace
-    assert held / static_events <= MAX_SHARD_BYTES_PER_STATIC_EVENT
+    assert (
+        held_under(snapshot, "*/sim/shard.py") / static_events
+        <= MAX_SHARD_BYTES_PER_STATIC_EVENT
+    )
+    # One identity column: the ids went once the slots were there.
+    assert all(shard.sa_dev is None for shard in sim._shards)
+
+
+def test_vectorized_engine_holds_no_per_device_objects(traced_vectorized_day):
+    sim, metrics, snapshot = traced_vectorized_day
+    assert (
+        held_under(snapshot, "*/sim/engine.py", "*/sim/vector.py") / N
+        <= MAX_ENGINE_BYTES_PER_DEVICE
+    )
+    # Nothing built the runtimes, and the shard holds none either ...
+    assert sim._devices is None
+    assert sim._shards[0].runtimes == {}
+    # ... until somebody asks: then they are the arrays, field for field.
+    assert_devices_mirror_arrays(sim)
+    assert metrics.total_responses == sum(
+        d.tasks_completed for d in sim.devices.values()
+    ) > 0
+
+
+def test_devices_read_before_the_run_are_brought_up_to_date_after_it(cell):
+    sim = simulator(cell, vectorized_dispatch=True, num_shards=2)
+    before = sim.devices
+    assert len(before) == N
+    assert all(d.status is DeviceStatus.OFFLINE for d in before.values())
+    sim.run()
+    assert sim.devices is before  # same objects, refreshed at finalise
+    assert_devices_mirror_arrays(sim)
+    assert any(d.tasks_completed for d in before.values())
+
+
+def test_scalar_sharded_engine_shares_the_runtimes_with_its_one_shard(cell):
+    sim = simulator(cell, sharded_dispatch=True)
+    sim.run()
     # One shard: the shard's runtimes *are* the coordinator's dict.
     assert sim._shards[0].runtimes is sim.devices
 

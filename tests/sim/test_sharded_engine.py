@@ -187,6 +187,25 @@ class TestShardedEngineMechanics:
         # Venn broadcasts plan versions with assignment batches.
         assert any(s["last_plan_version"] is not None for s in stats)
 
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_shard_stats_count_devices_on_the_vectorized_engine(self, num_shards):
+        """A vectorized shard holds no runtimes; it still owns its devices."""
+        devices, trace, jobs, horizon = self._env()
+        config = SimulationConfig(
+            horizon=horizon, seed=17, num_shards=num_shards,
+            vectorized_dispatch=True,
+        )
+        sim = Simulator(devices, trace, jobs, make_policy("venn", seed=9),
+                        config)
+        sim.run()
+        stats = sim.shard_stats()
+        assert [s["devices"] for s in stats] == [
+            sum(1 for d in devices if d.device_id % num_shards == k)
+            for k in range(num_shards)
+        ]
+        assert sum(s["devices"] for s in stats) == len(devices)
+        assert all(shard.runtimes == {} for shard in sim._shards)
+
     def test_plan_version_advances_and_snapshot_exposes_it(self):
         devices, trace, jobs, horizon = self._env()
         policy = VennScheduler(seed=9)

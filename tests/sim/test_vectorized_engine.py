@@ -48,12 +48,40 @@ class TestVectorDeviceState:
     def test_slots_follow_ascending_device_id(self):
         state = build_state(ids=[30, 5, 17])
         assert state.ids.tolist() == [5, 17, 30]
-        assert state.slot_of == {5: 0, 17: 1, 30: 2}
-        assert state.slots_for([17, 30, 5]).tolist() == [1, 2, 0]
+        assert [p.device_id for p in state.profiles] == [5, 17, 30]
+        assert state.slots_for([5, 17, 30]).tolist() == [0, 1, 2]
+        assert state.slots_for([17, 30, 5, 17]).tolist() == [1, 2, 0, 1]
         # Ascending-slot enumeration == ascending-device-id enumeration,
         # which is what keeps vectorized dispatch order identical to the
         # scalar idle pool's ascending-id walk.
         assert state.ids[np.argsort(state.ids)].tolist() == state.ids.tolist()
+
+    @pytest.mark.parametrize(
+        "wanted, unknown",
+        [
+            ([3], [3]),  # below every known id
+            ([5, 16, 30], [16]),  # between two known ids
+            ([17, 31], [31]),  # above every known id
+            ([40, 5, 2, 18], [40, 2, 18]),  # reported in the order asked
+            (list(range(31, 70)), [31, 32, 33, 34, 35]),  # the first five
+        ],
+    )
+    def test_slots_for_refuses_unknown_ids(self, wanted, unknown):
+        # searchsorted alone would answer with a neighbour's slot (or n).
+        state = build_state(ids=[30, 5, 17])
+        with pytest.raises(KeyError, match="unknown device ids") as err:
+            state.slots_for(wanted)
+        assert str(err.value).endswith(f"{unknown}'")
+
+    def test_slots_for_nothing_is_nothing(self):
+        state = build_state(ids=[30, 5, 17])
+        slots = state.slots_for([])
+        assert slots.tolist() == [] and slots.dtype.kind == "i"
+        # ... and an empty fleet knows no id at all.
+        empty = build_state(ids=[])
+        assert empty.slots_for([]).tolist() == []
+        with pytest.raises(KeyError):
+            empty.slots_for([0])
 
     def test_signatures_interned_by_value(self):
         # Distinct-but-equal frozensets (as produced by the fallback path of

@@ -1,7 +1,7 @@
 """Ensure the in-repo sources are importable even without `pip install -e .`.
 
 Offline environments cannot always run pip's isolated build; adding ``src``
-to ``sys.path`` keeps `pytest tests/` and `pytest benchmarks/` self-contained.
+to ``sys.path`` keeps `pytest tests/` self-contained.
 """
 import os
 import sys

@@ -1,10 +1,10 @@
 """Million-device simulation on the coordinator/shard engine.
 
 Runs one contended scenario with ``num_shards=os.cpu_count()`` device
-shards and prints the per-shard event counts plus the shard/coordinator
-wall-time split.  The sharded engine makes bit-identical decisions for any
-shard count (add ``--verify`` to prove it against the single-queue engine
-— it roughly doubles the runtime).
+shards and prints the per-shard event counts.  The sharded engine makes
+bit-identical decisions for any shard count (add ``--verify`` to prove it
+against the single-queue engine — it roughly doubles the runtime).  For a
+time split use ``python3 -m bench --trace 1``.
 
 At the default million-device scale this takes a few minutes; use
 ``--devices 50000`` for a quick look.
@@ -63,7 +63,6 @@ def run_once(devices, trace, workload, horizon: float, seed: int,
         latency=LatencyConfig(),
         max_events=500_000_000,
         num_shards=num_shards,
-        profile_shards=num_shards > 1,
     )
     sim = Simulator(devices, trace, workload, policy, config)
     t0 = time.perf_counter()
@@ -103,19 +102,15 @@ def main() -> int:
 
     stats = sim.shard_stats()
     if stats:
-        shard_time = sum(s["drain_time_s"] for s in stats)
-        print(f"\nper-shard / coordinator time split "
-              f"(shard drains {shard_time:.1f} s, coordinator "
-              f"{max(0.0, wall - shard_time):.1f} s of {wall:.1f} s wall):")
+        print("\nper-shard counters:")
         header = (f"  {'shard':>5} {'devices':>9} {'events':>10} "
                   f"{'checkins':>9} {'responses':>9} {'assignments':>11} "
-                  f"{'drain s':>8} {'plan ver':>8}")
+                  f"{'plan ver':>8}")
         print(header)
         for s in stats:
             print(f"  {s['shard']:>5} {s['devices']:>9,} "
                   f"{s['events_processed']:>10,} {s['checkins']:>9,} "
                   f"{s['responses']:>9,} {s['assignments_received']:>11,} "
-                  f"{s['drain_time_s']:>8.1f} "
                   f"{str(s['last_plan_version']):>8}")
 
     if args.verify:

@@ -1,8 +1,9 @@
 """Plain-text report formatting for tables and figure data.
 
-The benchmark harness prints the same rows/series the paper reports; these
-helpers render them as aligned ASCII tables so `pytest benchmarks/` output
-(and the examples) are directly readable next to the paper.
+The experiment runner prints the same rows/series the paper reports; these
+helpers render them as aligned ASCII tables so the output of
+``python -m repro.experiments.runner`` (and the examples) is directly
+readable next to the paper.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ figure, which preset was used.
 
 Three presets are provided:
 
-* ``quick``   — used by the test-suite and pytest benchmarks (seconds).
+* ``quick``   — used by the test-suite, incl. the paper-claim tests (seconds).
 * ``default`` — used by the example scripts and the experiment runner
   (tens of seconds per policy).
 * ``large``   — closer to the paper's scale (minutes per policy); useful for

@@ -196,22 +196,6 @@ class FaultInjector:
             "plan_rebroadcasts": 0,
         }
 
-    def validate(self, sim) -> None:
-        """Fail fast (at run start) on faults the engine cannot host."""
-        for spec in self._pending:
-            if spec.kind in SHARD_FAULT_KINDS:
-                if not sim._sharded:
-                    raise ValueError(
-                        f"{spec.kind} faults need the coordinator/shard "
-                        "engine (SimulationConfig(num_shards=N) or "
-                        "sharded_dispatch=True)"
-                    )
-                if spec.shard >= sim._num_shards:
-                    raise ValueError(
-                        f"{spec.kind} targets shard {spec.shard} but the run "
-                        f"has only {sim._num_shards} shard(s)"
-                    )
-
     def poll(self, sim) -> bool:
         """Fire every due fault; return True if any shard state changed.
 

@@ -166,12 +166,10 @@ class SimulationConfig:
     #: metrics for any shard count** (enforced by the shard-identity tests
     #: and the engine-matrix decision hash).
     num_shards: int = 1
-    #: ``None`` selects the sharded engine automatically when
-    #: ``num_shards > 1``; ``True`` forces it on at ``num_shards=1`` (mainly
-    #: for tests that exercise the sharded path with a single shard);
-    #: ``False`` pins the single-queue engine and is rejected with
-    #: ``num_shards > 1``.
-    sharded_dispatch: Optional[bool] = None
+    #: Force the coordinator/shard loop at ``num_shards=1`` (the
+    #: scalar-sharded ×1 cell of the engine matrix); ``num_shards > 1``
+    #: runs it regardless.
+    sharded_dispatch: bool = False
     #: Run the vectorized hot path: struct-of-arrays device state
     #: (:mod:`repro.sim.vector`), batched fold kernels for static check-in/
     #: checkout runs, mask-based idle dispatch and batched latency draws.
@@ -180,13 +178,6 @@ class SimulationConfig:
     #: blake2b gates and the scenario fuzzer's twin mode).  Implies the
     #: coordinator/shard engine even at ``num_shards=1``.
     vectorized_dispatch: bool = False
-    #: Process-pool workers for the per-shard stream builds (0/1 = inline).
-    #: Worth enabling on multi-core hosts; on a single core the workers are
-    #: pure overhead, hence the conservative default.
-    shard_build_workers: int = 0
-    #: Record per-shard drain wall time (adds two clock reads per drained
-    #: batch; used by ``examples/sharded_scale.py`` for the time split).
-    profile_shards: bool = False
     #: Periodic checkpointing: take a full-state snapshot every N processed
     #: events (``None`` disables).  Snapshots land on the simulator's
     #: ``last_snapshot`` attribute and, if one was given, its
@@ -213,35 +204,33 @@ class SimulationConfig:
             raise ValueError("max_events must be positive")
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if self.num_shards > 1 and self.sharded_dispatch is False:
-            raise ValueError(
-                "sharded_dispatch=False runs the single-queue engine, which "
-                "has no shards; it cannot be combined with "
-                f"num_shards={self.num_shards}"
-            )
-        if self.vectorized_dispatch and self.sharded_dispatch is False:
-            raise ValueError(
-                "vectorized_dispatch runs on the coordinator/shard engine; "
-                "it cannot be combined with sharded_dispatch=False"
-            )
         if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be positive (or None)")
-        if self.fault_plan is not None and not isinstance(
-            self.fault_plan, FaultPlan
-        ):
+        plan = self.fault_plan
+        if plan is not None and not isinstance(plan, FaultPlan):
             raise TypeError(
                 "fault_plan must be a repro.resilience.FaultPlan "
-                f"(got {type(self.fault_plan).__name__})"
+                f"(got {type(plan).__name__})"
             )
+        if plan is not None and plan.needs_sharded_engine:
+            if not self.use_sharded_engine:
+                raise ValueError(
+                    "shard faults need the coordinator/shard engine "
+                    "(num_shards > 1, sharded_dispatch=True or "
+                    "vectorized_dispatch=True)"
+                )
+            if plan.max_shard >= self.num_shards:
+                raise ValueError(
+                    f"fault plan targets shard {plan.max_shard} but the run "
+                    f"has only {self.num_shards} shard(s)"
+                )
 
     @property
     def use_sharded_engine(self) -> bool:
         """Whether runs use the coordinator/shard engine."""
-        if self.vectorized_dispatch:
-            return True
-        if self.sharded_dispatch is not None:
-            return bool(self.sharded_dispatch)
-        return self.num_shards > 1
+        return (
+            self.vectorized_dispatch or self.sharded_dispatch or self.num_shards > 1
+        )
 
 
 #: Sentinel for ``Simulator.resume``: keep the snapshot's pickled fault
@@ -306,7 +295,7 @@ class Simulator:
         #: trainer (:mod:`repro.cosim`) can observe rounds as they complete.
         self._round_callback = round_callback
         #: The run's policy-facing random generator; unseeded policies adopt
-        #: it via ``bind_rng``.  The latency model no longer shares it: it
+        #: it via ``bind_rng``.  The latency model does not share it: it
         #: draws from per-device streams keyed by global device id, so a
         #: device's latency/failure draws depend only on the seed, its id
         #: and its own assignment history — never on the draw order across
@@ -314,13 +303,8 @@ class Simulator:
         #: count (and it also makes the single-queue engine's draws
         #: independent of unrelated devices).
         self.rng = np.random.default_rng(self.config.seed)
-        # Normalising through a SeedSequence keeps per-device streams on
-        # even for seed=None (a random-entropy run is still internally
-        # shard-layout-independent; None would fall back to the shared,
-        # order-dependent regime).
         self.latency = ResponseLatencyModel(
-            self.config.latency,
-            per_device_entropy=np.random.SeedSequence(self.config.seed).entropy,
+            self.config.latency, per_device_entropy=self.config.seed
         )
         self.policy.bind_rng(self.rng)
 
@@ -468,13 +452,10 @@ class Simulator:
         if not self._started:
             self._started = True
             self._schedule_initial_events()
-        if self._injector is not None:
-            self._injector.validate(self)
         handlers = {
             EventType.JOB_ARRIVAL: self._on_job_arrival,
             EventType.DEVICE_CHECKIN: self._on_device_checkin,
             EventType.DEVICE_CHECKOUT: self._on_device_checkout,
-            EventType.DEVICE_RESPONSE: self._on_device_response,
             EventType.REQUEST_DEADLINE: self._on_request_deadline,
         }
         # One pristine-path branch per event: with no checkpointing and no
@@ -499,6 +480,14 @@ class Simulator:
                 for peer in self.queue.pop_run(event.time, EventType.DEVICE_CHECKIN):
                     self._on_device_checkin(peer)
                     self._events_processed += 1
+            elif event.type is EventType.DEVICE_RESPONSE:
+                self._on_device_response(
+                    self._devices[event.device_id],
+                    event.request_id,
+                    event.success,
+                    self._metrics,
+                )
+                self._events_processed += 1
             else:
                 handlers[event.type](event)
                 self._events_processed += 1
@@ -703,7 +692,6 @@ class Simulator:
             self.config.horizon,
             seq_start=arrivals,
             policy_name=self._metrics.policy,
-            workers=self.config.shard_build_workers,
         )
         self.queue.reserve(consumed)
         # Shard-side signature precompute: one vectorised pass instead of a
@@ -731,25 +719,18 @@ class Simulator:
             self._setup_sharded()
             if self._vectorized:
                 self._setup_vector_state()
-        if self._injector is not None:
-            self._injector.validate(self)
         horizon = self.config.horizon
         queue = self.queue
         shards = self._shards
         num_shards = len(shards)
-        profile_shards = self.config.profile_shards
         # One pristine-path branch per iteration: with no checkpointing and
         # no faults the merge loop is byte-for-byte the historical one.
         hook = (
             self.config.checkpoint_interval is not None
             or self._injector is not None
         )
-        drain = self._drain_shard_vec if self._vectorized else self._drain_shard
-        handle_response = (
-            self._handle_shard_response_vec
-            if self._vectorized
-            else self._handle_shard_response
-        )
+        vectorized = self._vectorized
+        drain = self._drain_shard_vec if vectorized else self._drain_shard
         heads = [sh.head_key() for sh in shards]
         dirty = self._dirty_shards
         q_key = queue.peek_key() or INF_KEY
@@ -798,7 +779,12 @@ class Simulator:
                     shard.heap
                 )
                 self.now = t
-                handle_response(shard, who, request_id, success)
+                if vectorized:
+                    self._handle_shard_response_vec(shard, who, request_id, success)
+                else:
+                    self._on_device_response(
+                        shard.runtimes[who], request_id, success, shard.metrics
+                    )
                 self._events_processed += 1
                 shard.events_processed += 1
                 if self._events_processed >= self.config.max_events:
@@ -827,12 +813,7 @@ class Simulator:
             for i in range(num_shards):
                 if i != best_i and heads[i] < limit:
                     limit = heads[i]
-            if profile_shards:
-                t0 = time.perf_counter()
-                drain(shard, limit, horizon)
-                shard.drain_time_s += time.perf_counter() - t0
-            else:
-                drain(shard, limit, horizon)
+            drain(shard, limit, horizon)
             heads[best_i] = shard.head_key()
             dirty.discard(best_i)
             if hook and self._post_event_hook():
@@ -924,45 +905,6 @@ class Simulator:
         shard.cursor = cursor
         shard.events_processed += processed
         self._events_processed += processed
-
-    def _handle_shard_response(
-        self, shard: DeviceShard, device_id: int, request_id: int, success: bool
-    ) -> None:
-        """Sharded twin of :meth:`_on_device_response` (same semantics,
-        shard-resident pools and counters)."""
-        device = shard.runtimes[device_id]
-        request = self._requests.get(request_id)
-        if request is not None:
-            request.in_flight -= 1
-        device.finish_task(self.now, success)
-        if device.is_idle:
-            self._note_idle(device)
-        else:
-            self._note_not_idle(device_id)
-        if success:
-            shard.metrics.total_responses += 1
-        else:
-            shard.metrics.total_failures += 1
-
-        if success and request is not None and request.is_open:
-            request.record_response(device_id, self.now)
-            self.policy.on_response(request, device.profile, self.now)
-            self._maybe_complete_request(request)
-        elif request is not None and not request.is_open:
-            # The round was aborted (or cancelled) while this device was
-            # still computing; its work is discarded, so it keeps its daily
-            # budget.
-            self._refund_daily_budget(device)
-            if request.in_flight == 0:
-                self._evict_request(request)
-
-        # A freed device may immediately serve another job (when the daily
-        # limit permits and somebody actually wants devices).
-        if (
-            self._pending
-            and device.can_take_task(self.now, self.config.enforce_daily_limit)
-        ):
-            self._try_assign(device)
 
     # ------------------------------------------------------------------ #
     # Vectorized hot path (SimulationConfig.vectorized_dispatch)
@@ -1254,7 +1196,7 @@ class Simulator:
     def _handle_shard_response_vec(
         self, shard: DeviceShard, slot: int, request_id: int, success: bool
     ) -> None:
-        """Vectorized twin of :meth:`_handle_shard_response`; heap rows carry slots."""
+        """Vectorized twin of :meth:`_on_device_response`; heap rows carry slots."""
         vec = self._vec
         request = self._requests.get(request_id)
         now = self.now
@@ -1706,10 +1648,16 @@ class Simulator:
             device.check_out()
             self._note_not_idle(device.device_id)
 
-    def _on_device_response(self, event: Event) -> None:
-        device = self._devices[event.device_id]
-        success: bool = event.success
-        request = self._requests.get(event.request_id)
+    def _on_device_response(
+        self,
+        device: DeviceRuntime,
+        request_id: int,
+        success: bool,
+        metrics: SimulationMetrics,
+    ) -> None:
+        """A device's task ended (single-queue and scalar-sharded engines);
+        ``metrics`` is the counter sink — the run's or the device's shard's."""
+        request = self._requests.get(request_id)
         if request is not None:
             request.in_flight -= 1
         device.finish_task(self.now, success)
@@ -1718,9 +1666,9 @@ class Simulator:
         else:
             self._note_not_idle(device.device_id)
         if success:
-            self._metrics.total_responses += 1
+            metrics.total_responses += 1
         else:
-            self._metrics.total_failures += 1
+            metrics.total_failures += 1
 
         if success and request is not None and request.is_open:
             request.record_response(device.device_id, self.now)

@@ -14,19 +14,12 @@ the task finishes (the engine checks the latter against the session end).
 Per-device randomness
 ---------------------
 
-The model supports two seeding regimes:
-
-* a single **shared** generator (``rng=...`` / ``seed=...``), the historical
-  behaviour, where the k-th draw of a run depends on every draw before it;
-* **per-device streams** (``per_device_entropy=...``), where draw ``j`` of
-  device ``d`` is a pure function of ``(master entropy, d, j)``.
-
-Per-device streams make a device's latency/failure draws a function of the
-device and its own assignment history only — the draw *order across devices*
-no longer matters.  That property is what lets the sharded simulation engine
-(:mod:`repro.sim.shard`) hand device physics to shards while staying
-bit-identical to the single-queue engine for any shard count, and it is the
-engine's default since the coordinator/shard refactor.
+Draws come from **per-device streams**: draw ``j`` of device ``d`` is a pure
+function of ``(master entropy, d, j)``, so a device's latency/failure draws
+depend on the device and its own assignment history only — the draw *order
+across devices* does not matter.  That property is what lets the sharded
+simulation engine (:mod:`repro.sim.shard`) hand device physics to shards
+while staying bit-identical to the single-queue engine for any shard count.
 
 Per-device streams are generated *counter-based* (a SplitMix64 keyed by
 ``(master, device_id, draw index)``, normals via Box–Muller) rather than by
@@ -238,38 +231,21 @@ class ResponseLatencyModel:
     def __init__(
         self,
         config: Optional[LatencyConfig] = None,
-        seed: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
         per_device_entropy: Optional[Union[int, tuple]] = None,
     ) -> None:
-        """``per_device_entropy`` switches the model to per-device streams
-        keyed by global device id (see the module docstring); otherwise
-        ``rng`` (an injected generator, e.g. the engine's single run
-        generator) takes precedence over ``seed``."""
+        """``per_device_entropy`` keys the per-device streams (see the module
+        docstring); ``None`` draws fresh OS entropy, like ``default_rng()``."""
         self.config = config or LatencyConfig()
         #: device_id -> tier index cache (static membership, lazily hashed).
         self._tier_cache: Dict[int, int] = {}
-        self._per_device = per_device_entropy is not None
-        if self._per_device:
-            # Normalise whatever the caller passed (int seed, tuple, None)
-            # through a SeedSequence, then collapse to the 64-bit master key
-            # of the counter-based per-device streams.
-            self._entropy = np.random.SeedSequence(per_device_entropy).entropy
-            self._master = int(
-                np.random.SeedSequence(self._entropy).generate_state(
-                    1, np.uint64
-                )[0]
-            )
-            #: device_id -> number of uniforms consumed so far.
-            self._draw_counts: Dict[int, int] = {}
-            self._rng = None
-        else:
-            self._rng = rng if rng is not None else np.random.default_rng(seed)
-
-    @property
-    def per_device(self) -> bool:
-        """Whether draws come from per-device streams (shard-order free)."""
-        return self._per_device
+        # Normalise whatever the caller passed (int seed, tuple, None)
+        # through a SeedSequence, then collapse to the 64-bit master key
+        # of the counter-based per-device streams.
+        seed_seq = np.random.SeedSequence(per_device_entropy)
+        self._entropy = seed_seq.entropy
+        self._master = int(seed_seq.generate_state(1, np.uint64)[0])
+        #: device_id -> number of uniforms consumed so far.
+        self._draw_counts: Dict[int, int] = {}
 
     def _uniform(self, device_id: int, index: int) -> float:
         """Uniform (0, 1) draw ``index`` of ``device_id``'s stream."""
@@ -297,16 +273,16 @@ class ResponseLatencyModel:
 
         Tier membership is a *static* salted hash of ``(master entropy,
         device_id)`` — not a stream draw — so it never advances the draw
-        counter and is identical for any shard layout.  In the shared-rng
-        regime the hash is keyed by device id alone.
+        counter and is identical for any shard layout.
         """
         tiers = self.config.link_tiers
         if not tiers:
             return 0
         tier = self._tier_cache.get(device_id)
         if tier is None:
-            master = self._master if self._per_device else 0
-            h = _mix64(((master ^ _TIER_SALT) + device_id * _DEVICE_STRIDE) & _MASK64)
+            h = _mix64(
+                ((self._master ^ _TIER_SALT) + device_id * _DEVICE_STRIDE) & _MASK64
+            )
             u = (h + 1) * _INV_2_64
             acc = 0.0
             tier = len(tiers) - 1
@@ -356,55 +332,32 @@ class ResponseLatencyModel:
         pristine-network run consumes exactly the historical sequence.
         """
         cfg = self.config
-        if self._per_device:
-            device_id = device.device_id
-            k = self._draw_counts.get(device_id, 0)
-            self._draw_counts[device_id] = k + 3
-            u1 = self._uniform(device_id, k)
-            u2 = self._uniform(device_id, k + 1)
-            u3 = self._uniform(device_id, k + 2)
-            # Box–Muller: exact standard normal from two uniforms.
-            z = math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
-            compute = (
-                job.base_task_duration
-                * cfg.duration_scale
-                * device.speed_factor
-                * math.exp(cfg.compute_sigma * z)
-            )
-            comm = (cfg.comm_min + (cfg.comm_max - cfg.comm_min) * u3) * (
-                self._comm_scale(device_id)
-            )
-            if lossy and cfg.degrades_network:
-                loss = cfg.effective_loss_rate(now)
-                transfer = comm
-                attempts = 1 + cfg.max_retries
-                lost = False
-                for _ in range(attempts):
-                    k = self._draw_counts[device_id]
-                    self._draw_counts[device_id] = k + 1
-                    if self._uniform(device_id, k) >= loss:
-                        break
-                    comm += transfer * cfg.retry_backoff
-                else:
-                    lost = True
-                return compute + comm, lost
-            return compute + comm, False
-        rng = self._rng
+        device_id = device.device_id
+        k = self._draw_counts.get(device_id, 0)
+        self._draw_counts[device_id] = k + 3
+        u1 = self._uniform(device_id, k)
+        u2 = self._uniform(device_id, k + 1)
+        u3 = self._uniform(device_id, k + 2)
+        # Box–Muller: exact standard normal from two uniforms.
+        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
         compute = (
             job.base_task_duration
             * cfg.duration_scale
             * device.speed_factor
-            * float(np.exp(rng.normal(0.0, cfg.compute_sigma)))
+            * math.exp(cfg.compute_sigma * z)
         )
-        comm = float(rng.uniform(cfg.comm_min, cfg.comm_max)) * self._comm_scale(
-            device.device_id
+        comm = (cfg.comm_min + (cfg.comm_max - cfg.comm_min) * u3) * (
+            self._comm_scale(device_id)
         )
         if lossy and cfg.degrades_network:
             loss = cfg.effective_loss_rate(now)
             transfer = comm
+            attempts = 1 + cfg.max_retries
             lost = False
-            for _ in range(1 + cfg.max_retries):
-                if float(rng.random()) >= loss:
+            for _ in range(attempts):
+                k = self._draw_counts[device_id]
+                self._draw_counts[device_id] = k + 1
+                if self._uniform(device_id, k) >= loss:
                     break
                 comm += transfer * cfg.retry_backoff
             else:
@@ -414,12 +367,10 @@ class ResponseLatencyModel:
 
     def sample_failure(self, device: DeviceProfile) -> bool:
         """Whether the device drops out instead of reporting back."""
-        if self._per_device:
-            device_id = device.device_id
-            k = self._draw_counts.get(device_id, 0)
-            self._draw_counts[device_id] = k + 1
-            return self._uniform(device_id, k) > device.reliability
-        return bool(self._rng.random() > device.reliability)
+        device_id = device.device_id
+        k = self._draw_counts.get(device_id, 0)
+        self._draw_counts[device_id] = k + 1
+        return self._uniform(device_id, k) > device.reliability
 
     def sample_outcome(
         self, job: JobSpec, device: DeviceProfile, now: float = 0.0
@@ -462,7 +413,7 @@ class ResponseLatencyModel:
         if n == 0:
             return []
         cfg = self.config
-        if not self._per_device or cfg.degrades_network or n == 1:
+        if cfg.degrades_network or n == 1:
             return [
                 self.sample_outcome(jobs[i], devices[i], now=now)
                 for i in range(n)

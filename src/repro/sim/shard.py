@@ -39,12 +39,6 @@ sequence numbers from the same counter.  Merging shard streams by
 ``(time, seq)`` therefore reproduces the legacy engine's processing order
 *exactly*, for any shard count — the property the shard-identity tests and
 the engine-matrix decision hash enforce.
-
-Shard builds are embarrassingly parallel (each shard touches only its own
-sessions and devices); :func:`build_shards` fans the per-shard array
-construction out to a process pool when ``workers > 1`` and falls back to
-inline construction otherwise (e.g. single-core hosts, where worker
-processes are pure overhead).
 """
 
 from __future__ import annotations
@@ -173,12 +167,6 @@ def make_static_stream(
     )
 
 
-def _build_stream_worker(args):
-    """Process-pool entry: build one shard's stream arrays (picklable I/O)."""
-    starts, device_ids, ends, seqs, horizon = args
-    return make_static_stream(starts, device_ids, ends, seqs, horizon)
-
-
 class DeviceShard:
     """One shard of the device population and its event streams.
 
@@ -241,9 +229,6 @@ class DeviceShard:
         self.last_plan_version: Optional[int] = None
         #: Events this shard contributed to the merged run.
         self.events_processed = 0
-        #: Wall time the coordinator spent draining this shard's batches
-        #: (populated only when the engine runs with ``profile_shards``).
-        self.drain_time_s = 0.0
         #: Fault-injection state (:mod:`repro.resilience.faults`).  The
         #: defaults keep the pristine path byte-identical: ``down_until``
         #: stays 0.0 (every response time is >= 0, so the outage rewrite in
@@ -426,7 +411,6 @@ class DeviceShard:
             "failures": self.metrics.total_failures,
             "assignments_received": self.assignments_received,
             "last_plan_version": self.last_plan_version,
-            "drain_time_s": round(self.drain_time_s, 4),
             **self.fault_counters(),
         }
 
@@ -439,7 +423,6 @@ def build_shards(
     horizon: float,
     seq_start: int,
     policy_name: str,
-    workers: int = 0,
 ) -> Tuple[List[DeviceShard], int]:
     """Partition the population into shards with ready event streams.
 
@@ -447,9 +430,6 @@ def build_shards(
     number of sequence numbers the static streams claimed (the coordinator
     advances its own event counter past them so dynamic events sort after
     same-time static ones exactly as in the single-queue engine).
-
-    ``workers > 1`` builds the per-shard arrays in a process pool; anything
-    else builds inline.  Both produce identical shards.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
@@ -461,16 +441,10 @@ def build_shards(
     # exact enumeration).
     seqs = seq_start + 2 * np.arange(len(starts), dtype=np.int64)
     shard_masks = [ids % num_shards == k for k in range(num_shards)]
-    jobs_args = [
-        (starts[m], ids[m], ends[m], seqs[m], horizon) for m in shard_masks
+    streams = [
+        make_static_stream(starts[m], ids[m], ends[m], seqs[m], horizon)
+        for m in shard_masks
     ]
-    if workers > 1 and num_shards > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, num_shards)) as ex:
-            streams = list(ex.map(_build_stream_worker, jobs_args))
-    else:
-        streams = [make_static_stream(*args) for args in jobs_args]
     if num_shards == 1:
         # One shard owns every device: share the coordinator's dict.
         runtimes_per_shard, owned = [runtimes], [len(devices)]

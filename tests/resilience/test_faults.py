@@ -11,6 +11,7 @@ from repro.resilience import (
     SimulatedCrash,
     metrics_digest,
 )
+from repro.sim.engine import SimulationConfig, Simulator
 from tests.resilience.conftest import build_sim
 
 
@@ -73,20 +74,34 @@ class TestFaultPlan:
 
 
 class TestValidation:
+    """Plans the engine cannot host fail when the config is built — before
+    any fleet is — and ``resume(fault_plan=...)`` goes through the same rule."""
+
+    KILL = dict(at_event=5, duration=100.0)
+
     def test_shard_fault_on_single_queue_engine_rejected(self):
-        sim = build_sim(
-            fault_plan=FaultPlan.kill_shard(0, at_event=5, duration=100.0)
-        )
-        with pytest.raises(ValueError, match="shard"):
-            sim.run()
+        with pytest.raises(ValueError, match="coordinator/shard engine"):
+            SimulationConfig(fault_plan=FaultPlan.kill_shard(0, **self.KILL))
+        plan = FaultPlan.kill_shard(0, **self.KILL)
+        SimulationConfig(fault_plan=plan, sharded_dispatch=True)
+        SimulationConfig(fault_plan=plan, vectorized_dispatch=True)
 
     def test_shard_index_out_of_range_rejected(self):
-        sim = build_sim(
-            num_shards=2,
-            fault_plan=FaultPlan.kill_shard(7, at_event=5, duration=100.0),
-        )
-        with pytest.raises(ValueError, match="shard"):
-            sim.run()
+        with pytest.raises(ValueError, match="shard 7 but the run has only 2"):
+            SimulationConfig(
+                num_shards=2, fault_plan=FaultPlan.kill_shard(7, **self.KILL)
+            )
+
+    @pytest.mark.parametrize(
+        "num_shards, shard, message",
+        [(1, 0, "coordinator/shard engine"), (2, 7, "shard 7")],
+    )
+    def test_resume_rejects_unhostable_plan(self, num_shards, shard, message):
+        snapshot = build_sim(num_shards=num_shards).snapshot()
+        with pytest.raises(ValueError, match=message):
+            Simulator.resume(
+                snapshot, fault_plan=FaultPlan.kill_shard(shard, **self.KILL)
+            )
 
 
 class TestNoOpGuarantee:

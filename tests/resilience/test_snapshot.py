@@ -91,7 +91,7 @@ class TestVectorizedDevicesAcrossSnapshots:
 
     def test_resumed_run_builds_devices_from_the_restored_arrays(self):
         snap = self._killed_mid_run()
-        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 2
+        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 3
         resumed = Simulator.resume(snap, fault_plan=None)
         assert resumed._devices is None
         # Mid-run read on the resumed simulator: the checkpoint's state.

@@ -92,7 +92,6 @@ def test_unseeded_policy_adopts_engine_generator():
     sim = Simulator(devices, trace, jobs, policy,
                     SimulationConfig(horizon=10_000.0, seed=1))
     assert policy._rng is sim.rng
-    assert sim.latency.per_device
     assert sim.latency._entropy == 1
 
 

@@ -27,7 +27,7 @@ class TestLatencyModel:
             LatencyConfig(duration_scale=0)
 
     def test_durations_positive_and_scale_with_speed(self):
-        model = ResponseLatencyModel(seed=0)
+        model = ResponseLatencyModel(per_device_entropy=0)
         job = make_job(base_task_duration=60.0)
         fast = make_device(device_id=1, speed=0.5)
         slow = make_device(device_id=2, speed=5.0)
@@ -37,14 +37,14 @@ class TestLatencyModel:
         assert slow_mean > 2 * fast_mean
 
     def test_expected_duration_close_to_empirical_mean(self):
-        model = ResponseLatencyModel(seed=1)
+        model = ResponseLatencyModel(per_device_entropy=1)
         job = make_job(base_task_duration=60.0)
         device = make_device(speed=2.0)
         empirical = np.mean([model.sample_duration(job, device) for _ in range(3000)])
         assert abs(empirical - model.expected_duration(job, device)) / empirical < 0.1
 
     def test_tail_duration_exceeds_expected(self):
-        model = ResponseLatencyModel(seed=1)
+        model = ResponseLatencyModel(per_device_entropy=1)
         job = make_job(base_task_duration=60.0)
         device = make_device(speed=2.0)
         assert model.tail_duration(job, device, 95.0) > model.expected_duration(
@@ -52,21 +52,23 @@ class TestLatencyModel:
         )
 
     def test_failure_rate_matches_reliability(self):
-        model = ResponseLatencyModel(seed=2)
+        model = ResponseLatencyModel(per_device_entropy=2)
         flaky = make_device(reliability=0.7)
         failures = sum(model.sample_failure(flaky) for _ in range(5000))
         assert abs(failures / 5000 - 0.3) < 0.05
 
     def test_reliable_device_never_fails(self):
-        model = ResponseLatencyModel(seed=3)
+        model = ResponseLatencyModel(per_device_entropy=3)
         solid = make_device(reliability=1.0)
         assert not any(model.sample_failure(solid) for _ in range(200))
 
     def test_duration_scale(self):
         job = make_job(base_task_duration=60.0)
         device = make_device()
-        base = ResponseLatencyModel(LatencyConfig(duration_scale=1.0), seed=4)
-        double = ResponseLatencyModel(LatencyConfig(duration_scale=2.0), seed=4)
+        base, double = (
+            ResponseLatencyModel(LatencyConfig(duration_scale=s), per_device_entropy=4)
+            for s in (1.0, 2.0)
+        )
         assert double.expected_duration(job, device) > base.expected_duration(
             job, device
         )

@@ -144,16 +144,6 @@ class TestPristineDrawSequence:
             assert duration == legacy_model.sample_duration(job, device)
             assert dropped == legacy_model.sample_failure(device)
 
-    def test_shared_rng_regime_also_matches(self):
-        job = make_job(base_task_duration=60.0)
-        device = make_device(device_id=7, reliability=0.9)
-        outcome_model = ResponseLatencyModel(seed=42)
-        legacy_model = ResponseLatencyModel(seed=42)
-        for _ in range(20):
-            duration, dropped = outcome_model.sample_outcome(job, device)
-            assert duration == legacy_model.sample_duration(job, device)
-            assert dropped == legacy_model.sample_failure(device)
-
 
 class TestLossyUplink:
     def test_exhausted_retries_drop_the_report(self):

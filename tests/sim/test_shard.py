@@ -215,27 +215,6 @@ class TestBuildShards:
         sh.cursor = sh.st_len
         assert sh.head_key() == INF_KEY
 
-    def test_parallel_build_matches_inline(self):
-        devices = [make_device(device_id=i) for i in range(20)]
-        sessions = [
-            (i, float(i) * 0.5, float(i) * 0.5 + 7.0) for i in range(20)
-        ]
-        trace = _trace(sessions)
-        inline, c1 = build_shards(
-            devices, self._runtimes(devices), trace, num_shards=4,
-            horizon=15.0, seq_start=1, policy_name="p", workers=0,
-        )
-        pooled, c2 = build_shards(
-            devices, self._runtimes(devices), trace, num_shards=4,
-            horizon=15.0, seq_start=1, policy_name="p", workers=2,
-        )
-        assert c1 == c2
-        for a, b in zip(inline, pooled):
-            for name in ("sa_time", "sa_seq", "sa_dev", "sa_send", "sa_ci"):
-                col_a, col_b = getattr(a, name), getattr(b, name)
-                assert col_a.dtype == col_b.dtype, name
-                assert np.array_equal(col_a, col_b), name
-
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError):
             build_shards([], {}, _trace([(0, 1.0, 2.0)]), 0, 10.0, 0, "p")

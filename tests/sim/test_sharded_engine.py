@@ -93,7 +93,7 @@ def build_environment(env_seed: int, num_devices: int, num_jobs: int,
 
 
 def run_with_shards(devices, trace, jobs, policy_name, num_shards,
-                    horizon, *, forced=None, enforce_daily=True):
+                    horizon, *, forced=False, enforce_daily=True):
     config = SimulationConfig(
         horizon=horizon,
         seed=17,
@@ -172,9 +172,7 @@ class TestShardedEngineMechanics:
 
     def test_shard_stats_cover_all_events(self):
         devices, trace, jobs, horizon = self._env()
-        config = SimulationConfig(
-            horizon=horizon, seed=17, num_shards=3, profile_shards=True
-        )
+        config = SimulationConfig(horizon=horizon, seed=17, num_shards=3)
         sim = Simulator(devices, trace, jobs, make_policy("venn", seed=9),
                         config)
         sim.run()
@@ -228,12 +226,6 @@ class TestShardedEngineMechanics:
                         config)
         with pytest.raises(RuntimeError, match="max_events"):
             sim.run()
-
-    def test_unsharded_engine_rejects_shard_count(self):
-        """``sharded_dispatch=False`` used to run the single-queue engine
-        and silently ignore ``num_shards``."""
-        with pytest.raises(ValueError, match="num_shards=4"):
-            SimulationConfig(num_shards=4, sharded_dispatch=False)
 
     def test_num_shards_validated(self):
         with pytest.raises(ValueError, match="num_shards"):

@@ -322,10 +322,6 @@ class TestVectorizedEngineIdentity:
                 f"vectorized({policy_name}, shards={num_shards}) diverged"
             )
 
-    def test_vectorized_requires_sharded_engine(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(vectorized_dispatch=True, sharded_dispatch=False)
-
     def test_runtime_state_synced_back_after_run(self):
         """After a vectorized run the per-device DeviceRuntime objects must
         reflect the final array state (status, counters, last day)."""

@@ -1,10 +1,11 @@
-"""Million-device simulation on the coordinator/shard engine.
+"""Million-device simulation on the fleet engine.
 
-Runs one contended scenario with ``num_shards=os.cpu_count()`` device
-shards and prints the per-shard event counts.  The sharded engine makes
+Runs one contended scenario on the fleet engine — a coordinator plus
+``num_shards=os.cpu_count()`` device shards over struct-of-arrays device
+state — and prints the per-shard event counts.  The fleet engine makes
 bit-identical decisions for any shard count (add ``--verify`` to prove it
-against the single-queue engine — it roughly doubles the runtime).  For a
-time split use ``python3 -m bench --trace 1``.
+against the single-queue reference engine — it roughly doubles the
+runtime).  For a time split use ``python3 -m bench --trace 1``.
 
 At the default million-device scale this takes a few minutes; use
 ``--devices 50000`` for a quick look.
@@ -55,7 +56,7 @@ def build_environment(num_devices: int, num_jobs: int, horizon: float,
 
 
 def run_once(devices, trace, workload, horizon: float, seed: int,
-             num_shards: int):
+             num_shards: int, fleet: bool = True):
     policy = make_policy("venn", seed=seed)
     config = SimulationConfig(
         horizon=horizon,
@@ -63,6 +64,7 @@ def run_once(devices, trace, workload, horizon: float, seed: int,
         latency=LatencyConfig(),
         max_events=500_000_000,
         num_shards=num_shards,
+        vectorized_dispatch=fleet,  # one shard is the fleet engine too
     )
     sim = Simulator(devices, trace, workload, policy, config)
     t0 = time.perf_counter()
@@ -90,7 +92,7 @@ def main() -> int:
         args.devices, args.jobs, horizon, args.seed
     )
 
-    print(f"\nrunning sharded engine with num_shards={args.num_shards} ...")
+    print(f"\nrunning fleet engine with num_shards={args.num_shards} ...")
     sim, metrics, wall = run_once(
         devices, trace, workload, horizon, args.seed, args.num_shards
     )
@@ -100,23 +102,20 @@ def main() -> int:
           f"completion rate {metrics.completion_rate:.2f}, "
           f"average JCT {metrics.average_jct / 3600.0:.2f} h")
 
-    stats = sim.shard_stats()
-    if stats:
-        print("\nper-shard counters:")
-        header = (f"  {'shard':>5} {'devices':>9} {'events':>10} "
-                  f"{'checkins':>9} {'responses':>9} {'assignments':>11} "
-                  f"{'plan ver':>8}")
-        print(header)
-        for s in stats:
-            print(f"  {s['shard']:>5} {s['devices']:>9,} "
-                  f"{s['events_processed']:>10,} {s['checkins']:>9,} "
-                  f"{s['responses']:>9,} {s['assignments_received']:>11,} "
-                  f"{str(s['last_plan_version']):>8}")
+    print("\nper-shard counters:")
+    print(f"  {'shard':>5} {'devices':>9} {'events':>10} "
+          f"{'checkins':>9} {'responses':>9} {'assignments':>11} "
+          f"{'plan ver':>8}")
+    for s in sim.shard_stats():
+        print(f"  {s['shard']:>5} {s['devices']:>9,} "
+              f"{s['events_processed']:>10,} {s['checkins']:>9,} "
+              f"{s['responses']:>9,} {s['assignments_received']:>11,} "
+              f"{str(s['last_plan_version']):>8}")
 
     if args.verify:
         print("\nverifying against the single-queue engine ...")
         _, single, single_wall = run_once(
-            devices, trace, workload, horizon, args.seed, 1
+            devices, trace, workload, horizon, args.seed, 1, fleet=False
         )
         identical = (
             single.total_checkins == metrics.total_checkins

@@ -77,13 +77,14 @@ class ExperimentConfig:
     #: Forwarded to every ``venn*`` policy built for this experiment.
     plan_maintenance: str = "incremental"
     #: Number of device shards of the simulation engine (1 = the in-process
-    #: single-queue engine; N > 1 = the coordinator/shard engine, with
+    #: single-queue reference engine; N > 1 = the fleet engine, with
     #: decisions and metrics bit-identical for any value).  Forwarded to
     #: ``SimulationConfig.num_shards``.
     num_shards: int = 1
-    #: Run the engine's vectorized hot path (struct-of-arrays device state +
-    #: numpy batch kernels).  Decisions and metrics are bit-identical to the
-    #: scalar oracle; forwarded to ``SimulationConfig.vectorized_dispatch``.
+    #: Run the fleet engine (struct-of-arrays device state + numpy batch
+    #: kernels) at one shard as well.  Decisions and metrics are
+    #: bit-identical to the single-queue reference; forwarded to
+    #: ``SimulationConfig.vectorized_dispatch``.
     vectorized: bool = False
     #: Periodic full-state checkpointing: snapshot every N processed events
     #: (``None`` disables).  Checkpointing is pure observation — decisions
@@ -169,7 +170,8 @@ class ExperimentConfig:
         return replace(self, num_shards=num_shards)
 
     def with_vectorized(self, vectorized: bool = True) -> "ExperimentConfig":
-        """Copy of this config on the vectorized (or scalar) hot path."""
+        """Copy of this config on the fleet (or, at one shard, the
+        single-queue) engine."""
         return replace(self, vectorized=vectorized)
 
 

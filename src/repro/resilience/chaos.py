@@ -1,7 +1,8 @@
 """Chaos harness: kill runs at random events, resume, assert identity.
 
 ``python -m repro.resilience.chaos`` is the executable form of the
-exact-resume contract (``docs/RESILIENCE.md``): for each engine mode it
+exact-resume contract (``docs/RESILIENCE.md``): for each engine cell — the
+single-queue reference, and the fleet engine at each shard count — it
 
 1. runs an uninterrupted *reference* simulation and records its decision
    sequence and metrics digest;
@@ -92,17 +93,18 @@ def run_mode(
     rng: np.random.Generator,
     verbose: bool = False,
 ) -> List[str]:
-    """Kill-and-resume one engine mode at ``crashes`` random events.
+    """Kill-and-resume one engine cell at ``crashes`` random events.
 
-    Returns a list of failure descriptions (empty = the mode passed).
+    Returns a list of failure descriptions (empty = the cell passed).
     """
-    label = f"shards={num_shards} {'vec' if vectorized else 'scalar'}"
     reference = build_simulator(
         cfg,
         policy_name=policy_name,
         num_shards=num_shards,
         vectorized=vectorized,
     )
+    fleet = reference.config.use_sharded_engine
+    label = f"fleet x{num_shards}" if fleet else "reference x1"
     ref_metrics = reference.run()
     ref_decisions = reference.policy.decisions
     ref_digest = metrics_digest(ref_metrics)
@@ -186,7 +188,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--crashes",
         type=int,
         default=20,
-        help="crash points sampled per engine mode (default 20)",
+        help="crash points sampled per engine cell (default 20)",
     )
     parser.add_argument(
         "--shards",
@@ -196,7 +198,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--modes",
         default="scalar,vectorized",
-        help="engine modes: scalar, vectorized, or both (default both)",
+        help="engine modes: scalar (the single-queue reference at one shard, "
+        "the fleet engine above), vectorized (the fleet engine at every "
+        "shard count), or both; a cell both select runs once (default both)",
     )
     parser.add_argument(
         "--preset",
@@ -233,20 +237,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     rng = np.random.default_rng(args.crash_seed)
     t0 = time.perf_counter()
     failures: List[str] = []
-    for num_shards in shard_counts:
-        for mode in modes:
-            failures.extend(
-                run_mode(
-                    cfg,
-                    policy_name=args.policy,
-                    num_shards=num_shards,
-                    vectorized=(mode == "vectorized"),
-                    crashes=args.crashes,
-                    checkpoint_every=args.checkpoint_every,
-                    rng=rng,
-                    verbose=args.verbose,
-                )
+    cells = sorted(
+        {
+            (num_shards, mode == "vectorized" or num_shards > 1)
+            for num_shards in shard_counts
+            for mode in modes
+        }
+    )
+    for num_shards, fleet in cells:
+        failures.extend(
+            run_mode(
+                cfg,
+                policy_name=args.policy,
+                num_shards=num_shards,
+                vectorized=fleet,
+                crashes=args.crashes,
+                checkpoint_every=args.checkpoint_every,
+                rng=rng,
+                verbose=args.verbose,
             )
+        )
     elapsed = time.perf_counter() - t0
     if failures:
         print(f"\nchaos: {len(failures)} divergent resume(s) in {elapsed:.1f}s")

@@ -88,7 +88,7 @@ class RecordingPolicy:
         self._inner = inner
         self.name = getattr(inner, "name", type(inner).__name__)
         self.decisions: List[DecisionRecord] = []
-        if not hasattr(inner, "assign_batch_bulk"):
+        if getattr(inner, "assign_batch_bulk", None) is None:
             # Don't advertise the ledger path for policies without it —
             # the engine probes with getattr and must fall back cleanly.
             self.assign_batch_bulk = None

@@ -26,7 +26,7 @@ from typing import List, Optional
 #: ``Simulator``, ``SimulationConfig``, a shard or a policy), so a snapshot
 #: written before the change is refused instead of resuming into a graph
 #: with missing attributes.
-SNAPSHOT_FORMAT_VERSION = 3
+SNAPSHOT_FORMAT_VERSION = 4
 
 
 class SnapshotError(ValueError):

@@ -16,9 +16,9 @@ the repo relies on:
 * a short simulation produces finite, non-negative metrics (JCTs,
   round-completion times, rates);
 * the metrics row is **byte-identical across shard counts** — and, on
-  request, across sweep worker counts and across the scalar vs vectorized
-  dispatch paths (``--vectorized`` twin mode) — extending the determinism
-  contract of ``docs/ARCHITECTURE.md`` to every sampled composition.
+  request, across sweep worker counts and across the single-queue vs fleet
+  engines at one shard (``--vectorized`` twin mode) — extending the
+  determinism contract of ``docs/ARCHITECTURE.md`` to every sampled composition.
 
 Shrunk failing examples graduate into pinned regression tests
 (``tests/scenarios/test_fuzz_regressions.py``); the ``compress_arrivals``
@@ -223,10 +223,11 @@ def check_scenario(
 ) -> None:
     """Assert every fuzzed invariant for one (spec, base config) pair.
 
-    With ``vectorized=True``, every shard count additionally runs a twin on
-    the struct-of-arrays hot path (``ExperimentConfig.with_vectorized``)
-    whose metrics row must be byte-identical to the scalar run — the fuzz
-    leg of the vectorized-identity contract.
+    With ``vectorized=True``, the one-shard run additionally gets a twin on
+    the fleet engine (``ExperimentConfig.with_vectorized``) whose metrics
+    row must be byte-identical to the single-queue run — the fuzz leg of
+    the engine-identity contract.  Above one shard the run *is* the fleet
+    engine, so a twin there would be the same run twice.
 
     Raises ``AssertionError`` on the first violation; hypothesis shrinks
     the example, and the shrunk case belongs in
@@ -242,15 +243,15 @@ def check_scenario(
         row = metrics_row(spec.name, policy, metrics)
         _check_row_sane(row)
         rows[num_shards] = json.dumps(row, sort_keys=True)
-        if vectorized:
+        if vectorized and num_shards == 1:
             vec_env = spec.build_environment(config.with_vectorized(True))
             vec_metrics = run_policy(vec_env, policy)
             vec_row = json.dumps(
                 metrics_row(spec.name, policy, vec_metrics), sort_keys=True
             )
             assert vec_row == rows[num_shards], (
-                f"vectorized identity violated at num_shards={num_shards}: "
-                f"scalar vs vectorized produced different metrics rows"
+                "engine identity violated at num_shards=1: single-queue vs "
+                "fleet engine produced different metrics rows"
             )
     reference = rows[shards[0]]
     for num_shards in shards[1:]:
@@ -327,9 +328,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--vectorized", action="store_true",
-        help="additionally run a vectorized-dispatch twin at every shard "
-        "count and assert its metrics row is byte-identical to the scalar "
-        "run",
+        help="additionally run a fleet-engine twin of the one-shard run and "
+        "assert its metrics row is byte-identical to the single-queue run",
     )
     args = parser.parse_args(argv)
     if args.budget <= 0:

@@ -1,7 +1,7 @@
 """Event-driven collaborative-learning simulator substrate."""
 
 from .device import DeviceRuntime, DeviceStatus, SECONDS_PER_DAY
-from .dispatch import IdleDevicePool, PendingRequestPool, dispatch_pools
+from .dispatch import IdleDevicePool, PendingRequestPool
 from .engine import SimulationConfig, Simulator, run_simulation
 from .events import Event, EventQueue, EventType
 from .job import JobRuntime, RoundRecord
@@ -38,7 +38,6 @@ __all__ = [
     "build_shards",
     "collect_job_metrics",
     "compute_signatures",
-    "dispatch_pools",
     "per_job_speedups",
     "run_simulation",
     "speedup_over",

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .device import day_index
 
@@ -172,86 +172,61 @@ class IdleDevicePool:
     ) -> None:
         """Offer candidate devices to ``visit`` in ascending device-id order.
 
-        Single-pool convenience wrapper around :func:`dispatch_pools` (the
-        sharded engine dispatches across one pool per device shard; the
-        monolithic engine owns exactly one pool).
+        Only buckets whose signature intersects the pending requirement
+        names are visited — devices that cannot satisfy any pending
+        requirement are never touched.  ``visit`` offers one device to the
+        policy; whether the pending *name set* changed afterwards is
+        detected through ``pending_pool.names_version`` (an int compare per
+        visit, instead of materialising and comparing a fresh set).  Demand
+        can only shrink while dispatching (responses and deadlines are
+        future events), so when a requirement drops out the bucket list is
+        re-filtered and the remaining sweep narrows to signatures that can
+        still serve something — e.g. once the general jobs fill, a million
+        general-only devices are no longer walked in search of the last
+        high-performance stragglers.  Devices that remain active after
+        being visited are re-queued for future dispatches; each device is
+        visited at most once per call.
         """
-        dispatch_pools([self], pending_pool, now, visit)
+        self.promote(now)
+        active = self._active
+        pending = pending_pool.pending_requirements()
+        version = pending_pool.names_version
+
+        def eligible_buckets() -> List[List[int]]:
+            return [
+                bucket
+                for signature, bucket in self._buckets.items()
+                if signature & pending
+            ]
+
+        buckets = eligible_buckets()
+        revisit: List[int] = []
+        seen: Set[int] = set()
+        while pending:
+            best: Optional[List[int]] = None
+            for bucket in buckets:
+                # Drop stale heads so the head comparison sees live devices.
+                while bucket and (bucket[0] not in active or bucket[0] in seen):
+                    heapq.heappop(bucket)
+                if bucket and (best is None or bucket[0] < best[0]):
+                    best = bucket
+            if best is None:
+                break
+            device_id = heapq.heappop(best)
+            # A discard-then-re-add can leave duplicate heap entries; the
+            # ``seen`` set guarantees each device is visited at most once.
+            seen.add(device_id)
+            visit(device_id)
+            if device_id in active:
+                revisit.append(device_id)
+            if pending_pool.names_version != version:
+                version = pending_pool.names_version
+                pending = pending_pool.pending_requirements()
+                buckets = eligible_buckets()
+        for device_id in revisit:
+            signature = active.get(device_id)
+            if signature is not None:
+                heapq.heappush(self._buckets[signature], device_id)
 
 
-def dispatch_pools(
-    pools: Sequence["IdleDevicePool"],
-    pending_pool: PendingRequestPool,
-    now: float,
-    visit: Callable[[int], None],
-) -> None:
-    """Offer candidate devices across ``pools`` in ascending device-id order.
-
-    Only buckets whose signature intersects the pool's pending requirement
-    names are visited — devices that cannot satisfy any pending requirement
-    are never touched.  ``visit`` offers one device to the policy; whether
-    the pending *name set* changed afterwards is detected through the pool's
-    ``names_version`` counter (an int compare per visit, instead of
-    materialising and comparing a fresh set).  Demand can only shrink while
-    dispatching (responses and deadlines are future events), so when a
-    requirement drops out the bucket list is re-filtered and the remaining
-    sweep narrows to signatures that can still serve something — e.g. once
-    the general jobs fill, a million general-only devices are no longer
-    walked in search of the last high-performance stragglers.  Devices that
-    remain active after being visited are re-queued for future dispatches;
-    each device is visited at most once per call.
-
-    With several pools (one per device shard) the sweep is a k-way merge:
-    each step pops the globally smallest candidate device id across every
-    pool's eligible buckets, so the visit order — and therefore every
-    scheduling decision — is identical to a single pool holding the union
-    of the shards.
-    """
-    for pool in pools:
-        pool.promote(now)
-    pending = pending_pool.pending_requirements()
-    version = pending_pool.names_version
-
-    def eligible_buckets() -> List[Tuple["IdleDevicePool", List[int]]]:
-        return [
-            (pool, bucket)
-            for pool in pools
-            for signature, bucket in pool._buckets.items()
-            if signature & pending
-        ]
-
-    buckets = eligible_buckets()
-    revisit: List[Tuple["IdleDevicePool", int]] = []
-    seen: Set[int] = set()
-    while pending:
-        best: Optional[List[int]] = None
-        best_pool: Optional["IdleDevicePool"] = None
-        for pool, bucket in buckets:
-            # Drop stale heads so the head comparison sees live devices.
-            while bucket and (
-                bucket[0] not in pool._active or bucket[0] in seen
-            ):
-                heapq.heappop(bucket)
-            if bucket and (best is None or bucket[0] < best[0]):
-                best = bucket
-                best_pool = pool
-        if best is None:
-            break
-        device_id = heapq.heappop(best)
-        # A discard-then-re-add can leave duplicate heap entries; the
-        # ``seen`` set guarantees each device is visited at most once.
-        seen.add(device_id)
-        visit(device_id)
-        if device_id in best_pool._active:
-            revisit.append((best_pool, device_id))
-        if pending_pool.names_version != version:
-            version = pending_pool.names_version
-            pending = pending_pool.pending_requirements()
-            buckets = eligible_buckets()
-    for pool, device_id in revisit:
-        signature = pool._active.get(device_id)
-        if signature is not None:
-            heapq.heappush(pool._buckets[signature], device_id)
-
-
-__all__ = ["IdleDevicePool", "PendingRequestPool", "dispatch_pools"]
+__all__ = ["IdleDevicePool", "PendingRequestPool"]

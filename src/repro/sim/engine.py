@@ -46,21 +46,24 @@ Devices are offered to the policy in ascending device-id order — the order
 of the seed's full linear scans, which this path replaced; the golden
 regression tests pin the resulting assignment sequences.
 
-Coordinator/shard engine (multi-core single-scenario runs)
-----------------------------------------------------------
+Fleet engine (coordinator + device shards over arrays)
+------------------------------------------------------
 
-``SimulationConfig(num_shards=N)`` with ``N > 1`` splits the engine into a
+``SimulationConfig(num_shards=N)`` with ``N > 1`` — or
+``vectorized_dispatch=True`` at one shard — runs the other engine: a
 coordinator (scheduler state, plan maintenance, request lifecycle, the
 global decision order) and N device shards (:mod:`repro.sim.shard`), each
 owning a partition of device physics: availability event streams as sorted
-arrays, response queues, idle pools with daily-budget parking, precomputed
-eligibility signatures and per-shard metrics counters.  Events merge by
-``(time, seq)`` with the exact sequence enumeration of the single-queue
-engine, so **decisions and metrics are bit-identical for any shard count**
-— enforced by twin-run property tests, the golden fixtures and the
-decision/metrics hashes of ``tests/sim/test_engine_matrix.py``.  See
-``docs/ARCHITECTURE.md`` for the message protocol and the determinism
-contract.
+arrays, response queues and per-shard metrics counters.  Device state is
+struct-of-arrays (:mod:`repro.sim.vector`) and a device is its slot; static
+runs fold through batched kernels, idle dispatch is a mask over the arrays
+and policies offering ``assign_batch_bulk`` are consulted a cohort at a
+time.  Events merge by ``(time, seq)`` with the exact sequence enumeration
+of the single-queue engine, so **decisions and metrics are bit-identical to
+the single-queue reference for any shard count** — enforced by twin-run
+property tests, the golden fixtures and the decision/metrics hashes of
+``tests/sim/test_engine_matrix.py``.  See ``docs/ARCHITECTURE.md`` for the
+message protocol and the determinism contract.
 
 Randomness splits in two: device latency/failure draws come from
 per-device counter-based streams keyed by ``(SimulationConfig.seed,
@@ -91,8 +94,8 @@ Crash safety (``docs/RESILIENCE.md``)
 :meth:`Simulator.snapshot` pickles the full simulator graph at an event
 boundary and :meth:`Simulator.resume` reconstructs it; the contract is
 *exact resume* — the continued run's decisions and metrics are
-bit-identical to the uninterrupted twin's at every shard count, scalar and
-vectorized (the chaos harness ``python -m repro.resilience.chaos`` enforces
+bit-identical to the uninterrupted twin's on both engines at every shard
+count (the chaos harness ``python -m repro.resilience.chaos`` enforces
 this).  ``SimulationConfig(checkpoint_interval=N)`` snapshots every N
 events; ``SimulationConfig(fault_plan=...)`` injects declarative faults
 (coordinator crash, shard kill/stall, dropped plan broadcast) at event
@@ -102,6 +105,8 @@ boundaries — both are strict no-ops when unset.
 from __future__ import annotations
 
 import heapq
+import math
+import numbers
 import pickle
 import time
 from dataclasses import dataclass, field, replace
@@ -129,7 +134,7 @@ from ..resilience.snapshot import (
 from ..traces.device_trace import DeviceAvailabilityTrace
 from ..traces.workloads import Workload
 from .device import SECONDS_PER_DAY, DeviceRuntime, DeviceStatus, day_index
-from .dispatch import IdleDevicePool, PendingRequestPool, dispatch_pools
+from .dispatch import IdleDevicePool, PendingRequestPool
 from .events import Event, EventQueue, EventType
 from .job import JobRuntime, RoundCompletion
 from .latency import LatencyConfig, ResponseLatencyModel
@@ -160,23 +165,19 @@ class SimulationConfig:
     #: Latency model parameters.
     latency: LatencyConfig = field(default_factory=LatencyConfig)
     #: Number of device shards.  ``1`` (the default) runs the in-process
-    #: single-queue engine; ``N > 1`` runs the coordinator/shard engine of
-    #: :mod:`repro.sim.shard` — device physics partitioned across N shards,
-    #: decisions still made centrally, and **bit-identical decisions and
-    #: metrics for any shard count** (enforced by the shard-identity tests
-    #: and the engine-matrix decision hash).
+    #: single-queue reference engine; ``N > 1`` runs the fleet engine — a
+    #: coordinator and N device shards (:mod:`repro.sim.shard`) over
+    #: struct-of-arrays device state (:mod:`repro.sim.vector`), decisions
+    #: still made centrally, **bit-identical decisions and metrics for any
+    #: shard count** (shard-identity tests, engine-matrix decision hash).
     num_shards: int = 1
-    #: Force the coordinator/shard loop at ``num_shards=1`` (the
-    #: scalar-sharded ×1 cell of the engine matrix); ``num_shards > 1``
-    #: runs it regardless.
-    sharded_dispatch: bool = False
-    #: Run the vectorized hot path: struct-of-arrays device state
-    #: (:mod:`repro.sim.vector`), batched fold kernels for static check-in/
-    #: checkout runs, mask-based idle dispatch and batched latency draws.
-    #: Decisions and metrics are **bit-identical** to the scalar oracle for
-    #: any shard count (enforced by golden fixtures, the engine-matrix
-    #: blake2b gates and the scenario fuzzer's twin mode).  Implies the
-    #: coordinator/shard engine even at ``num_shards=1``.
+    #: Run the fleet engine at one shard as well: batched fold kernels for
+    #: static check-in/checkout runs, mask-based idle dispatch, batched
+    #: latency draws and — for policies offering ``assign_batch_bulk`` —
+    #: bulk consults of large dispatch cohorts.  Decisions and metrics are
+    #: **bit-identical** to the single-queue reference for any shard count
+    #: (enforced by golden fixtures, the engine-matrix blake2b gates and the
+    #: scenario fuzzer's twin mode).
     vectorized_dispatch: bool = False
     #: Periodic checkpointing: take a full-state snapshot every N processed
     #: events (``None`` disables).  Snapshots land on the simulator's
@@ -188,18 +189,21 @@ class SimulationConfig:
     #: ``None`` (the default) is a strict no-op — pristine runs replay the
     #: historical event and draw sequences exactly.
     fault_plan: Optional[FaultPlan] = None
-    #: Batched decision path: hand large same-time device cohorts to the
-    #: policy's ``assign_batch_bulk`` (when it offers one) instead of one
-    #: ``assign`` per device.  Decisions and metrics are **bit-identical**
-    #: either way (the scalar consult is the oracle; enforced by the
-    #: differential suite and the engine-matrix test).  Only the vectorized
-    #: engine consults it; scalar/sharded runs always use per-device
-    #: consults.
-    batched_assign: bool = True
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite (got {self.horizon})")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        counts = [("max_events", self.max_events), ("num_shards", self.num_shards)]
+        if self.checkpoint_interval is not None:
+            counts.append(("checkpoint_interval", self.checkpoint_interval))
+        for name, value in counts:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(
+                    f"{name} must be an int (got {type(value).__name__} "
+                    f"{value!r})"
+                )
         if self.max_events <= 0:
             raise ValueError("max_events must be positive")
         if self.num_shards < 1:
@@ -216,8 +220,7 @@ class SimulationConfig:
             if not self.use_sharded_engine:
                 raise ValueError(
                     "shard faults need the coordinator/shard engine "
-                    "(num_shards > 1, sharded_dispatch=True or "
-                    "vectorized_dispatch=True)"
+                    "(num_shards > 1 or vectorized_dispatch=True)"
                 )
             if plan.max_shard >= self.num_shards:
                 raise ValueError(
@@ -227,10 +230,8 @@ class SimulationConfig:
 
     @property
     def use_sharded_engine(self) -> bool:
-        """Whether runs use the coordinator/shard engine."""
-        return (
-            self.vectorized_dispatch or self.sharded_dispatch or self.num_shards > 1
-        )
+        """Whether runs use the coordinator/shard (fleet) engine."""
+        return self.vectorized_dispatch or self.num_shards > 1
 
 
 #: Sentinel for ``Simulator.resume``: keep the snapshot's pickled fault
@@ -345,20 +346,18 @@ class Simulator:
         self._deadline_events: Dict[int, Event] = {}
         self._pending = PendingRequestPool()
         self._idle_pool = IdleDevicePool()
-        #: Coordinator/shard engine state (built lazily in ``run`` so shard
-        #: construction is part of the measured run, like the legacy
-        #: engine's initial event scheduling).
-        self._sharded = bool(self.config.use_sharded_engine)
+        #: Fleet engine: coordinator/shard loop over struct-of-arrays device
+        #: state.  Shards and arrays are built lazily in ``run`` so their
+        #: construction is part of the measured run, like the single-queue
+        #: engine's initial event scheduling.  A device is its slot there:
+        #: :attr:`devices` stays unbuilt until read.
+        self._fleet = bool(self.config.use_sharded_engine)
         self._num_shards = int(self.config.num_shards)
         self._shards: List["DeviceShard"] = []
-        #: Vectorized hot path: struct-of-arrays device state + batched
-        #: kernels (built in ``_setup_vector_state`` on sharded setup).  A
-        #: device is its slot there: :attr:`devices` stays unbuilt until read.
-        self._vectorized = bool(self.config.vectorized_dispatch)
         self._vec: Optional[VectorDeviceState] = None
         self._devices: Optional[Dict[int, DeviceRuntime]] = None
-        if not self._vectorized:
-            self._build_devices()  # these engines mutate them per event
+        if not self._fleet:
+            self._build_devices()  # the single-queue engine mutates them per event
         #: Deferred assignments awaiting their batched latency draw:
         #: ``(slot, profile, job, request, seq, session_end, plan_version)``.
         self._assign_buf: list = []
@@ -366,16 +365,12 @@ class Simulator:
         #: was last cached (assignment messages land mid-decision).
         self._dirty_shards: set = set()
         self._policy_has_plan_version = hasattr(policy, "plan_version")
-        #: Batched decision path (vectorized engine only): policies exposing
+        #: Bulk decision path (fleet engine only): policies exposing
         #: ``assign_batch_bulk`` (Venn) resolve a whole dispatch cohort in
         #: one call and the engine commits the proposals in bulk.  ``None``
-        #: — ``batched_assign`` off or a policy without the hook — keeps
-        #: every sweep on per-device consults.
-        self._policy_bulk_assign = (
-            getattr(policy, "assign_batch_bulk", None)
-            if self.config.batched_assign
-            else None
-        )
+        #: — a policy without the hook — keeps every sweep on per-device
+        #: consults.
+        self._policy_bulk_assign = getattr(policy, "assign_batch_bulk", None)
         # The engine's own signature space: the workload's full requirement
         # set is known up front, so each device's eligibility signature is
         # computed once (lazily, at first check-in) and cached forever.
@@ -447,7 +442,7 @@ class Simulator:
         """Run the simulation to the horizon and return aggregate metrics."""
         if self._finished:
             return self._metrics
-        if self._sharded:
+        if self._fleet:
             return self._run_sharded()
         if not self._started:
             self._started = True
@@ -482,10 +477,7 @@ class Simulator:
                     self._events_processed += 1
             elif event.type is EventType.DEVICE_RESPONSE:
                 self._on_device_response(
-                    self._devices[event.device_id],
-                    event.request_id,
-                    event.success,
-                    self._metrics,
+                    self._devices[event.device_id], event.request_id, event.success
                 )
                 self._events_processed += 1
             else:
@@ -520,7 +512,7 @@ class Simulator:
         state["_round_callback"] = None
         state["_checkpoint_sink"] = None
         state["last_snapshot"] = None
-        if self._vectorized:
+        if self._fleet:
             state["_devices"] = None  # a view of the arrays, rebuilt on read
         return state
 
@@ -685,8 +677,7 @@ class Simulator:
                 )
                 arrivals += 1
         self._shards, consumed = build_shards(
-            self._device_profiles,
-            {} if self._vectorized else self._devices,
+            np.array([d.device_id for d in self._device_profiles], dtype=np.int64),
             self.availability,
             self._num_shards,
             self.config.horizon,
@@ -703,6 +694,9 @@ class Simulator:
         self.policy.bind_signature_provider(
             self._device_signatures.__getitem__, tuple(self._requirements)
         )
+        self._vec = VectorDeviceState(
+            self._device_profiles, self._device_signatures
+        )
 
     def _run_sharded(self) -> SimulationMetrics:
         """Main loop of the coordinator: merge shard streams + own queue.
@@ -717,8 +711,6 @@ class Simulator:
         if not self._started:
             self._started = True
             self._setup_sharded()
-            if self._vectorized:
-                self._setup_vector_state()
         horizon = self.config.horizon
         queue = self.queue
         shards = self._shards
@@ -729,8 +721,6 @@ class Simulator:
             self.config.checkpoint_interval is not None
             or self._injector is not None
         )
-        vectorized = self._vectorized
-        drain = self._drain_shard_vec if vectorized else self._drain_shard
         heads = [sh.head_key() for sh in shards]
         dirty = self._dirty_shards
         q_key = queue.peek_key() or INF_KEY
@@ -744,7 +734,33 @@ class Simulator:
                     best_i = i
             if best[0] > horizon:
                 break
-            if best_i < 0:
+            if best_i >= 0:
+                shard = shards[best_i]
+                if not (shard.heap and shard.heap[0][:2] == best):
+                    # Static run: drain this shard's check-in/checkout batch
+                    # up to the next event of any other source.
+                    limit = q_key
+                    for i in range(num_shards):
+                        if i != best_i and heads[i] < limit:
+                            limit = heads[i]
+                    self._drain_shard_vec(shard, limit, horizon)
+                    heads[best_i] = shard.head_key()
+                    dirty.discard(best_i)
+                    if hook and self._post_event_hook():
+                        q_key = queue.peek_key() or INF_KEY
+                        for i in range(num_shards):
+                            heads[i] = shards[i].head_key()
+                        dirty.clear()
+                    continue
+                # Dynamic shard event: a device response.
+                t, _seq, slot, request_id, _job_id, success = heapq.heappop(
+                    shard.heap
+                )
+                self.now = t
+                self._handle_shard_response_vec(shard, slot, request_id, success)
+                shard.events_processed += 1
+                dirty.add(best_i)
+            else:
                 # Coordinator event: job arrival or request deadline.
                 event = queue.pop()
                 if event is None:  # pragma: no cover - peek_key guards this
@@ -754,171 +770,30 @@ class Simulator:
                     self._on_job_arrival(event)
                 else:
                     self._on_request_deadline(event)
-                self._events_processed += 1
-                if self._events_processed >= self.config.max_events:
-                    raise RuntimeError(
-                        "simulation exceeded max_events; check for livelock "
-                        "or raise SimulationConfig.max_events"
-                    )
-                q_key = queue.peek_key() or INF_KEY
-                for i in dirty:
-                    heads[i] = shards[i].head_key()
-                dirty.clear()
-                if hook and self._post_event_hook():
-                    # A fired fault rewrote shard queues; every cached head
-                    # key may be stale.
-                    for i in range(num_shards):
-                        heads[i] = shards[i].head_key()
-                if self._unfinished_jobs == 0:
-                    break
-                continue
-            shard = shards[best_i]
-            if shard.heap and shard.heap[0][:2] == best:
-                # Dynamic shard event: a device response.
-                t, _seq, who, request_id, _job_id, success = heapq.heappop(
-                    shard.heap
+            self._events_processed += 1
+            if self._events_processed >= self.config.max_events:
+                raise RuntimeError(
+                    "simulation exceeded max_events; check for livelock "
+                    "or raise SimulationConfig.max_events"
                 )
-                self.now = t
-                if vectorized:
-                    self._handle_shard_response_vec(shard, who, request_id, success)
-                else:
-                    self._on_device_response(
-                        shard.runtimes[who], request_id, success, shard.metrics
-                    )
-                self._events_processed += 1
-                shard.events_processed += 1
-                if self._events_processed >= self.config.max_events:
-                    raise RuntimeError(
-                        "simulation exceeded max_events; check for livelock "
-                        "or raise SimulationConfig.max_events"
-                    )
-                q_key = queue.peek_key() or INF_KEY
-                if num_shards == 1:
-                    heads[0] = shard.head_key()
-                    dirty.clear()
-                else:
-                    dirty.add(best_i)
-                    for i in dirty:
-                        heads[i] = shards[i].head_key()
-                    dirty.clear()
-                if hook and self._post_event_hook():
-                    for i in range(num_shards):
-                        heads[i] = shards[i].head_key()
-                if self._unfinished_jobs == 0:
-                    break
-                continue
-            # Static run: drain this shard's check-in/checkout batch up to
-            # the next event of any other source.
-            limit = q_key
-            for i in range(num_shards):
-                if i != best_i and heads[i] < limit:
-                    limit = heads[i]
-            drain(shard, limit, horizon)
-            heads[best_i] = shard.head_key()
-            dirty.discard(best_i)
+            q_key = queue.peek_key() or INF_KEY
+            for i in dirty:
+                heads[i] = shards[i].head_key()
+            dirty.clear()
             if hook and self._post_event_hook():
-                q_key = queue.peek_key() or INF_KEY
+                # A fired fault rewrote shard queues; every cached head key
+                # may be stale.
                 for i in range(num_shards):
                     heads[i] = shards[i].head_key()
-                dirty.clear()
+            if self._unfinished_jobs == 0:
+                break
         self._finalise()
         self._finished = True
         return self._metrics
 
-    def _drain_shard(
-        self, shard: DeviceShard, limit: tuple, horizon: float
-    ) -> None:
-        """Process ``shard``'s static events while they stay globally next.
-
-        The batch ends at ``limit`` (the next event of any *other* source),
-        at the horizon, or as soon as one of the shard's own response
-        events becomes due (responses go through the per-event path).
-        Static device events mutate only shard-resident state — device
-        runtimes, the shard's idle pool, its metrics counters — plus the
-        coordinator's supply estimator and, when demand is pending, one
-        assignment decision for the checking-in device itself; none of that
-        can make another source's next event earlier, which is what makes
-        the batch safe.
-        """
-        cursor = shard.cursor
-        length = shard.st_len
-        rows, off, w_hi = shard.w_rows, shard.w_lo, shard.w_hi
-        heap = shard.heap
-        runtimes = shard.runtimes
-        pool = shard.pool
-        metrics = shard.metrics
-        signatures = self._device_signatures
-        policy_checkin = self.policy.on_device_checkin
-        pending = self._pending
-        enforce_daily = self.config.enforce_daily_limit
-        limit_t, limit_s = limit
-        busy = DeviceStatus.BUSY
-        budget = self.config.max_events - self._events_processed
-        processed = 0
-        while cursor < length:
-            if not off <= cursor < w_hi:
-                rows, off, w_hi = shard.refill(cursor)
-            t, seq, device_id, session_end, is_checkin = rows[cursor - off]
-            if t > limit_t or (t == limit_t and seq > limit_s) or t > horizon:
-                break
-            if heap:
-                head = heap[0]
-                if head[0] < t or (head[0] == t and head[1] < seq):
-                    break  # a response of this shard is due first
-            cursor += 1
-            self.now = t
-            device = runtimes[device_id]
-            if is_checkin:
-                if device.status is busy:
-                    # The previous task overran into this session; treat the
-                    # new session as extending the device's online window.
-                    if session_end > device.session_end:
-                        device.session_end = session_end
-                else:
-                    device.check_in(t, session_end)
-                    signature = signatures[device_id]
-                    if enforce_daily and device.participated_today(t):
-                        pool.park(
-                            device_id, signature,
-                            device.last_participation_day + 1,
-                        )
-                    else:
-                        pool.add(device_id, signature)
-                    metrics.total_checkins += 1
-                    policy_checkin(device.profile, t)
-                    if pending and device.can_take_task(t, enforce_daily):
-                        self._try_assign(device)
-            else:  # checkout
-                if device.status is not busy:
-                    if device.is_online and device.session_end <= session_end:
-                        device.check_out()
-                        pool.discard(device_id)
-            processed += 1
-            if processed >= budget:
-                shard.cursor = cursor
-                shard.events_processed += processed
-                self._events_processed += processed
-                raise RuntimeError(
-                    "simulation exceeded max_events; check for livelock or "
-                    "raise SimulationConfig.max_events"
-                )
-        shard.cursor = cursor
-        shard.events_processed += processed
-        self._events_processed += processed
-
     # ------------------------------------------------------------------ #
-    # Vectorized hot path (SimulationConfig.vectorized_dispatch)
+    # Fleet-engine hot path: fold kernels, drains, bulk dispatch
     # ------------------------------------------------------------------ #
-    def _setup_vector_state(self) -> None:
-        """Build the struct-of-arrays device state and the streams' slot
-        columns (computed once, vectorized)."""
-        self._vec = VectorDeviceState(
-            self._device_profiles, self._device_signatures
-        )
-        for shard in self._shards:
-            shard.sa_slot = self._vec.slots_for(shard.sa_dev)
-            shard.sa_dev = None  # one identity column: rows carry the slot
-
     #: Below this run length the per-event loop beats the numpy kernel:
     #: a fold_slice call costs ~100 us of array-op overhead regardless of
     #: size, while a Python-loop event costs well under 1 us.  The two
@@ -1000,13 +875,12 @@ class Simulator:
     def _drain_small(self, shard: DeviceShard, lo: int, hi: int) -> tuple:
         """Per-event twin of the drain body for short slices.
 
-        Replays the scalar engine's loop against the array state: each
-        check-in transitions (busy max-extend or re-open + policy hook +
+        Replays the single-queue engine's handlers against the array state:
+        each check-in transitions (busy max-extend or re-open + policy hook +
         dispatch attempt), each checkout closes a covered idle session.
         After an assignment flush, subsequent events are re-checked
-        against the shard's response head — exactly the scalar loop's
-        per-event heap comparison — so a freshly scheduled response stops
-        the drain in the same place.  Returns ``(processed, cursor)``.
+        against the shard's response head, so a freshly scheduled response
+        stops the drain exactly where the event order says it must.  Returns ``(processed, cursor)``.
         """
         vec = self._vec
         status = vec.status
@@ -1055,19 +929,28 @@ class Simulator:
     def _drain_shard_vec(
         self, shard: DeviceShard, limit: tuple, horizon: float
     ) -> None:
-        """Vectorized twin of :meth:`_drain_shard`.
+        """Process ``shard``'s static events while they stay globally next.
+
+        The batch ends at ``limit`` (the next event of any *other* source),
+        at the horizon, or as soon as one of the shard's own response
+        events becomes due (responses go through the per-event path).
+        Static device events mutate only the device arrays and the shard's
+        counters, plus the coordinator's supply estimator and, when demand
+        is pending, one assignment decision for the checking-in device
+        itself; none of that can make another source's next event earlier,
+        which is what makes the batch safe.
 
         The slice bound (``limit``, the horizon, the shard's own response
         head) is resolved once by binary search instead of per event.
         With no pending demand the whole slice folds in one kernel.  With
-        demand pending, *candidate* check-ins — events the scalar loop
-        would offer to the policy — are located with one mask (non-busy at
+        demand pending, *candidate* check-ins — events the single-queue
+        engine would offer to the policy — are located with one mask (non-busy at
         slice start, day budget available; an over-approximation re-checked
         exactly per candidate) and processed scalar-on-arrays in order,
         while the assignment-free gaps between them fold as kernels.  An
         assignment can schedule a response that precedes the remaining
-        static events; the drain then stops early, exactly like the scalar
-        loop's per-event heap check.
+        static events; the drain then stops early, exactly where a per-event
+        heap check (:meth:`_drain_small`) would.
         """
         vec = self._vec
         sa_time = shard.sa_time
@@ -1107,8 +990,8 @@ class Simulator:
         if 0 < hi - cursor <= self._DRAIN_SCALAR_MAX:
             # Short slices (the common case in response-dominated
             # stretches) skip the mask machinery: a per-event loop over
-            # the shard's decoded window replays the scalar engine's drain
-            # exactly, including the per-event response-head check.
+            # the shard's decoded window replays the single-queue handlers
+            # exactly, with a per-event response-head check.
             processed, cursor = self._drain_small(shard, cursor, hi)
             hi = cursor
         while cursor < hi:
@@ -1120,10 +1003,7 @@ class Simulator:
             slots_v = sa_slot[base:hi]
             cand = sa_ci[base:hi] & (status[slots_v] != STATUS_BUSY)
             if enforce_daily:
-                days = np.floor_divide(
-                    sa_time[base:hi], SECONDS_PER_DAY
-                ).astype(np.int64)
-                cand &= last_day[slots_v] != days
+                cand &= last_day[slots_v] != vec.day_of(sa_time[base:hi])
             cand_pos = np.nonzero(cand)[0]
             if cand_pos.size == 0:
                 processed += self._fold_into(shard, base, hi)
@@ -1161,8 +1041,8 @@ class Simulator:
                             # A freshly scheduled response may precede the
                             # remaining static events; clamp the slice
                             # bound so the drain hands control back exactly
-                            # where the scalar per-event heap check would
-                            # have broken.  Responses usually land far past
+                            # where the per-event heap check would have
+                            # broken.  Responses usually land far past
                             # the slice (task durations are minutes), so a
                             # one-read time comparison skips the binary
                             # searches almost every time.
@@ -1196,7 +1076,7 @@ class Simulator:
     def _handle_shard_response_vec(
         self, shard: DeviceShard, slot: int, request_id: int, success: bool
     ) -> None:
-        """Vectorized twin of :meth:`_on_device_response`; heap rows carry slots."""
+        """Array-state twin of :meth:`_on_device_response`; heap rows carry slots."""
         vec = self._vec
         request = self._requests.get(request_id)
         now = self.now
@@ -1238,33 +1118,16 @@ class Simulator:
             self._flush_assignments()
 
     def _try_assign_vec(self, slot: int) -> None:
-        """Vectorized twin of :meth:`_try_assign`: same policy consultation
-        and validity checks, state transition on the arrays, and the latency
+        """Array-state twin of :meth:`_try_assign`: the same consult
+        (:meth:`_consult`), state transition on the arrays, and the latency
         draw deferred to :meth:`_flush_assignments` (the response's sequence
         number and plan version are claimed here, in decision order)."""
         vec = self._vec
         profile = vec.profiles[slot]
-        request = self.policy.assign(profile, self.now)
+        request = self._consult(profile)
         if request is None:
             return
-        if not request.is_open or request.remaining_demand <= 0:
-            return
-        if request.is_assigned(profile.device_id):
-            return
-        job = self.jobs.get(request.job_id)
-        if job is None:
-            raise ValueError(
-                f"policy assigned device {profile.device_id} to unknown job "
-                f"{request.job_id}"
-            )
-        if not job.spec.requirement.is_eligible(profile):
-            raise ValueError(
-                f"policy assigned ineligible device {profile.device_id} to job "
-                f"{request.job_id} ({job.spec.requirement.name})"
-            )
-        request.record_assignment(profile.device_id, self.now)
-        if request.remaining_demand == 0:
-            self._pending.remove(request.job_id)
+        job = self.jobs[request.job_id]
         vec.status[slot] = STATUS_BUSY
         vec.last_day[slot] = int(self.now // SECONDS_PER_DAY)
         self._assign_buf.append(
@@ -1549,7 +1412,7 @@ class Simulator:
         return [shard.stats() for shard in self._shards]
 
     def _finalise(self) -> None:
-        if self._vectorized and self._devices is not None:
+        if self._fleet and self._devices is not None:
             self._build_devices()
         horizon = self.config.horizon
         for job in self.jobs.values():
@@ -1578,16 +1441,9 @@ class Simulator:
             self._device_signatures[device.device_id] = sig
         return sig
 
-    def _pool_of(self, device_id: int) -> IdleDevicePool:
-        """The idle pool tracking ``device_id``: its shard's, or the
-        single-queue engine's one pool."""
-        if self._sharded:
-            return self._shards[device_id % self._num_shards].pool
-        return self._idle_pool
-
     def _note_idle(self, device: DeviceRuntime) -> None:
         """Device became idle: track it, parking daily-spent devices."""
-        pool = self._pool_of(device.device_id)
+        pool = self._idle_pool
         sig = self._signature(device)
         if self.config.enforce_daily_limit and device.participated_today(self.now):
             pool.park(device.device_id, sig, device.last_participation_day + 1)
@@ -1595,12 +1451,12 @@ class Simulator:
             pool.add(device.device_id, sig)
 
     def _note_not_idle(self, device_id: int) -> None:
-        self._pool_of(device_id).discard(device_id)
+        self._idle_pool.discard(device_id)
 
     def _refund_daily_budget(self, device: DeviceRuntime) -> None:
         """The device's round was discarded; it keeps its daily budget."""
         device.last_participation_day = None
-        pool = self._pool_of(device.device_id)
+        pool = self._idle_pool
         if device.is_idle:
             pool.unpark(device.device_id)
         else:
@@ -1649,14 +1505,9 @@ class Simulator:
             self._note_not_idle(device.device_id)
 
     def _on_device_response(
-        self,
-        device: DeviceRuntime,
-        request_id: int,
-        success: bool,
-        metrics: SimulationMetrics,
+        self, device: DeviceRuntime, request_id: int, success: bool
     ) -> None:
-        """A device's task ended (single-queue and scalar-sharded engines);
-        ``metrics`` is the counter sink — the run's or the device's shard's."""
+        """A device's task ended (single-queue engine)."""
         request = self._requests.get(request_id)
         if request is not None:
             request.in_flight -= 1
@@ -1666,9 +1517,9 @@ class Simulator:
         else:
             self._note_not_idle(device.device_id)
         if success:
-            metrics.total_responses += 1
+            self._metrics.total_responses += 1
         else:
-            metrics.total_failures += 1
+            self._metrics.total_failures += 1
 
         if success and request is not None and request.is_open:
             request.record_response(device.device_id, self.now)
@@ -1703,7 +1554,7 @@ class Simulator:
         # one-job-per-day limit: the round's work was discarded and the device
         # is still charging/idle, so it may be re-matched.  Devices still
         # executing the aborted task are released when their response fires.
-        if self._vectorized and self._vec is not None:
+        if self._fleet:
             vec = self._vec
             slots = vec.slots_for(request.assigned)
             vec.last_day[slots[vec.status[slots] != STATUS_BUSY]] = -1
@@ -1795,29 +1646,42 @@ class Simulator:
     # ------------------------------------------------------------------ #
     # Assignment helpers
     # ------------------------------------------------------------------ #
-    def _try_assign(self, device: DeviceRuntime) -> None:
-        request = self.policy.assign(device.profile, self.now)
+    def _consult(self, profile: DeviceProfile) -> Optional[ResourceRequest]:
+        """Offer one device to the policy (both engines' per-device consult).
+
+        Returns the request the device was assigned to, with the assignment
+        recorded and the pending pool updated, or ``None`` when the policy
+        passed or proposed something that cannot be taken.
+        """
+        request = self.policy.assign(profile, self.now)
         if request is None:
-            return
+            return None
         if not request.is_open or request.remaining_demand <= 0:
-            return
-        if request.is_assigned(device.device_id):
+            return None
+        if request.is_assigned(profile.device_id):
             # A device never participates twice in the same round request.
-            return
+            return None
         job = self.jobs.get(request.job_id)
         if job is None:
             raise ValueError(
-                f"policy assigned device {device.device_id} to unknown job "
+                f"policy assigned device {profile.device_id} to unknown job "
                 f"{request.job_id}"
             )
-        if not job.spec.requirement.is_eligible(device.profile):
+        if not job.spec.requirement.is_eligible(profile):
             raise ValueError(
-                f"policy assigned ineligible device {device.device_id} to job "
+                f"policy assigned ineligible device {profile.device_id} to job "
                 f"{request.job_id} ({job.spec.requirement.name})"
             )
-        request.record_assignment(device.device_id, self.now)
+        request.record_assignment(profile.device_id, self.now)
         if request.remaining_demand == 0:
             self._pending.remove(request.job_id)
+        return request
+
+    def _try_assign(self, device: DeviceRuntime) -> None:
+        request = self._consult(device.profile)
+        if request is None:
+            return
+        job = self.jobs[request.job_id]
         device.start_task(job.job_id, request.request_id, self.now)
         self._note_not_idle(device.device_id)
 
@@ -1832,35 +1696,14 @@ class Simulator:
             # A dropout is detected either when the task would have finished
             # or when the device goes offline, whichever comes first.
             finish_time = min(self.now + duration, max(device.session_end, self.now))
-        if self._sharded:
-            # Coordinator→shard assignment message: the owning shard queues
-            # the response.  The sequence number comes from the coordinator
-            # counter, so the response sorts exactly where the single-queue
-            # engine's push would have placed it.
-            shard_index = device.device_id % self._num_shards
-            self._shards[shard_index].schedule_response(
-                finish_time,
-                self.queue.next_seq(),
-                device.device_id,
-                request.request_id,
-                job.job_id,
-                success,
-                plan_version=(
-                    self.policy.plan_version
-                    if self._policy_has_plan_version
-                    else None
-                ),
-            )
-            self._dirty_shards.add(shard_index)
-        else:
-            self.queue.push(
-                finish_time,
-                EventType.DEVICE_RESPONSE,
-                device_id=device.device_id,
-                request_id=request.request_id,
-                job_id=job.job_id,
-                success=success,
-            )
+        self.queue.push(
+            finish_time,
+            EventType.DEVICE_RESPONSE,
+            device_id=device.device_id,
+            request_id=request.request_id,
+            job_id=job.job_id,
+            success=success,
+        )
 
     def _dispatch_idle_devices(self) -> None:
         """Offer idle online devices to the policy while demand remains.
@@ -1870,7 +1713,7 @@ class Simulator:
         """
         if not self._pending:
             return
-        if self._vectorized and self._vec is not None:
+        if self._fleet:
             self._dispatch_idle_devices_vec()
             return
         cfg_daily = self.config.enforce_daily_limit
@@ -1881,17 +1724,7 @@ class Simulator:
             if device.can_take_task(self.now, cfg_daily):
                 self._try_assign(device)
 
-        if self._sharded:
-            # k-way merge across the shard-resident pools: globally
-            # ascending device-id order, exactly like one union pool.
-            dispatch_pools(
-                [shard.pool for shard in self._shards],
-                self._pending,
-                self.now,
-                visit,
-            )
-        else:
-            self._idle_pool.dispatch(self._pending, self.now, visit)
+        self._idle_pool.dispatch(self._pending, self.now, visit)
 
 
 def run_simulation(

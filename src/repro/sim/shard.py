@@ -1,24 +1,24 @@
-"""Device shards: the device-physics half of the sharded simulation engine.
+"""Device shards: the device-physics half of the fleet engine.
 
-The monolithic engine kept every device's availability events in one global
-heap and computed device eligibility signatures one at a time on the hot
-path.  The sharded engine (``SimulationConfig(num_shards=N)``) splits that
-work across N :class:`DeviceShard` objects, each owning a partition of the
-device population (``device_id % num_shards == shard_index``):
+The single-queue engine keeps every device's availability events in one
+global heap and computes device eligibility signatures one at a time on the
+hot path.  The fleet engine (``SimulationConfig(num_shards=N)`` with
+``N > 1``, or ``vectorized_dispatch=True``) splits that work across N
+:class:`DeviceShard` objects, each owning a partition of the device
+population (``device_id % num_shards == shard_index``):
 
 * the shard's **static event stream** — every check-in / checkout of its
   devices over the horizon — is built once as sorted parallel numpy
-  columns instead of millions of heap pushes.  The columns are the only
-  copy: the batched kernels slice them, and the per-event readers go
-  through one bounded window of decoded Python rows
+  columns instead of millions of heap pushes.  A device is named by its
+  *slot* (its rank in ascending device-id order, the index of its state in
+  :class:`~repro.sim.vector.VectorDeviceState`) from construction on.  The
+  columns are the only copy: the batched kernels slice them, and the
+  per-event readers go through one bounded window of decoded Python rows
   (:meth:`DeviceShard.refill`, :data:`STREAM_WINDOW` events at a time) that
   follows the shard's monotone cursor;
 * the shard's **dynamic queue** holds the response events of its devices
   (scheduled by the coordinator when it assigns one of the shard's devices);
-* the shard's **idle pool** (:class:`~repro.sim.dispatch.IdleDevicePool`)
-  tracks which of its devices are dispatchable, including daily-budget
-  parking;
-* the shard's **eligibility signatures** are precomputed for the workload's
+* the fleet's **eligibility signatures** are precomputed for the workload's
   requirement set in one vectorised pass (:func:`compute_signatures`).
 
 The coordinator (the engine) merges the shard streams deterministically by
@@ -36,9 +36,9 @@ have assigned them (job arrivals take ``0..J-1``, then session *i* of the
 globally-sorted session list takes ``J + 2i`` for its check-in and
 ``J + 2i + 1`` for its checkout).  Dynamic events take coordinator-issued
 sequence numbers from the same counter.  Merging shard streams by
-``(time, seq)`` therefore reproduces the legacy engine's processing order
-*exactly*, for any shard count — the property the shard-identity tests and
-the engine-matrix decision hash enforce.
+``(time, seq)`` therefore reproduces the single-queue engine's processing
+order *exactly*, for any shard count — the property the shard-identity
+tests and the engine-matrix decision hash enforce.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ import numpy as np
 
 from ..core.requirements import EligibilityRequirement, signature_of
 from ..core.types import DeviceProfile
-from .device import DeviceRuntime
-from .dispatch import IdleDevicePool
 from .metrics import SimulationMetrics
 
 #: Sentinel key sorting after every real event.
@@ -65,14 +63,9 @@ INF_KEY: Tuple[float, int] = (float("inf"), 1 << 62)
 #: at 1, 3 and 64).
 STREAM_WINDOW = 1024
 
-#: One shard's static stream: ``(time, seq, device_id, session_end,
-#: is_checkin)`` columns sorted by ``(time, seq)``.
+#: One shard's static stream: ``(time, seq, slot, session_end, is_checkin)``
+#: columns sorted by ``(time, seq)``.
 StaticStream = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def shard_of(device_id: int, num_shards: int) -> int:
-    """The shard owning ``device_id`` (fixed modulo partition)."""
-    return device_id % num_shards
 
 
 def compute_signatures(
@@ -136,7 +129,7 @@ def compute_signatures(
 
 def make_static_stream(
     starts: np.ndarray,
-    device_ids: np.ndarray,
+    slots: np.ndarray,
     ends: np.ndarray,
     seqs: np.ndarray,
     horizon: float,
@@ -146,7 +139,7 @@ def make_static_stream(
     Inputs are the shard's sessions *in global session-sort order* together
     with the global sequence number of each session's check-in event (the
     checkout takes ``seq + 1``).  Returns five parallel numpy columns
-    ``(time, seq, device_id, session_end, is_checkin)`` sorted by
+    ``(time, seq, slot, session_end, is_checkin)`` sorted by
     ``(time, seq)`` — the inputs' dtypes (the trace's float64 / int64) and
     one bool column.  They stay arrays for the whole run;
     :meth:`DeviceShard.refill` decodes a window at a time for the per-event
@@ -161,7 +154,7 @@ def make_static_stream(
     return (
         times[order],
         seq_all[order],
-        device_ids[session],
+        slots[session],
         ends[session],
         is_checkin,
     )
@@ -170,9 +163,9 @@ def make_static_stream(
 class DeviceShard:
     """One shard of the device population and its event streams.
 
-    The shard owns device-local physics state — runtimes, the static
-    check-in/checkout stream, the dynamic response queue, the idle pool and
-    per-shard metrics counters — while the coordinator owns every decision.
+    The shard owns its devices' event streams — the static
+    check-in/checkout stream, the dynamic response queue — and per-shard
+    metrics counters, while the coordinator owns every decision.
     In-process the "messages" between the two are direct method calls
     (:meth:`schedule_response` is the coordinator→shard edge; the engine's
     stream drain is the shard→coordinator edge), but all state accessed
@@ -184,43 +177,34 @@ class DeviceShard:
         self,
         index: int,
         stream: StaticStream,
-        runtimes: Dict[int, DeviceRuntime],
         policy_name: str,
         horizon: float,
         num_devices: int,
     ) -> None:
         self.index = index
-        #: Devices owned (``runtimes`` is empty on the vectorized engine).
+        #: Devices owned.
         self.num_devices = num_devices
         #: The static stream, as numpy columns sorted by ``(time, seq)``.
         (
             self.sa_time,
             self.sa_seq,
-            self.sa_dev,
+            self.sa_slot,
             self.sa_send,
             self.sa_ci,
         ) = stream
-        #: Global :class:`~repro.sim.vector.VectorDeviceState` slot of each
-        #: event's device (vectorized engine only; the engine sets it and
-        #: releases ``sa_dev``).  Window rows then carry the slot, not the id.
-        self.sa_slot: Optional[np.ndarray] = None
         self.st_len = len(self.sa_time)
         self.cursor = 0
         #: Decoded window: ``w_rows[p - w_lo]`` is event ``p`` as a
-        #: ``(time, seq, device_id | slot, session_end, is_checkin)`` tuple
-        #: of Python values, for ``w_lo <= p < w_hi`` (see :meth:`refill`).
+        #: ``(time, seq, slot, session_end, is_checkin)`` tuple of Python
+        #: values, for ``w_lo <= p < w_hi`` (see :meth:`refill`).
         self.w_rows: List[tuple] = []
         self.w_lo = 0
         self.w_hi = 0
         #: Dynamic (response) min-heap of
-        #: ``(time, seq, device_id | slot, request_id, job_id, success)``
-        #: tuples — like the window rows, the third field is the device id
-        #: on the scalar engine and the slot on the vectorized one.  The
+        #: ``(time, seq, slot, request_id, job_id, success)`` tuples.  The
         #: fault rewrites (:meth:`kill_until`, :meth:`delay_responses_until`)
-        #: move entries in time and pass that field through untouched.
+        #: move entries in time and pass the slot through untouched.
         self.heap: List[Tuple[float, int, int, int, int, bool]] = []
-        self.runtimes = runtimes
-        self.pool = IdleDevicePool()
         #: Per-shard mergeable metrics (counter fields only; job metrics
         #: stay with the coordinator, which owns the job lifecycle).
         self.metrics = SimulationMetrics(policy=policy_name, horizon=horizon)
@@ -263,12 +247,11 @@ class DeviceShard:
         ``(w_rows, w_lo, w_hi)`` for loops that keep them in locals.
         """
         hi = min(p + STREAM_WINDOW, self.st_len)
-        who = self.sa_dev if self.sa_slot is None else self.sa_slot
         self.w_rows = list(
             zip(
                 self.sa_time[p:hi].tolist(),
                 self.sa_seq[p:hi].tolist(),
-                who[p:hi].tolist(),
+                self.sa_slot[p:hi].tolist(),
                 self.sa_send[p:hi].tolist(),
                 self.sa_ci[p:hi].tolist(),
             )
@@ -295,15 +278,14 @@ class DeviceShard:
         self,
         time: float,
         seq: int,
-        device_id: int,
+        slot: int,
         request_id: int,
         job_id: int,
         success: bool,
         plan_version: Optional[int] = None,
     ) -> None:
         """Coordinator→shard message: one of this shard's devices was
-        assigned; its (pre-drawn) response fires at ``time``.  ``device_id``
-        is opaque here: the vectorized engine passes the slot."""
+        assigned; its (pre-drawn) response fires at ``time``."""
         if time < self.down_until:
             # Fault injection: the shard is dead when this task would have
             # reported.  The work is lost; the coordinator observes the
@@ -313,7 +295,7 @@ class DeviceShard:
             success = False
             self.responses_failed_by_fault += 1
         heapq.heappush(
-            self.heap, (time, seq, device_id, request_id, job_id, success)
+            self.heap, (time, seq, slot, request_id, job_id, success)
         )
         self.assignments_received += 1
         if plan_version is not None:
@@ -339,8 +321,9 @@ class DeviceShard:
           numbers kept, so the post-outage order is total and
           reproducible);
         * static check-ins/checkouts during the outage never reach the
-          coordinator — the stream cursor skips past them (the defensive
-          idle-pool filters make the resulting stale entries harmless);
+          coordinator — the stream cursor skips past them (dispatch
+          re-checks the session end, so a device whose checkout was
+          skipped is never offered past it);
         * until ``end``, new assignments to this shard's devices are
           converted to reconnect-time failures by
           :meth:`schedule_response` — the coordinator proceeds on stale
@@ -416,8 +399,7 @@ class DeviceShard:
 
 
 def build_shards(
-    devices: Sequence[DeviceProfile],
-    runtimes: Dict[int, DeviceRuntime],
+    device_ids: np.ndarray,
     availability,
     num_shards: int,
     horizon: float,
@@ -425,6 +407,12 @@ def build_shards(
     policy_name: str,
 ) -> Tuple[List[DeviceShard], int]:
     """Partition the population into shards with ready event streams.
+
+    ``device_ids`` is the fleet, in any order.  The streams name a device
+    by its slot — its rank in ascending id order, as in
+    :class:`~repro.sim.vector.VectorDeviceState` — and every id the trace
+    mentions must be in the fleet (the engine validates that at
+    construction).
 
     Returns ``(shards, seqs_consumed)`` where ``seqs_consumed`` is the
     number of sequence numbers the static streams claimed (the coordinator
@@ -436,38 +424,27 @@ def build_shards(
     starts, ids, ends = availability.checkin_events_arrays()
     keep = starts < horizon
     starts, ids, ends = starts[keep], ids[keep], ends[keep]
+    ranked = np.sort(device_ids)
     # Global session-sort-order sequence numbers: session i's check-in gets
-    # seq_start + 2i, its checkout seq_start + 2i + 1 (the legacy engine's
-    # exact enumeration).
+    # seq_start + 2i, its checkout seq_start + 2i + 1 (the single-queue
+    # engine's exact enumeration).
     seqs = seq_start + 2 * np.arange(len(starts), dtype=np.int64)
-    shard_masks = [ids % num_shards == k for k in range(num_shards)]
-    streams = [
-        make_static_stream(starts[m], ids[m], ends[m], seqs[m], horizon)
-        for m in shard_masks
-    ]
-    if num_shards == 1:
-        # One shard owns every device: share the coordinator's dict.
-        runtimes_per_shard, owned = [runtimes], [len(devices)]
-    else:
-        runtimes_per_shard = [{} for _ in range(num_shards)]
-        owned = [0] * num_shards
-        for d in devices:
-            device_id = d.device_id
-            owned[device_id % num_shards] += 1
-            if runtimes:  # empty on the vectorized engine
-                part = runtimes_per_shard[device_id % num_shards]
-                part[device_id] = runtimes[device_id]
-    shards = [
-        DeviceShard(
-            index=k,
-            stream=streams[k],
-            runtimes=runtimes_per_shard[k],
-            policy_name=policy_name,
-            horizon=horizon,
-            num_devices=owned[k],
+    owned = np.bincount(device_ids % num_shards, minlength=num_shards).tolist()
+    shards = []
+    for k in range(num_shards):
+        m = ids % num_shards == k
+        shards.append(
+            DeviceShard(
+                index=k,
+                stream=make_static_stream(
+                    starts[m], ranked.searchsorted(ids[m]), ends[m], seqs[m],
+                    horizon,
+                ),
+                policy_name=policy_name,
+                horizon=horizon,
+                num_devices=owned[k],
+            )
         )
-        for k in range(num_shards)
-    ]
     return shards, 2 * len(starts)
 
 
@@ -478,5 +455,4 @@ __all__ = [
     "build_shards",
     "compute_signatures",
     "make_static_stream",
-    "shard_of",
 ]

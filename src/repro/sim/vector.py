@@ -1,8 +1,8 @@
-"""Struct-of-arrays device state for the vectorized engine hot path.
+"""Struct-of-arrays device state: the fleet engine's only device state.
 
-With ``SimulationConfig(vectorized_dispatch=True)`` the coordinator/shard
-engine keeps no per-device :class:`~repro.sim.device.DeviceRuntime` object
-at all: the whole fleet's dynamic state lives in parallel numpy arrays
+The fleet engine (``SimulationConfig(num_shards=N)`` with ``N > 1``, or
+``vectorized_dispatch=True``) keeps no per-device
+:class:`~repro.sim.device.DeviceRuntime` object at all: the whole fleet's dynamic state lives in parallel numpy arrays
 indexed by *slot* (the device's rank in ascending device-id order), and the
 slot is the only name the engine has for a device:
 
@@ -17,10 +17,13 @@ Runs of static check-in/checkout events that cannot trigger an assignment
 (no pending demand, or the gaps between assignment candidates) are *folded*
 into the arrays by :meth:`VectorDeviceState.fold_slice` — one batched kernel
 instead of a per-event Python loop.  Idle-device dispatch becomes a boolean
-mask over the arrays instead of a heap-of-buckets walk.  The scalar
-per-event path stays the decision-hash oracle: every kernel here is written
-to be *bit-identical* to replaying the same events one at a time (see the
-method docstrings for the per-kernel arguments, and
+mask over the arrays instead of a heap-of-buckets walk.  The per-event
+path stays the decision-hash oracle — end to end the single-queue engine
+(one heap, one ``DeviceRuntime`` per device, one handler call per event),
+and inside this engine the ``_fold_small`` / ``_drain_small`` twins that
+replay short runs one event at a time against the same arrays: every kernel
+here is written to be *bit-identical* to replaying the same events one at a
+time (see the method docstrings for the per-kernel arguments, and
 ``docs/PERFORMANCE.md`` for the end-to-end contract).
 """
 

@@ -83,8 +83,8 @@ class TestValidation:
         with pytest.raises(ValueError, match="coordinator/shard engine"):
             SimulationConfig(fault_plan=FaultPlan.kill_shard(0, **self.KILL))
         plan = FaultPlan.kill_shard(0, **self.KILL)
-        SimulationConfig(fault_plan=plan, sharded_dispatch=True)
         SimulationConfig(fault_plan=plan, vectorized_dispatch=True)
+        SimulationConfig(fault_plan=plan, num_shards=2)
 
     def test_shard_index_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="shard 7 but the run has only 2"):

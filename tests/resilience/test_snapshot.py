@@ -3,7 +3,7 @@
 The load-bearing property (docs/RESILIENCE.md): a run killed at any event
 boundary and resumed from any earlier snapshot finishes with the same
 decision sequence and the same metrics as its uninterrupted twin — on the
-single-queue engine, the sharded engine and the vectorized hot path alike.
+single-queue engine and on the fleet engine at one and two shards alike.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from tests.resilience.conftest import build_sim, kill_and_resume
 
 ENGINE_MODES = [
     pytest.param({}, id="scalar"),
-    pytest.param({"num_shards": 2}, id="sharded"),
+    pytest.param({"vectorized": True}, id="vectorized-1"),
     pytest.param({"num_shards": 2, "vectorized": True}, id="vectorized"),
 ]
 
@@ -91,7 +91,7 @@ class TestVectorizedDevicesAcrossSnapshots:
 
     def test_resumed_run_builds_devices_from_the_restored_arrays(self):
         snap = self._killed_mid_run()
-        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 3
+        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 4
         resumed = Simulator.resume(snap, fault_plan=None)
         assert resumed._devices is None
         # Mid-run read on the resumed simulator: the checkpoint's state.
@@ -120,7 +120,7 @@ class TestVectorizedDevicesAcrossSnapshots:
         assert Simulator.resume(sim.snapshot())._devices is None
 
     def test_scalar_snapshots_still_carry_the_runtimes(self):
-        sim = build_sim(num_shards=2)
+        sim = build_sim()  # single-queue: its runtimes are the state
         resumed = Simulator.resume(sim.snapshot())
         assert resumed._devices is not None
         assert resumed._devices is not sim._devices

@@ -1,15 +1,14 @@
-"""Engine-level identity tests for the batched decision path.
+"""Engine-level identity tests for the bulk decision path.
 
-``batched_assign=True`` routes large dispatch cohorts through the policy's
-``assign_batch_bulk`` when it offers one; the scalar per-consult sweep is
-the oracle.  These tests use a population large enough that dispatch
-sweeps exceed ``_DRAIN_SCALAR_MAX`` (the batched path's activation
-threshold) and assert the full decision sequence and metrics digest are
-bit-identical across the batched/unbatched toggle, at several shard
-counts, for the Venn scheduler (ledger protocol) and for every shipped
-policy without the hook (their large cohorts stay on per-device consults
-either way), with the daily participation quota active across a day
-boundary.
+The fleet engine routes large dispatch cohorts through the policy's
+``assign_batch_bulk`` when it offers one; the per-device consult sweep —
+what a policy without the hook gets — is the oracle.  These tests use a
+population large enough that dispatch sweeps exceed ``_DRAIN_SCALAR_MAX``
+(the bulk path's activation threshold) and assert the full decision
+sequence and metrics digest are bit-identical with and without the hook, at
+several shard counts, for the Venn scheduler (ledger protocol), and that
+every shipped policy reproduces the single-queue engine's decisions on the
+same cell, with the daily participation quota active across a day boundary.
 """
 
 from __future__ import annotations
@@ -55,17 +54,19 @@ def batch_scenario(num_devices=1500):
     return devices, trace, jobs
 
 
-def run_recorded(policy_name, batched, num_shards=1):
+def run_recorded(policy_name, batched, num_shards=1, fleet=True):
     devices, trace, jobs = batch_scenario()
-    policy = RecordingPolicy(make_policy(policy_name, seed=5))
+    inner = make_policy(policy_name, seed=5)
+    if not batched:
+        inner.assign_batch_bulk = None  # hookless: per-device consults
+    policy = RecordingPolicy(inner)
     config = SimulationConfig(
         horizon=HORIZON,
         seed=21,
         latency=LatencyConfig(compute_sigma=0.3, comm_min=5.0, comm_max=20.0),
         num_shards=num_shards,
-        vectorized_dispatch=True,
+        vectorized_dispatch=fleet,
         enforce_daily_limit=True,
-        batched_assign=batched,
     )
     sim = Simulator(devices, trace, jobs, policy, config)
     metrics = sim.run()
@@ -75,8 +76,10 @@ def run_recorded(policy_name, batched, num_shards=1):
 class TestBatchedDispatchIdentity:
     @pytest.mark.parametrize("policy_name", POLICY_NAMES)
     def test_batched_matches_unbatched(self, policy_name):
+        """The fleet engine, with whatever bulk hook the policy ships, makes
+        the single-queue engine's per-device decisions."""
         scalar_decisions, scalar_metrics = run_recorded(
-            policy_name, batched=False
+            policy_name, batched=False, fleet=False
         )
         assert scalar_decisions, "scenario made no assignments"
         batched_decisions, batched_metrics = run_recorded(
@@ -96,5 +99,11 @@ class TestBatchedDispatchIdentity:
         assert batched_decisions == scalar_decisions
         assert batched_metrics == scalar_metrics
 
-    def test_batched_assign_defaults_on(self):
-        assert SimulationConfig().batched_assign is True
+    def test_bulk_hook_is_used_whenever_the_policy_offers_it(self):
+        devices, trace, jobs = batch_scenario()
+        config = SimulationConfig(horizon=HORIZON, vectorized_dispatch=True)
+        venn = make_policy("venn", seed=5)
+        sim = Simulator(devices, trace, jobs, venn, config)
+        assert sim._policy_bulk_assign == venn.assign_batch_bulk
+        fifo = make_policy("fifo")
+        assert Simulator(devices, trace, jobs, fifo, config)._policy_bulk_assign is None

@@ -200,8 +200,8 @@ class TestEngineValidation:
 
     @pytest.mark.parametrize(
         "engine",
-        [{}, {"sharded_dispatch": True}, {"vectorized_dispatch": True}],
-        ids=["single-queue", "sharded", "vectorized"],
+        [{}, {"vectorized_dispatch": True}, {"num_shards": 2}],
+        ids=["single-queue", "vectorized", "vectorized-2"],
     )
     def test_duplicate_device_ids_rejected(self, engine):
         """Two profiles with one id used to collapse into one DeviceRuntime,
@@ -211,6 +211,41 @@ class TestEngineValidation:
         config = SimulationConfig(horizon=100.0, seed=0, **engine)
         with pytest.raises(ValueError, match="device ids must be unique"):
             Simulator(devices, trace, [make_job(1)], FIFOPolicy(), config)
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_horizon_rejected(self, horizon):
+        """``nan <= 0`` is false: NaN used to pass, then the single-queue
+        engine returned JCT 0.0 and the fleet engine died merging metrics
+        "of different horizons: nan vs nan"."""
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            SimulationConfig(horizon=horizon)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0])
+    def test_non_positive_horizon_keeps_its_message(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            SimulationConfig(horizon=horizon)
+
+    @pytest.mark.parametrize("name", ["num_shards", "checkpoint_interval", "max_events"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
+    def test_counts_must_be_real_ints(self, name, value):
+        """``checkpoint_interval=1.5`` used to checkpoint against a
+        fractional watermark; ``num_shards=2.0`` reached ``range()``."""
+        with pytest.raises(TypeError, match=f"{name} must be an int"):
+            SimulationConfig(**{name: value})
+
+    def test_int_counts_accepted_and_keep_their_range_messages(self):
+        config = SimulationConfig(
+            num_shards=np.int64(2), checkpoint_interval=7, max_events=10
+        )
+        assert config.use_sharded_engine and config.checkpoint_interval == 7
+        assert SimulationConfig(checkpoint_interval=None).checkpoint_interval is None
+        for kwargs, message in [
+            (dict(num_shards=0), "num_shards must be >= 1"),
+            (dict(max_events=0), "max_events must be positive"),
+            (dict(checkpoint_interval=0), "checkpoint_interval must be positive"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                SimulationConfig(**kwargs)
 
     def test_ineligible_policy_assignment_detected(self):
         class BadPolicy(BasePolicy):
@@ -346,18 +381,14 @@ class TestDayRolloverGoldenTrace:
             run_simulation(devices, trace, jobs, FIFOPolicy(), self._config())
         )
 
-    def test_sharded_engine(self):
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_vectorized_engine(self, num_shards):
         devices, trace, jobs = self._build()
         self._assert_golden(
-            run_simulation(devices, trace, jobs, FIFOPolicy(),
-                           self._config(sharded_dispatch=True))
-        )
-
-    def test_vectorized_engine(self):
-        devices, trace, jobs = self._build()
-        self._assert_golden(
-            run_simulation(devices, trace, jobs, FIFOPolicy(),
-                           self._config(vectorized_dispatch=True))
+            run_simulation(
+                devices, trace, jobs, FIFOPolicy(),
+                self._config(vectorized_dispatch=True, num_shards=num_shards),
+            )
         )
 
     def test_session_just_below_midnight_stays_benched(self):
@@ -372,8 +403,7 @@ class TestDayRolloverGoldenTrace:
         ])
         job = make_job(job_id=1, demand=1, rounds=2, deadline=200_000.0,
                        base_task_duration=60.0)
-        for overrides in ({}, {"sharded_dispatch": True},
-                          {"vectorized_dispatch": True}):
+        for overrides in ({}, {"vectorized_dispatch": True}, {"num_shards": 2}):
             metrics = run_simulation(devices, trace, [job],
                                      FIFOPolicy(), self._config(**overrides))
             jm = metrics.jobs[1]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.baselines import make_policy
+from repro.core.scheduler import VennScheduler
 from repro.resilience import (
     RecordingPolicy,
     describe_metrics_divergence,
@@ -35,21 +35,26 @@ JOBS = 8
 HORIZON_S = 6 * 3600.0
 SEED = 7
 
-#: name -> ``run`` keywords: SimulationConfig overrides, plus Venn's
-#: plan-maintenance mode where it is not the default.
+
+class PerDeviceVenn(VennScheduler):
+    """Venn without the bulk hook: the fleet engine consults it one device
+    at a time, the path every baseline policy takes."""
+
+    assign_batch_bulk = None
+
+
+#: name -> ``run`` keywords: SimulationConfig overrides, plus the policy
+#: class or Venn's plan-maintenance mode where they are not the default.
+#: ``num_shards=2`` alone selects the fleet engine, as does
+#: ``vectorized_dispatch=True`` at one shard.
 CONFIGS = {
-    "sharded-1": dict(sharded_dispatch=True),
-    "sharded-2": dict(num_shards=2),
-    "sharded-4": dict(num_shards=4),
     "vectorized-1": dict(vectorized_dispatch=True),
-    "vectorized-2": dict(vectorized_dispatch=True, num_shards=2),
+    "vectorized-2": dict(num_shards=2),
     "vectorized-4": dict(vectorized_dispatch=True, num_shards=4),
     "vectorized-unbatched-1": dict(
-        vectorized_dispatch=True, batched_assign=False
+        vectorized_dispatch=True, policy_cls=PerDeviceVenn
     ),
-    "vectorized-unbatched-2": dict(
-        vectorized_dispatch=True, batched_assign=False, num_shards=2
-    ),
+    "vectorized-unbatched-2": dict(num_shards=2, policy_cls=PerDeviceVenn),
     "full-maintenance": dict(maintenance="full"),
     "checkpointed": dict(checkpoint_interval=2000),
 }
@@ -78,12 +83,10 @@ def cell():
     return devices, availability, jobs
 
 
-def run(cell, maintenance="incremental", **overrides):
+def run(cell, maintenance="incremental", policy_cls=VennScheduler, **overrides):
     """One recorded run; returns ``(policy, metrics, events_processed)``."""
     devices, availability, jobs = cell
-    policy = RecordingPolicy(
-        make_policy("venn", seed=SEED, plan_maintenance=maintenance)
-    )
+    policy = RecordingPolicy(policy_cls(seed=SEED, plan_maintenance=maintenance))
     config = SimulationConfig(horizon=HORIZON_S, seed=SEED, **overrides)
     sim = Simulator(devices, availability, jobs, policy, config)
     metrics = sim.run()

@@ -113,8 +113,8 @@ def test_static_stream_costs_columns_plus_a_window(traced_vectorized_day):
         held_under(snapshot, "*/sim/shard.py") / static_events
         <= MAX_SHARD_BYTES_PER_STATIC_EVENT
     )
-    # One identity column: the ids went once the slots were there.
-    assert all(shard.sa_dev is None for shard in sim._shards)
+    # One identity column, the slot: a stream never holds the ids.
+    assert all(not hasattr(shard, "sa_dev") for shard in sim._shards)
 
 
 def test_vectorized_engine_holds_no_per_device_objects(traced_vectorized_day):
@@ -123,9 +123,8 @@ def test_vectorized_engine_holds_no_per_device_objects(traced_vectorized_day):
         held_under(snapshot, "*/sim/engine.py", "*/sim/vector.py") / N
         <= MAX_ENGINE_BYTES_PER_DEVICE
     )
-    # Nothing built the runtimes, and the shard holds none either ...
+    # Nothing built the runtimes ...
     assert sim._devices is None
-    assert sim._shards[0].runtimes == {}
     # ... until somebody asks: then they are the arrays, field for field.
     assert_devices_mirror_arrays(sim)
     assert metrics.total_responses == sum(
@@ -142,13 +141,6 @@ def test_devices_read_before_the_run_are_brought_up_to_date_after_it(cell):
     assert sim.devices is before  # same objects, refreshed at finalise
     assert_devices_mirror_arrays(sim)
     assert any(d.tasks_completed for d in before.values())
-
-
-def test_scalar_sharded_engine_shares_the_runtimes_with_its_one_shard(cell):
-    sim = simulator(cell, sharded_dispatch=True)
-    sim.run()
-    # One shard: the shard's runtimes *are* the coordinator's dict.
-    assert sim._shards[0].runtimes is sim.devices
 
 
 def test_sampled_devices_share_domain_sets():

@@ -5,13 +5,13 @@ Pins the response/abort/refund bugfix sweep on every engine:
 * **Refund symmetry** — a device whose daily budget is refunded (round
   abort, or a straggler response on a closed request) must be
   *immediately* re-dispatchable at that same timestamp, identically on
-  every engine (single-queue, sharded scalar, vectorized).
+  both engines (single-queue; fleet at one and two shards).
 * **Request-table boundedness** — closed requests are evicted from
   ``Simulator._requests`` (and their job's ``request_history``) once the
   last in-flight response fires, so multi-round runs no longer retain
   every request ever opened.
 * **Same-timestamp response runs** — with deterministic latency whole
-  rounds answer on one timestamp; the vectorized engine's per-event merge
+  rounds answer on one timestamp; the fleet engine's per-event merge
   order through such runs must match the single-queue reference.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.baselines import make_policy
-from repro.resilience import FaultPlan, FaultSpec, RecordingPolicy, metrics_digest
+from repro.resilience import RecordingPolicy, metrics_digest
 from repro.sim.engine import SimulationConfig, Simulator
 from tests.conftest import make_device, make_job
 from tests.sim.test_engine import DETERMINISTIC_LATENCY, always_on_trace, make_trace
@@ -29,8 +29,8 @@ from tests.sim.test_engine import DETERMINISTIC_LATENCY, always_on_trace, make_t
 #: engine is the reference.
 ENGINES = {
     "single-indexed": dict(),
-    "sharded": dict(num_shards=2),
     "vectorized": dict(vectorized=True),
+    "vectorized-2": dict(num_shards=2),
 }
 
 
@@ -46,7 +46,6 @@ def run_engine(
     num_shards=1,
     vectorized=False,
     latency=DETERMINISTIC_LATENCY,
-    fault_plan=None,
 ):
     """One recorded run; returns ``(sim, policy, metrics)``."""
     policy = RecordingPolicy(make_policy(policy_name, seed=7))
@@ -57,7 +56,6 @@ def run_engine(
         enforce_daily_limit=daily,
         num_shards=num_shards,
         vectorized_dispatch=vectorized,
-        fault_plan=fault_plan,
     )
     sim = Simulator(
         devices=devices,
@@ -75,9 +73,9 @@ def run_engine(
 # --------------------------------------------------------------------- #
 class TestRefundSymmetry:
     """The daily-budget refund must make devices re-dispatchable in the
-    same timestamp batch, identically across engines — the scalar path
-    refunds via ``_refund_daily_budget`` (un-parking the idle pools), the
-    vectorized path via ``last_day[slot] = -1`` plus mask recompute."""
+    same timestamp batch, identically across engines — the single-queue
+    engine refunds via ``_refund_daily_budget`` (un-parking the idle pool),
+    the fleet engine via ``last_day[slot] = -1`` plus mask recompute."""
 
     def _abort_scenario(self, **overrides):
         """Two always-on devices, one job whose demand (3) can never fill:
@@ -170,9 +168,7 @@ class TestRequestTableBoundedness:
         kwargs.update(overrides)
         return run_engine(devices, trace, jobs, **kwargs)
 
-    @pytest.mark.parametrize(
-        "engine", ["single-indexed", "sharded", "vectorized"]
-    )
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_requests_evicted_once_drained(self, engine):
         sim, _, metrics = self._run(**ENGINES[engine])
         assert metrics.jobs[1].rounds_completed == 40
@@ -203,7 +199,8 @@ def contended_scenario():
     one timestamp — mixed success/failure (reliability split), completions
     mid-run, and failed devices re-dispatched to the other job's open
     demand.  The only scenario that drives long same-``time`` response runs
-    through the sharded merge loop."""
+    through the shard merge loop (under shard faults too:
+    ``tests/resilience/test_fault_invariants.py`` runs this cell)."""
     devices = [
         make_device(
             device_id=i,
@@ -236,30 +233,6 @@ class TestSameTimestampResponseRuns:
         _, pol_s, met_s = run_engine(
             devices, trace, jobs, horizon=30_000.0, policy_name=policy_name,
             daily=daily,
-        )
-        assert pol_v.decision_hash == pol_s.decision_hash
-        assert metrics_digest(met_v) == metrics_digest(met_s)
-
-    def test_vectorized_matches_sharded_under_faults(self):
-        """``kill_until`` rewrites in-flight responses onto one timestamp —
-        the longest same-timestamp runs.  Shard faults need the
-        coordinator/shard engine, so the oracle here is its scalar mode."""
-        devices, trace, jobs = contended_scenario()
-        plan = FaultPlan(
-            (
-                FaultSpec("kill_shard", at_event=400, shard=0,
-                          duration=1_500.0),
-                FaultSpec("stall_shard", at_event=900, shard=1,
-                          duration=800.0),
-            )
-        )
-        _, pol_v, met_v = run_engine(
-            devices, trace, jobs, horizon=30_000.0, num_shards=2,
-            vectorized=True, fault_plan=plan,
-        )
-        _, pol_s, met_s = run_engine(
-            devices, trace, jobs, horizon=30_000.0, num_shards=2,
-            fault_plan=plan,
         )
         assert pol_v.decision_hash == pol_s.decision_hash
         assert metrics_digest(met_v) == metrics_digest(met_s)

@@ -1,11 +1,10 @@
 """Unit tests for the device-shard layer (:mod:`repro.sim.shard`).
 
-The sharded engine's correctness rests on three local properties pinned
-here: vectorised signature precompute equals the per-device predicate walk,
-shard streams carry the exact legacy sequence enumeration in sorted order,
-and multi-pool dispatch visits devices in the same global order as one
-union pool.  (End-to-end bit-identity lives in
-``tests/sim/test_sharded_engine.py``.)
+The fleet engine's correctness rests on two local properties pinned here:
+vectorised signature precompute equals the per-device predicate walk, and
+shard streams carry the single-queue engine's exact sequence enumeration in
+sorted order, naming each device by its slot.  (End-to-end bit-identity
+lives in ``tests/sim/test_sharded_engine.py``.)
 """
 
 from __future__ import annotations
@@ -23,14 +22,11 @@ from repro.core.requirements import (
     EligibilityRequirement,
     signature_of,
 )
-from repro.sim.device import DeviceRuntime
-from repro.sim.dispatch import IdleDevicePool, PendingRequestPool, dispatch_pools
 from repro.sim.shard import (
     INF_KEY,
     build_shards,
     compute_signatures,
     make_static_stream,
-    shard_of,
 )
 from repro.traces.device_trace import (
     AvailabilitySession,
@@ -170,40 +166,52 @@ def _trace(sessions):
 
 
 class TestBuildShards:
-    def _runtimes(self, devices):
-        return {d.device_id: DeviceRuntime(profile=d) for d in devices}
-
     def test_partition_and_seq_budget(self):
-        devices = [make_device(device_id=i) for i in range(6)]
+        ids = np.arange(6)
         trace = _trace([(i, float(i), float(i) + 10.0) for i in range(6)])
         shards, consumed = build_shards(
-            devices, self._runtimes(devices), trace, num_shards=3,
-            horizon=100.0, seq_start=2, policy_name="p",
+            ids, trace, num_shards=3, horizon=100.0, seq_start=2,
+            policy_name="p",
         )
         assert consumed == 12  # two seqs per session
-        assert [sorted(sh.runtimes) for sh in shards] == [
+        assert [sorted(set(sh.sa_slot.tolist())) for sh in shards] == [
             [0, 3], [1, 4], [2, 5]
         ]
+        assert [sh.num_devices for sh in shards] == [2, 2, 2]
         assert all(sh.sa_seq.dtype == np.int64 for sh in shards)
         all_seqs = np.sort(np.concatenate([sh.sa_seq for sh in shards]))
         assert np.array_equal(all_seqs, np.arange(2, 14))
 
+    def test_streams_name_devices_by_slot_and_shard_them_by_id(self):
+        """Sparse ids in no order: device 20 is slot 1 (its rank) and lives
+        on shard 20 % 3 == 2; device 31, which never checks in, is still
+        owned (shard 1)."""
+        ids = np.array([33, 7, 31, 20])
+        trace = _trace([(33, 1.0, 5.0), (20, 2.0, 6.0), (7, 3.0, 8.0)])
+        shards, consumed = build_shards(
+            ids, trace, num_shards=3, horizon=100.0, seq_start=0,
+            policy_name="p",
+        )
+        assert consumed == 6
+        assert [sh.sa_slot.tolist() for sh in shards] == [[3, 3], [0, 0], [1, 1]]
+        assert [sh.num_devices for sh in shards] == [1, 2, 1]
+        # A decoded window row carries the slot too.
+        assert shards[2].refill(0)[0][0] == (2.0, 2, 1, 6.0, True)
+
     def test_sessions_past_horizon_consume_no_seqs(self):
-        devices = [make_device(device_id=0), make_device(device_id=1)]
         trace = _trace([(0, 1.0, 5.0), (1, 50.0, 60.0)])
         shards, consumed = build_shards(
-            devices, self._runtimes(devices), trace, num_shards=2,
-            horizon=10.0, seq_start=0, policy_name="p",
+            np.arange(2), trace, num_shards=2, horizon=10.0, seq_start=0,
+            policy_name="p",
         )
         assert consumed == 2  # the t=50 session is beyond the horizon
         assert shards[1].st_len == 0
 
     def test_head_key_merges_static_and_dynamic(self):
-        devices = [make_device(device_id=0)]
         trace = _trace([(0, 4.0, 9.0)])
         shards, _ = build_shards(
-            devices, self._runtimes(devices), trace, num_shards=1,
-            horizon=10.0, seq_start=0, policy_name="p",
+            np.arange(1), trace, num_shards=1, horizon=10.0, seq_start=0,
+            policy_name="p",
         )
         sh = shards[0]
         assert sh.head_key() == (4.0, 0)
@@ -217,60 +225,4 @@ class TestBuildShards:
 
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError):
-            build_shards([], {}, _trace([(0, 1.0, 2.0)]), 0, 10.0, 0, "p")
-
-
-class TestDispatchPools:
-    """Multi-pool dispatch must equal one union pool, visit for visit."""
-
-    def _pending(self, names):
-        pending = PendingRequestPool()
-        for i, name in enumerate(names):
-            pending.add(i + 1, name)
-        return pending
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_merge_equals_union_pool(self, data):
-        sig_pool = [
-            frozenset({"a"}), frozenset({"b"}), frozenset({"a", "b"}),
-            frozenset(),
-        ]
-        devices = data.draw(
-            st.dictionaries(
-                st.integers(0, 40),
-                st.sampled_from(sig_pool),
-                min_size=1, max_size=25,
-            )
-        )
-        num_shards = data.draw(st.integers(1, 4))
-        pending_names = data.draw(
-            st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=2,
-                     unique=True)
-        )
-
-        union = IdleDevicePool()
-        sharded = [IdleDevicePool() for _ in range(num_shards)]
-        for device_id, sig in devices.items():
-            union.add(device_id, sig)
-            sharded[shard_of(device_id, num_shards)].add(device_id, sig)
-
-        union_visits, shard_visits = [], []
-        dispatch_pools(
-            [union], self._pending(pending_names), 0.0, union_visits.append
-        )
-        dispatch_pools(
-            sharded, self._pending(pending_names), 0.0, shard_visits.append
-        )
-        assert shard_visits == union_visits
-        # Ascending device-id order across shards.
-        assert shard_visits == sorted(shard_visits)
-
-    def test_parked_devices_promote_across_pools(self):
-        pools = [IdleDevicePool(), IdleDevicePool()]
-        pools[0].park(0, frozenset({"a"}), eligible_day=1)
-        pools[1].add(1, frozenset({"a"}))
-        visits = []
-        day = 24 * 3600.0
-        dispatch_pools(pools, self._pending(["a"]), 1.5 * day, visits.append)
-        assert visits == [0, 1]
+            build_shards(np.arange(1), _trace([(0, 1.0, 2.0)]), 0, 10.0, 0, "p")

@@ -1,7 +1,7 @@
-"""End-to-end bit-identity of the coordinator/shard engine.
+"""End-to-end bit-identity of the coordinator/shard (fleet) engine.
 
 The hard contract of the sharding refactor: for ANY shard count, the
-sharded engine makes exactly the decisions of the single-queue engine and
+fleet engine makes exactly the decisions of the single-queue engine and
 reports exactly its metrics.  These tests enforce it the same way PR 3
 enforced incremental-vs-full plan identity — twin runs over
 hypothesis-generated environments plus fixed structural checks.
@@ -99,7 +99,7 @@ def run_with_shards(devices, trace, jobs, policy_name, num_shards,
         seed=17,
         latency=LatencyConfig(compute_sigma=0.3),
         num_shards=num_shards,
-        sharded_dispatch=forced,
+        vectorized_dispatch=forced,  # the fleet engine at one shard too
         enforce_daily_limit=enforce_daily,
     )
     policy = make_policy(policy_name, seed=9)
@@ -116,8 +116,8 @@ class TestShardIdentity:
     @settings(max_examples=15, deadline=None)
     def test_twin_runs_bit_identical(self, env_seed, num_shards, policy_name,
                                      enforce_daily):
-        """Legacy engine vs sharded engine: same decisions, same metrics,
-        for hypothesis-chosen environments and shard counts."""
+        """Single-queue engine vs fleet engine: same decisions, same
+        metrics, for hypothesis-chosen environments and shard counts."""
         horizon = 40_000.0
         devices, trace, jobs = build_environment(env_seed, 60, 5, horizon)
         legacy = run_with_shards(
@@ -187,7 +187,7 @@ class TestShardedEngineMechanics:
 
     @pytest.mark.parametrize("num_shards", [1, 2])
     def test_shard_stats_count_devices_on_the_vectorized_engine(self, num_shards):
-        """A vectorized shard holds no runtimes; it still owns its devices."""
+        """A shard holds no per-device object; it still owns its devices."""
         devices, trace, jobs, horizon = self._env()
         config = SimulationConfig(
             horizon=horizon, seed=17, num_shards=num_shards,
@@ -202,7 +202,6 @@ class TestShardedEngineMechanics:
             for k in range(num_shards)
         ]
         assert sum(s["devices"] for s in stats) == len(devices)
-        assert all(shard.runtimes == {} for shard in sim._shards)
 
     def test_plan_version_advances_and_snapshot_exposes_it(self):
         devices, trace, jobs, horizon = self._env()

@@ -1,15 +1,16 @@
-"""Slots are the vectorized engine's only device identity — on ids that are
-not ``0..n-1``.
+"""Slots are the fleet engine's only device identity — on ids that are not
+``0..n-1``.
 
 Every other identity suite numbers its devices ``0..n-1`` in input order,
 where a device's id, its position in the input and its slot (its rank in
 ascending id order) are the same number, so a slot handed to something that
 wants an id — or the reverse — would go unnoticed.  Here the ids are sparse
-(``7 + 13k``) and the input is shuffled.  The vectorized engine must still
-reproduce the scalar-sharded engine's decision hash, metrics digest and event
+(``7 + 13k``) and the input is shuffled.  The fleet engine must still
+reproduce the single-queue engine's decision hash, metrics digest and event
 count at every shard count, on a cell that aborts rounds (the deadline refund
-translates ``request.assigned`` ids to slots) and under a ``kill_shard`` +
-``stall_shard`` plan (the fault rewrites pass the heap rows' slot through).
+translates ``request.assigned`` ids to slots).  Shard-fault runs, which the
+single-queue engine cannot host, are held by the invariants of
+``tests/resilience/test_fault_invariants.py`` on this same cell.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from repro.core.baselines import FIFOPolicy, make_policy
 from repro.core.requirements import COMPUTE_RICH, GENERAL, MEMORY_RICH
 from repro.core.scheduler import VennScheduler
 from repro.core.types import JobSpec
-from repro.resilience import FaultPlan, RecordingPolicy, metrics_digest
-from repro.resilience.faults import KILL_SHARD, STALL_SHARD, FaultSpec
+from repro.resilience import RecordingPolicy, metrics_digest
 from repro.sim.engine import SimulationConfig, Simulator
 from repro.sim.latency import LatencyConfig
 from repro.traces.capacity import CapacitySampler
@@ -35,8 +35,9 @@ HORIZON = 30_000.0
 SHARDS = (1, 2, 4)
 
 
-@pytest.fixture(scope="module")
-def cell():
+def sparse_cell():
+    """Devices (sparse shuffled ids), trace and jobs; also the cell of
+    ``tests/resilience/test_fault_invariants.py``."""
     ids = [7 + 13 * k for k in range(N)]
     order = np.random.default_rng(5).permutation(N).tolist()
     sampled = CapacitySampler(seed=5).sample_devices(N)
@@ -61,6 +62,9 @@ def cell():
     return devices, trace, jobs
 
 
+cell = pytest.fixture(scope="module")(sparse_cell)
+
+
 def run(cell, fault_plan=None, **overrides):
     devices, trace, jobs = cell
     policy = RecordingPolicy(make_policy("venn", seed=3))
@@ -83,44 +87,20 @@ def test_cell_has_sparse_shuffled_ids(cell):
     assert set(cell[1].device_ids.tolist()) <= set(ids)
 
 
-def test_vectorized_matches_scalar_sharded_through_aborted_rounds(cell):
-    reference, ref_metrics, _sim = run(cell, sharded_dispatch=True)
+def test_fleet_matches_single_queue_through_aborted_rounds(cell):
+    reference, ref_metrics, _sim = run(cell)
     assert ref_metrics.total_aborts >= 1  # the deadline refund path ran
     assert ref_metrics.total_failures >= 1
     for num_shards in SHARDS:
-        scalar, _m, _s = run(cell, num_shards=num_shards, sharded_dispatch=True)
-        vector, _m, sim = run(
+        fleet, _m, sim = run(
             cell, num_shards=num_shards, vectorized_dispatch=True
         )
-        assert scalar == reference, f"scalar-sharded x{num_shards}"
-        assert vector == reference, f"vectorized x{num_shards}"
+        assert fleet == reference, f"fleet x{num_shards}"
         # The lazily built runtimes are keyed by id, not by slot.
         assert sorted(sim.devices) == sorted(d.device_id for d in cell[0])
         assert sum(d.tasks_failed for d in sim.devices.values()) == (
             ref_metrics.total_failures
         )
-
-
-@pytest.mark.parametrize("num_shards", SHARDS)
-def test_vectorized_matches_scalar_sharded_through_shard_faults(cell, num_shards):
-    plan = FaultPlan(
-        (
-            FaultSpec(KILL_SHARD, 100, 0, 600.0),
-            FaultSpec(STALL_SHARD, 200, num_shards - 1, 400.0),
-        )
-    )
-    scalar, _m, scalar_sim = run(
-        cell, plan, num_shards=num_shards, sharded_dispatch=True
-    )
-    vector, _m, vector_sim = run(
-        cell, plan, num_shards=num_shards, vectorized_dispatch=True
-    )
-    assert vector == scalar
-    stats = vector_sim.fault_stats()
-    assert stats == scalar_sim.fault_stats()
-    # Both rewrites found responses in flight: rows were really rewritten.
-    assert stats["shard_responses_failed_by_fault"] >= 1
-    assert stats["shard_responses_delayed_by_fault"] >= 1
 
 
 class CheckinRecorder(FIFOPolicy):
@@ -145,7 +125,7 @@ class CheckinRecorder(FIFOPolicy):
 
 def early_and_late_job(late_requirement=GENERAL):
     """Nothing is pending between the first job's end and the second one's
-    arrival: the vectorized engine folds that stretch in one kernel call."""
+    arrival: the fleet engine folds that stretch in one kernel call."""
     return [
         JobSpec(1, GENERAL, demand_per_round=20, num_rounds=2,
                 arrival_time=50.0, round_deadline=2_500.0,
@@ -166,12 +146,12 @@ def test_folded_checkins_reach_the_policy_with_the_right_devices(cell):
         Simulator(devices, trace, jobs, policy, config).run()
         return policy
 
-    scalar = checkins(sharded_dispatch=True)
+    scalar = checkins()
     vector = checkins(vectorized_dispatch=True)
     assert scalar.batch_sizes == [] and len(scalar.seen) > 200
     assert vector.batch_sizes and max(vector.batch_sizes) > 100
     assert vector.seen == scalar.seen
-    assert checkins(vectorized_dispatch=True, num_shards=2).seen == scalar.seen
+    assert checkins(num_shards=2).seen == scalar.seen
 
 
 class BatchCountingVenn(VennScheduler):
@@ -197,7 +177,7 @@ def test_venn_without_a_usable_signature_provider_reads_the_device_view(cell):
         assert not policy._provider_ok
         return policy, (metrics_digest(metrics), sim.events_processed)
 
-    scalar, scalar_identity = venn_run(sharded_dispatch=True)
+    scalar, scalar_identity = venn_run()
     vector, vector_identity = venn_run(vectorized_dispatch=True)
     assert scalar.batches == 0 and vector.batches >= 1
     assert vector.decisions == scalar.decisions and len(scalar.decisions) >= 45

@@ -6,7 +6,9 @@ A shard keeps its static stream as numpy columns and decodes
 readers.  Every test here shrinks the window to 1, 3 and 64 events — so
 refills land inside folds, drains, fault jumps and right after a resume —
 and requires the decision hash, the metrics digest and the event count of
-the default-window run.
+the single-queue engine, which has no stream and no window (of the
+default-window run for a shard-fault plan, which only the fleet engine
+hosts).
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ from tests.golden.test_golden_regression import GOLDEN_LATENCY, scenario
 from tests.resilience.conftest import build_sim
 
 WINDOWS = (1, 3, 64)
-ENGINES = pytest.mark.parametrize(
-    "vectorized", [False, True], ids=["scalar-sharded", "vectorized"]
-)
 
 
 def fingerprint(sim: Simulator) -> tuple:
@@ -48,7 +47,7 @@ def fingerprint(sim: Simulator) -> tuple:
     )
 
 
-def golden_sim(name: str, num_shards: int, vectorized: bool) -> Simulator:
+def golden_sim(name: str, num_shards: int, fleet: bool = True) -> Simulator:
     devices, trace, jobs, horizon = scenario(name)
     return Simulator(
         devices=devices,
@@ -60,32 +59,28 @@ def golden_sim(name: str, num_shards: int, vectorized: bool) -> Simulator:
             seed=11,
             latency=GOLDEN_LATENCY,
             num_shards=num_shards,
-            sharded_dispatch=True,
-            vectorized_dispatch=vectorized,
+            vectorized_dispatch=fleet,
             enforce_daily_limit=(name == "contended"),
         ),
     )
 
 
-@ENGINES
 @pytest.mark.parametrize("num_shards", [1, 2, 4])
 @pytest.mark.parametrize("name", ["uncontended", "contended"])
-def test_golden_scenarios_identical_at_tiny_windows(
-    monkeypatch, name, num_shards, vectorized
-):
-    expected = fingerprint(golden_sim(name, num_shards, vectorized))
+def test_golden_scenarios_identical_at_tiny_windows(monkeypatch, name, num_shards):
+    expected = fingerprint(golden_sim(name, 1, fleet=False))
     assert shard_module.STREAM_WINDOW > max(WINDOWS)
     for window in WINDOWS:
         monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
-        sim = golden_sim(name, num_shards, vectorized)
+        sim = golden_sim(name, num_shards)
         assert fingerprint(sim) == expected, window
         assert all(len(sh.w_rows) <= window for sh in sim._shards)
 
 
-def starved_sim(num_shards: int, vectorized: bool) -> Simulator:
+def starved_sim(num_shards: int, fleet: bool = True) -> Simulator:
     """600 devices, one day; job 2 wants hardware almost nobody has, so
     demand stays pending while hundreds of static events pass between
-    responses — the vectorized drain's candidate loop and the short folds
+    responses — the fleet drain's candidate loop and the short folds
     between candidates (goldens only reach the short-slice drain)."""
     rare = EligibilityRequirement("rare", min_cpu=0.97, min_memory=0.9)
     jobs = [
@@ -102,18 +97,14 @@ def starved_sim(num_shards: int, vectorized: bool) -> Simulator:
         workload=jobs,
         policy=RecordingPolicy(VennScheduler(seed=1)),
         config=SimulationConfig(
-            horizon=DAY, seed=5, num_shards=num_shards, sharded_dispatch=True,
-            vectorized_dispatch=vectorized,
+            horizon=DAY, seed=5, num_shards=num_shards, vectorized_dispatch=fleet,
         ),
     )
 
 
-@ENGINES
 @pytest.mark.parametrize("num_shards", [1, 2])
-def test_long_pending_slices_identical_at_tiny_windows(
-    monkeypatch, num_shards, vectorized
-):
-    expected = fingerprint(starved_sim(num_shards, vectorized))
+def test_long_pending_slices_identical_at_tiny_windows(monkeypatch, num_shards):
+    expected = fingerprint(starved_sim(1, fleet=False))
     refills_by_reader = set()
     refill = shard_module.DeviceShard.refill
 
@@ -124,18 +115,15 @@ def test_long_pending_slices_identical_at_tiny_windows(
     monkeypatch.setattr(shard_module.DeviceShard, "refill", counting_refill)
     for window in WINDOWS:
         monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
-        assert fingerprint(starved_sim(num_shards, vectorized)) == expected, window
-    if vectorized and num_shards == 1:
-        # Every windowed reader of the vectorized engine refilled mid-run.
+        assert fingerprint(starved_sim(num_shards)) == expected, window
+    if num_shards == 1:
+        # Every windowed reader of the fleet engine refilled mid-run.
         assert refills_by_reader == {
             "head_key", "_drain_shard_vec", "_drain_small", "_fold_small"
         }
 
 
-@ENGINES
-def test_shard_faults_identical_when_the_jump_leaves_the_window(
-    monkeypatch, vectorized
-):
+def test_shard_faults_identical_when_the_jump_leaves_the_window(monkeypatch):
     """``kill_until`` moves the cursor past the decoded rows: the next read
     must refill at the new cursor, not index a stale window."""
     plan = FaultPlan(
@@ -146,7 +134,7 @@ def test_shard_faults_identical_when_the_jump_leaves_the_window(
     )
 
     def run():
-        sim = build_sim(num_shards=2, vectorized=vectorized, fault_plan=plan)
+        sim = build_sim(num_shards=2, fault_plan=plan)
         return fingerprint(sim), sim.fault_stats()
 
     expected, stats = run()
@@ -157,13 +145,11 @@ def test_shard_faults_identical_when_the_jump_leaves_the_window(
         assert run() == (expected, stats), window
 
 
-@ENGINES
 @pytest.mark.parametrize("window", WINDOWS)
-def test_snapshot_mid_window_resumes_identically(monkeypatch, window, vectorized):
-    kwargs = dict(num_shards=2, vectorized=vectorized)
-    expected = fingerprint(build_sim(**kwargs))
+def test_snapshot_mid_window_resumes_identically(monkeypatch, window):
+    expected = fingerprint(build_sim())  # single-queue
     monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
-    crashed = build_sim(fault_plan=FaultPlan.crash_at(25), **kwargs)
+    crashed = build_sim(num_shards=2, fault_plan=FaultPlan.crash_at(25))
     with pytest.raises(SimulatedCrash):
         crashed.run()
     if window > 1:

@@ -5,8 +5,8 @@ kernel level — slot layout, signature interning, day masks, and a
 differential check of :meth:`VectorDeviceState.fold_slice` against a scalar
 replay of the engine's per-event transition functions — plus engine-level
 identity: a full run with ``vectorized_dispatch=True`` must produce exactly
-the same job metrics and counters as the scalar oracle, at several shard
-counts, with a latency model that exercises the batched RNG kernel.
+the same job metrics and counters as the single-queue engine (the scalar
+oracle), at several shard counts, with a latency model that exercises the batched RNG kernel.
 """
 
 from __future__ import annotations
@@ -304,7 +304,6 @@ def run_snapshot(policy_name, vectorized, num_shards=1):
         seed=9,
         latency=LatencyConfig(compute_sigma=0.3, comm_min=5.0, comm_max=20.0),
         num_shards=num_shards,
-        sharded_dispatch=True,
         vectorized_dispatch=vectorized,
         enforce_daily_limit=True,
     )

@@ -1,25 +1,23 @@
 """Million-device simulation on the fleet engine.
 
-Runs one contended scenario on the fleet engine — a coordinator plus
-``num_shards=os.cpu_count()`` device shards over struct-of-arrays device
-state — and prints the per-shard event counts.  The fleet engine makes
-bit-identical decisions for any shard count (add ``--verify`` to prove it
-against the single-queue reference engine — it roughly doubles the
-runtime).  For a time split use ``python3 -m bench --trace 1``.
+Runs one contended scenario on the fleet engine — a coordinator plus one
+device stream over struct-of-arrays device state — and prints its event
+rate and counters.  The fleet engine makes the single-queue reference
+engine's decisions bit for bit (add ``--verify`` to prove it — it roughly
+doubles the runtime).  For a time split use ``python3 -m bench --trace 1``.
 
 At the default million-device scale this takes a few minutes; use
 ``--devices 50000`` for a quick look.
 
 Usage::
 
-    PYTHONPATH=src python examples/sharded_scale.py [--devices N]
-        [--num-shards K] [--hours H] [--verify]
+    PYTHONPATH=src python examples/fleet_scale.py [--devices N]
+        [--hours H] [--verify]
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import time
 
 from repro.core.baselines import make_policy
@@ -56,15 +54,14 @@ def build_environment(num_devices: int, num_jobs: int, horizon: float,
 
 
 def run_once(devices, trace, workload, horizon: float, seed: int,
-             num_shards: int, fleet: bool = True):
+             fleet: bool = True):
     policy = make_policy("venn", seed=seed)
     config = SimulationConfig(
         horizon=horizon,
         seed=seed,
         latency=LatencyConfig(),
         max_events=500_000_000,
-        num_shards=num_shards,
-        vectorized_dispatch=fleet,  # one shard is the fleet engine too
+        vectorized_dispatch=fleet,
     )
     sim = Simulator(devices, trace, workload, policy, config)
     t0 = time.perf_counter()
@@ -78,9 +75,6 @@ def main() -> int:
     parser.add_argument("--devices", type=int, default=1_000_000)
     parser.add_argument("--jobs", type=int, default=50)
     parser.add_argument("--hours", type=float, default=24.0)
-    parser.add_argument("--num-shards", type=int,
-                        default=max(1, os.cpu_count() or 1),
-                        help="device shards (default: one per CPU core)")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--verify", action="store_true",
                         help="also run the single-queue engine and assert "
@@ -92,30 +86,22 @@ def main() -> int:
         args.devices, args.jobs, horizon, args.seed
     )
 
-    print(f"\nrunning fleet engine with num_shards={args.num_shards} ...")
-    sim, metrics, wall = run_once(
-        devices, trace, workload, horizon, args.seed, args.num_shards
-    )
+    print("\nrunning fleet engine ...")
+    sim, metrics, wall = run_once(devices, trace, workload, horizon, args.seed)
     events = sim.events_processed
     print(f"  {events:,} events in {wall:.1f} s "
           f"({events / wall:,.0f} events/s), "
           f"completion rate {metrics.completion_rate:.2f}, "
           f"average JCT {metrics.average_jct / 3600.0:.2f} h")
-
-    print("\nper-shard counters:")
-    print(f"  {'shard':>5} {'devices':>9} {'events':>10} "
-          f"{'checkins':>9} {'responses':>9} {'assignments':>11} "
-          f"{'plan ver':>8}")
-    for s in sim.shard_stats():
-        print(f"  {s['shard']:>5} {s['devices']:>9,} "
-              f"{s['events_processed']:>10,} {s['checkins']:>9,} "
-              f"{s['responses']:>9,} {s['assignments_received']:>11,} "
-              f"{str(s['last_plan_version']):>8}")
+    print(f"  {metrics.total_checkins:,} check-ins, "
+          f"{metrics.total_responses:,} responses, "
+          f"{metrics.total_failures:,} failures, "
+          f"{metrics.total_aborts:,} aborted rounds")
 
     if args.verify:
         print("\nverifying against the single-queue engine ...")
         _, single, single_wall = run_once(
-            devices, trace, workload, horizon, args.seed, 1, fleet=False
+            devices, trace, workload, horizon, args.seed, fleet=False
         )
         identical = (
             single.total_checkins == metrics.total_checkins

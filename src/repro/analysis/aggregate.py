@@ -149,11 +149,7 @@ def metrics_row(scenario: str, policy: str, metrics) -> Dict:
     :class:`~repro.sim.metrics.SimulationMetrics`.
 
     In-memory twin of the sweep runner's JSONL rows: everything
-    :func:`aggregate_rows` consumes, nothing serialised.  Partial metrics
-    from a sharded run must be reduced first with
-    :meth:`~repro.sim.metrics.SimulationMetrics.merge` (the engine returns
-    them already merged; this matters only when aggregating shard-level
-    snapshots by hand).
+    :func:`aggregate_rows` consumes, nothing serialised.
     """
     return {
         "scenario": scenario,

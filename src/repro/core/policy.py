@@ -116,9 +116,9 @@ class SchedulingPolicy(abc.ABC):
     ) -> None:
         """Offer precomputed device eligibility signatures (optional).
 
-        The sharded engine precomputes every device's signature with respect
-        to the workload's full requirement set (one vectorised pass at shard
-        build time) and offers them here: ``provider(device_id)`` returns
+        The fleet engine precomputes every device's signature with respect
+        to the workload's full requirement set (one vectorised pass at
+        stream build time) and offers them here: ``provider(device_id)`` returns
         the frozenset of requirement names of ``requirements`` the device
         satisfies.  Policies that compute signatures themselves (Venn) can
         derive their own — a restriction to the currently-live requirement

@@ -132,7 +132,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         self._atom_space: Optional[AtomSpace] = None
         #: device_id -> cached atom signature (valid for the current space).
         self._signature_cache: Dict[int, "frozenset"] = {}
-        #: Optional engine-precomputed signatures (sharded engine): a
+        #: Optional engine-precomputed signatures (fleet engine): a
         #: callable ``device_id -> full signature`` over ``_provider_reqs``.
         self._sig_provider: Optional[Callable[[int], frozenset]] = None
         self._provider_reqs: Optional[Dict[str, object]] = None
@@ -145,9 +145,6 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         self._plan_dirty = True
         #: Monotonic version of the decision surface: bumped whenever the
         #: plan is brought up to date (full rebuild or incremental apply).
-        #: The sharded engine stamps this onto the assignment batches it
-        #: sends to device shards, so a (future, process-resident) shard can
-        #: tell which plan generation produced its work.
         self.plan_version = 0
         self._matchers: Dict[int, TierMatcher] = {}
         #: Cached tier decision per open request id.
@@ -169,10 +166,6 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         #: index.epoch)`` generation (see :meth:`_live_candidates`).
         self._live_memo: Dict = {}
         self._live_memo_key = (-1, -1)
-        #: Cached :meth:`plan_snapshot` payload + the generation it
-        #: serialises (``(plan_version, plan_dirty)``).
-        self._snapshot_cache: Optional[Dict[str, object]] = None
-        self._snapshot_key = (-1, True)
         # Derive the ablation-aware display name.
         if not self.enable_scheduling and self.enable_matching:
             self.name = "venn_wo_sched"
@@ -344,7 +337,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         signature over the full workload requirement set restricts exactly
         to the live set by name, so ``provider``-derived signatures are
         bit-identical to locally computed ones — the property the
-        sharded-engine identity tests pin.  Ambiguous names (two distinct
+        fleet-engine identity tests pin.  Ambiguous names (two distinct
         requirement objects sharing a name) disable the provider entirely.
         """
         reqs = list(requirements)
@@ -570,35 +563,16 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         return self._plan
 
     def plan_snapshot(self) -> Dict[str, object]:
-        """Broadcastable summary of the current decision surface.
-
-        The sharded engine attaches :attr:`plan_version` to the assignment
-        batches it sends device shards; this snapshot is the matching
-        payload a process-resident shard would receive on a version bump
-        (and what tests/tools use to compare plans across engines without
-        reaching into internals).
-
-        The payload is cached per ``(plan_version, dirty)`` generation: the
-        plan is only ever mutated inside :meth:`refresh_plan` /
-        :meth:`rebuild_plan`, which bump :attr:`plan_version`, so an
-        unchanged generation serialises to an unchanged snapshot and
-        repeated broadcasts of the same plan reuse one payload.  Callers
-        must treat the returned dict as read-only.
-        """
-        key = (self.plan_version, self._plan_dirty)
-        cached = self._snapshot_cache
-        if cached is not None and self._snapshot_key == key:
-            return cached
+        """Plain-data summary of the current decision surface: what tests
+        and tools use to compare plans across engines without reaching
+        into internals."""
         plan = self._plan
-        snapshot: Dict[str, object] = {
+        return {
             "version": self.plan_version,
             "dirty": self._plan_dirty,
             "group_order": list(plan.group_order),
             "job_order": {k: list(v) for k, v in sorted(plan.job_order.items())},
         }
-        self._snapshot_cache = snapshot
-        self._snapshot_key = key
-        return snapshot
 
     # ------------------------------------------------------------------ #
     # Assignment

@@ -15,8 +15,8 @@ Determinism contract
 
 For a fixed experiment config (one root seed) and policy:
 
-* the engine emits round completions in event order, bit-identically for
-  any shard count (the callback runs on the coordinator);
+* the engine emits round completions in event order, bit-identically on
+  both engines (the callback runs on the coordinator);
 * each round trains the sorted, deduplicated client set derived from the
   reporting set, with per-client randomness keyed by ``(cosim seed,
   client_id, round_index)`` (:meth:`~repro.fl.trainer.FederatedTrainer.
@@ -26,7 +26,7 @@ For a fixed experiment config (one root seed) and policy:
   dedicated ``cosim`` stream.
 
 Together: same seed ⇒ byte-identical accuracy curves, decision hashes and
-time-to-accuracy numbers for any ``num_shards`` and any sweep worker
+time-to-accuracy numbers on either engine and for any sweep worker
 count.  The golden fixture in ``tests/golden`` and the CI gates pin this.
 """
 
@@ -62,7 +62,7 @@ def map_devices_to_clients(
     """Deterministic device-id → client-id mapping (sorted, deduplicated).
 
     Devices map onto the shared client population by ``device_id %
-    num_clients``: stable across runs, shard counts and policies, so which
+    num_clients``: stable across runs, engines and policies, so which
     *clients* train is a pure function of which *devices* reported.
     Distinct devices may collapse onto one client (a device pool larger
     than the client population), which mirrors what losing reporting-set

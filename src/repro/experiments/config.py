@@ -76,14 +76,9 @@ class ExperimentConfig:
     #: ``"full"`` (from-scratch rebuild on every trigger — the oracle).
     #: Forwarded to every ``venn*`` policy built for this experiment.
     plan_maintenance: str = "incremental"
-    #: Number of device shards of the simulation engine (1 = the in-process
-    #: single-queue reference engine; N > 1 = the fleet engine, with
-    #: decisions and metrics bit-identical for any value).  Forwarded to
-    #: ``SimulationConfig.num_shards``.
-    num_shards: int = 1
     #: Run the fleet engine (struct-of-arrays device state + numpy batch
-    #: kernels) at one shard as well.  Decisions and metrics are
-    #: bit-identical to the single-queue reference; forwarded to
+    #: kernels) instead of the single-queue reference.  Decisions and
+    #: metrics are bit-identical; forwarded to
     #: ``SimulationConfig.vectorized_dispatch``.
     vectorized: bool = False
     #: Periodic full-state checkpointing: snapshot every N processed events
@@ -102,8 +97,6 @@ class ExperimentConfig:
                 "plan_maintenance must be 'incremental' or 'full', got "
                 f"{self.plan_maintenance!r}"
             )
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
         # Keep nested configs consistent with the top-level knobs.  The
         # simulation seed is re-derived from the root seed here, so every
         # ``replace``-based copy (``with_seed``, ``with_scenario``, ...)
@@ -114,7 +107,6 @@ class ExperimentConfig:
             self.simulation,
             horizon=self.horizon,
             seed=self.seed_for("simulation"),
-            num_shards=self.num_shards,
             vectorized_dispatch=self.vectorized,
             checkpoint_interval=self.checkpoint_interval,
         )
@@ -165,13 +157,8 @@ class ExperimentConfig:
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, seed=seed)
 
-    def with_shards(self, num_shards: int) -> "ExperimentConfig":
-        """Copy of this config running on ``num_shards`` device shards."""
-        return replace(self, num_shards=num_shards)
-
     def with_vectorized(self, vectorized: bool = True) -> "ExperimentConfig":
-        """Copy of this config on the fleet (or, at one shard, the
-        single-queue) engine."""
+        """Copy of this config on the fleet (or the single-queue) engine."""
         return replace(self, vectorized=vectorized)
 
 

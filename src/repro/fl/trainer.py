@@ -30,7 +30,7 @@ streams keyed by ``(trainer seed, client_id, round_index)`` — the same
 keying discipline as the engine's per-device latency streams — so a
 client's draws depend only on the trainer seed and which round it trains
 in, never on which other clients participate, their iteration order, the
-engine's shard count or the sweep's worker count.  Same seed and same
+engine or the sweep's worker count.  Same seed and same
 participant sets ⇒ byte-identical parameter trajectories.
 """
 

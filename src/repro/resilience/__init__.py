@@ -7,9 +7,9 @@ Three pillars (see ``docs/RESILIENCE.md``):
   ``SimulationConfig(checkpoint_interval=N)`` for periodic snapshots.
   The contract is *exact resume*: a run resumed from any checkpoint
   reproduces the uninterrupted run's decisions and metrics bit-identically
-  at every shard count, scalar and vectorized.
+  on both engines.
 * **Fault injection** — declarative :class:`FaultPlan` (coordinator crash,
-  shard kill/stall, dropped plan broadcast) attached via
+  device-stream kill/stall) attached via
   ``SimulationConfig(fault_plan=...)``; a strict no-op when absent.
 * **Chaos harness** — ``python -m repro.resilience.chaos`` kills runs at
   random events, resumes from the latest checkpoint and asserts hash
@@ -22,7 +22,6 @@ would cycle.
 
 from .faults import (
     COORDINATOR_CRASH,
-    DROP_PLAN_BROADCAST,
     FAULT_KINDS,
     KILL_SHARD,
     SHARD_FAULT_KINDS,
@@ -45,7 +44,6 @@ from .snapshot import LatestSnapshotStore, SimulationSnapshot, SnapshotError
 
 __all__ = [
     "COORDINATOR_CRASH",
-    "DROP_PLAN_BROADCAST",
     "DecisionRecord",
     "FAULT_KINDS",
     "FaultInjector",

@@ -2,7 +2,7 @@
 
 ``python -m repro.resilience.chaos`` is the executable form of the
 exact-resume contract (``docs/RESILIENCE.md``): for each engine cell — the
-single-queue reference, and the fleet engine at each shard count — it
+single-queue reference and the fleet engine — it
 
 1. runs an uninterrupted *reference* simulation and records its decision
    sequence and metrics digest;
@@ -46,7 +46,6 @@ def build_simulator(
     cfg: ExperimentConfig,
     *,
     policy_name: str,
-    num_shards: int,
     vectorized: bool,
     fault_plan: Optional[FaultPlan] = None,
     checkpoint_interval: Optional[int] = None,
@@ -60,7 +59,6 @@ def build_simulator(
     """
     sim_cfg = replace(
         cfg.simulation,
-        num_shards=num_shards,
         vectorized_dispatch=vectorized,
         fault_plan=fault_plan,
         checkpoint_interval=checkpoint_interval,
@@ -86,7 +84,6 @@ def run_mode(
     cfg: ExperimentConfig,
     *,
     policy_name: str,
-    num_shards: int,
     vectorized: bool,
     crashes: int,
     checkpoint_every: int,
@@ -98,13 +95,9 @@ def run_mode(
     Returns a list of failure descriptions (empty = the cell passed).
     """
     reference = build_simulator(
-        cfg,
-        policy_name=policy_name,
-        num_shards=num_shards,
-        vectorized=vectorized,
+        cfg, policy_name=policy_name, vectorized=vectorized
     )
-    fleet = reference.config.use_sharded_engine
-    label = f"fleet x{num_shards}" if fleet else "reference x1"
+    label = "fleet" if vectorized else "reference"
     ref_metrics = reference.run()
     ref_decisions = reference.policy.decisions
     ref_digest = metrics_digest(ref_metrics)
@@ -121,7 +114,6 @@ def run_mode(
         sim = build_simulator(
             cfg,
             policy_name=policy_name,
-            num_shards=num_shards,
             vectorized=vectorized,
             fault_plan=FaultPlan.crash_at(at_event),
             checkpoint_interval=checkpoint_every,
@@ -191,16 +183,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="crash points sampled per engine cell (default 20)",
     )
     parser.add_argument(
-        "--shards",
-        default="1,2,4",
-        help="comma-separated shard counts to cover (default 1,2,4)",
-    )
-    parser.add_argument(
         "--modes",
         default="scalar,vectorized",
-        help="engine modes: scalar (the single-queue reference at one shard, "
-        "the fleet engine above), vectorized (the fleet engine at every "
-        "shard count), or both; a cell both select runs once (default both)",
+        help="comma-separated engine cells: scalar (the single-queue "
+        "reference), vectorized (the fleet engine), or both (default both)",
     )
     parser.add_argument(
         "--preset",
@@ -225,9 +211,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
-    shard_counts = sorted({int(s) for s in args.shards.split(",") if s})
-    if not shard_counts or min(shard_counts) < 1:
-        parser.error("--shards needs positive integers")
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     unknown = set(modes) - {"scalar", "vectorized"}
     if unknown or not modes:
@@ -237,19 +220,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     rng = np.random.default_rng(args.crash_seed)
     t0 = time.perf_counter()
     failures: List[str] = []
-    cells = sorted(
-        {
-            (num_shards, mode == "vectorized" or num_shards > 1)
-            for num_shards in shard_counts
-            for mode in modes
-        }
-    )
-    for num_shards, fleet in cells:
+    for fleet in sorted({mode == "vectorized" for mode in modes}):
         failures.extend(
             run_mode(
                 cfg,
                 policy_name=args.policy,
-                num_shards=num_shards,
                 vectorized=fleet,
                 crashes=args.crashes,
                 checkpoint_every=args.checkpoint_every,

@@ -3,10 +3,10 @@
 The engine's :meth:`~repro.sim.engine.Simulator.snapshot` captures the
 *entire* simulation state by pickling the simulator object graph — event
 queue heap and sequence counter, device runtimes / struct-of-arrays
-vector state, shard stream cursors and response heaps, scheduling plan +
+vector state, the device stream's cursor and response heap, scheduling plan +
 atom-index epoch, supply-estimator buckets, the RNG master key with every
 per-device draw counter, and all in-flight resource requests.  The pickle
-memo preserves the shared-reference structure (engine ↔ policy ↔ shard
+memo preserves the shared-reference structure (engine ↔ policy ↔ stream
 state point at the same objects), which is what makes the restored graph
 behave identically to the original.
 
@@ -21,12 +21,14 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 
-#: Version of the pickled simulator graph.  Bump it in any change that alters
-#: what ``Simulator.snapshot`` pickles (a field added to or removed from
-#: ``Simulator``, ``SimulationConfig``, a shard or a policy), so a snapshot
-#: written before the change is refused instead of resuming into a graph
-#: with missing attributes.
-SNAPSHOT_FORMAT_VERSION = 4
+#: Version of the pickled simulator graph, embedded in the payload itself
+#: (so raw ``bytes`` carry it too) and in :class:`SimulationSnapshot`.  Bump
+#: it in any change that alters what ``Simulator.snapshot`` pickles (a field
+#: added to or removed from ``Simulator``, ``SimulationConfig``, the device
+#: stream, the metrics, a fault spec or a policy), so a snapshot written
+#: before the change is refused instead of resuming into a graph with
+#: missing or stale attributes.
+SNAPSHOT_FORMAT_VERSION = 5
 
 
 class SnapshotError(ValueError):

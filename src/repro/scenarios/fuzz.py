@@ -15,10 +15,10 @@ the repo relies on:
   transform-free twin environment rather than asserting a blanket bound);
 * a short simulation produces finite, non-negative metrics (JCTs,
   round-completion times, rates);
-* the metrics row is **byte-identical across shard counts** — and, on
-  request, across sweep worker counts and across the single-queue vs fleet
-  engines at one shard (``--vectorized`` twin mode) — extending the
-  determinism contract of ``docs/ARCHITECTURE.md`` to every sampled composition.
+* the metrics row is **byte-identical across the single-queue and fleet
+  engines** — and, on request, across sweep worker counts — extending the
+  determinism contract of ``docs/ARCHITECTURE.md`` to every sampled
+  composition.
 
 Shrunk failing examples graduate into pinned regression tests
 (``tests/scenarios/test_fuzz_regressions.py``); the ``compress_arrivals``
@@ -216,49 +216,34 @@ def check_scenario(
     spec: ScenarioSpec,
     base: ExperimentConfig,
     *,
-    shards: Sequence[int] = (1, 2),
     check_workers: bool = False,
-    vectorized: bool = False,
     policy: str = FUZZ_POLICY,
 ) -> None:
     """Assert every fuzzed invariant for one (spec, base config) pair.
 
-    With ``vectorized=True``, the one-shard run additionally gets a twin on
-    the fleet engine (``ExperimentConfig.with_vectorized``) whose metrics
-    row must be byte-identical to the single-queue run — the fuzz leg of
-    the engine-identity contract.  Above one shard the run *is* the fleet
-    engine, so a twin there would be the same run twice.
+    The pair runs on the single-queue reference and again on its fleet
+    engine twin (``ExperimentConfig.with_vectorized``); the two metrics
+    rows must be byte-identical — the fuzz leg of the engine-identity
+    contract.
 
     Raises ``AssertionError`` on the first violation; hypothesis shrinks
     the example, and the shrunk case belongs in
     ``tests/scenarios/test_fuzz_regressions.py``.
     """
-    rows = {}
-    for num_shards in shards:
-        config = base.with_shards(num_shards)
+    rows = []
+    for fleet in (False, True):
+        config = base.with_vectorized(fleet)
         env = spec.build_environment(config)
         validate_environment(env)
         _check_transformed_arrivals(spec, env, config)
         metrics = run_policy(env, policy)
         row = metrics_row(spec.name, policy, metrics)
         _check_row_sane(row)
-        rows[num_shards] = json.dumps(row, sort_keys=True)
-        if vectorized and num_shards == 1:
-            vec_env = spec.build_environment(config.with_vectorized(True))
-            vec_metrics = run_policy(vec_env, policy)
-            vec_row = json.dumps(
-                metrics_row(spec.name, policy, vec_metrics), sort_keys=True
-            )
-            assert vec_row == rows[num_shards], (
-                "engine identity violated at num_shards=1: single-queue vs "
-                "fleet engine produced different metrics rows"
-            )
-    reference = rows[shards[0]]
-    for num_shards in shards[1:]:
-        assert rows[num_shards] == reference, (
-            f"shard-count identity violated: num_shards={shards[0]} vs "
-            f"{num_shards} produced different metrics rows"
-        )
+        rows.append(json.dumps(row, sort_keys=True))
+    assert rows[0] == rows[1], (
+        "engine identity violated: single-queue vs fleet engine produced "
+        "different metrics rows"
+    )
     if check_workers:
         check_worker_identity(spec, policy=policy)
 
@@ -306,7 +291,7 @@ def check_worker_identity(
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Fuzz random scenario compositions against engine "
-        "invariants and shard/worker identity."
+        "invariants and engine/worker identity."
     )
     parser.add_argument(
         "--budget", type=int, default=25,
@@ -317,25 +302,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="derandomised hypothesis seed (default: 0)",
     )
     parser.add_argument(
-        "--shards", type=int, nargs="+", default=[1, 2],
-        help="shard counts whose metrics rows must be byte-identical "
-        "(default: 1 2)",
-    )
-    parser.add_argument(
         "--check-workers", action="store_true",
         help="additionally assert sweep-row identity across worker counts "
         "(slower; fork start method only)",
     )
-    parser.add_argument(
-        "--vectorized", action="store_true",
-        help="additionally run a fleet-engine twin of the one-shard run and "
-        "assert its metrics row is byte-identical to the single-queue run",
-    )
     args = parser.parse_args(argv)
     if args.budget <= 0:
         parser.error("--budget must be positive")
-    if len(args.shards) < 2:
-        parser.error("need at least two --shards values to compare")
 
     # Built here (not at import time) so the CLI budget/seed become part of
     # the hypothesis profile; shrinking still works, so a failure prints the
@@ -351,19 +324,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     @hypothesis_seed(args.seed)
     @given(spec=scenario_specs(), base=base_configs())
     def fuzz(spec: ScenarioSpec, base: ExperimentConfig) -> None:
-        check_scenario(
-            spec,
-            base,
-            shards=tuple(args.shards),
-            check_workers=args.check_workers,
-            vectorized=args.vectorized,
-        )
+        check_scenario(spec, base, check_workers=args.check_workers)
 
     fuzz()
     print(
         f"scenario fuzz: {args.budget} examples passed "
-        f"(shards={tuple(args.shards)}, check_workers={args.check_workers}, "
-        f"vectorized={args.vectorized})"
+        f"(check_workers={args.check_workers})"
     )
     return 0
 

@@ -7,7 +7,7 @@ from .events import Event, EventQueue, EventType
 from .job import JobRuntime, RoundRecord
 from .latency import LatencyConfig, ResponseLatencyModel
 from .profile import PlanMaintenanceProfile
-from .shard import DeviceShard, build_shards, compute_signatures
+from .shard import DeviceShard, build_shard, compute_signatures
 from .metrics import (
     JobMetrics,
     SimulationMetrics,
@@ -35,7 +35,7 @@ __all__ = [
     "SimulationConfig",
     "SimulationMetrics",
     "Simulator",
-    "build_shards",
+    "build_shard",
     "collect_job_metrics",
     "compute_signatures",
     "per_job_speedups",

@@ -46,32 +46,30 @@ Devices are offered to the policy in ascending device-id order — the order
 of the seed's full linear scans, which this path replaced; the golden
 regression tests pin the resulting assignment sequences.
 
-Fleet engine (coordinator + device shards over arrays)
-------------------------------------------------------
+Fleet engine (coordinator + one device stream over arrays)
+----------------------------------------------------------
 
-``SimulationConfig(num_shards=N)`` with ``N > 1`` — or
-``vectorized_dispatch=True`` at one shard — runs the other engine: a
+``SimulationConfig(vectorized_dispatch=True)`` runs the other engine: a
 coordinator (scheduler state, plan maintenance, request lifecycle, the
-global decision order) and N device shards (:mod:`repro.sim.shard`), each
-owning a partition of device physics: availability event streams as sorted
-arrays, response queues and per-shard metrics counters.  Device state is
-struct-of-arrays (:mod:`repro.sim.vector`) and a device is its slot; static
-runs fold through batched kernels, idle dispatch is a mask over the arrays
-and policies offering ``assign_batch_bulk`` are consulted a cohort at a
-time.  Events merge by ``(time, seq)`` with the exact sequence enumeration
-of the single-queue engine, so **decisions and metrics are bit-identical to
-the single-queue reference for any shard count** — enforced by twin-run
-property tests, the golden fixtures and the decision/metrics hashes of
-``tests/sim/test_engine_matrix.py``.  See ``docs/ARCHITECTURE.md`` for the
-message protocol and the determinism contract.
+global decision order) and one device stream (:mod:`repro.sim.shard`)
+holding the fleet's availability events as sorted arrays and its response
+heap.  Device state is struct-of-arrays (:mod:`repro.sim.vector`) and a
+device is its slot; static runs fold through batched kernels, idle dispatch
+is a mask over the arrays and policies offering ``assign_batch_bulk`` are
+consulted a cohort at a time.  The stream and the coordinator queue merge
+by ``(time, seq)`` with the exact sequence enumeration of the single-queue
+engine, so **decisions and metrics are bit-identical to the single-queue
+reference** — enforced by twin-run property tests, the golden fixtures and
+the decision/metrics hashes of ``tests/sim/test_engine_matrix.py``.  See
+``docs/ARCHITECTURE.md`` for the determinism contract.
 
 Randomness splits in two: device latency/failure draws come from
 per-device counter-based streams keyed by ``(SimulationConfig.seed,
 device_id, draw index)`` — so no draw depends on the order other devices
-drew in, the property that makes runs shard-layout-free — while the
-engine's policy-facing :class:`numpy.random.Generator` (also seeded by
-``SimulationConfig.seed``) is adopted via ``bind_rng`` by any policy that
-was not explicitly seeded.  One seed still determines an entire run
+drew in, the property that lets the two engines batch draws differently —
+while the engine's policy-facing :class:`numpy.random.Generator` (also
+seeded by ``SimulationConfig.seed``) is adopted via ``bind_rng`` by any
+policy that was not explicitly seeded.  One seed still determines an entire run
 bit-for-bit.
 
 Policies are only consulted while some request has unmet demand: with
@@ -94,12 +92,12 @@ Crash safety (``docs/RESILIENCE.md``)
 :meth:`Simulator.snapshot` pickles the full simulator graph at an event
 boundary and :meth:`Simulator.resume` reconstructs it; the contract is
 *exact resume* — the continued run's decisions and metrics are
-bit-identical to the uninterrupted twin's on both engines at every shard
-count (the chaos harness ``python -m repro.resilience.chaos`` enforces
-this).  ``SimulationConfig(checkpoint_interval=N)`` snapshots every N
-events; ``SimulationConfig(fault_plan=...)`` injects declarative faults
-(coordinator crash, shard kill/stall, dropped plan broadcast) at event
-boundaries — both are strict no-ops when unset.
+bit-identical to the uninterrupted twin's on both engines (the chaos
+harness ``python -m repro.resilience.chaos`` enforces this).
+``SimulationConfig(checkpoint_interval=N)`` snapshots every N events;
+``SimulationConfig(fault_plan=...)`` injects declarative faults
+(coordinator crash, device-stream kill/stall) at event boundaries — both
+are strict no-ops when unset.
 """
 
 from __future__ import annotations
@@ -139,12 +137,7 @@ from .events import Event, EventQueue, EventType
 from .job import JobRuntime, RoundCompletion
 from .latency import LatencyConfig, ResponseLatencyModel
 from .metrics import SimulationMetrics, collect_job_metrics
-from .shard import (
-    INF_KEY,
-    DeviceShard,
-    build_shards,
-    compute_signatures,
-)
+from .shard import INF_KEY, DeviceShard, build_shard, compute_signatures
 from .vector import STATUS_BUSY, STATUS_IDLE, STATUS_OFFLINE, VectorDeviceState
 
 
@@ -164,20 +157,15 @@ class SimulationConfig:
     max_events: int = 10_000_000
     #: Latency model parameters.
     latency: LatencyConfig = field(default_factory=LatencyConfig)
-    #: Number of device shards.  ``1`` (the default) runs the in-process
-    #: single-queue reference engine; ``N > 1`` runs the fleet engine — a
-    #: coordinator and N device shards (:mod:`repro.sim.shard`) over
-    #: struct-of-arrays device state (:mod:`repro.sim.vector`), decisions
-    #: still made centrally, **bit-identical decisions and metrics for any
-    #: shard count** (shard-identity tests, engine-matrix decision hash).
-    num_shards: int = 1
-    #: Run the fleet engine at one shard as well: batched fold kernels for
+    #: Engine selector.  ``False`` (the default) runs the single-queue
+    #: reference engine; ``True`` runs the fleet engine — a coordinator and
+    #: one device stream (:mod:`repro.sim.shard`) over struct-of-arrays
+    #: device state (:mod:`repro.sim.vector`): batched fold kernels for
     #: static check-in/checkout runs, mask-based idle dispatch, batched
     #: latency draws and — for policies offering ``assign_batch_bulk`` —
     #: bulk consults of large dispatch cohorts.  Decisions and metrics are
-    #: **bit-identical** to the single-queue reference for any shard count
-    #: (enforced by golden fixtures, the engine-matrix blake2b gates and the
-    #: scenario fuzzer's twin mode).
+    #: **bit-identical** to the reference (enforced by golden fixtures, the
+    #: engine-matrix blake2b gates and the scenario fuzzer's twin).
     vectorized_dispatch: bool = False
     #: Periodic checkpointing: take a full-state snapshot every N processed
     #: events (``None`` disables).  Snapshots land on the simulator's
@@ -195,7 +183,7 @@ class SimulationConfig:
             raise ValueError(f"horizon must be finite (got {self.horizon})")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        counts = [("max_events", self.max_events), ("num_shards", self.num_shards)]
+        counts = [("max_events", self.max_events)]
         if self.checkpoint_interval is not None:
             counts.append(("checkpoint_interval", self.checkpoint_interval))
         for name, value in counts:
@@ -206,8 +194,6 @@ class SimulationConfig:
                 )
         if self.max_events <= 0:
             raise ValueError("max_events must be positive")
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
         if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be positive (or None)")
         plan = self.fault_plan
@@ -216,28 +202,30 @@ class SimulationConfig:
                 "fault_plan must be a repro.resilience.FaultPlan "
                 f"(got {type(plan).__name__})"
             )
-        if plan is not None and plan.needs_sharded_engine:
-            if not self.use_sharded_engine:
-                raise ValueError(
-                    "shard faults need the coordinator/shard engine "
-                    "(num_shards > 1 or vectorized_dispatch=True)"
-                )
-            if plan.max_shard >= self.num_shards:
-                raise ValueError(
-                    f"fault plan targets shard {plan.max_shard} but the run "
-                    f"has only {self.num_shards} shard(s)"
-                )
-
-    @property
-    def use_sharded_engine(self) -> bool:
-        """Whether runs use the coordinator/shard (fleet) engine."""
-        return self.vectorized_dispatch or self.num_shards > 1
+        if (
+            plan is not None
+            and plan.needs_sharded_engine
+            and not self.vectorized_dispatch
+        ):
+            raise ValueError(
+                "shard faults need the fleet engine (vectorized_dispatch=True)"
+            )
 
 
 #: Sentinel for ``Simulator.resume``: keep the snapshot's pickled fault
 #: injector (so unfired faults replay deterministically) unless the caller
 #: explicitly passes a replacement plan — including ``None`` to clear it.
 _KEEP_FAULTS = object()
+
+
+def _check_format_version(version) -> None:
+    """Refuse a snapshot written under another ``SNAPSHOT_FORMAT_VERSION``
+    (``None``: a payload from before the version was embedded)."""
+    if version != SNAPSHOT_FORMAT_VERSION:
+        raise SnapshotError(
+            f"snapshot format version {version} cannot be resumed by this "
+            f"engine (expects {SNAPSHOT_FORMAT_VERSION})"
+        )
 
 
 class _CohortView:
@@ -288,21 +276,20 @@ class Simulator:
         self.policy = policy
         #: Invoked by the coordinator whenever a job's round completes, with
         #: a :class:`~repro.sim.job.RoundCompletion` carrying the round's
-        #: reporting set.  Fires in event order on both the single-queue and
-        #: the sharded engine (``_maybe_complete_request`` always runs on
-        #: the coordinator), so for a fixed seed the callback sequence is
-        #: bit-identical for any shard count.  The callback must not mutate
-        #: simulation state; it exists so consumers like the co-simulation
-        #: trainer (:mod:`repro.cosim`) can observe rounds as they complete.
+        #: reporting set.  Fires in event order on both engines
+        #: (``_maybe_complete_request`` always runs on the coordinator), so
+        #: for a fixed seed the callback sequence is bit-identical across
+        #: them.  The callback must not mutate simulation state; it exists
+        #: so consumers like the co-simulation trainer (:mod:`repro.cosim`)
+        #: can observe rounds as they complete.
         self._round_callback = round_callback
         #: The run's policy-facing random generator; unseeded policies adopt
         #: it via ``bind_rng``.  The latency model does not share it: it
         #: draws from per-device streams keyed by global device id, so a
         #: device's latency/failure draws depend only on the seed, its id
         #: and its own assignment history — never on the draw order across
-        #: devices.  That is what keeps runs bit-identical for any shard
-        #: count (and it also makes the single-queue engine's draws
-        #: independent of unrelated devices).
+        #: devices.  That is what keeps the fleet engine's batched draws
+        #: bit-identical to the single-queue engine's one-at-a-time ones.
         self.rng = np.random.default_rng(self.config.seed)
         self.latency = ResponseLatencyModel(
             self.config.latency, per_device_entropy=self.config.seed
@@ -346,25 +333,20 @@ class Simulator:
         self._deadline_events: Dict[int, Event] = {}
         self._pending = PendingRequestPool()
         self._idle_pool = IdleDevicePool()
-        #: Fleet engine: coordinator/shard loop over struct-of-arrays device
-        #: state.  Shards and arrays are built lazily in ``run`` so their
-        #: construction is part of the measured run, like the single-queue
-        #: engine's initial event scheduling.  A device is its slot there:
-        #: :attr:`devices` stays unbuilt until read.
-        self._fleet = bool(self.config.use_sharded_engine)
-        self._num_shards = int(self.config.num_shards)
-        self._shards: List["DeviceShard"] = []
+        #: Fleet engine: coordinator loop over one device stream and
+        #: struct-of-arrays device state.  Both are built lazily in ``run``
+        #: so their construction is part of the measured run, like the
+        #: single-queue engine's initial event scheduling.  A device is its
+        #: slot there: :attr:`devices` stays unbuilt until read.
+        self._fleet = bool(self.config.vectorized_dispatch)
+        self._shard: Optional[DeviceShard] = None
         self._vec: Optional[VectorDeviceState] = None
         self._devices: Optional[Dict[int, DeviceRuntime]] = None
         if not self._fleet:
             self._build_devices()  # the single-queue engine mutates them per event
         #: Deferred assignments awaiting their batched latency draw:
-        #: ``(slot, profile, job, request, seq, session_end, plan_version)``.
+        #: ``(slot, profile, job, request, seq, session_end)``.
         self._assign_buf: list = []
-        #: Shards whose queues the coordinator touched since their head key
-        #: was last cached (assignment messages land mid-decision).
-        self._dirty_shards: set = set()
-        self._policy_has_plan_version = hasattr(policy, "plan_version")
         #: Bulk decision path (fleet engine only): policies exposing
         #: ``assign_batch_bulk`` (Venn) resolve a whole dispatch cohort in
         #: one call and the engine commits the proposals in bulk.  ``None``
@@ -394,14 +376,14 @@ class Simulator:
         #: The most recent snapshot (periodic or explicit ``snapshot()``).
         self.last_snapshot: Optional[SimulationSnapshot] = None
         #: Whether ``run`` already performed its one-time setup (initial
-        #: event scheduling / shard builds).  Snapshotted, so a resumed
+        #: event scheduling / stream build).  Snapshotted, so a resumed
         #: run continues mid-stream instead of re-seeding the queues.
         self._started = False
         #: Whether the run already completed and finalised its metrics.
         #: ``run`` on a finished simulator (e.g. one resumed from a
         #: post-run snapshot) is then a no-op returning the final metrics
-        #: — re-entering the loop would pop leftover queued events and
-        #: re-merge shard metrics into the already-final totals.
+        #: — re-entering the loop would pop leftover queued events into
+        #: the already-final totals.
         self._finished = False
         #: Event count at the last periodic checkpoint (or run start).
         self._ckpt_last_events = 0
@@ -443,7 +425,7 @@ class Simulator:
         if self._finished:
             return self._metrics
         if self._fleet:
-            return self._run_sharded()
+            return self._run_fleet()
         if not self._started:
             self._started = True
             self._schedule_initial_events()
@@ -514,6 +496,9 @@ class Simulator:
         state["last_snapshot"] = None
         if self._fleet:
             state["_devices"] = None  # a view of the arrays, rebuilt on read
+        # The version travels inside the payload, so raw bytes are checked
+        # by ``resume`` as strictly as a SimulationSnapshot wrapper.
+        state["_format_version"] = SNAPSHOT_FORMAT_VERSION
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -525,7 +510,7 @@ class Simulator:
         Valid at any event boundary: before ``run`` (``started=False`` —
         resuming replays the whole run), at a periodic checkpoint, or
         after the run finished.  The pickle memo preserves every shared
-        reference (policy ↔ requests ↔ devices ↔ shard state ↔ RNG), so
+        reference (policy ↔ requests ↔ devices ↔ stream state ↔ RNG), so
         ``resume`` reconstructs a graph that continues bit-identically —
         the exact-resume contract enforced by the chaos harness.
         """
@@ -558,18 +543,12 @@ class Simulator:
 
         Raises :class:`~repro.resilience.SnapshotError` for a payload that
         is empty, truncated or otherwise undecodable, and for a snapshot
-        written under another format version; ``TypeError`` for a
-        well-formed pickle of something that is not a simulator.  Raw bytes
-        carry no version, so only :class:`SimulationSnapshot` arguments are
-        version-checked.
+        written under another format version — the version is embedded in
+        the payload, so raw ``bytes`` are checked too; ``TypeError`` for a
+        well-formed pickle of something that is not a simulator.
         """
         if isinstance(snapshot, SimulationSnapshot):
-            if snapshot.format_version != SNAPSHOT_FORMAT_VERSION:
-                raise SnapshotError(
-                    f"snapshot format version {snapshot.format_version} "
-                    f"cannot be resumed by this engine (expects "
-                    f"{SNAPSHOT_FORMAT_VERSION})"
-                )
+            _check_format_version(snapshot.format_version)
             payload = snapshot.payload
         else:
             payload = snapshot
@@ -587,6 +566,7 @@ class Simulator:
                 f"snapshot does not contain a {cls.__name__} "
                 f"(got {type(sim).__name__})"
             )
+        _check_format_version(sim.__dict__.pop("_format_version", None))
         sim._round_callback = round_callback
         sim._checkpoint_sink = checkpoint_sink
         sim.last_snapshot = None
@@ -609,15 +589,14 @@ class Simulator:
         if self._checkpoint_sink is not None:
             self._checkpoint_sink(snap)
 
-    def _post_event_hook(self) -> bool:
+    def _post_event_hook(self) -> None:
         """Checkpoint + fault poll at an event boundary.
 
-        Returns True when a fired fault mutated shard state (response
-        heaps rewritten, cursors advanced, plan versions re-broadcast) —
-        the sharded loop must then refresh its cached head keys.  The
-        checkpoint is taken *before* the poll: a crash fault propagates
+        The checkpoint is taken *before* the poll: a crash fault propagates
         with the checkpoint already captured, exactly the order a real
-        deployment needs.
+        deployment needs.  A fired stream fault rewrites the response heap
+        or advances the cursor; the fleet loop re-reads both heads every
+        iteration, so nothing is cached across it.
         """
         interval = self.config.checkpoint_interval
         if (
@@ -626,48 +605,41 @@ class Simulator:
         ):
             self._take_checkpoint()
         if self._injector is not None:
-            return self._injector.poll(self)
-        return False
+            self._injector.poll(self)
 
     def fault_stats(self) -> Dict[str, int]:
-        """Injector counters + summed per-shard degraded-mode counters.
+        """Injector counters + the device stream's degraded-mode counters.
 
-        Injector keys count faults *scheduled* (e.g. ``broadcasts_dropped``
-        = drop faults fired); the ``shard_``-prefixed keys count effects
-        *observed* by shards (e.g. ``shard_broadcasts_dropped`` = plan
-        versions actually withheld) — the two can differ, so both are kept.
-        All zeros on a pristine run.
+        Injector keys count faults *fired* (e.g. ``shards_killed``); the
+        ``shard_``-prefixed keys count effects *observed* on the stream
+        (e.g. ``shard_responses_failed_by_fault``) — a fault can fire and
+        change nothing, so both are kept.  All zeros on a pristine run.
         """
         stats: Dict[str, int] = {
             "faults_fired": 0,
             "crashes": 0,
             "shards_killed": 0,
             "shards_stalled": 0,
-            "broadcasts_dropped": 0,
-            "plan_rebroadcasts": 0,
         }
         if self._injector is not None:
             stats.update(self._injector.stats)
-        totals: Dict[str, int] = {}
-        for shard in self._shards:
-            for key, value in shard.fault_counters().items():
-                totals[key] = totals.get(key, 0) + value
-        for key, value in totals.items():
-            stats[f"shard_{key}"] = value
+        if self._shard is not None:
+            for key, value in self._shard.fault_counters().items():
+                stats[f"shard_{key}"] = value
         return stats
 
     # ------------------------------------------------------------------ #
-    # Coordinator/shard engine
+    # Fleet engine: coordinator loop over one device stream
     # ------------------------------------------------------------------ #
-    def _setup_sharded(self) -> None:
-        """Build the device shards and seed the coordinator queue.
+    def _setup_fleet(self) -> None:
+        """Build the device stream and seed the coordinator queue.
 
         Job arrivals claim sequence numbers ``0..J-1`` exactly like the
-        single-queue engine's initial pushes; the shard streams then claim
-        two numbers per availability session (assigned in global
-        session-sort order at build time), and the coordinator counter is
-        advanced past them so every later dynamic event — response,
-        deadline — sorts identically to its single-queue twin.
+        single-queue engine's initial pushes; the stream then claims two
+        numbers per availability session (assigned in session-sort order at
+        build time), and the coordinator counter is advanced past them so
+        every later dynamic event — response, deadline — sorts identically
+        to its single-queue twin.
         """
         arrivals = 0
         for job in self.jobs.values():
@@ -676,18 +648,16 @@ class Simulator:
                     job.spec.arrival_time, EventType.JOB_ARRIVAL, job_id=job.job_id
                 )
                 arrivals += 1
-        self._shards, consumed = build_shards(
+        self._shard, consumed = build_shard(
             np.array([d.device_id for d in self._device_profiles], dtype=np.int64),
             self.availability,
-            self._num_shards,
             self.config.horizon,
             seq_start=arrivals,
-            policy_name=self._metrics.policy,
         )
         self.queue.reserve(consumed)
-        # Shard-side signature precompute: one vectorised pass instead of a
-        # per-device predicate walk at first check-in, shared with the
-        # policy through the signature-provider protocol.
+        # Signature precompute: one vectorised pass instead of a per-device
+        # predicate walk at first check-in, shared with the policy through
+        # the signature-provider protocol.
         self._device_signatures = compute_signatures(
             self._device_profiles, self._requirements
         )
@@ -698,73 +668,52 @@ class Simulator:
             self._device_profiles, self._device_signatures
         )
 
-    def _run_sharded(self) -> SimulationMetrics:
-        """Main loop of the coordinator: merge shard streams + own queue.
+    def _run_fleet(self) -> SimulationMetrics:
+        """Main loop of the coordinator: the device stream against its queue.
 
-        Events are processed in ascending ``(time, seq)`` order across all
-        sources — the exact order the single-queue engine processes them.
-        Runs of consecutive static device events from one shard are drained
-        as a batch (one head re-scan per run instead of per event); response
-        events and coordinator events go through the per-event path because
-        they can reschedule work on any source.
+        Events are processed in ascending ``(time, seq)`` order across the
+        two sources — the exact order the single-queue engine processes
+        them.  Runs of consecutive static device events are drained as a
+        batch up to the next coordinator event; response events and
+        coordinator events go through the per-event path because they can
+        schedule work on either source.
         """
         if not self._started:
             self._started = True
-            self._setup_sharded()
+            self._setup_fleet()
         horizon = self.config.horizon
         queue = self.queue
-        shards = self._shards
-        num_shards = len(shards)
+        shard = self._shard
         # One pristine-path branch per iteration: with no checkpointing and
-        # no faults the merge loop is byte-for-byte the historical one.
+        # no faults the loop is byte-for-byte the historical one.
         hook = (
             self.config.checkpoint_interval is not None
             or self._injector is not None
         )
-        heads = [sh.head_key() for sh in shards]
-        dirty = self._dirty_shards
-        q_key = queue.peek_key() or INF_KEY
         while True:
-            best = q_key
-            best_i = -1
-            for i in range(num_shards):
-                h = heads[i]
-                if h < best:
-                    best = h
-                    best_i = i
-            if best[0] > horizon:
-                break
-            if best_i >= 0:
-                shard = shards[best_i]
-                if not (shard.heap and shard.heap[0][:2] == best):
-                    # Static run: drain this shard's check-in/checkout batch
-                    # up to the next event of any other source.
-                    limit = q_key
-                    for i in range(num_shards):
-                        if i != best_i and heads[i] < limit:
-                            limit = heads[i]
-                    self._drain_shard_vec(shard, limit, horizon)
-                    heads[best_i] = shard.head_key()
-                    dirty.discard(best_i)
-                    if hook and self._post_event_hook():
-                        q_key = queue.peek_key() or INF_KEY
-                        for i in range(num_shards):
-                            heads[i] = shards[i].head_key()
-                        dirty.clear()
+            head = shard.head_key()
+            q_key = queue.peek_key() or INF_KEY
+            if head < q_key:
+                if head[0] > horizon:
+                    break
+                if not (shard.heap and shard.heap[0][:2] == head):
+                    # Static run: drain the check-in/checkout batch up to
+                    # the next coordinator event.
+                    self._drain_shard_vec(shard, q_key, horizon)
+                    if hook:
+                        self._post_event_hook()
                     continue
-                # Dynamic shard event: a device response.
+                # Dynamic stream event: a device response.
                 t, _seq, slot, request_id, _job_id, success = heapq.heappop(
                     shard.heap
                 )
                 self.now = t
-                self._handle_shard_response_vec(shard, slot, request_id, success)
-                shard.events_processed += 1
-                dirty.add(best_i)
+                self._handle_shard_response_vec(slot, request_id, success)
             else:
+                if q_key[0] > horizon:
+                    break
                 # Coordinator event: job arrival or request deadline.
                 event = queue.pop()
-                if event is None:  # pragma: no cover - peek_key guards this
-                    break
                 self.now = event.time
                 if event.type is EventType.JOB_ARRIVAL:
                     self._on_job_arrival(event)
@@ -776,15 +725,8 @@ class Simulator:
                     "simulation exceeded max_events; check for livelock "
                     "or raise SimulationConfig.max_events"
                 )
-            q_key = queue.peek_key() or INF_KEY
-            for i in dirty:
-                heads[i] = shards[i].head_key()
-            dirty.clear()
-            if hook and self._post_event_hook():
-                # A fired fault rewrote shard queues; every cached head key
-                # may be stale.
-                for i in range(num_shards):
-                    heads[i] = shards[i].head_key()
+            if hook:
+                self._post_event_hook()
             if self._unfinished_jobs == 0:
                 break
         self._finalise()
@@ -802,15 +744,15 @@ class Simulator:
     _FOLD_KERNEL_MIN = 32
 
     def _fold_into(self, shard: DeviceShard, lo: int, hi: int) -> int:
-        """Fold static events ``[lo, hi)`` of ``shard`` into the arrays.
+        """Fold static events ``[lo, hi)`` of the stream into the arrays.
 
         Large runs go through one batched kernel; short runs (the gaps
         between assignment candidates are typically a handful of events)
         replay the same transitions in a plain loop.  The non-busy
         check-ins reach the policy in event order either way — through the
         batch hook or the scalar hook, which are pinned state-identical —
-        and the shard's check-in counter advances exactly as the scalar
-        path's would.
+        and the check-in counter advances exactly as the scalar path's
+        would.
         """
         if hi - lo < self._FOLD_KERNEL_MIN:
             return self._fold_small(shard, lo, hi)
@@ -822,7 +764,7 @@ class Simulator:
         )
         n_ci = int(ci_slots.size)
         if n_ci:
-            shard.metrics.total_checkins += n_ci
+            self._metrics.total_checkins += n_ci
             self.policy.on_device_checkin_batch(
                 _CohortView(self._vec.profiles, ci_slots),
                 ci_times,
@@ -838,14 +780,14 @@ class Simulator:
         Replays exactly the transitions :meth:`VectorDeviceState.fold_slice`
         batches — busy check-ins max-extend the session, non-busy check-ins
         re-open it, checkouts end an idle session they cover — against the
-        same arrays, reading the stream through the shard's decoded window
+        same arrays, reading the stream through its decoded window
         (cheaper than numpy scalar indexing at this size).
         """
         vec = self._vec
         status = vec.status
         sess = vec.sess
         profiles = vec.profiles
-        metrics = shard.metrics
+        metrics = self._metrics
         policy_checkin = self.policy.on_device_checkin
         rows, off, w_hi = shard.w_rows, shard.w_lo, shard.w_hi
         for p in range(lo, hi):
@@ -879,8 +821,9 @@ class Simulator:
         each check-in transitions (busy max-extend or re-open + policy hook +
         dispatch attempt), each checkout closes a covered idle session.
         After an assignment flush, subsequent events are re-checked
-        against the shard's response head, so a freshly scheduled response
-        stops the drain exactly where the event order says it must.  Returns ``(processed, cursor)``.
+        against the response head, so a freshly scheduled response stops
+        the drain exactly where the event order says it must.  Returns
+        ``(processed, cursor)``.
         """
         vec = self._vec
         status = vec.status
@@ -888,7 +831,7 @@ class Simulator:
         last_day = vec.last_day
         profiles = vec.profiles
         heap = shard.heap
-        metrics = shard.metrics
+        metrics = self._metrics
         pending = self._pending
         enforce_daily = self.config.enforce_daily_limit
         policy_checkin = self.policy.on_device_checkin
@@ -929,18 +872,18 @@ class Simulator:
     def _drain_shard_vec(
         self, shard: DeviceShard, limit: tuple, horizon: float
     ) -> None:
-        """Process ``shard``'s static events while they stay globally next.
+        """Process the stream's static events while they stay globally next.
 
-        The batch ends at ``limit`` (the next event of any *other* source),
-        at the horizon, or as soon as one of the shard's own response
+        The batch ends at ``limit`` (the coordinator queue's next event),
+        at the horizon, or as soon as one of the stream's own response
         events becomes due (responses go through the per-event path).
-        Static device events mutate only the device arrays and the shard's
-        counters, plus the coordinator's supply estimator and, when demand
-        is pending, one assignment decision for the checking-in device
-        itself; none of that can make another source's next event earlier,
+        Static device events mutate only the device arrays and the
+        check-in counter, plus the coordinator's supply estimator and, when
+        demand is pending, one assignment decision for the checking-in
+        device itself; none of that can make a coordinator event earlier,
         which is what makes the batch safe.
 
-        The slice bound (``limit``, the horizon, the shard's own response
+        The slice bound (``limit``, the horizon, the stream's own response
         head) is resolved once by binary search instead of per event.
         With no pending demand the whole slice folds in one kernel.  With
         demand pending, *candidate* check-ins — events the single-queue
@@ -966,8 +909,8 @@ class Simulator:
             if h0 < bt or (h0 == bt and h1 < bs):
                 # Static events must stay strictly before the response.
                 bt, bs = h0, h1 - 1
-        # The merge loop drains a shard only when its next static event is
-        # the globally next event, so the slice is never empty and its end
+        # The fleet loop drains only when the next static event is the
+        # globally next event, so the slice is never empty and its end
         # is found by binary search on the columns.
         if bt > horizon:
             hi = int(sa_time.searchsorted(horizon, "right"))
@@ -984,13 +927,13 @@ class Simulator:
         status = vec.status
         sess = vec.sess
         last_day = vec.last_day
-        metrics = shard.metrics
+        metrics = self._metrics
         policy_checkin = self.policy.on_device_checkin
         profiles = vec.profiles
         if 0 < hi - cursor <= self._DRAIN_SCALAR_MAX:
             # Short slices (the common case in response-dominated
             # stretches) skip the mask machinery: a per-event loop over
-            # the shard's decoded window replays the single-queue handlers
+            # the stream's decoded window replays the single-queue handlers
             # exactly, with a per-event response-head check.
             processed, cursor = self._drain_small(shard, cursor, hi)
             hi = cursor
@@ -1065,7 +1008,6 @@ class Simulator:
                     cursor = hi
                 break
         shard.cursor = cursor
-        shard.events_processed += processed
         self._events_processed += processed
         if processed >= budget:
             raise RuntimeError(
@@ -1074,7 +1016,7 @@ class Simulator:
             )
 
     def _handle_shard_response_vec(
-        self, shard: DeviceShard, slot: int, request_id: int, success: bool
+        self, slot: int, request_id: int, success: bool
     ) -> None:
         """Array-state twin of :meth:`_on_device_response`; heap rows carry slots."""
         vec = self._vec
@@ -1084,10 +1026,10 @@ class Simulator:
             request.in_flight -= 1
         if success:
             vec.tasks_completed[slot] += 1
-            shard.metrics.total_responses += 1
+            self._metrics.total_responses += 1
         else:
             vec.tasks_failed[slot] += 1
-            shard.metrics.total_failures += 1
+            self._metrics.total_failures += 1
         # The session end cannot change inside this handler (folds never
         # run here), so one array read serves both the status transition
         # and the re-dispatch guard.  The status itself is re-read below:
@@ -1121,7 +1063,7 @@ class Simulator:
         """Array-state twin of :meth:`_try_assign`: the same consult
         (:meth:`_consult`), state transition on the arrays, and the latency
         draw deferred to :meth:`_flush_assignments` (the response's sequence
-        number and plan version are claimed here, in decision order)."""
+        number is claimed here, in decision order)."""
         vec = self._vec
         profile = vec.profiles[slot]
         request = self._consult(profile)
@@ -1138,11 +1080,6 @@ class Simulator:
                 request,
                 self.queue.next_seq(),
                 float(vec.sess[slot]),
-                (
-                    self.policy.plan_version
-                    if self._policy_has_plan_version
-                    else None
-                ),
             )
         )
 
@@ -1150,7 +1087,7 @@ class Simulator:
         """Draw outcomes for the buffered assignments and queue responses.
 
         Scheduling a response never influences a later decision within the
-        same dispatch sweep (it only lands on a shard heap), so deferring
+        same dispatch sweep (it only lands on the response heap), so deferring
         the draws to one batched kernel is decision-identical to the scalar
         engine's draw-per-assignment — sequence numbers were already claimed
         in assignment order.
@@ -1160,14 +1097,12 @@ class Simulator:
             return
         self._assign_buf = []
         now = self.now
-        shards = self._shards
-        num_shards = self._num_shards
-        dirty = self._dirty_shards
+        schedule_response = self._shard.schedule_response
         if len(buf) == 1:
             # Size-1 flushes dominate contended workloads; the batch kernel
             # already falls back to a per-element loop there, so skip its
             # list plumbing and draw directly (bit-identical by contract).
-            _slot, profile, job, request, seq, send, pv = buf[0]
+            _slot, profile, job, request, seq, send = buf[0]
             outcomes = (
                 self.latency.sample_outcome(job.spec, profile, now=now),
             )
@@ -1177,7 +1112,7 @@ class Simulator:
                 [entry[1] for entry in buf],
                 now=now,
             )
-        for (slot, profile, job, request, seq, send, pv), (
+        for (slot, profile, job, request, seq, send), (
             duration,
             dropped,
         ) in zip(buf, outcomes):
@@ -1187,17 +1122,9 @@ class Simulator:
                 finish_time = now + duration
             else:
                 finish_time = min(now + duration, max(send, now))
-            shard_index = profile.device_id % num_shards
-            shards[shard_index].schedule_response(
-                finish_time,
-                seq,
-                slot,
-                request.request_id,
-                job.job_id,
-                success,
-                plan_version=pv,
+            schedule_response(
+                finish_time, seq, slot, request.request_id, job.job_id, success
             )
-            dirty.add(shard_index)
 
     def _dispatch_idle_devices_vec(self) -> None:
         """Mask-based twin of the idle-pool dispatch sweep.
@@ -1283,8 +1210,8 @@ class Simulator:
         engine commits, re-filters the unvisited remainder in one array op
         and resumes — no device the scalar re-filter would have dropped is
         ever consulted.  Buffered proposals are flushed once by the
-        caller: responses only land on shard heaps and never influence a
-        decision within the sweep.
+        caller: responses only land on the response heap and never
+        influence a decision within the sweep.
         """
         pending = self._pending
         vec = self._vec
@@ -1340,7 +1267,6 @@ class Simulator:
         next_seq = self.queue.next_seq
         now = self.now
         day = int(now // SECONDS_PER_DAY)
-        pv = self.policy.plan_version if self._policy_has_plan_version else None
         jobs = self.jobs
         pending = self._pending
         #: request_id -> (request, job, [device_ids]) accumulated in order.
@@ -1361,8 +1287,7 @@ class Simulator:
             status[slot] = STATUS_BUSY
             last_day[slot] = day
             buf.append(
-                (slot, profile, entry[1], request, next_seq(),
-                 float(sess[slot]), pv)
+                (slot, profile, entry[1], request, next_seq(), float(sess[slot]))
             )
         for request, job, device_ids in grouped.values():
             request.record_assignments_bulk(device_ids, now)
@@ -1407,10 +1332,6 @@ class Simulator:
             device.tasks_completed = completed
             device.tasks_failed = failed
 
-    def shard_stats(self) -> List[Dict[str, object]]:
-        """Per-shard event/message counters (sharded runs only)."""
-        return [shard.stats() for shard in self._shards]
-
     def _finalise(self) -> None:
         if self._fleet and self._devices is not None:
             self._build_devices()
@@ -1426,10 +1347,6 @@ class Simulator:
         profile = getattr(self.policy, "plan_profile", None)
         if profile is not None:
             self._metrics.plan_maintenance = profile.as_dict()
-        # Sharded runs: fold the per-shard counter metrics into the
-        # coordinator's job-level metrics through the exact reduction.
-        for shard in self._shards:
-            self._metrics = self._metrics.merge(shard.metrics)
 
     # ------------------------------------------------------------------ #
     # Idle-device bookkeeping

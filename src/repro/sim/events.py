@@ -119,19 +119,19 @@ class EventQueue:
     def next_seq(self) -> int:
         """Claim the next sequence number without scheduling an event.
 
-        The sharded engine uses this to stamp response events it hands to a
-        device shard's queue: the number comes from the *same* counter as
+        The fleet engine uses this to stamp response events it hands to the
+        device stream's heap: the number comes from the *same* counter as
         :meth:`push`, so dynamic events sort identically whether they live
-        in this queue or in a shard's.
+        in this queue or in the stream's.
         """
         return next(self._counter)
 
     def reserve(self, count: int) -> None:
         """Skip ``count`` sequence numbers.
 
-        The sharded engine reserves the numbers its static shard streams
-        carry (two per availability session, assigned at build time) so the
-        counter continues exactly where the single-queue engine's would.
+        The fleet engine reserves the numbers its static device stream
+        carries (two per availability session, assigned at build time) so
+        the counter continues exactly where the single-queue engine's would.
         """
         if count < 0:
             raise ValueError("count must be non-negative")

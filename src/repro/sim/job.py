@@ -34,9 +34,9 @@ class RoundRecord:
 class RoundCompletion:
     """Event handed to the engine's round callback when a round succeeds.
 
-    Emitted by the coordinator on both the single-queue and the sharded
-    engine, in event order, with identical content for any shard count —
-    the callback contract the co-simulation layer builds on.
+    Emitted by the coordinator on both the single-queue and the fleet
+    engine, in event order, with identical content on both — the callback
+    contract the co-simulation layer builds on.
     """
 
     job_id: int

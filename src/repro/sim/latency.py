@@ -17,9 +17,9 @@ Per-device randomness
 Draws come from **per-device streams**: draw ``j`` of device ``d`` is a pure
 function of ``(master entropy, d, j)``, so a device's latency/failure draws
 depend on the device and its own assignment history only — the draw *order
-across devices* does not matter.  That property is what lets the sharded
-simulation engine (:mod:`repro.sim.shard`) hand device physics to shards
-while staying bit-identical to the single-queue engine for any shard count.
+across devices* does not matter.  That property is what lets the fleet
+engine batch a dispatch sweep's draws while staying bit-identical to the
+single-queue engine, which draws one assignment at a time.
 
 Per-device streams are generated *counter-based* (a SplitMix64 keyed by
 ``(master, device_id, draw index)``, normals via Box–Muller) rather than by

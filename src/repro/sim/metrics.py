@@ -87,64 +87,6 @@ class SimulationMetrics:
     plan_maintenance: Optional[Dict[str, object]] = None
 
     # ------------------------------------------------------------------ #
-    # Exact reduction
-    # ------------------------------------------------------------------ #
-    def merge(self, other: "SimulationMetrics") -> "SimulationMetrics":
-        """Exact reduction of two partial metrics of the *same* run/setup.
-
-        The sharded engine keeps per-shard counter metrics (check-ins,
-        responses, failures are device physics and live with the owning
-        shard) and the coordinator keeps job metrics and abort counts;
-        merging them reconstructs exactly what the single-queue engine
-        would have counted — every field is either a disjoint union (jobs)
-        or a sum (counters, plan-maintenance profile snapshots), so the
-        reduction is associative, commutative and loss-free.
-
-        Raises ``ValueError`` when the two sides disagree on policy or
-        horizon, or track overlapping job ids (those are different runs,
-        not partitions of one).
-        """
-        if self.policy != other.policy:
-            raise ValueError(
-                f"cannot merge metrics of different policies: "
-                f"{self.policy!r} vs {other.policy!r}"
-            )
-        if self.horizon != other.horizon:
-            raise ValueError(
-                f"cannot merge metrics of different horizons: "
-                f"{self.horizon!r} vs {other.horizon!r}"
-            )
-        overlap = self.jobs.keys() & other.jobs.keys()
-        if overlap:
-            raise ValueError(
-                f"cannot merge metrics with overlapping jobs: {sorted(overlap)[:5]}"
-            )
-        return SimulationMetrics(
-            policy=self.policy,
-            horizon=self.horizon,
-            jobs={**self.jobs, **other.jobs},
-            total_checkins=self.total_checkins + other.total_checkins,
-            total_responses=self.total_responses + other.total_responses,
-            total_failures=self.total_failures + other.total_failures,
-            total_aborts=self.total_aborts + other.total_aborts,
-            plan_maintenance=_merge_plan_maintenance(
-                self.plan_maintenance, other.plan_maintenance
-            ),
-        )
-
-    @staticmethod
-    def merge_all(
-        parts: Sequence["SimulationMetrics"],
-    ) -> "SimulationMetrics":
-        """Reduce several partial metrics with :meth:`merge`."""
-        if not parts:
-            raise ValueError("need at least one SimulationMetrics to merge")
-        merged = parts[0]
-        for part in parts[1:]:
-            merged = merged.merge(part)
-        return merged
-
-    # ------------------------------------------------------------------ #
     # JCT aggregates
     # ------------------------------------------------------------------ #
     def job_jcts(self, censor_to_horizon: bool = True) -> Dict[int, float]:
@@ -316,36 +258,6 @@ class SimulationMetrics:
             ]
             out[float(p)] = float(np.mean(selected)) if selected else 0.0
         return out
-
-
-def _merge_plan_maintenance(
-    a: Optional[Dict[str, object]], b: Optional[Dict[str, object]]
-) -> Optional[Dict[str, object]]:
-    """Sum two plan-maintenance profile snapshots (None-propagating).
-
-    Snapshots are the dict form of
-    :class:`~repro.core.profile.PlanMaintenanceProfile`: every scalar field
-    is an additive counter or wall-time total and ``triggers`` is a counter
-    mapping, so summing field-wise is the exact reduction of profiles that
-    describe disjoint work.
-    """
-    if a is None:
-        return dict(b) if b is not None else None
-    if b is None:
-        return dict(a)
-    merged: Dict[str, object] = {}
-    for key in a.keys() | b.keys():
-        va, vb = a.get(key), b.get(key)
-        if isinstance(va, dict) or isinstance(vb, dict):
-            va = va or {}
-            vb = vb or {}
-            merged[key] = {
-                k: va.get(k, 0) + vb.get(k, 0)
-                for k in sorted(va.keys() | vb.keys())
-            }
-        else:
-            merged[key] = (va or 0) + (vb or 0)
-    return merged
 
 
 def collect_job_metrics(

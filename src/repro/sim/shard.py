@@ -1,56 +1,51 @@
-"""Device shards: the device-physics half of the fleet engine.
+"""The device stream: the device-physics half of the fleet engine.
 
 The single-queue engine keeps every device's availability events in one
 global heap and computes device eligibility signatures one at a time on the
-hot path.  The fleet engine (``SimulationConfig(num_shards=N)`` with
-``N > 1``, or ``vectorized_dispatch=True``) splits that work across N
-:class:`DeviceShard` objects, each owning a partition of the device
-population (``device_id % num_shards == shard_index``):
+hot path.  The fleet engine (``SimulationConfig(vectorized_dispatch=True)``)
+keeps them in one :class:`DeviceShard` — the fleet's device stream — beside
+the coordinator's own queue:
 
-* the shard's **static event stream** — every check-in / checkout of its
-  devices over the horizon — is built once as sorted parallel numpy
-  columns instead of millions of heap pushes.  A device is named by its
-  *slot* (its rank in ascending device-id order, the index of its state in
+* the **static event stream** — every check-in / checkout over the horizon —
+  is built once as sorted parallel numpy columns instead of millions of
+  heap pushes.  A device is named by its *slot* (its rank in ascending
+  device-id order, the index of its state in
   :class:`~repro.sim.vector.VectorDeviceState`) from construction on.  The
   columns are the only copy: the batched kernels slice them, and the
   per-event readers go through one bounded window of decoded Python rows
   (:meth:`DeviceShard.refill`, :data:`STREAM_WINDOW` events at a time) that
-  follows the shard's monotone cursor;
-* the shard's **dynamic queue** holds the response events of its devices
-  (scheduled by the coordinator when it assigns one of the shard's devices);
+  follows the stream's monotone cursor;
+* the **response heap** holds the response events the coordinator schedules
+  when it assigns a device (:meth:`DeviceShard.schedule_response`);
 * the fleet's **eligibility signatures** are precomputed for the workload's
   requirement set in one vectorised pass (:func:`compute_signatures`).
 
-The coordinator (the engine) merges the shard streams deterministically by
-``(time, seq)`` — see :data:`make_static_stream` for how ``seq`` is chosen —
-and exchanges batched messages with the shards: shard→coordinator batches of
-check-in/checkout/response records (the engine drains them in runs), and
-coordinator→shard assignment messages (:meth:`DeviceShard.schedule_response`)
-carrying the scheduler's current plan version.
+The coordinator (the engine) merges the stream with its own queue by
+``(time, seq)`` — see :func:`make_static_stream` for how ``seq`` is chosen —
+draining runs of static events in batches and responses one at a time.
 
 Determinism contract
 --------------------
 
 Static events carry the exact sequence numbers the single-queue engine would
 have assigned them (job arrivals take ``0..J-1``, then session *i* of the
-globally-sorted session list takes ``J + 2i`` for its check-in and
-``J + 2i + 1`` for its checkout).  Dynamic events take coordinator-issued
-sequence numbers from the same counter.  Merging shard streams by
+sorted session list takes ``J + 2i`` for its check-in and ``J + 2i + 1`` for
+its checkout).  Dynamic events take coordinator-issued sequence numbers from
+the same counter.  Merging the stream and the coordinator queue by
 ``(time, seq)`` therefore reproduces the single-queue engine's processing
-order *exactly*, for any shard count — the property the shard-identity
-tests and the engine-matrix decision hash enforce.
+order *exactly* — the property the engine-identity tests and the
+engine-matrix decision hash enforce.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
 from ..core.requirements import EligibilityRequirement, signature_of
 from ..core.types import DeviceProfile
-from .metrics import SimulationMetrics
 
 #: Sentinel key sorting after every real event.
 INF_KEY: Tuple[float, int] = (float("inf"), 1 << 62)
@@ -63,7 +58,7 @@ INF_KEY: Tuple[float, int] = (float("inf"), 1 << 62)
 #: at 1, 3 and 64).
 STREAM_WINDOW = 1024
 
-#: One shard's static stream: ``(time, seq, slot, session_end, is_checkin)``
+#: The static stream: ``(time, seq, slot, session_end, is_checkin)``
 #: columns sorted by ``(time, seq)``.
 StaticStream = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
@@ -134,10 +129,10 @@ def make_static_stream(
     seqs: np.ndarray,
     horizon: float,
 ) -> StaticStream:
-    """Build one shard's sorted static event stream.
+    """Build the sorted static event stream.
 
-    Inputs are the shard's sessions *in global session-sort order* together
-    with the global sequence number of each session's check-in event (the
+    Inputs are the sessions *in session-sort order* together with the
+    sequence number of each session's check-in event (the
     checkout takes ``seq + 1``).  Returns five parallel numpy columns
     ``(time, seq, slot, session_end, is_checkin)`` sorted by
     ``(time, seq)`` — the inputs' dtypes (the trace's float64 / int64) and
@@ -161,29 +156,14 @@ def make_static_stream(
 
 
 class DeviceShard:
-    """One shard of the device population and its event streams.
+    """The fleet's device stream: static events and the response heap.
 
-    The shard owns its devices' event streams — the static
-    check-in/checkout stream, the dynamic response queue — and per-shard
-    metrics counters, while the coordinator owns every decision.
-    In-process the "messages" between the two are direct method calls
-    (:meth:`schedule_response` is the coordinator→shard edge; the engine's
-    stream drain is the shard→coordinator edge), but all state accessed
-    through them is shard-resident, which is what keeps the protocol
-    process-ready.
+    The stream owns the fleet's event streams — the static
+    check-in/checkout columns and the dynamic response heap — while the
+    coordinator owns every decision and every counter.
     """
 
-    def __init__(
-        self,
-        index: int,
-        stream: StaticStream,
-        policy_name: str,
-        horizon: float,
-        num_devices: int,
-    ) -> None:
-        self.index = index
-        #: Devices owned.
-        self.num_devices = num_devices
+    def __init__(self, stream: StaticStream) -> None:
         #: The static stream, as numpy columns sorted by ``(time, seq)``.
         (
             self.sa_time,
@@ -205,30 +185,18 @@ class DeviceShard:
         #: fault rewrites (:meth:`kill_until`, :meth:`delay_responses_until`)
         #: move entries in time and pass the slot through untouched.
         self.heap: List[Tuple[float, int, int, int, int, bool]] = []
-        #: Per-shard mergeable metrics (counter fields only; job metrics
-        #: stay with the coordinator, which owns the job lifecycle).
-        self.metrics = SimulationMetrics(policy=policy_name, horizon=horizon)
-        #: Coordinator→shard message bookkeeping (assignment batches).
-        self.assignments_received = 0
-        self.last_plan_version: Optional[int] = None
-        #: Events this shard contributed to the merged run.
-        self.events_processed = 0
         #: Fault-injection state (:mod:`repro.resilience.faults`).  The
-        #: defaults keep the pristine path byte-identical: ``down_until``
-        #: stays 0.0 (every response time is >= 0, so the outage rewrite in
-        #: :meth:`schedule_response` never triggers) and the drop counter
-        #: stays 0.
+        #: default keeps the pristine path byte-identical: ``down_until``
+        #: stays 0.0, and every response time is >= 0, so the outage
+        #: rewrite in :meth:`schedule_response` never triggers.
         self.down_until = 0.0
-        self.broadcast_drop_pending = 0
-        self.broadcasts_dropped = 0
-        self.plan_rebroadcasts = 0
         self.static_skipped = 0
         self.responses_failed_by_fault = 0
         self.responses_delayed_by_fault = 0
 
     def __getstate__(self) -> dict:
         # Snapshots carry the columns, never the decoded window: a resumed
-        # shard refills at its cursor on first read.
+        # stream refills at its cursor on first read.
         state = self.__dict__.copy()
         state["w_rows"] = []
         state["w_lo"] = state["w_hi"] = 0
@@ -261,7 +229,7 @@ class DeviceShard:
         return self.w_rows, p, hi
 
     def head_key(self) -> Tuple[float, int]:
-        """(time, seq) of the shard's next event; :data:`INF_KEY` if done."""
+        """(time, seq) of the stream's next event; :data:`INF_KEY` if done."""
         cursor = self.cursor
         if cursor < self.st_len:
             if not self.w_lo <= cursor < self.w_hi:
@@ -282,14 +250,13 @@ class DeviceShard:
         request_id: int,
         job_id: int,
         success: bool,
-        plan_version: Optional[int] = None,
     ) -> None:
-        """Coordinator→shard message: one of this shard's devices was
-        assigned; its (pre-drawn) response fires at ``time``."""
+        """The coordinator assigned a device; its (pre-drawn) response
+        fires at ``time``."""
         if time < self.down_until:
-            # Fault injection: the shard is dead when this task would have
+            # Fault injection: the stream is dead when this task would have
             # reported.  The work is lost; the coordinator observes the
-            # failure when the shard reconnects.  (``down_until`` is 0.0 on
+            # failure when the stream reconnects.  (``down_until`` is 0.0 on
             # pristine runs, so this branch is unreachable there.)
             time = self.down_until
             success = False
@@ -297,22 +264,12 @@ class DeviceShard:
         heapq.heappush(
             self.heap, (time, seq, slot, request_id, job_id, success)
         )
-        self.assignments_received += 1
-        if plan_version is not None:
-            if self.broadcast_drop_pending:
-                # Fault injection: this assignment's plan broadcast was
-                # lost in flight; the shard keeps its stale plan version
-                # until the coordinator's re-broadcast lands.
-                self.broadcast_drop_pending -= 1
-                self.broadcasts_dropped += 1
-            else:
-                self.last_plan_version = plan_version
 
     # ------------------------------------------------------------------ #
     # Fault injection (:mod:`repro.resilience.faults`)
     # ------------------------------------------------------------------ #
     def kill_until(self, end: float) -> None:
-        """The shard dies now and reconnects at ``end`` (simulated time).
+        """The stream dies now and reconnects at ``end`` (simulated time).
 
         Three degraded-mode effects, all deterministic:
 
@@ -324,10 +281,9 @@ class DeviceShard:
           coordinator — the stream cursor skips past them (dispatch
           re-checks the session end, so a device whose checkout was
           skipped is never offered past it);
-        * until ``end``, new assignments to this shard's devices are
-          converted to reconnect-time failures by
-          :meth:`schedule_response` — the coordinator proceeds on stale
-          state and learns of the losses when the shard returns.
+        * until ``end``, new assignments are converted to reconnect-time
+          failures by :meth:`schedule_response` — the coordinator proceeds
+          on stale state and learns of the losses when the stream returns.
         """
         self.down_until = max(self.down_until, end)
         if self.heap:
@@ -349,7 +305,7 @@ class DeviceShard:
             self.cursor = hi
 
     def delay_responses_until(self, end: float) -> None:
-        """The shard's response drain stalls until ``end``.
+        """The stream's response drain stalls until ``end``.
 
         In-flight responses due during the stall are delivered — outcomes
         unchanged — when the drain recovers at ``end``.  Responses landing
@@ -373,86 +329,51 @@ class DeviceShard:
             self.heap = rewritten
 
     def fault_counters(self) -> Dict[str, int]:
-        """Per-shard degraded-mode counters (all zero on pristine runs)."""
+        """Degraded-mode counters (all zero on pristine runs)."""
         return {
             "static_skipped": self.static_skipped,
             "responses_failed_by_fault": self.responses_failed_by_fault,
             "responses_delayed_by_fault": self.responses_delayed_by_fault,
-            "broadcasts_dropped": self.broadcasts_dropped,
-            "plan_rebroadcasts": self.plan_rebroadcasts,
-        }
-
-    def stats(self) -> Dict[str, object]:
-        """Per-shard summary for benchmarks and the scaling example."""
-        return {
-            "shard": self.index,
-            "devices": self.num_devices,
-            "static_events": self.st_len,
-            "events_processed": self.events_processed,
-            "checkins": self.metrics.total_checkins,
-            "responses": self.metrics.total_responses,
-            "failures": self.metrics.total_failures,
-            "assignments_received": self.assignments_received,
-            "last_plan_version": self.last_plan_version,
-            **self.fault_counters(),
         }
 
 
-def build_shards(
+def build_shard(
     device_ids: np.ndarray,
     availability,
-    num_shards: int,
     horizon: float,
     seq_start: int,
-    policy_name: str,
-) -> Tuple[List[DeviceShard], int]:
-    """Partition the population into shards with ready event streams.
+) -> Tuple[DeviceShard, int]:
+    """Build the fleet's device stream.
 
-    ``device_ids`` is the fleet, in any order.  The streams name a device
+    ``device_ids`` is the fleet, in any order.  The stream names a device
     by its slot — its rank in ascending id order, as in
     :class:`~repro.sim.vector.VectorDeviceState` — and every id the trace
     mentions must be in the fleet (the engine validates that at
     construction).
 
-    Returns ``(shards, seqs_consumed)`` where ``seqs_consumed`` is the
-    number of sequence numbers the static streams claimed (the coordinator
+    Returns ``(stream, seqs_consumed)`` where ``seqs_consumed`` is the
+    number of sequence numbers the static events claimed (the coordinator
     advances its own event counter past them so dynamic events sort after
     same-time static ones exactly as in the single-queue engine).
     """
-    if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
     starts, ids, ends = availability.checkin_events_arrays()
     keep = starts < horizon
     starts, ids, ends = starts[keep], ids[keep], ends[keep]
-    ranked = np.sort(device_ids)
-    # Global session-sort-order sequence numbers: session i's check-in gets
+    # Session-sort-order sequence numbers: session i's check-in gets
     # seq_start + 2i, its checkout seq_start + 2i + 1 (the single-queue
     # engine's exact enumeration).
     seqs = seq_start + 2 * np.arange(len(starts), dtype=np.int64)
-    owned = np.bincount(device_ids % num_shards, minlength=num_shards).tolist()
-    shards = []
-    for k in range(num_shards):
-        m = ids % num_shards == k
-        shards.append(
-            DeviceShard(
-                index=k,
-                stream=make_static_stream(
-                    starts[m], ranked.searchsorted(ids[m]), ends[m], seqs[m],
-                    horizon,
-                ),
-                policy_name=policy_name,
-                horizon=horizon,
-                num_devices=owned[k],
-            )
-        )
-    return shards, 2 * len(starts)
+    stream = make_static_stream(
+        starts, np.sort(device_ids).searchsorted(ids), ends, seqs, horizon
+    )
+    return DeviceShard(stream), 2 * len(starts)
 
 
 __all__ = [
     "DeviceShard",
     "INF_KEY",
     "STREAM_WINDOW",
-    "build_shards",
+    "build_shard",
     "compute_signatures",
     "make_static_stream",
 ]

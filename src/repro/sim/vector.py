@@ -1,9 +1,9 @@
 """Struct-of-arrays device state: the fleet engine's only device state.
 
-The fleet engine (``SimulationConfig(num_shards=N)`` with ``N > 1``, or
-``vectorized_dispatch=True``) keeps no per-device
-:class:`~repro.sim.device.DeviceRuntime` object at all: the whole fleet's dynamic state lives in parallel numpy arrays
-indexed by *slot* (the device's rank in ascending device-id order), and the
+The fleet engine (``SimulationConfig(vectorized_dispatch=True)``) keeps
+no per-device :class:`~repro.sim.device.DeviceRuntime` object at all: the
+whole fleet's dynamic state lives in parallel numpy arrays indexed by
+*slot* (the device's rank in ascending device-id order), and the
 slot is the only name the engine has for a device:
 
 * ``status`` — 0 offline / 1 idle / 2 busy (``int8``),

@@ -156,7 +156,7 @@ class DeviceAvailabilityTrace:
 
         Same (start, device_id, end) lexicographic order as the tuple form,
         one vectorised lexsort over the columns — the representation the
-        sharded engine's stream builder consumes.
+        fleet engine's stream builder consumes.
         """
         order = np.lexsort((self.ends, self.device_ids, self.starts))
         return self.starts[order], self.device_ids[order], self.ends[order]

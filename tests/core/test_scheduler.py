@@ -246,3 +246,36 @@ class TestVennSchedulerLifecycle:
         sched = VennScheduler(seed=0)
         plan = sched.rebuild_plan(now=0.0)
         assert plan.group_order == []
+
+
+class TestPlanSnapshot:
+    def test_every_call_reads_the_current_plan(self):
+        sched = VennScheduler(seed=0)
+        open_request(sched, make_job(1, GENERAL, demand=5), request_id=1)
+        assert sched.plan_snapshot()["dirty"]
+        sched.rebuild_plan(now=1.0)
+        rebuilt = sched.plan_snapshot()
+        assert rebuilt["version"] == sched.plan_version >= 1
+        assert not rebuilt["dirty"]
+        assert rebuilt["group_order"] == ["general"]
+        assert rebuilt["job_order"] == {"general": [1]}
+        # A new request dirties the plan between two reads at one version.
+        open_request(sched, make_job(2, HIGH_PERFORMANCE, demand=3), request_id=2)
+        pending = sched.plan_snapshot()
+        assert pending["version"] == rebuilt["version"] and pending["dirty"]
+        sched.rebuild_plan(now=2.0)
+        after = sched.plan_snapshot()
+        assert after["version"] == rebuilt["version"] + 1
+        assert set(after["job_order"]) == {"general", "high_performance"}
+
+    def test_each_call_returns_fresh_plain_data(self):
+        sched = VennScheduler(seed=0)
+        open_request(sched, make_job(1, GENERAL, demand=5), request_id=1)
+        sched.rebuild_plan(now=1.0)
+        first = sched.plan_snapshot()
+        first["group_order"].append("tampered")
+        first["job_order"]["general"].clear()
+        second = sched.plan_snapshot()
+        assert second["group_order"] == ["general"]
+        assert second["job_order"] == {"general": [1]}
+        assert list(sched._plan.group_order) == ["general"]

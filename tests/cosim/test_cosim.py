@@ -6,7 +6,7 @@ Covers the four layers the tentpole touches:
 * externally driven trainer rounds with per-(client, round) streams (fl
   layer),
 * the :class:`~repro.cosim.CoSimulation` loop, including bit-identity
-  across shard counts (the determinism contract),
+  across the two engines (the determinism contract),
 * the sweep's ``--cosim`` rows and their time-to-accuracy aggregation.
 """
 
@@ -215,14 +215,15 @@ class TestEngineRoundCallback:
 
 
 class TestCoSimulationDeterminism:
-    def test_bit_identical_across_shard_counts(self):
-        results = {}
-        for shards in (1, 2):
-            env = build_environment(cosim_base(seed=13).with_shards(shards))
-            results[shards] = CoSimulation(
-                env, "venn", config=tiny_cosim_config()
+    def test_bit_identical_across_engines(self):
+        one, two = (
+            CoSimulation(
+                build_environment(cosim_base(seed=13).with_vectorized(fleet)),
+                "venn",
+                config=tiny_cosim_config(),
             ).run()
-        one, two = results[1], results[2]
+            for fleet in (False, True)
+        )
         assert one.decision_hash == two.decision_hash
         assert one.accuracy_hash == two.accuracy_hash
         assert list(one.jobs) == list(two.jobs)

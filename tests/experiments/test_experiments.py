@@ -203,28 +203,39 @@ class TestAnalysisExperiments:
         assert final_accuracy_by_policy(curves)[1] > 0
 
 
-class TestNumShardsPlumbing:
-    def test_num_shards_flows_into_simulation_config(self):
+class TestEnginePlumbing:
+    def test_vectorized_flows_into_simulation_config(self):
         from repro.experiments.config import quick_config
 
-        cfg = quick_config().with_shards(4)
-        assert cfg.num_shards == 4
-        assert cfg.simulation.num_shards == 4
-        assert cfg.simulation.use_sharded_engine
-        # replace-based copies keep the shard count.
-        assert cfg.with_seed(99).simulation.num_shards == 4
+        cfg = quick_config().with_vectorized(True)
+        assert cfg.simulation.vectorized_dispatch
+        # replace-based copies keep the engine choice.
+        assert cfg.with_seed(99).simulation.vectorized_dispatch
+        assert not quick_config().simulation.vectorized_dispatch
 
-    def test_invalid_num_shards_rejected(self):
-        import pytest
+    def test_checkpoint_interval_flows_into_simulation_config(self):
         from dataclasses import replace
+
         from repro.experiments.config import quick_config
 
-        with pytest.raises(ValueError, match="num_shards"):
-            replace(quick_config(), num_shards=0)
+        cfg = replace(quick_config(), checkpoint_interval=50).with_vectorized()
+        assert cfg.simulation.checkpoint_interval == 50
+        assert cfg.with_seed(99).simulation.checkpoint_interval == 50
+        assert quick_config().simulation.checkpoint_interval is None
 
-    def test_run_policy_honours_shard_knob(self):
+    def test_invalid_plan_maintenance_rejected(self):
+        from dataclasses import replace
+
+        import pytest
+
+        from repro.experiments.config import quick_config
+
+        with pytest.raises(ValueError, match="plan_maintenance"):
+            replace(quick_config(), plan_maintenance="lazy")
+
+    def test_run_policy_honours_engine_knob(self):
         """endtoend.run_policy inherits the engine choice from the config;
-        sharded and single-queue runs agree bit-for-bit."""
+        fleet and single-queue runs agree bit-for-bit."""
         from dataclasses import replace
 
         from repro.experiments.config import quick_config
@@ -233,10 +244,10 @@ class TestNumShardsPlumbing:
 
         small = replace(quick_config(seed=3).with_jobs(4), num_devices=200)
         env_single = build_environment(small)
-        env_sharded = build_environment(small.with_shards(3))
+        env_fleet = build_environment(small.with_vectorized(True))
         single = run_policy(env_single, "venn")
-        sharded = run_policy(env_sharded, "venn")
+        fleet = run_policy(env_fleet, "venn")
         assert {j: m.jct for j, m in single.jobs.items()} == {
-            j: m.jct for j, m in sharded.jobs.items()
+            j: m.jct for j, m in fleet.jobs.items()
         }
-        assert single.total_checkins == sharded.total_checkins
+        assert single.total_checkins == fleet.total_checkins

@@ -5,9 +5,9 @@ micro quick-preset environment under the Venn scheduler — is frozen as a
 JSON fixture: per-job accuracy curves with their simulated completion
 times, the per-target time-to-accuracy map, and the run's decision and
 accuracy hashes.  The run is replayed on the single-queue engine and on
-the coordinator/shard engine at ``num_shards ∈ {2, 4}``, and every replay
-must be **byte-identical** to the fixture — the co-sim extension of the
-shard-identity contract PR 4 pinned for scheduling decisions.
+the fleet engine, and every replay must be **byte-identical** to the
+fixture — the co-sim extension of the engine-identity contract PR 4 pinned
+for scheduling decisions.
 
 Regenerate intentionally with::
 
@@ -33,14 +33,13 @@ DAY = 24 * 3600.0
 SCENARIO = "non_iid_contention"
 POLICY = "venn"
 SEED = 11
-SHARD_COUNTS = (1, 2, 4)
 
 
-def cosim_snapshot(num_shards: int, vectorized: bool = False) -> dict:
+def cosim_snapshot(vectorized: bool = False) -> dict:
     """Run the pinned co-sim scenario and serialise its observable output."""
     base = replace(
         quick_config(seed=SEED), num_devices=600, num_jobs=8, horizon=DAY
-    ).with_shards(num_shards).with_vectorized(vectorized)
+    ).with_vectorized(vectorized)
     spec = get_scenario(SCENARIO)
     env = spec.build_environment(base)
     config = smoke_cosim_config().with_overrides(spec.cosim)
@@ -84,7 +83,7 @@ def cosim_snapshot(num_shards: int, vectorized: bool = False) -> dict:
 
 class TestGoldenCoSim:
     def test_matches_frozen_fixture(self):
-        snapshot = json.loads(json.dumps(cosim_snapshot(num_shards=1)))
+        snapshot = json.loads(json.dumps(cosim_snapshot()))
         if os.environ.get("REGEN_GOLDEN"):
             os.makedirs(FIXTURE_DIR, exist_ok=True)
             with open(FIXTURE_PATH, "w") as fh:
@@ -111,28 +110,13 @@ class TestGoldenCoSim:
             for t in per_job.values()
         )
 
-    @pytest.mark.parametrize("num_shards", [s for s in SHARD_COUNTS if s > 1])
-    def test_sharded_replay_is_byte_identical(self, num_shards):
-        """The coordinator/shard engine must land on the frozen fixture for
-        every shard count — accuracy curves included, since the trainer only
-        sees coordinator-side round completions."""
+    def test_vectorized_replay_is_byte_identical(self):
+        """The fleet engine must also land on the frozen fixture:
+        decisions, accuracy curves and hashes — accuracy curves included,
+        since the trainer only sees coordinator-side round completions."""
         if os.environ.get("REGEN_GOLDEN"):
             pytest.skip("fixtures being regenerated")
         with open(FIXTURE_PATH) as fh:
             expected = json.load(fh)
-        snapshot = json.loads(json.dumps(cosim_snapshot(num_shards=num_shards)))
-        assert snapshot == expected
-
-    @pytest.mark.parametrize("num_shards", [1, 2])
-    def test_vectorized_replay_is_byte_identical(self, num_shards):
-        """The struct-of-arrays hot path must also land on the frozen
-        fixture: decisions, accuracy curves and hashes — the co-sim leg of
-        the vectorized-identity contract."""
-        if os.environ.get("REGEN_GOLDEN"):
-            pytest.skip("fixtures being regenerated")
-        with open(FIXTURE_PATH) as fh:
-            expected = json.load(fh)
-        snapshot = json.loads(
-            json.dumps(cosim_snapshot(num_shards=num_shards, vectorized=True))
-        )
+        snapshot = json.loads(json.dumps(cosim_snapshot(vectorized=True)))
         assert snapshot == expected

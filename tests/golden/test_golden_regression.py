@@ -146,8 +146,7 @@ def job_request(job: JobSpec):
 
 
 def simulation_snapshot(
-    name: str, plan_maintenance: str = "incremental",
-    num_shards: int = 1, vectorized: bool = False,
+    name: str, plan_maintenance: str = "incremental", vectorized: bool = False,
 ) -> dict:
     devices, trace, jobs, horizon = scenario(name)
     policy = VennScheduler(seed=7, plan_maintenance=plan_maintenance)
@@ -155,7 +154,6 @@ def simulation_snapshot(
         horizon=horizon,
         seed=11,
         latency=GOLDEN_LATENCY,
-        num_shards=num_shards,
         vectorized_dispatch=vectorized,
         # The contended scenario keeps the paper's one-job-per-day realism
         # constraint (it is part of what makes it contended); the
@@ -218,35 +216,19 @@ class TestGoldenScenarios:
             expected = json.load(fh)
         assert_matches(snapshot, expected)
 
-    def test_sharded_engine_reproduces_fixture_exactly(self, name):
-        """The coordinator/shard engine must land on the frozen fixture for
-        several shard counts — the golden half of the shard-identity
-        contract (``tests/sim/test_engine_matrix.py``'s decision hash is
-        the other half)."""
-        path = fixture_path(name)
-        if os.environ.get("REGEN_GOLDEN"):
-            pytest.skip("fixtures being regenerated")
-        with open(path) as fh:
-            expected = json.load(fh)
-        for num_shards in (1, 3):
-            sharded = simulation_snapshot(name, num_shards=num_shards)
-            assert_matches(sharded, expected["jobs"])
-
     def test_vectorized_engine_reproduces_fixture_exactly(self, name):
-        """The struct-of-arrays hot path must land on the frozen fixture at
-        several shard counts — the golden half of the vectorized-identity
-        contract (the scenario fuzzer's ``--vectorized`` twin mode and the
-        engine-matrix decision-hash test are the live halves)."""
+        """The fleet engine must land on the frozen fixture — the golden
+        half of the engine-identity contract (the scenario fuzzer's engine
+        twin and the engine-matrix decision-hash test are the live
+        halves)."""
         path = fixture_path(name)
         if os.environ.get("REGEN_GOLDEN"):
             pytest.skip("fixtures being regenerated")
         with open(path) as fh:
             expected = json.load(fh)
-        for num_shards in (1, 2, 4):
-            vec = simulation_snapshot(
-                name, num_shards=num_shards, vectorized=True
-            )
-            assert_matches(vec, expected["jobs"])
+        assert_matches(
+            simulation_snapshot(name, vectorized=True), expected["jobs"]
+        )
 
     def test_incremental_and_full_maintenance_agree_exactly(self, name):
         """Incremental plan maintenance (the default) must make bit-identical

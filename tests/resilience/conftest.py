@@ -57,7 +57,6 @@ def small_environment(num_devices: int = 40, horizon: float = HORIZON):
 
 def build_sim(
     *,
-    num_shards: int = 1,
     vectorized: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     checkpoint_interval: Optional[int] = None,
@@ -75,7 +74,6 @@ def build_sim(
         seed=seed,
         latency=latency or LatencyConfig(compute_sigma=0.3),
         enforce_daily_limit=enforce_daily_limit,
-        num_shards=num_shards,
         vectorized_dispatch=vectorized,
         fault_plan=fault_plan,
         checkpoint_interval=checkpoint_interval,

@@ -1,8 +1,8 @@
 """The chaos harness itself: kill-and-resume sweeps must come back clean.
 
 These run the real ``repro.resilience.chaos`` entry point on the quick
-preset with small crash counts — the CI ``chaos-smoke`` job runs the full
-20-crash x {1,2,4} shards x {scalar,vectorized} matrix.
+preset with small crash counts — the CI ``chaos-smoke`` job runs 20
+crashes on each of the two engine cells (scalar, vectorized).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ def cfg():
 
 class TestBuildSimulator:
     def test_rebuild_is_deterministic(self, cfg):
-        a = build_simulator(cfg, policy_name="venn", num_shards=1, vectorized=False)
-        b = build_simulator(cfg, policy_name="venn", num_shards=1, vectorized=False)
+        a = build_simulator(cfg, policy_name="venn", vectorized=False)
+        b = build_simulator(cfg, policy_name="venn", vectorized=False)
         am, bm = a.run(), b.run()
         assert a.policy.decisions == b.policy.decisions
         assert am.total_responses == bm.total_responses
@@ -34,7 +34,6 @@ class TestBuildSimulator:
         sim = build_simulator(
             cfg,
             policy_name="venn",
-            num_shards=1,
             vectorized=False,
             fault_plan=FaultPlan.crash_at(50),
         )
@@ -47,7 +46,6 @@ class TestRunMode:
         failures = run_mode(
             cfg,
             policy_name="venn",
-            num_shards=1,
             vectorized=False,
             crashes=2,
             checkpoint_every=500,
@@ -59,7 +57,6 @@ class TestRunMode:
         failures = run_mode(
             cfg,
             policy_name="venn",
-            num_shards=2,
             vectorized=True,
             crashes=2,
             checkpoint_every=500,
@@ -73,7 +70,6 @@ class TestMain:
         rc = main(
             [
                 "--crashes", "1",
-                "--shards", "1",
                 "--modes", "scalar",
                 "--preset", "quick",
             ]
@@ -85,5 +81,3 @@ class TestMain:
     def test_argument_validation(self):
         with pytest.raises(SystemExit):
             main(["--modes", "warp-drive"])
-        with pytest.raises(SystemExit):
-            main(["--shards", "0"])

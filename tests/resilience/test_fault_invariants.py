@@ -1,23 +1,28 @@
-"""Shard-fault runs held by invariants, not by a twin.
+"""Stream-fault runs held by invariants, not by a twin.
 
-``kill_shard`` / ``stall_shard`` / ``drop_plan_broadcast`` need shards, so
-the single-queue reference engine cannot host them and there is no second
-engine to compare a faulted run against.  What a faulted run must still
-satisfy is stated here as executable predicates over what the run leaves
-behind — the recorded assignments and their requests, ``shard_stats()`` /
-``fault_stats()``, the shard heaps and the final device arrays:
+``kill_shard`` / ``stall_shard`` act on the fleet engine's device stream,
+so the single-queue reference engine cannot host them and there is no
+second engine to compare a faulted run against.  What a faulted run must
+still satisfy is stated here as executable predicates over what the run
+leaves behind — the recorded assignments and their requests, the metrics
+counters, ``fault_stats()``, the response heap and the final device arrays:
 
 * every assignment yields exactly one response (delivered, or still queued);
-* a slot is busy iff exactly one queued response names it, on its own shard;
-* a shard's stream cursor accounts for every static event, processed or
-  skipped by an outage;
+* a slot is busy iff exactly one queued response names it;
+* the stream cursor accounts for every static event, processed or skipped
+  by an outage;
 * a device gets a second task in one calendar day only after a refund;
 * the same plan twice gives the same run.
 
-Two cells: the sparse shuffled-id cell of ``tests/sim/test_sparse_device_ids.py``
-(a slot is not an id; rounds abort) and the deterministic-latency cell of
-``tests/sim/test_refund_eviction.py`` (whole rounds answer on one
-timestamp, so ``kill_until`` builds the longest same-time response runs).
+Two environments: the sparse shuffled-id cell of
+``tests/sim/test_sparse_device_ids.py`` (a slot is not an id; rounds abort)
+and the deterministic-latency cell of ``tests/sim/test_refund_eviction.py``
+(whole rounds answer on one timestamp, so ``kill_until`` builds the longest
+same-time response runs).  Each runs a kill-then-stall plan and a second
+outage layout: on the sparse cell a kill at the first boundary and a
+shorter re-kill inside a live outage (which must not shorten it), on the
+same-timestamp cell a stall and a kill firing at one boundary (the kill
+fails what the stall delayed).
 Each predicate was checked to fail under a one-line mutation of the handler
 it guards (``docs/RESILIENCE.md`` § Fault invariants lists them).
 """
@@ -41,16 +46,32 @@ from tests.sim.test_refund_eviction import contended_scenario
 from tests.sim.test_sparse_device_ids import HORIZON as SPARSE_HORIZON
 from tests.sim.test_sparse_device_ids import sparse_cell
 
-#: name -> (environment builder, horizon, latency, (kill, stall, drop) events)
+SPARSE_LATENCY = LatencyConfig(compute_sigma=0.3, comm_min=5.0, comm_max=20.0)
+
+#: name -> (environment builder, horizon, latency, faults as
+#: ``(kind, at_event, duration)`` in declaration order)
 CELLS = {
     "sparse-ids": (
-        sparse_cell, SPARSE_HORIZON,
-        LatencyConfig(compute_sigma=0.3, comm_min=5.0, comm_max=20.0),
-        (100, 200, 60),
+        sparse_cell, SPARSE_HORIZON, SPARSE_LATENCY,
+        (("kill_shard", 100, 1_500.0), ("stall_shard", 200, 800.0)),
+    ),
+    "sparse-ids-rekilled": (
+        sparse_cell, SPARSE_HORIZON, SPARSE_LATENCY,
+        (
+            ("kill_shard", 0, 1_500.0),
+            ("kill_shard", 100, 3_000.0),
+            ("kill_shard", 100, 1_500.0),  # inside the live outage
+            ("stall_shard", 200, 800.0),
+        ),
     ),
     "same-timestamp": (
         # ~120 events in all: always-on devices, so no static event to skip.
-        contended_scenario, 30_000.0, DETERMINISTIC_LATENCY, (20, 45, 8),
+        contended_scenario, 30_000.0, DETERMINISTIC_LATENCY,
+        (("kill_shard", 20, 1_500.0), ("stall_shard", 45, 800.0)),
+    ),
+    "same-timestamp-stall-then-kill": (
+        contended_scenario, 30_000.0, DETERMINISTIC_LATENCY,
+        (("stall_shard", 20, 800.0), ("kill_shard", 20, 1_500.0)),
     ),
 }
 
@@ -75,19 +96,13 @@ class RequestRecorder(RecordingPolicy):
         return consumed, proposals
 
 
-def faulted_run(cell_name: str, num_shards: int) -> Simulator:
-    build, horizon, latency, (kill_at, stall_at, drop_at) = CELLS[cell_name]
+def faulted_run(cell_name: str) -> Simulator:
+    build, horizon, latency, faults = CELLS[cell_name]
     devices, trace, jobs = build()
-    plan = FaultPlan(
-        (
-            FaultSpec("drop_plan_broadcast", drop_at, shard=1, backoff=300.0),
-            FaultSpec("kill_shard", kill_at, shard=0, duration=1_500.0),
-            FaultSpec("stall_shard", stall_at, shard=num_shards - 1, duration=800.0),
-        )
-    )
+    plan = FaultPlan(tuple(FaultSpec(*fault) for fault in faults))
     config = SimulationConfig(
         horizon=horizon, seed=9, latency=latency, enforce_daily_limit=True,
-        num_shards=num_shards, fault_plan=plan,
+        vectorized_dispatch=True, fault_plan=plan,
     )
     policy = RequestRecorder(make_policy("venn", seed=3))
     sim = Simulator(devices, trace, jobs, policy, config)
@@ -95,43 +110,28 @@ def faulted_run(cell_name: str, num_shards: int) -> Simulator:
     return sim
 
 
-@pytest.fixture(
-    scope="module",
-    params=[(cell, n) for cell in CELLS for n in (2, 4)],
-    ids=lambda p: f"{p[0]}-x{p[1]}",
-)
+@pytest.fixture(scope="module", params=list(CELLS))
 def sim(request) -> Simulator:
-    return faulted_run(*request.param)
+    return faulted_run(request.param)
 
 
 def test_every_fault_really_bit(sim):
     stats = sim.fault_stats()
-    assert stats["faults_fired"] == 3
+    assert stats["faults_fired"] == len(sim.config.fault_plan.faults) >= 2
+    assert stats["shards_killed"] >= 1 and stats["shards_stalled"] >= 1
     assert stats["shard_responses_failed_by_fault"] >= 1
     assert stats["shard_responses_delayed_by_fault"] >= 1
-    assert stats["shard_broadcasts_dropped"] == stats["shard_plan_rebroadcasts"] == 1
     assert sim.run().total_responses > 40  # and the run went on
 
 
 def test_every_assignment_yields_exactly_one_response(sim):
     assignments = len(sim.policy.decisions)
-    queued = sum(len(shard.heap) for shard in sim._shards)
+    queued = len(sim._shard.heap)
+    metrics = sim.run()
     assert assignments > 60
-    assert (
-        sim.run().total_responses + sim.run().total_failures + queued
-        == assignments
-    )
-    # ... shard by shard (an assignment goes to, and is answered by, the
-    # shard owning the device's *id*), and request by request.
-    owner = Counter(
-        device_id % len(sim._shards) for _t, device_id, _r in sim.policy.assigned
-    )
-    for shard, stats in zip(sim._shards, sim.shard_stats()):
-        assert stats["assignments_received"] == owner[shard.index]
-        assert (
-            stats["responses"] + stats["failures"] + len(shard.heap)
-            == stats["assignments_received"]
-        )
+    assert len(sim.policy.assigned) == assignments
+    assert metrics.total_responses + metrics.total_failures + queued == assignments
+    # ... and request by request.
     requests = {id(r): r for _t, _d, r in sim.policy.assigned}.values()
     assert sum(r.in_flight for r in requests) == queued
     assert all(r.in_flight >= 0 for r in requests)
@@ -139,24 +139,29 @@ def test_every_assignment_yields_exactly_one_response(sim):
 
 def test_a_slot_is_busy_iff_one_queued_response_names_it(sim):
     vec = sim._vec
-    queued = Counter()
-    for shard in sim._shards:
-        for _time, _seq, slot, _request, _job, _success in shard.heap:
-            queued[slot] += 1
-            assert vec.ids[slot] % len(sim._shards) == shard.index
+    queued = Counter(slot for _t, _seq, slot, _r, _j, _s in sim._shard.heap)
     assert set(queued.values()) <= {1}
     assert sorted(queued) == np.nonzero(vec.status == STATUS_BUSY)[0].tolist()
 
 
 def test_stream_cursor_accounts_for_every_static_event(sim, request):
-    if request.node.callspec.params["sim"][0] == "sparse-ids":
-        assert sim.fault_stats()["shard_static_skipped"] >= 1
-    for shard, stats in zip(sim._shards, sim.shard_stats()):
-        assert shard.cursor == (
-            stats["events_processed"] - stats["responses"] - stats["failures"]
-            + stats["static_skipped"]
-        )
-        assert 0 <= shard.cursor <= shard.st_len
+    """Every processed event is a static one, a response or failure, a job
+    arrival or an abort (the only deadline events that are not cancelled);
+    the static ones plus the outage's skips are the cursor."""
+    stats = sim.fault_stats()
+    if request.node.callspec.params["sim"].startswith("sparse-ids"):
+        assert stats["shard_static_skipped"] >= 1
+    metrics = sim.run()
+    arrivals = sum(
+        1 for j in sim.jobs.values() if j.spec.arrival_time <= sim.config.horizon
+    )
+    static = (
+        sim.events_processed - metrics.total_responses - metrics.total_failures
+        - metrics.total_aborts - arrivals
+    )
+    shard = sim._shard
+    assert shard.cursor == static + stats["shard_static_skipped"]
+    assert 0 <= shard.cursor <= shard.st_len
 
 
 def test_second_task_in_a_day_only_after_a_refund(sim):
@@ -180,10 +185,9 @@ def test_second_task_in_a_day_only_after_a_refund(sim):
 
 
 def test_same_plan_twice_gives_the_same_run(sim, request):
-    cell_name, num_shards = request.node.callspec.params["sim"]
-    again = faulted_run(cell_name, num_shards)
+    again = faulted_run(request.node.callspec.params["sim"])
     assert again.policy.decisions == sim.policy.decisions
     assert metrics_digest(again.run()) == metrics_digest(sim.run())
     assert again.events_processed == sim.events_processed
     assert again.fault_stats() == sim.fault_stats()
-    assert again.shard_stats() == sim.shard_stats()
+    assert again._shard.cursor == sim._shard.cursor

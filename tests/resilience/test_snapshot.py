@@ -3,7 +3,7 @@
 The load-bearing property (docs/RESILIENCE.md): a run killed at any event
 boundary and resumed from any earlier snapshot finishes with the same
 decision sequence and the same metrics as its uninterrupted twin — on the
-single-queue engine and on the fleet engine at one and two shards alike.
+single-queue engine and on the fleet engine alike.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.resilience import (
     SnapshotError,
     metrics_digest,
 )
+import repro.sim.engine as engine_module
 from repro.resilience.snapshot import SNAPSHOT_FORMAT_VERSION
 from repro.sim.engine import Simulator
 from tests.resilience.conftest import build_sim, kill_and_resume
@@ -27,7 +28,12 @@ from tests.resilience.conftest import build_sim, kill_and_resume
 ENGINE_MODES = [
     pytest.param({}, id="scalar"),
     pytest.param({"vectorized": True}, id="vectorized-1"),
-    pytest.param({"num_shards": 2, "vectorized": True}, id="vectorized"),
+    # The daily participation quota adds per-device day state and budget
+    # refunds, which the snapshot must carry across the crash.
+    pytest.param({"enforce_daily_limit": True}, id="scalar-daily"),
+    pytest.param(
+        {"vectorized": True, "enforce_daily_limit": True}, id="vectorized-daily"
+    ),
 ]
 
 
@@ -76,7 +82,7 @@ class TestVectorizedDevicesAcrossSnapshots:
     """On the vectorized engine ``sim.devices`` is a view of the arrays,
     built on first read; snapshots never carry it."""
 
-    MODE = {"num_shards": 2, "vectorized": True}
+    MODE = {"vectorized": True}
 
     def _killed_mid_run(self):
         store = LatestSnapshotStore()
@@ -91,7 +97,7 @@ class TestVectorizedDevicesAcrossSnapshots:
 
     def test_resumed_run_builds_devices_from_the_restored_arrays(self):
         snap = self._killed_mid_run()
-        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 4
+        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 5
         resumed = Simulator.resume(snap, fault_plan=None)
         assert resumed._devices is None
         # Mid-run read on the resumed simulator: the checkpoint's state.
@@ -201,6 +207,22 @@ class TestCheckpointing:
         stale = replace(snap, format_version=snap.format_version + 1)
         with pytest.raises(SnapshotError, match="format version"):
             Simulator.resume(stale)
+
+    @pytest.mark.parametrize(
+        "embedded", [SNAPSHOT_FORMAT_VERSION - 1, None], ids=["stale", "missing"]
+    )
+    def test_resume_rejects_stale_embedded_version(self, monkeypatch, embedded):
+        """The version travels inside the pickled state, so a raw payload
+        written under another format is refused too — and so is one
+        wrapped in a current-version SimulationSnapshot."""
+        monkeypatch.setattr(engine_module, "SNAPSHOT_FORMAT_VERSION", embedded)
+        snap = build_sim(vectorized=True).snapshot()
+        monkeypatch.undo()
+        with pytest.raises(SnapshotError, match=f"format version {embedded} "):
+            Simulator.resume(snap.payload)
+        with pytest.raises(SnapshotError, match=f"format version {embedded} "):
+            Simulator.resume(replace(snap, format_version=SNAPSHOT_FORMAT_VERSION))
+        Simulator.resume(build_sim(vectorized=True).snapshot().payload)
 
     def test_resume_reattaches_callbacks(self):
         """Sinks/callbacks are dropped from snapshots and must be

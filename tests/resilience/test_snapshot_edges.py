@@ -3,8 +3,8 @@ reference that pickling silently severs.
 
 Each test targets one state shape called out in the resilience design:
 empty plan / zero open requests, a latency model mid link-flap window,
-daily-budget parking across the midnight rollover, and the merged metrics
-of a sharded run.
+daily-budget parking across the midnight rollover, and the metrics of a
+fleet-engine run.
 """
 
 from __future__ import annotations
@@ -226,9 +226,9 @@ class TestCancelledDeadlineEvents:
         assert metrics_digest(res_metrics) == metrics_digest(ref_metrics)
 
 
-class TestMergedMetrics:
-    def test_sharded_metrics_nan_free_and_digest_stable(self):
-        sim = build_sim(num_shards=2)
+class TestFleetMetrics:
+    def test_fleet_metrics_nan_free_and_digest_stable(self):
+        sim = build_sim(vectorized=True)
         metrics = sim.run()
         for jm in metrics.jobs.values():
             assert math.isfinite(jm.jct)
@@ -241,11 +241,11 @@ class TestMergedMetrics:
         clone = pickle.loads(pickle.dumps(metrics))
         assert metrics_digest(clone) == metrics_digest(metrics)
 
-    def test_resumed_sharded_metrics_merge_once(self):
-        """The killed-and-resumed sharded run merges shard metrics exactly
-        once — double-merging would double every response count."""
+    def test_resumed_fleet_counters_count_once(self):
+        """The killed-and-resumed fleet run counts every check-in and
+        response exactly once — a replayed event would double them."""
         reference, ref_metrics, resumed, res_metrics = kill_and_resume(
-            at_event=25, checkpoint_every=10, num_shards=2
+            at_event=25, checkpoint_every=10, vectorized=True
         )
         assert res_metrics.total_responses == ref_metrics.total_responses
         assert res_metrics.total_checkins == ref_metrics.total_checkins

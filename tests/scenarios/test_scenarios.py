@@ -381,13 +381,13 @@ class TestNetworkScenarios:
 
 class TestNetworkScenarioIdentity:
     """Acceptance gate: every network scenario's metrics row is
-    byte-identical across shard counts (worker identity is covered by
+    byte-identical across the two engines (worker identity is covered by
     ``tests/scenarios/test_fuzz.py``)."""
 
     @pytest.mark.parametrize(
         "name", ("lossy_uplink", "link_flaps", "regional_outage", "tiered_links")
     )
-    def test_byte_identical_across_shard_counts(self, name):
+    def test_byte_identical_across_engines(self, name):
         from repro.scenarios.fuzz import check_scenario
 
         base = replace(
@@ -396,4 +396,4 @@ class TestNetworkScenarioIdentity:
             num_jobs=5,
             horizon=0.25 * DAY,
         )
-        check_scenario(get_scenario(name), base, shards=(1, 2, 4))
+        check_scenario(get_scenario(name), base)

@@ -200,8 +200,8 @@ class TestEngineValidation:
 
     @pytest.mark.parametrize(
         "engine",
-        [{}, {"vectorized_dispatch": True}, {"num_shards": 2}],
-        ids=["single-queue", "vectorized", "vectorized-2"],
+        [{}, {"vectorized_dispatch": True}],
+        ids=["single-queue", "vectorized"],
     )
     def test_duplicate_device_ids_rejected(self, engine):
         """Two profiles with one id used to collapse into one DeviceRuntime,
@@ -225,22 +225,19 @@ class TestEngineValidation:
         with pytest.raises(ValueError, match="horizon must be positive"):
             SimulationConfig(horizon=horizon)
 
-    @pytest.mark.parametrize("name", ["num_shards", "checkpoint_interval", "max_events"])
+    @pytest.mark.parametrize("name", ["checkpoint_interval", "max_events"])
     @pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
     def test_counts_must_be_real_ints(self, name, value):
         """``checkpoint_interval=1.5`` used to checkpoint against a
-        fractional watermark; ``num_shards=2.0`` reached ``range()``."""
+        fractional watermark."""
         with pytest.raises(TypeError, match=f"{name} must be an int"):
             SimulationConfig(**{name: value})
 
     def test_int_counts_accepted_and_keep_their_range_messages(self):
-        config = SimulationConfig(
-            num_shards=np.int64(2), checkpoint_interval=7, max_events=10
-        )
-        assert config.use_sharded_engine and config.checkpoint_interval == 7
+        config = SimulationConfig(checkpoint_interval=np.int64(7), max_events=10)
+        assert config.checkpoint_interval == 7 and config.max_events == 10
         assert SimulationConfig(checkpoint_interval=None).checkpoint_interval is None
         for kwargs, message in [
-            (dict(num_shards=0), "num_shards must be >= 1"),
             (dict(max_events=0), "max_events must be positive"),
             (dict(checkpoint_interval=0), "checkpoint_interval must be positive"),
         ]:
@@ -341,7 +338,7 @@ class TestDayRolloverGoldenTrace:
       as "tomorrow", so the check-in is immediately dispatchable and round
       1 completes at t=86470.
 
-    Every engine (single-queue, sharded, vectorized) must reproduce the
+    Both engines (single-queue, vectorized) must reproduce the
     same golden timings.
     """
 
@@ -381,13 +378,12 @@ class TestDayRolloverGoldenTrace:
             run_simulation(devices, trace, jobs, FIFOPolicy(), self._config())
         )
 
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    def test_vectorized_engine(self, num_shards):
+    def test_vectorized_engine(self):
         devices, trace, jobs = self._build()
         self._assert_golden(
             run_simulation(
                 devices, trace, jobs, FIFOPolicy(),
-                self._config(vectorized_dispatch=True, num_shards=num_shards),
+                self._config(vectorized_dispatch=True),
             )
         )
 
@@ -403,7 +399,7 @@ class TestDayRolloverGoldenTrace:
         ])
         job = make_job(job_id=1, demand=1, rounds=2, deadline=200_000.0,
                        base_task_duration=60.0)
-        for overrides in ({}, {"vectorized_dispatch": True}, {"num_shards": 2}):
+        for overrides in ({}, {"vectorized_dispatch": True}):
             metrics = run_simulation(devices, trace, [job],
                                      FIFOPolicy(), self._config(**overrides))
             jm = metrics.jobs[1]

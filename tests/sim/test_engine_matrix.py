@@ -45,18 +45,29 @@ class PerDeviceVenn(VennScheduler):
 
 #: name -> ``run`` keywords: SimulationConfig overrides, plus the policy
 #: class or Venn's plan-maintenance mode where they are not the default.
-#: ``num_shards=2`` alone selects the fleet engine, as does
-#: ``vectorized_dispatch=True`` at one shard.
 CONFIGS = {
     "vectorized-1": dict(vectorized_dispatch=True),
-    "vectorized-2": dict(num_shards=2),
-    "vectorized-4": dict(vectorized_dispatch=True, num_shards=4),
     "vectorized-unbatched-1": dict(
         vectorized_dispatch=True, policy_cls=PerDeviceVenn
     ),
-    "vectorized-unbatched-2": dict(num_shards=2, policy_cls=PerDeviceVenn),
     "full-maintenance": dict(maintenance="full"),
     "checkpointed": dict(checkpoint_interval=2000),
+    # The fleet engine under each oracle mode: the bulk hook and the
+    # per-device path against from-scratch plan rebuilds, and the fleet
+    # loop's checkpoint boundary as pure observation.
+    "vectorized-full-maintenance": dict(
+        vectorized_dispatch=True, maintenance="full"
+    ),
+    "vectorized-unbatched-full-maintenance": dict(
+        vectorized_dispatch=True, maintenance="full", policy_cls=PerDeviceVenn
+    ),
+    "vectorized-checkpointed": dict(
+        vectorized_dispatch=True, checkpoint_interval=2000
+    ),
+    "vectorized-unbatched-checkpointed": dict(
+        vectorized_dispatch=True, checkpoint_interval=2000,
+        policy_cls=PerDeviceVenn,
+    ),
 }
 
 

@@ -4,7 +4,7 @@
 these tests pin the *structural* facts behind it with ``tracemalloc`` and
 object identity, so a regression fails here before it shows as RSS:
 
-* a shard's static stream lives as numpy columns plus one bounded window of
+* the device stream lives as numpy columns plus one bounded window of
   decoded rows — tens of bytes per static event, not the ~190–230 B/event of
   per-event Python objects (five lists of boxed values) it used to cost;
 * on the vectorized engine a device is its slot: the engine keeps arrays and
@@ -93,7 +93,7 @@ def assert_devices_mirror_arrays(sim):
 
 @pytest.fixture(scope="module")
 def traced_vectorized_day(cell):
-    """Trace construction and the run (shards are built inside run()), then
+    """Trace construction and the run (the stream is built inside run()), then
     count what the modules still hold (numpy buffers are traced too)."""
     tracemalloc.start()
     try:
@@ -107,14 +107,14 @@ def traced_vectorized_day(cell):
 
 def test_static_stream_costs_columns_plus_a_window(traced_vectorized_day):
     sim, _metrics, snapshot = traced_vectorized_day
-    static_events = sum(shard.st_len for shard in sim._shards)
+    static_events = sim._shard.st_len
     assert static_events > 3 * N  # a real day, not a degenerate trace
     assert (
         held_under(snapshot, "*/sim/shard.py") / static_events
         <= MAX_SHARD_BYTES_PER_STATIC_EVENT
     )
     # One identity column, the slot: a stream never holds the ids.
-    assert all(not hasattr(shard, "sa_dev") for shard in sim._shards)
+    assert not hasattr(sim._shard, "sa_dev")
 
 
 def test_vectorized_engine_holds_no_per_device_objects(traced_vectorized_day):
@@ -133,7 +133,7 @@ def test_vectorized_engine_holds_no_per_device_objects(traced_vectorized_day):
 
 
 def test_devices_read_before_the_run_are_brought_up_to_date_after_it(cell):
-    sim = simulator(cell, vectorized_dispatch=True, num_shards=2)
+    sim = simulator(cell, vectorized_dispatch=True)
     before = sim.devices
     assert len(before) == N
     assert all(d.status is DeviceStatus.OFFLINE for d in before.values())

@@ -195,96 +195,6 @@ class TestCollectJobMetrics:
         assert jm.jct is None
 
 
-class TestMetricsMerge:
-    """``SimulationMetrics.merge`` — the sharded engine's exact reduction."""
-
-    def _metrics(self, jobs=(), checkins=0, responses=0, failures=0,
-                 aborts=0, plan=None, policy="venn", horizon=100.0):
-        m = SimulationMetrics(policy=policy, horizon=horizon)
-        for jm in jobs:
-            m.jobs[jm.job_id] = jm
-        m.total_checkins = checkins
-        m.total_responses = responses
-        m.total_failures = failures
-        m.total_aborts = aborts
-        m.plan_maintenance = plan
-        return m
-
-    def test_counters_sum_and_jobs_union(self):
-        a = self._metrics(jobs=[job_metrics(1, 50.0)], checkins=10,
-                          responses=4, failures=1, aborts=2)
-        b = self._metrics(jobs=[job_metrics(2, None)], checkins=7,
-                          responses=3, failures=2, aborts=0)
-        merged = a.merge(b)
-        assert merged.total_checkins == 17
-        assert merged.total_responses == 7
-        assert merged.total_failures == 3
-        assert merged.total_aborts == 2
-        assert sorted(merged.jobs) == [1, 2]
-        # Derived aggregates work off the union.
-        assert merged.completion_rate == pytest.approx(0.5)
-        # Inputs are untouched (merge returns a fresh object).
-        assert sorted(a.jobs) == [1]
-        assert b.total_checkins == 7
-
-    def test_merge_all_reduces_many_parts(self):
-        parts = [
-            self._metrics(jobs=[job_metrics(i, float(i))], checkins=i)
-            for i in range(1, 5)
-        ]
-        merged = SimulationMetrics.merge_all(parts)
-        assert sorted(merged.jobs) == [1, 2, 3, 4]
-        assert merged.total_checkins == 10
-        with pytest.raises(ValueError):
-            SimulationMetrics.merge_all([])
-
-    def test_merge_is_associative_and_commutative_on_counters(self):
-        a = self._metrics(checkins=1, responses=2)
-        b = self._metrics(checkins=10, responses=20)
-        c = self._metrics(checkins=100, responses=200)
-        left = a.merge(b).merge(c)
-        right = a.merge(c.merge(b))
-        assert left.total_checkins == right.total_checkins == 111
-        assert left.total_responses == right.total_responses == 222
-
-    def test_policy_and_horizon_must_match(self):
-        a = self._metrics(policy="venn")
-        with pytest.raises(ValueError, match="polic"):
-            a.merge(self._metrics(policy="fifo"))
-        with pytest.raises(ValueError, match="horizon"):
-            a.merge(self._metrics(horizon=999.0))
-
-    def test_overlapping_jobs_rejected(self):
-        a = self._metrics(jobs=[job_metrics(1, 5.0)])
-        b = self._metrics(jobs=[job_metrics(1, 6.0)])
-        with pytest.raises(ValueError, match="overlap"):
-            a.merge(b)
-
-    def test_plan_maintenance_none_propagates(self):
-        a = self._metrics(plan={"full_rebuilds": 2, "triggers": {"x": 1}})
-        b = self._metrics(plan=None)
-        assert a.merge(b).plan_maintenance == {
-            "full_rebuilds": 2, "triggers": {"x": 1}
-        }
-        assert b.merge(self._metrics(plan=None)).plan_maintenance is None
-
-    def test_plan_maintenance_counters_sum_fieldwise(self):
-        a = self._metrics(plan={
-            "full_rebuilds": 2, "incremental_time_s": 0.5,
-            "triggers": {"job_arrival": 3, "request_arrival": 1},
-        })
-        b = self._metrics(plan={
-            "full_rebuilds": 1, "incremental_time_s": 0.25,
-            "triggers": {"job_arrival": 1, "forced_full": 4},
-        })
-        merged = a.merge(b).plan_maintenance
-        assert merged["full_rebuilds"] == 3
-        assert merged["incremental_time_s"] == pytest.approx(0.75)
-        assert merged["triggers"] == {
-            "forced_full": 4, "job_arrival": 4, "request_arrival": 1
-        }
-
-
 class TestDegenerateSlaBudget:
     """``round_deadline=0`` means "no deadline recorded", not "zero budget":
     such jobs are excluded from the SLA numerator *and* denominator."""

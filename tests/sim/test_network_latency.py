@@ -5,7 +5,7 @@ tiers, config validation, and the two contracts the engine relies on:
 
 * with the network knobs at their defaults, ``sample_outcome`` consumes
   exactly the historical ``sample_duration`` + ``sample_failure`` draw
-  sequence (golden fixtures and shard identity depend on this);
+  sequence (golden fixtures and engine identity depend on this);
 * ``_uniform`` maps hashes into the *open* interval (0, 1) — the extreme
   hash value that used to round to exactly 1.0 is pinned here.
 """

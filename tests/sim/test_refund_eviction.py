@@ -5,7 +5,7 @@ Pins the response/abort/refund bugfix sweep on every engine:
 * **Refund symmetry** — a device whose daily budget is refunded (round
   abort, or a straggler response on a closed request) must be
   *immediately* re-dispatchable at that same timestamp, identically on
-  both engines (single-queue; fleet at one and two shards).
+  both engines (single-queue and fleet).
 * **Request-table boundedness** — closed requests are evicted from
   ``Simulator._requests`` (and their job's ``request_history``) once the
   last in-flight response fires, so multi-round runs no longer retain
@@ -30,7 +30,6 @@ from tests.sim.test_engine import DETERMINISTIC_LATENCY, always_on_trace, make_t
 ENGINES = {
     "single-indexed": dict(),
     "vectorized": dict(vectorized=True),
-    "vectorized-2": dict(num_shards=2),
 }
 
 
@@ -43,7 +42,6 @@ def run_engine(
     policy_name="venn",
     daily=False,
     seed=0,
-    num_shards=1,
     vectorized=False,
     latency=DETERMINISTIC_LATENCY,
 ):
@@ -54,7 +52,6 @@ def run_engine(
         seed=seed,
         latency=latency,
         enforce_daily_limit=daily,
-        num_shards=num_shards,
         vectorized_dispatch=vectorized,
     )
     sim = Simulator(
@@ -199,7 +196,7 @@ def contended_scenario():
     one timestamp — mixed success/failure (reliability split), completions
     mid-run, and failed devices re-dispatched to the other job's open
     demand.  The only scenario that drives long same-``time`` response runs
-    through the shard merge loop (under shard faults too:
+    through the fleet loop's stream/queue merge (under stream faults too:
     ``tests/resilience/test_fault_invariants.py`` runs this cell)."""
     devices = [
         make_device(

@@ -1,19 +1,25 @@
-"""Unit tests for the device-shard layer (:mod:`repro.sim.shard`).
+"""Unit tests for the device-stream layer (:mod:`repro.sim.shard`).
 
 The fleet engine's correctness rests on two local properties pinned here:
 vectorised signature precompute equals the per-device predicate walk, and
-shard streams carry the single-queue engine's exact sequence enumeration in
-sorted order, naming each device by its slot.  (End-to-end bit-identity
-lives in ``tests/sim/test_sharded_engine.py``.)
+the device stream carries the single-queue engine's exact sequence
+enumeration in sorted order, naming each device by its slot.  (End-to-end bit-identity
+lives in ``tests/sim/test_sharded_engine.py``.)  The stream's degraded-mode
+rewrites, which ``kill_shard`` / ``stall_shard`` faults drive, are pinned
+here one effect at a time; ``tests/resilience/test_fault_invariants.py``
+holds them end to end.
 """
 
 from __future__ import annotations
 
+import heapq
+import pickle
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.shard as shard_module
 from repro.core.requirements import (
     COMPUTE_RICH,
     GENERAL,
@@ -24,7 +30,7 @@ from repro.core.requirements import (
 )
 from repro.sim.shard import (
     INF_KEY,
-    build_shards,
+    build_shard,
     compute_signatures,
     make_static_stream,
 )
@@ -165,64 +171,220 @@ def _trace(sessions):
     )
 
 
-class TestBuildShards:
-    def test_partition_and_seq_budget(self):
+class TestBuildShard:
+    def test_stream_and_seq_budget(self):
         ids = np.arange(6)
         trace = _trace([(i, float(i), float(i) + 10.0) for i in range(6)])
-        shards, consumed = build_shards(
-            ids, trace, num_shards=3, horizon=100.0, seq_start=2,
-            policy_name="p",
-        )
+        stream, consumed = build_shard(ids, trace, horizon=100.0, seq_start=2)
         assert consumed == 12  # two seqs per session
-        assert [sorted(set(sh.sa_slot.tolist())) for sh in shards] == [
-            [0, 3], [1, 4], [2, 5]
-        ]
-        assert [sh.num_devices for sh in shards] == [2, 2, 2]
-        assert all(sh.sa_seq.dtype == np.int64 for sh in shards)
-        all_seqs = np.sort(np.concatenate([sh.sa_seq for sh in shards]))
-        assert np.array_equal(all_seqs, np.arange(2, 14))
+        assert sorted(set(stream.sa_slot.tolist())) == list(range(6))
+        assert stream.sa_seq.dtype == np.int64
+        assert np.array_equal(np.sort(stream.sa_seq), np.arange(2, 14))
 
-    def test_streams_name_devices_by_slot_and_shard_them_by_id(self):
-        """Sparse ids in no order: device 20 is slot 1 (its rank) and lives
-        on shard 20 % 3 == 2; device 31, which never checks in, is still
-        owned (shard 1)."""
+    def test_stream_names_devices_by_slot(self):
+        """Sparse ids in no order: device 20 is slot 1 (its rank)."""
         ids = np.array([33, 7, 31, 20])
         trace = _trace([(33, 1.0, 5.0), (20, 2.0, 6.0), (7, 3.0, 8.0)])
-        shards, consumed = build_shards(
-            ids, trace, num_shards=3, horizon=100.0, seq_start=0,
-            policy_name="p",
-        )
+        stream, consumed = build_shard(ids, trace, horizon=100.0, seq_start=0)
         assert consumed == 6
-        assert [sh.sa_slot.tolist() for sh in shards] == [[3, 3], [0, 0], [1, 1]]
-        assert [sh.num_devices for sh in shards] == [1, 2, 1]
+        assert stream.sa_slot.tolist() == [3, 1, 0, 3, 1, 0]
         # A decoded window row carries the slot too.
-        assert shards[2].refill(0)[0][0] == (2.0, 2, 1, 6.0, True)
+        assert stream.refill(0)[0][1] == (2.0, 2, 1, 6.0, True)
 
     def test_sessions_past_horizon_consume_no_seqs(self):
         trace = _trace([(0, 1.0, 5.0), (1, 50.0, 60.0)])
-        shards, consumed = build_shards(
-            np.arange(2), trace, num_shards=2, horizon=10.0, seq_start=0,
-            policy_name="p",
+        stream, consumed = build_shard(
+            np.arange(2), trace, horizon=10.0, seq_start=0
         )
         assert consumed == 2  # the t=50 session is beyond the horizon
-        assert shards[1].st_len == 0
+        assert stream.st_len == 2
+        assert stream.sa_slot.tolist() == [0, 0]
 
     def test_head_key_merges_static_and_dynamic(self):
         trace = _trace([(0, 4.0, 9.0)])
-        shards, _ = build_shards(
-            np.arange(1), trace, num_shards=1, horizon=10.0, seq_start=0,
-            policy_name="p",
-        )
-        sh = shards[0]
+        sh, _ = build_shard(np.arange(1), trace, horizon=10.0, seq_start=0)
         assert sh.head_key() == (4.0, 0)
-        sh.schedule_response(2.0, 99, 0, 1, 1, True, plan_version=3)
+        sh.schedule_response(2.0, 99, 0, 1, 1, True)
         assert sh.head_key() == (2.0, 99)
-        assert sh.assignments_received == 1
-        assert sh.last_plan_version == 3
         sh.heap.clear()
         sh.cursor = sh.st_len
         assert sh.head_key() == INF_KEY
 
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError):
-            build_shards(np.arange(1), _trace([(0, 1.0, 2.0)]), 0, 10.0, 0, "p")
+
+def four_device_stream():
+    """Static events at t = 1, 2, 3, 5, 6, 8, 20, 30 over slots 0..3."""
+    trace = _trace(
+        [(0, 1.0, 5.0), (1, 2.0, 6.0), (2, 3.0, 8.0), (3, 20.0, 30.0)]
+    )
+    stream, _ = build_shard(np.arange(4), trace, horizon=100.0, seq_start=0)
+    return stream
+
+
+def drain(stream):
+    return [heapq.heappop(stream.heap) for _ in range(len(stream.heap))]
+
+
+class TestStreamFaults:
+    """:meth:`DeviceShard.kill_until` / :meth:`delay_responses_until` and the
+    outage branch of :meth:`schedule_response`, one effect per test."""
+
+    def test_pristine_stream_counts_nothing(self):
+        stream = four_device_stream()
+        assert stream.down_until == 0.0
+        assert stream.fault_counters() == {
+            "static_skipped": 0,
+            "responses_failed_by_fault": 0,
+            "responses_delayed_by_fault": 0,
+        }
+
+    def test_kill_fails_responses_due_in_the_outage_at_reconnect(self):
+        stream = four_device_stream()
+        stream.schedule_response(4.0, 100, 0, 7, 1, True)
+        stream.schedule_response(12.0, 101, 1, 7, 1, True)
+        stream.kill_until(10.0)
+        assert drain(stream) == [
+            (10.0, 100, 0, 7, 1, False),  # lost: a failure at reconnect
+            (12.0, 101, 1, 7, 1, True),  # due after the outage: untouched
+        ]
+        assert stream.responses_failed_by_fault == 1
+
+    def test_kill_skips_static_events_before_reconnect(self):
+        stream = four_device_stream()
+        stream.kill_until(5.0)
+        # t = 1, 2, 3 are skipped; the t = 5 checkout is not "during" it.
+        assert stream.cursor == stream.static_skipped == 3
+        assert stream.head_key() == (5.0, int(stream.sa_seq[3]))
+
+    def test_kill_never_moves_the_cursor_back(self):
+        stream = four_device_stream()
+        stream.cursor = 6
+        stream.kill_until(2.0)
+        assert stream.cursor == 6 and stream.static_skipped == 0
+
+    def test_kill_past_the_stream_end_drains_it(self):
+        stream = four_device_stream()
+        stream.kill_until(1e9)
+        assert stream.cursor == stream.st_len == stream.static_skipped == 8
+        assert stream.head_key() == INF_KEY
+
+    def test_overlapping_kills_extend_and_never_shorten_the_outage(self):
+        stream = four_device_stream()
+        stream.kill_until(10.0)
+        stream.kill_until(7.0)
+        assert stream.down_until == 10.0
+        stream.kill_until(15.0)
+        assert stream.down_until == 15.0
+
+    def test_assignment_during_the_outage_fails_at_reconnect(self):
+        stream = four_device_stream()
+        stream.kill_until(10.0)
+        stream.schedule_response(4.0, 100, 2, 7, 1, True)
+        stream.schedule_response(10.0, 101, 3, 7, 1, True)
+        assert drain(stream) == [
+            (10.0, 100, 2, 7, 1, False),
+            (10.0, 101, 3, 7, 1, True),  # due at reconnect: delivered
+        ]
+        assert stream.responses_failed_by_fault == 1
+
+    def test_rewritten_responses_keep_their_seq_order(self):
+        stream = four_device_stream()
+        for t, seq in ((1.0, 105), (2.0, 101), (3.0, 103)):
+            stream.schedule_response(t, seq, 0, 7, 1, True)
+        stream.kill_until(10.0)
+        assert [(t, seq) for t, seq, *_ in drain(stream)] == [
+            (10.0, 101), (10.0, 103), (10.0, 105)
+        ]
+
+    def test_stall_delivers_due_responses_at_recovery_with_outcomes_kept(self):
+        stream = four_device_stream()
+        stream.schedule_response(4.0, 100, 0, 7, 1, False)
+        stream.schedule_response(6.0, 101, 1, 7, 1, True)
+        stream.schedule_response(20.0, 102, 2, 7, 1, True)
+        stream.delay_responses_until(10.0)
+        assert drain(stream) == [
+            (10.0, 100, 0, 7, 1, False),
+            (10.0, 101, 1, 7, 1, True),
+            (20.0, 102, 2, 7, 1, True),
+        ]
+        assert stream.responses_delayed_by_fault == 2
+        # A stall is not an outage: no static event is skipped.
+        assert stream.cursor == stream.static_skipped == 0
+
+    def test_stall_leaves_later_assignments_alone(self):
+        stream = four_device_stream()
+        stream.schedule_response(4.0, 100, 0, 7, 1, True)
+        stream.delay_responses_until(10.0)
+        stream.schedule_response(5.0, 101, 1, 7, 1, True)
+        assert stream.down_until == 0.0
+        assert drain(stream)[0] == (5.0, 101, 1, 7, 1, True)
+        assert stream.responses_failed_by_fault == 0
+
+    def test_stall_on_an_empty_heap_is_a_noop(self):
+        stream = four_device_stream()
+        stream.delay_responses_until(10.0)
+        assert stream.heap == []
+        assert not any(stream.fault_counters().values())
+
+    @given(
+        due=st.lists(
+            st.tuples(st.floats(0.0, 50.0), st.booleans()), max_size=12
+        ),
+        end=st.floats(0.0, 60.0),
+        kill=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rewrites_keep_a_valid_heap(self, due, end, kill):
+        """Every entry due before ``end`` moves to ``end`` (failed by a
+        kill, outcome kept by a stall); the rest are untouched, and the
+        heap pops in ``(time, seq)`` order afterwards."""
+        stream = four_device_stream()
+        for k, (t, ok) in enumerate(due):
+            stream.schedule_response(t, 100 + k, k % 4, 7, 1, ok)
+        before = list(stream.heap)
+        if kill:
+            stream.kill_until(end)
+        else:
+            stream.delay_responses_until(end)
+        expected = sorted(
+            (end, seq, slot, req, job, ok and not kill) if t < end
+            else (t, seq, slot, req, job, ok)
+            for (t, seq, slot, req, job, ok) in before
+        )
+        moved = sum(t < end for t, *_ in before)
+        counters = stream.fault_counters()
+        assert counters["responses_failed_by_fault"] == (moved if kill else 0)
+        assert counters["responses_delayed_by_fault"] == (0 if kill else moved)
+        assert drain(stream) == expected
+
+    def test_head_key_refills_after_a_cursor_jump(self, monkeypatch):
+        monkeypatch.setattr(shard_module, "STREAM_WINDOW", 2)
+        stream = four_device_stream()
+        assert stream.head_key() == (1.0, int(stream.sa_seq[0]))
+        assert (stream.w_lo, stream.w_hi) == (0, 2)
+        stream.kill_until(7.0)  # t = 1 .. 6 skipped, far past the window
+        assert stream.head_key() == (8.0, int(stream.sa_seq[5]))
+        assert (stream.w_lo, stream.w_hi) == (5, 7)
+
+    def test_refill_clamps_at_the_stream_end(self, monkeypatch):
+        monkeypatch.setattr(shard_module, "STREAM_WINDOW", 3)
+        stream = four_device_stream()
+        rows, lo, hi = stream.refill(6)
+        assert (lo, hi) == (6, 8)
+        assert [row[0] for row in rows] == [20.0, 30.0]
+
+    def test_pickle_drops_the_window_and_keeps_the_state(self):
+        stream = four_device_stream()
+        stream.schedule_response(4.0, 100, 0, 7, 1, True)
+        stream.kill_until(5.0)
+        key = stream.head_key()
+        assert stream.w_rows  # decoded by head_key
+        restored = pickle.loads(pickle.dumps(stream))
+        assert restored.w_rows == [] and restored.w_lo == restored.w_hi == 0
+        assert stream.w_rows  # the live stream keeps its window
+        assert restored.cursor == stream.cursor
+        assert restored.heap == stream.heap
+        assert restored.down_until == stream.down_until
+        assert restored.fault_counters() == stream.fault_counters()
+        for name in ("sa_time", "sa_seq", "sa_slot", "sa_send", "sa_ci"):
+            assert np.array_equal(getattr(restored, name), getattr(stream, name))
+        assert restored.head_key() == key

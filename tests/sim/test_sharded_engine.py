@@ -1,10 +1,10 @@
-"""End-to-end bit-identity of the coordinator/shard (fleet) engine.
+"""End-to-end bit-identity of the coordinator/stream (fleet) engine.
 
-The hard contract of the sharding refactor: for ANY shard count, the
-fleet engine makes exactly the decisions of the single-queue engine and
-reports exactly its metrics.  These tests enforce it the same way PR 3
-enforced incremental-vs-full plan identity — twin runs over
-hypothesis-generated environments plus fixed structural checks.
+The hard contract of the fleet engine: it makes exactly the decisions of
+the single-queue engine and reports exactly its metrics.  These tests
+enforce it the same way PR 3 enforced incremental-vs-full plan identity —
+twin runs over hypothesis-generated environments plus fixed structural
+checks.
 """
 
 from __future__ import annotations
@@ -92,14 +92,13 @@ def build_environment(env_seed: int, num_devices: int, num_jobs: int,
     return devices, trace, jobs
 
 
-def run_with_shards(devices, trace, jobs, policy_name, num_shards,
-                    horizon, *, forced=False, enforce_daily=True):
+def run_on(devices, trace, jobs, policy_name, horizon, *, fleet,
+           enforce_daily=True):
     config = SimulationConfig(
         horizon=horizon,
         seed=17,
         latency=LatencyConfig(compute_sigma=0.3),
-        num_shards=num_shards,
-        vectorized_dispatch=forced,  # the fleet engine at one shard too
+        vectorized_dispatch=fleet,
         enforce_daily_limit=enforce_daily,
     )
     policy = make_policy(policy_name, seed=9)
@@ -109,59 +108,31 @@ def run_with_shards(devices, trace, jobs, policy_name, num_shards,
 class TestShardIdentity:
     @given(
         env_seed=st.integers(0, 10_000),
-        num_shards=st.integers(2, 5),
         policy_name=st.sampled_from(["venn", "random", "srsf"]),
         enforce_daily=st.booleans(),
     )
     @settings(max_examples=15, deadline=None)
-    def test_twin_runs_bit_identical(self, env_seed, num_shards, policy_name,
-                                     enforce_daily):
+    def test_twin_runs_bit_identical(self, env_seed, policy_name, enforce_daily):
         """Single-queue engine vs fleet engine: same decisions, same
-        metrics, for hypothesis-chosen environments and shard counts."""
+        metrics, for hypothesis-chosen environments."""
         horizon = 40_000.0
         devices, trace, jobs = build_environment(env_seed, 60, 5, horizon)
-        legacy = run_with_shards(
-            devices, trace, jobs, policy_name, 1, horizon,
+        legacy = run_on(
+            devices, trace, jobs, policy_name, horizon, fleet=False,
             enforce_daily=enforce_daily,
         )
-        sharded = run_with_shards(
-            devices, trace, jobs, policy_name, num_shards, horizon,
+        fleet = run_on(
+            devices, trace, jobs, policy_name, horizon, fleet=True,
             enforce_daily=enforce_daily,
         )
-        assert fingerprint(sharded) == fingerprint(legacy)
+        assert fingerprint(fleet) == fingerprint(legacy)
 
     def test_single_shard_forced_path_matches_legacy(self):
         horizon = 50_000.0
         devices, trace, jobs = build_environment(3, 80, 6, horizon)
-        legacy = run_with_shards(devices, trace, jobs, "venn", 1, horizon)
-        forced = run_with_shards(
-            devices, trace, jobs, "venn", 1, horizon, forced=True
-        )
+        legacy = run_on(devices, trace, jobs, "venn", horizon, fleet=False)
+        forced = run_on(devices, trace, jobs, "venn", horizon, fleet=True)
         assert fingerprint(forced) == fingerprint(legacy)
-
-    def test_shard_counts_agree_with_each_other(self):
-        horizon = 50_000.0
-        devices, trace, jobs = build_environment(11, 90, 8, horizon)
-        prints = {
-            shards: fingerprint(
-                run_with_shards(devices, trace, jobs, "venn", shards, horizon)
-            )
-            for shards in (1, 2, 4)
-        }
-        assert prints[1] == prints[2] == prints[4]
-
-    def test_merged_metrics_counters_match_scalar_sums(self):
-        """The reduction over per-shard metrics is exact: counters equal
-        the single-queue totals, job metrics are untouched."""
-        horizon = 40_000.0
-        devices, trace, jobs = build_environment(23, 70, 5, horizon)
-        legacy = run_with_shards(devices, trace, jobs, "venn", 1, horizon)
-        sharded = run_with_shards(devices, trace, jobs, "venn", 3, horizon)
-        assert sharded.total_checkins == legacy.total_checkins
-        assert sharded.total_responses == legacy.total_responses
-        assert sharded.total_failures == legacy.total_failures
-        assert sharded.total_aborts == legacy.total_aborts
-        assert sharded.jobs.keys() == legacy.jobs.keys()
 
 
 class TestShardedEngineMechanics:
@@ -170,45 +141,12 @@ class TestShardedEngineMechanics:
         devices, trace, jobs = build_environment(5, 40, 4, horizon)
         return devices, trace, jobs, horizon
 
-    def test_shard_stats_cover_all_events(self):
-        devices, trace, jobs, horizon = self._env()
-        config = SimulationConfig(horizon=horizon, seed=17, num_shards=3)
-        sim = Simulator(devices, trace, jobs, make_policy("venn", seed=9),
-                        config)
-        sim.run()
-        stats = sim.shard_stats()
-        assert len(stats) == 3
-        shard_events = sum(s["events_processed"] for s in stats)
-        # Coordinator events (arrivals, deadlines) make up the difference.
-        assert 0 < shard_events <= sim.events_processed
-        assert sum(s["devices"] for s in stats) == len(devices)
-        # Venn broadcasts plan versions with assignment batches.
-        assert any(s["last_plan_version"] is not None for s in stats)
-
-    @pytest.mark.parametrize("num_shards", [1, 2])
-    def test_shard_stats_count_devices_on_the_vectorized_engine(self, num_shards):
-        """A shard holds no per-device object; it still owns its devices."""
-        devices, trace, jobs, horizon = self._env()
-        config = SimulationConfig(
-            horizon=horizon, seed=17, num_shards=num_shards,
-            vectorized_dispatch=True,
-        )
-        sim = Simulator(devices, trace, jobs, make_policy("venn", seed=9),
-                        config)
-        sim.run()
-        stats = sim.shard_stats()
-        assert [s["devices"] for s in stats] == [
-            sum(1 for d in devices if d.device_id % num_shards == k)
-            for k in range(num_shards)
-        ]
-        assert sum(s["devices"] for s in stats) == len(devices)
-
     def test_plan_version_advances_and_snapshot_exposes_it(self):
         devices, trace, jobs, horizon = self._env()
         policy = VennScheduler(seed=9)
         sim = Simulator(
             devices, trace, jobs, policy,
-            SimulationConfig(horizon=horizon, seed=17, num_shards=2),
+            SimulationConfig(horizon=horizon, seed=17, vectorized_dispatch=True),
         )
         sim.run()
         assert policy.plan_version > 0
@@ -219,16 +157,12 @@ class TestShardedEngineMechanics:
     def test_max_events_guard_fires_sharded(self):
         devices, trace, jobs, horizon = self._env()
         config = SimulationConfig(
-            horizon=horizon, seed=17, num_shards=2, max_events=50
+            horizon=horizon, seed=17, vectorized_dispatch=True, max_events=50
         )
         sim = Simulator(devices, trace, jobs, make_policy("venn", seed=9),
                         config)
         with pytest.raises(RuntimeError, match="max_events"):
             sim.run()
-
-    def test_num_shards_validated(self):
-        with pytest.raises(ValueError, match="num_shards"):
-            SimulationConfig(num_shards=0)
 
 
 class TestSignatureProvider:

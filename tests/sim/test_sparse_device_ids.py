@@ -7,8 +7,8 @@ ascending id order) are the same number, so a slot handed to something that
 wants an id — or the reverse — would go unnoticed.  Here the ids are sparse
 (``7 + 13k``) and the input is shuffled.  The fleet engine must still
 reproduce the single-queue engine's decision hash, metrics digest and event
-count at every shard count, on a cell that aborts rounds (the deadline refund
-translates ``request.assigned`` ids to slots).  Shard-fault runs, which the
+count, on a cell that aborts rounds (the deadline refund translates
+``request.assigned`` ids to slots).  Stream-fault runs, which the
 single-queue engine cannot host, are held by the invariants of
 ``tests/resilience/test_fault_invariants.py`` on this same cell.
 """
@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.baselines import FIFOPolicy, make_policy
+from repro.core.baselines import POLICY_NAMES, FIFOPolicy, make_policy
 from repro.core.requirements import COMPUTE_RICH, GENERAL, MEMORY_RICH
 from repro.core.scheduler import VennScheduler
 from repro.core.types import JobSpec
@@ -32,7 +32,6 @@ from repro.traces.device_trace import DiurnalAvailabilityModel, DiurnalConfig
 
 N = 240
 HORIZON = 30_000.0
-SHARDS = (1, 2, 4)
 
 
 def sparse_cell():
@@ -65,9 +64,9 @@ def sparse_cell():
 cell = pytest.fixture(scope="module")(sparse_cell)
 
 
-def run(cell, fault_plan=None, **overrides):
+def run(cell, fault_plan=None, policy_name="venn", **overrides):
     devices, trace, jobs = cell
-    policy = RecordingPolicy(make_policy("venn", seed=3))
+    policy = RecordingPolicy(make_policy(policy_name, seed=3))
     config = SimulationConfig(
         horizon=HORIZON, seed=9, fault_plan=fault_plan,
         latency=LatencyConfig(compute_sigma=0.3, comm_min=5.0, comm_max=20.0),
@@ -91,16 +90,28 @@ def test_fleet_matches_single_queue_through_aborted_rounds(cell):
     reference, ref_metrics, _sim = run(cell)
     assert ref_metrics.total_aborts >= 1  # the deadline refund path ran
     assert ref_metrics.total_failures >= 1
-    for num_shards in SHARDS:
-        fleet, _m, sim = run(
-            cell, num_shards=num_shards, vectorized_dispatch=True
-        )
-        assert fleet == reference, f"fleet x{num_shards}"
-        # The lazily built runtimes are keyed by id, not by slot.
-        assert sorted(sim.devices) == sorted(d.device_id for d in cell[0])
-        assert sum(d.tasks_failed for d in sim.devices.values()) == (
-            ref_metrics.total_failures
-        )
+    fleet, _m, sim = run(cell, vectorized_dispatch=True)
+    assert fleet == reference
+    # The lazily built runtimes are keyed by id, not by slot.
+    assert sorted(sim.devices) == sorted(d.device_id for d in cell[0])
+    assert sum(d.tasks_failed for d in sim.devices.values()) == (
+        ref_metrics.total_failures
+    )
+
+
+@pytest.mark.parametrize("policy_name", [p for p in POLICY_NAMES if p != "venn"])
+def test_every_policy_is_offered_ids_not_slots(cell, policy_name):
+    """Each baseline walks its own dispatch path (per-device ``assign``,
+    job-driven sampling, random tie-breaks); on every one the fleet engine
+    must hand the policy device ids and reproduce the reference."""
+    reference, ref_metrics, ref_sim = run(cell, policy_name=policy_name)
+    assert ref_metrics.total_responses + ref_metrics.total_failures >= 1
+    fleet, _m, sim = run(cell, policy_name=policy_name, vectorized_dispatch=True)
+    assert fleet == reference
+    ids = {d.device_id for d in cell[0]}
+    offered = {device_id for _now, device_id, _job in sim.policy.decisions}
+    assert offered and offered <= ids
+    assert sim.policy.decisions == ref_sim.policy.decisions
 
 
 class CheckinRecorder(FIFOPolicy):
@@ -151,7 +162,6 @@ def test_folded_checkins_reach_the_policy_with_the_right_devices(cell):
     assert scalar.batch_sizes == [] and len(scalar.seen) > 200
     assert vector.batch_sizes and max(vector.batch_sizes) > 100
     assert vector.seen == scalar.seen
-    assert checkins(num_shards=2).seen == scalar.seen
 
 
 class BatchCountingVenn(VennScheduler):

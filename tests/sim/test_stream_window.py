@@ -1,13 +1,13 @@
 """The static stream's decode window changes wall time and memory, never
 results (:data:`repro.sim.shard.STREAM_WINDOW`).
 
-A shard keeps its static stream as numpy columns and decodes
-``STREAM_WINDOW`` events at a time into Python rows for the per-event
-readers.  Every test here shrinks the window to 1, 3 and 64 events — so
-refills land inside folds, drains, fault jumps and right after a resume —
-and requires the decision hash, the metrics digest and the event count of
-the single-queue engine, which has no stream and no window (of the
-default-window run for a shard-fault plan, which only the fleet engine
+The fleet engine keeps its static device stream as numpy columns and
+decodes ``STREAM_WINDOW`` events at a time into Python rows for the
+per-event readers.  Every test here shrinks the window to 1, 3 and 64
+events — so refills land inside folds, drains, fault jumps and right after
+a resume — and requires the decision hash, the metrics digest and the event
+count of the single-queue engine, which has no stream and no window (of the
+default-window run for a stream-fault plan, which only the fleet engine
 hosts).
 """
 
@@ -47,7 +47,7 @@ def fingerprint(sim: Simulator) -> tuple:
     )
 
 
-def golden_sim(name: str, num_shards: int, fleet: bool = True) -> Simulator:
+def golden_sim(name: str, fleet: bool = True) -> Simulator:
     devices, trace, jobs, horizon = scenario(name)
     return Simulator(
         devices=devices,
@@ -58,26 +58,24 @@ def golden_sim(name: str, num_shards: int, fleet: bool = True) -> Simulator:
             horizon=horizon,
             seed=11,
             latency=GOLDEN_LATENCY,
-            num_shards=num_shards,
             vectorized_dispatch=fleet,
             enforce_daily_limit=(name == "contended"),
         ),
     )
 
 
-@pytest.mark.parametrize("num_shards", [1, 2, 4])
 @pytest.mark.parametrize("name", ["uncontended", "contended"])
-def test_golden_scenarios_identical_at_tiny_windows(monkeypatch, name, num_shards):
-    expected = fingerprint(golden_sim(name, 1, fleet=False))
+def test_golden_scenarios_identical_at_tiny_windows(monkeypatch, name):
+    expected = fingerprint(golden_sim(name, fleet=False))
     assert shard_module.STREAM_WINDOW > max(WINDOWS)
     for window in WINDOWS:
         monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
-        sim = golden_sim(name, num_shards)
+        sim = golden_sim(name)
         assert fingerprint(sim) == expected, window
-        assert all(len(sh.w_rows) <= window for sh in sim._shards)
+        assert len(sim._shard.w_rows) <= window
 
 
-def starved_sim(num_shards: int, fleet: bool = True) -> Simulator:
+def starved_sim(fleet: bool = True) -> Simulator:
     """600 devices, one day; job 2 wants hardware almost nobody has, so
     demand stays pending while hundreds of static events pass between
     responses — the fleet drain's candidate loop and the short folds
@@ -97,14 +95,13 @@ def starved_sim(num_shards: int, fleet: bool = True) -> Simulator:
         workload=jobs,
         policy=RecordingPolicy(VennScheduler(seed=1)),
         config=SimulationConfig(
-            horizon=DAY, seed=5, num_shards=num_shards, vectorized_dispatch=fleet,
+            horizon=DAY, seed=5, vectorized_dispatch=fleet,
         ),
     )
 
 
-@pytest.mark.parametrize("num_shards", [1, 2])
-def test_long_pending_slices_identical_at_tiny_windows(monkeypatch, num_shards):
-    expected = fingerprint(starved_sim(1, fleet=False))
+def test_long_pending_slices_identical_at_tiny_windows(monkeypatch):
+    expected = fingerprint(starved_sim(fleet=False))
     refills_by_reader = set()
     refill = shard_module.DeviceShard.refill
 
@@ -115,12 +112,11 @@ def test_long_pending_slices_identical_at_tiny_windows(monkeypatch, num_shards):
     monkeypatch.setattr(shard_module.DeviceShard, "refill", counting_refill)
     for window in WINDOWS:
         monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
-        assert fingerprint(starved_sim(num_shards)) == expected, window
-    if num_shards == 1:
-        # Every windowed reader of the fleet engine refilled mid-run.
-        assert refills_by_reader == {
-            "head_key", "_drain_shard_vec", "_drain_small", "_fold_small"
-        }
+        assert fingerprint(starved_sim()) == expected, window
+    # Every windowed reader of the fleet engine refilled mid-run.
+    assert refills_by_reader == {
+        "head_key", "_drain_shard_vec", "_drain_small", "_fold_small"
+    }
 
 
 def test_shard_faults_identical_when_the_jump_leaves_the_window(monkeypatch):
@@ -128,18 +124,39 @@ def test_shard_faults_identical_when_the_jump_leaves_the_window(monkeypatch):
     must refill at the new cursor, not index a stale window."""
     plan = FaultPlan(
         (
-            FaultSpec("kill_shard", 12, shard=0, duration=2_500.0),
-            FaultSpec("stall_shard", 30, shard=1, duration=900.0),
+            FaultSpec("kill_shard", 12, duration=2_500.0),
+            FaultSpec("stall_shard", 30, duration=900.0),
         )
     )
 
     def run():
-        sim = build_sim(num_shards=2, fault_plan=plan)
+        sim = build_sim(vectorized=True, fault_plan=plan)
         return fingerprint(sim), sim.fault_stats()
 
     expected, stats = run()
+    assert stats["faults_fired"] == len(plan.faults)
     assert stats["shard_static_skipped"] > 3  # jumps clear of windows 1 and 3
     assert stats["shard_responses_delayed_by_fault"] > 0
+    for window in WINDOWS:
+        monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
+        assert run() == (expected, stats), window
+
+
+def test_kill_past_the_stream_end_identical_at_tiny_windows(monkeypatch):
+    """An outage that outlives the static stream parks the cursor at its
+    end: every reader must then see an exhausted stream, not a stale
+    window."""
+    plan = FaultPlan.kill_shard(at_event=12, duration=10 * DAY)
+
+    def run():
+        sim = build_sim(vectorized=True, fault_plan=plan)
+        result = fingerprint(sim), sim.fault_stats()
+        assert sim._shard.cursor == sim._shard.st_len
+        return result
+
+    expected, stats = run()
+    assert stats["faults_fired"] == len(plan.faults)
+    assert stats["shard_static_skipped"] > 3
     for window in WINDOWS:
         monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
         assert run() == (expected, stats), window
@@ -149,14 +166,18 @@ def test_shard_faults_identical_when_the_jump_leaves_the_window(monkeypatch):
 def test_snapshot_mid_window_resumes_identically(monkeypatch, window):
     expected = fingerprint(build_sim())  # single-queue
     monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
-    crashed = build_sim(num_shards=2, fault_plan=FaultPlan.crash_at(25))
+    plan = FaultPlan.crash_at(25)
+    crashed = build_sim(vectorized=True, fault_plan=plan)
     with pytest.raises(SimulatedCrash):
         crashed.run()
+    assert crashed.fault_stats()["faults_fired"] == len(plan.faults)
+    assert crashed.fault_stats()["crashes"] == 1
+    stream = crashed._shard
     if window > 1:
         # The crash point sits strictly inside a decoded window.
-        assert any(sh.w_lo < sh.cursor < sh.w_hi for sh in crashed._shards)
+        assert stream.w_lo < stream.cursor < stream.w_hi
     resumed = Simulator.resume(crashed.snapshot(), fault_plan=None)
-    # Shards pickle as columns; the window is rebuilt at the cursor.
-    assert all(sh.w_rows == [] and sh.w_hi == 0 for sh in resumed._shards)
-    assert any(sh.cursor > 0 for sh in resumed._shards)
+    # The stream pickles as columns; the window is rebuilt at the cursor.
+    assert resumed._shard.w_rows == [] and resumed._shard.w_hi == 0
+    assert resumed._shard.cursor > 0
     assert fingerprint(resumed) == expected

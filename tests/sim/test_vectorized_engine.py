@@ -6,7 +6,7 @@ differential check of :meth:`VectorDeviceState.fold_slice` against a scalar
 replay of the engine's per-event transition functions — plus engine-level
 identity: a full run with ``vectorized_dispatch=True`` must produce exactly
 the same job metrics and counters as the single-queue engine (the scalar
-oracle), at several shard counts, with a latency model that exercises the batched RNG kernel.
+oracle), with a latency model that exercises the batched RNG kernel.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class TestVectorDeviceState:
 
     def test_signatures_interned_by_value(self):
         # Distinct-but-equal frozensets (as produced by the fallback path of
-        # per-shard signature computation) must share one table entry.
+        # the signature computation) must share one table entry.
         sig_a = frozenset({"general", "compute_rich"})
         sig_b = frozenset({"compute_rich", "general"})
         assert sig_a is not sig_b or sig_a == sig_b
@@ -296,14 +296,13 @@ def snapshot(metrics):
     return out
 
 
-def run_snapshot(policy_name, vectorized, num_shards=1):
+def run_snapshot(policy_name, vectorized):
     devices, trace, jobs = small_scenario()
     policy = make_policy(policy_name, seed=3)
     config = SimulationConfig(
         horizon=30_000.0,
         seed=9,
         latency=LatencyConfig(compute_sigma=0.3, comm_min=5.0, comm_max=20.0),
-        num_shards=num_shards,
         vectorized_dispatch=vectorized,
         enforce_daily_limit=True,
     )
@@ -314,12 +313,8 @@ class TestVectorizedEngineIdentity:
     @pytest.mark.parametrize("policy_name", ["fifo", "srsf", "venn"])
     def test_matches_scalar_oracle(self, policy_name):
         scalar = run_snapshot(policy_name, vectorized=False)
-        for num_shards in (1, 2):
-            vec = run_snapshot(policy_name, vectorized=True,
-                               num_shards=num_shards)
-            assert vec == scalar, (
-                f"vectorized({policy_name}, shards={num_shards}) diverged"
-            )
+        vec = run_snapshot(policy_name, vectorized=True)
+        assert vec == scalar, f"vectorized({policy_name}) diverged"
 
     def test_runtime_state_synced_back_after_run(self):
         """After a vectorized run the per-device DeviceRuntime objects must

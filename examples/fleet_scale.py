@@ -1,7 +1,8 @@
 """Million-device simulation on the fleet engine.
 
 Runs one contended scenario on the fleet engine — a coordinator plus one
-device stream over struct-of-arrays device state — and prints its event
+device stream over struct-of-arrays device state — and prints how long each
+input took to build (capacity, availability, workload), then the run's event
 rate and counters.  The fleet engine makes the single-queue reference
 engine's decisions bit for bit (add ``--verify`` to prove it — it roughly
 doubles the runtime).  For a time split use ``python3 -m bench --trace 1``.
@@ -33,9 +34,16 @@ def build_environment(num_devices: int, num_jobs: int, horizon: float,
     print(f"building environment: {num_devices:,} devices, {num_jobs} jobs ...")
     t0 = time.perf_counter()
     devices = CapacitySampler(seed=seed).sample_devices(num_devices)
+    t1 = time.perf_counter()
+    print(f"  capacity      {t1 - t0:6.2f} s "
+          f"({(t1 - t0) / num_devices * 1e6:.2f} us/device)")
     trace = DiurnalAvailabilityModel(
         DiurnalConfig(horizon=horizon), seed=seed + 1
     ).generate(num_devices)
+    t2 = time.perf_counter()
+    print(f"  availability  {t2 - t1:6.2f} s "
+          f"({(t2 - t1) / num_devices * 1e6:.2f} us/device, "
+          f"{len(trace):,} sessions)")
     workload = WorkloadGenerator(
         WorkloadConfig(
             num_jobs=num_jobs,
@@ -48,8 +56,9 @@ def build_environment(num_devices: int, num_jobs: int, horizon: float,
         ),
         seed=seed + 2,
     ).generate()
-    print(f"  environment ready in {time.perf_counter() - t0:.1f} s "
-          f"({len(trace):,} availability sessions)")
+    t3 = time.perf_counter()
+    print(f"  workload      {t3 - t2:6.2f} s ({len(workload)} jobs)")
+    print(f"  inputs total  {t3 - t0:6.2f} s")
     return devices, trace, workload
 
 

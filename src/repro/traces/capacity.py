@@ -16,11 +16,21 @@ behaviourally relevant properties:
 
 It also carries the minimum-requirement annotations of Figure 2b
 (:data:`MODEL_REQUIREMENTS` for MobileNet, VideoSR and MobileBERT).
+
+:meth:`CapacitySampler.sample_devices` costs about what its draws cost.  The
+draws stay per device, in the seed's order (a device's domain uniforms as one
+``random(out=row)``, then ``beta``, then ``normal``); everything derived from
+them — domain sets, reliability, speed — is computed per block of ``_BATCH``
+devices in numpy.  ``_BATCH`` is a memory bound: it caps the derivation
+transients, not the work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from array import array
+from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,6 +63,9 @@ DEFAULT_DATA_DOMAINS: Tuple[str, ...] = (
     "dictation",
 )
 
+#: Devices derived per block: bounds the per-block columns and masks.
+_BATCH = 1 << 12
+
 
 @dataclass
 class CapacityConfig:
@@ -73,6 +86,10 @@ class CapacityConfig:
     data_domains: Tuple[str, ...] = DEFAULT_DATA_DOMAINS
 
     def __post_init__(self) -> None:
+        for name in ("cpu_mu", "mem_mu", "sigma", "max_slowdown"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite (got {value})")
         if not (-1.0 < self.correlation < 1.0):
             raise ValueError("correlation must be in (-1, 1)")
         if self.max_slowdown < 1.0:
@@ -133,26 +150,58 @@ class CapacitySampler:
         """Sample a population of ``n`` devices."""
         cfg = self.config
         data_domains, p_domain = cfg.data_domains, cfg.domain_probability
-        mean_reliability = cfg.mean_reliability
-        random, beta, speed_factor = self._rng.random, self._rng.beta, self.speed_factor
-        devices: List[DeviceProfile] = []
-        # One frozenset per distinct domain combination (at most
-        # 2**len(data_domains)), shared by every device that drew it.
+        num_domains = len(data_domains)
+        random, beta, normal = self._rng.random, self._rng.beta, self._rng.normal
+        cpus, mems = self.sample_scores(n).T
+        # A block's domain uniforms, one row per device: ``random(out=row)``
+        # draws exactly what ``len(row)`` scalar ``random()`` calls would.  The
+        # row views are made once, not once per device.
+        uniforms = np.empty((min(n, _BATCH), num_domains))
+        rows = list(uniforms)
+        # A device's domain hits packed into bytes (at least one, so that no
+        # domains is a key too): the key of its combination, any width.
+        masks = np.zeros((len(rows), num_domains // 8 + 1), np.uint8)
+        key_type = f"V{masks.shape[1]}"
+        # One frozenset per distinct combination, shared by every device that
+        # drew it; built the first time its mask turns up.
+        by_mask: Dict[bytes, frozenset] = {}
         shared: Dict[frozenset, frozenset] = {}
-        # One stream, draws interleaved per device (domains, reliability,
-        # speed noise): the order is part of the seed's meaning.  The scores
-        # are two flat columns, not n two-element lists that die with the loop.
-        cpus, mems = self.sample_scores(n).T.tolist()
-        for k, (cpu, mem) in enumerate(zip(cpus, mems), start_id):
-            domains = frozenset([d for d in data_domains if random() < p_domain])
-            domains = shared.setdefault(domains, domains)
-            reliability = beta(9.0, 1.0) * mean_reliability / 0.9
-            if reliability > 1.0:
-                reliability = 1.0
-            elif reliability < 0.0:
-                reliability = 0.0
-            devices.append(
-                DeviceProfile(k, cpu, mem, speed_factor(cpu, mem), domains, reliability)
+        devices: List[DeviceProfile] = []
+        for lo in range(0, n, _BATCH):
+            size = min(_BATCH, n - lo)
+            # One stream, draws interleaved per device (domains, reliability,
+            # speed noise): the order is part of the seed's meaning.
+            betas, noises = array("d"), array("d")
+            for row in rows[:size]:
+                random(out=row)
+                betas.append(beta(9.0, 1.0))
+                noises.append(normal(0.0, 0.15))
+            masks[:size, : (num_domains + 7) // 8] = np.packbits(
+                uniforms[:size] < p_domain, axis=1, bitorder="little"
+            )
+            keys = masks[:size].view(key_type).ravel().tolist()
+            for key in set(keys).difference(by_mask):
+                hits = np.unpackbits(
+                    np.frombuffer(key, np.uint8), count=num_domains, bitorder="little"
+                )
+                domains = frozenset(compress(data_domains, hits.tolist()))
+                by_mask[key] = shared.setdefault(domains, domains)
+            reliability = np.clip(
+                np.frombuffer(betas) * cfg.mean_reliability / 0.9, 0.0, 1.0
+            )
+            # speed_factor(cpu, mem), operation for operation.
+            cpu, mem = cpus[lo : lo + size], mems[lo : lo + size]
+            capability = 0.6 * cpu + 0.4 * mem
+            base = 1.0 + (cfg.max_slowdown - 1.0) * (1.0 - capability)
+            speed = base * np.exp(np.frombuffer(noises))
+            devices += map(
+                DeviceProfile,
+                range(start_id + lo, start_id + lo + size),
+                cpu.tolist(),
+                mem.tolist(),
+                speed.tolist(),
+                map(by_mask.__getitem__, keys),
+                reliability.tolist(),
             )
         return devices
 

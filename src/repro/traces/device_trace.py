@@ -20,12 +20,16 @@ builder takes one ``lexsort`` of them, the unknown-device check one
 :class:`AvailabilitySession` objects are a view for small-scale callers
 (scenario transforms, examples, tests), built on demand by ``.sessions`` and
 accepted back through ``sessions=``.  The generator appends straight into the
-columns and seeds each device's stream through :mod:`repro.traces.streams`,
-so building a day's trace costs about what its random draws cost.
+columns, seeds each device's stream through :mod:`repro.traces.streams` and
+draws standard variates it scales itself, so building a day's trace costs
+about what its random draws cost.  Devices are seeded ``streams._BATCH`` at a
+time; that batch is a memory bound (one batch of big-int states alive at
+once), not a unit of work — sessions do not depend on it.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -73,12 +77,22 @@ class DiurnalConfig:
     session_sigma: float = 0.8
 
     def __post_init__(self) -> None:
+        # An infinite horizon would never stop generating; NaN ones and an
+        # infinite median_session would silently yield an empty trace.
+        for name in ("horizon", "median_session", "peak_hour", "session_sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite (got {value})")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if not (0 < self.trough_availability <= self.peak_availability <= 1):
             raise ValueError("need 0 < trough <= peak <= 1")
         if self.median_session <= 0:
             raise ValueError("median_session must be positive")
+        # Sessions scale a standard normal by sigma, which no check in numpy
+        # sees: a negative sigma would pass silently.
+        if self.session_sigma < 0:
+            raise ValueError("session_sigma must be non-negative")
 
     def availability_at(self, t: float) -> float:
         """Expected online fraction of the population at time ``t``."""
@@ -225,24 +239,31 @@ class DiurnalAvailabilityModel:
         amp = (cfg.peak_availability - cfg.trough_availability) / 2.0
         two_pi, peak_phase = 2.0 * np.pi, cfg.peak_hour / 24.0
         mean_session = cfg.median_session * float(np.exp(cfg.session_sigma**2 / 2))
-        log_median, sigma = np.log(cfg.median_session), cfg.session_sigma
+        log_median, sigma = float(np.log(cfg.median_session)), cfg.session_sigma
         cos, exp = np.cos, np.exp
-
-        def mean_gap(t: float) -> float:  # cfg.availability_at(t), constants hoisted
-            p = max(1e-3, mid + amp * float(cos(two_pi * ((t / DAY) - peak_phase))))
-            return mean_session * (1.0 - p) / p
-
-        first_gap = mean_gap(0.0)
+        p = max(1e-3, cfg.availability_at(0.0))
+        first_gap = mean_session * (1.0 - p) / p
         # Typed columns: boxed list items would die as holes once copied.
         ids, starts, ends = array("q"), array("d"), array("d")
         for dev, rng in zip(device_ids, device_streams(self._entropy, device_ids)):
-            exponential, normal = rng.exponential, rng.normal
-            t = rng.uniform(0.0, first_gap)
+            # Standard variates, scaled here exactly as numpy's ``uniform``,
+            # ``exponential`` and ``normal`` scale them in C, without their
+            # argument checks (``uniform`` alone costs three ``random()``s).
+            random, exponential, normal = (
+                rng.random, rng.standard_exponential, rng.standard_normal
+            )
+            t = first_gap * random()
             while t < horizon:
-                start = t + exponential(mean_gap(t))
+                # The mean gap at t; p is cfg.availability_at(t), inlined.
+                p = mid + amp * float(cos(two_pi * ((t / DAY) - peak_phase)))
+                if p < 1e-3:
+                    p = 1e-3
+                start = t + mean_session * (1.0 - p) / p * exponential()
                 if start >= horizon:
                     break
-                t = min(start + float(exp(normal(log_median, sigma))), horizon)
+                t = start + float(exp(log_median + sigma * normal()))
+                if t > horizon:
+                    t = horizon
                 if t > start:
                     ids.append(dev)
                     starts.append(start)

@@ -10,6 +10,12 @@ hash Python ints for the entropy words and then one ``uint32`` array holding
 every device id at once for the last word; PCG64's ``srandom`` is two 128-bit
 multiply-adds in Python ints.  ``tests/traces/test_streams.py`` holds numpy's
 own construction as the oracle.
+
+Devices are seeded ``_BATCH`` at a time.  ``_BATCH`` is a memory bound, not
+a unit of work: a batch's ``(state, inc)`` big ints are alive at once (~150 B
+a device kept, ~450 B while :func:`seed_states` builds them), so 4,096 ids
+hold that transient under 2 MB; past a few thousand ids the vectorised hash
+gains nothing more per device.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 #: Devices seeded per vectorised batch: bounds the list of big-int states.
-_BATCH = 1 << 16
+_BATCH = 1 << 12
 
 
 def _hash_consts(const: int, mult: int) -> Iterator[Tuple[int, int]]:

@@ -26,6 +26,14 @@ class TestCapacityConfig:
         with pytest.raises(ValueError):
             CapacityConfig(mean_reliability=0.0)
 
+    @pytest.mark.parametrize("field", ["cpu_mu", "mem_mu", "sigma", "max_slowdown"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_distribution_parameters_must_be_finite(self, field, value):
+        # max_slowdown=inf used to give speed_factor=inf profiles and
+        # sigma=nan a LinAlgError inside the SVD of the first sample.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CapacityConfig(**{field: value})
+
 
 class TestCapacitySampler:
     def test_scores_in_unit_interval(self):

@@ -36,6 +36,32 @@ class TestDiurnalConfig:
         with pytest.raises(ValueError):
             DiurnalConfig(median_session=0)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_horizon_must_be_finite(self, value):
+        # inf used to make generate() loop forever, nan an empty trace.
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            DiurnalConfig(horizon=value)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_median_session_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="median_session must be finite"):
+            DiurnalConfig(median_session=value)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_peak_hour_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="peak_hour must be finite"):
+            DiurnalConfig(peak_hour=value)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(-0.1, "non-negative"), (np.inf, "finite"), (np.nan, "finite")],
+    )
+    def test_session_sigma_must_be_finite_and_non_negative(self, value, message):
+        # Session lengths are drawn as a standard normal scaled by sigma, so
+        # a negative sigma would no longer fail inside numpy.
+        with pytest.raises(ValueError, match=f"session_sigma must be {message}"):
+            DiurnalConfig(session_sigma=value)
+
     def test_availability_oscillates_with_24h_period(self):
         cfg = DiurnalConfig(peak_hour=2.0)
         peak = cfg.availability_at(2 * 3600.0)

@@ -186,7 +186,9 @@ def solve_irs_milp(
         lb=np.concatenate([np.zeros(n_x), np.zeros(m)]),
         ub=np.concatenate([np.ones(n_x), np.full(m, np.inf)]),
     )
-    options = {}
+    # HiGHS stops at a 1e-4 relative gap by default; an oracle must prove
+    # the optimum, not approach it.
+    options = {"mip_rel_gap": 0.0}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     result = optimize.milp(

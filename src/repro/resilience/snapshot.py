@@ -28,7 +28,7 @@ from typing import List, Optional
 #: stream, the metrics, a fault spec or a policy), so a snapshot written
 #: before the change is refused instead of resuming into a graph with
 #: missing or stale attributes.
-SNAPSHOT_FORMAT_VERSION = 5
+SNAPSHOT_FORMAT_VERSION = 6
 
 
 class SnapshotError(ValueError):

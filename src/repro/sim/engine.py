@@ -355,11 +355,13 @@ class Simulator:
         self._policy_bulk_assign = getattr(policy, "assign_batch_bulk", None)
         # The engine's own signature space: the workload's full requirement
         # set is known up front, so each device's eligibility signature is
-        # computed once (lazily, at first check-in) and cached forever.
-        # Deduplicated by requirement *object* (not name): if two jobs'
-        # requirements shared a name but differed in predicate, both
-        # predicates must contribute to the signature so the dispatch
-        # bucket filter never under-visits.
+        # computed once and kept: lazily, at first check-in, in a dict on the
+        # single-queue engine; all at once, as ids into an interned table,
+        # on the fleet engine (``VectorDeviceState.sig_id``).  Deduplicated
+        # by requirement *object* (not name): if two jobs' requirements
+        # shared a name but differed in predicate, both predicates must
+        # contribute to the signature so the dispatch bucket filter never
+        # under-visits.
         self._requirements = list(dict.fromkeys(job.requirement for job in jobs))
         self._device_signatures: Dict[int, frozenset] = {}
         self._metrics = SimulationMetrics(
@@ -658,14 +660,12 @@ class Simulator:
         # Signature precompute: one vectorised pass instead of a per-device
         # predicate walk at first check-in, shared with the policy through
         # the signature-provider protocol.
-        self._device_signatures = compute_signatures(
-            self._device_profiles, self._requirements
+        self._vec = VectorDeviceState(
+            self._device_profiles,
+            *compute_signatures(self._device_profiles, self._requirements),
         )
         self.policy.bind_signature_provider(
-            self._device_signatures.__getitem__, tuple(self._requirements)
-        )
-        self._vec = VectorDeviceState(
-            self._device_profiles, self._device_signatures
+            self._vec.signature_provider(), tuple(self._requirements)
         )
 
     def _run_fleet(self) -> SimulationMetrics:
@@ -759,8 +759,8 @@ class Simulator:
         ci_slots, ci_times = self._vec.fold_slice(
             shard.sa_time[lo:hi],
             shard.sa_slot[lo:hi],
-            shard.sa_send[lo:hi],
-            shard.sa_ci[lo:hi],
+            shard.sa_code[lo:hi],
+            shard.se_end,
         )
         n_ci = int(ci_slots.size)
         if n_ci:
@@ -897,10 +897,8 @@ class Simulator:
         """
         vec = self._vec
         sa_time = shard.sa_time
-        sa_seq = shard.sa_seq
+        sa_code = shard.sa_code
         sa_slot = shard.sa_slot
-        sa_send = shard.sa_send
-        sa_ci = shard.sa_ci
         cursor = shard.cursor
         heap = shard.heap
         bt, bs = limit
@@ -915,9 +913,7 @@ class Simulator:
         if bt > horizon:
             hi = int(sa_time.searchsorted(horizon, "right"))
         else:
-            lo_eq = int(sa_time.searchsorted(bt, "left"))
-            hi_eq = int(sa_time.searchsorted(bt, "right"))
-            hi = lo_eq + int(sa_seq[lo_eq:hi_eq].searchsorted(bs, "right"))
+            hi = shard.events_through(bt, bs)
         budget = self.config.max_events - self._events_processed
         if hi - cursor > budget:
             hi = cursor + budget
@@ -944,7 +940,9 @@ class Simulator:
                 break
             base = cursor
             slots_v = sa_slot[base:hi]
-            cand = sa_ci[base:hi] & (status[slots_v] != STATUS_BUSY)
+            cand = ((sa_code[base:hi] & 1) == 0) & (
+                status[slots_v] != STATUS_BUSY
+            )
             if enforce_daily:
                 cand &= last_day[slots_v] != vec.day_of(sa_time[base:hi])
             cand_pos = np.nonzero(cand)[0]
@@ -990,13 +988,8 @@ class Simulator:
                             # one-read time comparison skips the binary
                             # searches almost every time.
                             if heap and heap[0][0] <= sa_time[hi - 1]:
-                                h0, h1 = heap[0][0], heap[0][1]
-                                lo_eq = int(sa_time.searchsorted(h0, "left"))
-                                hi_eq = int(sa_time.searchsorted(h0, "right"))
-                                bound = lo_eq + int(
-                                    sa_seq[lo_eq:hi_eq].searchsorted(
-                                        h1 - 1, "right"
-                                    )
+                                bound = shard.events_through(
+                                    heap[0][0], heap[0][1] - 1
                                 )
                                 if bound < hi:
                                     hi = bound

@@ -29,7 +29,7 @@ time (see the method docstrings for the per-kernel arguments, and
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -53,12 +53,18 @@ class VectorDeviceState:
     def __init__(
         self,
         profiles: Sequence[DeviceProfile],
-        signatures: Dict[int, FrozenSet[str]],
+        sig_ids: np.ndarray,
+        sig_table: Sequence[FrozenSet[str]],
     ) -> None:
-        ordered = sorted(profiles, key=lambda p: p.device_id)
-        n = len(ordered)
-        self.profiles: List[DeviceProfile] = ordered
-        self.ids = np.array([p.device_id for p in ordered], dtype=np.int64)
+        """``sig_table[sig_ids[i]]`` is the eligibility signature of
+        ``profiles[i]`` (:func:`~repro.sim.shard.compute_signatures`)."""
+        n = len(profiles)
+        ids = np.array([p.device_id for p in profiles], dtype=np.int64)
+        order = np.argsort(ids, kind="stable")
+        self.profiles: List[DeviceProfile] = [
+            profiles[i] for i in order.tolist()
+        ]
+        self.ids = ids[order]
         self.status = np.zeros(n, dtype=np.int8)
         self.sess = np.zeros(n, dtype=np.float64)
         self.last_day = np.full(n, -1, dtype=np.int64)
@@ -67,21 +73,14 @@ class VectorDeviceState:
         # where list indexing is several times cheaper.
         self.tasks_completed = [0] * n
         self.tasks_failed = [0] * n
-        # Signature interning BY VALUE, not object identity: the fallback
-        # path of ``shard.compute_signatures`` can produce distinct-but-equal
-        # frozensets for different devices.
-        table: List[FrozenSet[str]] = []
-        index: Dict[FrozenSet[str], int] = {}
-        sig_id = np.empty(n, dtype=np.int32)
-        for i, profile in enumerate(ordered):
-            sig = signatures[profile.device_id]
-            j = index.get(sig)
-            if j is None:
-                j = index[sig] = len(table)
-                table.append(sig)
-            sig_id[i] = j
-        self.sig_table = table
-        self.sig_id = sig_id
+        self.sig_table: List[FrozenSet[str]] = list(sig_table)
+        self.sig_id = np.asarray(sig_ids, dtype=np.int32)[order]
+        #: ``sig_table[sig_id[slot]]`` by slot: one shared reference per
+        #: device, the store behind :meth:`signature_provider`.
+        self._sig_by_slot = [self.sig_table[j] for j in self.sig_id.tolist()]
+        self._id0 = int(self.ids[0]) if n else 0
+        #: Ids ``id0 .. id0 + n - 1`` (unique, so the span says it all).
+        self._contiguous = n == 0 or int(self.ids[-1]) - self._id0 == n - 1
         # Fold scratch, reset to the init values after every fold via the
         # touched slots (persistent arrays: many small folds must not pay an
         # O(num_devices) allocation each).
@@ -100,6 +99,25 @@ class VectorDeviceState:
         if not known.all():
             raise KeyError(f"unknown device ids: {wanted[~known][:5].tolist()}")
         return slots
+
+    def signature_provider(self) -> Callable[[int], FrozenSet[str]]:
+        """``device_id -> signature`` for
+        :meth:`~repro.core.policy.SchedulingPolicy.bind_signature_provider`.
+
+        A bound method, so it pickles with the state it reads.  On a fleet
+        of contiguous ids it is one subtraction and one list index (about
+        what a dict lookup costs, without the dict); a sparse fleet
+        searches the sorted id array.
+        """
+        if self._contiguous:
+            return self._signature_at_offset
+        return self._signature_by_search
+
+    def _signature_at_offset(self, device_id: int) -> FrozenSet[str]:
+        return self._sig_by_slot[device_id - self._id0]
+
+    def _signature_by_search(self, device_id: int) -> FrozenSet[str]:
+        return self._sig_by_slot[int(self.ids.searchsorted(device_id))]
 
     def sig_eligibility(self, pending_names: set) -> np.ndarray:
         """``bool[sig_id]``: does the signature intersect a pending name?
@@ -125,10 +143,15 @@ class VectorDeviceState:
         self,
         times: np.ndarray,
         slots: np.ndarray,
-        sends: np.ndarray,
-        is_checkin: np.ndarray,
+        codes: np.ndarray,
+        se_end: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Fold a run of assignment-free static events into the arrays.
+
+        The run is given as the stream's columns: event times, slots and
+        codes (``code & 1`` marks a checkout, ``se_end[code >> 1]`` is the
+        event's session end).  Session ends are gathered only where a
+        bullet below reads them.
 
         The caller guarantees no event in the run can trigger an assignment
         (no pending demand, or the run lies between assignment candidates),
@@ -151,10 +174,13 @@ class VectorDeviceState:
         """
         status = self.status
         sess = self.sess
+        is_checkin = (codes & 1) == 0
         busy_ev = status[slots] == STATUS_BUSY
         busy_ci = is_checkin & busy_ev
         if busy_ci.any():
-            np.maximum.at(sess, slots[busy_ci], sends[busy_ci])
+            np.maximum.at(
+                sess, slots[busy_ci], se_end[codes[busy_ci] >> 1]
+            )
         nb_ci = is_checkin & ~busy_ev
         nb_co = ~is_checkin & ~busy_ev
         ci_slots = slots[nb_ci]
@@ -171,11 +197,13 @@ class VectorDeviceState:
             after = co_pos > scr_pos[co_slots]
             if after.any():
                 np.maximum.at(
-                    scr_send, co_slots[after], sends[co_pos[after]]
+                    scr_send,
+                    co_slots[after],
+                    se_end[codes[co_pos[after]] >> 1],
                 )
         if ci_slots.size:
             uci = np.unique(ci_slots)
-            new_sess = sends[scr_pos[uci]]
+            new_sess = se_end[codes[scr_pos[uci]] >> 1]
             sess[uci] = new_sess
             status[uci] = np.where(
                 scr_send[uci] >= new_sess, STATUS_OFFLINE, STATUS_IDLE

@@ -37,6 +37,19 @@ ENGINE_MODES = [
 ]
 
 
+def killed_mid_run(**mode) -> SimulationSnapshot:
+    """The last periodic checkpoint of a run crashed at event 25."""
+    store = LatestSnapshotStore()
+    crashed = build_sim(
+        fault_plan=FaultPlan.crash_at(25), checkpoint_interval=10,
+        checkpoint_sink=store, **mode,
+    )
+    with pytest.raises(SimulatedCrash):
+        crashed.run()
+    assert crashed._devices is None  # nobody read them before the crash
+    return store.latest
+
+
 class TestExactResume:
     @pytest.mark.parametrize("mode", ENGINE_MODES)
     def test_kill_and_resume_is_bit_identical(self, mode):
@@ -84,20 +97,9 @@ class TestVectorizedDevicesAcrossSnapshots:
 
     MODE = {"vectorized": True}
 
-    def _killed_mid_run(self):
-        store = LatestSnapshotStore()
-        crashed = build_sim(
-            fault_plan=FaultPlan.crash_at(25), checkpoint_interval=10,
-            checkpoint_sink=store, **self.MODE,
-        )
-        with pytest.raises(SimulatedCrash):
-            crashed.run()
-        assert crashed._devices is None  # nobody read them before the crash
-        return store.latest
-
     def test_resumed_run_builds_devices_from_the_restored_arrays(self):
-        snap = self._killed_mid_run()
-        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 5
+        snap = killed_mid_run(**self.MODE)
+        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 6
         resumed = Simulator.resume(snap, fault_plan=None)
         assert resumed._devices is None
         # Mid-run read on the resumed simulator: the checkpoint's state.
@@ -223,6 +225,38 @@ class TestCheckpointing:
         with pytest.raises(SnapshotError, match=f"format version {embedded} "):
             Simulator.resume(replace(snap, format_version=SNAPSHOT_FORMAT_VERSION))
         Simulator.resume(build_sim(vectorized=True).snapshot().payload)
+
+    def test_format_5_fleet_snapshot_is_refused_up_front(self, monkeypatch):
+        """Format 5 stored the stream as five event columns (``sa_seq``,
+        ``sa_send`` and ``sa_ci`` beside ``sa_time`` and an int64
+        ``sa_slot``) where format 6 keeps ``sa_code`` + ``se_end`` and the
+        stream's ``seq0``.  Such a payload would unpickle and then fail
+        mid-run on a missing attribute; the version check refuses it before
+        anything runs."""
+        sim = Simulator.resume(killed_mid_run(vectorized=True))
+        shard = sim._shard
+        code = shard.sa_code
+        format_5_columns = {
+            "sa_time": shard.sa_time,
+            "sa_seq": code.astype("int64") + shard.seq0,
+            "sa_slot": shard.sa_slot.astype("int64"),
+            "sa_send": shard.se_end[code >> 1],
+            "sa_ci": (code & 1) == 0,
+        }
+        for name in ("sa_code", "se_end", "seq0"):
+            delattr(shard, name)
+        shard.__dict__.update(format_5_columns)
+        monkeypatch.setattr(engine_module, "SNAPSHOT_FORMAT_VERSION", 5)
+        payload = sim.snapshot().payload
+        monkeypatch.undo()
+        with pytest.raises(SnapshotError, match="format version 5 "):
+            Simulator.resume(payload)
+        # Without the check the stale graph gets as far as the first read.
+        monkeypatch.setattr(
+            engine_module, "_check_format_version", lambda version: None
+        )
+        with pytest.raises(AttributeError, match="sa_code|se_end|seq0"):
+            Simulator.resume(payload, fault_plan=None).run()
 
     def test_resume_reattaches_callbacks(self):
         """Sinks/callbacks are dropped from snapshots and must be

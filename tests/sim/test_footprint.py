@@ -4,12 +4,13 @@
 these tests pin the *structural* facts behind it with ``tracemalloc`` and
 object identity, so a regression fails here before it shows as RSS:
 
-* the device stream lives as numpy columns plus one bounded window of
-  decoded rows — tens of bytes per static event, not the ~190–230 B/event of
-  per-event Python objects (five lists of boxed values) it used to cost;
+* the device stream lives as three numpy event columns plus one bounded
+  window of decoded rows — tens of bytes per static event, not the
+  ~190–230 B/event of per-event Python objects (five lists of boxed values)
+  it used to cost — and building it peaks at tens of bytes per event too;
 * on the vectorized engine a device is its slot: the engine keeps arrays and
   no per-device Python object (no ``DeviceRuntime`` fleet, no id -> slot
-  dict) unless somebody reads ``sim.devices``, which then agrees with the
+  or id -> signature dict) unless somebody reads ``sim.devices``, which then agrees with the
   arrays field for field;
 * sampled devices share one ``frozenset`` per distinct domain combination.
 """
@@ -30,16 +31,29 @@ from repro.traces.workloads import WorkloadConfig, WorkloadGenerator
 N = 5_000
 
 #: Budget for everything ``sim/shard.py`` holds at the end of a day, per
-#: static event: 33 B of columns (8 + 8 + 8 + 8 + 1) + the decode window
-#: (1024 rows x ~220 B, ~13 B/event at this size) + the per-device signature
-#: dict (~8 B/event) measured 58 B/event; the list representation measured
-#: 231 B/event on the same cell.
-MAX_SHARD_BYTES_PER_STATIC_EVENT = 96
+#: static event: 16 B of columns (time 8 + code 4 + slot 4) + the decode
+#: window (1024 rows x ~290 B, ~17 B/event at this size) measured 33 B/event
+#: (the 8 B per session of ``se_end`` is the trace's sorted end column and
+#: traces under ``traces/device_trace.py``).  With five columns (33 B) and
+#: the per-device signature dict it measured 58 B/event; the list
+#: representation before that, 231 B/event.
+MAX_SHARD_BYTES_PER_STATIC_EVENT = 48
+
+#: Budget for the traced peak of building the stream, the signature ids and
+#: the device arrays (``Simulator._setup_fleet``), per static event.  What
+#: is alive at the build's high-water mark, per session (two events): the
+#: sorted session columns (start 8, end 8), the slots (4), the interleaved
+#: event times (16) and ``argsort``'s int64 order (16) beside its int32 copy
+#: (8) — 60 B, 30 B/event — plus the retained device arrays, ~19 B/event at
+#: 3.5 events a device.  Measured 48 B/event; the lexsort build with five
+#: event columns, filtered copies and the signature dict measured 88.
+MAX_BUILD_PEAK_BYTES_PER_STATIC_EVENT = 72
 
 #: Budget for what ``sim/engine.py`` + ``sim/vector.py`` hold per device at
-#: the end of a vectorized day: the state arrays, the two counter lists and
-#: the profile list.  Measured 56 B; with the eager ``DeviceRuntime`` dict
-#: (172 B) and the ``slot_of`` dict (116 B) it measured 303 B.
+#: the end of a vectorized day: the state arrays, the two counter lists, the
+#: profile list and the by-slot signature list.  Measured 65 B; with the
+#: eager ``DeviceRuntime`` dict (172 B) and the ``slot_of`` dict (116 B) it
+#: measured 303 B.
 MAX_ENGINE_BYTES_PER_DEVICE = 96
 
 
@@ -115,6 +129,38 @@ def test_static_stream_costs_columns_plus_a_window(traced_vectorized_day):
     )
     # One identity column, the slot: a stream never holds the ids.
     assert not hasattr(sim._shard, "sa_dev")
+
+
+def test_building_the_stream_peaks_at_tens_of_bytes_per_event(cell):
+    sim = simulator(cell, vectorized_dispatch=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sim._setup_fleet()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    static_events = sim._shard.st_len
+    assert static_events > 3 * N
+    assert (peak - before) / static_events <= (
+        MAX_BUILD_PEAK_BYTES_PER_STATIC_EVENT
+    )
+
+
+def test_fleet_engine_keeps_no_per_device_dict(traced_vectorized_day):
+    """Signatures are ids into a table and the provider reads a by-slot
+    list: nothing the fleet engine holds is a dict with an entry per
+    device."""
+    sim, _metrics, _snapshot = traced_vectorized_day
+    holders = (sim, sim._vec, sim._shard)
+    sizes = {
+        (type(holder).__name__, name): len(value)
+        for holder in holders
+        for name, value in vars(holder).items()
+        if isinstance(value, dict)
+    }
+    assert sizes and max(sizes.values()) < N // 10, sizes
+    assert sim.policy._sig_provider.__self__ is sim._vec
 
 
 def test_vectorized_engine_holds_no_per_device_objects(traced_vectorized_day):

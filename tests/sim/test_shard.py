@@ -3,8 +3,10 @@
 The fleet engine's correctness rests on two local properties pinned here:
 vectorised signature precompute equals the per-device predicate walk, and
 the device stream carries the single-queue engine's exact sequence
-enumeration in sorted order, naming each device by its slot.  (End-to-end bit-identity
-lives in ``tests/sim/test_sharded_engine.py``.)  The stream's degraded-mode
+enumeration in sorted order, naming each device by its slot.  The stream is
+code-encoded (``seq = seq0 + code``); the two-key ``lexsort`` build it
+replaced is kept below as the oracle its decoded rows must equal bit for
+bit.  (End-to-end bit-identity lives in ``tests/sim/test_sharded_engine.py``.)  The stream's degraded-mode
 rewrites, which ``kill_shard`` / ``stall_shard`` faults drive, are pinned
 here one effect at a time; ``tests/resilience/test_fault_invariants.py``
 holds them end to end.
@@ -14,9 +16,10 @@ from __future__ import annotations
 
 import heapq
 import pickle
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.sim.shard as shard_module
@@ -30,7 +33,9 @@ from repro.core.requirements import (
 )
 from repro.sim.shard import (
     INF_KEY,
+    DeviceShard,
     build_shard,
+    code_dtype,
     compute_signatures,
     make_static_stream,
 )
@@ -49,6 +54,13 @@ REQS = [
 ]
 
 
+def signatures(devices, requirements):
+    """:func:`compute_signatures` decoded: one signature per device."""
+    sig_ids, table = compute_signatures(devices, requirements)
+    assert sig_ids.dtype == np.int32 and len(sig_ids) == len(devices)
+    return [table[j] for j in sig_ids.tolist()]
+
+
 class TestComputeSignatures:
     def test_matches_signature_of_exactly(self):
         rng = np.random.default_rng(5)
@@ -61,9 +73,9 @@ class TestComputeSignatures:
             )
             for i in range(300)
         ]
-        fast = compute_signatures(devices, REQS)
-        for d in devices:
-            assert fast[d.device_id] == signature_of(d, REQS)
+        fast = signatures(devices, REQS)
+        for d, sig in zip(devices, fast):
+            assert sig == signature_of(d, REQS)
 
     @given(
         cpu=st.floats(0.0, 1.0),
@@ -76,14 +88,43 @@ class TestComputeSignatures:
             device_id=1, cpu=cpu, mem=mem,
             domains=("keyboard",) if has_domain else (),
         )
-        assert compute_signatures([device], REQS)[1] == signature_of(
-            device, REQS
-        )
+        assert signatures([device], REQS) == [signature_of(device, REQS)]
+
+    def test_aligned_with_the_input_not_with_the_ids(self):
+        devices = [
+            make_device(device_id=9, cpu=0.1, mem=0.1),
+            make_device(device_id=2, cpu=0.95, mem=0.95),
+        ]
+        assert signatures(devices, REQS) == [
+            signature_of(d, REQS) for d in devices
+        ]
 
     def test_signatures_are_interned(self):
         devices = [make_device(device_id=i, cpu=0.9, mem=0.9) for i in range(5)]
-        sigs = compute_signatures(devices, REQS)
-        assert all(sigs[i] is sigs[0] for i in range(5))
+        sig_ids, table = compute_signatures(devices, REQS)
+        assert sig_ids.tolist() == [0] * 5 and len(table) == 1
+
+    def test_equal_signatures_share_one_entry(self):
+        """Interning is by value: two requirement objects sharing a name
+        give different bitmasks but equal signatures, and the fallback path
+        builds a new frozenset per device."""
+        low = EligibilityRequirement("twin", min_cpu=0.2)
+        high = EligibilityRequirement("twin", min_memory=0.8)
+        devices = [
+            make_device(device_id=0, cpu=0.5, mem=0.1),  # low only
+            make_device(device_id=1, cpu=0.1, mem=0.9),  # high only
+            make_device(device_id=2, cpu=0.1, mem=0.1),  # neither
+        ]
+        sig_ids, table = compute_signatures(devices, [low, high])
+        assert sig_ids[0] == sig_ids[1] != sig_ids[2]
+        assert sorted(table, key=len) == [frozenset(), frozenset({"twin"})]
+
+        class Any(EligibilityRequirement):
+            def is_eligible(self, device):
+                return True
+
+        sig_ids, table = compute_signatures(devices, [Any("any")])
+        assert sig_ids.tolist() == [0, 0, 0] and len(table) == 1
 
     def test_subclassed_requirement_falls_back(self):
         class Odd(EligibilityRequirement):
@@ -92,13 +133,14 @@ class TestComputeSignatures:
 
         odd = Odd("odd")
         devices = [make_device(device_id=i) for i in range(4)]
-        sigs = compute_signatures(devices, [odd])
+        sigs = signatures(devices, [odd])
         assert sigs[0] == frozenset()
         assert sigs[1] == frozenset({"odd"})
 
     def test_empty_requirements(self):
-        devices = [make_device(device_id=3)]
-        assert compute_signatures(devices, []) == {3: frozenset()}
+        devices = [make_device(device_id=3), make_device(device_id=4)]
+        sig_ids, table = compute_signatures(devices, [])
+        assert sig_ids.tolist() == [0, 0] and table == [frozenset()]
 
     def test_more_than_63_requirements_fall_back_exactly(self):
         """The vectorised path packs one requirement per int64 bit; >63
@@ -111,56 +153,130 @@ class TestComputeSignatures:
         # Eligible only for the low-threshold requirements — including one
         # whose bit index (64) would overflow an int64 shift.
         device = make_device(device_id=1, cpu=0.645, mem=1.0)
-        assert compute_signatures([device], reqs)[1] == signature_of(
-            device, reqs
-        )
+        assert signatures([device], reqs) == [signature_of(device, reqs)]
         strong = make_device(device_id=2, cpu=1.0, mem=1.0)
-        assert compute_signatures([strong], reqs)[2] == frozenset(
-            r.name for r in reqs
-        )
+        assert signatures([strong], reqs) == [frozenset(r.name for r in reqs)]
+
+
+def lexsort_stream(starts, slots, ends, seqs, horizon):
+    """The oracle: the stream as it was built before events were numbered
+    by code — both event halves concatenated, a sequence-number column
+    beside them, one two-key ``lexsort``, five columns ``(time, seq, slot,
+    session_end, is_checkin)`` out."""
+    n = len(starts)
+    times = np.concatenate([starts, np.minimum(ends, horizon)])
+    seq_all = np.concatenate([seqs, seqs + 1])
+    order = np.lexsort((seq_all, times))
+    is_checkin = order < n
+    session = np.where(is_checkin, order, order - n)
+    return (
+        times[order],
+        seq_all[order],
+        slots[session],
+        ends[session],
+        is_checkin,
+    )
+
+
+def decoded(shard):
+    """Every event of ``shard`` as the readers see it: the window rows."""
+    rows, p = [], 0
+    while p < shard.st_len:
+        window, _lo, p = shard.refill(p)
+        rows.extend(window)
+    return rows
+
+
+def exact(rows):
+    """Rows with floats spelled out, so ``-0.0`` and ``0.0`` differ."""
+    return [
+        tuple(v.hex() if isinstance(v, float) else v for v in row)
+        for row in rows
+    ]
+
+
+#: Few distinct values, so that starts tie, a start meets another
+#: session's clipped end, ends run past the horizon (8.0) and ``-0.0``
+#: meets ``0.0``.
+TIMES = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 5.0, 8.0, 9.0, 12.0])
 
 
 class TestStaticStream:
-    def test_sorted_by_time_then_seq_with_legacy_seqs(self):
+    def test_sorted_by_time_then_code(self):
         starts = np.array([1.0, 2.0, 5.0])
-        ids = np.array([4, 2, 0])
+        slots = np.array([4, 2, 0], dtype=np.int32)
         ends = np.array([5.0, 9.0, 6.0])
-        seqs = np.array([10, 12, 14])  # seq_start 10, 2 per session
-        times, seq, devs, sends, is_checkin = make_static_stream(
-            starts, ids, ends, seqs, horizon=8.0
+        sa_time, sa_code, sa_slot, se_end = make_static_stream(
+            starts, slots, ends, horizon=8.0
         )
-        # Events: checkin(1, s10), checkin(2, s12), checkout(5, s11),
-        # checkin(5, s14), checkout(min(6,8)=6, s15), checkout(min(9,8)=8, s13)
-        assert np.array_equal(times, [1.0, 2.0, 5.0, 5.0, 6.0, 8.0])
-        assert np.array_equal(seq, [10, 12, 11, 14, 15, 13])
-        assert np.array_equal(is_checkin, [True, True, False, True, False, False])
-        # Checkout events carry the *original* session end.
-        assert np.array_equal(sends, [5.0, 9.0, 5.0, 6.0, 6.0, 9.0])
-        assert np.array_equal(devs, [4, 2, 4, 0, 0, 2])
-        # The columns are the stream: arrays, one fixed dtype each.
-        assert [c.dtype for c in (times, seq, devs, sends, is_checkin)] == [
-            np.float64, np.int64, np.int64, np.float64, np.bool_
+        # Events: checkin(1, c0), checkin(2, c2), checkout(5, c1),
+        # checkin(5, c4), checkout(min(6,8)=6, c5), checkout(min(9,8)=8, c3)
+        assert sa_time.tolist() == [1.0, 2.0, 5.0, 5.0, 6.0, 8.0]
+        assert sa_code.tolist() == [0, 2, 1, 4, 5, 3]
+        assert ((sa_code & 1) == 0).tolist() == [
+            True, True, False, True, False, False
         ]
+        # Every event reads its *original* (unclipped) session end.
+        assert se_end[sa_code >> 1].tolist() == [5.0, 9.0, 5.0, 6.0, 6.0, 9.0]
+        assert sa_slot.tolist() == [4, 2, 4, 0, 0, 2]
+        # 8 + 4 + 4 B per event, 8 B per session.
+        assert [c.dtype for c in (sa_time, sa_code, sa_slot, se_end)] == [
+            np.float64, np.int32, np.int32, np.float64
+        ]
+        assert se_end is ends
 
-    def test_same_time_checkout_sorts_before_later_seq_checkin(self):
-        # Session A [1, 5] (seqs 0/1), session B [5, 9] (seqs 2/3): at t=5
-        # A's checkout (seq 1) precedes B's check-in (seq 2), like the
+    def test_same_time_checkout_sorts_before_later_code_checkin(self):
+        # Session A [1, 5] (codes 0/1), session B [5, 9] (codes 2/3): at t=5
+        # A's checkout (code 1) precedes B's check-in (code 2), like the
         # single-queue engine's insertion order.
-        times, seq, devs, sends, is_checkin = make_static_stream(
+        sa_time, sa_code, _slot, _end = make_static_stream(
             np.array([1.0, 5.0]), np.array([7, 7]), np.array([5.0, 9.0]),
-            np.array([0, 2]), horizon=100.0,
+            horizon=100.0,
         )
-        assert list(zip(times.tolist(), is_checkin.tolist())) == [
-            (1.0, True), (5.0, False), (5.0, True), (9.0, False)
-        ]
+        assert sa_time.tolist() == [1.0, 5.0, 5.0, 9.0]
+        assert sa_code.tolist() == [0, 1, 2, 3]
 
     def test_empty_stream_keeps_dtypes(self):
-        empty_f, empty_i = np.array([], dtype=float), np.array([], dtype=np.int64)
-        stream = make_static_stream(empty_f, empty_i, empty_f, empty_i, 10.0)
+        empty_f = np.array([], dtype=float)
+        stream = make_static_stream(
+            empty_f, np.array([], dtype=np.int32), empty_f, 10.0
+        )
         assert [c.dtype for c in stream] == [
-            np.float64, np.int64, np.int64, np.float64, np.bool_
+            np.float64, np.int32, np.int32, np.float64
         ]
         assert all(len(c) == 0 for c in stream)
+
+    def test_code_width_follows_the_event_count(self):
+        assert code_dtype(0) is code_dtype(2**31 - 2) is np.int32
+        assert code_dtype(2**31) is code_dtype(2**40) is np.int64
+
+    @given(
+        sessions=st.lists(
+            st.tuples(TIMES, st.integers(0, 3), TIMES), max_size=12
+        ),
+        seq0=st.integers(0, 2**40),
+        width=st.sampled_from([np.int32, np.int64]),
+    )
+    @example(sessions=[], seq0=0, width=np.int32)
+    @example(sessions=[(1.0, 0, 5.0)], seq0=3, width=np.int32)
+    @example(sessions=[(1.0, 0, 5.0), (1.0, 1, 2.0)], seq0=0, width=np.int32)
+    @example(sessions=[(0.0, 0, 9.0), (8.0, 1, 12.0)], seq0=0, width=np.int32)
+    @example(sessions=[(2.0, 0, 5.0), (5.0, 1, 9.0)], seq0=1, width=np.int64)
+    @example(sessions=[(0.0, 0, 1.0), (-0.0, 1, -0.0)], seq0=0, width=np.int32)
+    @settings(max_examples=300, deadline=None)
+    def test_decoded_rows_equal_the_lexsort_oracle(self, sessions, seq0, width):
+        """Row for row and bit for bit, what the readers decode from the
+        code-encoded stream is what the lexsort build produced."""
+        starts = np.array([s for s, _, _ in sessions], dtype=np.float64)
+        slots = np.array([d for _, d, _ in sessions], dtype=np.int32)
+        ends = np.array([e for _, _, e in sessions], dtype=np.float64)
+        seqs = seq0 + 2 * np.arange(len(sessions), dtype=np.int64)
+        with mock.patch.object(shard_module, "code_dtype", lambda n: width):
+            stream = make_static_stream(starts, slots, ends, horizon=8.0)
+        assert stream[1].dtype == width
+        oracle = lexsort_stream(starts, slots, ends, seqs, horizon=8.0)
+        expected = list(zip(*(column.tolist() for column in oracle)))
+        assert exact(decoded(DeviceShard(stream, seq0))) == exact(expected)
 
 
 def _trace(sessions):
@@ -178,8 +294,10 @@ class TestBuildShard:
         stream, consumed = build_shard(ids, trace, horizon=100.0, seq_start=2)
         assert consumed == 12  # two seqs per session
         assert sorted(set(stream.sa_slot.tolist())) == list(range(6))
-        assert stream.sa_seq.dtype == np.int64
-        assert np.array_equal(np.sort(stream.sa_seq), np.arange(2, 14))
+        assert stream.seq0 == 2
+        assert np.array_equal(
+            stream.seq0 + np.sort(stream.sa_code), np.arange(2, 14)
+        )
 
     def test_stream_names_devices_by_slot(self):
         """Sparse ids in no order: device 20 is slot 1 (its rank)."""
@@ -199,6 +317,21 @@ class TestBuildShard:
         assert consumed == 2  # the t=50 session is beyond the horizon
         assert stream.st_len == 2
         assert stream.sa_slot.tolist() == [0, 0]
+
+    def test_events_through_counts_keys_up_to_a_bound(self):
+        """Events at t = 1, 2, 3, 5 (checkout, seq 5), 6, 8, 20, 30 with
+        seq0 = 4: a bound at the t = 5 checkout includes it from its own
+        seq on, and nothing at another time depends on the seq."""
+        trace = _trace(
+            [(0, 1.0, 5.0), (1, 2.0, 6.0), (2, 3.0, 8.0), (3, 20.0, 30.0)]
+        )
+        sh, _ = build_shard(np.arange(4), trace, horizon=100.0, seq_start=4)
+        assert sh.events_through(5.0, 4) == 3
+        assert sh.events_through(5.0, 5) == 4
+        assert sh.events_through(4.0, 10**9) == 3
+        assert sh.events_through(0.5, 10**9) == 0
+        assert sh.events_through(30.0, -1) == 7
+        assert sh.events_through(1e9, 0) == 8
 
     def test_head_key_merges_static_and_dynamic(self):
         trace = _trace([(0, 4.0, 9.0)])
@@ -253,7 +386,7 @@ class TestStreamFaults:
         stream.kill_until(5.0)
         # t = 1, 2, 3 are skipped; the t = 5 checkout is not "during" it.
         assert stream.cursor == stream.static_skipped == 3
-        assert stream.head_key() == (5.0, int(stream.sa_seq[3]))
+        assert stream.head_key() == (5.0, stream.seq0 + int(stream.sa_code[3]))
 
     def test_kill_never_moves_the_cursor_back(self):
         stream = four_device_stream()
@@ -359,10 +492,10 @@ class TestStreamFaults:
     def test_head_key_refills_after_a_cursor_jump(self, monkeypatch):
         monkeypatch.setattr(shard_module, "STREAM_WINDOW", 2)
         stream = four_device_stream()
-        assert stream.head_key() == (1.0, int(stream.sa_seq[0]))
+        assert stream.head_key() == (1.0, stream.seq0 + int(stream.sa_code[0]))
         assert (stream.w_lo, stream.w_hi) == (0, 2)
         stream.kill_until(7.0)  # t = 1 .. 6 skipped, far past the window
-        assert stream.head_key() == (8.0, int(stream.sa_seq[5]))
+        assert stream.head_key() == (8.0, stream.seq0 + int(stream.sa_code[5]))
         assert (stream.w_lo, stream.w_hi) == (5, 7)
 
     def test_refill_clamps_at_the_stream_end(self, monkeypatch):
@@ -385,6 +518,7 @@ class TestStreamFaults:
         assert restored.heap == stream.heap
         assert restored.down_until == stream.down_until
         assert restored.fault_counters() == stream.fault_counters()
-        for name in ("sa_time", "sa_seq", "sa_slot", "sa_send", "sa_ci"):
+        assert restored.seq0 == stream.seq0
+        for name in ("sa_time", "sa_code", "sa_slot", "se_end"):
             assert np.array_equal(getattr(restored, name), getattr(stream, name))
         assert restored.head_key() == key

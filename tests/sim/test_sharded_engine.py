@@ -9,6 +9,9 @@ checks.
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,13 +23,24 @@ from repro.core.requirements import (
     GENERAL,
     HIGH_PERFORMANCE,
     MEMORY_RICH,
+    signature_of,
 )
 from repro.core.scheduler import VennScheduler
+from repro.resilience import (
+    FaultPlan,
+    LatestSnapshotStore,
+    RecordingPolicy,
+    SimulatedCrash,
+    metrics_digest,
+)
 from repro.sim.engine import SimulationConfig, Simulator, run_simulation
 from repro.sim.latency import LatencyConfig
+from repro.sim.shard import compute_signatures
+from repro.sim.vector import VectorDeviceState
 from repro.traces.capacity import CapacitySampler
 from repro.traces.device_trace import DiurnalAvailabilityModel, DiurnalConfig
 from tests.conftest import make_device, make_job
+from tests.sim.test_sparse_device_ids import sparse_cell
 
 REQUIREMENTS = (GENERAL, COMPUTE_RICH, MEMORY_RICH, HIGH_PERFORMANCE)
 
@@ -170,8 +184,6 @@ class TestSignatureProvider:
         """The restriction of an engine-precomputed full signature must be
         bit-identical to the policy's own computation — including after
         requirement-set changes (cache wipes)."""
-        from repro.sim.shard import compute_signatures
-
         rng = np.random.default_rng(2)
         devices = [
             make_device(
@@ -181,10 +193,12 @@ class TestSignatureProvider:
             for i in range(50)
         ]
         requirements = [GENERAL, COMPUTE_RICH, HIGH_PERFORMANCE]
-        full = compute_signatures(devices, requirements)
+        provider = VectorDeviceState(
+            devices, *compute_signatures(devices, requirements)
+        ).signature_provider()
 
         with_provider = VennScheduler(seed=1)
-        with_provider.bind_signature_provider(full.__getitem__, requirements)
+        with_provider.bind_signature_provider(provider, requirements)
         without = VennScheduler(seed=1)
 
         jobs = [
@@ -229,3 +243,68 @@ class TestSignatureProvider:
         # Falls back to exact local computation.
         device = make_device(device_id=1, cpu=0.1, mem=0.1)
         assert policy._signature_for(device) == frozenset({"general"})
+
+    @pytest.mark.parametrize(
+        "ids, lookup",
+        [
+            pytest.param(list(range(300)), "_signature_at_offset",
+                         id="contiguous"),
+            pytest.param(
+                np.random.default_rng(4).permutation(
+                    [11 + 17 * k for k in range(300)]
+                ).tolist(),
+                "_signature_by_search",
+                id="sparse-shuffled",
+            ),
+        ],
+    )
+    def test_provider_answers_signature_of_for_every_device(self, ids, lookup):
+        """The by-slot provider is keyed by device id: on ids ``0..n-1``
+        by offset, on sparse ids given in no order by search — each must
+        answer exactly :func:`signature_of`, and survive a pickle."""
+        sampled = CapacitySampler(seed=8).sample_devices(len(ids))
+        devices = [replace(d, device_id=i) for d, i in zip(sampled, ids)]
+        requirements = list(REQUIREMENTS)
+        provider = VectorDeviceState(
+            devices, *compute_signatures(devices, requirements)
+        ).signature_provider()
+        assert provider.__func__.__name__ == lookup
+        restored = pickle.loads(pickle.dumps(provider))
+        for device in devices:
+            expected = signature_of(device, requirements)
+            assert provider(device.device_id) == expected
+            assert restored(device.device_id) == expected
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["contiguous", "sparse"])
+    def test_mid_run_snapshot_carries_the_provider(self, sparse):
+        """A fleet checkpoint pickles the policy's provider with the state
+        it reads: the resumed policy asks the resumed arrays, and the run
+        ends where its uninterrupted twin did."""
+        if sparse:
+            devices, trace, jobs = sparse_cell()
+        else:
+            devices, trace, jobs = build_environment(3, 300, 6, 30_000.0)
+        config = dict(horizon=30_000.0, seed=9, vectorized_dispatch=True)
+
+        def simulator(sink=None, **extra):
+            return Simulator(
+                devices, trace, jobs, RecordingPolicy(VennScheduler(seed=3)),
+                SimulationConfig(**config, **extra), checkpoint_sink=sink,
+            )
+
+        twin = simulator()
+        twin_metrics = twin.run()
+        store = LatestSnapshotStore()
+        crashed = simulator(
+            store, checkpoint_interval=50,
+            fault_plan=FaultPlan.crash_at(twin.events_processed // 2),
+        )
+        with pytest.raises(SimulatedCrash):
+            crashed.run()
+        assert store.latest.events_processed > 50  # mid-run, not pre-run
+        resumed = Simulator.resume(store.latest, fault_plan=None)
+        assert resumed.policy._sig_provider.__self__ is resumed._vec
+        metrics = resumed.run()
+        assert metrics_digest(metrics) == metrics_digest(twin_metrics)
+        assert resumed.events_processed == twin.events_processed
+        assert resumed.policy.decisions == twin.policy.decisions

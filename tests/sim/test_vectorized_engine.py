@@ -1,7 +1,7 @@
 """Unit tests for the vectorized engine hot path.
 
 Covers the struct-of-arrays device state (:mod:`repro.sim.vector`) at the
-kernel level — slot layout, signature interning, day masks, and a
+kernel level — slot layout, signature ids, day masks, and a
 differential check of :meth:`VectorDeviceState.fold_slice` against a scalar
 replay of the engine's per-event transition functions — plus engine-level
 identity: a full run with ``vectorized_dispatch=True`` must produce exactly
@@ -37,11 +37,17 @@ from tests.conftest import make_device
 
 
 def build_state(num_devices=4, ids=None, signatures=None):
+    """A state over ``ids``; ``signatures`` maps an id to its index into
+    the table ``[general, memory_rich]`` (default: all general)."""
     ids = list(ids) if ids is not None else list(range(num_devices))
     profiles = [make_device(device_id=d) for d in ids]
-    if signatures is None:
-        signatures = {d: frozenset({"general"}) for d in ids}
-    return VectorDeviceState(profiles, signatures)
+    sig_ids = np.array(
+        [(signatures or {}).get(d, 0) for d in ids], dtype=np.int32
+    )
+    return VectorDeviceState(profiles, sig_ids, SIG_TABLE)
+
+
+SIG_TABLE = [frozenset({"general"}), frozenset({"memory_rich"})]
 
 
 class TestVectorDeviceState:
@@ -83,28 +89,14 @@ class TestVectorDeviceState:
         with pytest.raises(KeyError):
             empty.slots_for([0])
 
-    def test_signatures_interned_by_value(self):
-        # Distinct-but-equal frozensets (as produced by the fallback path of
-        # the signature computation) must share one table entry.
-        sig_a = frozenset({"general", "compute_rich"})
-        sig_b = frozenset({"compute_rich", "general"})
-        assert sig_a is not sig_b or sig_a == sig_b
-        state = build_state(
-            ids=[0, 1, 2],
-            signatures={0: sig_a, 1: sig_b, 2: frozenset({"general"})},
-        )
-        assert state.sig_id[0] == state.sig_id[1]
-        assert state.sig_id[2] != state.sig_id[0]
-        assert len(state.sig_table) == 2
+    def test_signature_ids_follow_the_slots(self):
+        # Input order is not slot order: the ids travel with their device.
+        state = build_state(ids=[30, 5, 17], signatures={5: 1})
+        assert state.sig_id.tolist() == [1, 0, 0]
+        assert state.sig_table == SIG_TABLE
 
     def test_sig_eligibility_mask(self):
-        state = build_state(
-            ids=[0, 1],
-            signatures={
-                0: frozenset({"general"}),
-                1: frozenset({"memory_rich"}),
-            },
-        )
+        state = build_state(ids=[0, 1], signatures={1: 1})
         elig = state.sig_eligibility({"memory_rich", "high_performance"})
         assert elig[state.sig_id[0]] == False  # noqa: E712
         assert elig[state.sig_id[1]] == True  # noqa: E712
@@ -145,11 +137,15 @@ def scalar_fold_oracle(status, sess, events):
 
 
 def apply_fold(state, events):
+    """Fold ``(slot, session_end, is_checkin)`` events, event ``i`` coded
+    as an event of session ``i`` (``code = 2i + is_checkout``)."""
     times = np.array([float(i) for i in range(len(events))])
-    slots = np.array([e[0] for e in events], dtype=np.int64)
-    sends = np.array([e[1] for e in events], dtype=np.float64)
-    is_ci = np.array([e[2] for e in events], dtype=bool)
-    return state.fold_slice(times, slots, sends, is_ci)
+    slots = np.array([e[0] for e in events], dtype=np.int32)
+    se_end = np.array([e[1] for e in events], dtype=np.float64)
+    codes = np.array(
+        [2 * i + (not e[2]) for i, e in enumerate(events)], dtype=np.int32
+    )
+    return state.fold_slice(times, slots, codes, se_end)
 
 
 class TestFoldSliceDifferential:

@@ -1,4 +1,4 @@
-"""Crash safety for the simulation engine: checkpoints, faults, chaos.
+"""Crash safety for the simulation engine: checkpoints, crashes, chaos.
 
 Three pillars (see ``docs/RESILIENCE.md``):
 
@@ -8,9 +8,9 @@ Three pillars (see ``docs/RESILIENCE.md``):
   The contract is *exact resume*: a run resumed from any checkpoint
   reproduces the uninterrupted run's decisions and metrics bit-identically
   on both engines.
-* **Fault injection** — declarative :class:`FaultPlan` (coordinator crash,
-  device-stream kill/stall) attached via
-  ``SimulationConfig(fault_plan=...)``; a strict no-op when absent.
+* **Crash injection** — ``SimulationConfig(crash_at_event=N)`` raises
+  :class:`SimulatedCrash` once N events are processed; a strict no-op when
+  unset.
 * **Chaos harness** — ``python -m repro.resilience.chaos`` kills runs at
   random events, resumes from the latest checkpoint and asserts hash
   identity against the uninterrupted twin (the CI ``chaos-smoke`` gate).
@@ -20,17 +20,6 @@ experiment layer, which itself imports the engine — importing it eagerly
 would cycle.
 """
 
-from .faults import (
-    COORDINATOR_CRASH,
-    FAULT_KINDS,
-    KILL_SHARD,
-    SHARD_FAULT_KINDS,
-    STALL_SHARD,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    SimulatedCrash,
-)
 from .record import (
     DecisionRecord,
     RecordingPolicy,
@@ -40,20 +29,17 @@ from .record import (
     format_divergence,
     metrics_digest,
 )
-from .snapshot import LatestSnapshotStore, SimulationSnapshot, SnapshotError
+from .snapshot import (
+    LatestSnapshotStore,
+    SimulatedCrash,
+    SimulationSnapshot,
+    SnapshotError,
+)
 
 __all__ = [
-    "COORDINATOR_CRASH",
     "DecisionRecord",
-    "FAULT_KINDS",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "KILL_SHARD",
     "LatestSnapshotStore",
     "RecordingPolicy",
-    "SHARD_FAULT_KINDS",
-    "STALL_SHARD",
     "SimulatedCrash",
     "SimulationSnapshot",
     "SnapshotError",

@@ -7,10 +7,10 @@ single-queue reference and the fleet engine — it
 1. runs an uninterrupted *reference* simulation and records its decision
    sequence and metrics digest;
 2. samples crash points uniformly over the reference run's event count;
-3. for each crash point, runs a twin with periodic checkpointing and a
-   ``coordinator_crash`` fault at that event, catches the
+3. for each crash point, runs a twin with periodic checkpointing and
+   ``crash_at_event`` set to that event, catches the
    :class:`~repro.resilience.SimulatedCrash`, resumes from the **latest
-   checkpoint** (fault cleared, like a restarted process), and asserts the
+   checkpoint** (crash cleared, like a restarted process), and asserts the
    resumed run's decision hash and metrics digest are bit-identical to the
    reference.
 
@@ -37,9 +37,8 @@ from ..core.baselines import make_policy
 from ..experiments.config import ExperimentConfig, get_config
 from ..experiments.environment import build_environment
 from ..sim.engine import Simulator
-from .faults import FaultPlan, SimulatedCrash
 from .record import RecordingPolicy, format_divergence, metrics_digest
-from .snapshot import LatestSnapshotStore
+from .snapshot import LatestSnapshotStore, SimulatedCrash
 
 
 def build_simulator(
@@ -47,7 +46,7 @@ def build_simulator(
     *,
     policy_name: str,
     vectorized: bool,
-    fault_plan: Optional[FaultPlan] = None,
+    crash_at_event: Optional[int] = None,
     checkpoint_interval: Optional[int] = None,
     checkpoint_sink=None,
 ) -> Simulator:
@@ -60,7 +59,7 @@ def build_simulator(
     sim_cfg = replace(
         cfg.simulation,
         vectorized_dispatch=vectorized,
-        fault_plan=fault_plan,
+        crash_at_event=crash_at_event,
         checkpoint_interval=checkpoint_interval,
     )
     env = build_environment(cfg)
@@ -115,7 +114,7 @@ def run_mode(
             cfg,
             policy_name=policy_name,
             vectorized=vectorized,
-            fault_plan=FaultPlan.crash_at(at_event),
+            crash_at_event=at_event,
             checkpoint_interval=checkpoint_every,
             checkpoint_sink=store,
         )
@@ -133,7 +132,7 @@ def run_mode(
             pass
         if store.latest is not None:
             snapshot = store.latest
-        resumed = Simulator.resume(snapshot, fault_plan=None)
+        resumed = Simulator.resume(snapshot, crash_at_event=None)
         res_metrics = resumed.run()
         problems = []
         if resumed.policy.decisions != ref_decisions:

@@ -20,7 +20,7 @@ fixes both:
   divergent decision record (index, time, device, job, both values)
   instead of two opaque hex strings.
 
-No imports from the rest of the package: like :mod:`.faults` this is a
+No imports from the rest of the package: like :mod:`.snapshot` this is a
 leaf module the engine and benchmarks can both use without cycles.
 """
 

@@ -10,9 +10,11 @@ memo preserves the shared-reference structure (engine ↔ policy ↔ stream
 state point at the same objects), which is what makes the restored graph
 behave identically to the original.
 
-This module holds the plain-data wrapper around that payload plus a tiny
-sink for periodic checkpointing.  It is a leaf module (no package
-imports), so the engine can use it without cycles.
+This module holds the plain-data wrapper around that payload, a tiny sink
+for periodic checkpointing and the two errors of the resume path: the
+injected crash a run resumes from, and the snapshot that cannot be
+resumed.  It is a leaf module (no package imports), so the engine can use
+it without cycles.
 """
 
 from __future__ import annotations
@@ -25,15 +27,35 @@ from typing import List, Optional
 #: (so raw ``bytes`` carry it too) and in :class:`SimulationSnapshot`.  Bump
 #: it in any change that alters what ``Simulator.snapshot`` pickles (a field
 #: added to or removed from ``Simulator``, ``SimulationConfig``, the device
-#: stream, the metrics, a fault spec or a policy), so a snapshot written
-#: before the change is refused instead of resuming into a graph with
-#: missing or stale attributes.
-SNAPSHOT_FORMAT_VERSION = 6
+#: stream, the metrics or a policy), so a snapshot written before the
+#: change is refused instead of resuming into a graph with missing or stale
+#: attributes.
+SNAPSHOT_FORMAT_VERSION = 7
 
 
 class SnapshotError(ValueError):
     """A snapshot cannot be resumed: empty, truncated or undecodable
     payload, or one written under another ``SNAPSHOT_FORMAT_VERSION``."""
+
+
+class SimulatedCrash(RuntimeError):
+    """Raised at the event boundary named by
+    ``SimulationConfig(crash_at_event=N)``: the coordinator process dies
+    once ``N`` events have been processed.
+
+    The simulation state is consistent when this propagates (the crash
+    fires between fully processed events), so the run can be resumed from
+    any earlier checkpoint — or, with no checkpoint, restarted from the
+    beginning — and replayed bit-identically.
+    """
+
+    def __init__(self, events_processed: int, now: float) -> None:
+        super().__init__(
+            f"injected coordinator crash after {events_processed} events "
+            f"(t={now:.1f}s)"
+        )
+        self.events_processed = events_processed
+        self.now = now
 
 
 @dataclass(frozen=True)
@@ -84,6 +106,7 @@ class LatestSnapshotStore:
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
     "LatestSnapshotStore",
+    "SimulatedCrash",
     "SimulationSnapshot",
     "SnapshotError",
 ]

@@ -95,9 +95,9 @@ boundary and :meth:`Simulator.resume` reconstructs it; the contract is
 bit-identical to the uninterrupted twin's on both engines (the chaos
 harness ``python -m repro.resilience.chaos`` enforces this).
 ``SimulationConfig(checkpoint_interval=N)`` snapshots every N events;
-``SimulationConfig(fault_plan=...)`` injects declarative faults
-(coordinator crash, device-stream kill/stall) at event boundaries — both
-are strict no-ops when unset.
+``SimulationConfig(crash_at_event=N)`` kills the coordinator with a
+:class:`~repro.resilience.SimulatedCrash` once N events are processed —
+both are strict no-ops when unset.
 """
 
 from __future__ import annotations
@@ -123,9 +123,9 @@ import numpy as np
 from ..core.policy import SchedulingPolicy
 from ..core.requirements import signature_of
 from ..core.types import DeviceProfile, JobSpec, ResourceRequest
-from ..resilience.faults import FaultInjector, FaultPlan
 from ..resilience.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
+    SimulatedCrash,
     SimulationSnapshot,
     SnapshotError,
 )
@@ -173,10 +173,12 @@ class SimulationConfig:
     #: ``checkpoint_sink`` callable.  Resuming from any checkpoint replays
     #: the uninterrupted run bit-identically — see ``docs/RESILIENCE.md``.
     checkpoint_interval: Optional[int] = None
-    #: Declarative fault injection (:class:`repro.resilience.FaultPlan`);
-    #: ``None`` (the default) is a strict no-op — pristine runs replay the
-    #: historical event and draw sequences exactly.
-    fault_plan: Optional[FaultPlan] = None
+    #: Crash injection: raise :class:`repro.resilience.SimulatedCrash` at
+    #: the first event boundary with at least this many processed events,
+    #: the coordinator process dying there (the chaos harness resumes it
+    #: from a checkpoint).  ``None`` (the default) is a strict no-op —
+    #: pristine runs replay the historical event and draw sequences exactly.
+    crash_at_event: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.horizon):
@@ -184,8 +186,10 @@ class SimulationConfig:
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         counts = [("max_events", self.max_events)]
-        if self.checkpoint_interval is not None:
-            counts.append(("checkpoint_interval", self.checkpoint_interval))
+        for name in ("checkpoint_interval", "crash_at_event"):
+            value = getattr(self, name)
+            if value is not None:
+                counts.append((name, value))
         for name, value in counts:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise TypeError(
@@ -196,26 +200,14 @@ class SimulationConfig:
             raise ValueError("max_events must be positive")
         if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be positive (or None)")
-        plan = self.fault_plan
-        if plan is not None and not isinstance(plan, FaultPlan):
-            raise TypeError(
-                "fault_plan must be a repro.resilience.FaultPlan "
-                f"(got {type(plan).__name__})"
-            )
-        if (
-            plan is not None
-            and plan.needs_sharded_engine
-            and not self.vectorized_dispatch
-        ):
-            raise ValueError(
-                "shard faults need the fleet engine (vectorized_dispatch=True)"
-            )
+        if self.crash_at_event is not None and self.crash_at_event < 0:
+            raise ValueError("crash_at_event must be non-negative (or None)")
 
 
-#: Sentinel for ``Simulator.resume``: keep the snapshot's pickled fault
-#: injector (so unfired faults replay deterministically) unless the caller
-#: explicitly passes a replacement plan — including ``None`` to clear it.
-_KEEP_FAULTS = object()
+#: Sentinel for ``Simulator.resume``: keep the snapshot's crash point (so a
+#: crash that had not fired at checkpoint time replays deterministically)
+#: unless the caller passes another one — including ``None`` to clear it.
+_KEEP_CRASH = object()
 
 
 def _check_format_version(version) -> None:
@@ -391,11 +383,6 @@ class Simulator:
         self._ckpt_last_events = 0
         self.checkpoints_taken = 0
         self.checkpoint_time_s = 0.0
-        self._injector: Optional[FaultInjector] = (
-            FaultInjector(self.config.fault_plan)
-            if self.config.fault_plan is not None
-            else None
-        )
 
     # ------------------------------------------------------------------ #
     # Setup
@@ -438,10 +425,10 @@ class Simulator:
             EventType.REQUEST_DEADLINE: self._on_request_deadline,
         }
         # One pristine-path branch per event: with no checkpointing and no
-        # faults the loop body is byte-for-byte the historical one.
+        # crash point the loop body is byte-for-byte the historical one.
         hook = (
             self.config.checkpoint_interval is not None
-            or self._injector is not None
+            or self.config.crash_at_event is not None
         )
         while self.queue:
             event = self.queue.pop()
@@ -531,17 +518,16 @@ class Simulator:
         *,
         round_callback: Optional[Callable[[RoundCompletion], None]] = None,
         checkpoint_sink: Optional[Callable[[SimulationSnapshot], None]] = None,
-        fault_plan=_KEEP_FAULTS,
+        crash_at_event=_KEEP_CRASH,
     ) -> "Simulator":
         """Reconstruct a simulator from a snapshot; call ``run`` to continue.
 
         Callbacks are not captured in snapshots — reattach them here.  By
-        default the snapshot's fault injector (with its fired/pending
-        cursor) is kept, so faults that had not fired at checkpoint time
-        replay deterministically; pass ``fault_plan=None`` to resume
-        fault-free (what the chaos harness does so the crash that killed
-        the original run does not fire again), or a new
-        :class:`~repro.resilience.FaultPlan` to swap plans.
+        default the snapshot's ``crash_at_event`` is kept, so a crash that
+        had not fired at checkpoint time replays deterministically; pass
+        ``crash_at_event=None`` to resume crash-free (what the chaos harness
+        does so the crash that killed the original run does not fire again),
+        or another event count to move the crash.
 
         Raises :class:`~repro.resilience.SnapshotError` for a payload that
         is empty, truncated or otherwise undecodable, and for a snapshot
@@ -572,11 +558,8 @@ class Simulator:
         sim._round_callback = round_callback
         sim._checkpoint_sink = checkpoint_sink
         sim.last_snapshot = None
-        if fault_plan is not _KEEP_FAULTS:
-            sim.config = replace(sim.config, fault_plan=fault_plan)
-            sim._injector = (
-                FaultInjector(fault_plan) if fault_plan is not None else None
-            )
+        if crash_at_event is not _KEEP_CRASH:
+            sim.config = replace(sim.config, crash_at_event=crash_at_event)
         return sim
 
     def _take_checkpoint(self) -> None:
@@ -592,43 +575,22 @@ class Simulator:
             self._checkpoint_sink(snap)
 
     def _post_event_hook(self) -> None:
-        """Checkpoint + fault poll at an event boundary.
+        """Checkpoint + crash check at an event boundary.
 
-        The checkpoint is taken *before* the poll: a crash fault propagates
-        with the checkpoint already captured, exactly the order a real
-        deployment needs.  A fired stream fault rewrites the response heap
-        or advances the cursor; the fleet loop re-reads both heads every
-        iteration, so nothing is cached across it.
+        The checkpoint is taken *before* the crash check: the crash
+        propagates with the checkpoint already captured, exactly the order
+        a real deployment needs.
         """
-        interval = self.config.checkpoint_interval
+        config = self.config
+        interval = config.checkpoint_interval
         if (
             interval is not None
             and self._events_processed - self._ckpt_last_events >= interval
         ):
             self._take_checkpoint()
-        if self._injector is not None:
-            self._injector.poll(self)
-
-    def fault_stats(self) -> Dict[str, int]:
-        """Injector counters + the device stream's degraded-mode counters.
-
-        Injector keys count faults *fired* (e.g. ``shards_killed``); the
-        ``shard_``-prefixed keys count effects *observed* on the stream
-        (e.g. ``shard_responses_failed_by_fault``) — a fault can fire and
-        change nothing, so both are kept.  All zeros on a pristine run.
-        """
-        stats: Dict[str, int] = {
-            "faults_fired": 0,
-            "crashes": 0,
-            "shards_killed": 0,
-            "shards_stalled": 0,
-        }
-        if self._injector is not None:
-            stats.update(self._injector.stats)
-        if self._shard is not None:
-            for key, value in self._shard.fault_counters().items():
-                stats[f"shard_{key}"] = value
-        return stats
+        crash_at = config.crash_at_event
+        if crash_at is not None and self._events_processed >= crash_at:
+            raise SimulatedCrash(self._events_processed, self.now)
 
     # ------------------------------------------------------------------ #
     # Fleet engine: coordinator loop over one device stream
@@ -685,10 +647,10 @@ class Simulator:
         queue = self.queue
         shard = self._shard
         # One pristine-path branch per iteration: with no checkpointing and
-        # no faults the loop is byte-for-byte the historical one.
+        # no crash point the loop is byte-for-byte the historical one.
         hook = (
             self.config.checkpoint_interval is not None
-            or self._injector is not None
+            or self.config.crash_at_event is not None
         )
         while True:
             head = shard.head_key()

@@ -204,18 +204,8 @@ class DeviceShard:
         self.w_lo = 0
         self.w_hi = 0
         #: Dynamic (response) min-heap of
-        #: ``(time, seq, slot, request_id, job_id, success)`` tuples.  The
-        #: fault rewrites (:meth:`kill_until`, :meth:`delay_responses_until`)
-        #: move entries in time and pass the slot through untouched.
+        #: ``(time, seq, slot, request_id, job_id, success)`` tuples.
         self.heap: List[Tuple[float, int, int, int, int, bool]] = []
-        #: Fault-injection state (:mod:`repro.resilience.faults`).  The
-        #: default keeps the pristine path byte-identical: ``down_until``
-        #: stays 0.0, and every response time is >= 0, so the outage
-        #: rewrite in :meth:`schedule_response` never triggers.
-        self.down_until = 0.0
-        self.static_skipped = 0
-        self.responses_failed_by_fault = 0
-        self.responses_delayed_by_fault = 0
 
     def __getstate__(self) -> dict:
         # Snapshots carry the columns, never the decoded window: a resumed
@@ -294,88 +284,9 @@ class DeviceShard:
     ) -> None:
         """The coordinator assigned a device; its (pre-drawn) response
         fires at ``time``."""
-        if time < self.down_until:
-            # Fault injection: the stream is dead when this task would have
-            # reported.  The work is lost; the coordinator observes the
-            # failure when the stream reconnects.  (``down_until`` is 0.0 on
-            # pristine runs, so this branch is unreachable there.)
-            time = self.down_until
-            success = False
-            self.responses_failed_by_fault += 1
         heapq.heappush(
             self.heap, (time, seq, slot, request_id, job_id, success)
         )
-
-    # ------------------------------------------------------------------ #
-    # Fault injection (:mod:`repro.resilience.faults`)
-    # ------------------------------------------------------------------ #
-    def kill_until(self, end: float) -> None:
-        """The stream dies now and reconnects at ``end`` (simulated time).
-
-        Three degraded-mode effects, all deterministic:
-
-        * in-flight responses due during the outage are lost — they are
-          rewritten to *failures delivered at* ``end`` (original sequence
-          numbers kept, so the post-outage order is total and
-          reproducible);
-        * static check-ins/checkouts during the outage never reach the
-          coordinator — the stream cursor skips past them (dispatch
-          re-checks the session end, so a device whose checkout was
-          skipped is never offered past it);
-        * until ``end``, new assignments are converted to reconnect-time
-          failures by :meth:`schedule_response` — the coordinator proceeds
-          on stale state and learns of the losses when the stream returns.
-        """
-        self.down_until = max(self.down_until, end)
-        if self.heap:
-            rewritten = []
-            changed = False
-            for (t, seq, dev, req, job, success) in self.heap:
-                if t < end:
-                    rewritten.append((end, seq, dev, req, job, False))
-                    self.responses_failed_by_fault += 1
-                    changed = True
-                else:
-                    rewritten.append((t, seq, dev, req, job, success))
-            if changed:
-                heapq.heapify(rewritten)
-                self.heap = rewritten
-        hi = int(self.sa_time.searchsorted(end, "left"))
-        if hi > self.cursor:
-            self.static_skipped += hi - self.cursor
-            self.cursor = hi
-
-    def delay_responses_until(self, end: float) -> None:
-        """The stream's response drain stalls until ``end``.
-
-        In-flight responses due during the stall are delivered — outcomes
-        unchanged — when the drain recovers at ``end``.  Responses landing
-        after their request's deadline hit the engine's defensive
-        closed-request path (budget refund), exactly like any late
-        straggler.
-        """
-        if not self.heap:
-            return
-        rewritten = []
-        changed = False
-        for (t, seq, dev, req, job, success) in self.heap:
-            if t < end:
-                rewritten.append((end, seq, dev, req, job, success))
-                self.responses_delayed_by_fault += 1
-                changed = True
-            else:
-                rewritten.append((t, seq, dev, req, job, success))
-        if changed:
-            heapq.heapify(rewritten)
-            self.heap = rewritten
-
-    def fault_counters(self) -> Dict[str, int]:
-        """Degraded-mode counters (all zero on pristine runs)."""
-        return {
-            "static_skipped": self.static_skipped,
-            "responses_failed_by_fault": self.responses_failed_by_fault,
-            "responses_delayed_by_fault": self.responses_delayed_by_fault,
-        }
 
 
 def build_shard(

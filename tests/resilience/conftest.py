@@ -1,7 +1,7 @@
 """Shared builders for the resilience tests.
 
 Every test here compares a *reference* run against some interrupted /
-fault-injected twin, so the one thing the fixtures must guarantee is that
+crashed twin, so the one thing the fixtures must guarantee is that
 two ``build_sim()`` calls with the same knobs produce bit-identical
 simulators — the same property a process restart relies on when it
 re-reads its inputs.  The environment is therefore rebuilt from a fixed
@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.scheduler import VennScheduler
 from repro.resilience import (
-    FaultPlan,
     LatestSnapshotStore,
     RecordingPolicy,
     SimulatedCrash,
@@ -58,7 +57,7 @@ def small_environment(num_devices: int = 40, horizon: float = HORIZON):
 def build_sim(
     *,
     vectorized: bool = False,
-    fault_plan: Optional[FaultPlan] = None,
+    crash_at_event: Optional[int] = None,
     checkpoint_interval: Optional[int] = None,
     checkpoint_sink=None,
     latency: Optional[LatencyConfig] = None,
@@ -75,7 +74,7 @@ def build_sim(
         latency=latency or LatencyConfig(compute_sigma=0.3),
         enforce_daily_limit=enforce_daily_limit,
         vectorized_dispatch=vectorized,
-        fault_plan=fault_plan,
+        crash_at_event=crash_at_event,
         checkpoint_interval=checkpoint_interval,
     )
     return Simulator(
@@ -105,7 +104,7 @@ def kill_and_resume(
     )
     store = LatestSnapshotStore()
     crashed = build_sim(
-        fault_plan=FaultPlan.crash_at(at_event),
+        crash_at_event=at_event,
         checkpoint_interval=checkpoint_every,
         checkpoint_sink=store,
         **build_kwargs,
@@ -114,6 +113,6 @@ def kill_and_resume(
     with pytest.raises(SimulatedCrash):
         crashed.run()
     snapshot = store.latest if store.latest is not None else fallback
-    resumed = Simulator.resume(snapshot, fault_plan=None)
+    resumed = Simulator.resume(snapshot, crash_at_event=None)
     res_metrics = resumed.run()
     return reference, ref_metrics, resumed, res_metrics

@@ -28,14 +28,12 @@ class TestBuildSimulator:
         assert a.policy.decisions == b.policy.decisions
         assert am.total_responses == bm.total_responses
 
-    def test_fault_plan_is_armed(self, cfg):
-        from repro.resilience import FaultPlan
-
+    def test_crash_point_is_armed(self, cfg):
         sim = build_simulator(
             cfg,
             policy_name="venn",
             vectorized=False,
-            fault_plan=FaultPlan.crash_at(50),
+            crash_at_event=50,
         )
         with pytest.raises(SimulatedCrash):
             sim.run()

@@ -13,7 +13,6 @@ from dataclasses import replace
 import pytest
 
 from repro.resilience import (
-    FaultPlan,
     LatestSnapshotStore,
     SimulatedCrash,
     SimulationSnapshot,
@@ -41,7 +40,7 @@ def killed_mid_run(**mode) -> SimulationSnapshot:
     """The last periodic checkpoint of a run crashed at event 25."""
     store = LatestSnapshotStore()
     crashed = build_sim(
-        fault_plan=FaultPlan.crash_at(25), checkpoint_interval=10,
+        crash_at_event=25, checkpoint_interval=10,
         checkpoint_sink=store, **mode,
     )
     with pytest.raises(SimulatedCrash):
@@ -99,8 +98,8 @@ class TestVectorizedDevicesAcrossSnapshots:
 
     def test_resumed_run_builds_devices_from_the_restored_arrays(self):
         snap = killed_mid_run(**self.MODE)
-        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 6
-        resumed = Simulator.resume(snap, fault_plan=None)
+        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 7
+        resumed = Simulator.resume(snap, crash_at_event=None)
         assert resumed._devices is None
         # Mid-run read on the resumed simulator: the checkpoint's state.
         vec = resumed._vec
@@ -256,7 +255,35 @@ class TestCheckpointing:
             engine_module, "_check_format_version", lambda version: None
         )
         with pytest.raises(AttributeError, match="sa_code|se_end|seq0"):
-            Simulator.resume(payload, fault_plan=None).run()
+            Simulator.resume(payload, crash_at_event=None).run()
+
+    def test_format_6_fault_plan_snapshot_is_refused_up_front(self, monkeypatch):
+        """Format 6 armed a crash through a ``fault_plan`` config field and
+        a fault injector on the simulator, and its stream carried four fault
+        fields; format 7 keeps one ``crash_at_event`` config field.  Such a
+        payload would resume, fall back to the class default
+        ``crash_at_event=None`` and silently lose the crash it was armed
+        with; the version check refuses it before anything runs."""
+        sim = Simulator.resume(killed_mid_run(vectorized=True))
+        assert sim.config.crash_at_event == 25  # pending at the checkpoint
+        vars(sim.config)["fault_plan"] = vars(sim.config).pop("crash_at_event")
+        sim.__dict__["_injector"] = None
+        sim._shard.__dict__.update(
+            down_until=0.0, static_skipped=0,
+            responses_failed_by_fault=0, responses_delayed_by_fault=0,
+        )
+        monkeypatch.setattr(engine_module, "SNAPSHOT_FORMAT_VERSION", 6)
+        payload = sim.snapshot().payload
+        monkeypatch.undo()
+        with pytest.raises(SnapshotError, match="format version 6 "):
+            Simulator.resume(payload)
+        # Without the check the stale graph runs to the end: no crash.
+        monkeypatch.setattr(
+            engine_module, "_check_format_version", lambda version: None
+        )
+        stale = Simulator.resume(payload)
+        assert stale.run().total_responses > 0
+        assert stale.events_processed > 25
 
     def test_resume_reattaches_callbacks(self):
         """Sinks/callbacks are dropped from snapshots and must be

@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.scheduler import VennScheduler
 from repro.resilience import (
-    FaultPlan,
     LatestSnapshotStore,
     RecordingPolicy,
     SimulatedCrash,
@@ -38,7 +37,7 @@ def crash_resume(make_sim, at_event: int, checkpoint_every: int = 10):
     assert at_event < reference.events_processed
     store = LatestSnapshotStore()
     crashed = make_sim(
-        fault_plan=FaultPlan.crash_at(at_event),
+        crash_at_event=at_event,
         checkpoint_interval=checkpoint_every,
         checkpoint_sink=store,
     )
@@ -46,7 +45,7 @@ def crash_resume(make_sim, at_event: int, checkpoint_every: int = 10):
     with pytest.raises(SimulatedCrash):
         crashed.run()
     snapshot = store.latest if store.latest is not None else fallback
-    resumed = Simulator.resume(snapshot, fault_plan=None)
+    resumed = Simulator.resume(snapshot, crash_at_event=None)
     res_metrics = resumed.run()
     return reference, ref_metrics, resumed, res_metrics
 
@@ -64,22 +63,20 @@ class TestDegenerateState:
         again = Simulator.resume(resumed.snapshot())
         assert metrics_digest(again.run()) == metrics_digest(metrics)
 
-    def test_resume_with_new_fault_plan_arms_it(self):
-        """A fault-free snapshot can be resumed *into* a fault plan —
-        the injector swap is part of the resume surface."""
+    def test_resume_with_a_crash_point_arms_it(self):
+        """A crash-free snapshot can be resumed *into* a crash — setting
+        the crash point is part of the resume surface."""
         sim = build_sim()
         snap = sim.snapshot()
-        armed = Simulator.resume(snap, fault_plan=FaultPlan.crash_at(20))
-        with pytest.raises(SimulatedCrash):
+        armed = Simulator.resume(snap, crash_at_event=20)
+        with pytest.raises(SimulatedCrash) as excinfo:
             armed.run()
-        assert armed.fault_stats()["crashes"] == 1
+        assert excinfo.value.events_processed >= 20
 
-    def test_resume_keeps_pickled_fault_plan_by_default(self):
-        """Without ``fault_plan=None`` the snapshot's unfired faults replay
-        — the deterministic-replay default."""
-        sim = build_sim(
-            fault_plan=FaultPlan.crash_at(20), checkpoint_interval=10
-        )
+    def test_resume_keeps_pickled_crash_point_by_default(self):
+        """Without ``crash_at_event=None`` a crash that had not fired at
+        the checkpoint replays — the deterministic-replay default."""
+        sim = build_sim(crash_at_event=20, checkpoint_interval=10)
         with pytest.raises(SimulatedCrash):
             sim.run()
         replayed = Simulator.resume(sim.last_snapshot)
@@ -198,13 +195,13 @@ class TestCancelledDeadlineEvents:
         at_event = self._boundary_after_first_completion()
         store = LatestSnapshotStore()
         crashed = build_sim(
-            fault_plan=FaultPlan.crash_at(at_event + 1),
+            crash_at_event=at_event + 1,
             checkpoint_interval=1,
             checkpoint_sink=store,
         )
         with pytest.raises(SimulatedCrash):
             crashed.run()
-        resumed = Simulator.resume(store.latest, fault_plan=None)
+        resumed = Simulator.resume(store.latest, crash_at_event=None)
         heap_events = [entry[2] for entry in resumed.queue._heap]
         # The completed round's cancelled deadline survived the round trip
         # as a tombstone in the heap...

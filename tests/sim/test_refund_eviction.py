@@ -196,8 +196,9 @@ def contended_scenario():
     one timestamp — mixed success/failure (reliability split), completions
     mid-run, and failed devices re-dispatched to the other job's open
     demand.  The only scenario that drives long same-``time`` response runs
-    through the fleet loop's stream/queue merge (under stream faults too:
-    ``tests/resilience/test_fault_invariants.py`` runs this cell)."""
+    through the fleet loop's stream/queue merge (``tests/sim/
+    test_run_invariants.py`` holds its fleet run to the twin-free
+    invariants too)."""
     devices = [
         make_device(
             device_id=i,

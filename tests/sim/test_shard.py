@@ -6,10 +6,7 @@ the device stream carries the single-queue engine's exact sequence
 enumeration in sorted order, naming each device by its slot.  The stream is
 code-encoded (``seq = seq0 + code``); the two-key ``lexsort`` build it
 replaced is kept below as the oracle its decoded rows must equal bit for
-bit.  (End-to-end bit-identity lives in ``tests/sim/test_sharded_engine.py``.)  The stream's degraded-mode
-rewrites, which ``kill_shard`` / ``stall_shard`` faults drive, are pinned
-here one effect at a time; ``tests/resilience/test_fault_invariants.py``
-holds them end to end.
+bit.  (End-to-end bit-identity lives in ``tests/sim/test_sharded_engine.py``.)
 """
 
 from __future__ import annotations
@@ -19,6 +16,7 @@ import pickle
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -353,150 +351,50 @@ def four_device_stream():
     return stream
 
 
-def drain(stream):
-    return [heapq.heappop(stream.heap) for _ in range(len(stream.heap))]
+class TestStreamWindow:
+    """The decode window follows the cursor and is never pickled."""
 
-
-class TestStreamFaults:
-    """:meth:`DeviceShard.kill_until` / :meth:`delay_responses_until` and the
-    outage branch of :meth:`schedule_response`, one effect per test."""
-
-    def test_pristine_stream_counts_nothing(self):
-        stream = four_device_stream()
-        assert stream.down_until == 0.0
-        assert stream.fault_counters() == {
-            "static_skipped": 0,
-            "responses_failed_by_fault": 0,
-            "responses_delayed_by_fault": 0,
-        }
-
-    def test_kill_fails_responses_due_in_the_outage_at_reconnect(self):
-        stream = four_device_stream()
-        stream.schedule_response(4.0, 100, 0, 7, 1, True)
-        stream.schedule_response(12.0, 101, 1, 7, 1, True)
-        stream.kill_until(10.0)
-        assert drain(stream) == [
-            (10.0, 100, 0, 7, 1, False),  # lost: a failure at reconnect
-            (12.0, 101, 1, 7, 1, True),  # due after the outage: untouched
-        ]
-        assert stream.responses_failed_by_fault == 1
-
-    def test_kill_skips_static_events_before_reconnect(self):
-        stream = four_device_stream()
-        stream.kill_until(5.0)
-        # t = 1, 2, 3 are skipped; the t = 5 checkout is not "during" it.
-        assert stream.cursor == stream.static_skipped == 3
-        assert stream.head_key() == (5.0, stream.seq0 + int(stream.sa_code[3]))
-
-    def test_kill_never_moves_the_cursor_back(self):
-        stream = four_device_stream()
-        stream.cursor = 6
-        stream.kill_until(2.0)
-        assert stream.cursor == 6 and stream.static_skipped == 0
-
-    def test_kill_past_the_stream_end_drains_it(self):
-        stream = four_device_stream()
-        stream.kill_until(1e9)
-        assert stream.cursor == stream.st_len == stream.static_skipped == 8
-        assert stream.head_key() == INF_KEY
-
-    def test_overlapping_kills_extend_and_never_shorten_the_outage(self):
-        stream = four_device_stream()
-        stream.kill_until(10.0)
-        stream.kill_until(7.0)
-        assert stream.down_until == 10.0
-        stream.kill_until(15.0)
-        assert stream.down_until == 15.0
-
-    def test_assignment_during_the_outage_fails_at_reconnect(self):
-        stream = four_device_stream()
-        stream.kill_until(10.0)
-        stream.schedule_response(4.0, 100, 2, 7, 1, True)
-        stream.schedule_response(10.0, 101, 3, 7, 1, True)
-        assert drain(stream) == [
-            (10.0, 100, 2, 7, 1, False),
-            (10.0, 101, 3, 7, 1, True),  # due at reconnect: delivered
-        ]
-        assert stream.responses_failed_by_fault == 1
-
-    def test_rewritten_responses_keep_their_seq_order(self):
-        stream = four_device_stream()
-        for t, seq in ((1.0, 105), (2.0, 101), (3.0, 103)):
-            stream.schedule_response(t, seq, 0, 7, 1, True)
-        stream.kill_until(10.0)
-        assert [(t, seq) for t, seq, *_ in drain(stream)] == [
-            (10.0, 101), (10.0, 103), (10.0, 105)
-        ]
-
-    def test_stall_delivers_due_responses_at_recovery_with_outcomes_kept(self):
-        stream = four_device_stream()
-        stream.schedule_response(4.0, 100, 0, 7, 1, False)
-        stream.schedule_response(6.0, 101, 1, 7, 1, True)
-        stream.schedule_response(20.0, 102, 2, 7, 1, True)
-        stream.delay_responses_until(10.0)
-        assert drain(stream) == [
-            (10.0, 100, 0, 7, 1, False),
-            (10.0, 101, 1, 7, 1, True),
-            (20.0, 102, 2, 7, 1, True),
-        ]
-        assert stream.responses_delayed_by_fault == 2
-        # A stall is not an outage: no static event is skipped.
-        assert stream.cursor == stream.static_skipped == 0
-
-    def test_stall_leaves_later_assignments_alone(self):
-        stream = four_device_stream()
-        stream.schedule_response(4.0, 100, 0, 7, 1, True)
-        stream.delay_responses_until(10.0)
-        stream.schedule_response(5.0, 101, 1, 7, 1, True)
-        assert stream.down_until == 0.0
-        assert drain(stream)[0] == (5.0, 101, 1, 7, 1, True)
-        assert stream.responses_failed_by_fault == 0
-
-    def test_stall_on_an_empty_heap_is_a_noop(self):
-        stream = four_device_stream()
-        stream.delay_responses_until(10.0)
-        assert stream.heap == []
-        assert not any(stream.fault_counters().values())
-
-    @given(
-        due=st.lists(
-            st.tuples(st.floats(0.0, 50.0), st.booleans()), max_size=12
-        ),
-        end=st.floats(0.0, 60.0),
-        kill=st.booleans(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_rewrites_keep_a_valid_heap(self, due, end, kill):
-        """Every entry due before ``end`` moves to ``end`` (failed by a
-        kill, outcome kept by a stall); the rest are untouched, and the
-        heap pops in ``(time, seq)`` order afterwards."""
-        stream = four_device_stream()
-        for k, (t, ok) in enumerate(due):
-            stream.schedule_response(t, 100 + k, k % 4, 7, 1, ok)
-        before = list(stream.heap)
-        if kill:
-            stream.kill_until(end)
-        else:
-            stream.delay_responses_until(end)
-        expected = sorted(
-            (end, seq, slot, req, job, ok and not kill) if t < end
-            else (t, seq, slot, req, job, ok)
-            for (t, seq, slot, req, job, ok) in before
-        )
-        moved = sum(t < end for t, *_ in before)
-        counters = stream.fault_counters()
-        assert counters["responses_failed_by_fault"] == (moved if kill else 0)
-        assert counters["responses_delayed_by_fault"] == (0 if kill else moved)
-        assert drain(stream) == expected
-
-    def test_head_key_refills_after_a_cursor_jump(self, monkeypatch):
+    def test_head_key_refills_after_the_cursor_leaves_the_window(
+        self, monkeypatch
+    ):
         monkeypatch.setattr(shard_module, "STREAM_WINDOW", 2)
         stream = four_device_stream()
         assert stream.head_key() == (1.0, stream.seq0 + int(stream.sa_code[0]))
         assert (stream.w_lo, stream.w_hi) == (0, 2)
-        stream.kill_until(7.0)  # t = 1 .. 6 skipped, far past the window
+        stream.cursor = 5  # a kernel fold moved it far past the window
         assert stream.head_key() == (8.0, stream.seq0 + int(stream.sa_code[5]))
         assert (stream.w_lo, stream.w_hi) == (5, 7)
+
+    @pytest.mark.parametrize("window", [1, 3, shard_module.STREAM_WINDOW])
+    def test_head_key_walks_static_events_and_responses_in_key_order(
+        self, monkeypatch, window
+    ):
+        """Consuming whatever ``head_key`` names — a response off the heap
+        when it heads it, else the static event at the cursor — visits both
+        sources in ascending ``(time, seq)`` order.  Responses take seqs
+        after the stream's, so a response tied in time with a static event
+        comes after it."""
+        monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
+        stream = four_device_stream()
+        static = list(
+            zip(stream.sa_time.tolist(), (stream.seq0 + stream.sa_code).tolist())
+        )
+        responses = [
+            (40.0, 105), (3.0, 100), (0.5, 104), (5.0, 101), (25.0, 103),
+            (8.0, 102),
+        ]
+        for k, (t, seq) in enumerate(responses):
+            stream.schedule_response(t, seq, k % 4, k, 1, True)
+        walked = []
+        while stream.head_key() != INF_KEY:
+            key = stream.head_key()
+            walked.append(key)
+            if stream.heap and stream.heap[0][:2] == key:
+                heapq.heappop(stream.heap)
+            else:
+                stream.cursor += 1
+        assert walked == sorted(static + responses)
+        assert stream.cursor == stream.st_len and not stream.heap
 
     def test_refill_clamps_at_the_stream_end(self, monkeypatch):
         monkeypatch.setattr(shard_module, "STREAM_WINDOW", 3)
@@ -508,7 +406,7 @@ class TestStreamFaults:
     def test_pickle_drops_the_window_and_keeps_the_state(self):
         stream = four_device_stream()
         stream.schedule_response(4.0, 100, 0, 7, 1, True)
-        stream.kill_until(5.0)
+        stream.cursor = 3
         key = stream.head_key()
         assert stream.w_rows  # decoded by head_key
         restored = pickle.loads(pickle.dumps(stream))
@@ -516,8 +414,6 @@ class TestStreamFaults:
         assert stream.w_rows  # the live stream keeps its window
         assert restored.cursor == stream.cursor
         assert restored.heap == stream.heap
-        assert restored.down_until == stream.down_until
-        assert restored.fault_counters() == stream.fault_counters()
         assert restored.seq0 == stream.seq0
         for name in ("sa_time", "sa_code", "sa_slot", "se_end"):
             assert np.array_equal(getattr(restored, name), getattr(stream, name))

@@ -27,7 +27,6 @@ from repro.core.requirements import (
 )
 from repro.core.scheduler import VennScheduler
 from repro.resilience import (
-    FaultPlan,
     LatestSnapshotStore,
     RecordingPolicy,
     SimulatedCrash,
@@ -297,12 +296,12 @@ class TestSignatureProvider:
         store = LatestSnapshotStore()
         crashed = simulator(
             store, checkpoint_interval=50,
-            fault_plan=FaultPlan.crash_at(twin.events_processed // 2),
+            crash_at_event=twin.events_processed // 2,
         )
         with pytest.raises(SimulatedCrash):
             crashed.run()
         assert store.latest.events_processed > 50  # mid-run, not pre-run
-        resumed = Simulator.resume(store.latest, fault_plan=None)
+        resumed = Simulator.resume(store.latest, crash_at_event=None)
         assert resumed.policy._sig_provider.__self__ is resumed._vec
         metrics = resumed.run()
         assert metrics_digest(metrics) == metrics_digest(twin_metrics)

@@ -8,9 +8,9 @@ wants an id — or the reverse — would go unnoticed.  Here the ids are sparse
 (``7 + 13k``) and the input is shuffled.  The fleet engine must still
 reproduce the single-queue engine's decision hash, metrics digest and event
 count, on a cell that aborts rounds (the deadline refund translates
-``request.assigned`` ids to slots).  Stream-fault runs, which the
-single-queue engine cannot host, are held by the invariants of
-``tests/resilience/test_fault_invariants.py`` on this same cell.
+``request.assigned`` ids to slots).  ``tests/sim/test_run_invariants.py``
+also holds the fleet run of this cell to the twin-free invariants of
+:mod:`repro.invariants`.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ HORIZON = 30_000.0
 
 
 def sparse_cell():
-    """Devices (sparse shuffled ids), trace and jobs; also the cell of
-    ``tests/resilience/test_fault_invariants.py``."""
+    """Devices (sparse shuffled ids), trace and jobs; also a cell of
+    ``tests/sim/test_run_invariants.py``."""
     ids = [7 + 13 * k for k in range(N)]
     order = np.random.default_rng(5).permutation(N).tolist()
     sampled = CapacitySampler(seed=5).sample_devices(N)
@@ -64,13 +64,15 @@ def sparse_cell():
 cell = pytest.fixture(scope="module")(sparse_cell)
 
 
-def run(cell, fault_plan=None, policy_name="venn", **overrides):
+#: The cell's latency: jittered compute, so responses rarely share a time.
+LATENCY = LatencyConfig(compute_sigma=0.3, comm_min=5.0, comm_max=20.0)
+
+
+def run(cell, policy_name="venn", **overrides):
     devices, trace, jobs = cell
     policy = RecordingPolicy(make_policy(policy_name, seed=3))
     config = SimulationConfig(
-        horizon=HORIZON, seed=9, fault_plan=fault_plan,
-        latency=LatencyConfig(compute_sigma=0.3, comm_min=5.0, comm_max=20.0),
-        **overrides,
+        horizon=HORIZON, seed=9, latency=LATENCY, **overrides
     )
     sim = Simulator(devices, trace, jobs, policy, config)
     metrics = sim.run()

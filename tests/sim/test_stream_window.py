@@ -4,11 +4,9 @@ results (:data:`repro.sim.shard.STREAM_WINDOW`).
 The fleet engine keeps its static device stream as numpy columns and
 decodes ``STREAM_WINDOW`` events at a time into Python rows for the
 per-event readers.  Every test here shrinks the window to 1, 3 and 64
-events — so refills land inside folds, drains, fault jumps and right after
-a resume — and requires the decision hash, the metrics digest and the event
-count of the single-queue engine, which has no stream and no window (of the
-default-window run for a stream-fault plan, which only the fleet engine
-hosts).
+events — so refills land inside folds, drains and right after a resume —
+and requires the decision hash, the metrics digest and the event count of
+the single-queue engine, which has no stream and no window.
 """
 
 from __future__ import annotations
@@ -21,13 +19,7 @@ import repro.sim.shard as shard_module
 from repro.core.requirements import GENERAL, EligibilityRequirement
 from repro.core.scheduler import VennScheduler
 from repro.core.types import JobSpec
-from repro.resilience import (
-    FaultPlan,
-    FaultSpec,
-    RecordingPolicy,
-    SimulatedCrash,
-    metrics_digest,
-)
+from repro.resilience import RecordingPolicy, SimulatedCrash, metrics_digest
 from repro.sim.engine import SimulationConfig, Simulator
 from repro.traces.capacity import CapacitySampler
 from repro.traces.device_trace import DAY, DiurnalAvailabilityModel, DiurnalConfig
@@ -119,64 +111,18 @@ def test_long_pending_slices_identical_at_tiny_windows(monkeypatch):
     }
 
 
-def test_shard_faults_identical_when_the_jump_leaves_the_window(monkeypatch):
-    """``kill_until`` moves the cursor past the decoded rows: the next read
-    must refill at the new cursor, not index a stale window."""
-    plan = FaultPlan(
-        (
-            FaultSpec("kill_shard", 12, duration=2_500.0),
-            FaultSpec("stall_shard", 30, duration=900.0),
-        )
-    )
-
-    def run():
-        sim = build_sim(vectorized=True, fault_plan=plan)
-        return fingerprint(sim), sim.fault_stats()
-
-    expected, stats = run()
-    assert stats["faults_fired"] == len(plan.faults)
-    assert stats["shard_static_skipped"] > 3  # jumps clear of windows 1 and 3
-    assert stats["shard_responses_delayed_by_fault"] > 0
-    for window in WINDOWS:
-        monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
-        assert run() == (expected, stats), window
-
-
-def test_kill_past_the_stream_end_identical_at_tiny_windows(monkeypatch):
-    """An outage that outlives the static stream parks the cursor at its
-    end: every reader must then see an exhausted stream, not a stale
-    window."""
-    plan = FaultPlan.kill_shard(at_event=12, duration=10 * DAY)
-
-    def run():
-        sim = build_sim(vectorized=True, fault_plan=plan)
-        result = fingerprint(sim), sim.fault_stats()
-        assert sim._shard.cursor == sim._shard.st_len
-        return result
-
-    expected, stats = run()
-    assert stats["faults_fired"] == len(plan.faults)
-    assert stats["shard_static_skipped"] > 3
-    for window in WINDOWS:
-        monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
-        assert run() == (expected, stats), window
-
-
 @pytest.mark.parametrize("window", WINDOWS)
 def test_snapshot_mid_window_resumes_identically(monkeypatch, window):
     expected = fingerprint(build_sim())  # single-queue
     monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
-    plan = FaultPlan.crash_at(25)
-    crashed = build_sim(vectorized=True, fault_plan=plan)
+    crashed = build_sim(vectorized=True, crash_at_event=25)
     with pytest.raises(SimulatedCrash):
         crashed.run()
-    assert crashed.fault_stats()["faults_fired"] == len(plan.faults)
-    assert crashed.fault_stats()["crashes"] == 1
     stream = crashed._shard
     if window > 1:
         # The crash point sits strictly inside a decoded window.
         assert stream.w_lo < stream.cursor < stream.w_hi
-    resumed = Simulator.resume(crashed.snapshot(), fault_plan=None)
+    resumed = Simulator.resume(crashed.snapshot(), crash_at_event=None)
     # The stream pickles as columns; the window is rebuilt at the cursor.
     assert resumed._shard.w_rows == [] and resumed._shard.w_hi == 0
     assert resumed._shard.cursor > 0

@@ -13,7 +13,7 @@ whole system in Python:
   and job-demand traces;
 * :mod:`repro.fl`          — a numpy federated-learning substrate (FedAvg);
 * :mod:`repro.cosim`       — scheduler-driven federated co-simulation: the
-  trainer runs inside the simulation loop and every scenario yields
+  trainer replays each run's completed rounds and every scenario yields
   time-to-accuracy curves;
 * :mod:`repro.analysis`    — metrics, sweep aggregation and report
   formatting;

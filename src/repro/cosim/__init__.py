@@ -1,7 +1,8 @@
 """Scheduler-driven federated co-simulation.
 
-Runs the FedAvg trainer inside the simulation loop so each simulated
-round's actual reporting set selects the clients trained that round —
+Runs the simulation, then replays its completed rounds through the FedAvg
+trainer so each simulated round's actual reporting set selects the clients
+trained that round —
 time-to-accuracy as a first-class metric of every scheduling scenario.
 See ``docs/COSIM.md`` for the participant-set contract and the
 determinism guarantees.

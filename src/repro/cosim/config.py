@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Tuple
 
@@ -31,8 +33,19 @@ class CoSimConfig:
     target_accuracies: Tuple[float, ...] = (0.5, 0.6, 0.7)
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(
+                f"learning_rate must be finite (got {self.learning_rate})"
+            )
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        for name in ("local_epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(
+                    f"{name} must be an int (got {type(value).__name__} "
+                    f"{value!r})"
+                )
         if self.local_epochs <= 0 or self.batch_size <= 0:
             raise ValueError("local_epochs and batch_size must be positive")
         targets = tuple(float(t) for t in self.target_accuracies)

@@ -1,22 +1,28 @@
 """Scheduler-driven federated co-simulation.
 
-:class:`CoSimulation` runs the FedAvg trainer *inside* the simulation loop:
-the engine's round callback hands over each round's actual reporting set
-(the device ids that completed before the round deadline, per
-:class:`~repro.sim.job.RoundRecord`), those devices select the client
-partitions trained that round, and the resulting test accuracy is stamped
-with the round's simulated completion time.  Stragglers, failures,
-daily-budget parking and policy bias therefore flow directly into model
-convergence — time-to-accuracy becomes a first-class output of every
-scenario instead of a post-hoc stitch of two unrelated curves.
+:class:`CoSimulation` runs the simulation first and trains afterwards.
+The engine freezes each completed round's reporting set (the device ids
+that reported before the round closed, per
+:class:`~repro.sim.job.RoundRecord`) and completion time into
+:class:`~repro.sim.metrics.JobMetrics`.  After the run, every completed
+round is replayed through its job's own FedAvg trainer: the reporting set's
+devices select the client partitions trained that round, and the resulting
+test accuracy is stamped with the round's simulated completion time.
+Stragglers, failures, daily-budget parking and policy bias therefore flow
+directly into model convergence.  Accuracy never feeds back into a
+scheduling decision, so nothing is lost by training after the run instead
+of inside the event loop.
 
 Determinism contract
 --------------------
 
 For a fixed experiment config (one root seed) and policy:
 
-* the engine emits round completions in event order, bit-identically on
-  both engines (the callback runs on the coordinator);
+* the reporting sets and completion times are bit-identical on both
+  engines;
+* rounds are trained, and fed to both hashes, in canonical order: sorted
+  by ``(completion_time, job_id, round_index)``.  Within a job that is
+  round order, so each job's trainer sees its rounds in sequence;
 * each round trains the sorted, deduplicated client set derived from the
   reporting set, with per-client randomness keyed by ``(cosim seed,
   client_id, round_index)`` (:meth:`~repro.fl.trainer.FederatedTrainer.
@@ -27,7 +33,8 @@ For a fixed experiment config (one root seed) and policy:
 
 Together: same seed ⇒ byte-identical accuracy curves, decision hashes and
 time-to-accuracy numbers on either engine and for any sweep worker
-count.  The golden fixture in ``tests/golden`` and the CI gates pin this.
+count.  The golden fixture in ``tests/golden``, the pinned smoke cells in
+``tests/cosim/test_cosim_smoke_pins.py`` and the CI gates pin this.
 """
 
 from __future__ import annotations
@@ -39,10 +46,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..experiments.endtoend import run_policy
 from ..experiments.environment import Environment
 from ..fl.datasets import SyntheticFederatedDataset
 from ..fl.trainer import FederatedTrainer, TrainerConfig
-from ..sim.job import RoundCompletion
 from ..sim.metrics import SimulationMetrics
 from .config import CoSimConfig
 
@@ -167,7 +174,8 @@ class CoSimResult:
 
 
 class CoSimulation:
-    """Couple one environment + policy run to in-loop federated training."""
+    """Couple one environment + policy run to federated training of its
+    completed rounds."""
 
     def __init__(
         self,
@@ -189,12 +197,12 @@ class CoSimulation:
         )
         self._trainers: Dict[int, FederatedTrainer] = {}
         self._jobs: Dict[int, JobCoSim] = {}
-        #: Ordered hash feeds (callback order == event order).
+        #: Hash feeds, updated in canonical round order (module docstring).
         self._decision_feed = hashlib.blake2b(digest_size=16)
         self._accuracy_feed = hashlib.blake2b(digest_size=16)
 
     # ------------------------------------------------------------------ #
-    # In-loop training
+    # Training
     # ------------------------------------------------------------------ #
     def _trainer_for(self, job_id: int) -> FederatedTrainer:
         trainer = self._trainers.get(job_id)
@@ -212,40 +220,36 @@ class CoSimulation:
             self._trainers[job_id] = trainer
         return trainer
 
-    def _on_round(self, completion: RoundCompletion) -> None:
-        """Engine round callback: train the round's reporting set."""
-        clients = map_devices_to_clients(
-            completion.participants, self.dataset.num_clients
-        )
+    def _on_round(
+        self,
+        job_id: int,
+        round_index: int,
+        completion_time: float,
+        participants: Sequence[int],
+    ) -> None:
+        """Train one completed round's reporting set."""
+        clients = map_devices_to_clients(participants, self.dataset.num_clients)
         self._decision_feed.update(
             json.dumps(
-                [
-                    completion.job_id,
-                    completion.round_index,
-                    repr(completion.completion_time),
-                    list(completion.participants),
-                ],
+                [job_id, round_index, repr(completion_time), list(participants)],
                 separators=(",", ":"),
             ).encode()
         )
         if not clients:  # pragma: no cover - min_reports >= 1 guards this
             return
-        trainer = self._trainer_for(completion.job_id)
-        accuracy, _ = trainer.run_external_round(completion.round_index, clients)
+        trainer = self._trainer_for(job_id)
+        accuracy, _ = trainer.run_external_round(round_index, clients)
         self._accuracy_feed.update(
             json.dumps(
-                [completion.job_id, completion.round_index, repr(accuracy)],
-                separators=(",", ":"),
+                [job_id, round_index, repr(accuracy)], separators=(",", ":")
             ).encode()
         )
-        job = self._jobs.setdefault(
-            completion.job_id, JobCoSim(job_id=completion.job_id)
-        )
+        job = self._jobs.setdefault(job_id, JobCoSim(job_id=job_id))
         job.rounds.append(
             CoSimRound(
-                round_index=completion.round_index,
-                completion_time=completion.completion_time,
-                num_participants=len(completion.participants),
+                round_index=round_index,
+                completion_time=completion_time,
+                num_participants=len(participants),
                 num_clients=len(clients),
                 accuracy=accuracy,
             )
@@ -255,17 +259,17 @@ class CoSimulation:
     # Run
     # ------------------------------------------------------------------ #
     def run(self) -> CoSimResult:
-        """Run the coupled simulation and return the co-sim result."""
-        # Imported here: endtoend imports this package lazily for its
-        # cosim mode, so a module-level import would be circular.
-        from ..experiments.endtoend import run_policy
-
-        metrics = run_policy(
-            self.env,
-            self.policy_name,
-            self.policy_kwargs,
-            round_callback=self._on_round,
+        """Run the simulation, then train its completed rounds."""
+        metrics = run_policy(self.env, self.policy_name, self.policy_kwargs)
+        rounds = sorted(
+            (time, job_id, round_index, participants)
+            for job_id, jm in metrics.jobs.items()
+            for round_index, (time, participants) in enumerate(
+                zip(jm.round_completion_times, jm.round_participants)
+            )
         )
+        for time, job_id, round_index, participants in rounds:
+            self._on_round(job_id, round_index, time, participants)
         return CoSimResult(
             policy=metrics.policy,
             sim=metrics,

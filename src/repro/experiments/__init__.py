@@ -28,7 +28,6 @@ from .endtoend import (
     averaged_speedups,
     run_policies,
     run_policy,
-    run_policy_cosim,
     run_scenario,
     table1_average_jct,
     table2_demand_percentiles,
@@ -88,7 +87,6 @@ __all__ = [
     "run_all",
     "run_policies",
     "run_policy",
-    "run_policy_cosim",
     "run_scenario",
     "table1_average_jct",
     "table2_demand_percentiles",

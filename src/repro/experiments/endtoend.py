@@ -42,14 +42,8 @@ def run_policy(
     env: Environment,
     policy_name: str,
     policy_kwargs: Optional[dict] = None,
-    round_callback=None,
 ) -> SimulationMetrics:
-    """Run one policy against an environment and return its metrics.
-
-    ``round_callback`` (optional) receives a
-    :class:`~repro.sim.job.RoundCompletion` per completed round, in event
-    order — the hook the co-simulation layer trains through.
-    """
+    """Run one policy against an environment and return its metrics."""
     kwargs = dict(policy_kwargs or {})
     if policy_name.startswith("venn"):
         # The experiment config decides how Venn maintains its plan unless
@@ -62,30 +56,8 @@ def run_policy(
         workload=env.workload,
         policy=policy,
         config=env.config.simulation,
-        round_callback=round_callback,
     )
     return sim.run()
-
-
-def run_policy_cosim(
-    env: Environment,
-    policy_name: str,
-    policy_kwargs: Optional[dict] = None,
-    cosim_config=None,
-):
-    """Co-simulation twin of :func:`run_policy`: run the policy with the
-    FedAvg trainer coupled into the simulation loop and return a
-    :class:`~repro.cosim.CoSimResult` (scheduling metrics + per-job
-    accuracy curves + time-to-accuracy).
-
-    Imported lazily so plain scheduling experiments never pay for the FL
-    substrate.
-    """
-    from ..cosim import CoSimulation
-
-    return CoSimulation(
-        env, policy_name, policy_kwargs=policy_kwargs, config=cosim_config
-    ).run()
 
 
 def run_policies(
@@ -210,7 +182,6 @@ __all__ = [
     "averaged_speedups",
     "run_policies",
     "run_policy",
-    "run_policy_cosim",
     "run_scenario",
     "table1_average_jct",
     "table2_demand_percentiles",

@@ -48,13 +48,13 @@ Co-simulation mode
 ------------------
 
 ``--cosim`` runs every cell as a federated co-simulation
-(:mod:`repro.cosim`): the FedAvg trainer sits inside the simulation loop,
-each round trains the clients the scheduler actually delivered, and rows
-additionally carry per-job time-to-target-accuracy, final accuracies and
-the run's decision/accuracy hashes.  ``--cosim --smoke`` runs a fixed
-2-scenario (``non_iid_contention``, ``flash_crowd``) × 2-policy
-(``random``, ``venn``) matrix; byte-identity across worker counts holds
-exactly as in plain mode (the per-cell co-sim is deterministic for any
+(:mod:`repro.cosim`): after the simulation, the FedAvg trainer replays
+every completed round on the clients the scheduler actually delivered,
+and rows additionally carry per-job time-to-target-accuracy, final
+accuracies and the run's decision/accuracy hashes.  ``--cosim --smoke``
+runs a fixed 2-scenario (``non_iid_contention``, ``flash_crowd``) ×
+2-policy (``random``, ``venn``) matrix; byte-identity across worker
+counts holds exactly as in plain mode (the per-cell co-sim is deterministic for any
 shard/worker layout).
 """
 
@@ -241,8 +241,7 @@ def run_cosim_cell(cell: SweepCell, preset: str = "quick", smoke: bool = False) 
     the time-to-accuracy payload consumed by
     :func:`~repro.analysis.aggregate.aggregate_cosim_rows`.
     """
-    # Imported lazily (like endtoend.run_policy_cosim) so plain sweeps
-    # never pay for the FL substrate.
+    # Imported lazily so plain sweeps never pay for the FL substrate.
     from ..cosim import CoSimConfig, CoSimulation, smoke_cosim_config
 
     spec = get_scenario(cell.scenario)

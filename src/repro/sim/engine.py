@@ -134,7 +134,7 @@ from ..traces.workloads import Workload
 from .device import SECONDS_PER_DAY, DeviceRuntime, DeviceStatus, day_index
 from .dispatch import IdleDevicePool, PendingRequestPool
 from .events import Event, EventQueue, EventType
-from .job import JobRuntime, RoundCompletion
+from .job import JobRuntime
 from .latency import LatencyConfig, ResponseLatencyModel
 from .metrics import SimulationMetrics, collect_job_metrics
 from .shard import INF_KEY, DeviceShard, build_shard, compute_signatures
@@ -185,8 +185,15 @@ class SimulationConfig:
             raise ValueError(f"horizon must be finite (got {self.horizon})")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        for name in ("enforce_daily_limit", "vectorized_dispatch"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise TypeError(
+                    f"{name} must be a bool (got {type(value).__name__} "
+                    f"{value!r})"
+                )
         counts = [("max_events", self.max_events)]
-        for name in ("checkpoint_interval", "crash_at_event"):
+        for name in ("seed", "checkpoint_interval", "crash_at_event"):
             value = getattr(self, name)
             if value is not None:
                 counts.append((name, value))
@@ -198,6 +205,8 @@ class SimulationConfig:
                 )
         if self.max_events <= 0:
             raise ValueError("max_events must be positive")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be non-negative (or None)")
         if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be positive (or None)")
         if self.crash_at_event is not None and self.crash_at_event < 0:
@@ -261,20 +270,10 @@ class Simulator:
         policy: SchedulingPolicy,
         config: Optional[SimulationConfig] = None,
         categories: Optional[Mapping[int, str]] = None,
-        round_callback: Optional[Callable[[RoundCompletion], None]] = None,
         checkpoint_sink: Optional[Callable[[SimulationSnapshot], None]] = None,
     ) -> None:
         self.config = config or SimulationConfig()
         self.policy = policy
-        #: Invoked by the coordinator whenever a job's round completes, with
-        #: a :class:`~repro.sim.job.RoundCompletion` carrying the round's
-        #: reporting set.  Fires in event order on both engines
-        #: (``_maybe_complete_request`` always runs on the coordinator), so
-        #: for a fixed seed the callback sequence is bit-identical across
-        #: them.  The callback must not mutate simulation state; it exists
-        #: so consumers like the co-simulation trainer (:mod:`repro.cosim`)
-        #: can observe rounds as they complete.
-        self._round_callback = round_callback
         #: The run's policy-facing random generator; unseeded policies adopt
         #: it via ``bind_rng``.  The latency model does not share it: it
         #: draws from per-device streams keyed by global device id, so a
@@ -477,10 +476,9 @@ class Simulator:
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        # Callbacks are the caller's liveness, not simulation state: a
-        # snapshot must not drag closures (often unpicklable) along, and
+        # The sink is the caller's liveness, not simulation state: a
+        # snapshot must not drag a closure (often unpicklable) along, and
         # keeping last_snapshot would nest payloads snowball-style.
-        state["_round_callback"] = None
         state["_checkpoint_sink"] = None
         state["last_snapshot"] = None
         if self._fleet:
@@ -516,18 +514,17 @@ class Simulator:
         cls,
         snapshot: Union[SimulationSnapshot, bytes],
         *,
-        round_callback: Optional[Callable[[RoundCompletion], None]] = None,
         checkpoint_sink: Optional[Callable[[SimulationSnapshot], None]] = None,
         crash_at_event=_KEEP_CRASH,
     ) -> "Simulator":
         """Reconstruct a simulator from a snapshot; call ``run`` to continue.
 
-        Callbacks are not captured in snapshots — reattach them here.  By
-        default the snapshot's ``crash_at_event`` is kept, so a crash that
-        had not fired at checkpoint time replays deterministically; pass
-        ``crash_at_event=None`` to resume crash-free (what the chaos harness
-        does so the crash that killed the original run does not fire again),
-        or another event count to move the crash.
+        The checkpoint sink is not captured in snapshots — reattach it
+        here.  By default the snapshot's ``crash_at_event`` is kept, so a
+        crash that had not fired at checkpoint time replays
+        deterministically; pass ``crash_at_event=None`` to resume crash-free
+        (what the chaos harness does so the crash that killed the original
+        run does not fire again), or another event count to move the crash.
 
         Raises :class:`~repro.resilience.SnapshotError` for a payload that
         is empty, truncated or otherwise undecodable, and for a snapshot
@@ -555,7 +552,6 @@ class Simulator:
                 f"(got {type(sim).__name__})"
             )
         _check_format_version(sim.__dict__.pop("_format_version", None))
-        sim._round_callback = round_callback
         sim._checkpoint_sink = checkpoint_sink
         sim.last_snapshot = None
         if crash_at_event is not _KEEP_CRASH:
@@ -1474,21 +1470,6 @@ class Simulator:
             # Demand met means every assigned device responded or straggles;
             # with no straggler in flight the request is unreachable.
             self._evict_request(request)
-        if self._round_callback is not None:
-            # The request knows which round it was opened for; index by that
-            # rather than by complete_round's cursor arithmetic.
-            record = job.rounds[request.round_index]
-            self._round_callback(
-                RoundCompletion(
-                    job_id=job.job_id,
-                    round_index=record.round_index,
-                    completion_time=self.now,
-                    participants=record.participants,
-                    num_assigned=len(request.assigned),
-                    aborted_attempts=record.aborted_attempts,
-                    job_finished=finished,
-                )
-            )
         if finished:
             self._unfinished_jobs -= 1
             self.policy.on_job_finished(job.job_id, self.now)
@@ -1606,13 +1587,9 @@ def run_simulation(
     policy: SchedulingPolicy,
     config: Optional[SimulationConfig] = None,
     categories: Optional[Mapping[int, str]] = None,
-    round_callback: Optional[Callable[[RoundCompletion], None]] = None,
 ) -> SimulationMetrics:
     """Convenience wrapper: build a :class:`Simulator` and run it."""
-    sim = Simulator(
-        devices, availability, workload, policy, config, categories,
-        round_callback=round_callback,
-    )
+    sim = Simulator(devices, availability, workload, policy, config, categories)
     return sim.run()
 
 

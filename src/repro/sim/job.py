@@ -24,33 +24,12 @@ class RoundRecord:
     #: closed — the round's *reporting set*.  Stragglers that were assigned
     #: but had not responded when the round completed are absent, which is
     #: exactly what makes the set the right input for co-simulated federated
-    #: training (:mod:`repro.cosim`).
+    #: training (:mod:`repro.cosim`), which reads it from
+    #: :attr:`~repro.sim.metrics.JobMetrics.round_participants` after the
+    #: run.
     participants: Tuple[int, ...] = ()
     #: Absolute simulation time at which the round completed.
     completion_time: Optional[float] = None
-
-
-@dataclass(frozen=True, slots=True)
-class RoundCompletion:
-    """Event handed to the engine's round callback when a round succeeds.
-
-    Emitted by the coordinator on both the single-queue and the fleet
-    engine, in event order, with identical content on both — the callback
-    contract the co-simulation layer builds on.
-    """
-
-    job_id: int
-    round_index: int
-    completion_time: float
-    #: Sorted device ids that reported back (the reporting set).
-    participants: Tuple[int, ...]
-    #: Devices assigned to the round's successful attempt (reporting set
-    #: plus stragglers whose responses had not arrived at completion).
-    num_assigned: int
-    #: Aborted attempts this round burned before succeeding.
-    aborted_attempts: int
-    #: Whether this was the job's final round.
-    job_finished: bool
 
 
 @dataclass(slots=True)
@@ -181,4 +160,4 @@ class JobRuntime:
             self.state = JobState.CANCELLED
 
 
-__all__ = ["JobRuntime", "RoundCompletion", "RoundRecord"]
+__all__ = ["JobRuntime", "RoundRecord"]

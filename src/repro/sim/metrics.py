@@ -36,8 +36,9 @@ class JobMetrics:
     #: Per-completed-round reporting sets (sorted device ids that reported
     #: before the round closed) and absolute completion times, in round
     #: order.  These are what couple the simulator to federated training:
-    #: the co-simulation layer trains exactly these participants and places
-    #: the resulting accuracy at exactly these times.
+    #: after the run, the co-simulation layer trains exactly these
+    #: participants and places the resulting accuracy at exactly these
+    #: times.
     round_participants: List[Sequence[int]] = field(default_factory=list)
     round_completion_times: List[float] = field(default_factory=list)
     #: Per-completed-round durations of the successful attempt, submit to

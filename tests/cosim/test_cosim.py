@@ -2,7 +2,8 @@
 
 Covers the four layers the tentpole touches:
 
-* the engine's round callback + per-round reporting sets (sim layer),
+* per-round reporting sets and completion times in the run's metrics
+  (sim layer),
 * externally driven trainer rounds with per-(client, round) streams (fl
   layer),
 * the :class:`~repro.cosim.CoSimulation` loop, including bit-identity
@@ -32,7 +33,6 @@ from repro.cosim import (
     smoke_cosim_config,
 )
 from repro.experiments.config import quick_config
-from repro.experiments.endtoend import run_policy, run_policy_cosim
 from repro.experiments.environment import build_environment
 from repro.experiments.sweep import plan_cells, run_cosim_cell, run_sweep
 from repro.fl.datasets import FederatedDataConfig, SyntheticFederatedDataset
@@ -95,6 +95,29 @@ class TestCoSimConfig:
             CoSimConfig(target_accuracies=(0.0,))
         with pytest.raises(ValueError):
             CoSimConfig(learning_rate=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_learning_rate_must_be_finite(self, value):
+        """``nan <= 0`` is false, so NaN and infinity used to pass."""
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            CoSimConfig(learning_rate=value)
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, "2"])
+    def test_local_epochs_must_be_an_int(self, value):
+        with pytest.raises(TypeError, match="local_epochs must be an int"):
+            CoSimConfig(local_epochs=value)
+
+    @pytest.mark.parametrize("value", [16.5, 32.0, True, "32"])
+    def test_batch_size_must_be_an_int(self, value):
+        with pytest.raises(TypeError, match="batch_size must be an int"):
+            CoSimConfig(batch_size=value)
+
+    def test_int_fields_keep_their_range_message(self):
+        config = CoSimConfig(local_epochs=np.int64(2), batch_size=8)
+        assert config.local_epochs == 2 and config.batch_size == 8
+        for kwargs in (dict(local_epochs=0), dict(batch_size=-1)):
+            with pytest.raises(ValueError, match="must be positive"):
+                CoSimConfig(**kwargs)
 
     def test_with_overrides_nested_dataset(self):
         cfg = tiny_cosim_config().with_overrides(
@@ -164,54 +187,58 @@ class TestExternalRounds:
             trainer.client_rng(-1, 0)
 
 
-class TestEngineRoundCallback:
+class TestRoundRecords:
+    """The per-round records co-simulation trains from, read from the
+    run's :class:`~repro.sim.metrics.SimulationMetrics`."""
+
     @pytest.fixture(scope="class")
-    def callback_run(self):
+    def result(self):
         env = build_environment(cosim_base(seed=13))
-        completions = []
-        metrics = run_policy(
-            env, "random", round_callback=completions.append
+        return CoSimulation(env, "random", config=tiny_cosim_config()).run()
+
+    def test_reporting_sets_sorted_unique_and_bounded(self, result):
+        jobs = result.sim.jobs.values()
+        assert any(jm.round_participants for jm in jobs), (
+            "no round completed in the micro environment"
         )
-        return env, metrics, completions
+        for jm in jobs:
+            for participants in jm.round_participants:
+                assert list(participants) == sorted(set(participants))
+                assert 1 <= len(participants) <= jm.demand_per_round
 
-    def test_rounds_observed_with_reporting_sets(self, callback_run):
-        _env, metrics, completions = callback_run
-        assert completions, "no round completed in the micro environment"
-        for c in completions:
-            assert list(c.participants) == sorted(set(c.participants))
-            assert len(c.participants) >= 1
-            assert len(c.participants) <= c.num_assigned
-            assert c.aborted_attempts >= 0
+    def test_completed_rounds_are_a_time_ordered_prefix(self, result):
+        for jm in result.sim.jobs.values():
+            times = jm.round_completion_times
+            assert times == sorted(times)
+            # One entry per completed round, rounds 0..k-1 with no gap.
+            assert len(times) == len(jm.round_participants) == (
+                jm.rounds_completed
+            )
 
-    def test_callback_order_is_event_order(self, callback_run):
-        _env, _metrics, completions = callback_run
-        times = [c.completion_time for c in completions]
-        assert times == sorted(times)
-        per_job = {}
-        for c in completions:
-            per_job.setdefault(c.job_id, []).append(c.round_index)
-        for indices in per_job.values():
-            assert indices == list(range(len(indices)))
-
-    def test_metrics_surface_matching_completion_sets(self, callback_run):
-        _env, metrics, completions = callback_run
-        per_job = {}
-        for c in completions:
-            per_job.setdefault(c.job_id, []).append(c)
-        for job_id, cs in per_job.items():
-            jm = metrics.jobs[job_id]
-            assert jm.round_participants == [list(c.participants) for c in cs]
-            assert jm.round_completion_times == [
-                c.completion_time for c in cs
+    def test_cosim_trains_exactly_the_recorded_rounds(self, result):
+        trained = {
+            job_id: [
+                (r.round_index, r.completion_time, r.num_participants)
+                for r in job.rounds
             ]
-
-    def test_job_finished_flag_fires_once_per_completed_job(self, callback_run):
-        _env, metrics, completions = callback_run
-        finished_jobs = [c.job_id for c in completions if c.job_finished]
-        assert len(finished_jobs) == len(set(finished_jobs))
-        assert set(finished_jobs) == {
-            job_id for job_id, jm in metrics.jobs.items() if jm.completed
+            for job_id, job in result.jobs.items()
         }
+        recorded = {
+            job_id: [
+                (i, t, len(p))
+                for i, (t, p) in enumerate(
+                    zip(jm.round_completion_times, jm.round_participants)
+                )
+            ]
+            for job_id, jm in result.sim.jobs.items()
+            if jm.rounds_completed
+        }
+        assert trained == recorded
+
+    def test_completed_iff_every_round_completed(self, result):
+        assert any(jm.completed for jm in result.sim.jobs.values())
+        for jm in result.sim.jobs.values():
+            assert jm.completed == (jm.rounds_completed == jm.num_rounds)
 
 
 class TestCoSimulationDeterminism:
@@ -255,11 +282,9 @@ class TestCoSimulationDeterminism:
         # Different participant streams -> different decision hashes.
         assert venn.decision_hash != random_.decision_hash
 
-    def test_run_policy_cosim_wrapper(self):
+    def test_run_reports_every_job_and_valid_accuracies(self):
         env = build_environment(cosim_base(seed=13))
-        result = run_policy_cosim(
-            env, "venn", cosim_config=tiny_cosim_config()
-        )
+        result = CoSimulation(env, "venn", config=tiny_cosim_config()).run()
         assert result.total_jobs == env.num_jobs
         assert result.jobs, "expected at least one trained job"
         for job in result.jobs.values():

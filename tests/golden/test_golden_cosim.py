@@ -113,7 +113,7 @@ class TestGoldenCoSim:
     def test_vectorized_replay_is_byte_identical(self):
         """The fleet engine must also land on the frozen fixture:
         decisions, accuracy curves and hashes — accuracy curves included,
-        since the trainer only sees coordinator-side round completions."""
+        since the trainer only reads the run's round records."""
         if os.environ.get("REGEN_GOLDEN"):
             pytest.skip("fixtures being regenerated")
         with open(FIXTURE_PATH) as fh:

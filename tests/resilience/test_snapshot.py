@@ -98,7 +98,7 @@ class TestVectorizedDevicesAcrossSnapshots:
 
     def test_resumed_run_builds_devices_from_the_restored_arrays(self):
         snap = killed_mid_run(**self.MODE)
-        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 7
+        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 8
         resumed = Simulator.resume(snap, crash_at_event=None)
         assert resumed._devices is None
         # Mid-run read on the resumed simulator: the checkpoint's state.
@@ -285,21 +285,29 @@ class TestCheckpointing:
         assert stale.run().total_responses > 0
         assert stale.events_processed > 25
 
-    def test_resume_reattaches_callbacks(self):
-        """Sinks/callbacks are dropped from snapshots and must be
-        re-suppliable at resume time."""
-        sim = build_sim(checkpoint_interval=10)
-        sim.run()
+    def test_format_7_snapshot_is_refused_up_front(self, monkeypatch):
+        """Format 7 pickled the simulator's round-callback slot (always
+        ``None`` in the payload); format 8 has no such attribute.  The
+        graph lost an attribute, so the version moved and a format-7
+        payload is refused before anything runs."""
+        sim = Simulator.resume(killed_mid_run(vectorized=True))
+        monkeypatch.setattr(engine_module, "SNAPSHOT_FORMAT_VERSION", 7)
+        payload = sim.snapshot().payload
+        monkeypatch.undo()
+        with pytest.raises(SnapshotError, match="format version 7 "):
+            Simulator.resume(payload)
+
+    def test_resume_reattaches_checkpoint_sink(self):
+        """The sink is dropped from snapshots and must be re-suppliable at
+        resume time."""
+        dropped = LatestSnapshotStore()
+        snap = build_sim(checkpoint_interval=10, checkpoint_sink=dropped).snapshot()
+        assert Simulator.resume(snap)._checkpoint_sink is None
         store = LatestSnapshotStore()
-        rounds = []
-        resumed = Simulator.resume(
-            build_sim(checkpoint_interval=10).snapshot(),
-            round_callback=rounds.append,
-            checkpoint_sink=store,
-        )
+        resumed = Simulator.resume(snap, checkpoint_sink=store)
         resumed.run()
         assert store.count > 0
-        assert rounds, "round callback must fire on the resumed run"
+        assert dropped.count == 0
 
     def test_resumed_run_does_not_immediately_recheckpoint(self):
         """The checkpoint watermark travels with the snapshot: resuming

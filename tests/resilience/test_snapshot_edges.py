@@ -173,9 +173,19 @@ class TestCancelledDeadlineEvents:
     def _boundary_after_first_completion(self):
         probe = build_sim()
         completions = []
-        probe._round_callback = lambda rc: completions.append(
-            probe.events_processed
-        )
+        closed = probe.policy.on_request_closed
+
+        def on_request_closed(request, now):
+            # Demand met and enough reports: the request closes because its
+            # round completed (a deadline abort closes it short of either).
+            if (
+                request.remaining_demand == 0
+                and len(request.responses) >= request.min_reports
+            ):
+                completions.append(probe.events_processed)
+            closed(request, now)
+
+        probe.policy.on_request_closed = on_request_closed
         probe.run()
         assert completions, "scenario must complete at least one round"
         return completions[0]

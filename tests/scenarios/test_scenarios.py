@@ -123,6 +123,15 @@ class TestSpecApplication:
         with pytest.raises(ValueError, match="root seed"):
             ScenarioSpec(name="t", simulation={"seed": 1})
 
+    @pytest.mark.parametrize("value", [None, 0, "no"])
+    def test_simulation_override_goes_through_config_validation(self, value):
+        """``enforce_daily_limit=None`` used to turn the one-job-per-day
+        limit off without a word; the override reaches
+        ``SimulationConfig.__post_init__`` and is refused there."""
+        spec = ScenarioSpec(name="t", simulation={"enforce_daily_limit": value})
+        with pytest.raises(TypeError, match="enforce_daily_limit must be a bool"):
+            spec.apply(tiny_base())
+
     def test_build_environment_is_deterministic(self):
         spec = get_scenario("flash_crowd")
         a = spec.build_environment(tiny_base(seed=5))

@@ -244,6 +244,29 @@ class TestEngineValidation:
             with pytest.raises(ValueError, match=message):
                 SimulationConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["enforce_daily_limit", "vectorized_dispatch"])
+    @pytest.mark.parametrize("value", ["no", None, 0, 1, np.bool_(True)])
+    def test_toggles_must_be_real_bools(self, name, value):
+        """``vectorized_dispatch="no"`` used to select the fleet engine and
+        ``enforce_daily_limit=None`` to drop the one-job-per-day limit."""
+        with pytest.raises(TypeError, match=f"{name} must be a bool"):
+            SimulationConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "7"])
+    def test_seed_must_be_an_int(self, value):
+        """``seed=1.5`` used to pass the config and fail inside numpy at
+        ``Simulator()``."""
+        with pytest.raises(TypeError, match="seed must be an int"):
+            SimulationConfig(seed=value)
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SimulationConfig(seed=-1)
+
+    @pytest.mark.parametrize("seed", [None, 0, np.uint32(7), 2**127])
+    def test_valid_seeds_accepted(self, seed):
+        assert SimulationConfig(seed=seed).seed == seed
+
     def test_ineligible_policy_assignment_detected(self):
         class BadPolicy(BasePolicy):
             name = "bad"

@@ -5,6 +5,8 @@ The vocabulary follows the paper (Liu et al., MLSys 2025):
 * A :class:`DeviceProfile` is an edge device with normalised hardware scores,
   a relative execution-speed factor, optional data-domain tags and a
   reliability (probability of successfully completing an assigned task).
+* A :class:`DeviceFleet` is a device population held as columns, the one
+  population representation; it hands out ``DeviceProfile`` views on demand.
 * An :class:`EligibilityRequirement` (see :mod:`repro.core.requirements`)
   describes which devices a job may use.
 * A :class:`JobSpec` is a CL job: an eligibility requirement, a per-round
@@ -21,8 +23,12 @@ from __future__ import annotations
 
 import enum
 import math
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Iterable, Optional, Tuple
+
+import numpy as np
 
 
 class RequestState(enum.Enum):
@@ -66,9 +72,10 @@ class DeviceProfile:
         ``1.0`` is the population median; smaller is faster.  Derived from the
         hardware scores by the capacity sampler.
     data_domains:
-        Data domains present on the device (e.g. ``{"keyboard", "emoji"}``).
-        A job whose requirement names a domain can only use devices that hold
-        that domain.
+        Data domains present on the device (e.g. ``{"keyboard", "emoji"}``),
+        stored as a ``frozenset`` whatever iterable is given.  A job whose
+        requirement names a domain can only use devices that hold that
+        domain.
     reliability:
         Probability that the device completes an assigned task instead of
         dropping out mid-round (battery, connectivity, ...).
@@ -88,10 +95,239 @@ class DeviceProfile:
             raise ValueError(
                 f"memory_score must be in [0, 1], got {self.memory_score}"
             )
-        if self.speed_factor <= 0:
-            raise ValueError(f"speed_factor must be positive, got {self.speed_factor}")
+        # ``nan <= 0`` is false: a bare sign test would let NaN through.
+        if not (math.isfinite(self.speed_factor) and self.speed_factor > 0):
+            raise ValueError(
+                f"speed_factor must be finite and positive, got {self.speed_factor}"
+            )
         if not (0.0 <= self.reliability <= 1.0):
             raise ValueError(f"reliability must be in [0, 1], got {self.reliability}")
+        if not isinstance(self.data_domains, frozenset):
+            # A mutable set would make the frozen profile unhashable.
+            object.__setattr__(self, "data_domains", frozenset(self.data_domains))
+
+
+#: ``DeviceFleet``'s columns, in order, with their dtypes: 5 × 8 + 4 = 44 B
+#: per device.
+_FLEET_COLUMNS = (
+    ("device_id", np.int64),
+    ("cpu_score", np.float64),
+    ("memory_score", np.float64),
+    ("speed_factor", np.float64),
+    ("reliability", np.float64),
+    ("domain_id", np.int32),
+)
+#: A device's six values side by side, little-endian and unpadded (44 B),
+#: and the ``struct`` reading of one such record into Python values.
+_RECORD = np.dtype(
+    [(name, np.dtype(dtype).newbyteorder("<")) for name, dtype in _FLEET_COLUMNS]
+)
+_RECORD_SIZE = _RECORD.itemsize
+_unpack_record = struct.Struct("<qddddi").unpack_from
+
+# A fleet builds profiles from values its construction already checked, so
+# it skips ``__post_init__`` and fills the slots directly: the frozen
+# dataclass ``__init__`` plus the checks cost about twice as much.
+_new = object.__new__
+(
+    _set_device_id,
+    _set_cpu_score,
+    _set_memory_score,
+    _set_speed_factor,
+    _set_data_domains,
+    _set_reliability,
+) = (
+    vars(DeviceProfile)[name].__set__
+    for name in (
+        "device_id",
+        "cpu_score",
+        "memory_score",
+        "speed_factor",
+        "data_domains",
+        "reliability",
+    )
+)
+
+
+class DeviceFleet(Sequence):
+    """A device population as columns, with profiles built on demand.
+
+    Six read-only numpy columns — ``device_id`` (int64), ``cpu_score``,
+    ``memory_score``, ``speed_factor``, ``reliability`` (float64) and
+    ``domain_id`` (int32) — plus ``domains``, a tuple of frozensets that
+    ``domain_id`` indexes, so every device holding the same domain
+    combination shares one set.  The columns are the single
+    representation, the pattern of
+    :class:`~repro.traces.device_trace.DeviceAvailabilityTrace`.  They are
+    views of one buffer that keeps a device's six values side by side
+    (44 B), so building a profile reads one record, not six arrays — on a
+    fleet-engine day most builds land on a device no recent event touched,
+    and six cache misses cost more than the build itself.  And:
+
+    * it is a ``Sequence[DeviceProfile]``: ``fleet[i]`` builds a frozen
+      :class:`DeviceProfile` on every access (nothing is retained, so two
+      reads give equal profiles, not the same object), iteration builds
+      one per step, and a slice is a fleet (:meth:`take`);
+    * ``==`` compares two fleets column by column;
+    * it pickles as its columns;
+    * :class:`DeviceProfile`'s checks run once, column-wise, at
+      construction, with the same messages.
+    """
+
+    def __init__(
+        self,
+        device_id: Iterable[int],
+        cpu_score: Iterable[float],
+        memory_score: Iterable[float],
+        speed_factor: Iterable[float],
+        reliability: Iterable[float],
+        domain_id: Iterable[int],
+        domains: Iterable[Iterable[str]],
+    ) -> None:
+        columns = [
+            np.asarray(values, dtype=dtype)
+            for values, (_, dtype) in zip(
+                (
+                    device_id,
+                    cpu_score,
+                    memory_score,
+                    speed_factor,
+                    reliability,
+                    domain_id,
+                ),
+                _FLEET_COLUMNS,
+            )
+        ]
+        if columns[0].ndim != 1 or any(
+            column.shape != columns[0].shape for column in columns
+        ):
+            raise ValueError("fleet columns must be 1-d and equally long")
+        _, cpu, mem, speed, rel, dom = columns
+        for name, column in (("cpu_score", cpu), ("memory_score", mem)):
+            _check(
+                column, (column >= 0.0) & (column <= 1.0), f"{name} must be in [0, 1]"
+            )
+        _check(
+            speed,
+            np.isfinite(speed) & (speed > 0),
+            "speed_factor must be finite and positive",
+        )
+        _check(rel, (rel >= 0.0) & (rel <= 1.0), "reliability must be in [0, 1]")
+        domains = tuple(
+            d if isinstance(d, frozenset) else frozenset(d) for d in domains
+        )
+        _check(
+            dom,
+            (dom >= 0) & (dom < len(domains)),
+            f"domain_id must index the {len(domains)} domain sets",
+        )
+        self._adopt(columns, domains)
+
+    @classmethod
+    def of(cls, devices: Iterable[DeviceProfile]) -> "DeviceFleet":
+        """``devices`` itself if it is a fleet, else the fleet of its
+        profiles, in their order; equal domain sets are stored once (the
+        first object seen stands for its value)."""
+        if isinstance(devices, cls):
+            return devices
+        profiles = list(devices)
+        index: Dict[frozenset, int] = {}
+        return cls(
+            *(
+                [getattr(p, name) for p in profiles]
+                for name, _ in _FLEET_COLUMNS[:-1]
+            ),
+            [index.setdefault(frozenset(p.data_domains), len(index)) for p in profiles],
+            tuple(index),
+        )
+
+    def _adopt(self, columns, domains: Tuple[frozenset, ...]) -> None:
+        """Store ``columns`` as records, read-only; no checks."""
+        records = np.empty(len(columns[0]), dtype=_RECORD)
+        for (name, _), column in zip(_FLEET_COLUMNS, columns):
+            records[name] = column
+        records.flags.writeable = False
+        for name, _ in _FLEET_COLUMNS:
+            setattr(self, name, records[name])
+        self.domains = domains
+        self._records = memoryview(records.view(np.uint8))
+
+    def take(self, index) -> "DeviceFleet":
+        """The fleet of the devices at ``index`` (a slice or an array of
+        positions), in that order."""
+        if not isinstance(index, slice):
+            index = np.asarray(index, dtype=np.intp)
+        fleet = _new(type(self))
+        fleet._adopt(
+            [getattr(self, name)[index] for name, _ in _FLEET_COLUMNS], self.domains
+        )
+        return fleet
+
+    def __len__(self) -> int:
+        return len(self.device_id)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(i)
+        n = len(self.device_id)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("fleet index out of range")
+        device_id, cpu, mem, speed, rel, dom = _unpack_record(
+            self._records, i * _RECORD_SIZE
+        )
+        profile = _new(DeviceProfile)
+        _set_device_id(profile, device_id)
+        _set_cpu_score(profile, cpu)
+        _set_memory_score(profile, mem)
+        _set_speed_factor(profile, speed)
+        _set_data_domains(profile, self.domains[dom])
+        _set_reliability(profile, rel)
+        return profile
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DeviceFleet):
+            return NotImplemented
+        if len(self) != len(other) or not all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name, _ in _FLEET_COLUMNS[:-1]
+        ):
+            return False
+        # Domain ids are local to each fleet's table: compare the sets they
+        # name, through one numbering of both tables.
+        number: Dict[frozenset, int] = {}
+        ours, theirs = (
+            np.array(
+                [number.setdefault(d, len(number)) for d in fleet.domains],
+                dtype=np.int64,
+            )[fleet.domain_id]
+            for fleet in (self, other)
+        )
+        return np.array_equal(ours, theirs)
+
+    __hash__ = None
+
+    def __getstate__(self) -> dict:
+        state = {
+            name: np.ascontiguousarray(getattr(self, name))
+            for name, _ in _FLEET_COLUMNS
+        }
+        state["domains"] = self.domains
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self._adopt([state[name] for name, _ in _FLEET_COLUMNS], state["domains"])
+
+    def __repr__(self) -> str:
+        return f"DeviceFleet({len(self)} devices, {len(self.domains)} domain sets)"
+
+
+def _check(column: np.ndarray, ok: np.ndarray, message: str) -> None:
+    """Raise ``ValueError(f"{message}, got {value}")`` for the first value
+    of ``column`` that is not ``ok`` (``DeviceProfile``'s message)."""
+    if not ok.all():
+        raise ValueError(f"{message}, got {column[np.argmin(ok)].item()}")
 
 
 @dataclass
@@ -313,6 +549,7 @@ class Assignment:
 
 __all__ = [
     "Assignment",
+    "DeviceFleet",
     "DeviceProfile",
     "JobSpec",
     "JobState",

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
-from ..core.types import DeviceProfile
+from ..core.types import DeviceFleet, DeviceProfile
 from ..traces.capacity import CapacitySampler
 from ..traces.device_trace import DeviceAvailabilityTrace, DiurnalAvailabilityModel
 from ..traces.workloads import Workload, WorkloadGenerator
@@ -17,7 +17,7 @@ class Environment:
     """A fully materialised simulation environment."""
 
     config: ExperimentConfig
-    devices: List[DeviceProfile]
+    devices: Sequence[DeviceProfile]
     availability: DeviceAvailabilityTrace
     workload: Workload
 
@@ -30,7 +30,7 @@ class Environment:
         return len(self.workload.jobs)
 
 
-def build_devices(config: ExperimentConfig) -> List[DeviceProfile]:
+def build_devices(config: ExperimentConfig) -> DeviceFleet:
     """Sample the device population for an experiment."""
     sampler = CapacitySampler(config.capacity, seed=config.seed_for("devices"))
     return sampler.sample_devices(config.num_devices)

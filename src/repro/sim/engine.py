@@ -111,7 +111,6 @@ from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
     Dict,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -122,7 +121,7 @@ import numpy as np
 
 from ..core.policy import SchedulingPolicy
 from ..core.requirements import signature_of
-from ..core.types import DeviceProfile, JobSpec, ResourceRequest
+from ..core.types import DeviceFleet, DeviceProfile, JobSpec, ResourceRequest
 from ..resilience.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     SimulatedCrash,
@@ -236,26 +235,36 @@ class _CohortView:
     demand-zeroing proposal, and ``on_device_checkin_batch`` usually reads
     no profile at all, so eagerly materialising a profile list wastes work
     proportional to the untouched part — at 100k-device scale, most of it.
-    This view fetches ``profiles[slots[i]]`` on demand: sequential
+    This view builds ``profiles[slots[i]]`` on demand: sequential
     iteration (the bulk walk) and random indexing (commit, recording
-    wrappers) both work, and the unvisited tail costs nothing.
+    wrappers) both work, and the unvisited tail costs nothing.  What
+    iteration built is kept, in order, so the commit of a walked prefix
+    reads the profiles the policy saw instead of building them again.
     """
 
-    __slots__ = ("_profiles", "_slots")
+    __slots__ = ("_profiles", "_slots", "_built")
 
     def __init__(self, profiles, slots) -> None:
         self._profiles = profiles
         self._slots = slots
+        #: ``profiles[slots[i]]`` for the iterated prefix ``i < len(_built)``.
+        self._built: list = []
 
     def __len__(self) -> int:
         return len(self._slots)
 
     def __iter__(self):
+        built = self._built
         profiles = self._profiles
-        for slot in self._slots:
-            yield profiles[slot]
+        slots = self._slots
+        for i in range(len(slots)):
+            if i == len(built):
+                built.append(profiles[slots[i]])
+            yield built[i]
 
     def __getitem__(self, i):
+        if 0 <= i < len(self._built):
+            return self._built[i]
         return self._profiles[self._slots[i]]
 
 
@@ -296,8 +305,10 @@ class Simulator:
         for job in jobs:
             self._categories.setdefault(job.job_id, job.requirement.name)
 
-        self._device_profiles: List[DeviceProfile] = list(devices)
-        known = np.array([d.device_id for d in self._device_profiles], dtype=np.int64)
+        #: The population as columns; on the fleet engine
+        #: ``VectorDeviceState.profiles`` is this object when its ids ascend.
+        self._device_profiles: DeviceFleet = DeviceFleet.of(devices)
+        known = self._device_profiles.device_id
         if len(np.unique(known)) != len(known):
             raise ValueError("device ids must be unique")
         unknown = ~np.isin(availability.device_ids, known)
@@ -338,6 +349,10 @@ class Simulator:
         #: Deferred assignments awaiting their batched latency draw:
         #: ``(slot, profile, job, request, seq, session_end)``.
         self._assign_buf: list = []
+        #: Fleet engine: ``slot -> profile`` of every task in flight, the
+        #: profile its consult built — the response hands it to the policy
+        #: (and to a re-dispatch) instead of building another.
+        self._in_flight_profiles: Dict[int, DeviceProfile] = {}
         #: Bulk decision path (fleet engine only): policies exposing
         #: ``assign_batch_bulk`` (Venn) resolve a whole dispatch cohort in
         #: one call and the engine commits the proposals in bulk.  ``None``
@@ -483,6 +498,10 @@ class Simulator:
         state["last_snapshot"] = None
         if self._fleet:
             state["_devices"] = None  # a view of the arrays, rebuilt on read
+        else:
+            # The runtimes hold every profile, in the fleet's order: the
+            # columns are rebuilt from them instead of pickled twice.
+            state["_device_profiles"] = None
         # The version travels inside the payload, so raw bytes are checked
         # by ``resume`` as strictly as a SimulationSnapshot wrapper.
         state["_format_version"] = SNAPSHOT_FORMAT_VERSION
@@ -490,6 +509,10 @@ class Simulator:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        if self._device_profiles is None:
+            self._device_profiles = DeviceFleet.of(
+                device.profile for device in self._devices.values()
+            )
 
     def snapshot(self) -> SimulationSnapshot:
         """Capture the complete simulation state as one pickle payload.
@@ -609,7 +632,7 @@ class Simulator:
                 )
                 arrivals += 1
         self._shard, consumed = build_shard(
-            np.array([d.device_id for d in self._device_profiles], dtype=np.int64),
+            self._device_profiles.device_id,
             self.availability,
             self.config.horizon,
             seq_start=arrivals,
@@ -813,12 +836,13 @@ class Simulator:
                     status[slot] = STATUS_IDLE
                     sess[slot] = send
                     metrics.total_checkins += 1
-                    policy_checkin(profiles[slot], t)
+                    profile = profiles[slot]
+                    policy_checkin(profile, t)
                     if pending and t < send and not (
                         enforce_daily
                         and last_day[slot] == int(t // SECONDS_PER_DAY)
                     ):
-                        self._try_assign_vec(slot)
+                        self._try_assign_vec(slot, profile)
                         if self._assign_buf:
                             self._flush_assignments()
                             flushed = True
@@ -929,12 +953,13 @@ class Simulator:
                     status[slot] = STATUS_IDLE
                     sess[slot] = send
                     metrics.total_checkins += 1
-                    policy_checkin(profiles[slot], t)
+                    profile = profiles[slot]
+                    policy_checkin(profile, t)
                     if pending and t < send and not (
                         enforce_daily
                         and last_day[slot] == int(t // SECONDS_PER_DAY)
                     ):
-                        self._try_assign_vec(slot)
+                        self._try_assign_vec(slot, profile)
                         if self._assign_buf:
                             self._flush_assignments()
                             # A freshly scheduled response may precede the
@@ -973,6 +998,7 @@ class Simulator:
         vec = self._vec
         request = self._requests.get(request_id)
         now = self.now
+        profile = self._in_flight_profiles.pop(slot)
         if request is not None:
             request.in_flight -= 1
         if success:
@@ -989,7 +1015,6 @@ class Simulator:
         sess_open = now < vec.sess[slot]
         vec.status[slot] = STATUS_IDLE if sess_open else STATUS_OFFLINE
         if success and request is not None and request.is_open:
-            profile = vec.profiles[slot]
             request.record_response(profile.device_id, now)
             self.policy.on_response(request, profile, now)
             self._maybe_complete_request(request)
@@ -1007,16 +1032,16 @@ class Simulator:
                 and vec.last_day[slot] == int(now // SECONDS_PER_DAY)
             )
         ):
-            self._try_assign_vec(slot)
+            self._try_assign_vec(slot, profile)
             self._flush_assignments()
 
-    def _try_assign_vec(self, slot: int) -> None:
+    def _try_assign_vec(self, slot: int, profile: DeviceProfile) -> None:
         """Array-state twin of :meth:`_try_assign`: the same consult
-        (:meth:`_consult`), state transition on the arrays, and the latency
-        draw deferred to :meth:`_flush_assignments` (the response's sequence
+        (:meth:`_consult`) of ``profile`` (the caller's, already built for
+        this event), state transition on the arrays, and the latency draw
+        deferred to :meth:`_flush_assignments` (the response's sequence
         number is claimed here, in decision order)."""
         vec = self._vec
-        profile = vec.profiles[slot]
         request = self._consult(profile)
         if request is None:
             return
@@ -1049,6 +1074,7 @@ class Simulator:
         self._assign_buf = []
         now = self.now
         schedule_response = self._shard.schedule_response
+        in_flight = self._in_flight_profiles
         if len(buf) == 1:
             # Size-1 flushes dominate contended workloads; the batch kernel
             # already falls back to a per-element loop there, so skip its
@@ -1076,6 +1102,7 @@ class Simulator:
             schedule_response(
                 finish_time, seq, slot, request.request_id, job.job_id, success
             )
+            in_flight[slot] = profile
 
     def _dispatch_idle_devices_vec(self) -> None:
         """Mask-based twin of the idle-pool dispatch sweep.
@@ -1098,6 +1125,7 @@ class Simulator:
         """
         pending = self._pending
         vec = self._vec
+        profiles = vec.profiles
         now = self.now
         names = pending.pending_requirements()
         version = pending.names_version
@@ -1145,7 +1173,7 @@ class Simulator:
             i += 1
             if status[slot] != STATUS_IDLE:
                 continue
-            self._try_assign_vec(slot)
+            self._try_assign_vec(slot, profiles[slot])
         self._flush_assignments()
 
     def _dispatch_cohort_batched(self, queue, version: int) -> None:

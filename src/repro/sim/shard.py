@@ -51,7 +51,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 import numpy as np
 
 from ..core.requirements import EligibilityRequirement, signature_of
-from ..core.types import DeviceProfile
+from ..core.types import DeviceFleet, DeviceProfile
 
 #: Sentinel key sorting after every real event.
 INF_KEY: Tuple[float, int] = (float("inf"), 1 << 62)
@@ -78,15 +78,18 @@ def compute_signatures(
     Returns ``(sig_ids, table)``: ``table[sig_ids[i]]`` is exactly what
     :func:`repro.core.requirements.signature_of` gives for ``devices[i]``,
     and ``table`` holds each distinct signature once (interned by value).
-    The vectorised path takes a handful of numpy passes over the population
-    instead of ``len(devices) × len(requirements)`` predicate calls: one
-    boolean mask per requirement over (cpu, memory, domain) arrays, packed
-    into per-device bitmasks, and one frozenset per distinct bitmask.
+    The vectorised path takes a handful of numpy passes over the fleet's
+    columns (:class:`~repro.core.types.DeviceFleet`; any other sequence is
+    converted first) instead of ``len(devices) × len(requirements)``
+    predicate calls: one boolean mask per requirement over the cpu and
+    memory columns and the domain-id column, packed into per-device
+    bitmasks, and one frozenset per distinct bitmask.
 
     Subclassed requirements (anything overriding ``is_eligible``) fall back
     to the exact per-device loop.
     """
     reqs = list(requirements)
+    devices = DeviceFleet.of(devices)
     n = len(devices)
     if not reqs:
         return np.zeros(n, dtype=np.int32), [frozenset()]
@@ -97,17 +100,13 @@ def compute_signatures(
         # 63 the shift overflows silently.  Workloads that large fall back
         # to the exact per-device walk.
         return _intern([signature_of(d, reqs) for d in devices])
-    cpu = np.fromiter((d.cpu_score for d in devices), dtype=np.float64, count=n)
-    mem = np.fromiter(
-        (d.memory_score for d in devices), dtype=np.float64, count=n
-    )
+    cpu, mem = devices.cpu_score, devices.memory_score
     domain_masks: Dict[str, np.ndarray] = {}
     for r in reqs:
         if r.data_domain is not None and r.data_domain not in domain_masks:
             dom = r.data_domain
-            domain_masks[dom] = np.fromiter(
-                (dom in d.data_domains for d in devices), dtype=bool, count=n
-            )
+            holds = np.array([dom in d for d in devices.domains], dtype=bool)
+            domain_masks[dom] = holds[devices.domain_id]
     bits = np.zeros(n, dtype=np.int64)
     for k, r in enumerate(reqs):
         ok = (cpu >= r.min_cpu) & (mem >= r.min_memory)

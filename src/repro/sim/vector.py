@@ -33,7 +33,7 @@ from typing import Callable, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core.types import DeviceProfile
+from ..core.types import DeviceFleet, DeviceProfile
 from .device import SECONDS_PER_DAY
 
 #: Integer encodings of :class:`~repro.sim.device.DeviceStatus` in ``status``.
@@ -57,14 +57,23 @@ class VectorDeviceState:
         sig_table: Sequence[FrozenSet[str]],
     ) -> None:
         """``sig_table[sig_ids[i]]`` is the eligibility signature of
-        ``profiles[i]`` (:func:`~repro.sim.shard.compute_signatures`)."""
-        n = len(profiles)
-        ids = np.array([p.device_id for p in profiles], dtype=np.int64)
-        order = np.argsort(ids, kind="stable")
-        self.profiles: List[DeviceProfile] = [
-            profiles[i] for i in order.tolist()
-        ]
-        self.ids = ids[order]
+        ``profiles[i]`` (:func:`~repro.sim.shard.compute_signatures`).
+
+        ``profiles`` becomes a :class:`~repro.core.types.DeviceFleet` (kept
+        as given when it already is one, in ascending id order); a device's
+        profile is ``profiles[slot]``, built on each read."""
+        fleet = DeviceFleet.of(profiles)
+        sig_ids = np.asarray(sig_ids, dtype=np.int32)
+        ids = fleet.device_id
+        if not (ids[1:] > ids[:-1]).all():
+            order = np.argsort(ids, kind="stable")
+            fleet, sig_ids = fleet.take(order), sig_ids[order]
+        n = len(fleet)
+        #: The fleet in slot order.
+        self.profiles: DeviceFleet = fleet
+        #: Its id column, contiguous: ``searchsorted`` on a strided view
+        #: would copy the column on every call.
+        self.ids = np.ascontiguousarray(fleet.device_id)
         self.status = np.zeros(n, dtype=np.int8)
         self.sess = np.zeros(n, dtype=np.float64)
         self.last_day = np.full(n, -1, dtype=np.int64)
@@ -74,7 +83,7 @@ class VectorDeviceState:
         self.tasks_completed = [0] * n
         self.tasks_failed = [0] * n
         self.sig_table: List[FrozenSet[str]] = list(sig_table)
-        self.sig_id = np.asarray(sig_ids, dtype=np.int32)[order]
+        self.sig_id = sig_ids
         #: ``sig_table[sig_id[slot]]`` by slot: one shared reference per
         #: device, the store behind :meth:`signature_provider`.
         self._sig_by_slot = [self.sig_table[j] for j in self.sig_id.tolist()]

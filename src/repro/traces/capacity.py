@@ -21,8 +21,10 @@ It also carries the minimum-requirement annotations of Figure 2b
 draws stay per device, in the seed's order (a device's domain uniforms as one
 ``random(out=row)``, then ``beta``, then ``normal``); everything derived from
 them — domain sets, reliability, speed — is computed per block of ``_BATCH``
-devices in numpy.  ``_BATCH`` is a memory bound: it caps the derivation
-transients, not the work.
+devices in numpy, straight into the columns of the returned
+:class:`~repro.core.types.DeviceFleet`; no ``DeviceProfile`` is built.
+``_BATCH`` is a memory bound: it caps the derivation transients, not the
+work.
 """
 
 from __future__ import annotations
@@ -31,19 +33,12 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import compress
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.requirements import (
-    COMPUTE_RICH,
-    DEFAULT_CATEGORIES,
-    EligibilityRequirement,
-    GENERAL,
-    HIGH_PERFORMANCE,
-    MEMORY_RICH,
-)
-from ..core.types import DeviceProfile
+from ..core.requirements import DEFAULT_CATEGORIES, EligibilityRequirement
+from ..core.types import DeviceFleet, DeviceProfile
 
 #: Minimum hardware requirements of the three on-device models annotated in
 #: Figure 2b of the paper (normalised scores).
@@ -101,7 +96,7 @@ class CapacityConfig:
 
 
 class CapacitySampler:
-    """Samples :class:`~repro.core.types.DeviceProfile` populations."""
+    """Samples device populations (:class:`~repro.core.types.DeviceFleet`)."""
 
     def __init__(
         self,
@@ -146,13 +141,19 @@ class CapacitySampler:
         noise = float(np.exp(self._rng.normal(0.0, 0.15)))
         return float(base * noise)
 
-    def sample_devices(self, n: int, start_id: int = 0) -> List[DeviceProfile]:
-        """Sample a population of ``n`` devices."""
+    def sample_devices(self, n: int, start_id: int = 0) -> DeviceFleet:
+        """Sample a population of ``n`` devices with ids ``start_id`` on,
+        as the columns of a :class:`~repro.core.types.DeviceFleet` (no
+        :class:`~repro.core.types.DeviceProfile` is built)."""
         cfg = self.config
         data_domains, p_domain = cfg.data_domains, cfg.domain_probability
         num_domains = len(data_domains)
         random, beta, normal = self._rng.random, self._rng.beta, self._rng.normal
-        cpus, mems = self.sample_scores(n).T
+        scores = self.sample_scores(n)
+        cpus, mems = scores[:, 0].copy(), scores[:, 1].copy()
+        del scores
+        speeds, reliabilities = np.empty(n), np.empty(n)
+        domain_ids = np.empty(n, dtype=np.int32)
         # A block's domain uniforms, one row per device: ``random(out=row)``
         # draws exactly what ``len(row)`` scalar ``random()`` calls would.  The
         # row views are made once, not once per device.
@@ -163,12 +164,12 @@ class CapacitySampler:
         masks = np.zeros((len(rows), num_domains // 8 + 1), np.uint8)
         key_type = f"V{masks.shape[1]}"
         # One frozenset per distinct combination, shared by every device that
-        # drew it; built the first time its mask turns up.
-        by_mask: Dict[bytes, frozenset] = {}
-        shared: Dict[frozenset, frozenset] = {}
-        devices: List[DeviceProfile] = []
+        # drew it; its id is given the first time its mask turns up.
+        by_mask: Dict[bytes, int] = {}
+        domain_index: Dict[frozenset, int] = {}
         for lo in range(0, n, _BATCH):
             size = min(_BATCH, n - lo)
+            block = slice(lo, lo + size)
             # One stream, draws interleaved per device (domains, reliability,
             # speed noise): the order is part of the seed's meaning.
             betas, noises = array("d"), array("d")
@@ -185,40 +186,28 @@ class CapacitySampler:
                     np.frombuffer(key, np.uint8), count=num_domains, bitorder="little"
                 )
                 domains = frozenset(compress(data_domains, hits.tolist()))
-                by_mask[key] = shared.setdefault(domains, domains)
-            reliability = np.clip(
+                by_mask[key] = domain_index.setdefault(domains, len(domain_index))
+            domain_ids[block] = [by_mask[key] for key in keys]
+            reliabilities[block] = np.clip(
                 np.frombuffer(betas) * cfg.mean_reliability / 0.9, 0.0, 1.0
             )
             # speed_factor(cpu, mem), operation for operation.
-            cpu, mem = cpus[lo : lo + size], mems[lo : lo + size]
-            capability = 0.6 * cpu + 0.4 * mem
+            capability = 0.6 * cpus[block] + 0.4 * mems[block]
             base = 1.0 + (cfg.max_slowdown - 1.0) * (1.0 - capability)
-            speed = base * np.exp(np.frombuffer(noises))
-            devices += map(
-                DeviceProfile,
-                range(start_id + lo, start_id + lo + size),
-                cpu.tolist(),
-                mem.tolist(),
-                speed.tolist(),
-                map(by_mask.__getitem__, keys),
-                reliability.tolist(),
-            )
-        return devices
+            speeds[block] = base * np.exp(np.frombuffer(noises))
+        return DeviceFleet(
+            np.arange(start_id, start_id + n, dtype=np.int64),
+            cpus,
+            mems,
+            speeds,
+            reliabilities,
+            domain_ids,
+            tuple(domain_index),
+        )
 
     # ------------------------------------------------------------------ #
     # Population statistics
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def classify(device: DeviceProfile) -> str:
-        """Most specific of the four default categories the device falls in."""
-        if HIGH_PERFORMANCE.is_eligible(device):
-            return HIGH_PERFORMANCE.name
-        if COMPUTE_RICH.is_eligible(device):
-            return COMPUTE_RICH.name
-        if MEMORY_RICH.is_eligible(device):
-            return MEMORY_RICH.name
-        return GENERAL.name
-
     @staticmethod
     def category_shares(devices: Sequence[DeviceProfile]) -> Dict[str, float]:
         """Fraction of devices *eligible* for each of the four categories.

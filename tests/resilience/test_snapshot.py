@@ -98,7 +98,7 @@ class TestVectorizedDevicesAcrossSnapshots:
 
     def test_resumed_run_builds_devices_from_the_restored_arrays(self):
         snap = killed_mid_run(**self.MODE)
-        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 8
+        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 9
         resumed = Simulator.resume(snap, crash_at_event=None)
         assert resumed._devices is None
         # Mid-run read on the resumed simulator: the checkpoint's state.
@@ -296,6 +296,31 @@ class TestCheckpointing:
         monkeypatch.undo()
         with pytest.raises(SnapshotError, match="format version 7 "):
             Simulator.resume(payload)
+
+    def test_format_8_snapshot_is_refused_up_front(self, monkeypatch):
+        """Format 8 pickled the population as a list of ``DeviceProfile``
+        objects (the simulator's and the vector state's) and had no
+        in-flight profile map; format 9 pickles one ``DeviceFleet`` of
+        columns and ``slot -> profile`` for the tasks in flight.  Such a
+        payload would resume and then fail at its first response on the
+        missing map; the version check refuses it before anything runs."""
+        sim = Simulator.resume(killed_mid_run(vectorized=True))
+        assert sim._in_flight_profiles  # tasks are in flight at the crash
+        profiles = list(sim._device_profiles)
+        sim._device_profiles = profiles
+        sim._vec.profiles = profiles
+        del sim._in_flight_profiles
+        monkeypatch.setattr(engine_module, "SNAPSHOT_FORMAT_VERSION", 8)
+        payload = sim.snapshot().payload
+        monkeypatch.undo()
+        with pytest.raises(SnapshotError, match="format version 8 "):
+            Simulator.resume(payload)
+        # Without the check the stale graph gets as far as the first response.
+        monkeypatch.setattr(
+            engine_module, "_check_format_version", lambda version: None
+        )
+        with pytest.raises(AttributeError, match="_in_flight_profiles"):
+            Simulator.resume(payload, crash_at_event=None).run()
 
     def test_resume_reattaches_checkpoint_sink(self):
         """The sink is dropped from snapshots and must be re-suppliable at

@@ -9,10 +9,12 @@ object identity, so a regression fails here before it shows as RSS:
   ~190–230 B/event of per-event Python objects (five lists of boxed values)
   it used to cost — and building it peaks at tens of bytes per event too;
 * on the vectorized engine a device is its slot: the engine keeps arrays and
-  no per-device Python object (no ``DeviceRuntime`` fleet, no id -> slot
-  or id -> signature dict) unless somebody reads ``sim.devices``, which then agrees with the
-  arrays field for field;
-* sampled devices share one ``frozenset`` per distinct domain combination.
+  no per-device Python object (no ``DeviceRuntime`` fleet, no profile list,
+  no id -> slot or id -> signature dict) unless somebody reads
+  ``sim.devices``, which then agrees with the arrays field for field;
+* a sampled population is a ``DeviceFleet``: five 8-byte values and one
+  4-byte value per device, no ``DeviceProfile`` object, and one
+  ``frozenset`` per distinct domain combination.
 """
 
 from __future__ import annotations
@@ -50,11 +52,18 @@ MAX_SHARD_BYTES_PER_STATIC_EVENT = 48
 MAX_BUILD_PEAK_BYTES_PER_STATIC_EVENT = 72
 
 #: Budget for what ``sim/engine.py`` + ``sim/vector.py`` hold per device at
-#: the end of a vectorized day: the state arrays, the two counter lists, the
-#: profile list and the by-slot signature list.  Measured 65 B; with the
-#: eager ``DeviceRuntime`` dict (172 B) and the ``slot_of`` dict (116 B) it
-#: measured 303 B.
-MAX_ENGINE_BYTES_PER_DEVICE = 96
+#: the end of a vectorized day: the state arrays, a contiguous id column,
+#: the two counter lists and the by-slot signature list (the profiles are
+#: the caller's fleet).  Measured 45 B; with a list of profiles, 65 B; with
+#: the eager ``DeviceRuntime`` dict (172 B) and the ``slot_of`` dict
+#: (116 B) as well, 303 B.
+MAX_ENGINE_BYTES_PER_DEVICE = 56
+
+#: Budget for what ``CapacitySampler.sample_devices`` returns, per device:
+#: the fleet's records (device id, four scores 8 B each, domain id 4 B) are
+#: 44 B, plus the shared domain sets (≈ 5 B a device at this size).
+#: Measured 49 B; a list of ``DeviceProfile`` objects measured 219 B.
+MAX_SAMPLED_BYTES_PER_DEVICE = 64
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +106,7 @@ def assert_devices_mirror_arrays(sim):
     for slot, device_id in enumerate(vec.ids.tolist()):
         device = sim.devices[device_id]
         day = int(vec.last_day[slot])
-        assert device.profile is vec.profiles[slot]
+        assert device.profile == vec.profiles[slot]
         assert device.status is status_of[vec.status[slot]]
         assert device.session_end == vec.sess[slot]
         assert device.last_participation_day == (day if day >= 0 else None)
@@ -163,8 +172,10 @@ def test_fleet_engine_keeps_no_per_device_dict(traced_vectorized_day):
     assert sim.policy._sig_provider.__self__ is sim._vec
 
 
-def test_vectorized_engine_holds_no_per_device_objects(traced_vectorized_day):
+def test_vectorized_engine_holds_no_per_device_objects(cell, traced_vectorized_day):
     sim, metrics, snapshot = traced_vectorized_day
+    # The profiles are the caller's fleet itself: no copy, no list.
+    assert sim._vec.profiles is cell[0]
     assert (
         held_under(snapshot, "*/sim/engine.py", "*/sim/vector.py") / N
         <= MAX_ENGINE_BYTES_PER_DEVICE
@@ -187,6 +198,18 @@ def test_devices_read_before_the_run_are_brought_up_to_date_after_it(cell):
     assert sim.devices is before  # same objects, refreshed at finalise
     assert_devices_mirror_arrays(sim)
     assert any(d.tasks_completed for d in before.values())
+
+
+def test_a_sampled_population_holds_columns_only():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        devices = CapacitySampler(seed=3).sample_devices(N)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(devices) == N
+    assert held / N <= MAX_SAMPLED_BYTES_PER_DEVICE
 
 
 def test_sampled_devices_share_domain_sets():

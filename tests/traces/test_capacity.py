@@ -76,20 +76,6 @@ class TestCapacitySampler:
         b = CapacitySampler(seed=9).sample_devices(20)
         assert a == b
 
-    def test_classify_returns_most_specific_category(self):
-        sampler = CapacitySampler(seed=0)
-        devices = sampler.sample_devices(500)
-        for d in devices:
-            label = sampler.classify(d)
-            assert label in {
-                "general",
-                "compute_rich",
-                "memory_rich",
-                "high_performance",
-            }
-            if label == "high_performance":
-                assert d.cpu_score >= 0.5 and d.memory_score >= 0.5
-
     def test_category_shares_nest(self):
         sampler = CapacitySampler(seed=5)
         devices = sampler.sample_devices(2000)

@@ -69,23 +69,15 @@ class ExperimentConfig:
     availability: DiurnalConfig = field(default_factory=DiurnalConfig)
     #: Device capacity model.
     capacity: CapacityConfig = field(default_factory=CapacityConfig)
-    #: Simulation engine knobs.
+    #: Simulation engine knobs, the engine (``vectorized_dispatch``) and
+    #: checkpointing among them; ``horizon`` and ``seed`` are derived from
+    #: this config's own fields.
     simulation: SimulationConfig = field(default_factory=SimulationConfig)
     #: How the Venn scheduler maintains its plan between triggers:
     #: ``"incremental"`` (default, in-place deltas, decision-identical) or
     #: ``"full"`` (from-scratch rebuild on every trigger — the oracle).
     #: Forwarded to every ``venn*`` policy built for this experiment.
     plan_maintenance: str = "incremental"
-    #: Run the fleet engine (struct-of-arrays device state + numpy batch
-    #: kernels) instead of the single-queue reference.  Decisions and
-    #: metrics are bit-identical; forwarded to
-    #: ``SimulationConfig.vectorized_dispatch``.
-    vectorized: bool = False
-    #: Periodic full-state checkpointing: snapshot every N processed events
-    #: (``None`` disables).  Checkpointing is pure observation — decisions
-    #: and metrics are bit-identical with or without it; forwarded to
-    #: ``SimulationConfig.checkpoint_interval`` (see ``docs/RESILIENCE.md``).
-    checkpoint_interval: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.num_devices <= 0 or self.num_jobs <= 0:
@@ -107,8 +99,6 @@ class ExperimentConfig:
             self.simulation,
             horizon=self.horizon,
             seed=self.seed_for("simulation"),
-            vectorized_dispatch=self.vectorized,
-            checkpoint_interval=self.checkpoint_interval,
         )
 
     # ------------------------------------------------------------------ #
@@ -156,10 +146,6 @@ class ExperimentConfig:
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, seed=seed)
-
-    def with_vectorized(self, vectorized: bool = True) -> "ExperimentConfig":
-        """Copy of this config on the fleet (or the single-queue) engine."""
-        return replace(self, vectorized=vectorized)
 
 
 def _scaled_workload(

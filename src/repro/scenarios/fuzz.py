@@ -221,10 +221,10 @@ def check_scenario(
 ) -> None:
     """Assert every fuzzed invariant for one (spec, base config) pair.
 
-    The pair runs on the single-queue reference and again on its fleet
-    engine twin (``ExperimentConfig.with_vectorized``); the two metrics
-    rows must be byte-identical — the fuzz leg of the engine-identity
-    contract.
+    The pair runs on the single-queue reference
+    (``vectorized_dispatch=False``) and again on its fleet engine twin; the
+    two metrics rows must be byte-identical — the fuzz leg of the
+    engine-identity contract.
 
     Raises ``AssertionError`` on the first violation; hypothesis shrinks
     the example, and the shrunk case belongs in
@@ -232,7 +232,9 @@ def check_scenario(
     """
     rows = []
     for fleet in (False, True):
-        config = base.with_vectorized(fleet)
+        config = replace(
+            base, simulation=replace(base.simulation, vectorized_dispatch=fleet)
+        )
         env = spec.build_environment(config)
         validate_environment(env)
         _check_transformed_arrivals(spec, env, config)

@@ -25,8 +25,9 @@ one-job-per-day realism constraint.
 Check-in fast path (million-device traces)
 ------------------------------------------
 
-The single-queue engine runs an indexed hot path sized for 10^5–10^6-device
-traces:
+The single-queue engine (``SimulationConfig(vectorized_dispatch=False)``,
+the reference every identity gate compares the fleet engine to) runs an
+indexed hot path sized for 10^5–10^6-device traces:
 
 * same-timestamp device check-ins are popped from the event heap as one
   batch (:meth:`~repro.sim.events.EventQueue.pop_run`), so the per-event
@@ -49,18 +50,19 @@ regression tests pin the resulting assignment sequences.
 Fleet engine (coordinator + one device stream over arrays)
 ----------------------------------------------------------
 
-``SimulationConfig(vectorized_dispatch=True)`` runs the other engine: a
-coordinator (scheduler state, plan maintenance, request lifecycle, the
-global decision order) and one device stream (:mod:`repro.sim.shard`)
-holding the fleet's availability events as sorted arrays and its response
-heap.  Device state is struct-of-arrays (:mod:`repro.sim.vector`) and a
-device is its slot; static runs fold through batched kernels, idle dispatch
-is a mask over the arrays and policies offering ``assign_batch_bulk`` are
-consulted a cohort at a time.  The stream and the coordinator queue merge
-by ``(time, seq)`` with the exact sequence enumeration of the single-queue
-engine, so **decisions and metrics are bit-identical to the single-queue
-reference** — enforced by twin-run property tests, the golden fixtures and
-the decision/metrics hashes of ``tests/sim/test_engine_matrix.py``.  See
+``SimulationConfig()`` (``vectorized_dispatch=True``, the default) runs the
+other engine: a coordinator (scheduler state, plan maintenance, request
+lifecycle, the global decision order) and one device stream
+(:mod:`repro.sim.shard`) holding the fleet's availability events as sorted
+arrays and its response heap.  Device state is struct-of-arrays
+(:mod:`repro.sim.vector`) and a device is its slot; static runs fold
+through batched kernels, idle dispatch is a mask over the arrays and
+policies offering ``assign_batch_bulk`` are consulted a cohort at a time.
+The stream and the coordinator queue merge by ``(time, seq)`` with the
+exact sequence enumeration of the single-queue engine, so **decisions and
+metrics are bit-identical to the single-queue reference** — enforced by
+twin-run property tests, the golden fixtures and the decision/metrics
+hashes of ``tests/sim/test_engine_matrix.py``.  See
 ``docs/ARCHITECTURE.md`` for the determinism contract.
 
 Randomness splits in two: device latency/failure draws come from
@@ -156,16 +158,18 @@ class SimulationConfig:
     max_events: int = 10_000_000
     #: Latency model parameters.
     latency: LatencyConfig = field(default_factory=LatencyConfig)
-    #: Engine selector.  ``False`` (the default) runs the single-queue
-    #: reference engine; ``True`` runs the fleet engine — a coordinator and
-    #: one device stream (:mod:`repro.sim.shard`) over struct-of-arrays
-    #: device state (:mod:`repro.sim.vector`): batched fold kernels for
-    #: static check-in/checkout runs, mask-based idle dispatch, batched
-    #: latency draws and — for policies offering ``assign_batch_bulk`` —
-    #: bulk consults of large dispatch cohorts.  Decisions and metrics are
-    #: **bit-identical** to the reference (enforced by golden fixtures, the
+    #: Engine selector.  ``True`` (the default) runs the fleet engine — a
+    #: coordinator and one device stream (:mod:`repro.sim.shard`) over
+    #: struct-of-arrays device state (:mod:`repro.sim.vector`): batched fold
+    #: kernels for static check-in/checkout runs, mask-based idle dispatch,
+    #: batched latency draws and — for policies offering
+    #: ``assign_batch_bulk`` — bulk consults of large dispatch cohorts.
+    #: ``False`` runs the single-queue reference engine, the spec the fleet
+    #: engine is held to; only oracle tests, the fuzz/chaos twins and the
+    #: benchmark's twin check select it.  Decisions and metrics are
+    #: **bit-identical** on both (enforced by golden fixtures, the
     #: engine-matrix blake2b gates and the scenario fuzzer's twin).
-    vectorized_dispatch: bool = False
+    vectorized_dispatch: bool = True
     #: Periodic checkpointing: take a full-state snapshot every N processed
     #: events (``None`` disables).  Snapshots land on the simulator's
     #: ``last_snapshot`` attribute and, if one was given, its

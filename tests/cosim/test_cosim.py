@@ -243,9 +243,17 @@ class TestRoundRecords:
 
 class TestCoSimulationDeterminism:
     def test_bit_identical_across_engines(self):
+        base = cosim_base(seed=13)
         one, two = (
             CoSimulation(
-                build_environment(cosim_base(seed=13).with_vectorized(fleet)),
+                build_environment(
+                    replace(
+                        base,
+                        simulation=replace(
+                            base.simulation, vectorized_dispatch=fleet
+                        ),
+                    )
+                ),
                 "venn",
                 config=tiny_cosim_config(),
             ).run()

@@ -11,6 +11,8 @@ hashes.  A change that moves them changes what co-simulation computes.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cosim import CoSimulation, smoke_cosim_config
@@ -63,7 +65,10 @@ def test_pins_cover_the_smoke_matrix():
 )
 def test_smoke_cell_hashes(cell, fleet):
     spec = get_scenario(cell.scenario)
-    base = smoke_base_config(seed=cell.entropy).with_vectorized(fleet)
+    base = smoke_base_config(seed=cell.entropy)
+    base = replace(
+        base, simulation=replace(base.simulation, vectorized_dispatch=fleet)
+    )
     result = CoSimulation(
         spec.build_environment(base),
         cell.policy,

@@ -204,24 +204,36 @@ class TestAnalysisExperiments:
 
 
 class TestEnginePlumbing:
-    def test_vectorized_flows_into_simulation_config(self):
-        from repro.experiments.config import quick_config
-
-        cfg = quick_config().with_vectorized(True)
-        assert cfg.simulation.vectorized_dispatch
-        # replace-based copies keep the engine choice.
-        assert cfg.with_seed(99).simulation.vectorized_dispatch
-        assert not quick_config().simulation.vectorized_dispatch
-
-    def test_checkpoint_interval_flows_into_simulation_config(self):
+    def test_nested_simulation_config_survives_copies(self):
+        """The engine and the checkpoint interval are chosen on the nested
+        ``SimulationConfig`` alone, and every ``replace``-based copy keeps
+        them (``ExperimentConfig`` used to overwrite both from shadow
+        fields of its own)."""
         from dataclasses import replace
 
-        from repro.experiments.config import quick_config
+        from repro.experiments.config import ExperimentConfig
+        from repro.sim.engine import SimulationConfig
 
-        cfg = replace(quick_config(), checkpoint_interval=50).with_vectorized()
-        assert cfg.simulation.checkpoint_interval == 50
-        assert cfg.with_seed(99).simulation.checkpoint_interval == 50
-        assert quick_config().simulation.checkpoint_interval is None
+        for fleet in (False, True):
+            cfg = ExperimentConfig(
+                simulation=SimulationConfig(
+                    vectorized_dispatch=fleet, checkpoint_interval=5
+                )
+            )
+            copies = (
+                cfg,
+                cfg.with_seed(99),
+                cfg.with_scenario("even", category_bias="compute_heavy"),
+                cfg.with_jobs(3),
+                replace(cfg, horizon=3600.0),
+            )
+            for copy in copies:
+                assert copy.simulation.vectorized_dispatch is fleet
+                assert copy.simulation.checkpoint_interval == 5
+            # The derived fields still follow the top-level knobs.
+            assert copies[1].simulation.seed == copies[1].seed_for("simulation")
+            assert copies[1].simulation.seed != cfg.simulation.seed
+            assert copies[4].simulation.horizon == 3600.0
 
     def test_invalid_plan_maintenance_rejected(self):
         from dataclasses import replace
@@ -243,8 +255,13 @@ class TestEnginePlumbing:
         from repro.experiments.environment import build_environment
 
         small = replace(quick_config(seed=3).with_jobs(4), num_devices=200)
-        env_single = build_environment(small)
-        env_fleet = build_environment(small.with_vectorized(True))
+        env_single = build_environment(
+            replace(
+                small,
+                simulation=replace(small.simulation, vectorized_dispatch=False),
+            )
+        )
+        env_fleet = build_environment(small)
         single = run_policy(env_single, "venn")
         fleet = run_policy(env_fleet, "venn")
         assert {j: m.jct for j, m in single.jobs.items()} == {

@@ -39,7 +39,10 @@ def cosim_snapshot(vectorized: bool = False) -> dict:
     """Run the pinned co-sim scenario and serialise its observable output."""
     base = replace(
         quick_config(seed=SEED), num_devices=600, num_jobs=8, horizon=DAY
-    ).with_vectorized(vectorized)
+    )
+    base = replace(
+        base, simulation=replace(base.simulation, vectorized_dispatch=vectorized)
+    )
     spec = get_scenario(SCENARIO)
     env = spec.build_environment(base)
     config = smoke_cosim_config().with_overrides(spec.cosim)

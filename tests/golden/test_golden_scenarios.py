@@ -45,7 +45,10 @@ def flash_crowd_environment():
         num_jobs=6,
         horizon=0.5 * DAY,
         workload=replace(base.workload, trace_size=80),
-        simulation=replace(base.simulation, latency=GOLDEN_LATENCY),
+        # The fixture is the single-queue reference's output.
+        simulation=replace(
+            base.simulation, latency=GOLDEN_LATENCY, vectorized_dispatch=False
+        ),
     )
     return get_scenario("flash_crowd").build_environment(base)
 

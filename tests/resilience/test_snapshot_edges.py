@@ -104,9 +104,10 @@ class TestMidFlapLatency:
 
 class TestDayRollover:
     def _make_sim(self, **kwargs):
-        """Two-day horizon, sessions spanning both days, daily limit on:
-        devices park in the idle pool after participating and un-park at
-        midnight — the crash lands after that rollover."""
+        """Two-day horizon, sessions spanning both days, daily limit on, on
+        the single-queue engine: devices park in the idle pool after
+        participating and un-park at midnight — the crash lands after that
+        rollover."""
         rng = np.random.default_rng(321)
         devices, sessions = [], []
         horizon = 2 * DAY
@@ -133,6 +134,7 @@ class TestDayRollover:
             seed=99,
             latency=LatencyConfig(compute_sigma=0.3),
             enforce_daily_limit=True,
+            vectorized_dispatch=False,
             **kwargs,
         )
         return Simulator(

@@ -200,7 +200,7 @@ class TestEngineValidation:
 
     @pytest.mark.parametrize(
         "engine",
-        [{}, {"vectorized_dispatch": True}],
+        [{"vectorized_dispatch": False}, {"vectorized_dispatch": True}],
         ids=["single-queue", "vectorized"],
     )
     def test_duplicate_device_ids_rejected(self, engine):
@@ -398,7 +398,10 @@ class TestDayRolloverGoldenTrace:
     def test_single_queue_engine(self):
         devices, trace, jobs = self._build()
         self._assert_golden(
-            run_simulation(devices, trace, jobs, FIFOPolicy(), self._config())
+            run_simulation(
+                devices, trace, jobs, FIFOPolicy(),
+                self._config(vectorized_dispatch=False),
+            )
         )
 
     def test_vectorized_engine(self):
@@ -422,9 +425,10 @@ class TestDayRolloverGoldenTrace:
         ])
         job = make_job(job_id=1, demand=1, rounds=2, deadline=200_000.0,
                        base_task_duration=60.0)
-        for overrides in ({}, {"vectorized_dispatch": True}):
+        for fleet in (False, True):
             metrics = run_simulation(devices, trace, [job],
-                                     FIFOPolicy(), self._config(**overrides))
+                                     FIFOPolicy(),
+                                     self._config(vectorized_dispatch=fleet))
             jm = metrics.jobs[1]
             # Round 0 completes; the re-check-in one ULP below midnight is
             # still day 0, so the daily budget keeps the device benched and

@@ -7,7 +7,9 @@ runs.  This module is the one input at *scale*: a 5,000-device x 8-job x 6 h
 diurnal cell (the ``bench/workloads.py::day_inputs`` recipe at seed 7), built
 once, run on the single-queue reference engine and on every other engine
 configuration, each of which must reproduce the reference's decision hash,
-metrics digest and event count.
+metrics digest and event count.  The fleet engine is the program's default,
+so every single-queue side here says ``vectorized_dispatch=False``, and the
+reference fixture checks which engine it ran.
 """
 
 from __future__ import annotations
@@ -45,13 +47,14 @@ class PerDeviceVenn(VennScheduler):
 
 #: name -> ``run`` keywords: SimulationConfig overrides, plus the policy
 #: class or Venn's plan-maintenance mode where they are not the default.
+#: Every cell names its engine; the ``vectorized-`` ones are the fleet's.
 CONFIGS = {
     "vectorized-1": dict(vectorized_dispatch=True),
     "vectorized-unbatched-1": dict(
         vectorized_dispatch=True, policy_cls=PerDeviceVenn
     ),
-    "full-maintenance": dict(maintenance="full"),
-    "checkpointed": dict(checkpoint_interval=2000),
+    "full-maintenance": dict(vectorized_dispatch=False, maintenance="full"),
+    "checkpointed": dict(vectorized_dispatch=False, checkpoint_interval=2000),
     # The fleet engine under each oracle mode: the bulk hook and the
     # per-device path against from-scratch plan rebuilds, and the fleet
     # loop's checkpoint boundary as pure observation.
@@ -95,18 +98,24 @@ def cell():
 
 
 def run(cell, maintenance="incremental", policy_cls=VennScheduler, **overrides):
-    """One recorded run; returns ``(policy, metrics, events_processed)``."""
+    """One recorded run; returns ``(policy, metrics, events_processed,
+    ran_fleet)``, the last read from what the run built: only the fleet
+    engine builds a device stream."""
     devices, availability, jobs = cell
     policy = RecordingPolicy(policy_cls(seed=SEED, plan_maintenance=maintenance))
     config = SimulationConfig(horizon=HORIZON_S, seed=SEED, **overrides)
     sim = Simulator(devices, availability, jobs, policy, config)
     metrics = sim.run()
-    return policy, metrics, sim.events_processed
+    return policy, metrics, sim.events_processed, sim._shard is not None
 
 
 @pytest.fixture(scope="module")
 def reference(cell):
-    return run(cell)
+    """The oracle: the single-queue engine, named explicitly because the
+    default is the fleet engine."""
+    policy, metrics, events, ran_fleet = run(cell, vectorized_dispatch=False)
+    assert not ran_fleet, "the reference ran the fleet engine"
+    return policy, metrics, events
 
 
 def test_reference_cell_is_contended(reference):
@@ -120,7 +129,8 @@ def test_reference_cell_is_contended(reference):
 @pytest.mark.parametrize("name", CONFIGS)
 def test_matches_single_queue_reference(cell, reference, name):
     ref_policy, ref_metrics, ref_events = reference
-    policy, metrics, events = run(cell, **CONFIGS[name])
+    policy, metrics, events, ran_fleet = run(cell, **CONFIGS[name])
+    assert ran_fleet == name.startswith("vectorized"), "wrong engine ran"
     identical = (
         policy.decision_hash == ref_policy.decision_hash
         and metrics_digest(metrics) == metrics_digest(ref_metrics)

@@ -36,7 +36,7 @@ from tests.conftest import make_device, make_job
 HORIZON = 10_000.0
 
 ENGINES = {
-    "single-queue": dict(),
+    "single-queue": dict(vectorized_dispatch=False),
     "vectorized": dict(vectorized_dispatch=True),
 }
 

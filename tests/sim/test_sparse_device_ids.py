@@ -8,7 +8,9 @@ wants an id — or the reverse — would go unnoticed.  Here the ids are sparse
 (``7 + 13k``) and the input is shuffled.  The fleet engine must still
 reproduce the single-queue engine's decision hash, metrics digest and event
 count, on a cell that aborts rounds (the deadline refund translates
-``request.assigned`` ids to slots).  ``tests/sim/test_run_invariants.py``
+``request.assigned`` ids to slots).  The fleet engine is the program's
+default, so every run here names its engine (``fleet=``) and the twins'
+oracle side is ``vectorized_dispatch=False``.  ``tests/sim/test_run_invariants.py``
 also holds the fleet run of this cell to the twin-free invariants of
 :mod:`repro.invariants`.
 """
@@ -68,11 +70,11 @@ cell = pytest.fixture(scope="module")(sparse_cell)
 LATENCY = LatencyConfig(compute_sigma=0.3, comm_min=5.0, comm_max=20.0)
 
 
-def run(cell, policy_name="venn", **overrides):
+def run(cell, *, fleet, policy_name="venn"):
     devices, trace, jobs = cell
     policy = RecordingPolicy(make_policy(policy_name, seed=3))
     config = SimulationConfig(
-        horizon=HORIZON, seed=9, latency=LATENCY, **overrides
+        horizon=HORIZON, seed=9, latency=LATENCY, vectorized_dispatch=fleet
     )
     sim = Simulator(devices, trace, jobs, policy, config)
     metrics = sim.run()
@@ -89,10 +91,10 @@ def test_cell_has_sparse_shuffled_ids(cell):
 
 
 def test_fleet_matches_single_queue_through_aborted_rounds(cell):
-    reference, ref_metrics, _sim = run(cell)
+    reference, ref_metrics, _sim = run(cell, fleet=False)
     assert ref_metrics.total_aborts >= 1  # the deadline refund path ran
     assert ref_metrics.total_failures >= 1
-    fleet, _m, sim = run(cell, vectorized_dispatch=True)
+    fleet, _m, sim = run(cell, fleet=True)
     assert fleet == reference
     # The lazily built runtimes are keyed by id, not by slot.
     assert sorted(sim.devices) == sorted(d.device_id for d in cell[0])
@@ -106,9 +108,11 @@ def test_every_policy_is_offered_ids_not_slots(cell, policy_name):
     """Each baseline walks its own dispatch path (per-device ``assign``,
     job-driven sampling, random tie-breaks); on every one the fleet engine
     must hand the policy device ids and reproduce the reference."""
-    reference, ref_metrics, ref_sim = run(cell, policy_name=policy_name)
+    reference, ref_metrics, ref_sim = run(
+        cell, fleet=False, policy_name=policy_name
+    )
     assert ref_metrics.total_responses + ref_metrics.total_failures >= 1
-    fleet, _m, sim = run(cell, policy_name=policy_name, vectorized_dispatch=True)
+    fleet, _m, sim = run(cell, fleet=True, policy_name=policy_name)
     assert fleet == reference
     ids = {d.device_id for d in cell[0]}
     offered = {device_id for _now, device_id, _job in sim.policy.decisions}
@@ -153,14 +157,16 @@ def test_folded_checkins_reach_the_policy_with_the_right_devices(cell):
     devices, trace, _jobs = cell
     jobs = early_and_late_job()
 
-    def checkins(**overrides):
+    def checkins(fleet):
         policy = CheckinRecorder()
-        config = SimulationConfig(horizon=HORIZON, seed=9, **overrides)
+        config = SimulationConfig(
+            horizon=HORIZON, seed=9, vectorized_dispatch=fleet
+        )
         Simulator(devices, trace, jobs, policy, config).run()
         return policy
 
-    scalar = checkins()
-    vector = checkins(vectorized_dispatch=True)
+    scalar = checkins(fleet=False)
+    vector = checkins(fleet=True)
     assert scalar.batch_sizes == [] and len(scalar.seen) > 200
     assert vector.batch_sizes and max(vector.batch_sizes) > 100
     assert vector.seen == scalar.seen
@@ -181,16 +187,18 @@ def test_venn_without_a_usable_signature_provider_reads_the_device_view(cell):
     devices, trace, _jobs = cell
     jobs = early_and_late_job(type(GENERAL)("general", min_cpu=0.3))
 
-    def venn_run(**overrides):
+    def venn_run(fleet):
         policy = RecordingPolicy(BatchCountingVenn(seed=3))
-        config = SimulationConfig(horizon=HORIZON, seed=9, **overrides)
+        config = SimulationConfig(
+            horizon=HORIZON, seed=9, vectorized_dispatch=fleet
+        )
         sim = Simulator(devices, trace, jobs, policy, config)
         metrics = sim.run()
         assert not policy._provider_ok
         return policy, (metrics_digest(metrics), sim.events_processed)
 
-    scalar, scalar_identity = venn_run()
-    vector, vector_identity = venn_run(vectorized_dispatch=True)
+    scalar, scalar_identity = venn_run(fleet=False)
+    vector, vector_identity = venn_run(fleet=True)
     assert scalar.batches == 0 and vector.batches >= 1
     assert vector.decisions == scalar.decisions and len(scalar.decisions) >= 45
     assert vector_identity == scalar_identity

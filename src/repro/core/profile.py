@@ -25,8 +25,7 @@ never per check-in — so the instrumentation itself stays off the hot path.
 
 The class lives in ``repro.core`` (its producers are the scheduler and the
 delta layer, and ``repro.sim`` already depends on ``repro.core`` — the
-reverse import would invert the layering); ``repro.sim.profile`` re-exports
-it as the simulation-facing surface.
+reverse import would invert the layering).
 """
 
 from __future__ import annotations

@@ -377,10 +377,12 @@ class JobSpec:
             raise ValueError("num_rounds must be positive")
         if not (0.0 < self.min_report_fraction <= 1.0):
             raise ValueError("min_report_fraction must be in (0, 1]")
-        if self.round_deadline <= 0:
-            raise ValueError("round_deadline must be positive")
-        if self.base_task_duration <= 0:
-            raise ValueError("base_task_duration must be positive")
+        if not math.isfinite(self.arrival_time):
+            raise ValueError(f"arrival_time must be finite, got {self.arrival_time}")
+        for name in ("round_deadline", "base_task_duration"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not self.name:
             self.name = f"job-{self.job_id}"
 

@@ -8,7 +8,7 @@ that reported before the round closed, per
 round is replayed through its job's own FedAvg trainer: the reporting set's
 devices select the client partitions trained that round, and the resulting
 test accuracy is stamped with the round's simulated completion time.
-Stragglers, failures, daily-budget parking and policy bias therefore flow
+Stragglers, failures, daily budgets and policy bias therefore flow
 directly into model convergence.  Accuracy never feeds back into a
 scheduling decision, so nothing is lost by training after the run instead
 of inside the event loop.

@@ -1,12 +1,11 @@
 """Event-driven collaborative-learning simulator substrate."""
 
 from .device import DeviceRuntime, DeviceStatus, SECONDS_PER_DAY
-from .dispatch import IdleDevicePool, PendingRequestPool
+from .dispatch import PendingRequestPool
 from .engine import SimulationConfig, Simulator, run_simulation
 from .events import Event, EventQueue, EventType
 from .job import JobRuntime, RoundRecord
 from .latency import LatencyConfig, ResponseLatencyModel
-from .profile import PlanMaintenanceProfile
 from .shard import DeviceShard, build_shard, compute_signatures
 from .metrics import (
     JobMetrics,
@@ -23,12 +22,10 @@ __all__ = [
     "Event",
     "EventQueue",
     "EventType",
-    "IdleDevicePool",
     "JobMetrics",
     "JobRuntime",
     "LatencyConfig",
     "PendingRequestPool",
-    "PlanMaintenanceProfile",
     "ResponseLatencyModel",
     "RoundRecord",
     "SECONDS_PER_DAY",

@@ -15,16 +15,17 @@ SECONDS_PER_DAY = 24 * 3600.0
 def day_index(now: float) -> int:
     """Calendar day a timestamp belongs to, for the one-job-per-day budget.
 
-    Every daily-limit decision in the engine — recording participation,
-    re-checking eligibility mid-dispatch, and unparking benched devices —
-    must agree on which day a timestamp falls in, or a device parked "until
-    tomorrow" can be unparked on a day where the budget check still says
-    "today".  The canonical form is float floor-division, ``now //
-    86400.0``, which is computed exactly (fmod-based, no intermediate
-    quotient rounding); ``numpy.floor_divide`` implements the same
-    algorithm, which keeps the vectorized engine's day masks bit-identical
-    to this scalar path at exact midnight boundaries and at floats one ULP
-    below them (``tests/sim/test_dispatch.py`` pins both).
+    Every daily-limit decision in both engines — recording participation
+    and checking the budget at check-in, response and dispatch — must agree
+    on which day a timestamp falls in, or the engines would release a
+    daily-spent device at different timestamps around midnight.  The
+    canonical form is float floor-division, ``now // 86400.0``, which is
+    computed exactly (fmod-based, no intermediate quotient rounding);
+    ``numpy.floor_divide`` implements the same algorithm, which keeps the
+    vectorized engine's day masks bit-identical to this scalar path at
+    exact midnight boundaries and at floats one ULP below them
+    (``tests/sim/test_dispatch.py`` pins both;
+    ``tests/sim/test_midnight_budget.py`` holds both engines to it).
     """
     return int(now // SECONDS_PER_DAY)
 

@@ -22,30 +22,17 @@ Devices obey the availability trace (they can only be assigned while online,
 and drop out when their session ends mid-task) and, by default, the paper's
 one-job-per-day realism constraint.
 
-Check-in fast path (million-device traces)
-------------------------------------------
+Single-queue engine (the per-event spec)
+----------------------------------------
 
-The single-queue engine (``SimulationConfig(vectorized_dispatch=False)``,
-the reference every identity gate compares the fleet engine to) runs an
-indexed hot path sized for 10^5–10^6-device traces:
-
-* same-timestamp device check-ins are popped from the event heap as one
-  batch (:meth:`~repro.sim.events.EventQueue.pop_run`), so the per-event
-  heap and handler-dispatch overhead is paid once per timestamp; each device
-  is still registered and offered to the policy in exactly the original
-  order, so decisions are unchanged;
-* jobs with open, unsatisfied requests live in a
-  :class:`~repro.sim.dispatch.PendingRequestPool` (O(1) membership +
-  deadline heap) instead of being re-derived by scanning all jobs;
-* idle devices live in a :class:`~repro.sim.dispatch.IdleDevicePool`
-  bucketed by eligibility signature, so a request arrival only visits
-  devices that could actually serve some pending requirement — and devices
-  that spent their one-job-per-day budget are parked on a calendar heap
-  until their blackout ends instead of being rescanned on every dispatch.
-
-Devices are offered to the policy in ascending device-id order — the order
-of the seed's full linear scans, which this path replaced; the golden
-regression tests pin the resulting assignment sequences.
+``SimulationConfig(vectorized_dispatch=False)`` runs the reference every
+identity gate holds the fleet engine to, written to be read, not to be
+fast: one event heap popped one event at a time through one handler
+table, over ``DeviceRuntime`` objects.  Idle devices are a plain set of
+ids; a dispatch sweep walks it in ascending device-id order and offers
+each device that may take a task and whose eligibility signature meets a
+requirement still pending.  The golden regression tests pin the resulting
+assignment sequences.
 
 Fleet engine (coordinator + one device stream over arrays)
 ----------------------------------------------------------
@@ -83,7 +70,7 @@ the long collection phases of large rounds.  Custom policies must not rely
 on being offered devices while they have no unmet demand.
 
 Policies that maintain a scheduling plan (Venn) expose a
-:class:`~repro.sim.profile.PlanMaintenanceProfile`; the engine snapshots it
+:class:`~repro.core.profile.PlanMaintenanceProfile`; the engine snapshots it
 into ``SimulationMetrics.plan_maintenance`` at the end of the run so
 benchmarks and sweeps can report rebuilds avoided, index patch sizes and
 the plan-maintenance time share without reaching into the policy.
@@ -116,6 +103,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Union,
 )
 
@@ -133,7 +121,7 @@ from ..resilience.snapshot import (
 from ..traces.device_trace import DeviceAvailabilityTrace
 from ..traces.workloads import Workload
 from .device import SECONDS_PER_DAY, DeviceRuntime, DeviceStatus, day_index
-from .dispatch import IdleDevicePool, PendingRequestPool
+from .dispatch import PendingRequestPool
 from .events import Event, EventQueue, EventType
 from .job import JobRuntime
 from .latency import LatencyConfig, ResponseLatencyModel
@@ -338,7 +326,8 @@ class Simulator:
         self._requests: Dict[int, ResourceRequest] = {}
         self._deadline_events: Dict[int, Event] = {}
         self._pending = PendingRequestPool()
-        self._idle_pool = IdleDevicePool()
+        #: Single-queue engine: ids of the devices whose status is IDLE.
+        self._idle: Set[int] = set()
         #: Fleet engine: coordinator loop over one device stream and
         #: struct-of-arrays device state.  Both are built lazily in ``run``
         #: so their construction is part of the measured run, like the
@@ -440,6 +429,7 @@ class Simulator:
             EventType.JOB_ARRIVAL: self._on_job_arrival,
             EventType.DEVICE_CHECKIN: self._on_device_checkin,
             EventType.DEVICE_CHECKOUT: self._on_device_checkout,
+            EventType.DEVICE_RESPONSE: self._on_device_response,
             EventType.REQUEST_DEADLINE: self._on_request_deadline,
         }
         # One pristine-path branch per event: with no checkpointing and no
@@ -448,30 +438,13 @@ class Simulator:
             self.config.checkpoint_interval is not None
             or self.config.crash_at_event is not None
         )
-        while self.queue:
+        while True:
             event = self.queue.pop()
-            if event is None:
-                break
-            if event.time > self.config.horizon:
+            if event is None or event.time > self.config.horizon:
                 break
             self.now = event.time
-            if event.type is EventType.DEVICE_CHECKIN:
-                # Batch the contiguous run of same-timestamp check-ins: one
-                # heap drain, one handler loop.  Each device is still
-                # registered and offered in the original order.
-                self._on_device_checkin(event)
-                self._events_processed += 1
-                for peer in self.queue.pop_run(event.time, EventType.DEVICE_CHECKIN):
-                    self._on_device_checkin(peer)
-                    self._events_processed += 1
-            elif event.type is EventType.DEVICE_RESPONSE:
-                self._on_device_response(
-                    self._devices[event.device_id], event.request_id, event.success
-                )
-                self._events_processed += 1
-            else:
-                handlers[event.type](event)
-                self._events_processed += 1
+            handlers[event.type](event)
+            self._events_processed += 1
             if self._events_processed >= self.config.max_events:
                 raise RuntimeError(
                     "simulation exceeded max_events; check for livelock or "
@@ -1109,13 +1082,14 @@ class Simulator:
             in_flight[slot] = profile
 
     def _dispatch_idle_devices_vec(self) -> None:
-        """Mask-based twin of the idle-pool dispatch sweep.
+        """Mask-based twin of the single-queue engine's idle-set walk.
 
         The candidate mask (idle, session open, daily budget available,
         signature intersects a pending requirement) enumerates exactly the
-        devices the scalar bucket walk visits, in the same ascending
-        device-id order (slots are id-ranked); the pending-name narrowing
-        on ``names_version`` changes mirrors the bucket re-filter.
+        devices the walk offers, in the same ascending device-id order
+        (slots are id-ranked); the pending-name narrowing on
+        ``names_version`` changes mirrors the walk's re-read of the
+        pending names.
 
         Large cohorts go through the policy's ``assign_batch_bulk`` when it
         offers one (:meth:`_dispatch_cohort_batched`): one plan refresh and
@@ -1162,8 +1136,8 @@ class Simulator:
                 break
             if pending.names_version != version:
                 # Demand narrowed mid-sweep: re-filter the unvisited
-                # remainder in one array op (the scalar path's bucket
-                # re-filter) instead of re-checking eligibility per slot.
+                # remainder in one array op instead of re-checking
+                # eligibility per slot as the single-queue walk does.
                 version = pending.names_version
                 names = pending.pending_requirements()
                 elig = vec.sig_eligibility(names)
@@ -1191,8 +1165,8 @@ class Simulator:
         as the result of a commit (a job's demand emptying), and the
         policy's walk stops at the first demand-zeroing proposal, so the
         engine commits, re-filters the unvisited remainder in one array op
-        and resumes — no device the scalar re-filter would have dropped is
-        ever consulted.  Buffered proposals are flushed once by the
+        and resumes — no device the narrowed name set excludes is ever
+        consulted.  Buffered proposals are flushed once by the
         caller: responses only land on the response heap and never
         influence a decision within the sweep.
         """
@@ -1341,27 +1315,6 @@ class Simulator:
             self._device_signatures[device.device_id] = sig
         return sig
 
-    def _note_idle(self, device: DeviceRuntime) -> None:
-        """Device became idle: track it, parking daily-spent devices."""
-        pool = self._idle_pool
-        sig = self._signature(device)
-        if self.config.enforce_daily_limit and device.participated_today(self.now):
-            pool.park(device.device_id, sig, device.last_participation_day + 1)
-        else:
-            pool.add(device.device_id, sig)
-
-    def _note_not_idle(self, device_id: int) -> None:
-        self._idle_pool.discard(device_id)
-
-    def _refund_daily_budget(self, device: DeviceRuntime) -> None:
-        """The device's round was discarded; it keeps its daily budget."""
-        device.last_participation_day = None
-        pool = self._idle_pool
-        if device.is_idle:
-            pool.unpark(device.device_id)
-        else:
-            pool.discard(device.device_id)
-
     # ------------------------------------------------------------------ #
     # Event handlers
     # ------------------------------------------------------------------ #
@@ -1380,7 +1333,7 @@ class Simulator:
             device.session_end = max(device.session_end, session_end)
             return
         device.check_in(self.now, session_end)
-        self._note_idle(device)
+        self._idle.add(device.device_id)
         self._metrics.total_checkins += 1
         self.policy.on_device_checkin(device.profile, self.now)
         # Only consult the policy when some request actually has unmet
@@ -1402,20 +1355,18 @@ class Simulator:
             return  # resolved when the task finishes
         if device.is_online and device.session_end <= session_end:
             device.check_out()
-            self._note_not_idle(device.device_id)
+            self._idle.discard(device.device_id)
 
-    def _on_device_response(
-        self, device: DeviceRuntime, request_id: int, success: bool
-    ) -> None:
+    def _on_device_response(self, event: Event) -> None:
         """A device's task ended (single-queue engine)."""
-        request = self._requests.get(request_id)
+        device = self._devices[event.device_id]
+        success = event.success
+        request = self._requests.get(event.request_id)
         if request is not None:
             request.in_flight -= 1
         device.finish_task(self.now, success)
         if device.is_idle:
-            self._note_idle(device)
-        else:
-            self._note_not_idle(device.device_id)
+            self._idle.add(device.device_id)
         if success:
             self._metrics.total_responses += 1
         else:
@@ -1428,7 +1379,7 @@ class Simulator:
         elif request is not None and not request.is_open:
             # The round was aborted (or cancelled) while this device was still
             # computing; its work is discarded, so it keeps its daily budget.
-            self._refund_daily_budget(device)
+            device.last_participation_day = None
             if request.in_flight == 0:
                 self._evict_request(request)
 
@@ -1462,7 +1413,7 @@ class Simulator:
             for device_id in request.assigned:
                 device = self._devices[device_id]
                 if device.status is not DeviceStatus.BUSY:
-                    self._refund_daily_budget(device)
+                    device.last_participation_day = None
         if request.in_flight == 0:
             # No straggler responses outstanding: nothing will ever look the
             # aborted request up again, so forget it now.
@@ -1568,7 +1519,7 @@ class Simulator:
             return
         job = self.jobs[request.job_id]
         device.start_task(job.job_id, request.request_id, self.now)
-        self._note_not_idle(device.device_id)
+        self._idle.discard(device.device_id)
 
         duration, dropped = self.latency.sample_outcome(
             job.spec, device.profile, now=self.now
@@ -1593,23 +1544,32 @@ class Simulator:
     def _dispatch_idle_devices(self) -> None:
         """Offer idle online devices to the policy while demand remains.
 
-        Devices are visited in ascending device-id order; the pools skip
-        devices that cannot satisfy any pending requirement.
+        The single-queue engine walks its idle devices in ascending id
+        order, each at most once per sweep, and offers a device only if it
+        may take a task and its signature meets a requirement still
+        pending.  Demand only shrinks during a sweep (responses and
+        deadlines are future events), so re-reading the pending names
+        after each offer narrows the rest of the walk as requirements fill.
         """
-        if not self._pending:
+        pending = self._pending
+        if not pending:
             return
         if self._fleet:
             self._dispatch_idle_devices_vec()
             return
-        cfg_daily = self.config.enforce_daily_limit
+        daily = self.config.enforce_daily_limit
         devices = self._devices
-
-        def visit(device_id: int) -> None:
+        names = pending.pending_requirements()
+        version = pending.names_version
+        for device_id in sorted(self._idle):
+            if not pending:
+                break
+            if pending.names_version != version:
+                version = pending.names_version
+                names = pending.pending_requirements()
             device = devices[device_id]
-            if device.can_take_task(self.now, cfg_daily):
+            if device.can_take_task(self.now, daily) and self._signature(device) & names:
                 self._try_assign(device)
-
-        self._idle_pool.dispatch(self._pending, self.now, visit)
 
 
 def run_simulation(

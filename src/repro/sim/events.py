@@ -12,7 +12,7 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Optional
 
 
 class EventType(enum.Enum):
@@ -36,16 +36,10 @@ class EventType(enum.Enum):
 class Event:
     """A single scheduled event.
 
-    Only ``time`` and ``seq`` take part in ordering (enforced by the queue,
-    which keys its heap on ``(time, seq)`` tuples so comparisons run in C
-    rather than through generated dataclass methods — a measurable win when
-    million-device traces push millions of events through the heap).  The
-    event-specific data lives in fixed slotted fields (device id, request
-    id, ...) instead of a per-event payload dict: at 10^6-device scale the
-    engine allocates millions of events, and the dict-per-event plus the
-    string-keyed lookups in every handler were measurable.  Unused fields
-    keep their sentinel defaults; :attr:`payload` is retained as a
-    compatibility view for tests and debugging.
+    Only ``time`` and ``seq`` take part in ordering, and events are never
+    compared themselves: the queue keys its heap on ``(time, seq)`` tuples.
+    The event-specific data lives in fixed slotted fields (device id,
+    request id, ...); unused fields keep their sentinel defaults.
     """
 
     time: float
@@ -64,27 +58,6 @@ class Event:
 
     def cancel(self) -> None:
         self.cancelled = True
-
-    @property
-    def payload(self) -> Dict[str, Any]:
-        """Dict view of the event-specific fields that were explicitly set
-        (sentinel defaults are omitted).  Compatibility/debugging only —
-        the engine reads the slotted fields directly."""
-        out: Dict[str, Any] = {}
-        if self.device_id != -1:
-            out["device_id"] = self.device_id
-        if self.request_id != -1:
-            out["request_id"] = self.request_id
-        if self.job_id != -1:
-            out["job_id"] = self.job_id
-        if self.session_end != 0.0:
-            out["session_end"] = self.session_end
-        if self.success:
-            out["success"] = self.success
-        return out
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class EventQueue:
@@ -106,12 +79,12 @@ class EventQueue:
     def __bool__(self) -> bool:
         return self._size > 0
 
-    def push(self, time: float, type: EventType, **payload: Any) -> Event:
+    def push(self, time: float, type: EventType, **fields: Any) -> Event:
         """Schedule an event and return it (so callers may cancel it later)."""
         if time < 0:
             raise ValueError("event time must be non-negative")
         seq = next(self._counter)
-        event = Event(time=time, seq=seq, type=type, **payload)
+        event = Event(time=time, seq=seq, type=type, **fields)
         heapq.heappush(self._heap, (time, seq, event))
         self._size += 1
         return event
@@ -153,44 +126,6 @@ class EventQueue:
             if not event.cancelled:
                 return event
         return None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next non-cancelled event without popping it."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-            self._size -= 1
-        return self._heap[0][0] if self._heap else None
-
-    def pop_run(self, time: float, type: EventType) -> list:
-        """Pop the contiguous run of events matching ``time`` and ``type``.
-
-        Only events that are *next* in the global (time, seq) order are
-        taken, so interleaving an event of a different type (or a later
-        timestamp) stops the run.  This lets the engine batch, e.g., the
-        thousands of device check-ins that land on the same trace timestamp
-        without reordering anything relative to one-at-a-time processing.
-        """
-        out: list = []
-        heap = self._heap
-        while heap:
-            head = heap[0][2]
-            if head.cancelled:
-                heapq.heappop(heap)
-                self._size -= 1
-                continue
-            if head.time != time or head.type is not type:
-                break
-            out.append(heapq.heappop(heap)[2])
-            self._size -= 1
-        return out
-
-    def drain(self) -> Iterator[Event]:
-        """Iterate remaining events in order (consumes the queue)."""
-        while True:
-            event = self.pop()
-            if event is None:
-                return
-            yield event
 
 
 __all__ = ["Event", "EventQueue", "EventType"]

@@ -84,7 +84,7 @@ class SimulationMetrics:
     total_aborts: int = 0
     #: Plan-maintenance profile snapshot (policies that expose a
     #: ``plan_profile``, i.e. Venn; ``None`` otherwise).  See
-    #: :class:`repro.sim.profile.PlanMaintenanceProfile`.
+    #: :class:`repro.core.profile.PlanMaintenanceProfile`.
     plan_maintenance: Optional[Dict[str, object]] = None
 
     # ------------------------------------------------------------------ #

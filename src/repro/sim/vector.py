@@ -131,8 +131,9 @@ class VectorDeviceState:
     def sig_eligibility(self, pending_names: set) -> np.ndarray:
         """``bool[sig_id]``: does the signature intersect a pending name?
 
-        The vectorized twin of the idle pool's bucket filter: dispatch only
-        visits devices whose signature could serve some pending requirement.
+        The vectorized twin of the single-queue walk's signature check:
+        dispatch only offers devices whose signature could serve some
+        pending requirement.
         """
         return np.fromiter(
             (bool(sig & pending_names) for sig in self.sig_table),

@@ -93,6 +93,27 @@ class TestJobSpec:
         with pytest.raises(ValueError):
             make_job(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("arrival_time", "arrival_time must be finite"),
+            ("round_deadline", "round_deadline must be finite and positive"),
+            ("base_task_duration", "base_task_duration must be finite and positive"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, field, message, value):
+        """A NaN arrival would never run, a NaN deadline stalls its job and
+        a NaN task duration makes the two engines diverge: refuse them."""
+        with pytest.raises(ValueError, match=f"{message}, got {value}"):
+            JobSpec(
+                job_id=1,
+                requirement=GENERAL,
+                demand_per_round=5,
+                num_rounds=1,
+                **{field: value},
+            )
+
     def test_invalid_report_fraction(self):
         with pytest.raises(ValueError):
             JobSpec(

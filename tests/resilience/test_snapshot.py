@@ -98,7 +98,7 @@ class TestVectorizedDevicesAcrossSnapshots:
 
     def test_resumed_run_builds_devices_from_the_restored_arrays(self):
         snap = killed_mid_run(**self.MODE)
-        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 9
+        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 10
         resumed = Simulator.resume(snap, crash_at_event=None)
         assert resumed._devices is None
         # Mid-run read on the resumed simulator: the checkpoint's state.
@@ -320,6 +320,35 @@ class TestCheckpointing:
             engine_module, "_check_format_version", lambda version: None
         )
         with pytest.raises(AttributeError, match="_in_flight_profiles"):
+            Simulator.resume(payload, crash_at_event=None).run()
+
+    def test_format_9_snapshot_is_refused_up_front(self, monkeypatch):
+        """Format 9 pickled the single-queue engine's idle-device pool
+        (signature buckets and a parking calendar); format 10 pickles a
+        plain set of idle device ids.  A real format-9 payload names the
+        deleted pool class and fails to decode; one that decodes but lacks
+        the idle set is refused by the version check before anything
+        runs."""
+        store = LatestSnapshotStore()
+        crashed = build_sim(
+            crash_at_event=25, checkpoint_interval=10, checkpoint_sink=store
+        )
+        with pytest.raises(SimulatedCrash):
+            crashed.run()
+        sim = Simulator.resume(store.latest)
+        assert not sim._fleet and sim._idle  # idle devices at the checkpoint
+        del sim._idle
+        monkeypatch.setattr(engine_module, "SNAPSHOT_FORMAT_VERSION", 9)
+        payload = sim.snapshot().payload
+        monkeypatch.undo()
+        with pytest.raises(SnapshotError, match="format version 9 "):
+            Simulator.resume(payload)
+        # Without the check the stale graph gets as far as the first
+        # idle-set update.
+        monkeypatch.setattr(
+            engine_module, "_check_format_version", lambda version: None
+        )
+        with pytest.raises(AttributeError, match="'_idle'"):
             Simulator.resume(payload, crash_at_event=None).run()
 
     def test_resume_reattaches_checkpoint_sink(self):

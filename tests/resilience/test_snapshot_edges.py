@@ -3,7 +3,7 @@ reference that pickling silently severs.
 
 Each test targets one state shape called out in the resilience design:
 empty plan / zero open requests, a latency model mid link-flap window,
-daily-budget parking across the midnight rollover, and the metrics of a
+daily budgets spent across the midnight rollover, and the metrics of a
 fleet-engine run.
 """
 
@@ -105,9 +105,9 @@ class TestMidFlapLatency:
 class TestDayRollover:
     def _make_sim(self, **kwargs):
         """Two-day horizon, sessions spanning both days, daily limit on, on
-        the single-queue engine: devices park in the idle pool after
-        participating and un-park at midnight — the crash lands after that
-        rollover."""
+        the single-queue engine: devices that participated stay idle with
+        their budget spent and become dispatchable again at midnight — the
+        crash lands after that rollover."""
         rng = np.random.default_rng(321)
         devices, sessions = [], []
         horizon = 2 * DAY
@@ -149,8 +149,8 @@ class TestDayRollover:
     def test_kill_and_resume_across_the_rollover(self):
         probe = self._make_sim()
         probe_metrics = probe.run()
-        # The second job must actually run on day two for the rollover
-        # parking to matter.
+        # The second job must actually run on day two for the midnight
+        # budget release to matter.
         assert probe_metrics.jobs[2].rounds_completed > 0
         n_events = probe.events_processed
         at_event = max(2, int(n_events * 0.8))

@@ -1,15 +1,8 @@
-"""Unit tests for the engine's indexed dispatch structures."""
+"""Unit tests for the pending-request pool and the day index."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.sim.dispatch import IdleDevicePool, PendingRequestPool
-from repro.sim.events import EventQueue, EventType
-
-SIG_GEN = frozenset({"general"})
-SIG_HP = frozenset({"general", "high_performance"})
-SIG_OTHER = frozenset({"memory_rich"})
+from repro.sim.dispatch import PendingRequestPool
 
 
 class TestPendingRequestPool:
@@ -62,160 +55,14 @@ class TestPendingRequestPool:
         assert pool.names_version == v0 + 2  # name disappeared
 
 
-class StaticPending:
-    """Stand-in for :class:`PendingRequestPool` in dispatch tests: exposes
-    the same ``pending_requirements()`` / ``names_version`` protocol, with
-    the test mutating the pending name set directly."""
-
-    def __init__(self, names):
-        self.names = set(names)
-        self.names_version = 0
-
-    def pending_requirements(self):
-        return set(self.names)
-
-    def set_names(self, names):
-        self.names = set(names)
-        self.names_version += 1
-
-
-class TestIdleDevicePool:
-    def visit_order(self, pool, reqs, now=0.0):
-        seen = []
-        pool.dispatch(StaticPending(reqs), now, seen.append)
-        return seen
-
-    def test_dispatch_ascending_and_filtered(self):
-        pool = IdleDevicePool()
-        pool.add(5, SIG_GEN)
-        pool.add(1, SIG_HP)
-        pool.add(3, SIG_GEN)
-        pool.add(9, SIG_OTHER)
-        assert self.visit_order(pool, {"general"}) == [1, 3, 5]
-        assert self.visit_order(pool, {"memory_rich"}) == [9]
-        assert self.visit_order(pool, {"high_performance"}) == [1]
-
-    def test_visited_devices_stay_in_pool(self):
-        pool = IdleDevicePool()
-        for d in (2, 4, 6):
-            pool.add(d, SIG_GEN)
-        assert self.visit_order(pool, {"general"}) == [2, 4, 6]
-        # Nothing was discarded, so a second dispatch sees them again.
-        assert self.visit_order(pool, {"general"}) == [2, 4, 6]
-
-    def test_early_stop(self):
-        pool = IdleDevicePool()
-        for d in range(5):
-            pool.add(d, SIG_GEN)
-        seen = []
-        pend = StaticPending({"general"})
-
-        def visit(d):
-            seen.append(d)
-            if d >= 1:
-                pend.set_names(set())
-
-        pool.dispatch(pend, 0.0, visit)
-        assert seen == [0, 1]
-        # Later dispatches still see every device.
-        assert self.visit_order(pool, {"general"}) == [0, 1, 2, 3, 4]
-
-    def test_bucket_refilter_when_requirement_drops(self):
-        """Once a requirement's demand fills mid-dispatch, buckets that only
-        matched that requirement are abandoned."""
-        pool = IdleDevicePool()
-        for d in (1, 3, 5, 7):
-            pool.add(d, SIG_GEN)
-        pool.add(2, SIG_HP)
-        pool.add(9, SIG_HP)
-        seen = []
-        pend = StaticPending({"general", "high_performance"})
-
-        def visit(d):
-            seen.append(d)
-            # The general job fills after the first offer; only
-            # high_performance demand remains.
-            if len(seen) == 1:
-                pend.set_names({"high_performance"})
-
-        pool.dispatch(pend, 0.0, visit)
-        # Device 1 (general bucket head) is offered first; after the general
-        # demand drops, only the HP-signature devices are walked.
-        assert seen == [1, 2, 9]
-
-    def test_discard_then_readd_visits_once(self):
-        pool = IdleDevicePool()
-        pool.add(7, SIG_GEN)
-        pool.discard(7)
-        pool.add(7, SIG_GEN)  # may leave a duplicate lazy heap entry
-        assert self.visit_order(pool, {"general"}) == [7]
-        assert self.visit_order(pool, {"general"}) == [7]
-
-    def test_parked_devices_skipped_until_day_ends(self):
-        pool = IdleDevicePool()
-        pool.add(1, SIG_GEN)
-        pool.park(2, SIG_GEN, eligible_day=1)
-        assert 2 in pool
-        assert self.visit_order(pool, {"general"}, now=1_000.0) == [1]
-        # Day 1 begins at t = 86400: device 2 is promoted automatically.
-        assert self.visit_order(pool, {"general"}, now=90_000.0) == [1, 2]
-
-    def test_unpark_restores_immediately(self):
-        pool = IdleDevicePool()
-        pool.park(4, SIG_GEN, eligible_day=5)
-        assert self.visit_order(pool, {"general"}) == []
-        pool.unpark(4)
-        assert self.visit_order(pool, {"general"}) == [4]
-
-    def test_discard_removes_parked(self):
-        pool = IdleDevicePool()
-        pool.park(4, SIG_GEN, eligible_day=0)
-        pool.discard(4)
-        assert 4 not in pool
-        assert self.visit_order(pool, {"general"}, now=90_000.0) == []
-
-
-class TestEventQueuePopRun:
-    def test_pops_contiguous_same_time_same_type(self):
-        q = EventQueue()
-        q.push(1.0, EventType.DEVICE_CHECKIN, device_id=1)
-        q.push(1.0, EventType.DEVICE_CHECKIN, device_id=2)
-        q.push(1.0, EventType.DEVICE_CHECKOUT, device_id=3)
-        q.push(1.0, EventType.DEVICE_CHECKIN, device_id=4)
-        q.push(2.0, EventType.DEVICE_CHECKIN, device_id=5)
-        first = q.pop()
-        run = q.pop_run(first.time, EventType.DEVICE_CHECKIN)
-        # The interleaved checkout stops the run: ordering is preserved.
-        assert [e.payload["device_id"] for e in run] == [2]
-        assert q.pop().payload["device_id"] == 3
-        assert q.pop().payload["device_id"] == 4
-
-    def test_skips_cancelled_events(self):
-        q = EventQueue()
-        q.push(1.0, EventType.DEVICE_CHECKIN, device_id=1)
-        ev = q.push(1.0, EventType.DEVICE_CHECKIN, device_id=2)
-        q.push(1.0, EventType.DEVICE_CHECKIN, device_id=3)
-        ev.cancel()
-        first = q.pop()
-        run = q.pop_run(first.time, EventType.DEVICE_CHECKIN)
-        assert [e.payload["device_id"] for e in run] == [3]
-        assert len(q) == 0
-
-    def test_empty_when_no_match(self):
-        q = EventQueue()
-        q.push(5.0, EventType.DEVICE_CHECKIN, device_id=1)
-        assert q.pop_run(1.0, EventType.DEVICE_CHECKIN) == []
-        assert len(q) == 1
-
-
 class TestDayBoundaryParking:
-    """Park/promote day accounting at exact day-boundary timestamps.
+    """Day accounting at exact day-boundary timestamps.
 
-    ``IdleDevicePool.promote`` and ``DeviceRuntime.participated_today``
-    must agree on which calendar day a timestamp belongs to; both now go
-    through :func:`repro.sim.device.day_index`.  If they disagreed at a
-    boundary timestamp, a parked device would be promoted and instantly
-    re-parked on every dispatch sweep — or, worse, dispatched a day early.
+    Every daily-limit check in both engines goes through
+    :func:`repro.sim.device.day_index` (or the ``np.floor_divide`` it
+    matches), so a device whose budget is spent is released at the same
+    timestamp everywhere; ``tests/sim/test_midnight_budget.py`` holds the
+    two engines' dispatch sweeps to it.
     """
 
     #: Largest float64 below 172800.0 (= 2 days): still day 1.
@@ -239,49 +86,3 @@ class TestDayBoundaryParking:
             assert int(np.floor_divide(boundary, SECONDS_PER_DAY)) == k
             assert int(np.floor_divide(below, SECONDS_PER_DAY)) == k - 1
         assert day_index(self.JUST_BELOW_DAY_2) == 1
-
-    def test_parked_device_stays_parked_just_below_boundary(self):
-        pool = IdleDevicePool()
-        # Participated on day 1 -> eligible again on day 2.
-        pool.park(3, SIG_GEN, eligible_day=2)
-        assert self.visit_order(pool, {"general"}, now=self.JUST_BELOW_DAY_2) == []
-        assert pool.parked_count == 1
-
-    def test_parked_device_promoted_exactly_at_boundary(self):
-        pool = IdleDevicePool()
-        pool.park(3, SIG_GEN, eligible_day=2)
-        assert self.visit_order(pool, {"general"}, now=172800.0) == [3]
-        assert pool.parked_count == 0
-
-    def test_promote_agrees_with_participated_today(self):
-        from repro.sim.device import DeviceRuntime, day_index
-        from tests.conftest import make_device
-
-        import math
-
-        cases = [
-            # (participation day, timestamps straddling its blackout end)
-            (0, (86399.99999999999, 86400.0)),
-            (1, (self.JUST_BELOW_DAY_2, 172800.0)),
-            (6, (math.nextafter(7 * 86400.0, 0.0), 7 * 86400.0)),
-        ]
-        for last_day, timestamps in cases:
-            for now in timestamps:
-                device = DeviceRuntime(make_device(device_id=3))
-                device.last_participation_day = last_day
-                pool = IdleDevicePool()
-                pool.park(3, SIG_GEN, eligible_day=last_day + 1)
-                pool.promote(now)
-                promoted = 3 not in pool._parked
-                # Promotion must release the device exactly when the daily
-                # limit no longer blocks it.
-                assert promoted == (not device.participated_today(now)), (
-                    f"promote/participated_today disagree at now={now!r}: "
-                    f"promoted={promoted}, day={day_index(now)}"
-                )
-
-    def visit_order(self, pool, names, now=0.0):
-        pending = StaticPending(names)
-        seen = []
-        pool.dispatch(pending, now, seen.append)
-        return seen

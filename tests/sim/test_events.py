@@ -44,29 +44,13 @@ class TestEventQueue:
         assert q.pop() is kept
         assert q.pop() is None
 
-    def test_peek_time_skips_cancelled(self):
-        q = EventQueue()
-        e1 = q.push(1.0, EventType.HORIZON)
-        q.push(5.0, EventType.HORIZON)
-        e1.cancel()
-        assert q.peek_time() == 5.0
-
-    def test_peek_time_empty(self):
-        assert EventQueue().peek_time() is None
-
-    def test_drain_consumes_all(self):
-        q = EventQueue()
-        for t in (3.0, 1.0, 2.0):
-            q.push(t, EventType.HORIZON)
-        drained = [e.time for e in q.drain()]
-        assert drained == [1.0, 2.0, 3.0]
-        assert q.pop() is None
-
     def test_payload_preserved(self):
         q = EventQueue()
         q.push(1.0, EventType.DEVICE_RESPONSE, device_id=9, success=True)
         event = q.pop()
-        assert event.payload == {"device_id": 9, "success": True}
+        assert (event.device_id, event.success) == (9, True)
+        # Fields the push did not set keep their sentinel defaults.
+        assert (event.request_id, event.job_id, event.session_end) == (-1, -1, 0.0)
 
     @given(times=st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=200))
     @settings(max_examples=40, deadline=None)
@@ -75,5 +59,6 @@ class TestEventQueue:
         q = EventQueue()
         for t in times:
             q.push(t, EventType.HORIZON)
-        popped = [e.time for e in q.drain()]
+        popped = [q.pop().time for _ in times]
         assert popped == sorted(times)
+        assert q.pop() is None

@@ -71,8 +71,9 @@ def run_engine(
 class TestRefundSymmetry:
     """The daily-budget refund must make devices re-dispatchable in the
     same timestamp batch, identically across engines — the single-queue
-    engine refunds via ``_refund_daily_budget`` (un-parking the idle pool),
-    the fleet engine via ``last_day[slot] = -1`` plus mask recompute."""
+    engine refunds by clearing ``last_participation_day`` (its idle-set
+    walk re-checks the budget), the fleet engine via
+    ``last_day[slot] = -1`` plus mask recompute."""
 
     def _abort_scenario(self, **overrides):
         """Two always-on devices, one job whose demand (3) can never fill:

@@ -59,7 +59,7 @@ class TestVectorDeviceState:
         assert state.slots_for([17, 30, 5, 17]).tolist() == [1, 2, 0, 1]
         # Ascending-slot enumeration == ascending-device-id enumeration,
         # which is what keeps vectorized dispatch order identical to the
-        # scalar idle pool's ascending-id walk.
+        # single-queue engine's ascending-id walk of its idle set.
         assert state.ids[np.argsort(state.ids)].tolist() == state.ids.tolist()
 
     @pytest.mark.parametrize(

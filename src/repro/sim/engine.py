@@ -42,8 +42,9 @@ other engine: a coordinator (scheduler state, plan maintenance, request
 lifecycle, the global decision order) and one device stream
 (:mod:`repro.sim.shard`) holding the fleet's availability events as sorted
 arrays and its response heap.  Device state is struct-of-arrays
-(:mod:`repro.sim.vector`) and a device is its slot; static runs fold
-through batched kernels, idle dispatch is a mask over the arrays and
+(:mod:`repro.sim.vector`) and a device is its slot; long demand-free
+static runs fold through one batched kernel and every other static event
+is drained one at a time, idle dispatch is a mask over the arrays and
 policies offering ``assign_batch_bulk`` are consulted a cohort at a time.
 The stream and the coordinator queue merge by ``(time, seq)`` with the
 exact sequence enumeration of the single-queue engine, so **decisions and
@@ -148,10 +149,10 @@ class SimulationConfig:
     latency: LatencyConfig = field(default_factory=LatencyConfig)
     #: Engine selector.  ``True`` (the default) runs the fleet engine — a
     #: coordinator and one device stream (:mod:`repro.sim.shard`) over
-    #: struct-of-arrays device state (:mod:`repro.sim.vector`): batched fold
-    #: kernels for static check-in/checkout runs, mask-based idle dispatch,
-    #: batched latency draws and — for policies offering
-    #: ``assign_batch_bulk`` — bulk consults of large dispatch cohorts.
+    #: struct-of-arrays device state (:mod:`repro.sim.vector`): a batched
+    #: fold kernel for long demand-free check-in/checkout runs, mask-based
+    #: idle dispatch, batched latency draws and — for policies offering
+    #: ``assign_batch_bulk`` — bulk consults of every dispatch sweep.
     #: ``False`` runs the single-queue reference engine, the spec the fleet
     #: engine is held to; only oracle tests, the fuzz/chaos twins and the
     #: benchmark's twin check select it.  Decisions and metrics are
@@ -692,28 +693,25 @@ class Simulator:
         return self._metrics
 
     # ------------------------------------------------------------------ #
-    # Fleet-engine hot path: fold kernels, drains, bulk dispatch
+    # Fleet-engine hot path: the static drain, bulk dispatch
     # ------------------------------------------------------------------ #
-    #: Below this run length the per-event loop beats the numpy kernel:
-    #: a fold_slice call costs ~100 us of array-op overhead regardless of
-    #: size, while a Python-loop event costs well under 1 us.  The two
-    #: paths replay identical transition functions, so the cutoff affects
-    #: only wall time, never results (both identity gates run either way).
-    _FOLD_KERNEL_MIN = 32
+    #: A demand-free static slice longer than this folds through the
+    #: :meth:`VectorDeviceState.fold_slice` kernel; every other slice is
+    #: drained one event at a time (:meth:`_drain_events`).  A kernel call
+    #: costs a fixed handful of numpy calls whatever its length, a drained
+    #: event a few Python operations, so the short slices between
+    #: responses in contended stretches are cheaper drained.  Both paths
+    #: make the same transitions, so the cutoff moves wall time only,
+    #: never results.
+    _FOLD_CUTOFF = 64
 
-    def _fold_into(self, shard: DeviceShard, lo: int, hi: int) -> int:
-        """Fold static events ``[lo, hi)`` of the stream into the arrays.
+    def _fold_into(self, shard: DeviceShard, lo: int, hi: int) -> None:
+        """Fold the demand-free static events ``[lo, hi)`` in one kernel.
 
-        Large runs go through one batched kernel; short runs (the gaps
-        between assignment candidates are typically a handful of events)
-        replay the same transitions in a plain loop.  The non-busy
-        check-ins reach the policy in event order either way — through the
-        batch hook or the scalar hook, which are pinned state-identical —
-        and the check-in counter advances exactly as the scalar path's
-        would.
+        The non-busy check-ins reach the policy in event order through the
+        batch hook (pinned state-identical to the per-event hook) and the
+        check-in counter advances exactly as the per-event drain's would.
         """
-        if hi - lo < self._FOLD_KERNEL_MIN:
-            return self._fold_small(shard, lo, hi)
         ci_slots, ci_times = self._vec.fold_slice(
             shard.sa_time[lo:hi],
             shard.sa_slot[lo:hi],
@@ -730,58 +728,19 @@ class Simulator:
                 self._vec.sig_table,
             )
         self.now = float(shard.sa_time[hi - 1])
-        return hi - lo
 
-    def _fold_small(self, shard: DeviceShard, lo: int, hi: int) -> int:
-        """Per-event twin of the fold kernel for short runs.
+    def _drain_events(self, shard: DeviceShard, lo: int, hi: int) -> int:
+        """Drain static events ``[lo, hi)`` one at a time; return the
+        position the drain stopped at.
 
-        Replays exactly the transitions :meth:`VectorDeviceState.fold_slice`
-        batches — busy check-ins max-extend the session, non-busy check-ins
-        re-open it, checkouts end an idle session they cover — against the
-        same arrays, reading the stream through its decoded window
-        (cheaper than numpy scalar indexing at this size).
-        """
-        vec = self._vec
-        status = vec.status
-        sess = vec.sess
-        profiles = vec.profiles
-        metrics = self._metrics
-        policy_checkin = self.policy.on_device_checkin
-        rows, off, w_hi = shard.w_rows, shard.w_lo, shard.w_hi
-        for p in range(lo, hi):
-            if not off <= p < w_hi:
-                rows, off, w_hi = shard.refill(p)
-            t, _seq, slot, send, is_checkin = rows[p - off]
-            if is_checkin:
-                if status[slot] == STATUS_BUSY:
-                    if send > sess[slot]:
-                        sess[slot] = send
-                else:
-                    status[slot] = STATUS_IDLE
-                    sess[slot] = send
-                    metrics.total_checkins += 1
-                    policy_checkin(profiles[slot], t)
-            elif status[slot] == STATUS_IDLE and sess[slot] <= send:
-                status[slot] = STATUS_OFFLINE
-        self.now = t
-        return hi - lo
-
-    #: Slices at or below this length are drained by the per-event loop
-    #: (:meth:`_drain_small`); response-dominated workloads call the drain
-    #: with a couple of static events at a time, where even tiny numpy
-    #: slice/mask ops cost more than a plain loop.
-    _DRAIN_SCALAR_MAX = 64
-
-    def _drain_small(self, shard: DeviceShard, lo: int, hi: int) -> tuple:
-        """Per-event twin of the drain body for short slices.
-
-        Replays the single-queue engine's handlers against the array state:
-        each check-in transitions (busy max-extend or re-open + policy hook +
-        dispatch attempt), each checkout closes a covered idle session.
-        After an assignment flush, subsequent events are re-checked
-        against the response head, so a freshly scheduled response stops
-        the drain exactly where the event order says it must.  Returns
-        ``(processed, cursor)``.
+        Replays the single-queue engine's handlers against the array state,
+        reading the stream through its decoded window: each check-in
+        transitions (busy max-extend, or re-open + policy hook + dispatch
+        attempt while demand is pending), each checkout closes a covered
+        idle session.  After an assignment flush, later events are
+        re-checked against the response head, so a freshly scheduled
+        response stops the drain exactly where the event order says it
+        must.
         """
         vec = self._vec
         status = vec.status
@@ -826,7 +785,7 @@ class Simulator:
             elif status[slot] == STATUS_IDLE and sess[slot] <= send:
                 status[slot] = STATUS_OFFLINE
             p += 1
-        return p - lo, p
+        return p
 
     def _drain_shard_vec(
         self, shard: DeviceShard, limit: tuple, horizon: float
@@ -843,22 +802,14 @@ class Simulator:
         which is what makes the batch safe.
 
         The slice bound (``limit``, the horizon, the stream's own response
-        head) is resolved once by binary search instead of per event.
-        With no pending demand the whole slice folds in one kernel.  With
-        demand pending, *candidate* check-ins — events the single-queue
-        engine would offer to the policy — are located with one mask (non-busy at
-        slice start, day budget available; an over-approximation re-checked
-        exactly per candidate) and processed scalar-on-arrays in order,
-        while the assignment-free gaps between them fold as kernels.  An
-        assignment can schedule a response that precedes the remaining
-        static events; the drain then stops early, exactly where a per-event
-        heap check (:meth:`_drain_small`) would.
+        head) is resolved once by binary search instead of per event.  A
+        demand-free slice longer than :attr:`_FOLD_CUTOFF` folds in one
+        kernel: only coordinator events and responses create demand, so it
+        stays assignment-free to its end.  Every other slice goes through
+        :meth:`_drain_events`, which stops early when an assignment
+        schedules a response ahead of the remaining static events.
         """
-        vec = self._vec
-        sa_time = shard.sa_time
-        sa_code = shard.sa_code
-        sa_slot = shard.sa_slot
-        cursor = shard.cursor
+        lo = shard.cursor
         heap = shard.heap
         bt, bs = limit
         if heap:
@@ -870,97 +821,19 @@ class Simulator:
         # globally next event, so the slice is never empty and its end
         # is found by binary search on the columns.
         if bt > horizon:
-            hi = int(sa_time.searchsorted(horizon, "right"))
+            hi = int(shard.sa_time.searchsorted(horizon, "right"))
         else:
             hi = shard.events_through(bt, bs)
         budget = self.config.max_events - self._events_processed
-        if hi - cursor > budget:
-            hi = cursor + budget
-        processed = 0
-        pending = self._pending
-        enforce_daily = self.config.enforce_daily_limit
-        status = vec.status
-        sess = vec.sess
-        last_day = vec.last_day
-        metrics = self._metrics
-        policy_checkin = self.policy.on_device_checkin
-        profiles = vec.profiles
-        if 0 < hi - cursor <= self._DRAIN_SCALAR_MAX:
-            # Short slices (the common case in response-dominated
-            # stretches) skip the mask machinery: a per-event loop over
-            # the stream's decoded window replays the single-queue handlers
-            # exactly, with a per-event response-head check.
-            processed, cursor = self._drain_small(shard, cursor, hi)
-            hi = cursor
-        while cursor < hi:
-            if not pending:
-                processed += self._fold_into(shard, cursor, hi)
-                cursor = hi
-                break
-            base = cursor
-            slots_v = sa_slot[base:hi]
-            cand = ((sa_code[base:hi] & 1) == 0) & (
-                status[slots_v] != STATUS_BUSY
-            )
-            if enforce_daily:
-                cand &= last_day[slots_v] != vec.day_of(sa_time[base:hi])
-            cand_pos = np.nonzero(cand)[0]
-            if cand_pos.size == 0:
-                processed += self._fold_into(shard, base, hi)
-                cursor = hi
-                break
-            for rel in cand_pos.tolist():
-                p = base + rel
-                if p >= hi:
-                    break  # bound clamped below a scheduled response
-                if not pending:
-                    break  # outer loop folds the assignment-free remainder
-                if p > cursor:
-                    processed += self._fold_into(shard, cursor, p)
-                if not shard.w_lo <= p < shard.w_hi:
-                    shard.refill(p)
-                t, _seq, slot, send, _ci = shard.w_rows[p - shard.w_lo]
-                self.now = t
-                if status[slot] == STATUS_BUSY:
-                    # Became busy earlier in this drain: the new session
-                    # extends the online window (scalar busy-check-in).
-                    if send > sess[slot]:
-                        sess[slot] = send
-                else:
-                    status[slot] = STATUS_IDLE
-                    sess[slot] = send
-                    metrics.total_checkins += 1
-                    profile = profiles[slot]
-                    policy_checkin(profile, t)
-                    if pending and t < send and not (
-                        enforce_daily
-                        and last_day[slot] == int(t // SECONDS_PER_DAY)
-                    ):
-                        self._try_assign_vec(slot, profile)
-                        if self._assign_buf:
-                            self._flush_assignments()
-                            # A freshly scheduled response may precede the
-                            # remaining static events; clamp the slice
-                            # bound so the drain hands control back exactly
-                            # where the per-event heap check would have
-                            # broken.  Responses usually land far past
-                            # the slice (task durations are minutes), so a
-                            # one-read time comparison skips the binary
-                            # searches almost every time.
-                            if heap and heap[0][0] <= sa_time[hi - 1]:
-                                bound = shard.events_through(
-                                    heap[0][0], heap[0][1] - 1
-                                )
-                                if bound < hi:
-                                    hi = bound
-                processed += 1
-                cursor = p + 1
-            else:
-                if cursor < hi:
-                    processed += self._fold_into(shard, cursor, hi)
-                    cursor = hi
-                break
-        shard.cursor = cursor
+        if hi - lo > budget:
+            hi = lo + budget
+        if self._pending or hi - lo <= self._FOLD_CUTOFF:
+            end = self._drain_events(shard, lo, hi)
+        else:
+            self._fold_into(shard, lo, hi)
+            end = hi
+        shard.cursor = end
+        processed = end - lo
         self._events_processed += processed
         if processed >= budget:
             raise RuntimeError(
@@ -1091,15 +964,14 @@ class Simulator:
         ``names_version`` changes mirrors the walk's re-read of the
         pending names.
 
-        Large cohorts go through the policy's ``assign_batch_bulk`` when it
-        offers one (:meth:`_dispatch_cohort_batched`): one plan refresh and
-        one candidate resolution per interned signature instead of per
-        device, decisions bit-identical to per-device consults (the
-        differential suite and the engine-matrix unbatched twins hold the
-        line).  Every other sweep — cohorts up to
-        ``_DRAIN_SCALAR_MAX``, where the batch plumbing costs more than it
-        saves, and policies without the hook — stays on the scalar consult
-        loop.
+        When the policy offers ``assign_batch_bulk`` every sweep goes
+        through it, whatever the cohort size
+        (:meth:`_dispatch_cohort_batched`): one plan refresh and one
+        candidate resolution per interned signature instead of per device,
+        decisions bit-identical to per-device consults (the differential
+        suite and the engine-matrix unbatched twins hold the line).
+        Policies without the hook get the per-device consult loop below,
+        which is also the bulk path's oracle.
         """
         pending = self._pending
         vec = self._vec
@@ -1121,10 +993,7 @@ class Simulator:
             keep &= elig[sig_id[idle]]
             idle = idle[keep]
         queue = idle
-        if (
-            self._policy_bulk_assign is not None
-            and queue.size > self._DRAIN_SCALAR_MAX
-        ):
+        if self._policy_bulk_assign is not None:
             self._dispatch_cohort_batched(queue, version)
             self._flush_assignments()
             return

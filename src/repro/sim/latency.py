@@ -169,6 +169,14 @@ class LatencyConfig:
     link_tiers: Tuple[LinkTier, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        for name in (
+            "compute_sigma", "comm_min", "comm_max", "duration_scale",
+            "loss_rate", "max_retries", "retry_backoff",
+            "flap_period", "flap_duration", "flap_loss_rate",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite (got {value})")
         if self.compute_sigma < 0:
             raise ValueError("compute_sigma must be non-negative")
         if self.comm_min < 0 or self.comm_max < self.comm_min:
@@ -200,8 +208,13 @@ class LatencyConfig:
                 raise ValueError(
                     "link tier fractions must be positive and sum to 1"
                 )
-            if any(scale <= 0 for _, _, scale in self.link_tiers):
-                raise ValueError("link tier comm scales must be positive")
+            if not all(
+                math.isfinite(scale) and scale > 0
+                for _, _, scale in self.link_tiers
+            ):
+                raise ValueError(
+                    "link tier comm scales must be finite and positive"
+                )
 
     @property
     def degrades_network(self) -> bool:

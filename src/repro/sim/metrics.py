@@ -58,14 +58,6 @@ class JobMetrics:
         unknown."""
         return self.num_rounds * self.round_deadline
 
-    @property
-    def mean_scheduling_delay(self) -> float:
-        return float(np.mean(self.scheduling_delays)) if self.scheduling_delays else 0.0
-
-    @property
-    def mean_response_time(self) -> float:
-        return float(np.mean(self.response_times)) if self.response_times else 0.0
-
 
 @dataclass
 class SimulationMetrics:

@@ -13,17 +13,17 @@ slot is the only name the engine has for a device:
   (plain lists: they are only ever touched one slot at a time),
 * ``sig_id`` — index into the interned eligibility-signature table.
 
-Runs of static check-in/checkout events that cannot trigger an assignment
-(no pending demand, or the gaps between assignment candidates) are *folded*
-into the arrays by :meth:`VectorDeviceState.fold_slice` — one batched kernel
-instead of a per-event Python loop.  Idle-device dispatch becomes a boolean
-mask over the arrays instead of a heap-of-buckets walk.  The per-event
-path stays the decision-hash oracle — end to end the single-queue engine
-(one heap, one ``DeviceRuntime`` per device, one handler call per event),
-and inside this engine the ``_fold_small`` / ``_drain_small`` twins that
-replay short runs one event at a time against the same arrays: every kernel
-here is written to be *bit-identical* to replaying the same events one at a
-time (see the method docstrings for the per-kernel arguments, and
+Long runs of static check-in/checkout events with no pending demand (so
+no assignment can happen) are *folded* into the arrays by
+:meth:`VectorDeviceState.fold_slice` — one batched kernel instead of a
+per-event Python loop; every other static event is drained one at a time
+against the same arrays.  Idle-device dispatch becomes a boolean mask over
+the arrays instead of an idle-set walk.  The per-event path stays the
+decision-hash oracle — end to end the single-queue engine (one heap, one
+``DeviceRuntime`` per device, one handler call per event), and inside this
+engine the per-event drain: every kernel here is written to be
+*bit-identical* to replaying the same events one at a time (see the
+method docstrings for the per-kernel arguments, and
 ``docs/PERFORMANCE.md`` for the end-to-end contract).
 """
 
@@ -34,7 +34,6 @@ from typing import Callable, FrozenSet, List, Sequence, Tuple
 import numpy as np
 
 from ..core.types import DeviceFleet, DeviceProfile
-from .device import SECONDS_PER_DAY
 
 #: Integer encodings of :class:`~repro.sim.device.DeviceStatus` in ``status``.
 STATUS_OFFLINE = 0
@@ -141,11 +140,6 @@ class VectorDeviceState:
             count=len(self.sig_table),
         )
 
-    def day_of(self, times: np.ndarray) -> np.ndarray:
-        """Vectorized :func:`~repro.sim.device.day_index` (same fmod-based
-        floor division, so boundary timestamps agree bit-for-bit)."""
-        return np.floor_divide(times, SECONDS_PER_DAY).astype(np.int64)
-
     # ------------------------------------------------------------------ #
     # The fold kernel
     # ------------------------------------------------------------------ #
@@ -164,9 +158,9 @@ class VectorDeviceState:
         bullet below reads them.
 
         The caller guarantees no event in the run can trigger an assignment
-        (no pending demand, or the run lies between assignment candidates),
-        so the busy set is constant across the run and each device's final
-        state depends only on its own event subsequence:
+        (no demand is pending), so the busy set is constant across the run
+        and each device's final state depends only on its own event
+        subsequence:
 
         * busy devices: check-ins extend the session window to the max
           session end seen (checkouts are no-ops) — ``np.maximum.at``;

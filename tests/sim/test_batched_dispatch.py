@@ -1,14 +1,14 @@
 """Engine-level identity tests for the bulk decision path.
 
-The fleet engine routes large dispatch cohorts through the policy's
+The fleet engine routes every dispatch sweep through the policy's
 ``assign_batch_bulk`` when it offers one; the per-device consult sweep —
-what a policy without the hook gets — is the oracle.  These tests use a
-population large enough that dispatch sweeps exceed ``_DRAIN_SCALAR_MAX``
-(the bulk path's activation threshold) and assert the full decision
-sequence and metrics digest are bit-identical with and without the hook,
-for the Venn scheduler (ledger protocol), and that
-every shipped policy reproduces the single-queue engine's decisions on the
-same cell, with the daily participation quota active across a day boundary.
+what a policy without the hook gets — is the oracle.  These tests assert
+the full decision sequence and metrics digest are bit-identical with and
+without the hook for the Venn scheduler (ledger protocol) — on a
+population whose sweeps reach hundreds of devices and on one whose sweeps
+all stay at 64 or fewer — and that every shipped policy reproduces the
+single-queue engine's decisions on the same cell, with the daily
+participation quota active across a day boundary.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ HORIZON = 1.5 * SECONDS_PER_DAY  # crosses a daily-quota boundary
 
 
 def batch_scenario(num_devices=1500):
-    # Sized so dispatch sweeps comfortably exceed _DRAIN_SCALAR_MAX (the
-    # diurnal trace keeps only a fraction of the population online at
-    # once) — otherwise every sweep takes the scalar path and the toggle
-    # under test never engages.
+    # The default size gives dispatch sweeps of well over a hundred devices
+    # (the diurnal trace keeps only a fraction of the population online at
+    # once), so bulk consults span several signatures and a demand-zeroing
+    # proposal can land mid-cohort.
     devices = CapacitySampler(seed=11).sample_devices(num_devices)
     trace = DiurnalAvailabilityModel(
         DiurnalConfig(horizon=HORIZON), seed=12
@@ -54,11 +54,22 @@ def batch_scenario(num_devices=1500):
     return devices, trace, jobs
 
 
-def run_recorded(policy_name, batched, fleet=True):
-    devices, trace, jobs = batch_scenario()
+def run_recorded(policy_name, batched, fleet=True, num_devices=1500,
+                 cohorts=None):
+    """Decisions and metrics digest of one run; the size of every cohort
+    offered to ``assign_batch_bulk`` is appended to ``cohorts`` if given."""
+    devices, trace, jobs = batch_scenario(num_devices)
     inner = make_policy(policy_name, seed=5)
     if not batched:
         inner.assign_batch_bulk = None  # hookless: per-device consults
+    elif cohorts is not None:
+        bulk = inner.assign_batch_bulk
+
+        def spy(cohort, now):
+            cohorts.append(len(cohort))
+            return bulk(cohort, now)
+
+        inner.assign_batch_bulk = spy
     policy = RecordingPolicy(inner)
     config = SimulationConfig(
         horizon=HORIZON,
@@ -87,10 +98,28 @@ class TestBatchedDispatchIdentity:
         assert batched_decisions == scalar_decisions
         assert batched_metrics == scalar_metrics
 
-    def test_batched_identity_on_the_fleet_engine(self):
-        """Bulk hook on or off, the fleet engine makes the same decisions."""
-        scalar_decisions, scalar_metrics = run_recorded("venn", batched=False)
-        batched_decisions, batched_metrics = run_recorded("venn", batched=True)
+    @pytest.mark.parametrize(
+        "num_devices, largest_sweep",
+        # 300 devices keep every sweep at or below 64: small cohorts go
+        # through the bulk consult too, with no size cutoff in front of it.
+        [(1500, None), (300, 64)],
+        ids=["large-sweeps", "small-sweeps"],
+    )
+    def test_batched_identity_on_the_fleet_engine(
+        self, num_devices, largest_sweep
+    ):
+        """Bulk hook on or off, the fleet engine makes the same decisions,
+        and with the hook on every sweep reaches it."""
+        scalar_decisions, scalar_metrics = run_recorded(
+            "venn", batched=False, num_devices=num_devices
+        )
+        cohorts = []
+        batched_decisions, batched_metrics = run_recorded(
+            "venn", batched=True, num_devices=num_devices, cohorts=cohorts
+        )
+        assert cohorts, "no sweep reached assign_batch_bulk"
+        if largest_sweep is not None:
+            assert max(cohorts) <= largest_sweep
         assert batched_decisions == scalar_decisions
         assert batched_metrics == scalar_metrics
 

@@ -54,8 +54,9 @@ class TestSingleJobCompletion:
         assert jm.rounds_completed == 2
         assert jm.aborted_rounds == 0
         # Each round: devices assigned immediately (delay 0), ~100 s response.
-        assert jm.mean_scheduling_delay == pytest.approx(0.0)
-        assert 90.0 <= jm.mean_response_time <= 130.0
+        assert jm.scheduling_delays == [0.0, 0.0]
+        assert len(jm.response_times) == 2
+        assert all(90.0 <= r <= 130.0 for r in jm.response_times)
         assert metrics.completion_rate == 1.0
         assert metrics.average_jct == pytest.approx(jm.jct)
 

@@ -97,6 +97,28 @@ class TestConfigValidation:
             LatencyConfig(flap_duration=10.0)
         LatencyConfig(flap_period=100.0, flap_duration=10.0)  # fine
 
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "compute_sigma", "comm_min", "comm_max", "duration_scale",
+            "loss_rate", "max_retries", "retry_backoff",
+            "flap_period", "flap_duration", "flap_loss_rate",
+        ],
+    )
+    def test_non_finite_knobs_are_rejected(self, name, value):
+        # NaN slips past every ``x < 0`` check: a NaN duration_scale used
+        # to run a cell in which no job completed, and no error was raised.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LatencyConfig(**{name: value})
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_link_tier_scale_is_rejected(self, scale):
+        with pytest.raises(ValueError, match="must be finite"):
+            LatencyConfig(link_tiers=(("a", 0.5, 1.0), ("b", 0.5, scale)))
+
     def test_link_tier_fractions_must_sum_to_one(self):
         with pytest.raises(ValueError):
             LatencyConfig(link_tiers=(("a", 0.5, 1.0),))

@@ -4,9 +4,10 @@ results (:data:`repro.sim.shard.STREAM_WINDOW`).
 The fleet engine keeps its static device stream as numpy columns and
 decodes ``STREAM_WINDOW`` events at a time into Python rows for the
 per-event readers.  Every test here shrinks the window to 1, 3 and 64
-events — so refills land inside folds, drains and right after a resume —
-and requires the decision hash, the metrics digest and the event count of
-the single-queue engine, which has no stream and no window.
+events — so refills land inside drains, at the stream head and right
+after a resume — and requires the decision hash, the metrics digest and
+the event count of the single-queue engine, which has no stream and no
+window.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ def test_golden_scenarios_identical_at_tiny_windows(monkeypatch, name):
 def starved_sim(fleet: bool = True) -> Simulator:
     """600 devices, one day; job 2 wants hardware almost nobody has, so
     demand stays pending while hundreds of static events pass between
-    responses — the fleet drain's candidate loop and the short folds
-    between candidates (goldens only reach the short-slice drain)."""
+    responses — long pending slices on the per-event drain (goldens only
+    reach short slices)."""
     rare = EligibilityRequirement("rare", min_cpu=0.97, min_memory=0.9)
     jobs = [
         JobSpec(1, GENERAL, demand_per_round=20, num_rounds=3, arrival_time=50.0,
@@ -106,9 +107,7 @@ def test_long_pending_slices_identical_at_tiny_windows(monkeypatch):
         monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
         assert fingerprint(starved_sim()) == expected, window
     # Every windowed reader of the fleet engine refilled mid-run.
-    assert refills_by_reader == {
-        "head_key", "_drain_shard_vec", "_drain_small", "_fold_small"
-    }
+    assert refills_by_reader == {"head_key", "_drain_events"}
 
 
 @pytest.mark.parametrize("window", WINDOWS)

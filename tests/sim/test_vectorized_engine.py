@@ -1,7 +1,7 @@
 """Unit tests for the vectorized engine hot path.
 
 Covers the struct-of-arrays device state (:mod:`repro.sim.vector`) at the
-kernel level — slot layout, signature ids, day masks, and a
+kernel level — slot layout, signature ids, and a
 differential check of :meth:`VectorDeviceState.fold_slice` against a scalar
 replay of the engine's per-event transition functions — plus engine-level
 identity: a full run with ``vectorized_dispatch=True`` must produce exactly
@@ -11,8 +11,6 @@ oracle), with a latency model that exercises the batched RNG kernel.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +19,6 @@ from hypothesis import strategies as st
 from repro.core.baselines import FIFOPolicy, make_policy
 from repro.core.requirements import COMPUTE_RICH, GENERAL, MEMORY_RICH
 from repro.core.types import JobSpec
-from repro.sim.device import SECONDS_PER_DAY, day_index
 from repro.sim.engine import SimulationConfig, run_simulation
 from repro.sim.latency import LatencyConfig
 from repro.sim.vector import (
@@ -101,19 +98,6 @@ class TestVectorDeviceState:
         assert elig[state.sig_id[0]] == False  # noqa: E712
         assert elig[state.sig_id[1]] == True  # noqa: E712
         assert not state.sig_eligibility(set()).any()
-
-    def test_day_of_matches_scalar_day_index(self):
-        state = build_state(1)
-        times = []
-        for k in (0, 1, 2, 7, 365, 10_000):
-            boundary = k * SECONDS_PER_DAY
-            times.extend(
-                [boundary, math.nextafter(boundary, 0.0), boundary + 0.5]
-            )
-        times = np.array([t for t in times if t >= 0.0])
-        days = state.day_of(times)
-        for t, d in zip(times.tolist(), days.tolist()):
-            assert d == day_index(t), f"day mismatch at t={t!r}"
 
 
 def scalar_fold_oracle(status, sess, events):

@@ -22,12 +22,7 @@ from .fairness import FairnessController
 from .ilp import IRSInstance, IRSSolution, solve_irs_bruteforce, solve_irs_milp
 from .irs import GroupAllocation, SchedulingPlan, build_plan
 from .job_group import GroupJobEntry, JobGroup, JobGroupRegistry
-from .matching import (
-    JobMatchingProfile,
-    TierDecision,
-    TierMatcher,
-    device_capacity_metric,
-)
+from .matching import TierDecision, TierMatcher, device_capacity_metric
 from .plan_delta import PlanDelta, PlanMaintainer, Trigger
 from .profile import PlanMaintenanceProfile
 from .policy import BasePolicy, SchedulingPolicy
@@ -73,7 +68,6 @@ __all__ = [
     "JobDrivenRandomPolicy",
     "JobGroup",
     "JobGroupRegistry",
-    "JobMatchingProfile",
     "JobSpec",
     "JobState",
     "MEMORY_RICH",

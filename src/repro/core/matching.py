@@ -15,6 +15,13 @@ round even if acquiring them takes slightly longer.  Venn therefore:
    when ``V + g_u * c_i < c_i + 1`` where ``c_i`` is the job's measured ratio
    of response-collection time to scheduling delay (Figure 7 of the paper).
 
+Steps 2 and 3 and ``c_i`` are refitted once per round: each successful round
+close calls :meth:`TierMatcher.record_round`, which runs :func:`fit_tiers`
+over the job's sliding profile and keeps the result until the next close.
+Participants that respond in between — those of an aborted attempt too —
+enter the fit at that next close.  :meth:`TierMatcher.decide` only reads the
+fit: one rng draw plus the line-7 test.
+
 Devices outside the chosen tier are not wasted: they flow to the next job in
 the group's order, which the Venn scheduler handles at assignment time.
 
@@ -29,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,36 +79,115 @@ class TierDecision:
         return self.low <= metric < self.high
 
 
-#: Decision used whenever tier-based matching is off (profiling rounds,
-#: single-tier configurations, or when the JCT test says it would not help).
+#: Decision used whenever tier-based matching is off (matching disabled, no
+#: fit yet, or when the JCT test says it would not help).
 NO_TIER = TierDecision(use_tier=False)
 
 
-class JobMatchingProfile:
-    """Per-job profiling state feeding Algorithm 2.
+class TierFit(NamedTuple):
+    """Algorithm 2's tiers for one job, as fitted at a round close."""
 
-    Records, over a sliding history of recent rounds, the capability metric
-    and response time of every participant plus each round's scheduling delay
-    and response-collection time.  From these it derives the tier thresholds,
-    the per-tier speed-up factors ``g_v`` and the job's response-to-schedule
-    ratio ``c_i``.
+    #: ``V + 1`` ascending capability edges: tier ``v`` covers
+    #: ``[edges[v], edges[v + 1])``, with open ends at ±inf.
+    edges: Tuple[float, ...]
+    #: Per-tier speed-up factors ``g_v = t_v / t_0`` (``<= 1`` is good).
+    speedups: Tuple[float, ...]
+    #: ``c_i = t_response / t_schedule`` averaged over recent rounds.
+    ci: float
+
+
+def _quantile(ascending: np.ndarray, q: float) -> float:
+    """``np.quantile(x, q)`` read off ``ascending = np.sort(x)``: numpy's
+    default ("linear") method, with the same float operations, so the value
+    is bit-identical — without numpy's per-call set-up, which is most of a
+    fit's cost when it runs once per quantile."""
+    h = (len(ascending) - 1) * q
+    lo = math.floor(h)
+    if lo >= len(ascending) - 1:
+        return float(ascending[-1])
+    a, b = float(ascending[lo]), float(ascending[lo + 1])
+    t = h - lo
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
+
+
+def fit_tiers(
+    capacities: Sequence[float],
+    response_times: Sequence[float],
+    sched_delays: Sequence[float],
+    collect_times: Sequence[float],
+    num_tiers: int,
+) -> Optional[TierFit]:
+    """Fit Algorithm 2's ``V`` tiers to a job's profile.
+
+    ``capacities`` and ``response_times`` pair up per participant;
+    ``sched_delays`` and ``collect_times`` per completed round.  The edges
+    are capability quantiles.  ``t_0`` is the 95th-percentile response time
+    over all participants and ``t_v`` the one inside tier ``v``; an empty
+    tier, or a zero ``t_0``, gets the factor 1.0.  A zero mean scheduling
+    delay means devices were abundant, so ``c_i`` is infinite (0.0 when
+    collection took no time either).  Returns ``None`` when there are fewer
+    than ``max(4, V)`` participants or no completed round.
+    """
+    if len(capacities) < max(4, num_tiers) or not sched_delays:
+        return None
+    caps = np.fromiter(capacities, float, len(capacities))
+    resp = np.fromiter(response_times, float, len(response_times))
+    ascending = np.sort(caps)
+    qs = np.linspace(0.0, 1.0, num_tiers + 1)[1:-1].tolist()
+    cuts = [_quantile(ascending, q) for q in qs]
+    tail = TAIL_PERCENTILE / 100.0
+    t0 = _quantile(np.sort(resp), tail)
+    speedups = [1.0] * num_tiers
+    if t0 > 0:
+        # A capability's tier is the number of cuts <= it, so tier v is
+        # exactly [edges[v], edges[v + 1]).
+        tier = np.searchsorted(cuts, caps, side="right")
+        for v in range(num_tiers):
+            members = resp[tier == v]
+            if members.size:
+                speedups[v] = _quantile(np.sort(members), tail) / t0
+    sched = float(np.mean(sched_delays))
+    collect = float(np.mean(collect_times))
+    if sched <= 0:
+        ci = math.inf if collect > 0 else 0.0
+    else:
+        ci = collect / sched
+    return TierFit((-math.inf, *cuts, math.inf), tuple(speedups), ci)
+
+
+class TierMatcher:
+    """Algorithm 2 for one job: profile its participants, refit the tiers at
+    each round close, and decide per served request whether to restrict the
+    job to a randomly chosen tier.
+
+    The Venn scheduler calls :meth:`decide` the first time it tries to place
+    a device on a request and caches the returned :class:`TierDecision` for
+    the request's lifetime.  It builds a matcher only when matching is on
+    with at least two tiers: one tier could never restrict a request.
     """
 
-    def __init__(self, num_tiers: int = 4, history: int = 2000) -> None:
-        if num_tiers < 1:
-            raise ValueError("num_tiers must be >= 1")
+    def __init__(
+        self,
+        num_tiers: int = 4,
+        rng: Optional[np.random.Generator] = None,
+        history: int = 2000,
+    ) -> None:
+        if num_tiers < 2:
+            raise ValueError("a tier matcher needs num_tiers >= 2")
         if history < 10:
             raise ValueError("history must be >= 10 samples")
         self.num_tiers = int(num_tiers)
-        self._capacities: Deque[float] = deque(maxlen=history)
-        self._response_times: Deque[float] = deque(maxlen=history)
-        self._sched_delays: Deque[float] = deque(maxlen=64)
-        self._collect_times: Deque[float] = deque(maxlen=64)
-        self._rounds_profiled = 0
+        self._rng = rng if rng is not None else np.random.default_rng()
+        self._capacities = deque(maxlen=history)
+        self._response_times = deque(maxlen=history)
+        self._sched_delays = deque(maxlen=64)
+        self._collect_times = deque(maxlen=64)
+        #: The tiers fitted at the last round close; ``None`` until the
+        #: profile is large enough (the first request only profiles, §4.3).
+        self.fit: Optional[TierFit] = None
 
-    # ------------------------------------------------------------------ #
-    # Recording
-    # ------------------------------------------------------------------ #
     def record_participation(
         self, device: DeviceProfile, response_time: float
     ) -> None:
@@ -114,126 +200,31 @@ class JobMatchingProfile:
     def record_round(
         self, scheduling_delay: float, response_collection_time: float
     ) -> None:
-        """Record a completed round's timing breakdown."""
+        """Record a completed round's timing breakdown and refit the tiers."""
         if scheduling_delay < 0 or response_collection_time < 0:
             raise ValueError("round timings must be non-negative")
         self._sched_delays.append(float(scheduling_delay))
         self._collect_times.append(float(response_collection_time))
-        self._rounds_profiled += 1
-
-    # ------------------------------------------------------------------ #
-    # Derived quantities
-    # ------------------------------------------------------------------ #
-    @property
-    def rounds_profiled(self) -> int:
-        return self._rounds_profiled
-
-    @property
-    def has_profile(self) -> bool:
-        """Whether enough history exists to attempt tier-based matching."""
-        return (
-            self._rounds_profiled >= 1
-            and len(self._capacities) >= max(4, self.num_tiers)
-            and len(self._sched_delays) >= 1
+        self.fit = fit_tiers(
+            self._capacities,
+            self._response_times,
+            self._sched_delays,
+            self._collect_times,
+            self.num_tiers,
         )
 
-    def response_to_schedule_ratio(self) -> Optional[float]:
-        """``c_i = t_response / t_schedule`` averaged over recent rounds."""
-        if not self._sched_delays or not self._collect_times:
-            return None
-        sched = float(np.mean(self._sched_delays))
-        collect = float(np.mean(self._collect_times))
-        if sched <= 0:
-            # Zero measured delay: devices were abundant, so the ratio is
-            # effectively unbounded — return a large finite value.
-            return math.inf if collect > 0 else 0.0
-        return collect / sched
-
-    def tier_thresholds(self) -> Optional[List[float]]:
-        """Capability-metric quantile cut points defining the ``V`` tiers.
-
-        Returns ``V - 1`` interior thresholds (ascending) or ``None`` when
-        there is not enough history.  Tier ``v`` covers
-        ``[thresholds[v-1], thresholds[v])`` with open ends at ±inf.
-        """
-        if not self.has_profile or self.num_tiers == 1:
-            return [] if self.num_tiers == 1 and self.has_profile else None
-        caps = np.asarray(self._capacities, dtype=float)
-        qs = np.linspace(0.0, 1.0, self.num_tiers + 1)[1:-1]
-        return [float(q) for q in np.quantile(caps, qs)]
-
-    def tier_bounds(self, tier_index: int) -> Tuple[float, float]:
-        """Capability bounds ``[low, high)`` for ``tier_index``."""
-        thresholds = self.tier_thresholds()
-        if thresholds is None:
-            raise RuntimeError("profile not ready for tier bounds")
-        edges = [-math.inf] + list(thresholds) + [math.inf]
-        if not (0 <= tier_index < self.num_tiers):
-            raise IndexError(f"tier_index {tier_index} out of range")
-        return edges[tier_index], edges[tier_index + 1]
-
-    def tier_speedups(self) -> Optional[List[float]]:
-        """Per-tier speed-up factors ``g_v = t_v / t_0`` (``<= 1`` is good).
-
-        ``t_0`` is the 95th-percentile response time over *all* profiled
-        participants; ``t_v`` the 95th percentile inside tier ``v``.  Empty
-        tiers inherit the global tail (factor 1.0).
-        """
-        if not self.has_profile:
-            return None
-        caps = np.asarray(self._capacities, dtype=float)
-        resp = np.asarray(self._response_times, dtype=float)
-        t0 = float(np.percentile(resp, TAIL_PERCENTILE))
-        if t0 <= 0:
-            return [1.0] * self.num_tiers
-        thresholds = self.tier_thresholds() or []
-        edges = [-math.inf] + list(thresholds) + [math.inf]
-        speedups: List[float] = []
-        for v in range(self.num_tiers):
-            mask = (caps >= edges[v]) & (caps < edges[v + 1])
-            if not mask.any():
-                speedups.append(1.0)
-                continue
-            tv = float(np.percentile(resp[mask], TAIL_PERCENTILE))
-            speedups.append(tv / t0)
-        return speedups
-
-
-class TierMatcher:
-    """Algorithm 2: decide, per served request, whether to restrict the job
-    to a randomly chosen device tier.
-
-    One matcher instance serves one job.  The Venn scheduler calls
-    :meth:`decide` the first time it tries to place a device on a request and
-    caches the returned :class:`TierDecision` for the request's lifetime.
-    """
-
-    def __init__(
-        self,
-        num_tiers: int = 4,
-        rng: Optional[np.random.Generator] = None,
-        history: int = 2000,
-    ) -> None:
-        self.profile = JobMatchingProfile(num_tiers=num_tiers, history=history)
-        self.num_tiers = int(num_tiers)
-        self._rng = rng if rng is not None else np.random.default_rng()
-
     def decide(self) -> TierDecision:
-        """Run the JCT test of Algorithm 2 (line 7) and pick a tier.
+        """Pick a tier and run the JCT test of Algorithm 2 (line 7).
 
-        Returns :data:`NO_TIER` when the job has no profile yet (first
-        request: profile-only, per §4.3), when only one tier is configured,
-        or when the predicted JCT with tiering is not smaller.
+        Returns :data:`NO_TIER` when the job has no fit yet or when the
+        predicted JCT with tiering is not smaller.
         """
-        prof = self.profile
-        if self.num_tiers <= 1 or not prof.has_profile:
-            return NO_TIER
-        ci = prof.response_to_schedule_ratio()
-        speedups = prof.tier_speedups()
-        if ci is None or speedups is None:
+        fit = self.fit
+        if fit is None:
             return NO_TIER
         tier = int(self._rng.integers(0, self.num_tiers))
-        gu = speedups[tier]
+        gu = fit.speedups[tier]
+        ci = fit.ci
         # JCT with tiering ~ V * t_schedule + g_u * t_response versus the
         # un-tiered t_schedule + t_response; dividing by t_schedule gives the
         # test of Algorithm 2 line 7.
@@ -243,24 +234,20 @@ class TierMatcher:
             beneficial = self.num_tiers + gu * ci < ci + 1.0
         if not beneficial:
             return NO_TIER
-        low, high = prof.tier_bounds(tier)
-        return TierDecision(use_tier=True, tier_index=tier, low=low, high=high)
-
-    # Convenience pass-throughs -------------------------------------------------
-    def record_participation(self, device: DeviceProfile, response_time: float) -> None:
-        self.profile.record_participation(device, response_time)
-
-    def record_round(
-        self, scheduling_delay: float, response_collection_time: float
-    ) -> None:
-        self.profile.record_round(scheduling_delay, response_collection_time)
+        return TierDecision(
+            use_tier=True,
+            tier_index=tier,
+            low=fit.edges[tier],
+            high=fit.edges[tier + 1],
+        )
 
 
 __all__ = [
-    "JobMatchingProfile",
     "NO_TIER",
     "TAIL_PERCENTILE",
     "TierDecision",
+    "TierFit",
     "TierMatcher",
     "device_capacity_metric",
+    "fit_tiers",
 ]

@@ -49,7 +49,7 @@ from .policy import BasePolicy, SeededRngMixin
 from .profile import PlanMaintenanceProfile
 from .requirements import AtomSpace
 from .supply import DEFAULT_WINDOW, SupplyEstimator
-from .types import DeviceProfile, JobSpec, ResourceRequest
+from .types import DeviceProfile, JobSpec, RequestState, ResourceRequest
 
 
 class VennScheduler(SeededRngMixin, BasePolicy):
@@ -60,6 +60,9 @@ class VennScheduler(SeededRngMixin, BasePolicy):
     num_tiers:
         Number of device capability tiers ``V`` used by Algorithm 2.  ``1``
         disables tier-based matching (the "Venn w/o matching" ablation).
+        A :class:`~repro.core.matching.TierMatcher` per job — profiling its
+        responses, fitting its tiers at each round close — exists only when
+        matching is on and ``V > 1``.
     epsilon:
         Fairness knob ε of §4.4.  ``0`` disables starvation prevention.
     supply_window:
@@ -200,10 +203,10 @@ class VennScheduler(SeededRngMixin, BasePolicy):
     def on_job_arrival(self, job: JobSpec, now: float) -> None:
         super().on_job_arrival(job, now)
         self.fairness.register_job(job, now)
-        self._matchers[job.job_id] = TierMatcher(
-            num_tiers=self.num_tiers,
-            rng=self._rng,
-        )
+        if self.enable_matching and self.num_tiers > 1:
+            self._matchers[job.job_id] = TierMatcher(
+                num_tiers=self.num_tiers, rng=self._rng
+            )
         if self._incremental_enabled and self._requirement_shared(
             job.job_id, job.requirement
         ):
@@ -261,11 +264,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         super().on_request_closed(request, now)
         self._tier_decisions.pop(request.request_id, None)
         matcher = self._matchers.get(request.job_id)
-        if (
-            matcher is not None
-            and request.scheduling_delay is not None
-            and request.response_collection_time is not None
-        ):
+        if matcher is not None and request.state is RequestState.COMPLETED:
             matcher.record_round(
                 request.scheduling_delay, request.response_collection_time
             )
@@ -581,11 +580,8 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         decision = self._tier_decisions.get(request.request_id)
         if decision is not None:
             return decision
-        if not self.enable_matching or self.num_tiers <= 1:
-            decision = NO_TIER
-        else:
-            matcher = self._matchers.get(request.job_id)
-            decision = matcher.decide() if matcher is not None else NO_TIER
+        matcher = self._matchers.get(request.job_id)
+        decision = matcher.decide() if matcher is not None else NO_TIER
         self._tier_decisions[request.request_id] = decision
         return decision
 

@@ -15,10 +15,13 @@ second run to compare against:
 * :func:`check_stream_cursor` — the stream cursor accounts for every
   processed static event;
 * :func:`check_daily_budget` — under the daily limit a device gets a
-  second task in one calendar day only after a refund.
+  second task in one calendar day only after a refund;
+* :func:`check_round_closes` — every successful round reaches the policy
+  exactly once, already ``COMPLETED``, and the policy's round count
+  follows the job.
 
 Each returns how much it checked, so a caller can require that a run
-exercised it; :func:`check_run` runs all four.  A violation raises
+exercised it; :func:`check_run` runs all five.  A violation raises
 :class:`InvariantViolation`.  Each predicate fails under a one-line
 mutation of the handler it guards (``docs/RESILIENCE.md`` § Run
 invariants lists them).
@@ -27,7 +30,7 @@ invariants lists them).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,11 +47,16 @@ class InvariantViolation(AssertionError):
 class AssignmentLog(RecordingPolicy):
     """A :class:`RecordingPolicy` that also keeps the request behind every
     assignment, as ``(now, device_id, request)`` in decision order — the
-    engine forgets closed requests, the invariants need them."""
+    engine forgets closed requests, the invariants need them — and what
+    every ``on_request_closed`` call showed the policy, as ``(request,
+    state, response_collection_time)`` read inside the hook."""
 
     def __init__(self, inner) -> None:
         super().__init__(inner)
         self.assigned: List[Tuple[float, int, ResourceRequest]] = []
+        self.closed: List[
+            Tuple[ResourceRequest, RequestState, Optional[float]]
+        ] = []
 
     def assign(self, device, now):
         out = super().assign(device, now)
@@ -61,6 +69,12 @@ class AssignmentLog(RecordingPolicy):
         for i, request in proposals:
             self.assigned.append((now, devices[i].device_id, request))
         return consumed, proposals
+
+    def on_request_closed(self, request, now):
+        self.closed.append(
+            (request, request.state, request.response_collection_time)
+        )
+        self._inner.on_request_closed(request, now)
 
 
 def _require(ok: bool, message: str) -> None:
@@ -185,6 +199,54 @@ def check_daily_budget(sim, log: AssignmentLog) -> int:
     return repeats
 
 
+def check_round_closes(sim, log: AssignmentLog) -> int:
+    """Every successful round reaches the policy exactly once, and as
+    ``COMPLETED`` with its collection time — the hook runs after the round
+    is marked, so the policy can learn from it — and every other close is
+    an abort.  For every job that arrived and did not finish, the policy's
+    ``rounds_completed`` equals the job's completed rounds.  Returns the
+    number of successful rounds."""
+    _finished_fleet_run(sim)
+    seen: Counter = Counter()
+    for request, state, collection_time in log.closed:
+        if state is RequestState.COMPLETED:
+            _require(
+                collection_time is not None,
+                f"request {request.request_id} closed as COMPLETED without "
+                f"a collection time",
+            )
+            seen[request.job_id, request.round_index] += 1
+        else:
+            _require(
+                state is RequestState.ABORTED,
+                f"request {request.request_id} (job {request.job_id}, round "
+                f"{request.round_index}) reached the policy {state.name}",
+            )
+    completed = Counter(
+        (job.job_id, record.round_index)
+        for job in sim.jobs.values()
+        for record in job.rounds
+        if record.completed
+    )
+    _require(
+        seen == completed,
+        f"{sum(completed.values())} rounds completed, but the policy saw "
+        f"{sum(seen.values())} completed closes (first difference: "
+        f"{sorted((completed - seen) + (seen - completed))[:3]})",
+    )
+    horizon = sim.config.horizon
+    for job in sim.jobs.values():
+        if job.is_finished or job.spec.arrival_time > horizon:
+            continue
+        done = log.rounds_completed.get(job.job_id)
+        _require(
+            done == job.rounds_completed,
+            f"job {job.job_id} completed {job.rounds_completed} rounds, "
+            f"the policy counts {done}",
+        )
+    return sum(completed.values())
+
+
 def check_run(sim, log: AssignmentLog) -> Dict[str, int]:
     """Run every invariant; returns what each one checked."""
     return {
@@ -192,6 +254,7 @@ def check_run(sim, log: AssignmentLog) -> Dict[str, int]:
         "busy_slots": check_busy_slots(sim),
         "static_events": check_stream_cursor(sim),
         "same_day_repeats": check_daily_budget(sim, log),
+        "completed_rounds": check_round_closes(sim, log),
     }
 
 
@@ -201,6 +264,7 @@ __all__ = [
     "check_busy_slots",
     "check_daily_budget",
     "check_responses",
+    "check_round_closes",
     "check_run",
     "check_stream_cursor",
 ]

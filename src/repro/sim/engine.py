@@ -1316,8 +1316,8 @@ class Simulator:
         if deadline_event is not None:
             deadline_event.cancel()
         self._pending.remove(request.job_id)
-        self.policy.on_request_closed(request, self.now)
         finished = job.complete_round(self.now)
+        self.policy.on_request_closed(request, self.now)
         if request.in_flight == 0:
             # Demand met means every assigned device responded or straggles;
             # with no straggler in flight the request is unreachable.

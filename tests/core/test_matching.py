@@ -9,28 +9,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.matching as matching
 from repro.core.matching import (
     NO_TIER,
-    JobMatchingProfile,
     TierDecision,
     TierMatcher,
     device_capacity_metric,
+    fit_tiers,
 )
 from tests.conftest import make_device
 
 
-def populate_profile(
-    profile: JobMatchingProfile,
-    speeds,
-    response_scale: float = 10.0,
-    rounds=((100.0, 50.0),),
-) -> None:
-    """Fill a profile with participants whose response time tracks speed."""
+def profile(speeds):
+    """Capabilities and response times of participants whose response time
+    tracks speed."""
+    caps = [device_capacity_metric(make_device(speed=s)) for s in speeds]
+    return caps, [10.0 * s for s in speeds]
+
+
+def fit(speeds, num_tiers, rounds=((100.0, 50.0),)):
+    caps, resp = profile(speeds)
+    sched = [r[0] for r in rounds]
+    collect = [r[1] for r in rounds]
+    return fit_tiers(caps, resp, sched, collect, num_tiers)
+
+
+def populate(matcher: TierMatcher, speeds, rounds=((100.0, 50.0),)) -> None:
+    """Feed a matcher participants, then close its rounds."""
     for i, s in enumerate(speeds):
         device = make_device(device_id=i, speed=s)
-        profile.record_participation(device, response_time=response_scale * s)
+        matcher.record_participation(device, response_time=10.0 * s)
     for sched, resp in rounds:
-        profile.record_round(sched, resp)
+        matcher.record_round(sched, resp)
 
 
 class TestDeviceCapacityMetric:
@@ -61,96 +71,178 @@ class TestTierDecision:
         assert not decision.accepts(make_device(speed=10.0))  # metric ~0.1
 
 
-class TestJobMatchingProfile:
-    def test_requires_valid_configuration(self):
-        with pytest.raises(ValueError):
-            JobMatchingProfile(num_tiers=0)
-        with pytest.raises(ValueError):
-            JobMatchingProfile(history=1)
+def fit_by_numpy(caps, resp, num_tiers):
+    """Edges and speed-ups with one ``np.quantile`` / ``np.percentile`` call
+    per quantity and a mask per tier — the formulas ``fit_tiers`` must
+    reproduce bit for bit."""
+    caps, resp = np.asarray(caps, dtype=float), np.asarray(resp, dtype=float)
+    qs = np.linspace(0.0, 1.0, num_tiers + 1)[1:-1]
+    edges = (-math.inf, *np.quantile(caps, qs).tolist(), math.inf)
+    t0 = float(np.percentile(resp, 95.0))
+    speedups = []
+    for v in range(num_tiers):
+        mask = (caps >= edges[v]) & (caps < edges[v + 1])
+        if t0 <= 0 or not mask.any():
+            speedups.append(1.0)
+        else:
+            speedups.append(float(np.percentile(resp[mask], 95.0)) / t0)
+    return edges, tuple(speedups)
 
-    def test_no_profile_until_rounds_recorded(self):
-        profile = JobMatchingProfile(num_tiers=4)
-        assert not profile.has_profile
-        assert profile.tier_thresholds() is None
-        assert profile.tier_speedups() is None
 
-    def test_negative_inputs_rejected(self):
-        profile = JobMatchingProfile()
-        with pytest.raises(ValueError):
-            profile.record_participation(make_device(), response_time=-1.0)
-        with pytest.raises(ValueError):
-            profile.record_round(-1.0, 5.0)
+class TestFitTiers:
+    @given(
+        participants=st.lists(
+            st.tuples(
+                st.floats(0.0, 10.0) | st.sampled_from([0.5, 1.0, 2.0]),
+                st.floats(0.0, 1e4) | st.sampled_from([0.0, 60.0]),
+            ),
+            min_size=4,
+            max_size=300,
+        ),
+        tiers=st.integers(min_value=1, max_value=7),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_quantiles_bit_for_bit(self, participants, tiers):
+        """Ties, empty tiers, tiny tiers and a zero tail included."""
+        caps = [c for c, _r in participants]
+        resp = [r for _c, r in participants]
+        result = fit_tiers(caps, resp, [1.0], [1.0], tiers)
+        if len(participants) < tiers:
+            assert result is None
+        else:
+            assert (result.edges, result.speedups) == fit_by_numpy(
+                caps, resp, tiers
+            )
 
-    def test_thresholds_are_sorted_quantiles(self):
-        profile = JobMatchingProfile(num_tiers=4)
-        populate_profile(profile, speeds=np.linspace(0.5, 5.0, 40))
-        thresholds = profile.tier_thresholds()
-        assert thresholds is not None
-        assert len(thresholds) == 3
-        assert thresholds == sorted(thresholds)
+    def test_no_fit_without_enough_profile(self):
+        speeds = np.linspace(0.5, 5.0, 40)
+        assert fit(speeds, 4, rounds=()) is None  # no completed round
+        assert fit(speeds[:3], 2) is None  # fewer than 4 participants
+        assert fit(speeds[:5], 6) is None  # fewer than V participants
+        assert fit(speeds[:4], 4) is not None
 
-    def test_single_tier_has_no_thresholds(self):
-        profile = JobMatchingProfile(num_tiers=1)
-        populate_profile(profile, speeds=np.linspace(0.5, 5.0, 20))
-        assert profile.tier_thresholds() == []
+    def test_edges_are_sorted_quantiles(self):
+        speeds = np.linspace(0.5, 5.0, 40)
+        result = fit(speeds, 4)
+        assert len(result.edges) == 5 and len(result.speedups) == 4
+        assert result.edges[0] == -math.inf and result.edges[-1] == math.inf
+        assert list(result.edges) == sorted(result.edges)
+        caps, _resp = profile(speeds)
+        assert list(result.edges[1:-1]) == pytest.approx(
+            np.quantile(caps, [0.25, 0.5, 0.75])
+        )
+
+    def test_single_tier_is_the_whole_axis(self):
+        result = fit(np.linspace(0.5, 5.0, 20), 1)
+        assert result.edges == (-math.inf, math.inf)
+        assert result.speedups == (1.0,)
 
     def test_speedups_favor_fast_tier(self):
-        profile = JobMatchingProfile(num_tiers=4)
-        populate_profile(profile, speeds=np.linspace(0.5, 5.0, 200))
-        speedups = profile.tier_speedups()
-        assert speedups is not None and len(speedups) == 4
+        result = fit(np.linspace(0.5, 5.0, 200), 4)
+        speedups = result.speedups
         # Tier 3 contains the highest-capacity (fastest) devices, whose tail
         # response time is far below the global tail.
         assert speedups[3] < speedups[0]
         assert speedups[3] < 1.0
         assert all(s <= 1.0 + 1e-9 for s in speedups[3:])
 
-    def test_tier_bounds_partition_the_metric_axis(self):
-        profile = JobMatchingProfile(num_tiers=3)
-        populate_profile(profile, speeds=np.linspace(0.5, 5.0, 60))
-        lows, highs = [], []
-        for v in range(3):
-            low, high = profile.tier_bounds(v)
-            lows.append(low)
-            highs.append(high)
-            assert low < high
-        assert lows[0] == -math.inf
-        assert highs[-1] == math.inf
-        assert highs[0] == lows[1] and highs[1] == lows[2]
+    def test_edges_partition_the_metric_axis(self):
+        speeds = np.linspace(0.5, 5.0, 60)
+        edges = fit(speeds, 3).edges
+        assert all(low < high for low, high in zip(edges, edges[1:]))
+        caps, _resp = profile(speeds)
+        for cap in caps:
+            tiers = [v for v in range(3) if edges[v] <= cap < edges[v + 1]]
+            assert len(tiers) == 1
 
-    def test_tier_bounds_out_of_range(self):
-        profile = JobMatchingProfile(num_tiers=2)
-        populate_profile(profile, speeds=np.linspace(0.5, 5.0, 30))
-        with pytest.raises(IndexError):
-            profile.tier_bounds(5)
+    def test_empty_tier_and_zero_tail_get_factor_one(self):
+        # Every participant has the same capability: the upper tiers are
+        # empty; and a zero tail response time gives every tier 1.0.
+        caps, resp = [1.0] * 10, [float(i) for i in range(10)]
+        result = fit_tiers(caps, resp, [10.0], [5.0], 3)
+        assert result.speedups[1:] == (1.0, 1.0)
+        caps = [float(i) for i in range(10)]
+        zero = fit_tiers(caps, [0.0] * 10, [10.0], [5.0], 3)
+        assert zero.speedups == (1.0, 1.0, 1.0)
 
     def test_response_to_schedule_ratio(self):
-        profile = JobMatchingProfile()
-        populate_profile(profile, speeds=[1.0] * 10, rounds=((100.0, 25.0),))
-        assert profile.response_to_schedule_ratio() == pytest.approx(0.25)
+        result = fit([1.0] * 10, 4, rounds=((100.0, 25.0), (300.0, 75.0)))
+        assert result.ci == pytest.approx(0.25)
 
     def test_zero_scheduling_delay_gives_infinite_ratio(self):
-        profile = JobMatchingProfile()
-        populate_profile(profile, speeds=[1.0] * 10, rounds=((0.0, 25.0),))
-        assert math.isinf(profile.response_to_schedule_ratio())
+        assert math.isinf(fit([1.0] * 10, 4, rounds=((0.0, 25.0),)).ci)
+
+    def test_zero_delay_and_zero_collection_give_zero_ratio(self):
+        assert fit([1.0] * 10, 4, rounds=((0.0, 0.0),)).ci == 0.0
 
 
 class TestTierMatcher:
+    def test_requires_valid_configuration(self):
+        with pytest.raises(ValueError):
+            TierMatcher(num_tiers=0)
+        with pytest.raises(ValueError):
+            TierMatcher(history=1)
+
+    def test_a_single_tier_is_refused(self):
+        """One tier could never restrict a request: the scheduler builds no
+        matcher for it, and a matcher refuses it."""
+        with pytest.raises(ValueError, match="num_tiers >= 2"):
+            TierMatcher(num_tiers=1)
+
+    def test_negative_inputs_rejected(self):
+        matcher = TierMatcher()
+        with pytest.raises(ValueError):
+            matcher.record_participation(make_device(), response_time=-1.0)
+        with pytest.raises(ValueError):
+            matcher.record_round(-1.0, 5.0)
+
     def test_no_decision_without_profile(self):
         matcher = TierMatcher(num_tiers=4, rng=np.random.default_rng(0))
         assert matcher.decide() == NO_TIER
-
-    def test_single_tier_never_restricts(self):
-        matcher = TierMatcher(num_tiers=1, rng=np.random.default_rng(0))
-        populate_profile(matcher.profile, speeds=np.linspace(0.5, 5.0, 50))
+        populate(matcher, speeds=np.linspace(0.5, 5.0, 50), rounds=())
+        assert matcher.fit is None  # participants, but no round closed
         assert matcher.decide() == NO_TIER
+
+    def test_tiers_are_fitted_once_per_round_close(self, monkeypatch):
+        """``fit_tiers`` runs exactly once per ``record_round`` and never
+        inside ``decide``; participants recorded between two closes enter
+        the fit at the second."""
+        calls = []
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return fit_tiers(*args)
+
+        monkeypatch.setattr(matching, "fit_tiers", spy)
+        matcher = TierMatcher(num_tiers=2, rng=np.random.default_rng(3))
+        populate(matcher, np.linspace(0.5, 5.0, 100), rounds=((1.0, 500.0),))
+        assert calls == [100]
+        fitted = matcher.fit
+        for _ in range(20):
+            matcher.decide()
+        populate(matcher, [1.0] * 10, rounds=())
+        assert calls == [100] and matcher.fit is fitted
+        matcher.record_round(1.0, 500.0)
+        assert calls == [100, 110]
+
+    def test_decide_calls_no_numpy_besides_the_draw(self, monkeypatch):
+        matcher = TierMatcher(num_tiers=2, rng=np.random.default_rng(3))
+        populate(matcher, np.linspace(0.5, 5.0, 200), rounds=((1.0, 500.0),))
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"decide() called numpy.{name}")
+
+        monkeypatch.setattr(matching, "np", NoNumpy())
+        decisions = [matcher.decide() for _ in range(50)]
+        assert any(d.use_tier for d in decisions)
 
     def test_restricts_when_response_time_dominates(self):
         """When c_i is huge (response time >> scheduling delay) and the tier
         speed-up is real, the JCT test V + g*c < c + 1 passes for fast tiers."""
         matcher = TierMatcher(num_tiers=2, rng=np.random.default_rng(3))
-        populate_profile(
-            matcher.profile,
+        populate(
+            matcher,
             speeds=np.linspace(0.5, 5.0, 200),
             rounds=((1.0, 500.0),),  # c_i = 500
         )
@@ -160,12 +252,15 @@ class TestTierMatcher:
             if d.use_tier:
                 assert 0 <= d.tier_index < 2
                 assert d.low < d.high
+                assert (d.low, d.high) == matcher.fit.edges[
+                    d.tier_index : d.tier_index + 2
+                ]
 
     def test_never_restricts_when_scheduling_delay_dominates(self):
         """When scheduling delay dominates (c_i small), tiering always loses."""
         matcher = TierMatcher(num_tiers=4, rng=np.random.default_rng(3))
-        populate_profile(
-            matcher.profile,
+        populate(
+            matcher,
             speeds=np.linspace(0.5, 5.0, 200),
             rounds=((1000.0, 10.0),),  # c_i = 0.01
         )
@@ -181,14 +276,13 @@ class TestTierMatcher:
         """Property: whenever a tier is chosen, the Algorithm-2 inequality
         V + g_u * c_i < c_i + 1 actually holds for the chosen tier."""
         matcher = TierMatcher(num_tiers=tiers, rng=np.random.default_rng(seed))
-        populate_profile(
-            matcher.profile,
+        populate(
+            matcher,
             speeds=np.linspace(0.5, 5.0, 120),
             rounds=((100.0, 100.0 * ci),),
         )
-        speedups = matcher.profile.tier_speedups()
         decision = matcher.decide()
         if decision.use_tier:
-            g = speedups[decision.tier_index]
-            measured_ci = matcher.profile.response_to_schedule_ratio()
+            g = matcher.fit.speedups[decision.tier_index]
+            measured_ci = matcher.fit.ci
             assert tiers + g * measured_ci < measured_ci + 1.0

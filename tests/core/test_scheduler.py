@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.requirements import GENERAL, HIGH_PERFORMANCE
 from repro.core.scheduler import VennScheduler
-from repro.core.types import ResourceRequest
+from repro.core.types import RequestState, ResourceRequest
 from tests.conftest import make_device, make_job
 
 
@@ -23,6 +23,15 @@ def open_request(policy, job, now=0.0, request_id=None):
     )
     policy.on_request_open(request, now)
     return request
+
+
+def complete(request, now):
+    """Leave ``request`` as a successful round does: fully acquired,
+    ``COMPLETED`` and closed at ``now``."""
+    for i in range(request.remaining_demand):
+        request.record_assignment(10_000 + i, now)
+    request.state = RequestState.COMPLETED
+    request.close_time = now
 
 
 def feed_checkins(policy, devices, start=0.0, step=1.0):
@@ -128,7 +137,7 @@ class TestVennSchedulerAssignment:
         # Job 2 shares job 1's requirement, so its arrival + request were
         # classified incrementally — no extra full rebuild.
         assert sched.plan_profile.incremental_updates > 0
-        request2.state = request2.state.__class__.COMPLETED
+        complete(request2, 3.0)
         sched.on_request_closed(request2, 3.0)
         sched.assign(make_device(device_id=3), 4.0)
         assert refreshes() > seen + 1
@@ -143,7 +152,7 @@ class TestVennSchedulerAssignment:
         request2 = open_request(sched, make_job(2, GENERAL, demand=5), request_id=2)
         sched.assign(make_device(device_id=2), 2.0)
         assert sched.plan_rebuilds > rebuilds
-        request2.state = request2.state.__class__.COMPLETED
+        complete(request2, 3.0)
         sched.on_request_closed(request2, 3.0)
         sched.assign(make_device(device_id=3), 4.0)
         assert sched.plan_rebuilds > rebuilds + 1
@@ -178,6 +187,14 @@ class TestVennSchedulerMatchingIntegration:
         request = open_request(sched, job, request_id=1)
         sched.assign(make_device(device_id=5), now=1.0)
         assert not sched._tier_decisions[request.request_id].use_tier
+        assert not sched._matchers  # and no response is profiled
+
+    def test_a_single_tier_builds_no_matcher(self):
+        sched = VennScheduler(seed=1, num_tiers=1)
+        request = open_request(sched, make_job(1, GENERAL, demand=3))
+        sched.assign(make_device(device_id=5), now=1.0)
+        assert not sched._matchers
+        assert not sched._tier_decisions[request.request_id].use_tier
 
     def test_tier_restricted_device_still_assigned_as_fallback(self):
         """A device outside the chosen tier is used as a fallback rather than
@@ -209,21 +226,39 @@ class TestVennSchedulerMatchingIntegration:
         chosen = sched.assign(device, 1.0)
         chosen.record_assignment(device.device_id, 1.0)
         sched.on_response(request, device, 61.0)
-        profile = sched._matchers[1].profile
-        assert len(profile._response_times) == 1
-        assert profile._response_times[0] == pytest.approx(60.0)
+        matcher = sched._matchers[1]
+        assert list(matcher._response_times) == [pytest.approx(60.0)]
+        assert matcher.fit is None  # participants alone fit nothing
 
-    def test_request_close_records_round_profile(self):
+    def test_only_a_completed_close_fits_the_tiers(self):
+        """Closing an aborted request leaves the fit alone; closing a
+        completed one fits the tiers from every participant recorded so far
+        and the round's timing."""
         sched = VennScheduler(seed=0)
-        job = make_job(1, GENERAL, demand=1)
-        request = open_request(sched, job, request_id=1)
-        request.record_assignment(9, 5.0)
-        request.record_response(9, 20.0)
-        request.state = request.state.__class__.COMPLETED
-        request.close_time = 20.0
-        sched.on_request_closed(request, 20.0)
-        profile = sched._matchers[1].profile
-        assert profile.rounds_profiled == 1
+        job = make_job(1, GENERAL, demand=4)
+        aborted = open_request(sched, job, request_id=1)
+        for i in range(4):
+            aborted.record_assignment(i, 5.0)
+            sched.on_response(aborted, make_device(device_id=i), 20.0)
+        aborted.state = RequestState.ABORTED
+        aborted.close_time = 30.0
+        sched.on_request_closed(aborted, 30.0)
+        matcher = sched._matchers[1]
+        assert matcher.fit is None
+        completed = ResourceRequest(
+            request_id=2, job_id=1, demand=4, submit_time=30.0,
+            deadline=1230.0, min_reports=job.min_reports,
+        )
+        sched.on_request_open(completed, 30.0)
+        for i in range(4, 8):
+            completed.record_assignment(i, 40.0)
+            sched.on_response(completed, make_device(device_id=i), 60.0)
+        completed.state = RequestState.COMPLETED
+        completed.close_time = 60.0
+        sched.on_request_closed(completed, 60.0)
+        assert len(matcher._capacities) == 8
+        assert matcher.fit is not None
+        assert matcher.fit.ci == pytest.approx(20.0 / 10.0)
 
 
 class TestVennSchedulerLifecycle:

@@ -33,8 +33,8 @@ PINNED = {
         30,
     ),
     ("non_iid_contention", "venn"): (
-        "ac17114f520ace6b54d6f8394c464c91",
-        "dc35ac20ac16925492ff4f7561ba8400",
+        "65d50b6cd75f7db49d6b9006d0f47caa",
+        "3be2164786c42f94a86945f9e9421cb5",
         31,
     ),
     ("flash_crowd", "random"): (
@@ -43,8 +43,8 @@ PINNED = {
         43,
     ),
     ("flash_crowd", "venn"): (
-        "57cd8408c67bce6d2d347d6cc08d6ffc",
-        "7b05242d5d2655b0ef5831ca93be53ad",
+        "02fe3c235f568998670f7946195946cb",
+        "999cb383b33a448141c9c5bc614d3f38",
         41,
     ),
 }

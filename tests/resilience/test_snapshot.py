@@ -98,7 +98,7 @@ class TestVectorizedDevicesAcrossSnapshots:
 
     def test_resumed_run_builds_devices_from_the_restored_arrays(self):
         snap = killed_mid_run(**self.MODE)
-        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 10
+        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 11
         resumed = Simulator.resume(snap, crash_at_event=None)
         assert resumed._devices is None
         # Mid-run read on the resumed simulator: the checkpoint's state.
@@ -349,6 +349,34 @@ class TestCheckpointing:
             engine_module, "_check_format_version", lambda version: None
         )
         with pytest.raises(AttributeError, match="'_idle'"):
+            Simulator.resume(payload, crash_at_event=None).run()
+
+    def test_format_10_snapshot_is_refused_up_front(self, monkeypatch):
+        """Format 10 pickled each Venn job's profile as a
+        ``JobMatchingProfile`` under ``TierMatcher.profile``; format 11
+        pickles the matcher's own history and the tiers fitted at the last
+        round close (``fit``).  A real format-10 payload names the deleted
+        class and fails to decode; one that decodes but lacks the matcher's
+        history is refused by the version check before anything runs."""
+        sim = Simulator.resume(killed_mid_run(vectorized=True))
+        assert sim.policy._matchers  # jobs are running at the checkpoint
+        for matcher in sim.policy._matchers.values():
+            # The format-10 shape: the history lived on the profile.
+            for name in ("_capacities", "_response_times", "_sched_delays",
+                         "_collect_times", "fit"):
+                delattr(matcher, name)
+            matcher.profile = None
+        monkeypatch.setattr(engine_module, "SNAPSHOT_FORMAT_VERSION", 10)
+        payload = sim.snapshot().payload
+        monkeypatch.undo()
+        with pytest.raises(SnapshotError, match="format version 10 "):
+            Simulator.resume(payload)
+        # Without the check the stale graph gets as far as the first
+        # response it profiles.
+        monkeypatch.setattr(
+            engine_module, "_check_format_version", lambda version: None
+        )
+        with pytest.raises(AttributeError, match="'_capacities'"):
             Simulator.resume(payload, crash_at_event=None).run()
 
     def test_resume_reattaches_checkpoint_sink(self):

@@ -1,32 +1,34 @@
-"""What a policy is told when a round succeeds — pinned, not yet fixed.
+"""What a policy is told when a round succeeds.
 
-``Simulator._maybe_complete_request`` calls ``policy.on_request_closed``
-*before* ``job.complete_round`` moves the request to ``COMPLETED`` and stamps
-its ``close_time``.  So a policy never sees a completed request: it sees one
-still ``COLLECTING``, whose ``response_collection_time`` is ``None``.  Two
-consequences reach decisions:
+``Simulator._maybe_complete_request`` calls ``job.complete_round`` — which
+moves the request to ``COMPLETED`` and stamps its ``close_time`` — and only
+then ``policy.on_request_closed``, the order the deadline path already used
+for an aborted round.  So the hook of a successful round sees a completed
+request with a known ``response_collection_time``, and two things follow:
 
-* ``BasePolicy.on_request_closed`` counts a round only when the state reads
-  ``"completed"``, so ``rounds_completed`` stays 0 and
-  ``remaining_job_demand`` is a job's *total* service, not its remaining one
+* ``BasePolicy.on_request_closed`` counts the round, so ``rounds_completed``
+  follows the job and ``remaining_job_demand`` is its *remaining* service
   (SRSF, and Venn's ``"total"`` intra-group order);
-* ``VennScheduler.on_request_closed`` feeds ``TierMatcher.record_round`` only
-  when the collection time is known, so no matcher ever gets a profile and
-  Algorithm 2 never restricts a request.
+* ``VennScheduler.on_request_closed`` feeds ``TierMatcher.record_round``,
+  which fits the job's tiers, so Algorithm 2 can restrict a request.
 
-Fixing the order moves ``avg_jct_s`` on every contended cell and re-pins
-every golden, so it is its own PR (``docs/ARCHITECTURE.md`` § Known defects).
-The tests below are ``xfail(strict=True)``: they fail loudly the day the
-order is fixed, which is when the marks — and this paragraph — go.
+``repro.invariants.check_round_closes`` states the same contract for any
+finished fleet run.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.baselines import FIFOPolicy
+from repro.core.baselines import FIFOPolicy, make_policy
+from repro.core.matching import TierMatcher
 from repro.core.requirements import GENERAL
 from repro.core.types import RequestState
+from repro.experiments.sweep import smoke_base_config
+from repro.resilience.record import RecordingPolicy
+from repro.scenarios import get_scenario
 from repro.sim.engine import SimulationConfig, Simulator
 from repro.sim.latency import LatencyConfig
 from repro.traces.device_trace import AvailabilitySession, DeviceAvailabilityTrace
@@ -87,8 +89,8 @@ def run_two_jobs(engine: str):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_the_run_is_six_successful_rounds(engine):
-    """Not an xfail: what the two below take for granted about the run, so
-    that they can only fail for the reason their marks give."""
+    """What the two below take for granted about the run, so that they can
+    only fail for the reason they name."""
     policy, metrics = run_two_jobs(engine)
     assert metrics.total_aborts == 0
     assert [jm.rounds_completed for jm in metrics.jobs.values()] == [3, 3]
@@ -97,11 +99,6 @@ def test_the_run_is_six_successful_rounds(engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="on_request_closed runs before complete_round: state is COLLECTING",
-)
 def test_closed_request_of_a_successful_round_is_completed(engine):
     policy, _metrics = run_two_jobs(engine)
     for state, collection_time in policy.closes:
@@ -110,13 +107,40 @@ def test_closed_request_of_a_successful_round_is_completed(engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="rounds_completed never advances: the hook never sees 'completed'",
-)
 def test_rounds_completed_follows_the_running_job(engine):
     policy, _metrics = run_two_jobs(engine)
     # No round aborts, so a job's k-th round opens once k rounds completed.
     for round_index, done in policy.opens:
         assert done == round_index
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_tier_matching_moves_decisions_on_a_contended_cell(engine, monkeypatch):
+    """Algorithm 2 runs: on the ``flash_crowd`` smoke cell (a burst of
+    arrivals contending for one fleet) some ``decide()`` restricts a request
+    to a tier, and Venn's decisions differ from those of Venn without
+    matching."""
+    decisions = []
+    decide = TierMatcher.decide
+
+    def spy(matcher):
+        decision = decide(matcher)
+        decisions.append(decision)
+        return decision
+
+    monkeypatch.setattr(TierMatcher, "decide", spy)
+    env = get_scenario("flash_crowd").build_environment(
+        smoke_base_config(seed=0)
+    )
+    config = replace(env.config.simulation, **ENGINES[engine])
+    hashes = {}
+    for name in ("venn", "venn_wo_match"):
+        policy = RecordingPolicy(
+            make_policy(name, seed=env.config.seed_for("policy"))
+        )
+        Simulator(
+            env.devices, env.availability, env.workload, policy, config
+        ).run()
+        hashes[name] = policy.decision_hash
+    assert any(d.use_tier for d in decisions)  # only Venn builds matchers
+    assert hashes["venn"] != hashes["venn_wo_match"]

@@ -21,7 +21,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.baselines import make_policy
-from repro.core.types import RequestState
+from repro.core.types import JobState, RequestState
 from repro.experiments.config import quick_config
 from repro.invariants import (
     AssignmentLog,
@@ -29,6 +29,7 @@ from repro.invariants import (
     check_busy_slots,
     check_daily_budget,
     check_responses,
+    check_round_closes,
     check_run,
     check_stream_cursor,
 )
@@ -99,6 +100,7 @@ def test_every_invariant_holds(runs, name):
     assert sim.config.enforce_daily_limit
     counts = check_run(sim, sim.policy)
     assert counts["assignments"] > 60, counts
+    assert counts["completed_rounds"] >= 2, counts
     if name != "same-timestamp":  # always-on devices: no static churn
         assert counts["static_events"] > 100, counts
 
@@ -164,6 +166,47 @@ class TestViolationsAreCaught:
         ]
         with pytest.raises(InvariantViolation, match="without a refund"):
             check_daily_budget(sim, sim.policy)
+
+    def test_a_round_closed_before_it_completed(self, sim):
+        """The hook ran before ``complete_round`` marked the request: what
+        the policy saw was still collecting."""
+        log = sim.policy
+        i, (request, _state, _t) = next(
+            (i, c) for i, c in enumerate(log.closed)
+            if c[1] is RequestState.COMPLETED
+        )
+        log.closed[i] = (request, RequestState.COLLECTING, None)
+        with pytest.raises(InvariantViolation, match="reached the policy"):
+            check_round_closes(sim, log)
+
+    def test_a_completed_round_the_policy_never_saw(self, sim):
+        log = sim.policy
+        i = next(
+            i for i, c in enumerate(log.closed)
+            if c[1] is RequestState.COMPLETED
+        )
+        close = log.closed.pop(i)
+        with pytest.raises(InvariantViolation, match="completed closes"):
+            check_round_closes(sim, log)
+        log.closed += [close, close]  # and one seen twice
+        with pytest.raises(InvariantViolation, match="completed closes"):
+            check_round_closes(sim, log)
+
+    def test_a_round_count_that_lags_the_job(self, sim):
+        log = sim.policy
+        unfinished = [
+            job for job in sim.jobs.values()
+            if not job.is_finished
+            and job.spec.arrival_time <= sim.config.horizon
+        ]
+        if unfinished:
+            log.rounds_completed[unfinished[0].job_id] -= 1
+        else:
+            # Every job finished (the sparse cell): one the engine never
+            # told the policy about keeps no count there at all.
+            next(iter(sim.jobs.values())).state = JobState.RUNNING
+        with pytest.raises(InvariantViolation, match="the policy counts"):
+            check_round_closes(sim, log)
 
 
 def test_only_finished_fleet_runs_are_checked():

@@ -4,7 +4,8 @@
 The resource manager's policy interface
 (:class:`repro.core.policy.SchedulingPolicy`) is deliberately small: register
 jobs and requests, and answer "which open request should this checked-in
-device serve?".  This example implements a simple *least-progress-first*
+device serve?" (devices are named by id; the engine binds the population and
+its eligibility signatures to the policy before the run).  This example implements a simple *least-progress-first*
 policy (devices go to the job that has completed the smallest fraction of its
 rounds) and compares it with the built-in policies on the quick workload.
 
@@ -20,7 +21,7 @@ from typing import Optional
 from repro.analysis.report import format_table
 from repro.core.baselines import make_policy
 from repro.core.policy import BasePolicy
-from repro.core.types import DeviceProfile, ResourceRequest
+from repro.core.types import ResourceRequest
 from repro.experiments import build_environment, get_config
 from repro.sim.engine import Simulator
 
@@ -35,10 +36,8 @@ class LeastProgressFirstPolicy(BasePolicy):
         done = self.rounds_completed.get(job_id, 0)
         return done / max(1, job.num_rounds)
 
-    def assign(
-        self, device: DeviceProfile, now: float
-    ) -> Optional[ResourceRequest]:
-        candidates = self.eligible_open_requests(device)
+    def assign(self, device_id: int, now: float) -> Optional[ResourceRequest]:
+        candidates = self.eligible_open_requests(device_id)
         if not candidates:
             return None
         candidates.sort(key=lambda r: (self._progress(r.job_id), r.job_id))

@@ -34,6 +34,7 @@ from .requirements import (
     MEMORY_RICH,
     AtomSpace,
     EligibilityRequirement,
+    compute_signatures,
     signature_of,
 )
 from .scheduler import VennScheduler
@@ -88,6 +89,7 @@ __all__ = [
     "UniformRandomPolicy",
     "VennScheduler",
     "build_plan",
+    "compute_signatures",
     "device_capacity_metric",
     "make_policy",
     "signature_of",

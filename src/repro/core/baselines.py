@@ -32,7 +32,7 @@ from typing import List, Optional
 import numpy as np
 
 from .policy import BasePolicy, SeededRngMixin
-from .types import DeviceProfile, JobSpec, ResourceRequest
+from .types import JobSpec, ResourceRequest
 
 
 class _OrderedPolicy(BasePolicy):
@@ -45,10 +45,8 @@ class _OrderedPolicy(BasePolicy):
     def job_priority(self, job_id: int, now: float) -> float:
         raise NotImplementedError
 
-    def assign(
-        self, device: DeviceProfile, now: float
-    ) -> Optional[ResourceRequest]:
-        candidates = self.eligible_open_requests(device)
+    def assign(self, device_id: int, now: float) -> Optional[ResourceRequest]:
+        candidates = self.eligible_open_requests(device_id)
         if not candidates:
             return None
         candidates.sort(key=lambda r: (self.job_priority(r.job_id, now), r.job_id))
@@ -129,10 +127,8 @@ class UniformRandomPolicy(SeededRngMixin, BasePolicy):
         super().__init__()
         self._init_rng(seed)
 
-    def assign(
-        self, device: DeviceProfile, now: float
-    ) -> Optional[ResourceRequest]:
-        candidates = self.eligible_open_requests(device)
+    def assign(self, device_id: int, now: float) -> Optional[ResourceRequest]:
+        candidates = self.eligible_open_requests(device_id)
         if not candidates:
             return None
         idx = int(self._rng.integers(0, len(candidates)))
@@ -166,10 +162,8 @@ class JobDrivenRandomPolicy(SeededRngMixin, BasePolicy):
         super().__init__()
         self._init_rng(seed)
 
-    def assign(
-        self, device: DeviceProfile, now: float
-    ) -> Optional[ResourceRequest]:
-        candidates = self.eligible_open_requests(device)
+    def assign(self, device_id: int, now: float) -> Optional[ResourceRequest]:
+        candidates = self.eligible_open_requests(device_id)
         if not candidates:
             return None
         weights = np.array(

@@ -40,22 +40,24 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .types import DeviceProfile
-
 #: Percentile used as the statistical tail of the response-time distribution,
 #: excluding failures and extreme stragglers (per §4.3).
 TAIL_PERCENTILE = 95.0
 
 
-def device_capacity_metric(device: DeviceProfile) -> float:
+def device_capacity_metric(devices):
     """Scalar capability score used to place a device into a tier.
 
     Faster devices (smaller ``speed_factor``) get a larger score; hardware
     scores break ties between devices with identical speed factors.  Any
     monotone-in-speed metric works; this one is cheap and deterministic.
+    Given a :class:`~repro.core.types.DeviceFleet` it is the column of
+    every row's score, each value bit-identical to the score of that row's
+    :class:`~repro.core.types.DeviceProfile` (the operations are IEEE
+    elementwise).
     """
-    return 1.0 / device.speed_factor + 1e-3 * (
-        device.cpu_score + device.memory_score
+    return 1.0 / devices.speed_factor + 1e-3 * (
+        devices.cpu_score + devices.memory_score
     )
 
 
@@ -71,12 +73,12 @@ class TierDecision:
     low: float = -math.inf
     high: float = math.inf
 
-    def accepts(self, device: DeviceProfile) -> bool:
-        """True when the device may serve the request under this decision."""
+    def accepts(self, capacity: float) -> bool:
+        """True when a device of this :func:`device_capacity_metric` may
+        serve the request under this decision."""
         if not self.use_tier:
             return True
-        metric = device_capacity_metric(device)
-        return self.low <= metric < self.high
+        return self.low <= capacity < self.high
 
 
 #: Decision used whenever tier-based matching is off (matching disabled, no
@@ -188,13 +190,12 @@ class TierMatcher:
         #: profile is large enough (the first request only profiles, §4.3).
         self.fit: Optional[TierFit] = None
 
-    def record_participation(
-        self, device: DeviceProfile, response_time: float
-    ) -> None:
-        """Record one participant's capability and response latency."""
+    def record_participation(self, capacity: float, response_time: float) -> None:
+        """Record one participant's :func:`device_capacity_metric` and
+        response latency."""
         if response_time < 0:
             raise ValueError("response_time must be non-negative")
-        self._capacities.append(device_capacity_metric(device))
+        self._capacities.append(float(capacity))
         self._response_times.append(float(response_time))
 
     def record_round(

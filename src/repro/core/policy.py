@@ -13,6 +13,15 @@ paper's Figure 6:
 * device responses are reported back (``on_response``) so that policies that
   profile device behaviour (Venn's tier-based matching) can learn from them.
 
+Hooks name a device by its id (a Python ``int``).  What a policy may know
+about a device comes from one binding, made once before any event
+(:meth:`SchedulingPolicy.bind_fleet`): the population as columns
+(:class:`~repro.core.types.DeviceFleet`, whose ``row`` turns an id into a
+row) and each row's eligibility signature over the workload's requirement
+names, as ids into an interned table
+(:func:`~repro.core.requirements.compute_signatures`).  An engine binds its
+own population; a policy driven without one binds the same way.
+
 :class:`BasePolicy` implements the bookkeeping every concrete policy needs —
 job/requirement registries, the set of open requests and eligibility
 filtering — so that concrete policies only implement the ordering /
@@ -26,8 +35,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .requirements import EligibilityRequirement
-from .types import DeviceProfile, JobSpec, ResourceRequest
+from .requirements import AtomSignature, EligibilityRequirement
+from .types import DeviceFleet, JobSpec, ResourceRequest
 
 
 class SchedulingPolicy(abc.ABC):
@@ -35,6 +44,13 @@ class SchedulingPolicy(abc.ABC):
 
     #: Human-readable policy name used in reports and benchmark tables.
     name: str = "abstract"
+
+    #: The bound population (:meth:`bind_fleet`); ``None`` until bound.
+    fleet: Optional[DeviceFleet] = None
+    #: ``sig_table[sig_ids[row]]``: the names of the workload requirements
+    #: the device at ``row`` of :attr:`fleet` satisfies.
+    sig_ids: Optional[np.ndarray] = None
+    sig_table: Optional[Sequence[AtomSignature]] = None
 
     @abc.abstractmethod
     def on_job_arrival(self, job: JobSpec, now: float) -> None:
@@ -53,53 +69,44 @@ class SchedulingPolicy(abc.ABC):
         """A request reached a terminal state (completed or aborted)."""
 
     @abc.abstractmethod
-    def assign(
-        self, device: DeviceProfile, now: float
-    ) -> Optional[ResourceRequest]:
-        """Pick the open request this checked-in device should serve.
+    def assign(self, device_id: int, now: float) -> Optional[ResourceRequest]:
+        """Pick the open request the checked-in device should serve.
 
         Returns ``None`` when no eligible request wants the device (the
         device then stays idle in the pool).
         """
 
     def on_response(
-        self, request: ResourceRequest, device: DeviceProfile, now: float
+        self, request: ResourceRequest, device_id: int, now: float
     ) -> None:
         """A device assigned to ``request`` reported back at ``now``.
 
         Optional hook; the default implementation ignores it.
         """
 
-    def on_device_checkin(self, device: DeviceProfile, now: float) -> None:
+    def on_device_checkin(self, device_id: int, now: float) -> None:
         """A device became available (called before :meth:`assign`).
 
         Optional hook used by policies that track supply (Venn).
         """
 
     def on_device_checkin_batch(
-        self,
-        devices: Sequence[DeviceProfile],
-        times: "np.ndarray",
-        sig_ids: "np.ndarray",
-        sig_table,
+        self, device_ids: "np.ndarray", times: "np.ndarray"
     ) -> None:
-        """A time-ordered batch of devices became available (vectorized path).
+        """A time-ordered batch of devices became available (fleet engine).
 
-        Called by the vectorized engine instead of per-event
-        :meth:`on_device_checkin` when a run of check-ins is folded in one
-        kernel.  ``devices`` is a lazy view (``len``, iteration, indexing)
-        that builds nothing for policies that never look at it, and
-        ``sig_ids[i]`` indexes ``sig_table`` (the engine's interned
-        signature list).  Implementations must leave the policy in
-        *exactly* the state the per-event hook would have — the scalar path
-        is the decision-hash oracle.  The default delegates to the scalar
-        hook per event, and skips the loop entirely for policies that never
+        Called instead of per-event :meth:`on_device_checkin` when a run of
+        check-ins is folded in one kernel: ``device_ids[i]`` checked in at
+        ``times[i]``.  Implementations must leave the policy in *exactly*
+        the state the per-event hook would have — the scalar path is the
+        decision-hash oracle.  The default delegates to the scalar hook per
+        event, and skips the loop entirely for policies that never
         overrode it.
         """
         if type(self).on_device_checkin is SchedulingPolicy.on_device_checkin:
             return
-        for device, now in zip(devices, times.tolist()):
-            self.on_device_checkin(device, now)
+        for device_id, now in zip(device_ids.tolist(), times.tolist()):
+            self.on_device_checkin(device_id, now)
 
     def bind_rng(self, rng: "np.random.Generator") -> None:
         """Adopt the simulation's random generator (seed plumbing).
@@ -111,24 +118,29 @@ class SchedulingPolicy(abc.ABC):
         default implementation ignores it (deterministic policies).
         """
 
-    def bind_signature_provider(
-        self, provider, requirements: Iterable["EligibilityRequirement"]
+    def bind_fleet(
+        self,
+        fleet: DeviceFleet,
+        sig_ids: np.ndarray,
+        sig_table: Sequence[AtomSignature],
     ) -> None:
-        """Offer precomputed device eligibility signatures (optional).
+        """Adopt the population the hooks' device ids name.
 
-        The fleet engine precomputes every device's signature with respect
-        to the workload's full requirement set (one vectorised pass at
-        stream build time) and offers them here: ``provider(device_id)`` returns
-        the frozenset of requirement names of ``requirements`` the device
-        satisfies.  Policies that compute signatures themselves (Venn) can
-        derive their own — a restriction to the currently-live requirement
-        set — from the provided ones instead of re-evaluating predicates
-        per device; policies that never look at signatures ignore the call
-        (the default).
-
-        Implementations must treat the provider as an *optimisation only*:
-        decisions must be bit-identical with and without it.
+        The engine calls this once, before any event is processed, with its
+        fleet and the ``(sig_ids, sig_table)`` pair
+        :func:`~repro.core.requirements.compute_signatures` returns for the
+        workload's requirements (whose names are unique): the device with
+        id ``d`` sits at row ``fleet.row(d)`` and satisfies the
+        requirements named in ``sig_table[sig_ids[row]]``.  Policies that
+        override this must call it.
         """
+        self.fleet = fleet
+        self.sig_ids = sig_ids
+        self.sig_table = sig_table
+
+    def device_signature(self, device_id: int) -> AtomSignature:
+        """Names of the workload requirements the device satisfies."""
+        return self.sig_table[self.sig_ids[self.fleet.row(device_id)]]
 
 
 class SeededRngMixin:
@@ -199,34 +211,22 @@ class BasePolicy(SchedulingPolicy):
     # ------------------------------------------------------------------ #
     # Helpers for subclasses
     # ------------------------------------------------------------------ #
-    def eligible_open_requests(
-        self, device: DeviceProfile
-    ) -> List[ResourceRequest]:
-        """Open, unsatisfied requests whose job may use ``device``.
+    def eligible_open_requests(self, device_id: int) -> List[ResourceRequest]:
+        """Open, unsatisfied requests whose job may use the device.
 
-        Eligibility is evaluated once per *requirement* rather than once per
-        job: jobs sharing a requirement are resource-homogeneous, so the
-        per-check-in cost is O(#jobs + #distinct requirements) dictionary
-        work instead of O(#jobs) predicate evaluations.
+        A job may use it when its requirement's name is in the device's
+        bound signature: one set probe per job, no predicate evaluated.
         """
+        signature = self.device_signature(device_id)
         out: List[ResourceRequest] = []
-        # Keyed by the (frozen, hashable) requirement object itself, so two
-        # jobs whose requirements merely share a name never alias.
-        eligible_memo: Dict[EligibilityRequirement, bool] = {}
         for job_id, request in self.open_requests.items():
             if request.remaining_demand <= 0:
                 continue
-            if request.is_assigned(device.device_id):
+            if request.is_assigned(device_id):
                 # One device participates at most once per round request.
                 continue
             job = self.jobs.get(job_id)
-            if job is None:
-                continue
-            requirement = job.requirement
-            ok = eligible_memo.get(requirement)
-            if ok is None:
-                ok = eligible_memo[requirement] = requirement.is_eligible(device)
-            if ok:
+            if job is not None and job.requirement.name in signature:
                 out.append(request)
         return out
 

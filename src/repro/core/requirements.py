@@ -17,9 +17,20 @@ independent of the number of devices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from .types import DeviceProfile
+import numpy as np
+
+from .types import DeviceFleet, DeviceProfile
 
 #: An atom signature: the (frozen) set of requirement names a device satisfies.
 AtomSignature = FrozenSet[str]
@@ -116,6 +127,81 @@ def signature_of(
 ) -> AtomSignature:
     """Compute the atom signature of ``device`` w.r.t. ``requirements``."""
     return frozenset(r.name for r in requirements if r.is_eligible(device))
+
+
+def compute_signatures(
+    devices: Sequence[DeviceProfile],
+    requirements: Sequence[EligibilityRequirement],
+) -> Tuple[np.ndarray, List[AtomSignature]]:
+    """Eligibility signature of every device, vectorised when possible.
+
+    Returns ``(sig_ids, table)``: ``table[sig_ids[i]]`` is exactly what
+    :func:`signature_of` gives for ``devices[i]``, and ``table`` holds each
+    distinct signature once (:func:`intern_signatures`) — the pair a policy
+    is bound with (:meth:`~repro.core.policy.SchedulingPolicy.bind_fleet`).
+    The vectorised path takes a handful of numpy passes over the fleet's
+    columns (:class:`~repro.core.types.DeviceFleet`; any other sequence is
+    converted first) instead of ``len(devices) × len(requirements)``
+    predicate calls: one boolean mask per requirement over the cpu and
+    memory columns and the domain-id column, packed into per-device
+    bitmasks, and one frozenset per distinct bitmask.
+
+    Subclassed requirements (anything overriding ``is_eligible``) fall back
+    to the exact per-device loop.
+    """
+    reqs = list(requirements)
+    devices = DeviceFleet.of(devices)
+    n = len(devices)
+    if not reqs:
+        return np.zeros(n, dtype=np.int32), [frozenset()]
+    if len(reqs) > 63 or any(
+        type(r) is not EligibilityRequirement for r in reqs
+    ):
+        # The vectorised path packs one requirement per int64 bit; beyond
+        # 63 the shift overflows silently.  Workloads that large fall back
+        # to the exact per-device walk.
+        return intern_signatures([signature_of(d, reqs) for d in devices])
+    cpu, mem = devices.cpu_score, devices.memory_score
+    domain_masks: Dict[str, np.ndarray] = {}
+    for r in reqs:
+        if r.data_domain is not None and r.data_domain not in domain_masks:
+            dom = r.data_domain
+            holds = np.array([dom in d for d in devices.domains], dtype=bool)
+            domain_masks[dom] = holds[devices.domain_id]
+    bits = np.zeros(n, dtype=np.int64)
+    for k, r in enumerate(reqs):
+        ok = (cpu >= r.min_cpu) & (mem >= r.min_memory)
+        if r.data_domain is not None:
+            ok = ok & domain_masks[r.data_domain]
+        bits |= ok.astype(np.int64) << k
+    # Devices overwhelmingly share a handful of distinct bitmasks.  Two
+    # bitmasks can still name equal sets (requirements sharing a name), so
+    # the per-mask signatures are interned by value too.
+    masks, inverse = np.unique(bits, return_inverse=True)
+    mask_ids, table = intern_signatures(
+        [
+            frozenset(reqs[k].name for k in range(len(reqs)) if (m >> k) & 1)
+            for m in masks.tolist()
+        ]
+    )
+    return mask_ids[inverse], table
+
+
+def intern_signatures(
+    signatures: Sequence[AtomSignature],
+) -> Tuple[np.ndarray, List[AtomSignature]]:
+    """``(ids, table)`` with ``table[ids[i]] == signatures[i]``, each
+    distinct value once, in first-occurrence order."""
+    index: Dict[AtomSignature, int] = {}
+    table: List[AtomSignature] = []
+    ids = np.empty(len(signatures), dtype=np.int32)
+    for i, sig in enumerate(signatures):
+        j = index.get(sig)
+        if j is None:
+            j = index[sig] = len(table)
+            table.append(sig)
+        ids[i] = j
+    return ids, table
 
 
 def atom_sort_key(signature: AtomSignature) -> tuple:
@@ -221,12 +307,6 @@ class AtomSpace:
             raise KeyError(f"signature references unknown requirements: {unknown}")
         self._atoms.add(frozenset(signature))
 
-    def signature(self, device: DeviceProfile) -> AtomSignature:
-        """Signature of a device under this space's requirements."""
-        sig = signature_of(device, self._requirements.values())
-        self._atoms.add(sig)
-        return sig
-
     def eligible_atoms(self, requirement_name: str) -> FrozenSet[AtomSignature]:
         """Atoms making up the eligible set of ``requirement_name``."""
         if requirement_name not in self._requirements:
@@ -234,10 +314,6 @@ class AtomSpace:
         return frozenset(
             a for a in self._atoms if requirement_name in a
         )
-
-    def shared_atoms(self, name_a: str, name_b: str) -> FrozenSet[AtomSignature]:
-        """Atoms eligible for both requirements (their intersection)."""
-        return self.eligible_atoms(name_a) & self.eligible_atoms(name_b)
 
     def contains(self, outer: str, inner: str) -> bool:
         """True when ``outer``'s eligible set contains ``inner``'s."""
@@ -271,6 +347,8 @@ __all__ = [
     "HIGH_PERFORMANCE",
     "MEMORY_RICH",
     "atom_sort_key",
+    "compute_signatures",
+    "intern_signatures",
     "signature_of",
     "sorted_atoms",
 ]

@@ -15,9 +15,11 @@
 
 The plan is invalidated on job/request arrival and completion — exactly the
 trigger points named in the paper — and consulted at device check-in through
-the plan's :class:`~repro.core.atom_index.AtomIndex`: the device's cached
-atom signature resolves to a precomputed candidate tuple, so a check-in is
-a dictionary lookup plus a walk over the (usually short) candidate prefix.
+the plan's :class:`~repro.core.atom_index.AtomIndex`: the device's atom
+signature — its bound signature (``bind_fleet``) restricted to the live
+requirements, memoised per signature id — resolves to a precomputed
+candidate tuple, so a check-in is a few lookups plus a walk over the
+(usually short) candidate prefix.
 
 How an invalidated plan is brought up to date is governed by the
 ``plan_maintenance`` knob: ``"incremental"`` (default) classifies every
@@ -43,13 +45,13 @@ import numpy as np
 from .fairness import FairnessController
 from .irs import SchedulingPlan, build_plan
 from .job_group import JobGroupRegistry
-from .matching import NO_TIER, TierDecision, TierMatcher
+from .matching import NO_TIER, TierDecision, TierMatcher, device_capacity_metric
 from .plan_delta import PLAN_MAINTENANCE_MODES, PlanMaintainer, Trigger
 from .policy import BasePolicy, SeededRngMixin
 from .profile import PlanMaintenanceProfile
 from .requirements import AtomSpace
 from .supply import DEFAULT_WINDOW, SupplyEstimator
-from .types import DeviceProfile, JobSpec, RequestState, ResourceRequest
+from .types import JobSpec, RequestState, ResourceRequest
 
 
 class VennScheduler(SeededRngMixin, BasePolicy):
@@ -133,17 +135,11 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         )
         self._init_rng(seed)
         self._atom_space: Optional[AtomSpace] = None
-        #: device_id -> cached atom signature (valid for the current space).
-        self._signature_cache: Dict[int, "frozenset"] = {}
-        #: Optional engine-precomputed signatures (fleet engine): a
-        #: callable ``device_id -> full signature`` over ``_provider_reqs``.
-        self._sig_provider: Optional[Callable[[int], frozenset]] = None
-        self._provider_reqs: Optional[Dict[str, object]] = None
-        #: Whether the provider is usable for the *current* atom space (its
-        #: requirement objects match the live ones name-for-name).
-        self._provider_ok = False
-        #: full signature -> restricted live signature, per atom space.
-        self._restrict_memo: Dict[frozenset, frozenset] = {}
+        #: ``sig id -> signature`` restricted to the live requirement set
+        #: (``None``: not yet seen), valid for the current atom space.
+        self._restricted: list = []
+        #: Algorithm 2's capability of every bound device, by row.
+        self._capacity: Optional[np.ndarray] = None
         self._plan: SchedulingPlan = SchedulingPlan()
         self._plan_dirty = True
         #: Monotonic version of the decision surface: bumped whenever the
@@ -221,8 +217,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
                     Trigger.JOB_ARRIVAL_NEW_REQUIREMENT
                 )
                 self._maintainer.delta.mark_full()
-            self._atom_space = None  # requirement set changed, rebuild lazily
-            self._signature_cache.clear()
+            self._forget_atom_space()  # requirement set changed
         self._plan_dirty = True
 
     def on_job_finished(self, job_id: int, now: float) -> None:
@@ -246,8 +241,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
                     Trigger.JOB_DEPARTURE_LAST_IN_GROUP
                 )
                 self._maintainer.delta.mark_full()
-            self._atom_space = None
-            self._signature_cache.clear()
+            self._forget_atom_space()
         self._plan_dirty = True
 
     def on_request_open(self, request: ResourceRequest, now: float) -> None:
@@ -276,82 +270,57 @@ class VennScheduler(SeededRngMixin, BasePolicy):
                 self._demand_dirty.add(request.job_id)
         self._plan_dirty = True
 
-    def on_device_checkin(self, device: DeviceProfile, now: float) -> None:
-        self.supply.record_checkin(self._signature_for(device), now)
+    def on_device_checkin(self, device_id: int, now: float) -> None:
+        self.supply.record_checkin(self._signature_for(device_id), now)
 
-    def on_device_checkin_batch(self, devices, times, sig_ids, sig_table) -> None:
+    def on_device_checkin_batch(self, device_ids, times) -> None:
         """Record a batch of check-ins into the supply estimator (vectorized).
 
-        ``sig_table`` holds the engine's interned *full* signatures — the
-        same values the bound signature provider returns — so each unique
-        full signature in the batch restricts to the live requirement set
-        through ``_restrict_memo`` exactly as :meth:`_signature_for` would,
-        observing new restricted signatures in first-occurrence (event)
-        order.  Supply rings then update through
+        Each distinct signature id in the batch restricts to the live
+        requirement set exactly as :meth:`_signature_for` would, in
+        first-occurrence (event) order, so new restricted signatures are
+        observed in the per-event order.  Supply rings then update through
         :meth:`SupplyEstimator.record_checkins_batch`, which is
-        state-identical to per-event recording.  Without a usable provider
-        (requirement mismatch) the scalar hook runs per event.
+        state-identical to per-event recording.
         """
-        space = self._ensure_atom_space()
-        if not self._provider_ok:
-            for device, now in zip(devices, times.tolist()):
-                self.on_device_checkin(device, now)
-            return
+        sig_ids = self.sig_ids[self.fleet.rows(device_ids)]
         uniq, first = np.unique(sig_ids, return_index=True)
         remap = np.zeros(int(uniq[-1]) + 1, dtype=np.int64) if len(uniq) else None
         restricted: list = []
         for j in np.argsort(first, kind="stable"):
             sid = int(uniq[j])
-            full = sig_table[sid]
-            sig = self._restrict_memo.get(full)
-            if sig is None:
-                names = space.requirement_names
-                sig = frozenset(n for n in full if n in names)
-                space.observe_signature(sig)
-                self._restrict_memo[full] = sig
+            sig = self._restricted[sid]
             remap[sid] = len(restricted)
-            restricted.append(sig)
+            restricted.append(self._restrict(sid) if sig is None else sig)
         if restricted:
             self.supply.record_checkins_batch(remap[sig_ids], times, restricted)
 
     def on_response(
-        self, request: ResourceRequest, device: DeviceProfile, now: float
+        self, request: ResourceRequest, device_id: int, now: float
     ) -> None:
         matcher = self._matchers.get(request.job_id)
         if matcher is None:
             return
-        assigned_at = request.assigned_time_of(device.device_id)
+        assigned_at = request.assigned_time_of(device_id)
         if assigned_at is None:
             return
-        matcher.record_participation(device, max(0.0, now - assigned_at))
+        matcher.record_participation(
+            self._capacity_of(device_id), max(0.0, now - assigned_at)
+        )
 
     # ------------------------------------------------------------------ #
     # Plan construction
     # ------------------------------------------------------------------ #
-    def bind_signature_provider(self, provider, requirements) -> None:
-        """Accept engine-precomputed full signatures (see the base class).
+    def bind_fleet(self, fleet, sig_ids, sig_table) -> None:
+        super().bind_fleet(fleet, sig_ids, sig_table)
+        self._restricted = [None] * len(sig_table)
+        self._capacity = device_capacity_metric(fleet)
 
-        The provider is only *used* while its requirement objects match the
-        live ones name-for-name (checked on every atom-space rebuild): a
-        signature over the full workload requirement set restricts exactly
-        to the live set by name, so ``provider``-derived signatures are
-        bit-identical to locally computed ones — the property the
-        fleet-engine identity tests pin.  Ambiguous names (two distinct
-        requirement objects sharing a name) disable the provider entirely.
-        """
-        reqs = list(requirements)
-        by_name: Optional[Dict[str, object]] = {}
-        for r in reqs:
-            existing = by_name.get(r.name)
-            if existing is not None and existing != r:
-                by_name = None  # ambiguous name: never trust restrictions
-                break
-            by_name[r.name] = r
-        self._sig_provider = provider
-        self._provider_reqs = by_name
-        # Force re-evaluation of provider compatibility for the next space.
-        self._provider_ok = False
-        self._restrict_memo = {}
+    def _forget_atom_space(self) -> None:
+        """The requirement set changed: the atom space and every restricted
+        signature are rebuilt lazily."""
+        self._atom_space = None
+        self._restricted = [None] * len(self.sig_table or ())
 
     def _ensure_atom_space(self) -> AtomSpace:
         if self._atom_space is None:
@@ -368,51 +337,32 @@ class VennScheduler(SeededRngMixin, BasePolicy):
                     name for name in sig if name in self._atom_space.requirements
                 }
                 self._atom_space.observe_signature(frozenset(known))
-            # A provider signature restricts correctly iff every live
-            # requirement *is* the provider's requirement of that name.
-            self._restrict_memo = {}
-            self._provider_ok = (
-                self._sig_provider is not None
-                and self._provider_reqs is not None
-                and all(
-                    self._provider_reqs.get(name) == req
-                    for name, req in self._atom_space._requirements.items()
-                )
-            )
         return self._atom_space
 
-    def _signature_for(self, device: DeviceProfile):
-        """Atom signature of ``device``, cached per device id.
+    def _restrict(self, sid: int):
+        """``sig_table[sid]`` restricted to the live requirement names,
+        observed as an atom and memoised for the current atom space.
 
-        Device profiles are immutable and the cache is cleared whenever the
-        requirement set (and therefore the atom space) changes, so cached
-        signatures are always exact.
+        The bound table covers the workload's requirements, whose names
+        are unique, so restricting by name is exact: the result is the
+        signature a predicate walk over the live requirements would give.
         """
-        # Cache first: the cache is cleared together with any atom-space
-        # invalidation, so a hit is always valid for the current space and
-        # skips the space liveness check entirely.
-        sig = self._signature_cache.get(device.device_id)
-        if sig is None:
-            space = self._ensure_atom_space()
-            if self._provider_ok:
-                # Engine-precomputed full signature, restricted by name to
-                # the live requirement set (exact; see
-                # :meth:`bind_signature_provider`).  The restriction is
-                # memoised per distinct full signature, so after a
-                # requirement-set change re-deriving a million cached
-                # device signatures costs two dictionary hits each instead
-                # of a predicate walk.
-                full = self._sig_provider(device.device_id)
-                sig = self._restrict_memo.get(full)
-                if sig is None:
-                    names = space.requirement_names
-                    sig = frozenset(n for n in full if n in names)
-                    space.observe_signature(sig)
-                    self._restrict_memo[full] = sig
-            else:
-                sig = space.signature(device)
-            self._signature_cache[device.device_id] = sig
+        space = self._ensure_atom_space()
+        names = space.requirement_names
+        sig = frozenset(n for n in self.sig_table[sid] if n in names)
+        space.observe_signature(sig)
+        self._restricted[sid] = sig
         return sig
+
+    def _signature_for(self, device_id: int):
+        """Atom signature of the device for the current atom space."""
+        sid = self.sig_ids[self.fleet.row(device_id)]
+        sig = self._restricted[sid]
+        return self._restrict(sid) if sig is None else sig
+
+    def _capacity_of(self, device_id: int) -> float:
+        """Algorithm 2's capability of the device (its bound column)."""
+        return self._capacity[self.fleet.row(device_id)]
 
     def _intra_group_demand(self, job_id: int) -> float:
         """Demand metric for the intra-group ordering (§4.2.1).
@@ -561,18 +511,6 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         """The current scheduling plan (may be stale if marked dirty)."""
         return self._plan
 
-    def plan_snapshot(self) -> Dict[str, object]:
-        """Plain-data summary of the current decision surface: what tests
-        and tools use to compare plans across engines without reaching
-        into internals."""
-        plan = self._plan
-        return {
-            "version": self.plan_version,
-            "dirty": self._plan_dirty,
-            "group_order": list(plan.group_order),
-            "job_order": {k: list(v) for k, v in sorted(plan.job_order.items())},
-        }
-
     # ------------------------------------------------------------------ #
     # Assignment
     # ------------------------------------------------------------------ #
@@ -632,14 +570,13 @@ class VennScheduler(SeededRngMixin, BasePolicy):
             memo[signature] = live
         return live
 
-    def _match_device(self, device: DeviceProfile, live: list):
+    def _match_device(self, device_id: int, live: list):
         """Walk pruned live candidates in plan order: the first open request
         with unmet demand that the device is not already serving and whose
         tier accepts it wins; the first tier-restricted request is
         remembered as the fallback."""
         fallback: Optional[ResourceRequest] = None
         fallback_job = -1
-        device_id = device.device_id
         for job_id, request in live:
             if request.remaining_demand <= 0 or not request.is_open:
                 continue
@@ -647,7 +584,9 @@ class VennScheduler(SeededRngMixin, BasePolicy):
                 # One device participates at most once per round request.
                 continue
             decision = self._tier_decision_for(request)
-            if decision is NO_TIER or decision.accepts(device):
+            if decision is NO_TIER or decision.accepts(
+                self._capacity_of(device_id)
+            ):
                 # The engine records the assignment right after this return,
                 # changing the job's remaining demand: mark it so the next
                 # incremental refresh re-derives exactly this job's inputs.
@@ -662,9 +601,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
             self._demand_dirty.add(fallback_job)
         return fallback
 
-    def assign(
-        self, device: DeviceProfile, now: float
-    ) -> Optional[ResourceRequest]:
+    def assign(self, device_id: int, now: float) -> Optional[ResourceRequest]:
         if not self.open_requests:
             return None
         if self._plan_dirty:
@@ -675,14 +612,14 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         # additionally drops candidates that are provably dead for the
         # current plan.
         return self._match_device(
-            device, self._live_candidates(self._signature_for(device))
+            device_id, self._live_candidates(self._signature_for(device_id))
         )
 
-    def assign_batch_bulk(self, devices, now: float):
+    def assign_batch_bulk(self, device_ids, now: float):
         """Ledger-mode batched decisions: resolve a cohort prefix at once.
 
         Returns ``(consumed, proposals)`` where ``proposals`` is
-        ``[(i, request), ...]`` — the proposal for ``devices[i]`` for
+        ``[(i, request), ...]`` — the proposal for ``device_ids[i]`` for
         every consulted device that matched — and ``consumed`` is how
         many devices were consulted, without any engine bookkeeping
         between decisions.  Demand coupling (an early device's assignment
@@ -701,7 +638,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         at that commit, which can narrow the pending-requirement set and
         drop whole signatures from the remainder of the sweep.  Stopping
         there and letting the caller commit, re-filter and resume from
-        ``devices[consumed:]`` reproduces the scalar sweep's per-consult
+        ``device_ids[consumed:]`` reproduces the scalar sweep's per-consult
         narrowing check exactly — and is what keeps a sweep from walking
         thousands of no-longer-eligible devices after its last fillable
         request closes.
@@ -726,21 +663,21 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         signature_for = self._signature_for
         live_for = self._live_candidates
         tier_for = self._tier_decision_for
+        capacity_of = self._capacity_of
         demand_dirty = self._demand_dirty
         #: request_id -> demand remaining after this cohort's proposals.
         avail: Dict[int, int] = {}
         avail_get = avail.get
         #: Signatures proven demand-dead for the rest of this cohort.
         dead: set = set()
-        for i, device in enumerate(devices):
-            signature = signature_for(device)
+        for i, device_id in enumerate(device_ids):
+            signature = signature_for(device_id)
             if signature in dead:
                 continue
             live = live_for(signature)
             if not live:
                 dead.add(signature)
                 continue
-            device_id = device.device_id
             fallback = None
             fallback_job = -1
             fallback_rid = -1
@@ -756,7 +693,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
                 if device_id in request.assigned_ids:
                     continue
                 decision = tier_for(request)
-                if decision is NO_TIER or decision.accepts(device):
+                if decision is NO_TIER or decision.accepts(capacity_of(device_id)):
                     avail[rid] = d - 1
                     demand_dirty.add(job_id)
                     proposals.append((i, request))
@@ -777,7 +714,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
                         return i + 1, proposals
                 elif not any_live:
                     dead.add(signature)
-        return len(devices), proposals
+        return len(device_ids), proposals
 
 
 __all__ = ["VennScheduler"]

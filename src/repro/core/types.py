@@ -171,7 +171,8 @@ class DeviceFleet(Sequence):
     * ``==`` compares two fleets column by column;
     * it pickles as its columns;
     * :class:`DeviceProfile`'s checks run once, column-wise, at
-      construction, with the same messages.
+      construction, with the same messages;
+    * :meth:`rows` / :meth:`row` is the one device-id -> row rule.
     """
 
     def __init__(
@@ -251,6 +252,16 @@ class DeviceFleet(Sequence):
             setattr(self, name, records[name])
         self.domains = domains
         self._records = memoryview(records.view(np.uint8))
+        ids = self.device_id
+        self._size = n = len(ids)
+        contiguous = n == 0 or (
+            int(ids[-1]) - int(ids[0]) == n - 1 and (ids[1:] > ids[:-1]).all()
+        )
+        #: The first id when the ids run ``id0, id0 + 1, ...`` (every
+        #: sampled population): a row is then an offset.  ``None`` sends
+        #: lookups to a search (:meth:`_search_index`, built on first use).
+        self._id0 = (int(ids[0]) if n else 0) if contiguous else None
+        self._search = None
 
     def take(self, index) -> "DeviceFleet":
         """The fleet of the devices at ``index`` (a slice or an array of
@@ -265,6 +276,44 @@ class DeviceFleet(Sequence):
 
     def __len__(self) -> int:
         return len(self.device_id)
+
+    def rows(self, device_ids) -> np.ndarray:
+        """The rows holding ``device_ids``: an offset on contiguous
+        ascending ids, a binary search on any others.  ``KeyError`` names
+        the ids the fleet does not hold."""
+        wanted = np.asarray(device_ids, dtype=np.int64)
+        if self._id0 is not None:
+            rows = wanted - self._id0
+            known = (rows >= 0) & (rows < self._size)
+        else:
+            sorted_ids, order = self._search or self._search_index()
+            pos = sorted_ids.searchsorted(wanted)
+            known = pos < self._size
+            known[known] = sorted_ids[pos[known]] == wanted[known]
+            rows = order[np.where(known, pos, 0)] if order is not None else pos
+        if not known.all():
+            raise KeyError(f"unknown device ids: {wanted[~known][:5].tolist()}")
+        return rows
+
+    def row(self, device_id: int) -> int:
+        """:meth:`rows` of one id, as a Python int."""
+        id0 = self._id0
+        if id0 is not None:
+            row = device_id - id0
+            if 0 <= row < self._size:
+                return row
+        return int(self.rows([device_id])[0])
+
+    def _search_index(self):
+        """``(sorted ids, order)``, contiguous: ``order`` maps a position in
+        the sorted ids back to its row (``None`` when the ids ascend)."""
+        ids = self.device_id
+        order = None
+        if not (ids[1:] > ids[:-1]).all():
+            order = np.argsort(ids, kind="stable")
+            ids = ids[order]
+        self._search = (np.ascontiguousarray(ids), order)
+        return self._search
 
     def __getitem__(self, i):
         if isinstance(i, slice):

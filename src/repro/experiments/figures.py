@@ -23,7 +23,12 @@ import numpy as np
 from ..core.ilp import IRSInstance, solve_irs_milp
 from ..core.irs import build_plan
 from ..core.job_group import JobGroupRegistry
-from ..core.requirements import AtomSpace, EligibilityRequirement
+from ..core.requirements import (
+    AtomSpace,
+    EligibilityRequirement,
+    compute_signatures,
+    signature_of,
+)
 from ..core.scheduler import VennScheduler
 from ..core.types import DeviceProfile, JobSpec, ResourceRequest
 from ..traces.capacity import CapacitySampler, MODEL_REQUIREMENTS
@@ -187,7 +192,8 @@ def _venn_order_for_toy(devices: Sequence[DeviceProfile]) -> List[int]:
     # Supply rates: one device per time unit, half of them emoji-eligible.
     rates = {}
     for d in devices:
-        sig = space.signature(d)
+        sig = signature_of(d, requirements)
+        space.observe_signature(sig)
         rates[sig] = rates.get(sig, 0.0) + 1.0 / len(devices)
     plan = build_plan(registry.groups(), space, rates)
     # Flatten: devices of each signature consult the plan; for a global order
@@ -260,9 +266,10 @@ def build_loaded_scheduler(
         )
         scheduler.on_request_open(request, now=0.0)
     # Seed the supply estimator with some observed check-ins.
-    sampler = CapacitySampler(seed=seed)
-    for device in sampler.sample_devices(200):
-        scheduler.on_device_checkin(device, now=1.0)
+    fleet = CapacitySampler(seed=seed).sample_devices(200)
+    scheduler.bind_fleet(fleet, *compute_signatures(fleet, requirements))
+    for device_id in fleet.device_id.tolist():
+        scheduler.on_device_checkin(device_id, now=1.0)
     return scheduler
 
 

@@ -58,16 +58,16 @@ class AssignmentLog(RecordingPolicy):
             Tuple[ResourceRequest, RequestState, Optional[float]]
         ] = []
 
-    def assign(self, device, now):
-        out = super().assign(device, now)
+    def assign(self, device_id, now):
+        out = super().assign(device_id, now)
         if out is not None:
-            self.assigned.append((now, device.device_id, out))
+            self.assigned.append((now, device_id, out))
         return out
 
-    def assign_batch_bulk(self, devices, now):
-        consumed, proposals = super().assign_batch_bulk(devices, now)
+    def assign_batch_bulk(self, device_ids, now):
+        consumed, proposals = super().assign_batch_bulk(device_ids, now)
         for i, request in proposals:
-            self.assigned.append((now, devices[i].device_id, request))
+            self.assigned.append((now, device_ids[i], request))
         return consumed, proposals
 
     def on_request_closed(self, request, now):

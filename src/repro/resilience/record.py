@@ -93,17 +93,17 @@ class RecordingPolicy:
             # the engine probes with getattr and must fall back cleanly.
             self.assign_batch_bulk = None
 
-    def assign(self, device, now):
-        out = self._inner.assign(device, now)
+    def assign(self, device_id, now):
+        out = self._inner.assign(device_id, now)
         if out is not None:
-            self.decisions.append((now, device.device_id, out.job_id))
+            self.decisions.append((now, device_id, out.job_id))
         return out
 
-    def assign_batch_bulk(self, devices, now):
-        consumed, proposals = self._inner.assign_batch_bulk(devices, now)
+    def assign_batch_bulk(self, device_ids, now):
+        consumed, proposals = self._inner.assign_batch_bulk(device_ids, now)
         decisions = self.decisions
         for i, request in proposals:
-            decisions.append((now, devices[i].device_id, request.job_id))
+            decisions.append((now, device_ids[i], request.job_id))
         return consumed, proposals
 
     @property

@@ -6,7 +6,7 @@ from .engine import SimulationConfig, Simulator, run_simulation
 from .events import Event, EventQueue, EventType
 from .job import JobRuntime, RoundRecord
 from .latency import LatencyConfig, ResponseLatencyModel
-from .shard import DeviceShard, build_shard, compute_signatures
+from .shard import DeviceShard, build_shard
 from .metrics import (
     JobMetrics,
     SimulationMetrics,
@@ -34,7 +34,6 @@ __all__ = [
     "Simulator",
     "build_shard",
     "collect_job_metrics",
-    "compute_signatures",
     "per_job_speedups",
     "run_simulation",
     "speedup_over",

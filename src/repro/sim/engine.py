@@ -111,7 +111,7 @@ from typing import (
 import numpy as np
 
 from ..core.policy import SchedulingPolicy
-from ..core.requirements import signature_of
+from ..core.requirements import compute_signatures, intern_signatures, signature_of
 from ..core.types import DeviceFleet, DeviceProfile, JobSpec, ResourceRequest
 from ..resilience.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
@@ -127,7 +127,7 @@ from .events import Event, EventQueue, EventType
 from .job import JobRuntime
 from .latency import LatencyConfig, ResponseLatencyModel
 from .metrics import SimulationMetrics, collect_job_metrics
-from .shard import INF_KEY, DeviceShard, build_shard, compute_signatures
+from .shard import INF_KEY, DeviceShard, build_shard
 from .vector import STATUS_BUSY, STATUS_IDLE, STATUS_OFFLINE, VectorDeviceState
 
 
@@ -221,46 +221,6 @@ def _check_format_version(version) -> None:
         )
 
 
-class _CohortView:
-    """Lazy device-profile cohort: what the policy sees of a run of slots.
-
-    ``assign_batch_bulk`` consults a cohort prefix and stops at the first
-    demand-zeroing proposal, and ``on_device_checkin_batch`` usually reads
-    no profile at all, so eagerly materialising a profile list wastes work
-    proportional to the untouched part — at 100k-device scale, most of it.
-    This view builds ``profiles[slots[i]]`` on demand: sequential
-    iteration (the bulk walk) and random indexing (commit, recording
-    wrappers) both work, and the unvisited tail costs nothing.  What
-    iteration built is kept, in order, so the commit of a walked prefix
-    reads the profiles the policy saw instead of building them again.
-    """
-
-    __slots__ = ("_profiles", "_slots", "_built")
-
-    def __init__(self, profiles, slots) -> None:
-        self._profiles = profiles
-        self._slots = slots
-        #: ``profiles[slots[i]]`` for the iterated prefix ``i < len(_built)``.
-        self._built: list = []
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def __iter__(self):
-        built = self._built
-        profiles = self._profiles
-        slots = self._slots
-        for i in range(len(slots)):
-            if i == len(built):
-                built.append(profiles[slots[i]])
-            yield built[i]
-
-    def __getitem__(self, i):
-        if 0 <= i < len(self._built):
-            return self._built[i]
-        return self._profiles[self._slots[i]]
-
-
 class Simulator:
     """Discrete-event CL simulator binding devices, jobs and a policy."""
 
@@ -294,6 +254,19 @@ class Simulator:
             categories = dict(workload.categories)
         else:
             jobs = list(workload)
+        # The workload's requirements, one per name.  A name is a
+        # requirement's identity — atom spaces, the pending pool and the
+        # signature tables all key by it — so two different requirements
+        # sharing one are refused up front, on both engines.
+        by_name: Dict[str, object] = {}
+        for job in jobs:
+            requirement = by_name.setdefault(job.requirement.name, job.requirement)
+            if requirement != job.requirement:
+                raise ValueError(
+                    f"requirement name {requirement.name!r} is reused by two "
+                    f"different requirements"
+                )
+        self._requirements = list(by_name.values())
         self._categories: Dict[int, str] = dict(categories or {})
         for job in jobs:
             self._categories.setdefault(job.job_id, job.requirement.name)
@@ -338,32 +311,32 @@ class Simulator:
         self._shard: Optional[DeviceShard] = None
         self._vec: Optional[VectorDeviceState] = None
         self._devices: Optional[Dict[int, DeviceRuntime]] = None
+        #: ``(fleet, sig_ids, sig_table)``: the population and its
+        #: eligibility signatures over ``_requirements``, as handed to the
+        #: policy (``bind_fleet``) and read by the engine's own checks.
+        self._binding: Optional[tuple] = None
         if not self._fleet:
             self._build_devices()  # the single-queue engine mutates them per event
+            # The exact per-device walk, not the fleet engine's vectorised
+            # kernel: the twin tests compare the two.
+            self._bind(
+                self._device_profiles,
+                *intern_signatures(
+                    [
+                        signature_of(device.profile, self._requirements)
+                        for device in self._devices.values()
+                    ]
+                ),
+            )
         #: Deferred assignments awaiting their batched latency draw:
-        #: ``(slot, profile, job, request, seq, session_end)``.
+        #: ``(slot, job, request, seq, session_end)``.
         self._assign_buf: list = []
-        #: Fleet engine: ``slot -> profile`` of every task in flight, the
-        #: profile its consult built — the response hands it to the policy
-        #: (and to a re-dispatch) instead of building another.
-        self._in_flight_profiles: Dict[int, DeviceProfile] = {}
         #: Bulk decision path (fleet engine only): policies exposing
         #: ``assign_batch_bulk`` (Venn) resolve a whole dispatch cohort in
         #: one call and the engine commits the proposals in bulk.  ``None``
         #: — a policy without the hook — keeps every sweep on per-device
         #: consults.
         self._policy_bulk_assign = getattr(policy, "assign_batch_bulk", None)
-        # The engine's own signature space: the workload's full requirement
-        # set is known up front, so each device's eligibility signature is
-        # computed once and kept: lazily, at first check-in, in a dict on the
-        # single-queue engine; all at once, as ids into an interned table,
-        # on the fleet engine (``VectorDeviceState.sig_id``).  Deduplicated
-        # by requirement *object* (not name): if two jobs' requirements
-        # shared a name but differed in predicate, both predicates must
-        # contribute to the signature so the dispatch bucket filter never
-        # under-visits.
-        self._requirements = list(dict.fromkeys(job.requirement for job in jobs))
-        self._device_signatures: Dict[int, frozenset] = {}
         self._metrics = SimulationMetrics(
             policy=getattr(policy, "name", type(policy).__name__),
             horizon=self.config.horizon,
@@ -476,21 +449,10 @@ class Simulator:
         state["last_snapshot"] = None
         if self._fleet:
             state["_devices"] = None  # a view of the arrays, rebuilt on read
-        else:
-            # The runtimes hold every profile, in the fleet's order: the
-            # columns are rebuilt from them instead of pickled twice.
-            state["_device_profiles"] = None
         # The version travels inside the payload, so raw bytes are checked
         # by ``resume`` as strictly as a SimulationSnapshot wrapper.
         state["_format_version"] = SNAPSHOT_FORMAT_VERSION
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if self._device_profiles is None:
-            self._device_profiles = DeviceFleet.of(
-                device.profile for device in self._devices.values()
-            )
 
     def snapshot(self) -> SimulationSnapshot:
         """Capture the complete simulation state as one pickle payload.
@@ -616,16 +578,18 @@ class Simulator:
             seq_start=arrivals,
         )
         self.queue.reserve(consumed)
-        # Signature precompute: one vectorised pass instead of a per-device
-        # predicate walk at first check-in, shared with the policy through
-        # the signature-provider protocol.
-        self._vec = VectorDeviceState(
+        # Signatures in one vectorised pass, bound to the policy with the
+        # fleet in slot order: a slot is the device's row there.
+        vec = self._vec = VectorDeviceState(
             self._device_profiles,
             *compute_signatures(self._device_profiles, self._requirements),
         )
-        self.policy.bind_signature_provider(
-            self._vec.signature_provider(), tuple(self._requirements)
-        )
+        self._bind(vec.profiles, vec.sig_id, vec.sig_table)
+
+    def _bind(self, fleet: DeviceFleet, sig_ids, sig_table) -> None:
+        """Bind the population once, at build, on both engines."""
+        self._binding = (fleet, sig_ids, sig_table)
+        self.policy.bind_fleet(fleet, sig_ids, sig_table)
 
     def _run_fleet(self) -> SimulationMetrics:
         """Main loop of the coordinator: the device stream against its queue.
@@ -722,10 +686,7 @@ class Simulator:
         if n_ci:
             self._metrics.total_checkins += n_ci
             self.policy.on_device_checkin_batch(
-                _CohortView(self._vec.profiles, ci_slots),
-                ci_times,
-                self._vec.sig_id[ci_slots],
-                self._vec.sig_table,
+                self._vec.profiles.device_id[ci_slots], ci_times
             )
         self.now = float(shard.sa_time[hi - 1])
 
@@ -746,7 +707,7 @@ class Simulator:
         status = vec.status
         sess = vec.sess
         last_day = vec.last_day
-        profiles = vec.profiles
+        ids = vec.profiles.device_id
         heap = shard.heap
         metrics = self._metrics
         pending = self._pending
@@ -772,13 +733,13 @@ class Simulator:
                     status[slot] = STATUS_IDLE
                     sess[slot] = send
                     metrics.total_checkins += 1
-                    profile = profiles[slot]
-                    policy_checkin(profile, t)
+                    device_id = ids.item(slot)
+                    policy_checkin(device_id, t)
                     if pending and t < send and not (
                         enforce_daily
                         and last_day[slot] == int(t // SECONDS_PER_DAY)
                     ):
-                        self._try_assign_vec(slot, profile)
+                        self._try_assign_vec(slot, device_id)
                         if self._assign_buf:
                             self._flush_assignments()
                             flushed = True
@@ -848,7 +809,7 @@ class Simulator:
         vec = self._vec
         request = self._requests.get(request_id)
         now = self.now
-        profile = self._in_flight_profiles.pop(slot)
+        device_id = vec.profiles.device_id.item(slot)
         if request is not None:
             request.in_flight -= 1
         if success:
@@ -865,8 +826,8 @@ class Simulator:
         sess_open = now < vec.sess[slot]
         vec.status[slot] = STATUS_IDLE if sess_open else STATUS_OFFLINE
         if success and request is not None and request.is_open:
-            request.record_response(profile.device_id, now)
-            self.policy.on_response(request, profile, now)
+            request.record_response(device_id, now)
+            self.policy.on_response(request, device_id, now)
             self._maybe_complete_request(request)
         elif request is not None and not request.is_open:
             # Aborted round: the device keeps its daily budget.
@@ -882,31 +843,24 @@ class Simulator:
                 and vec.last_day[slot] == int(now // SECONDS_PER_DAY)
             )
         ):
-            self._try_assign_vec(slot, profile)
+            self._try_assign_vec(slot, device_id)
             self._flush_assignments()
 
-    def _try_assign_vec(self, slot: int, profile: DeviceProfile) -> None:
+    def _try_assign_vec(self, slot: int, device_id: int) -> None:
         """Array-state twin of :meth:`_try_assign`: the same consult
-        (:meth:`_consult`) of ``profile`` (the caller's, already built for
-        this event), state transition on the arrays, and the latency draw
-        deferred to :meth:`_flush_assignments` (the response's sequence
-        number is claimed here, in decision order)."""
+        (:meth:`_consult`) of the device at ``slot``, state transition on
+        the arrays, and the latency draw deferred to
+        :meth:`_flush_assignments` (the response's sequence number is
+        claimed here, in decision order)."""
         vec = self._vec
-        request = self._consult(profile)
+        request = self._consult(device_id)
         if request is None:
             return
         job = self.jobs[request.job_id]
         vec.status[slot] = STATUS_BUSY
         vec.last_day[slot] = int(self.now // SECONDS_PER_DAY)
         self._assign_buf.append(
-            (
-                slot,
-                profile,
-                job,
-                request,
-                self.queue.next_seq(),
-                float(vec.sess[slot]),
-            )
+            (slot, job, request, self.queue.next_seq(), float(vec.sess[slot]))
         )
 
     def _flush_assignments(self) -> None:
@@ -924,25 +878,18 @@ class Simulator:
         self._assign_buf = []
         now = self.now
         schedule_response = self._shard.schedule_response
-        in_flight = self._in_flight_profiles
-        if len(buf) == 1:
-            # Size-1 flushes dominate contended workloads; the batch kernel
-            # already falls back to a per-element loop there, so skip its
-            # list plumbing and draw directly (bit-identical by contract).
-            _slot, profile, job, request, seq, send = buf[0]
-            outcomes = (
-                self.latency.sample_outcome(job.spec, profile, now=now),
-            )
-        else:
-            outcomes = self.latency.sample_outcomes_batch(
-                [entry[2].spec for entry in buf],
-                [entry[1] for entry in buf],
-                now=now,
-            )
-        for (slot, profile, job, request, seq, send), (
-            duration,
-            dropped,
-        ) in zip(buf, outcomes):
+        fleet = self._vec.profiles
+        slots = [entry[0] for entry in buf]
+        outcomes = self.latency.sample_outcomes_batch(
+            [entry[1].spec for entry in buf],
+            fleet.device_id[slots],
+            fleet.speed_factor[slots],
+            fleet.reliability[slots],
+            now=now,
+        )
+        for (slot, job, request, seq, send), (duration, dropped) in zip(
+            buf, outcomes
+        ):
             finishes_in_session = now + duration <= send
             success = (not dropped) and finishes_in_session
             if success:
@@ -952,7 +899,6 @@ class Simulator:
             schedule_response(
                 finish_time, seq, slot, request.request_id, job.job_id, success
             )
-            in_flight[slot] = profile
 
     def _dispatch_idle_devices_vec(self) -> None:
         """Mask-based twin of the single-queue engine's idle-set walk.
@@ -975,7 +921,6 @@ class Simulator:
         """
         pending = self._pending
         vec = self._vec
-        profiles = vec.profiles
         now = self.now
         names = pending.pending_requirements()
         version = pending.names_version
@@ -1020,7 +965,7 @@ class Simulator:
             i += 1
             if status[slot] != STATUS_IDLE:
                 continue
-            self._try_assign_vec(slot, profiles[slot])
+            self._try_assign_vec(slot, vec.profiles.device_id.item(slot))
         self._flush_assignments()
 
     def _dispatch_cohort_batched(self, queue, version: int) -> None:
@@ -1041,7 +986,6 @@ class Simulator:
         """
         pending = self._pending
         vec = self._vec
-        profiles = vec.profiles
         sig_id = vec.sig_id
         now = self.now
         bulk = self._policy_bulk_assign
@@ -1056,22 +1000,22 @@ class Simulator:
                 n = queue.size
                 i = 0
                 continue
-            # The walk stops itself at the first demand-zeroing proposal
-            # and the cohort view materialises profiles on demand, so
-            # chunks can be generous — the consulted prefix, not the chunk
-            # width, bounds the work.
-            chunk = queue[i : i + min(n - i, 8192)].tolist()
-            cohort = _CohortView(profiles, chunk)
-            consumed, proposals = bulk(cohort, now)
+            # The walk stops itself at the first demand-zeroing proposal,
+            # so chunks can be generous: the consulted prefix bounds the
+            # policy's work, and the chunk width only two array gathers.
+            chunk = queue[i : i + min(n - i, 8192)]
+            device_ids = vec.profiles.device_id[chunk].tolist()
+            chunk = chunk.tolist()
+            consumed, proposals = bulk(device_ids, now)
             if proposals:
-                self._commit_cohort_vec(chunk, cohort, proposals)
+                self._commit_cohort_vec(chunk, device_ids, proposals)
             if consumed == 0:
                 # No open requests on the policy side (a consumed cohort
                 # always advances): nothing left to offer.
                 break
             i += consumed
 
-    def _commit_cohort_vec(self, slots, cohort, proposals) -> None:
+    def _commit_cohort_vec(self, slots, device_ids, proposals) -> None:
         """Bulk twin of the commit tail of :meth:`_try_assign_vec`.
 
         ``proposals`` is the ledger-validated output of
@@ -1099,22 +1043,20 @@ class Simulator:
         grouped: dict = {}
         for i, request in proposals:
             slot = slots[i]
-            profile = cohort[i]
+            device_id = device_ids[i]
             entry = grouped.get(request.request_id)
             if entry is None:
                 job = jobs.get(request.job_id)
                 if job is None:
                     raise ValueError(
-                        f"policy assigned device {profile.device_id} to "
+                        f"policy assigned device {device_id} to "
                         f"unknown job {request.job_id}"
                     )
                 grouped[request.request_id] = entry = (request, job, [])
-            entry[2].append(profile.device_id)
+            entry[2].append(device_id)
             status[slot] = STATUS_BUSY
             last_day[slot] = day
-            buf.append(
-                (slot, profile, entry[1], request, next_seq(), float(sess[slot]))
-            )
+            buf.append((slot, entry[1], request, next_seq(), float(sess[slot])))
         for request, job, device_ids in grouped.values():
             request.record_assignments_bulk(device_ids, now)
             if request.remaining_demand == 0:
@@ -1144,7 +1086,7 @@ class Simulator:
         status_of = (DeviceStatus.OFFLINE, DeviceStatus.IDLE, DeviceStatus.BUSY)
         devices = self._devices
         for device_id, status, sess, day, completed, failed in zip(
-            vec.ids.tolist(),
+            vec.profiles.device_id.tolist(),
             vec.status.tolist(),
             vec.sess.tolist(),
             vec.last_day.tolist(),
@@ -1175,14 +1117,13 @@ class Simulator:
             self._metrics.plan_maintenance = profile.as_dict()
 
     # ------------------------------------------------------------------ #
-    # Idle-device bookkeeping
+    # Eligibility
     # ------------------------------------------------------------------ #
-    def _signature(self, device: DeviceRuntime) -> frozenset:
-        sig = self._device_signatures.get(device.device_id)
-        if sig is None:
-            sig = signature_of(device.profile, self._requirements)
-            self._device_signatures[device.device_id] = sig
-        return sig
+    def _signature(self, device_id: int) -> frozenset:
+        """Names of the workload requirements the device satisfies, read
+        from the bound table."""
+        fleet, sig_ids, sig_table = self._binding
+        return sig_table[sig_ids[fleet.row(device_id)]]
 
     # ------------------------------------------------------------------ #
     # Event handlers
@@ -1204,7 +1145,7 @@ class Simulator:
         device.check_in(self.now, session_end)
         self._idle.add(device.device_id)
         self._metrics.total_checkins += 1
-        self.policy.on_device_checkin(device.profile, self.now)
+        self.policy.on_device_checkin(device.device_id, self.now)
         # Only consult the policy when some request actually has unmet
         # demand: with no pending demand every shipped policy provably
         # returns None (they filter on remaining_demand > 0 before drawing
@@ -1243,7 +1184,7 @@ class Simulator:
 
         if success and request is not None and request.is_open:
             request.record_response(device.device_id, self.now)
-            self.policy.on_response(request, device.profile, self.now)
+            self.policy.on_response(request, device.device_id, self.now)
             self._maybe_complete_request(request)
         elif request is not None and not request.is_open:
             # The round was aborted (or cancelled) while this device was still
@@ -1276,7 +1217,7 @@ class Simulator:
         # executing the aborted task are released when their response fires.
         if self._fleet:
             vec = self._vec
-            slots = vec.slots_for(request.assigned)
+            slots = vec.profiles.rows(request.assigned)
             vec.last_day[slots[vec.status[slots] != STATUS_BUSY]] = -1
         else:
             for device_id in request.assigned:
@@ -1351,39 +1292,39 @@ class Simulator:
     # ------------------------------------------------------------------ #
     # Assignment helpers
     # ------------------------------------------------------------------ #
-    def _consult(self, profile: DeviceProfile) -> Optional[ResourceRequest]:
+    def _consult(self, device_id: int) -> Optional[ResourceRequest]:
         """Offer one device to the policy (both engines' per-device consult).
 
         Returns the request the device was assigned to, with the assignment
         recorded and the pending pool updated, or ``None`` when the policy
         passed or proposed something that cannot be taken.
         """
-        request = self.policy.assign(profile, self.now)
+        request = self.policy.assign(device_id, self.now)
         if request is None:
             return None
         if not request.is_open or request.remaining_demand <= 0:
             return None
-        if request.is_assigned(profile.device_id):
+        if request.is_assigned(device_id):
             # A device never participates twice in the same round request.
             return None
         job = self.jobs.get(request.job_id)
         if job is None:
             raise ValueError(
-                f"policy assigned device {profile.device_id} to unknown job "
+                f"policy assigned device {device_id} to unknown job "
                 f"{request.job_id}"
             )
-        if not job.spec.requirement.is_eligible(profile):
+        if job.spec.requirement.name not in self._signature(device_id):
             raise ValueError(
-                f"policy assigned ineligible device {profile.device_id} to job "
+                f"policy assigned ineligible device {device_id} to job "
                 f"{request.job_id} ({job.spec.requirement.name})"
             )
-        request.record_assignment(profile.device_id, self.now)
+        request.record_assignment(device_id, self.now)
         if request.remaining_demand == 0:
             self._pending.remove(request.job_id)
         return request
 
     def _try_assign(self, device: DeviceRuntime) -> None:
-        request = self._consult(device.profile)
+        request = self._consult(device.device_id)
         if request is None:
             return
         job = self.jobs[request.job_id]
@@ -1437,7 +1378,9 @@ class Simulator:
                 version = pending.names_version
                 names = pending.pending_requirements()
             device = devices[device_id]
-            if device.can_take_task(self.now, daily) and self._signature(device) & names:
+            if device.can_take_task(self.now, daily) and (
+                self._signature(device_id) & names
+            ):
                 self._try_assign(device)
 
 

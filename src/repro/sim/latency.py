@@ -329,13 +329,20 @@ class ResponseLatencyModel:
         Pristine-network path (no loss/retry accounting); the engine uses
         :meth:`sample_outcome`, which layers the network conditions on top.
         """
-        duration, _ = self._sample_duration_parts(job, device, now=0.0, lossy=False)
+        duration, _ = self._sample_duration_parts(
+            job, device.device_id, device.speed_factor, now=0.0, lossy=False
+        )
         return duration
 
     def _sample_duration_parts(
-        self, job: JobSpec, device: DeviceProfile, now: float, lossy: bool
+        self,
+        job: JobSpec,
+        device_id: int,
+        speed_factor: float,
+        now: float,
+        lossy: bool,
     ) -> Tuple[float, bool]:
-        """``(duration, lost)`` for one assignment.
+        """``(duration, lost)`` for one assignment of the device.
 
         ``lossy=True`` additionally plays out the uplink transfer attempts:
         each lost attempt adds ``retry_backoff ×`` the link's transfer time,
@@ -345,7 +352,6 @@ class ResponseLatencyModel:
         pristine-network run consumes exactly the historical sequence.
         """
         cfg = self.config
-        device_id = device.device_id
         k = self._draw_counts.get(device_id, 0)
         self._draw_counts[device_id] = k + 3
         u1 = self._uniform(device_id, k)
@@ -356,7 +362,7 @@ class ResponseLatencyModel:
         compute = (
             job.base_task_duration
             * cfg.duration_scale
-            * device.speed_factor
+            * speed_factor
             * math.exp(cfg.compute_sigma * z)
         )
         comm = (cfg.comm_min + (cfg.comm_max - cfg.comm_min) * u3) * (
@@ -380,10 +386,12 @@ class ResponseLatencyModel:
 
     def sample_failure(self, device: DeviceProfile) -> bool:
         """Whether the device drops out instead of reporting back."""
-        device_id = device.device_id
+        return self._failure(device.device_id, device.reliability)
+
+    def _failure(self, device_id: int, reliability: float) -> bool:
         k = self._draw_counts.get(device_id, 0)
         self._draw_counts[device_id] = k + 1
-        return self._uniform(device_id, k) > device.reliability
+        return self._uniform(device_id, k) > reliability
 
     def sample_outcome(
         self, job: JobSpec, device: DeviceProfile, now: float = 0.0
@@ -399,17 +407,35 @@ class ResponseLatencyModel:
         with the network layer off the outcomes are bit-identical to the
         pre-network-layer engine.
         """
-        duration, lost = self._sample_duration_parts(job, device, now, lossy=True)
-        dropped = self.sample_failure(device)
+        return self._outcome(
+            job, device.device_id, device.speed_factor, device.reliability, now
+        )
+
+    def _outcome(
+        self,
+        job: JobSpec,
+        device_id: int,
+        speed_factor: float,
+        reliability: float,
+        now: float,
+    ) -> Tuple[float, bool]:
+        duration, lost = self._sample_duration_parts(
+            job, device_id, speed_factor, now, lossy=True
+        )
+        dropped = self._failure(device_id, reliability)
         return duration, lost or dropped
 
     def sample_outcomes_batch(
         self,
         jobs: "Sequence[JobSpec]",
-        devices: "Sequence[DeviceProfile]",
+        device_ids: "np.ndarray",
+        speed_factors: "np.ndarray",
+        reliabilities: "np.ndarray",
         now: float = 0.0,
     ) -> "list[Tuple[float, bool]]":
-        """Batched :meth:`sample_outcome` over parallel job/device lists.
+        """Batched :meth:`sample_outcome` over parallel sequences: the
+        jobs, and the assigned devices' ``device_id``, ``speed_factor`` and
+        ``reliability`` (the fleet's columns read at their rows).
 
         Bit-identical to calling :meth:`sample_outcome` per element in
         order.  The per-(device, draw) SplitMix64 hashing — the dominant
@@ -422,27 +448,28 @@ class ResponseLatencyModel:
         data-dependent (loss retries), so the batch falls back to the exact
         scalar path per element.
         """
-        n = len(devices)
-        if n == 0:
-            return []
+        ids = np.asarray(device_ids, dtype=np.int64)
+        device_ids = ids.tolist()
+        speed_factors = np.asarray(speed_factors, dtype=np.float64).tolist()
+        reliabilities = np.asarray(reliabilities, dtype=np.float64).tolist()
+        n = len(device_ids)
         cfg = self.config
-        if cfg.degrades_network or n == 1:
+        if cfg.degrades_network or n <= 1:
             return [
-                self.sample_outcome(jobs[i], devices[i], now=now)
+                self._outcome(
+                    jobs[i], device_ids[i], speed_factors[i], reliabilities[i], now
+                )
                 for i in range(n)
             ]
         counts = self._draw_counts
-        ids = np.empty(n, dtype=np.uint64)
         k0 = np.empty(n, dtype=np.uint64)
-        for i in range(n):
-            did = devices[i].device_id
+        for i, did in enumerate(device_ids):
             k = counts.get(did, 0)
             counts[did] = k + 4
-            ids[i] = did
             k0[i] = k
         base = (
             np.uint64(self._master)
-            + ids * np.uint64(_DEVICE_STRIDE)
+            + ids.astype(np.uint64) * np.uint64(_DEVICE_STRIDE)
             + k0 * np.uint64(_SM_GAMMA)
         )[:, None] + np.arange(4, dtype=np.uint64) * np.uint64(_SM_GAMMA)
         u = _uniform_array(_mix64_array(base)).tolist()
@@ -453,20 +480,16 @@ class ResponseLatencyModel:
         out = []
         for i in range(n):
             u1, u2, u3, u4 = u[i]
-            device = devices[i]
-            job = jobs[i]
             # Box–Muller, identical expression tree to the scalar path.
             z = math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
             compute = (
-                job.base_task_duration
+                jobs[i].base_task_duration
                 * scale
-                * device.speed_factor
+                * speed_factors[i]
                 * math.exp(sigma * z)
             )
-            comm = (comm_min + comm_span * u3) * self._comm_scale(
-                device.device_id
-            )
-            out.append((compute + comm, u4 > device.reliability))
+            comm = (comm_min + comm_span * u3) * self._comm_scale(device_ids[i])
+            out.append((compute + comm, u4 > reliabilities[i]))
         return out
 
     def expected_duration(self, job: JobSpec, device: DeviceProfile) -> float:

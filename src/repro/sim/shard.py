@@ -19,9 +19,7 @@ the coordinator's own queue:
   rows (:meth:`DeviceShard.refill`, :data:`STREAM_WINDOW` events at a time)
   that follows the stream's monotone cursor;
 * the **response heap** holds the response events the coordinator schedules
-  when it assigns a device (:meth:`DeviceShard.schedule_response`);
-* the fleet's **eligibility signatures** are precomputed for the workload's
-  requirement set in one vectorised pass (:func:`compute_signatures`).
+  when it assigns a device (:meth:`DeviceShard.schedule_response`).
 
 The coordinator (the engine) merges the stream with its own queue by
 ``(time, seq)`` — see :func:`make_static_stream` for how ``seq`` is chosen —
@@ -46,12 +44,9 @@ tests and the engine-matrix decision hash enforce.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
-
-from ..core.requirements import EligibilityRequirement, signature_of
-from ..core.types import DeviceFleet, DeviceProfile
 
 #: Sentinel key sorting after every real event.
 INF_KEY: Tuple[float, int] = (float("inf"), 1 << 62)
@@ -67,80 +62,6 @@ STREAM_WINDOW = 1024
 #: The static stream: ``(sa_time, sa_code, sa_slot, se_end)`` — three event
 #: columns sorted by ``(time, code)`` and the session ends by session.
 StaticStream = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def compute_signatures(
-    devices: Sequence[DeviceProfile],
-    requirements: Sequence[EligibilityRequirement],
-) -> Tuple[np.ndarray, List[FrozenSet[str]]]:
-    """Eligibility signature of every device, vectorised when possible.
-
-    Returns ``(sig_ids, table)``: ``table[sig_ids[i]]`` is exactly what
-    :func:`repro.core.requirements.signature_of` gives for ``devices[i]``,
-    and ``table`` holds each distinct signature once (interned by value).
-    The vectorised path takes a handful of numpy passes over the fleet's
-    columns (:class:`~repro.core.types.DeviceFleet`; any other sequence is
-    converted first) instead of ``len(devices) × len(requirements)``
-    predicate calls: one boolean mask per requirement over the cpu and
-    memory columns and the domain-id column, packed into per-device
-    bitmasks, and one frozenset per distinct bitmask.
-
-    Subclassed requirements (anything overriding ``is_eligible``) fall back
-    to the exact per-device loop.
-    """
-    reqs = list(requirements)
-    devices = DeviceFleet.of(devices)
-    n = len(devices)
-    if not reqs:
-        return np.zeros(n, dtype=np.int32), [frozenset()]
-    if len(reqs) > 63 or any(
-        type(r) is not EligibilityRequirement for r in reqs
-    ):
-        # The vectorised path packs one requirement per int64 bit; beyond
-        # 63 the shift overflows silently.  Workloads that large fall back
-        # to the exact per-device walk.
-        return _intern([signature_of(d, reqs) for d in devices])
-    cpu, mem = devices.cpu_score, devices.memory_score
-    domain_masks: Dict[str, np.ndarray] = {}
-    for r in reqs:
-        if r.data_domain is not None and r.data_domain not in domain_masks:
-            dom = r.data_domain
-            holds = np.array([dom in d for d in devices.domains], dtype=bool)
-            domain_masks[dom] = holds[devices.domain_id]
-    bits = np.zeros(n, dtype=np.int64)
-    for k, r in enumerate(reqs):
-        ok = (cpu >= r.min_cpu) & (mem >= r.min_memory)
-        if r.data_domain is not None:
-            ok = ok & domain_masks[r.data_domain]
-        bits |= ok.astype(np.int64) << k
-    # Devices overwhelmingly share a handful of distinct bitmasks.  Two
-    # bitmasks can still name equal sets (requirements sharing a name), so
-    # the per-mask signatures are interned by value too.
-    masks, inverse = np.unique(bits, return_inverse=True)
-    mask_ids, table = _intern(
-        [
-            frozenset(reqs[k].name for k in range(len(reqs)) if (m >> k) & 1)
-            for m in masks.tolist()
-        ]
-    )
-    return mask_ids[inverse], table
-
-
-def _intern(
-    signatures: Sequence[FrozenSet[str]],
-) -> Tuple[np.ndarray, List[FrozenSet[str]]]:
-    """``(ids, table)`` with ``table[ids[i]] == signatures[i]``, each
-    distinct value once, in first-occurrence order."""
-    index: Dict[FrozenSet[str], int] = {}
-    table: List[FrozenSet[str]] = []
-    ids = np.empty(len(signatures), dtype=np.int32)
-    for i, sig in enumerate(signatures):
-        j = index.get(sig)
-        if j is None:
-            j = index[sig] = len(table)
-            table.append(sig)
-        ids[i] = j
-    return ids, table
 
 
 def code_dtype(num_events: int) -> type:
@@ -326,6 +247,5 @@ __all__ = [
     "STREAM_WINDOW",
     "build_shard",
     "code_dtype",
-    "compute_signatures",
     "make_static_stream",
 ]

@@ -29,7 +29,7 @@ method docstrings for the per-kernel arguments, and
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class VectorDeviceState:
         sig_table: Sequence[FrozenSet[str]],
     ) -> None:
         """``sig_table[sig_ids[i]]`` is the eligibility signature of
-        ``profiles[i]`` (:func:`~repro.sim.shard.compute_signatures`).
+        ``profiles[i]`` (:func:`~repro.core.requirements.compute_signatures`).
 
         ``profiles`` becomes a :class:`~repro.core.types.DeviceFleet` (kept
         as given when it already is one, in ascending id order); a device's
@@ -70,9 +70,6 @@ class VectorDeviceState:
         n = len(fleet)
         #: The fleet in slot order.
         self.profiles: DeviceFleet = fleet
-        #: Its id column, contiguous: ``searchsorted`` on a strided view
-        #: would copy the column on every call.
-        self.ids = np.ascontiguousarray(fleet.device_id)
         self.status = np.zeros(n, dtype=np.int8)
         self.sess = np.zeros(n, dtype=np.float64)
         self.last_day = np.full(n, -1, dtype=np.int64)
@@ -83,12 +80,6 @@ class VectorDeviceState:
         self.tasks_failed = [0] * n
         self.sig_table: List[FrozenSet[str]] = list(sig_table)
         self.sig_id = sig_ids
-        #: ``sig_table[sig_id[slot]]`` by slot: one shared reference per
-        #: device, the store behind :meth:`signature_provider`.
-        self._sig_by_slot = [self.sig_table[j] for j in self.sig_id.tolist()]
-        self._id0 = int(self.ids[0]) if n else 0
-        #: Ids ``id0 .. id0 + n - 1`` (unique, so the span says it all).
-        self._contiguous = n == 0 or int(self.ids[-1]) - self._id0 == n - 1
         # Fold scratch, reset to the init values after every fold via the
         # touched slots (persistent arrays: many small folds must not pay an
         # O(num_devices) allocation each).
@@ -98,35 +89,6 @@ class VectorDeviceState:
     # ------------------------------------------------------------------ #
     # Lookups
     # ------------------------------------------------------------------ #
-    def slots_for(self, device_ids: Sequence[int]) -> np.ndarray:
-        """The only device-id -> slot translation; ``KeyError`` if unknown."""
-        wanted = np.asarray(device_ids, dtype=np.int64)
-        slots = self.ids.searchsorted(wanted)
-        known = slots < len(self.ids)
-        known[known] = self.ids[slots[known]] == wanted[known]
-        if not known.all():
-            raise KeyError(f"unknown device ids: {wanted[~known][:5].tolist()}")
-        return slots
-
-    def signature_provider(self) -> Callable[[int], FrozenSet[str]]:
-        """``device_id -> signature`` for
-        :meth:`~repro.core.policy.SchedulingPolicy.bind_signature_provider`.
-
-        A bound method, so it pickles with the state it reads.  On a fleet
-        of contiguous ids it is one subtraction and one list index (about
-        what a dict lookup costs, without the dict); a sparse fleet
-        searches the sorted id array.
-        """
-        if self._contiguous:
-            return self._signature_at_offset
-        return self._signature_by_search
-
-    def _signature_at_offset(self, device_id: int) -> FrozenSet[str]:
-        return self._sig_by_slot[device_id - self._id0]
-
-    def _signature_by_search(self, device_id: int) -> FrozenSet[str]:
-        return self._sig_by_slot[int(self.ids.searchsorted(device_id))]
-
     def sig_eligibility(self, pending_names: set) -> np.ndarray:
         """``bool[sig_id]``: does the signature intersect a pending name?
 

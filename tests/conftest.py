@@ -7,11 +7,13 @@ import pytest
 
 from repro.core.requirements import (
     COMPUTE_RICH,
+    DEFAULT_CATEGORIES,
     GENERAL,
     HIGH_PERFORMANCE,
     MEMORY_RICH,
+    compute_signatures,
 )
-from repro.core.types import DeviceProfile, JobSpec
+from repro.core.types import DeviceFleet, DeviceProfile, JobSpec
 from repro.traces.capacity import CapacitySampler
 from repro.traces.device_trace import DiurnalAvailabilityModel, DiurnalConfig
 
@@ -38,6 +40,14 @@ def make_device(
         data_domains=frozenset(domains),
         reliability=reliability,
     )
+
+
+def bind_devices(policy, devices, requirements=DEFAULT_CATEGORIES) -> list:
+    """Bind ``devices`` (profiles or a fleet) and their signatures over
+    ``requirements`` to ``policy``, as an engine does; returns their ids."""
+    fleet = DeviceFleet.of(devices)
+    policy.bind_fleet(fleet, *compute_signatures(fleet, requirements))
+    return fleet.device_id.tolist()
 
 
 def make_job(

@@ -35,7 +35,7 @@ from repro.core.requirements import (
     MEMORY_RICH,
 )
 from repro.core.types import RequestState, ResourceRequest
-from tests.conftest import make_device, make_job
+from tests.conftest import bind_devices, make_device, make_job
 
 CATEGORIES = [GENERAL, COMPUTE_RICH, MEMORY_RICH, HIGH_PERFORMANCE]
 
@@ -48,8 +48,10 @@ def build_policy(name, jobs, now=0.0, checkins=()):
 
     Each protocol mutates the requests it is offered (``record_assignment``
     bookkeeping between consults), so every run gets its own instances.
+    The check-in devices are the bound population.
     """
     policy = make_policy(name, seed=123)
+    device_ids = bind_devices(policy, checkins, CATEGORIES)
     requests = []
     for job in jobs:
         policy.on_job_arrival(job, now)
@@ -63,8 +65,8 @@ def build_policy(name, jobs, now=0.0, checkins=()):
         )
         policy.on_request_open(request, now)
         requests.append(request)
-    for device in checkins:
-        policy.on_device_checkin(device, now)
+    for device_id in device_ids:
+        policy.on_device_checkin(device_id, now)
     return policy, requests
 
 
@@ -72,7 +74,7 @@ def run_scalar(policy, devices, now):
     """Oracle: consult-commit-consult, exactly like the per-event loop."""
     decisions = []
     for device in devices:
-        request = policy.assign(device, now)
+        request = policy.assign(device.device_id, now)
         decisions.append(None if request is None else request.request_id)
         if request is not None:
             request.record_assignment(device.device_id, now)
@@ -82,18 +84,19 @@ def run_scalar(policy, devices, now):
 def run_bulk(policy, devices, now):
     """Ledger protocol driven the way the engine drives it: bulk-commit
     every returned proposal, then resume from the unconsulted remainder."""
+    device_ids = [device.device_id for device in devices]
     decisions = [None] * len(devices)
     start = 0
     while start < len(devices):
-        consumed, proposals = policy.assign_batch_bulk(devices[start:], now)
+        consumed, proposals = policy.assign_batch_bulk(device_ids[start:], now)
         grouped = {}
         for j, request in proposals:
             decisions[start + j] = request.request_id
             grouped.setdefault(request.request_id, (request, []))[1].append(
-                devices[start + j].device_id
+                device_ids[start + j]
             )
-        for request, device_ids in grouped.values():
-            request.record_assignments_bulk(device_ids, now)
+        for request, assigned in grouped.values():
+            request.record_assignments_bulk(assigned, now)
         if consumed == 0:
             break
         start += consumed
@@ -161,7 +164,9 @@ def test_mid_batch_demand_zeroing_stops_bulk_walk():
     jobs = [make_job(1, GENERAL, demand=3)]
     devices = diverse_devices(10)
     policy, _ = build_policy("venn", jobs, checkins=devices)
-    consumed, proposals = policy.assign_batch_bulk(devices, 10.0)
+    consumed, proposals = policy.assign_batch_bulk(
+        [device.device_id for device in devices], 10.0
+    )
     assert len(proposals) == 3
     # The third proposal zeroes the ledger; the walk stops right there.
     assert consumed == proposals[-1][0] + 1

@@ -18,7 +18,7 @@ from repro.core.baselines import (
 from repro.core.requirements import GENERAL, HIGH_PERFORMANCE
 from repro.core.scheduler import VennScheduler
 from repro.core.types import ResourceRequest
-from tests.conftest import make_device, make_job
+from tests.conftest import bind_devices, make_device, make_job
 
 
 def open_request(policy, job, now=0.0, request_id=None):
@@ -98,8 +98,10 @@ class TestBasePolicyBookkeeping:
         open_request(
             policy, make_job(2, requirement=HIGH_PERFORMANCE, demand=5), request_id=2
         )
-        weak = make_device(cpu=0.1, mem=0.1)
-        strong = make_device(cpu=0.9, mem=0.9)
+        weak, strong = bind_devices(
+            policy,
+            [make_device(0, cpu=0.1, mem=0.1), make_device(1, cpu=0.9, mem=0.9)],
+        )
         assert {r.job_id for r in policy.eligible_open_requests(weak)} == {1}
         assert {r.job_id for r in policy.eligible_open_requests(strong)} == {1, 2}
 
@@ -107,7 +109,8 @@ class TestBasePolicyBookkeeping:
         policy = FIFOPolicy()
         request = open_request(policy, make_job(1, demand=1))
         request.record_assignment(55, 1.0)
-        assert policy.eligible_open_requests(make_device()) == []
+        (device_id,) = bind_devices(policy, [make_device()])
+        assert policy.eligible_open_requests(device_id) == []
 
 
 class TestOrderingPolicies:
@@ -115,20 +118,22 @@ class TestOrderingPolicies:
         policy = FIFOPolicy()
         open_request(policy, make_job(1, arrival=100.0), now=100.0, request_id=1)
         open_request(policy, make_job(2, arrival=5.0), now=5.0, request_id=2)
-        chosen = policy.assign(make_device(), now=200.0)
+        (device_id,) = bind_devices(policy, [make_device()])
+        chosen = policy.assign(device_id, now=200.0)
         assert chosen.job_id == 2
 
     def test_srsf_prefers_smallest_remaining_service(self):
         policy = SRSFPolicy()
         open_request(policy, make_job(1, demand=50, rounds=5), request_id=1)
         open_request(policy, make_job(2, demand=5, rounds=1), request_id=2)
-        chosen = policy.assign(make_device(), now=10.0)
+        (device_id,) = bind_devices(policy, [make_device()])
+        chosen = policy.assign(device_id, now=10.0)
         assert chosen.job_id == 2
 
     def test_assign_returns_none_when_nothing_eligible(self):
         policy = SRSFPolicy()
         open_request(policy, make_job(1, requirement=HIGH_PERFORMANCE))
-        weak_device = make_device(cpu=0.1, mem=0.1)
+        (weak_device,) = bind_devices(policy, [make_device(cpu=0.1, mem=0.1)])
         assert policy.assign(weak_device, now=1.0) is None
 
     def test_random_policy_is_seed_deterministic(self):
@@ -136,7 +141,8 @@ class TestOrderingPolicies:
             policy = RandomMatchingPolicy(seed=seed)
             for jid in range(5):
                 open_request(policy, make_job(jid, demand=10), request_id=jid)
-            return [policy.assign(make_device(device_id=i), 1.0).job_id for i in range(20)]
+            ids = bind_devices(policy, [make_device(device_id=i) for i in range(20)])
+            return [policy.assign(i, 1.0).job_id for i in ids]
 
         assert run(3) == run(3)
 
@@ -146,8 +152,9 @@ class TestOrderingPolicies:
         policy = RandomMatchingPolicy(seed=0)
         for jid in range(3):
             open_request(policy, make_job(jid, demand=4), request_id=jid)
-        first = policy.assign(make_device(device_id=0), 1.0)
-        second = policy.assign(make_device(device_id=1), 1.1)
+        bind_devices(policy, [make_device(device_id=i) for i in range(2)])
+        first = policy.assign(0, 1.0)
+        second = policy.assign(1, 1.1)
         assert first.job_id == second.job_id
 
 
@@ -156,9 +163,8 @@ class TestRandomScatterPolicies:
         policy = UniformRandomPolicy(seed=7)
         for jid in range(4):
             open_request(policy, make_job(jid, demand=1000), request_id=jid)
-        chosen = {
-            policy.assign(make_device(device_id=i), 1.0).job_id for i in range(100)
-        }
+        ids = bind_devices(policy, [make_device(device_id=i) for i in range(100)])
+        chosen = {policy.assign(i, 1.0).job_id for i in ids}
         assert len(chosen) > 1
 
     def test_client_driven_same_behaviour_as_uniform(self):
@@ -168,11 +174,13 @@ class TestRandomScatterPolicies:
         policy = JobDrivenRandomPolicy(seed=7)
         open_request(policy, make_job(1, demand=500), request_id=1)
         open_request(policy, make_job(2, demand=5), request_id=2)
-        picks = [policy.assign(make_device(device_id=i), 1.0).job_id for i in range(200)]
+        ids = bind_devices(policy, [make_device(device_id=i) for i in range(200)])
+        picks = [policy.assign(i, 1.0).job_id for i in ids]
         counts = {jid: picks.count(jid) for jid in (1, 2)}
         assert counts[1] > counts[2]
 
     def test_scatter_policies_return_none_without_requests(self):
         for cls in (UniformRandomPolicy, JobDrivenRandomPolicy):
             policy = cls(seed=1)
-            assert policy.assign(make_device(), 0.0) is None
+            (device_id,) = bind_devices(policy, [make_device()])
+            assert policy.assign(device_id, 0.0) is None

@@ -148,6 +148,33 @@ def test_of_keeps_a_fleet_and_converts_profiles():
     assert DeviceFleet.of([]) == DeviceFleet([], [], [], [], [], [], [])
 
 
+@pytest.mark.parametrize(
+    "ids, contiguous",
+    [
+        ([4, 5, 6, 7], True),
+        ([7, 3, 9, 4], False),  # unordered: rows through the sort order
+        ([3, 4, 7, 9], False),  # ascending with gaps
+        ([5, 4, 6, 7], False),  # one span, not ascending
+    ],
+)
+def test_rows_find_every_id_by_offset_or_search(ids, contiguous):
+    fleet = small_fleet()
+    fleet = DeviceFleet(
+        ids, fleet.cpu_score, fleet.memory_score, fleet.speed_factor,
+        fleet.reliability, fleet.domain_id, fleet.domains,
+    )
+    assert (fleet._id0 is not None) == contiguous
+    assert fleet.rows(ids[::-1]).tolist() == [3, 2, 1, 0]
+    assert [fleet.row(device_id) for device_id in ids] == [0, 1, 2, 3]
+    assert all(isinstance(fleet.row(device_id), int) for device_id in ids)
+    for unknown in (min(ids) - 1, 8, max(ids) + 1):
+        with pytest.raises(KeyError, match=f"unknown device ids: \\[{unknown}\\]"):
+            fleet.row(unknown)
+    # The rule is rebuilt, not pickled.
+    clone = pickle.loads(pickle.dumps(fleet))
+    assert clone.rows(ids).tolist() == [0, 1, 2, 3]
+
+
 def test_columns_are_read_only():
     fleet = small_fleet()
     with pytest.raises(ValueError):
@@ -254,8 +281,8 @@ def test_a_list_of_the_profiles_runs_like_the_fleet(cell, vectorized):
 
 @pytest.mark.parametrize("vectorized", [False, True], ids=["reference", "fleet"])
 def test_a_resumed_simulator_holds_the_same_fleet(cell, vectorized):
-    """The reference engine's snapshot carries the profiles once, in its
-    runtimes, and the fleet is rebuilt from them on resume."""
+    """Both engines' snapshots carry the fleet's columns once, shared by
+    the simulator and the policy's binding."""
     fleet, availability, jobs, horizon = cell
     sim = Simulator(
         fleet, availability, jobs, VennScheduler(seed=24),
@@ -264,3 +291,7 @@ def test_a_resumed_simulator_holds_the_same_fleet(cell, vectorized):
     resumed = Simulator.resume(sim.snapshot())
     assert resumed._device_profiles == fleet
     assert resumed._device_profiles is not fleet
+    if not vectorized:
+        # Bound at construction: one fleet in the payload, and the memo
+        # hands the policy the simulator's.
+        assert resumed.policy.fleet is resumed._device_profiles

@@ -17,6 +17,7 @@ from repro.core.matching import (
     device_capacity_metric,
     fit_tiers,
 )
+from repro.traces.capacity import CapacitySampler
 from tests.conftest import make_device
 
 
@@ -38,7 +39,9 @@ def populate(matcher: TierMatcher, speeds, rounds=((100.0, 50.0),)) -> None:
     """Feed a matcher participants, then close its rounds."""
     for i, s in enumerate(speeds):
         device = make_device(device_id=i, speed=s)
-        matcher.record_participation(device, response_time=10.0 * s)
+        matcher.record_participation(
+            device_capacity_metric(device), response_time=10.0 * s
+        )
     for sched, resp in rounds:
         matcher.record_round(sched, resp)
 
@@ -60,15 +63,25 @@ class TestDeviceCapacityMetric:
         if s1 < s2:
             assert device_capacity_metric(d1) > device_capacity_metric(d2)
 
+    def test_fleet_column_is_the_per_profile_metric(self):
+        """Given a fleet, the metric is a column whose every value is the
+        row's profile metric, bit for bit."""
+        fleet = CapacitySampler(seed=7).sample_devices(100_000)
+        column = device_capacity_metric(fleet)
+        assert column.shape == (len(fleet),)
+        assert column.tolist() == [device_capacity_metric(d) for d in fleet]
+
 
 class TestTierDecision:
     def test_no_tier_accepts_everything(self):
-        assert NO_TIER.accepts(make_device(speed=100.0))
+        assert NO_TIER.accepts(device_capacity_metric(make_device(speed=100.0)))
 
     def test_bounds_enforced(self):
         decision = TierDecision(use_tier=True, tier_index=1, low=0.5, high=1.5)
-        assert decision.accepts(make_device(speed=1.0))  # metric ~1.0
-        assert not decision.accepts(make_device(speed=10.0))  # metric ~0.1
+        assert decision.accepts(1.0)
+        assert not decision.accepts(0.1)
+        assert decision.accepts(device_capacity_metric(make_device(speed=1.0)))
+        assert not decision.accepts(device_capacity_metric(make_device(speed=10.0)))
 
 
 def fit_by_numpy(caps, resp, num_tiers):
@@ -192,7 +205,7 @@ class TestTierMatcher:
     def test_negative_inputs_rejected(self):
         matcher = TierMatcher()
         with pytest.raises(ValueError):
-            matcher.record_participation(make_device(), response_time=-1.0)
+            matcher.record_participation(1.0, response_time=-1.0)
         with pytest.raises(ValueError):
             matcher.record_round(-1.0, 5.0)
 

@@ -33,9 +33,11 @@ from repro.core.requirements import (
     DEFAULT_CATEGORIES,
     EligibilityRequirement,
     GENERAL,
+    compute_signatures,
 )
 from repro.core.scheduler import VennScheduler
 from repro.core.types import (
+    DeviceFleet,
     DeviceProfile,
     JobSpec,
     RequestState,
@@ -68,12 +70,24 @@ def pool_device(device_id: int) -> DeviceProfile:
     )
 
 
+#: Every device id the scenarios use, as the population a scheduler binds.
+POOL_FLEET = DeviceFleet.of(pool_device(i) for i in range(121))
+POOL_SIGNATURES = compute_signatures(POOL_FLEET, POOL)
+
+
+def pool_scheduler(**kwargs) -> VennScheduler:
+    """A Venn scheduler bound to :data:`POOL_FLEET`."""
+    sched = VennScheduler(**kwargs)
+    sched.bind_fleet(POOL_FLEET, *POOL_SIGNATURES)
+    return sched
+
+
 class TwinHarness:
     """Drives one trigger sequence through both maintenance modes."""
 
     def __init__(self, seed: int) -> None:
-        self.full = VennScheduler(num_tiers=1, plan_maintenance="full")
-        self.inc = VennScheduler(num_tiers=1, plan_maintenance="incremental")
+        self.full = pool_scheduler(num_tiers=1, plan_maintenance="full")
+        self.inc = pool_scheduler(num_tiers=1, plan_maintenance="incremental")
         self.schedulers = (self.full, self.inc)
         self.rng = np.random.default_rng(seed)
         self.now = 0.0
@@ -119,14 +133,12 @@ class TwinHarness:
         self._open_request(spec.job_id)
 
     def checkin(self, device_id: int) -> None:
-        device = pool_device(device_id)
         for sched in self.schedulers:
-            sched.on_device_checkin(device, self.now)
+            sched.on_device_checkin(device_id, self.now)
 
     def assign(self, device_id: int) -> None:
-        device = pool_device(device_id)
-        got_full = self.full.assign(device, self.now)
-        got_inc = self.inc.assign(device, self.now)
+        got_full = self.full.assign(device_id, self.now)
+        got_inc = self.inc.assign(device_id, self.now)
         assert (got_full is None) == (got_inc is None), (
             f"assign divergence for device {device_id}: "
             f"full={got_full} incremental={got_inc}"
@@ -250,10 +262,10 @@ class TestIncrementalEquivalence:
         """The FIFO ablation (enable_scheduling=False) orders by arrival
         time; the incremental path must reproduce it exactly too."""
         harness = TwinHarness(seed)
-        harness.full = VennScheduler(
+        harness.full = pool_scheduler(
             num_tiers=1, plan_maintenance="full", enable_scheduling=False
         )
-        harness.inc = VennScheduler(
+        harness.inc = pool_scheduler(
             num_tiers=1,
             plan_maintenance="incremental",
             enable_scheduling=False,
@@ -365,16 +377,15 @@ class TestIndexPatching:
     def test_index_patched_in_place_across_updates(self):
         """Incremental refreshes keep the same plan and index objects,
         bumping the index epoch instead of rebuilding it."""
-        sched = VennScheduler(num_tiers=1)
+        sched = pool_scheduler(num_tiers=1)
         job1 = JobSpec(1, GENERAL, demand_per_round=4, num_rounds=2)
         job2 = JobSpec(2, GENERAL, demand_per_round=6, num_rounds=2)
         sched.on_job_arrival(job1, 0.0)
         sched.on_request_open(
             ResourceRequest(1, 1, 4, 0.0, 10_000.0, 1), 0.0
         )
-        device = pool_device(1)
-        sched.on_device_checkin(device, 1.0)
-        sched.assign(device, 1.0)  # forces plan build + index build
+        sched.on_device_checkin(1, 1.0)
+        sched.assign(1, 1.0)  # forces plan build + index build
         plan_before = sched.plan
         index_before = plan_before.index()
         epoch_before = index_before.epoch
@@ -383,7 +394,7 @@ class TestIndexPatching:
         sched.on_request_open(
             ResourceRequest(2, 2, 6, 2.0, 10_000.0, 1), 2.0
         )
-        sched.assign(pool_device(2), 3.0)
+        sched.assign(2, 3.0)
         assert sched.plan is plan_before
         assert sched.plan.index() is index_before
         assert index_before.epoch > epoch_before
@@ -399,7 +410,7 @@ class TestIndexPatching:
 
 class TestSupplyDriftTolerance:
     def _drive(self):
-        sched = VennScheduler(num_tiers=1)
+        sched = pool_scheduler(num_tiers=1)
         job = JobSpec(1, GENERAL, demand_per_round=50, num_rounds=5)
         sched.on_job_arrival(job, 0.0)
         request = ResourceRequest(1, 1, 50, 0.0, 1e9, 1)
@@ -412,7 +423,7 @@ class TestSupplyDriftTolerance:
         # The irregular time steps make the drift genuinely non-zero
         # (evenly spaced check-ins would keep count/span constant).
         for i in range(2, 12):
-            sched.on_device_checkin(pool_device(i), now)
+            sched.on_device_checkin(i, now)
             request.state = RequestState.ABORTED
             sched.on_request_closed(request, now)
             request = ResourceRequest(i, 1, 50, now, 1e9, 1)
@@ -430,7 +441,7 @@ class TestSupplyDriftTolerance:
         """Evenly spaced check-ins keep count/span — and hence every atom
         rate — exactly constant; the zero-drift skip may then keep the
         allocation because the oracle would recompute the very same one."""
-        sched = VennScheduler(num_tiers=1)
+        sched = pool_scheduler(num_tiers=1)
         job = JobSpec(1, GENERAL, demand_per_round=50, num_rounds=5)
         sched.on_job_arrival(job, 0.0)
         request = ResourceRequest(1, 1, 50, 0.0, 1e9, 1)
@@ -438,7 +449,7 @@ class TestSupplyDriftTolerance:
         sched.refresh_plan(0.5)
         now = 1.0
         for i in range(2, 8):
-            sched.on_device_checkin(pool_device(i), now)
+            sched.on_device_checkin(i, now)
             request.state = RequestState.ABORTED
             sched.on_request_closed(request, now)
             request = ResourceRequest(i, 1, 50, now, 1e9, 1)

@@ -121,18 +121,13 @@ class TestAtomSpace:
         assert space.contains("general", "high_performance")
         assert not space.contains("high_performance", "general")
 
-    def test_shared_atoms(self, categories):
+    def test_observed_signature_registers_an_atom(self, categories):
         space = AtomSpace(categories)
-        shared = space.shared_atoms("compute_rich", "memory_rich")
-        assert shared == space.eligible_atoms("high_performance")
-
-    def test_signature_registers_new_atom(self, categories):
-        space = AtomSpace(categories)
-        before = len(space.atoms)
         device = make_device(cpu=0.9, mem=0.1, domains={"emoji"})
-        sig = space.signature(device)
+        sig = signature_of(device, categories)
         assert "compute_rich" in sig and "memory_rich" not in sig
-        assert len(space.atoms) >= before
+        space.observe_signature(sig)
+        assert sig in space.atoms
 
     def test_observe_signature_validates_names(self, categories):
         space = AtomSpace(categories)

@@ -8,7 +8,8 @@ import pytest
 from repro.core.requirements import GENERAL, HIGH_PERFORMANCE
 from repro.core.scheduler import VennScheduler
 from repro.core.types import RequestState, ResourceRequest
-from tests.conftest import make_device, make_job
+from repro.core.matching import device_capacity_metric
+from tests.conftest import bind_devices, make_device, make_job
 
 
 def open_request(policy, job, now=0.0, request_id=None):
@@ -34,10 +35,10 @@ def complete(request, now):
     request.close_time = now
 
 
-def feed_checkins(policy, devices, start=0.0, step=1.0):
+def feed_checkins(policy, device_ids, start=0.0, step=1.0):
     t = start
-    for d in devices:
-        policy.on_device_checkin(d, t)
+    for device_id in device_ids:
+        policy.on_device_checkin(device_id, t)
         t += step
     return t
 
@@ -58,7 +59,8 @@ class TestVennSchedulerConstruction:
 class TestVennSchedulerAssignment:
     def test_assign_none_without_requests(self):
         sched = VennScheduler(seed=0)
-        assert sched.assign(make_device(), 0.0) is None
+        (device_id,) = bind_devices(sched, [make_device()])
+        assert sched.assign(device_id, 0.0) is None
 
     def test_scarce_device_goes_to_scarce_job(self):
         """A high-performance device must serve the high-performance job even
@@ -69,26 +71,33 @@ class TestVennSchedulerAssignment:
         # Observed supply: plenty of weak devices, few strong ones.
         weak = [make_device(device_id=i, cpu=0.1, mem=0.1) for i in range(20)]
         strong = [make_device(device_id=100 + i, cpu=0.9, mem=0.9) for i in range(2)]
-        feed_checkins(sched, weak + strong)
-        chosen = sched.assign(make_device(device_id=999, cpu=0.9, mem=0.9), now=30.0)
+        new = make_device(device_id=999, cpu=0.9, mem=0.9)
+        *seen, new = bind_devices(sched, weak + strong + [new])
+        feed_checkins(sched, seen)
+        chosen = sched.assign(new, now=30.0)
         assert chosen.job_id == 2
 
     def test_weak_device_goes_to_general_job(self):
         sched = VennScheduler(seed=0)
         open_request(sched, make_job(1, GENERAL, demand=5), request_id=1)
         open_request(sched, make_job(2, HIGH_PERFORMANCE, demand=5), request_id=2)
-        feed_checkins(
-            sched, [make_device(device_id=i, cpu=0.2, mem=0.2) for i in range(5)]
+        *seen, new = bind_devices(
+            sched,
+            [make_device(device_id=i, cpu=0.2, mem=0.2) for i in (*range(5), 999)],
         )
-        chosen = sched.assign(make_device(device_id=999, cpu=0.2, mem=0.2), now=10.0)
+        feed_checkins(sched, seen)
+        chosen = sched.assign(new, now=10.0)
         assert chosen.job_id == 1
 
     def test_intra_group_order_prefers_smaller_demand(self):
         sched = VennScheduler(seed=0)
         open_request(sched, make_job(1, GENERAL, demand=40, rounds=1), request_id=1)
         open_request(sched, make_job(2, GENERAL, demand=3, rounds=1), request_id=2)
-        feed_checkins(sched, [make_device(device_id=i) for i in range(5)])
-        chosen = sched.assign(make_device(device_id=999), now=10.0)
+        *seen, new = bind_devices(
+            sched, [make_device(device_id=i) for i in (*range(5), 999)]
+        )
+        feed_checkins(sched, seen)
+        chosen = sched.assign(new, now=10.0)
         assert chosen.job_id == 2
 
     def test_demand_mode_round_uses_request_remaining(self):
@@ -96,8 +105,11 @@ class TestVennSchedulerAssignment:
         # Job 1: huge total demand but tiny current round; job 2 the reverse.
         r1 = open_request(sched, make_job(1, GENERAL, demand=3, rounds=50), request_id=1)
         open_request(sched, make_job(2, GENERAL, demand=10, rounds=1), request_id=2)
-        feed_checkins(sched, [make_device(device_id=i) for i in range(5)])
-        chosen = sched.assign(make_device(device_id=999), now=10.0)
+        *seen, new = bind_devices(
+            sched, [make_device(device_id=i) for i in (*range(5), 999)]
+        )
+        feed_checkins(sched, seen)
+        chosen = sched.assign(new, now=10.0)
         assert chosen.job_id == 1
         assert r1.remaining_demand == 3  # not assigned by the engine here
 
@@ -108,14 +120,18 @@ class TestVennSchedulerAssignment:
         job2 = make_job(2, HIGH_PERFORMANCE, demand=1)
         request2 = open_request(sched, job2, request_id=2)
         request2.record_assignment(42, 1.0)  # high-perf demand satisfied
-        feed_checkins(sched, [make_device(device_id=i, cpu=0.9, mem=0.9) for i in range(3)])
-        chosen = sched.assign(make_device(device_id=999, cpu=0.9, mem=0.9), now=10.0)
+        *seen, new = bind_devices(
+            sched,
+            [make_device(device_id=i, cpu=0.9, mem=0.9) for i in (*range(3), 999)],
+        )
+        feed_checkins(sched, seen)
+        chosen = sched.assign(new, now=10.0)
         assert chosen.job_id == 1
 
     def test_assignment_respects_eligibility(self):
         sched = VennScheduler(seed=0)
         open_request(sched, make_job(1, HIGH_PERFORMANCE, demand=5), request_id=1)
-        weak = make_device(device_id=1, cpu=0.1, mem=0.1)
+        (weak,) = bind_devices(sched, [make_device(device_id=1, cpu=0.1, mem=0.1)])
         sched.on_device_checkin(weak, 0.0)
         assert sched.assign(weak, 1.0) is None
 
@@ -128,33 +144,35 @@ class TestVennSchedulerAssignment:
         def refreshes():
             return sched.plan_rebuilds + sched.plan_profile.incremental_updates
 
+        bind_devices(sched, [make_device(device_id=i) for i in (1, 2, 3)])
         open_request(sched, make_job(1, GENERAL, demand=5), request_id=1)
-        sched.assign(make_device(device_id=1), 1.0)
+        sched.assign(1, 1.0)
         seen = refreshes()
         request2 = open_request(sched, make_job(2, GENERAL, demand=5), request_id=2)
-        sched.assign(make_device(device_id=2), 2.0)
+        sched.assign(2, 2.0)
         assert refreshes() > seen
         # Job 2 shares job 1's requirement, so its arrival + request were
         # classified incrementally — no extra full rebuild.
         assert sched.plan_profile.incremental_updates > 0
         complete(request2, 3.0)
         sched.on_request_closed(request2, 3.0)
-        sched.assign(make_device(device_id=3), 4.0)
+        sched.assign(3, 4.0)
         assert refreshes() > seen + 1
 
     def test_plan_rebuilt_on_request_events_in_full_mode(self):
         """The oracle mode preserves the paper-literal behaviour: every
         trigger is served by a full rebuild."""
         sched = VennScheduler(seed=0, plan_maintenance="full")
+        bind_devices(sched, [make_device(device_id=i) for i in (1, 2, 3)])
         open_request(sched, make_job(1, GENERAL, demand=5), request_id=1)
-        sched.assign(make_device(device_id=1), 1.0)
+        sched.assign(1, 1.0)
         rebuilds = sched.plan_rebuilds
         request2 = open_request(sched, make_job(2, GENERAL, demand=5), request_id=2)
-        sched.assign(make_device(device_id=2), 2.0)
+        sched.assign(2, 2.0)
         assert sched.plan_rebuilds > rebuilds
         complete(request2, 3.0)
         sched.on_request_closed(request2, 3.0)
-        sched.assign(make_device(device_id=3), 4.0)
+        sched.assign(3, 4.0)
         assert sched.plan_rebuilds > rebuilds + 1
         assert sched.plan_profile.incremental_updates == 0
 
@@ -168,31 +186,41 @@ class TestVennSchedulerMatchingIntegration:
         matcher = sched._matchers[1]
         for i, speed in enumerate(np.linspace(0.5, 5.0, 100)):
             matcher.record_participation(
-                make_device(device_id=i, speed=float(speed)), response_time=10 * speed
+                device_capacity_metric(make_device(device_id=i, speed=float(speed))),
+                response_time=10 * speed,
             )
         matcher.record_round(1.0, ci_response)
+        bind_devices(
+            sched,
+            [
+                make_device(device_id=i, speed=1000.0 if i == 601 else 1.0)
+                for i in (500, 501, 600, 601)
+            ],
+        )
         return sched, request
 
     def test_tier_decision_cached_per_request(self):
         sched, request = self._profiled_scheduler()
-        sched.assign(make_device(device_id=500, speed=1.0), now=1.0)
+        sched.assign(500, now=1.0)
         assert request.request_id in sched._tier_decisions
         first = sched._tier_decisions[request.request_id]
-        sched.assign(make_device(device_id=501, speed=1.0), now=2.0)
+        sched.assign(501, now=2.0)
         assert sched._tier_decisions[request.request_id] is first
 
     def test_matching_disabled_never_restricts(self):
         sched = VennScheduler(seed=1, enable_matching=False)
         job = make_job(1, GENERAL, demand=3)
         request = open_request(sched, job, request_id=1)
-        sched.assign(make_device(device_id=5), now=1.0)
+        (device_id,) = bind_devices(sched, [make_device(device_id=5)])
+        sched.assign(device_id, now=1.0)
         assert not sched._tier_decisions[request.request_id].use_tier
         assert not sched._matchers  # and no response is profiled
 
     def test_a_single_tier_builds_no_matcher(self):
         sched = VennScheduler(seed=1, num_tiers=1)
         request = open_request(sched, make_job(1, GENERAL, demand=3))
-        sched.assign(make_device(device_id=5), now=1.0)
+        (device_id,) = bind_devices(sched, [make_device(device_id=5)])
+        sched.assign(device_id, now=1.0)
         assert not sched._matchers
         assert not sched._tier_decisions[request.request_id].use_tier
 
@@ -204,27 +232,26 @@ class TestVennSchedulerMatchingIntegration:
         decision = None
         for _ in range(20):
             sched._tier_decisions.clear()
-            sched.assign(make_device(device_id=600, speed=1.0), now=1.0)
+            sched.assign(600, now=1.0)
             decision = sched._tier_decisions[request.request_id]
             if decision.use_tier:
                 break
         if not decision.use_tier:
             pytest.skip("rng never chose a beneficial tier")
         # A device far outside any finite tier bound still gets assigned.
-        slow = make_device(device_id=601, speed=1000.0)
-        if decision.accepts(slow):
+        if decision.accepts(device_capacity_metric(make_device(speed=1000.0))):
             pytest.skip("chosen tier already accepts the slow device")
-        chosen = sched.assign(slow, now=2.0)
+        chosen = sched.assign(601, now=2.0)
         assert chosen is request
 
     def test_on_response_updates_profile(self):
         sched = VennScheduler(seed=0)
         job = make_job(1, GENERAL, demand=2)
         request = open_request(sched, job, request_id=1)
-        device = make_device(device_id=7)
+        (device,) = bind_devices(sched, [make_device(device_id=7)])
         sched.on_device_checkin(device, 0.0)
         chosen = sched.assign(device, 1.0)
-        chosen.record_assignment(device.device_id, 1.0)
+        chosen.record_assignment(device, 1.0)
         sched.on_response(request, device, 61.0)
         matcher = sched._matchers[1]
         assert list(matcher._response_times) == [pytest.approx(60.0)]
@@ -237,9 +264,10 @@ class TestVennSchedulerMatchingIntegration:
         sched = VennScheduler(seed=0)
         job = make_job(1, GENERAL, demand=4)
         aborted = open_request(sched, job, request_id=1)
+        bind_devices(sched, [make_device(device_id=i) for i in range(8)])
         for i in range(4):
             aborted.record_assignment(i, 5.0)
-            sched.on_response(aborted, make_device(device_id=i), 20.0)
+            sched.on_response(aborted, i, 20.0)
         aborted.state = RequestState.ABORTED
         aborted.close_time = 30.0
         sched.on_request_closed(aborted, 30.0)
@@ -252,7 +280,7 @@ class TestVennSchedulerMatchingIntegration:
         sched.on_request_open(completed, 30.0)
         for i in range(4, 8):
             completed.record_assignment(i, 40.0)
-            sched.on_response(completed, make_device(device_id=i), 60.0)
+            sched.on_response(completed, i, 60.0)
         completed.state = RequestState.COMPLETED
         completed.close_time = 60.0
         sched.on_request_closed(completed, 60.0)
@@ -269,12 +297,15 @@ class TestVennSchedulerLifecycle:
         assert 1 not in sched.jobs
         assert 1 not in sched._matchers
         assert not sched.fairness.is_tracked(1)
-        assert sched.assign(make_device(), 11.0) is None
+        (device_id,) = bind_devices(sched, [make_device()])
+        assert sched.assign(device_id, 11.0) is None
 
     def test_supply_checkins_feed_estimator(self):
         sched = VennScheduler(seed=0)
         sched.on_job_arrival(make_job(1, GENERAL, demand=5), 0.0)
-        feed_checkins(sched, [make_device(device_id=i) for i in range(10)])
+        feed_checkins(
+            sched, bind_devices(sched, [make_device(device_id=i) for i in range(10)])
+        )
         assert sched.supply.total_checkins == 10
 
     def test_rebuild_plan_with_no_jobs(self):
@@ -283,34 +314,22 @@ class TestVennSchedulerLifecycle:
         assert plan.group_order == []
 
 
-class TestPlanSnapshot:
-    def test_every_call_reads_the_current_plan(self):
+class TestPlanVersion:
+    def test_every_refresh_bumps_the_version(self):
+        """``plan_version`` and ``plan`` are the decision surface tools
+        read: a trigger dirties the plan without moving the version, and
+        the refresh that follows moves it by one."""
         sched = VennScheduler(seed=0)
         open_request(sched, make_job(1, GENERAL, demand=5), request_id=1)
-        assert sched.plan_snapshot()["dirty"]
+        assert sched._plan_dirty
         sched.rebuild_plan(now=1.0)
-        rebuilt = sched.plan_snapshot()
-        assert rebuilt["version"] == sched.plan_version >= 1
-        assert not rebuilt["dirty"]
-        assert rebuilt["group_order"] == ["general"]
-        assert rebuilt["job_order"] == {"general": [1]}
+        version = sched.plan_version
+        assert version >= 1 and not sched._plan_dirty
+        assert list(sched.plan.group_order) == ["general"]
+        assert dict(sched.plan.job_order) == {"general": [1]}
         # A new request dirties the plan between two reads at one version.
         open_request(sched, make_job(2, HIGH_PERFORMANCE, demand=3), request_id=2)
-        pending = sched.plan_snapshot()
-        assert pending["version"] == rebuilt["version"] and pending["dirty"]
+        assert sched.plan_version == version and sched._plan_dirty
         sched.rebuild_plan(now=2.0)
-        after = sched.plan_snapshot()
-        assert after["version"] == rebuilt["version"] + 1
-        assert set(after["job_order"]) == {"general", "high_performance"}
-
-    def test_each_call_returns_fresh_plain_data(self):
-        sched = VennScheduler(seed=0)
-        open_request(sched, make_job(1, GENERAL, demand=5), request_id=1)
-        sched.rebuild_plan(now=1.0)
-        first = sched.plan_snapshot()
-        first["group_order"].append("tampered")
-        first["job_order"]["general"].clear()
-        second = sched.plan_snapshot()
-        assert second["group_order"] == ["general"]
-        assert second["job_order"] == {"general": [1]}
-        assert list(sched._plan.group_order) == ["general"]
+        assert sched.plan_version == version + 1
+        assert set(sched.plan.job_order) == {"general", "high_performance"}

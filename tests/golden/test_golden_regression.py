@@ -36,6 +36,7 @@ from repro.core.requirements import (
     GENERAL,
     HIGH_PERFORMANCE,
     MEMORY_RICH,
+    compute_signatures,
 )
 from repro.core.scheduler import VennScheduler
 from repro.core.types import JobSpec
@@ -110,15 +111,18 @@ def plan_snapshot(name: str, plan_maintenance: str = "incremental") -> dict:
     rebuild, and serialise the plan."""
     devices, _trace, jobs, _horizon = scenario(name)
     policy = VennScheduler(seed=7, plan_maintenance=plan_maintenance)
+    policy.bind_fleet(
+        devices, *compute_signatures(devices, [job.requirement for job in jobs])
+    )
     now = 0.0
     for job in jobs:
         policy.on_job_arrival(job, job.arrival_time)
         request = job_request(job)
         policy.on_request_open(request, job.arrival_time)
         now = max(now, job.arrival_time)
-    for i, device in enumerate(devices):
+    for device_id in devices.device_id.tolist():
         now += 5.0
-        policy.on_device_checkin(device, now)
+        policy.on_device_checkin(device_id, now)
     plan = policy.rebuild_plan(now)
     return {
         "group_order": list(plan.group_order),

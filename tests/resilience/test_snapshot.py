@@ -98,13 +98,13 @@ class TestVectorizedDevicesAcrossSnapshots:
 
     def test_resumed_run_builds_devices_from_the_restored_arrays(self):
         snap = killed_mid_run(**self.MODE)
-        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 11
+        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 12
         resumed = Simulator.resume(snap, crash_at_event=None)
         assert resumed._devices is None
         # Mid-run read on the resumed simulator: the checkpoint's state.
         vec = resumed._vec
         mid = resumed.devices
-        assert len(mid) == len(vec.ids)
+        assert len(mid) == len(vec.profiles)
         assert sum(d.tasks_completed for d in mid.values()) == sum(
             vec.tasks_completed
         )
@@ -299,27 +299,25 @@ class TestCheckpointing:
 
     def test_format_8_snapshot_is_refused_up_front(self, monkeypatch):
         """Format 8 pickled the population as a list of ``DeviceProfile``
-        objects (the simulator's and the vector state's) and had no
-        in-flight profile map; format 9 pickles one ``DeviceFleet`` of
-        columns and ``slot -> profile`` for the tasks in flight.  Such a
-        payload would resume and then fail at its first response on the
-        missing map; the version check refuses it before anything runs."""
+        objects (the simulator's and the vector state's); format 9 pickles
+        one ``DeviceFleet`` of columns.  Such a payload would resume and
+        then fail at its first outcome draw, which reads the fleet's
+        columns; the version check refuses it before anything runs."""
         sim = Simulator.resume(killed_mid_run(vectorized=True))
-        assert sim._in_flight_profiles  # tasks are in flight at the crash
+        assert sim._shard.heap  # tasks are in flight at the crash
         profiles = list(sim._device_profiles)
         sim._device_profiles = profiles
         sim._vec.profiles = profiles
-        del sim._in_flight_profiles
         monkeypatch.setattr(engine_module, "SNAPSHOT_FORMAT_VERSION", 8)
         payload = sim.snapshot().payload
         monkeypatch.undo()
         with pytest.raises(SnapshotError, match="format version 8 "):
             Simulator.resume(payload)
-        # Without the check the stale graph gets as far as the first response.
+        # Without the check the stale graph gets as far as the first draw.
         monkeypatch.setattr(
             engine_module, "_check_format_version", lambda version: None
         )
-        with pytest.raises(AttributeError, match="_in_flight_profiles"):
+        with pytest.raises(AttributeError, match="'device_id'"):
             Simulator.resume(payload, crash_at_event=None).run()
 
     def test_format_9_snapshot_is_refused_up_front(self, monkeypatch):
@@ -377,6 +375,30 @@ class TestCheckpointing:
             engine_module, "_check_format_version", lambda version: None
         )
         with pytest.raises(AttributeError, match="'_capacities'"):
+            Simulator.resume(payload, crash_at_event=None).run()
+
+    def test_format_11_snapshot_is_refused_up_front(self, monkeypatch):
+        """Format 11 pickled no fleet binding on the policy: Venn kept a
+        per-device signature cache fed by a signature provider (on the
+        fleet engine, a bound method of the vector state).  A real
+        format-11 fleet payload names the deleted method and fails to
+        decode; one that decodes but lacks the binding is refused by the
+        version check before anything runs."""
+        sim = Simulator.resume(killed_mid_run(vectorized=True))
+        venn = sim.policy._inner
+        for name in ("fleet", "sig_ids", "sig_table"):
+            del venn.__dict__[name]
+        monkeypatch.setattr(engine_module, "SNAPSHOT_FORMAT_VERSION", 11)
+        payload = sim.snapshot().payload
+        monkeypatch.undo()
+        with pytest.raises(SnapshotError, match="format version 11 "):
+            Simulator.resume(payload)
+        # Without the check the stale graph gets as far as the first
+        # device it looks up.
+        monkeypatch.setattr(
+            engine_module, "_check_format_version", lambda version: None
+        )
+        with pytest.raises(AttributeError, match="'row'"):
             Simulator.resume(payload, crash_at_event=None).run()
 
     def test_resume_reattaches_checkpoint_sink(self):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.baselines import FIFOPolicy, RandomMatchingPolicy, SRSFPolicy, make_policy
 from repro.core.policy import BasePolicy
-from repro.core.requirements import GENERAL, HIGH_PERFORMANCE
+from repro.core.requirements import GENERAL, HIGH_PERFORMANCE, EligibilityRequirement
 from repro.core.scheduler import VennScheduler
 from repro.sim.engine import SimulationConfig, Simulator, run_simulation
 from repro.sim.latency import LatencyConfig
@@ -268,19 +268,44 @@ class TestEngineValidation:
     def test_valid_seeds_accepted(self, seed):
         assert SimulationConfig(seed=seed).seed == seed
 
-    def test_ineligible_policy_assignment_detected(self):
+    @pytest.mark.parametrize("vectorized", [False, True], ids=["reference", "fleet"])
+    def test_ineligible_policy_assignment_detected(self, vectorized):
         class BadPolicy(BasePolicy):
             name = "bad"
 
-            def assign(self, device, now):
+            def assign(self, device_id, now):
                 # Return the first open request regardless of eligibility.
                 return next(iter(self.open_requests.values()), None)
 
         devices = [make_device(device_id=0, cpu=0.1, mem=0.1)]
         trace = always_on_trace(1, 1_000.0)
         job = make_job(1, requirement=HIGH_PERFORMANCE, demand=1, rounds=1)
-        with pytest.raises(ValueError):
-            run_simulation(devices, trace, [job], BadPolicy(), sim_config(1_000.0))
+        config = sim_config(1_000.0)
+        config.vectorized_dispatch = vectorized
+        with pytest.raises(ValueError, match="ineligible device 0"):
+            run_simulation(devices, trace, [job], BadPolicy(), config)
+
+    @pytest.mark.parametrize("vectorized", [False, True], ids=["reference", "fleet"])
+    def test_reused_requirement_name_rejected(self, vectorized):
+        """A name is a requirement's identity: two different requirements
+        sharing one are refused at construction, on both engines."""
+        stricter = EligibilityRequirement("general", min_cpu=0.5)
+        jobs = [make_job(1, GENERAL), make_job(2, stricter)]
+        config = sim_config(1_000.0)
+        config.vectorized_dispatch = vectorized
+        with pytest.raises(ValueError, match="requirement name 'general' is reused"):
+            Simulator(
+                [make_device()], always_on_trace(1, 1_000.0), jobs, FIFOPolicy(), config
+            )
+        # The same requirement under two jobs, or an equal copy, is fine.
+        twin = EligibilityRequirement("general")
+        Simulator(
+            [make_device()],
+            always_on_trace(1, 1_000.0),
+            [make_job(1, GENERAL), make_job(2, twin)],
+            FIFOPolicy(),
+            config,
+        )
 
 
 class TestMultiPolicyIntegration:

@@ -10,8 +10,9 @@ object identity, so a regression fails here before it shows as RSS:
   it used to cost — and building it peaks at tens of bytes per event too;
 * on the vectorized engine a device is its slot: the engine keeps arrays and
   no per-device Python object (no ``DeviceRuntime`` fleet, no profile list,
-  no id -> slot or id -> signature dict) unless somebody reads
-  ``sim.devices``, which then agrees with the arrays field for field;
+  no id -> slot or id -> signature dict, in the engine or its policy)
+  unless somebody reads ``sim.devices``, which then agrees with the arrays
+  field for field;
 * a sampled population is a ``DeviceFleet``: five 8-byte values and one
   4-byte value per device, no ``DeviceProfile`` object, and one
   ``frozenset`` per distinct domain combination.
@@ -23,7 +24,9 @@ import tracemalloc
 
 import pytest
 
+from repro.core.baselines import make_policy
 from repro.core.scheduler import VennScheduler
+from repro.core.types import DeviceFleet
 from repro.sim.device import DeviceStatus
 from repro.sim.engine import SimulationConfig, Simulator
 from repro.traces.capacity import DEFAULT_DATA_DOMAINS, CapacitySampler
@@ -52,11 +55,11 @@ MAX_SHARD_BYTES_PER_STATIC_EVENT = 48
 MAX_BUILD_PEAK_BYTES_PER_STATIC_EVENT = 72
 
 #: Budget for what ``sim/engine.py`` + ``sim/vector.py`` hold per device at
-#: the end of a vectorized day: the state arrays, a contiguous id column,
-#: the two counter lists and the by-slot signature list (the profiles are
-#: the caller's fleet).  Measured 45 B; with a list of profiles, 65 B; with
-#: the eager ``DeviceRuntime`` dict (172 B) and the ``slot_of`` dict
-#: (116 B) as well, 303 B.
+#: the end of a vectorized day: the state arrays and the two counter lists
+#: (the profiles and their id column are the caller's fleet).  Measured
+#: 31 B; with a contiguous id copy and a by-slot signature list as well,
+#: 45 B; with a list of profiles, 65 B; with the eager ``DeviceRuntime``
+#: dict (172 B) and the ``slot_of`` dict (116 B) as well, 303 B.
 MAX_ENGINE_BYTES_PER_DEVICE = 56
 
 #: Budget for what ``CapacitySampler.sample_devices`` returns, per device:
@@ -103,7 +106,7 @@ def assert_devices_mirror_arrays(sim):
     vec = sim._vec
     status_of = (DeviceStatus.OFFLINE, DeviceStatus.IDLE, DeviceStatus.BUSY)
     assert list(sim.devices) == [d.device_id for d in sim._device_profiles]
-    for slot, device_id in enumerate(vec.ids.tolist()):
+    for slot, device_id in enumerate(vec.profiles.device_id.tolist()):
         device = sim.devices[device_id]
         day = int(vec.last_day[slot])
         assert device.profile == vec.profiles[slot]
@@ -156,20 +159,46 @@ def test_building_the_stream_peaks_at_tens_of_bytes_per_event(cell):
     )
 
 
-def test_fleet_engine_keeps_no_per_device_dict(traced_vectorized_day):
-    """Signatures are ids into a table and the provider reads a by-slot
-    list: nothing the fleet engine holds is a dict with an entry per
-    device."""
-    sim, _metrics, _snapshot = traced_vectorized_day
-    holders = (sim, sim._vec, sim._shard)
-    sizes = {
-        (type(holder).__name__, name): len(value)
-        for holder in holders
-        for name, value in vars(holder).items()
-        if isinstance(value, dict)
-    }
-    assert sizes and max(sizes.values()) < N // 10, sizes
-    assert sim.policy._sig_provider.__self__ is sim._vec
+@pytest.fixture(scope="module")
+def contended_cell(cell):
+    """The cell's devices under the benchmark's contended recipe: demand is
+    pending all day, so check-ins and consults reach the policy one at a
+    time."""
+    devices, availability, _jobs = cell
+    jobs = WorkloadGenerator(
+        WorkloadConfig(
+            num_jobs=30, demand_scale=0.5, min_demand=5, max_demand=N // 10,
+            rounds_scale=0.5, max_rounds=25, mean_interarrival=DAY / 60,
+        ),
+        seed=9,
+    ).generate()
+    return devices, availability, jobs
+
+
+@pytest.fixture(scope="module")
+def contended_day(contended_cell):
+    sim = Simulator(
+        *contended_cell, VennScheduler(seed=1),
+        SimulationConfig(horizon=DAY, seed=5),
+    )
+    sim.run()
+    return sim
+
+
+def test_fleet_engine_keeps_no_per_device_dict(traced_vectorized_day, contended_day):
+    """Signatures are ids into a table, bound to the policy with the fleet:
+    nothing the fleet engine or its policy holds is a dict with an entry
+    per device, on a light day and on a contended one."""
+    for sim in (traced_vectorized_day[0], contended_day):
+        holders = (sim, sim._vec, sim._shard, sim.policy)
+        sizes = {
+            (type(holder).__name__, name): len(value)
+            for holder in holders
+            for name, value in vars(holder).items()
+            if isinstance(value, dict)
+        }
+        assert sizes and max(sizes.values()) < N // 10, sizes
+        assert sim.policy.fleet is sim._vec.profiles
 
 
 def test_vectorized_engine_holds_no_per_device_objects(cell, traced_vectorized_day):
@@ -217,3 +246,26 @@ def test_sampled_devices_share_domain_sets():
     distinct = {id(d.data_domains) for d in devices}
     assert len(distinct) <= 2 ** len(DEFAULT_DATA_DOMAINS) == 64
     assert len(distinct) == len({d.data_domains for d in devices})
+
+
+@pytest.mark.parametrize("policy_name", ["random", "fifo", "srsf", "venn"])
+def test_fleet_engine_builds_no_profile(contended_cell, policy_name, monkeypatch):
+    """Hooks take device ids, policies read their bound columns and the
+    outcome draw reads the fleet's: a fleet-engine day builds no
+    ``DeviceProfile`` (it used to build one per consulted check-in)."""
+    sim = Simulator(
+        *contended_cell, make_policy(policy_name, seed=1),
+        SimulationConfig(horizon=DAY, seed=5),
+    )
+    builds = []
+    build = DeviceFleet.__getitem__
+
+    def counted(fleet, i):
+        if not isinstance(i, slice):
+            builds.append(i)
+        return build(fleet, i)
+
+    monkeypatch.setattr(DeviceFleet, "__getitem__", counted)
+    metrics = sim.run()
+    assert metrics.total_responses > 100
+    assert len(builds) == 0

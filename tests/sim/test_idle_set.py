@@ -129,10 +129,10 @@ class AcceptOnly(OfferLog):
         super().__init__(inner)
         self.accept = frozenset(accept)
 
-    def assign(self, device, now):
-        if device.device_id in self.accept:
-            return super().assign(device, now)
-        self.offers.append((now, device.device_id, None))
+    def assign(self, device_id, now):
+        if device_id in self.accept:
+            return super().assign(device_id, now)
+        self.offers.append((now, device_id, None))
         return None
 
 

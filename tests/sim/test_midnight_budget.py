@@ -38,9 +38,9 @@ class OfferLog(RecordingPolicy):
         self.offers = []
         self.opened = []
 
-    def assign(self, device, now):
-        out = super().assign(device, now)
-        self.offers.append((now, device.device_id, None if out is None else out.job_id))
+    def assign(self, device_id, now):
+        out = super().assign(device_id, now)
+        self.offers.append((now, device_id, None if out is None else out.job_id))
         return out
 
     def on_request_open(self, request, now):

@@ -27,6 +27,7 @@ from repro.sim.latency import (
     LatencyConfig,
     ResponseLatencyModel,
 )
+from repro.traces.capacity import CapacitySampler
 from tests.conftest import make_device, make_job
 
 
@@ -165,6 +166,40 @@ class TestPristineDrawSequence:
             )
             assert duration == legacy_model.sample_duration(job, device)
             assert dropped == legacy_model.sample_failure(device)
+
+
+class TestBatchDrawsFromColumns:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            LatencyConfig(),
+            LatencyConfig(loss_rate=0.4, link_tiers=[("a", 0.5, 1.0), ("b", 0.5, 3.0)]),
+        ],
+        ids=["pristine", "lossy-tiered"],
+    )
+    def test_batch_over_columns_matches_scalar_outcomes(self, config):
+        """The fleet engine draws a flush from the fleet's columns; the
+        scalar ``sample_outcome(job, profile)`` is its oracle, element for
+        element, with repeats (a device's stream advances in order)."""
+        fleet = CapacitySampler(seed=3).sample_devices(40)
+        rows = np.array([3, 17, 3, 0, 39, 17, 22, 3])
+        jobs = [make_job(i, base_task_duration=30.0 + i) for i in range(len(rows))]
+        batch = ResponseLatencyModel(config, per_device_entropy=5)
+        scalar = ResponseLatencyModel(config, per_device_entropy=5)
+        for _ in range(2):
+            drawn = batch.sample_outcomes_batch(
+                jobs,
+                fleet.device_id[rows],
+                fleet.speed_factor[rows],
+                fleet.reliability[rows],
+                now=50.0,
+            )
+            assert drawn == [
+                scalar.sample_outcome(job, fleet[row], now=50.0)
+                for job, row in zip(jobs, rows.tolist())
+            ]
+        assert batch._draw_counts == scalar._draw_counts
+        assert all(type(key) is int for key in batch._draw_counts)
 
 
 class TestLossyUplink:

@@ -27,6 +27,7 @@ from repro.core.requirements import (
     HIGH_PERFORMANCE,
     MEMORY_RICH,
     EligibilityRequirement,
+    compute_signatures,
     signature_of,
 )
 from repro.sim.shard import (
@@ -34,7 +35,6 @@ from repro.sim.shard import (
     DeviceShard,
     build_shard,
     code_dtype,
-    compute_signatures,
     make_static_stream,
 )
 from repro.traces.device_trace import (

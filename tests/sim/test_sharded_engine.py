@@ -34,11 +34,9 @@ from repro.resilience import (
 )
 from repro.sim.engine import SimulationConfig, Simulator, run_simulation
 from repro.sim.latency import LatencyConfig
-from repro.sim.shard import compute_signatures
-from repro.sim.vector import VectorDeviceState
 from repro.traces.capacity import CapacitySampler
 from repro.traces.device_trace import DiurnalAvailabilityModel, DiurnalConfig
-from tests.conftest import make_device, make_job
+from tests.conftest import bind_devices, make_device, make_job
 from tests.sim.test_sparse_device_ids import sparse_cell
 
 REQUIREMENTS = (GENERAL, COMPUTE_RICH, MEMORY_RICH, HIGH_PERFORMANCE)
@@ -154,7 +152,7 @@ class TestShardedEngineMechanics:
         devices, trace, jobs = build_environment(5, 40, 4, horizon)
         return devices, trace, jobs, horizon
 
-    def test_plan_version_advances_and_snapshot_exposes_it(self):
+    def test_plan_version_advances(self):
         devices, trace, jobs, horizon = self._env()
         policy = VennScheduler(seed=9)
         sim = Simulator(
@@ -163,9 +161,7 @@ class TestShardedEngineMechanics:
         )
         sim.run()
         assert policy.plan_version > 0
-        snapshot = policy.plan_snapshot()
-        assert snapshot["version"] == policy.plan_version
-        assert isinstance(snapshot["group_order"], list)
+        assert isinstance(policy.plan.group_order, list)
 
     def test_max_events_guard_fires_sharded(self):
         devices, trace, jobs, horizon = self._env()
@@ -178,11 +174,12 @@ class TestShardedEngineMechanics:
             sim.run()
 
 
-class TestSignatureProvider:
-    def test_provider_signatures_equal_direct_ones(self):
-        """The restriction of an engine-precomputed full signature must be
-        bit-identical to the policy's own computation — including after
-        requirement-set changes (cache wipes)."""
+class TestFleetBinding:
+    def test_bound_signatures_restrict_to_the_live_predicate_walk(self):
+        """Venn's signature of a device — its bound signature over the
+        workload's requirements, restricted to the live ones — is exactly
+        the predicate walk over the live requirements, also after
+        requirement-set changes reset the memo."""
         rng = np.random.default_rng(2)
         devices = [
             make_device(
@@ -191,94 +188,61 @@ class TestSignatureProvider:
             )
             for i in range(50)
         ]
-        requirements = [GENERAL, COMPUTE_RICH, HIGH_PERFORMANCE]
-        provider = VectorDeviceState(
-            devices, *compute_signatures(devices, requirements)
-        ).signature_provider()
-
-        with_provider = VennScheduler(seed=1)
-        with_provider.bind_signature_provider(provider, requirements)
-        without = VennScheduler(seed=1)
-
-        jobs = [
+        policy = VennScheduler(seed=1)
+        bind_devices(policy, devices, [GENERAL, COMPUTE_RICH, HIGH_PERFORMANCE])
+        for job in (
             make_job(job_id=1, requirement=COMPUTE_RICH, demand=3),
             make_job(job_id=2, requirement=GENERAL, demand=3),
-        ]
-        for policy in (with_provider, without):
-            for job in jobs:
-                policy.on_job_arrival(job, 0.0)
+        ):
+            policy.on_job_arrival(job, 0.0)
         for device in devices:
-            assert with_provider._signature_for(device) == without._signature_for(
-                device
+            assert policy._signature_for(device.device_id) == signature_of(
+                device, [COMPUTE_RICH, GENERAL]
             )
-        assert with_provider._provider_ok
-        # Requirement-set change: caches reset, restrictions recomputed.
-        job3 = make_job(job_id=3, requirement=HIGH_PERFORMANCE, demand=2)
-        for policy in (with_provider, without):
-            policy.on_job_finished(1, 10.0)
-            policy.on_job_arrival(job3, 10.0)
-        for device in devices:
-            assert with_provider._signature_for(device) == without._signature_for(
-                device
-            )
-
-    def test_ambiguous_requirement_names_disable_provider(self):
-        other_general = type(GENERAL)("general", min_cpu=0.9)
-        policy = VennScheduler(seed=1)
-        policy.bind_signature_provider(
-            (lambda did: frozenset()), [GENERAL, other_general]
+        policy.on_job_finished(1, 10.0)
+        policy.on_job_arrival(
+            make_job(job_id=3, requirement=HIGH_PERFORMANCE, demand=2), 10.0
         )
-        policy.on_job_arrival(make_job(job_id=1, requirement=GENERAL), 0.0)
-        policy._ensure_atom_space()
-        assert not policy._provider_ok
-
-    def test_mismatched_requirement_object_falls_back(self):
-        stricter = type(GENERAL)("general", min_cpu=0.7)
-        policy = VennScheduler(seed=1)
-        policy.bind_signature_provider((lambda did: frozenset()), [stricter])
-        policy.on_job_arrival(make_job(job_id=1, requirement=GENERAL), 0.0)
-        policy._ensure_atom_space()
-        assert not policy._provider_ok
-        # Falls back to exact local computation.
-        device = make_device(device_id=1, cpu=0.1, mem=0.1)
-        assert policy._signature_for(device) == frozenset({"general"})
+        for device in devices:
+            assert policy._signature_for(device.device_id) == signature_of(
+                device, [GENERAL, HIGH_PERFORMANCE]
+            )
 
     @pytest.mark.parametrize(
-        "ids, lookup",
+        "ids, contiguous",
         [
-            pytest.param(list(range(300)), "_signature_at_offset",
-                         id="contiguous"),
+            pytest.param(list(range(300)), True, id="contiguous"),
             pytest.param(
                 np.random.default_rng(4).permutation(
                     [11 + 17 * k for k in range(300)]
                 ).tolist(),
-                "_signature_by_search",
+                False,
                 id="sparse-shuffled",
             ),
         ],
     )
-    def test_provider_answers_signature_of_for_every_device(self, ids, lookup):
-        """The by-slot provider is keyed by device id: on ids ``0..n-1``
+    def test_bound_table_answers_signature_of_for_every_device(
+        self, ids, contiguous
+    ):
+        """A policy's bound table is read by device id: on ids ``0..n-1``
         by offset, on sparse ids given in no order by search — each must
         answer exactly :func:`signature_of`, and survive a pickle."""
         sampled = CapacitySampler(seed=8).sample_devices(len(ids))
         devices = [replace(d, device_id=i) for d, i in zip(sampled, ids)]
-        requirements = list(REQUIREMENTS)
-        provider = VectorDeviceState(
-            devices, *compute_signatures(devices, requirements)
-        ).signature_provider()
-        assert provider.__func__.__name__ == lookup
-        restored = pickle.loads(pickle.dumps(provider))
+        policy = make_policy("fifo")
+        bind_devices(policy, devices, REQUIREMENTS)
+        assert (policy.fleet._id0 is not None) == contiguous
+        restored = pickle.loads(pickle.dumps(policy))
         for device in devices:
-            expected = signature_of(device, requirements)
-            assert provider(device.device_id) == expected
-            assert restored(device.device_id) == expected
+            expected = signature_of(device, REQUIREMENTS)
+            assert policy.device_signature(device.device_id) == expected
+            assert restored.device_signature(device.device_id) == expected
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["contiguous", "sparse"])
-    def test_mid_run_snapshot_carries_the_provider(self, sparse):
-        """A fleet checkpoint pickles the policy's provider with the state
-        it reads: the resumed policy asks the resumed arrays, and the run
-        ends where its uninterrupted twin did."""
+    def test_mid_run_snapshot_carries_the_fleet_binding(self, sparse):
+        """A fleet checkpoint pickles the policy's binding with the engine's
+        arrays, once: the resumed policy's fleet is the resumed engine's,
+        and the run ends where its uninterrupted twin did."""
         if sparse:
             devices, trace, jobs = sparse_cell()
         else:
@@ -302,7 +266,9 @@ class TestSignatureProvider:
             crashed.run()
         assert store.latest.events_processed > 50  # mid-run, not pre-run
         resumed = Simulator.resume(store.latest, crash_at_event=None)
-        assert resumed.policy._sig_provider.__self__ is resumed._vec
+        assert resumed.policy.fleet is resumed._vec.profiles
+        assert resumed.policy.sig_ids is resumed._vec.sig_id
+        assert resumed.policy.sig_table is resumed._vec.sig_table
         metrics = resumed.run()
         assert metrics_digest(metrics) == metrics_digest(twin_metrics)
         assert resumed.events_processed == twin.events_processed

@@ -123,21 +123,20 @@ def test_every_policy_is_offered_ids_not_slots(cell, policy_name):
 class CheckinRecorder(FIFOPolicy):
     """Overrides only the per-event check-in hook, so folded runs reach it
     through ``SchedulingPolicy.on_device_checkin_batch``'s default loop over
-    the engine's lazy device view."""
+    the ids the engine hands it."""
 
     def __init__(self) -> None:
         super().__init__()
         self.seen = []
         self.batch_sizes = []
 
-    def on_device_checkin(self, device, now):
-        self.seen.append((device.device_id, now))
+    def on_device_checkin(self, device_id, now):
+        self.seen.append((device_id, now))
 
-    def on_device_checkin_batch(self, devices, times, sig_ids, sig_table):
-        assert len(devices) == len(times) == len(sig_ids)
-        assert devices[0].device_id == next(iter(devices)).device_id
-        self.batch_sizes.append(len(devices))
-        super().on_device_checkin_batch(devices, times, sig_ids, sig_table)
+    def on_device_checkin_batch(self, device_ids, times):
+        assert len(device_ids) == len(times)
+        self.batch_sizes.append(len(device_ids))
+        super().on_device_checkin_batch(device_ids, times)
 
 
 def early_and_late_job(late_requirement=GENERAL):
@@ -175,17 +174,17 @@ def test_folded_checkins_reach_the_policy_with_the_right_devices(cell):
 class BatchCountingVenn(VennScheduler):
     batches = 0
 
-    def on_device_checkin_batch(self, devices, times, sig_ids, sig_table):
+    def on_device_checkin_batch(self, device_ids, times):
         self.batches += 1
-        super().on_device_checkin_batch(devices, times, sig_ids, sig_table)
+        super().on_device_checkin_batch(device_ids, times)
 
 
-def test_venn_without_a_usable_signature_provider_reads_the_device_view(cell):
-    """Two requirements sharing a name make the engine's signatures unusable
-    to Venn, whose batch hook then falls back to the per-event hook — the
-    one place it reads the devices it is handed."""
+def test_venn_folds_sparse_checkins_like_the_reference(cell):
+    """Venn's batch hook maps the folded ids to its bound rows by search
+    (sparse, shuffled ids): the supply picture, decisions and metrics
+    equal the reference engine's per-event hook."""
     devices, trace, _jobs = cell
-    jobs = early_and_late_job(type(GENERAL)("general", min_cpu=0.3))
+    jobs = early_and_late_job(type(GENERAL)("capable", min_cpu=0.3))
 
     def venn_run(fleet):
         policy = RecordingPolicy(BatchCountingVenn(seed=3))
@@ -194,7 +193,7 @@ def test_venn_without_a_usable_signature_provider_reads_the_device_view(cell):
         )
         sim = Simulator(devices, trace, jobs, policy, config)
         metrics = sim.run()
-        assert not policy._provider_ok
+        assert policy.fleet._id0 is None  # rows come from the search
         return policy, (metrics_digest(metrics), sim.events_processed)
 
     scalar, scalar_identity = venn_run(fleet=False)

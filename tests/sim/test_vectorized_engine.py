@@ -50,14 +50,15 @@ SIG_TABLE = [frozenset({"general"}), frozenset({"memory_rich"})]
 class TestVectorDeviceState:
     def test_slots_follow_ascending_device_id(self):
         state = build_state(ids=[30, 5, 17])
-        assert state.ids.tolist() == [5, 17, 30]
+        assert state.profiles.device_id.tolist() == [5, 17, 30]
         assert [p.device_id for p in state.profiles] == [5, 17, 30]
-        assert state.slots_for([5, 17, 30]).tolist() == [0, 1, 2]
-        assert state.slots_for([17, 30, 5, 17]).tolist() == [1, 2, 0, 1]
+        assert state.profiles.rows([5, 17, 30]).tolist() == [0, 1, 2]
+        assert state.profiles.rows([17, 30, 5, 17]).tolist() == [1, 2, 0, 1]
         # Ascending-slot enumeration == ascending-device-id enumeration,
         # which is what keeps vectorized dispatch order identical to the
         # single-queue engine's ascending-id walk of its idle set.
-        assert state.ids[np.argsort(state.ids)].tolist() == state.ids.tolist()
+        ids = state.profiles.device_id
+        assert ids[np.argsort(ids)].tolist() == ids.tolist()
 
     @pytest.mark.parametrize(
         "wanted, unknown",
@@ -69,22 +70,24 @@ class TestVectorDeviceState:
             (list(range(31, 70)), [31, 32, 33, 34, 35]),  # the first five
         ],
     )
-    def test_slots_for_refuses_unknown_ids(self, wanted, unknown):
+    def test_rows_refuse_unknown_ids(self, wanted, unknown):
         # searchsorted alone would answer with a neighbour's slot (or n).
         state = build_state(ids=[30, 5, 17])
         with pytest.raises(KeyError, match="unknown device ids") as err:
-            state.slots_for(wanted)
+            state.profiles.rows(wanted)
         assert str(err.value).endswith(f"{unknown}'")
 
-    def test_slots_for_nothing_is_nothing(self):
+    def test_rows_of_nothing_are_nothing(self):
         state = build_state(ids=[30, 5, 17])
-        slots = state.slots_for([])
+        slots = state.profiles.rows([])
         assert slots.tolist() == [] and slots.dtype.kind == "i"
         # ... and an empty fleet knows no id at all.
         empty = build_state(ids=[])
-        assert empty.slots_for([]).tolist() == []
+        assert empty.profiles.rows([]).tolist() == []
         with pytest.raises(KeyError):
-            empty.slots_for([0])
+            empty.profiles.rows([0])
+        with pytest.raises(KeyError):
+            empty.profiles.row(0)
 
     def test_signature_ids_follow_the_slots(self):
         # Input order is not slot order: the ids travel with their device.

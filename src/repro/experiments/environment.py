@@ -44,10 +44,11 @@ def build_availability(
 
     The availability model draws every device from its own
     :class:`numpy.random.SeedSequence` child keyed by the *global device
-    id* (not by generation order), so ``device_ids`` can restrict the
-    build to any subset — e.g. one device shard — and the produced
-    sessions are bit-identical to that subset of the full-population
-    trace.  The property test in ``tests/traces`` pins this.
+    id* (not by generation order), so it can step a block of devices in
+    lockstep as numpy columns.  The same independence lets ``device_ids``
+    restrict the build to any subset: the produced sessions are
+    bit-identical to that subset of the full-population trace.  The
+    property test in ``tests/traces`` pins this.
     """
     model = DiurnalAvailabilityModel(
         config.availability, seed=config.seed_for("availability")

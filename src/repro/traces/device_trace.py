@@ -19,27 +19,30 @@ builder takes one ``lexsort`` of them, the unknown-device check one
 ``np.isin``, the availability curve of Figure 2a two ``searchsorted``.
 :class:`AvailabilitySession` objects are a view for small-scale callers
 (scenario transforms, examples, tests), built on demand by ``.sessions`` and
-accepted back through ``sessions=``.  The generator appends straight into the
-columns, seeds each device's stream through :mod:`repro.traces.streams` and
-draws standard variates it scales itself, so building a day's trace costs
-about what its random draws cost.  Devices are seeded ``streams._BATCH`` at a
-time; that batch is a memory bound (one batch of big-int states alive at
-once), not a unit of work — sessions do not depend on it.
+accepted back through ``sessions=``.  The generator builds the columns with
+no per-device Python loop: a block of ``_BLOCK`` devices steps its
+per-device streams (:class:`~repro.traces.streams.LockstepPCG64`) and its
+session recurrence together as numpy columns, so building a day's trace costs
+a few array operations per device and draw.  The block is a memory bound, not
+a unit of work — sessions do not depend on it.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .streams import device_streams
+from .streams import LockstepPCG64, check_device_ids
 
 #: Seconds per day, used throughout the module.
 DAY = 24 * 3600.0
+#: Devices generated in lockstep at once.  A memory bound (a block's state
+#: limbs, clocks and sessions are alive together), not a unit of work:
+#: sessions do not depend on it.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -140,24 +143,16 @@ class DeviceAvailabilityTrace:
     def __len__(self) -> int:
         return len(self.starts)
 
-    def _sessions(self, mask=slice(None)) -> List[AvailabilitySession]:
-        return [
-            AvailabilitySession(d, s, e)
-            for d, s, e in zip(
-                self.device_ids[mask].tolist(),
-                self.starts[mask].tolist(),
-                self.ends[mask].tolist(),
-            )
-        ]
-
     @property
     def sessions(self) -> List[AvailabilitySession]:
         """The sessions as objects, built on every access and not retained —
         for small-scale callers; mutating the list does not touch the trace."""
-        return self._sessions()
-
-    def sessions_of(self, device_id: int) -> List[AvailabilitySession]:
-        return self._sessions(self.device_ids == device_id)
+        return [
+            AvailabilitySession(d, s, e)
+            for d, s, e in zip(
+                self.device_ids.tolist(), self.starts.tolist(), self.ends.tolist()
+            )
+        ]
 
     def checkin_events(self) -> List[Tuple[float, int, float]]:
         """Sorted ``(start, device_id, end)`` tuples — the simulator's input."""
@@ -206,12 +201,13 @@ class DiurnalAvailabilityModel:
     configured peak/trough fractions.
 
     Every device draws from its **own random stream**, numpy's
-    ``SeedSequence(entropy, spawn_key=(device_id,))`` child, seeded through
-    :func:`~repro.traces.streams.device_streams`.  A device's sessions
-    therefore depend only on the model seed and its id — never on how many
-    other devices exist or in which order they are generated — so a sharded
-    builder can generate any subset of devices and obtain bit-identical
-    sessions.
+    ``SeedSequence(entropy, spawn_key=(device_id,))`` child.  Because no
+    device's draws depend on another's, the generator advances a whole block
+    of devices in lockstep as numpy columns
+    (:class:`~repro.traces.streams.LockstepPCG64`) and every device still
+    gets the numbers its own ``Generator`` would give it.  The same
+    independence means a device's sessions depend only on the model seed and
+    its id, never on which other devices are generated or in which order.
     """
 
     def __init__(
@@ -224,14 +220,35 @@ class DiurnalAvailabilityModel:
         # seed=None (a random run is still internally consistent).
         self._entropy = np.random.SeedSequence(seed).entropy
 
-    def _columns(self, device_ids: Sequence[int]) -> Tuple[array, array, array]:
-        """Session columns of the listed devices, device by device.
+    def _columns(
+        self, device_ids: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Session columns of the listed devices, in their order, each
+        device's sessions in time order; ``_BLOCK`` devices at a time."""
+        ids = check_device_ids(device_ids)
+        if (np.diff(np.sort(ids)) == 0).any():
+            raise ValueError("device ids must be distinct")
+        blocks = [
+            self._block_columns(ids[lo : lo + _BLOCK])
+            for lo in range(0, ids.size, _BLOCK)
+        ]
+        if not blocks:
+            return np.empty(0, np.int64), np.empty(0), np.empty(0)
+        return tuple(np.concatenate(column) for column in zip(*blocks))
+
+    def _block_columns(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Session columns of one block of devices, stepped in lockstep.
 
         Per device: a random initial phase (so devices are not synchronised),
         then exponential offline gaps alternating with log-normal sessions.
         With online fraction ``p`` and mean session ``s`` the mean gap is
         ``s * (1 - p) / p``, which makes the stationary online fraction track
         :meth:`DiurnalConfig.availability_at`.
+
+        One step draws the next gap of every device still before the
+        horizon, then the session of every device whose gap ended before
+        it, and drops the devices that are done.  The arithmetic is the
+        scalar recurrence's, in the same operation order, as array ufuncs.
         """
         cfg = self.config
         horizon = cfg.horizon
@@ -240,48 +257,45 @@ class DiurnalAvailabilityModel:
         two_pi, peak_phase = 2.0 * np.pi, cfg.peak_hour / 24.0
         mean_session = cfg.median_session * float(np.exp(cfg.session_sigma**2 / 2))
         log_median, sigma = float(np.log(cfg.median_session)), cfg.session_sigma
-        cos, exp = np.cos, np.exp
         p = max(1e-3, cfg.availability_at(0.0))
         first_gap = mean_session * (1.0 - p) / p
-        # Typed columns: boxed list items would die as holes once copied.
-        ids, starts, ends = array("q"), array("d"), array("d")
-        for dev, rng in zip(device_ids, device_streams(self._entropy, device_ids)):
-            # Standard variates, scaled here exactly as numpy's ``uniform``,
-            # ``exponential`` and ``normal`` scale them in C, without their
-            # argument checks (``uniform`` alone costs three ``random()``s).
-            random, exponential, normal = (
-                rng.random, rng.standard_exponential, rng.standard_normal
-            )
-            t = first_gap * random()
-            while t < horizon:
-                # The mean gap at t; p is cfg.availability_at(t), inlined.
-                p = mid + amp * float(cos(two_pi * ((t / DAY) - peak_phase)))
-                if p < 1e-3:
-                    p = 1e-3
-                start = t + mean_session * (1.0 - p) / p * exponential()
-                if start >= horizon:
-                    break
-                t = start + float(exp(log_median + sigma * normal()))
-                if t > horizon:
-                    t = horizon
-                if t > start:
-                    ids.append(dev)
-                    starts.append(start)
-                    ends.append(t)
-        return ids, starts, ends
-
-    def device_sessions(self, device_id: int) -> List[AvailabilitySession]:
-        """Sessions of one device, independent of every other device."""
-        return self.generate(1, device_ids=[device_id]).sessions
+        streams = LockstepPCG64(self._entropy, ids)
+        rows = np.arange(ids.size)
+        t = first_gap * streams.random()
+        emitted = [(rows[:0], t[:0], t[:0])]
+        live = t < horizon
+        while True:
+            rows, t = rows[live], t[live]
+            streams.keep(live)
+            if not rows.size:
+                break
+            # The mean gap at t; p is cfg.availability_at(t), inlined.
+            p = mid + amp * np.cos(two_pi * ((t / DAY) - peak_phase))
+            np.maximum(p, 1e-3, out=p)
+            start = t + mean_session * (1.0 - p) / p * streams.standard_exponential()
+            live = start < horizon
+            rows, start = rows[live], start[live]
+            streams.keep(live)
+            t = start + np.exp(log_median + sigma * streams.standard_normal())
+            np.minimum(t, horizon, out=t)
+            kept = t > start
+            emitted.append((rows[kept], start[kept], t[kept]))
+            live = t < horizon
+        rows, starts, ends = (np.concatenate(column) for column in zip(*emitted))
+        # Steps are chronological and rows ascend within a step, so a stable
+        # sort by row lists each device's sessions in time order.
+        order = np.argsort(rows, kind="stable")
+        return ids[rows[order]], starts[order], ends[order]
 
     def generate(
         self, num_devices: int, device_ids: Optional[Sequence[int]] = None
     ) -> DeviceAvailabilityTrace:
         """Generate a trace for ``num_devices`` devices over the horizon.
 
-        ``device_ids`` restricts generation to a subset (a shard) — the
-        sessions of each listed device are identical to the ones it would
-        get in the full-population trace.
+        ``device_ids`` restricts generation to a subset — the sessions of
+        each listed device are identical to the ones it would get in the
+        full-population trace.  The ids must be distinct and lie in
+        ``[0, 2**32)``; both are checked before anything is drawn.
         """
         if num_devices <= 0:
             raise ValueError("num_devices must be positive")

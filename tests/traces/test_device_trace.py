@@ -17,6 +17,10 @@ from repro.traces.device_trace import (
 )
 
 
+def sessions_of(trace, device_id):
+    return [s for s in trace.sessions if s.device_id == device_id]
+
+
 class TestAvailabilitySession:
     def test_duration(self):
         s = AvailabilitySession(device_id=1, start=10.0, end=40.0)
@@ -90,7 +94,7 @@ class TestDiurnalAvailabilityModel:
     def test_per_device_sessions_do_not_overlap(self):
         trace = DiurnalAvailabilityModel(DiurnalConfig(horizon=DAY), seed=2).generate(40)
         for dev in range(40):
-            sessions = sorted(trace.sessions_of(dev), key=lambda s: s.start)
+            sessions = sorted(sessions_of(trace, dev), key=lambda s: s.start)
             for a, b in zip(sessions, sessions[1:]):
                 assert a.end <= b.start
 
@@ -232,8 +236,6 @@ class TestColumnarTrace:
             (1.0, 4, 2.0),
         ]
         assert trace.num_devices == 2
-        assert trace.sessions_of(2) == [AvailabilitySession(2, 0.5, 50.0)]
-        assert trace.sessions_of(7) == []
 
     def test_empty_trace(self):
         trace = DeviceAvailabilityTrace(horizon=10.0)
@@ -302,8 +304,9 @@ class TestColumnarTrace:
 
 class TestPerDeviceStreams:
     """The diurnal model's per-device SeedSequence keying: a device's
-    sessions depend on (seed, device_id) only — the property that lets a
-    shard generate any subset of the population bit-identically."""
+    sessions depend on (seed, device_id) only, so ``generate`` builds any
+    subset of the population bit-identically — what
+    ``experiments.environment.build_availability`` relies on."""
 
     def _model(self):
         from repro.traces.device_trace import (
@@ -319,19 +322,57 @@ class TestPerDeviceStreams:
         subset_ids = [1, 5, 11]
         subset = self._model().generate(12, device_ids=subset_ids)
         for dev in subset_ids:
-            assert subset.sessions_of(dev) == full.sessions_of(dev)
+            assert sessions_of(subset, dev) == sessions_of(full, dev)
         assert {s.device_id for s in subset.sessions} <= set(subset_ids)
 
-    def test_device_sessions_is_the_one_device_subset(self):
-        full = self._model().generate(6)
-        for dev in (0, 5):
-            assert self._model().device_sessions(dev) == full.sessions_of(dev)
+    @given(
+        subset=st.lists(st.integers(0, 39), min_size=1, max_size=40, unique=True),
+        block=st.sampled_from([1, 2, 7, 1 << 14]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_generate_on_a_subset_is_the_full_trace_restricted(self, subset, block):
+        """Any subset, in any order and across any lockstep block, gives the
+        full trace's sessions of exactly those devices, device by device in
+        the subset's order."""
+        import repro.traces.device_trace as device_trace
+
+        full = self._model().generate(40)
+        original = device_trace._BLOCK
+        device_trace._BLOCK = block
+        try:
+            part = self._model().generate(40, device_ids=subset)
+        finally:
+            device_trace._BLOCK = original
+        assert part.sessions == [s for dev in subset for s in sessions_of(full, dev)]
 
     def test_population_size_does_not_change_a_device(self):
         small = self._model().generate(3)
         large = self._model().generate(30)
         for dev in range(3):
-            assert small.sessions_of(dev) == large.sessions_of(dev)
+            assert sessions_of(small, dev) == sessions_of(large, dev)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [([0, 1, 2, 1], "distinct"), ([5, 5], "distinct"),
+         ([0, 1, 2, 2**32], r"\[0, 2\*\*32\)"), ([0, 1, 2, -1], r"\[0, 2\*\*32\)")],
+    )
+    def test_bad_ids_are_refused_before_any_draw(self, monkeypatch, ids, message):
+        """A repeated id would emit one device's sessions twice; an id past
+        one uint32 word is another hash.  Both are refused up front, even
+        when the bad id sits in a later lockstep block than good ones."""
+        import repro.traces.device_trace as device_trace
+
+        monkeypatch.setattr(device_trace, "_BLOCK", 2)
+        built = []
+        real = device_trace.LockstepPCG64
+        monkeypatch.setattr(
+            device_trace, "LockstepPCG64", lambda *a: built.append(a) or real(*a)
+        )
+        with pytest.raises(ValueError, match=message):
+            DiurnalAvailabilityModel(DiurnalConfig(horizon=DAY), seed=8).generate(
+                len(ids), device_ids=ids
+            )
+        assert built == []
 
     def test_checkin_events_arrays_match_tuple_form(self):
         import numpy as np

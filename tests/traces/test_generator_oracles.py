@@ -3,9 +3,10 @@
 ``sample_devices`` and ``_columns`` below are the bodies the capacity sampler
 and the availability model had before they drew a device's domain uniforms
 with one ``random(out=row)``, derived domains, reliability and speed per block
-of devices, and drew sessions as standard variates.  They survive here, and
-only here, as the oracles the generators must match number for number — the
-way ``test_streams.py`` keeps numpy's ``SeedSequence`` construction.
+of devices, and drew sessions as standard variates and then for a block of
+devices in lockstep.  They survive here, and only here, as the oracles the
+generators must match number for number — the way ``test_streams.py`` keeps
+numpy's ``SeedSequence`` construction.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.types import DeviceProfile
-from repro.traces import capacity
+from repro.traces import capacity, device_trace, streams
 from repro.traces.capacity import DEFAULT_DATA_DOMAINS, CapacityConfig, CapacitySampler
 from repro.traces.device_trace import DAY, DiurnalAvailabilityModel, DiurnalConfig
-from repro.traces.streams import device_streams
+from tests.traces.test_streams import device_streams
 
 
 def sample_devices(self, n: int, start_id: int = 0) -> List[DeviceProfile]:
@@ -216,12 +217,47 @@ def test_columns_match_the_per_device_oracle(seed, config, device_ids):
     _assert_same_columns(DiurnalAvailabilityModel(config, seed), device_ids)
 
 
-@given(seed=st.integers(0, 2**64 - 1), n=SIZES, horizon=HORIZONS)
+#: The lockstep block of 16,384 devices: one short of it, one, one over.
+BLOCK_EDGES = st.sampled_from([2**14 - 1, 2**14, 2**14 + 1])
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1), n=st.one_of(SIZES, BLOCK_EDGES), horizon=HORIZONS
+)
 @example(seed=0, n=1, horizon=DAY)
 @example(seed=1, n=4095, horizon=100.0)
 @example(seed=2, n=4096, horizon=4 * DAY)
 @example(seed=3, n=4097, horizon=DAY)
+@example(seed=4, n=2**14 - 1, horizon=DAY)
+@example(seed=5, n=2**14, horizon=2 * DAY)
+@example(seed=6, n=2**14 + 1, horizon=DAY)
 @settings(max_examples=10, deadline=None)
 def test_columns_match_across_the_seeding_batch(seed, n, horizon):
     model = DiurnalAvailabilityModel(DiurnalConfig(horizon=horizon), seed)
     _assert_same_columns(model, range(n))
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_lockstep_block_is_invisible(monkeypatch, block):
+    """Many short blocks and a ragged last one give the oracle's columns."""
+    model = DiurnalAvailabilityModel(DiurnalConfig(horizon=2 * DAY), 21)
+    ids = [(k * 2654435761) % 2**32 for k in range(200)]
+    monkeypatch.setattr(device_trace, "_BLOCK", block)
+    _assert_same_columns(model, ids)
+
+
+def test_a_day_delegates_both_slow_draws(monkeypatch):
+    """A 2,000-device day misses the ziggurat fast path for some exponential
+    and some normal draws, so numpy's scalar fallback runs in every test
+    run — and the columns still match the oracle."""
+    delegated = []
+
+    def spy(draw, limbs):
+        delegated.append(draw)
+        return slow_draws(draw, limbs)
+
+    slow_draws = streams._slow_draws
+    monkeypatch.setattr(streams, "_slow_draws", spy)
+    model = DiurnalAvailabilityModel(DiurnalConfig(horizon=DAY), 7)
+    _assert_same_columns(model, range(2_000))
+    assert set(delegated) == {"standard_exponential", "standard_normal"}

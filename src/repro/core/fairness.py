@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional
 
 from .types import JobSpec
 
@@ -41,7 +41,7 @@ class FairnessRecord:
 
 
 def default_solo_jct_estimator(job: JobSpec) -> float:
-    """Crude contention-free JCT estimate used when none is supplied.
+    """Crude contention-free JCT estimate ``sd_i`` of the fairness controller.
 
     Without contention the scheduling delay is negligible, so the solo JCT is
     approximately ``num_rounds × (task duration × straggler factor)``.  The
@@ -58,21 +58,16 @@ class FairnessController:
     ----------
     epsilon:
         The fairness knob ``ε >= 0``.  ``0`` disables all adjustment.
-    solo_jct_estimator:
-        Callable mapping a :class:`~repro.core.types.JobSpec` to its estimated
-        contention-free JCT ``sd_i``.  Defaults to
-        :func:`default_solo_jct_estimator`.
+
+    A job's contention-free JCT ``sd_i`` is
+    :func:`default_solo_jct_estimator` unless :meth:`register_job` is given
+    one.
     """
 
-    def __init__(
-        self,
-        epsilon: float = 0.0,
-        solo_jct_estimator: Optional[Callable[[JobSpec], float]] = None,
-    ) -> None:
+    def __init__(self, epsilon: float = 0.0) -> None:
         if epsilon < 0:
             raise ValueError("epsilon must be non-negative")
         self.epsilon = float(epsilon)
-        self._estimator = solo_jct_estimator or default_solo_jct_estimator
         self._records: Dict[int, FairnessRecord] = {}
 
     # ------------------------------------------------------------------ #
@@ -82,7 +77,9 @@ class FairnessController:
         self, job: JobSpec, now: float, solo_jct: Optional[float] = None
     ) -> None:
         """Start tracking ``job`` (idempotent refresh of the estimate)."""
-        sd = float(solo_jct) if solo_jct is not None else float(self._estimator(job))
+        if solo_jct is None:
+            solo_jct = default_solo_jct_estimator(job)
+        sd = float(solo_jct)
         if sd <= 0:
             raise ValueError("solo JCT estimate must be positive")
         self._records[job.job_id] = FairnessRecord(
@@ -91,9 +88,6 @@ class FairnessController:
 
     def forget_job(self, job_id: int) -> None:
         self._records.pop(job_id, None)
-
-    def is_tracked(self, job_id: int) -> bool:
-        return job_id in self._records
 
     # ------------------------------------------------------------------ #
     # Fair-share quantities
@@ -147,10 +141,6 @@ class FairnessController:
         if total_t <= 0:
             return float(raw_queue_length) * self._ratio_power(_RATIO_MAX)
         return float(raw_queue_length) * self._ratio_power(total_T / total_t)
-
-    def meets_fair_share(self, job_id: int, jct: float, num_active_jobs: int) -> bool:
-        """Whether a finished job's JCT met its fair-share target ``T_i``."""
-        return jct <= self.fair_share_jct(job_id, num_active_jobs)
 
 
 __all__ = [

@@ -52,12 +52,6 @@ class JobGroup:
         """Number of jobs in the group with open, unsatisfied requests."""
         return sum(1 for e in self.entries.values() if e.has_open_request)
 
-    @property
-    def total_remaining_demand(self) -> float:
-        return sum(
-            e.remaining_demand for e in self.entries.values() if e.has_open_request
-        )
-
     def ordered_jobs(self) -> List[GroupJobEntry]:
         """Jobs with open requests, smallest adjusted demand first (§4.2.1).
 
@@ -115,15 +109,6 @@ class JobGroupRegistry:
             has_open_request=has_open_request,
         )
 
-    def remove_job(self, job_id: int) -> None:
-        empty: List[str] = []
-        for key, group in self._groups.items():
-            group.entries.pop(job_id, None)
-            if not group.entries:
-                empty.append(key)
-        for key in empty:
-            del self._groups[key]
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
@@ -138,12 +123,6 @@ class JobGroupRegistry:
 
     def __len__(self) -> int:
         return len(self._groups)
-
-    def group_of_job(self, job_id: int) -> Optional[JobGroup]:
-        for group in self._groups.values():
-            if job_id in group.entries:
-                return group
-        return None
 
     @staticmethod
     def from_jobs(

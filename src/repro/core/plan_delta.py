@@ -270,7 +270,6 @@ class PlanMaintainer:
         rates: Mapping[AtomSignature, float],
         space: AtomSpace,
         supply_version: int,
-        reallocate: bool,
         profile=None,
     ) -> SchedulingPlan:
         """Serve the accumulated delta by updating the plan in place.
@@ -387,7 +386,7 @@ class PlanMaintainer:
                 for key, group in self._groups.items()
             }
             group_order = _phase23_allocate(
-                allocations, self._eligible, rates, reallocate
+                allocations, self._eligible, rates, reallocate=True
             )
             if profile is not None:
                 profile.allocation_reruns += 1

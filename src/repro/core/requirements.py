@@ -72,35 +72,6 @@ class EligibilityRequirement:
             return False
         return True
 
-    def subsumes(self, other: "EligibilityRequirement") -> bool:
-        """True when every device eligible for ``other`` is eligible here.
-
-        In other words this requirement's eligible set is a superset of
-        ``other``'s (a weaker requirement subsumes a stricter one).
-        """
-        if self.min_cpu > other.min_cpu:
-            return False
-        if self.min_memory > other.min_memory:
-            return False
-        if self.data_domain is not None and self.data_domain != other.data_domain:
-            return False
-        return True
-
-    def intersects(self, other: "EligibilityRequirement") -> bool:
-        """True when some device could satisfy both requirements.
-
-        Threshold-style requirements always share their top corner unless the
-        data domains conflict, so the only source of disjointness is the data
-        domain.
-        """
-        if (
-            self.data_domain is not None
-            and other.data_domain is not None
-            and self.data_domain != other.data_domain
-        ):
-            return False
-        return True
-
 
 #: The default requirement categories from Figure 8a of the paper.  The 0.5
 #: cut-offs stratify the normalised AI-Benchmark-style scores into four
@@ -314,10 +285,6 @@ class AtomSpace:
         return frozenset(
             a for a in self._atoms if requirement_name in a
         )
-
-    def contains(self, outer: str, inner: str) -> bool:
-        """True when ``outer``'s eligible set contains ``inner``'s."""
-        return self.eligible_atoms(inner) <= self.eligible_atoms(outer)
 
 
 def _representative_points(cuts: Sequence[float]) -> List[float]:

@@ -38,7 +38,7 @@ bit-identical scheduling decisions; the per-run counters live in
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .plan_delta import PLAN_MAINTENANCE_MODES, PlanMaintainer, Trigger
 from .policy import BasePolicy, SeededRngMixin
 from .profile import PlanMaintenanceProfile
 from .requirements import AtomSpace
-from .supply import DEFAULT_WINDOW, SupplyEstimator
+from .supply import SupplyEstimator
 from .types import JobSpec, RequestState, ResourceRequest
 
 
@@ -67,25 +67,11 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         matching is on and ``V > 1``.
     epsilon:
         Fairness knob ε of §4.4.  ``0`` disables starvation prevention.
-    supply_window:
-        Averaging window (seconds) of the supply estimator; 24 h by default.
     enable_scheduling:
         When ``False`` the IRS job order is replaced by FIFO while matching
         stays on (the "Venn w/o scheduling" ablation of Figure 11).
     enable_matching:
         When ``False`` Algorithm 2 never restricts a job to a tier.
-    enable_reallocation:
-        When ``False`` the inter-group reallocation phase of Algorithm 1
-        (lines 10-23) is skipped and each group keeps only its initial,
-        exclusive allocation.  Exposed for the design-choice ablation.
-    demand_mode:
-        Intra-group ordering metric (§4.2.1): ``"total"`` (default) orders by
-        the job's total remaining demand across all future rounds, which the
-        paper recommends when that information is available; ``"round"``
-        orders by the current request's remaining demand only.
-    solo_jct_estimator:
-        Optional callable ``JobSpec -> seconds`` used by the fairness
-        controller for the contention-free JCT ``sd_i``.
     seed:
         Seed of the RNG used for Algorithm 2's random tier choice.  When
         ``None``, the scheduler adopts the simulation's injected generator
@@ -105,20 +91,14 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         self,
         num_tiers: int = 4,
         epsilon: float = 0.0,
-        supply_window: float = DEFAULT_WINDOW,
         enable_scheduling: bool = True,
         enable_matching: bool = True,
-        enable_reallocation: bool = True,
-        demand_mode: str = "total",
-        solo_jct_estimator: Optional[Callable[[JobSpec], float]] = None,
         seed: Optional[int] = None,
         plan_maintenance: str = "incremental",
     ) -> None:
         super().__init__()
         if num_tiers < 1:
             raise ValueError("num_tiers must be >= 1")
-        if demand_mode not in ("total", "round"):
-            raise ValueError("demand_mode must be 'total' or 'round'")
         if plan_maintenance not in PLAN_MAINTENANCE_MODES:
             raise ValueError(
                 f"plan_maintenance must be one of {PLAN_MAINTENANCE_MODES}"
@@ -126,13 +106,9 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         self.num_tiers = int(num_tiers)
         self.enable_scheduling = bool(enable_scheduling)
         self.enable_matching = bool(enable_matching)
-        self.enable_reallocation = bool(enable_reallocation)
-        self.demand_mode = demand_mode
         self.plan_maintenance = plan_maintenance
-        self.supply = SupplyEstimator(window=supply_window)
-        self.fairness = FairnessController(
-            epsilon=epsilon, solo_jct_estimator=solo_jct_estimator
-        )
+        self.supply = SupplyEstimator()
+        self.fairness = FairnessController(epsilon=epsilon)
         self._init_rng(seed)
         self._atom_space: Optional[AtomSpace] = None
         #: ``sig id -> signature`` restricted to the live requirement set
@@ -148,8 +124,6 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         self._matchers: Dict[int, TierMatcher] = {}
         #: Cached tier decision per open request id.
         self._tier_decisions: Dict[int, TierDecision] = {}
-        #: Number of times the plan has been rebuilt (for overhead studies).
-        self.plan_rebuilds = 0
         #: Per-run plan-maintenance counters + wall time (see
         #: :class:`~repro.core.profile.PlanMaintenanceProfile`).
         self.plan_profile = PlanMaintenanceProfile()
@@ -364,19 +338,6 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         """Algorithm 2's capability of the device (its bound column)."""
         return self._capacity[self.fleet.row(device_id)]
 
-    def _intra_group_demand(self, job_id: int) -> float:
-        """Demand metric for the intra-group ordering (§4.2.1).
-
-        ``"total"`` mode uses the job's remaining demand over all rounds;
-        ``"round"`` mode uses only the open request's remaining demand.
-        """
-        if self.demand_mode == "total":
-            return float(self.remaining_job_demand(job_id))
-        request = self.open_requests.get(job_id)
-        if request is not None and request.is_open:
-            return float(request.remaining_demand)
-        return float(self.jobs[job_id].demand_per_round)
-
     def rebuild_plan(self, now: float) -> SchedulingPlan:
         """Recompute the scheduling plan from scratch (Algorithm 1).
 
@@ -394,7 +355,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         remaining: Dict[int, float] = {}
         adjusted: Dict[int, float] = {}
         for job_id in self.jobs:
-            raw = self._intra_group_demand(job_id)
+            raw = float(self.remaining_job_demand(job_id))
             remaining[job_id] = raw
             if self.enable_scheduling:
                 adjusted[job_id] = self.fairness.adjusted_demand(
@@ -420,7 +381,6 @@ class VennScheduler(SeededRngMixin, BasePolicy):
             space,
             rates,
             queue_lengths,
-            reallocate=self.enable_reallocation,
         )
         if self._incremental_enabled:
             # Snapshot the fresh state so later triggers can be served by
@@ -436,7 +396,6 @@ class VennScheduler(SeededRngMixin, BasePolicy):
             self._maintainer.reset()
         self._demand_dirty.clear()  # the fresh snapshot covers every job
         self._plan_dirty = False
-        self.plan_rebuilds += 1
         self.plan_version += 1
         self.plan_profile.full_rebuilds += 1
         self.plan_profile.full_rebuild_time_s += time.perf_counter() - t0
@@ -455,7 +414,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
             job = self.jobs.get(job_id)
             if job is None:
                 continue  # departed; handled via the delta's removed set
-            raw = self._intra_group_demand(job_id)
+            raw = float(self.remaining_job_demand(job_id))
             if self.enable_scheduling:
                 adjusted = float(raw)
             else:
@@ -496,7 +455,6 @@ class VennScheduler(SeededRngMixin, BasePolicy):
             rates=self.supply.rates(now),
             space=self._ensure_atom_space(),
             supply_version=self.supply.signature_version,
-            reallocate=self.enable_reallocation,
             profile=self.plan_profile,
         )
         self._demand_dirty.clear()

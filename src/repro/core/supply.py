@@ -20,7 +20,7 @@ sliding window is that events age out at bucket granularity
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -222,18 +222,6 @@ class SupplyEstimator:
         fill = min(1.0, span / self.window) if self._total_checkins else 0.0
         return fill * empirical + (1.0 - fill) * prior
 
-    def rate_for_atoms(
-        self, atoms: Iterable[AtomSignature], now: float
-    ) -> float:
-        """Total arrival rate across a set of atoms (a requirement's supply).
-
-        Summed in canonical atom order so the floating-point result is
-        independent of set iteration (and therefore hash) order.
-        """
-        return sum(
-            self.rate(a, now) for a in sorted_atoms(set(map(frozenset, atoms)))
-        )
-
     def rates(self, now: float) -> Dict[AtomSignature, float]:
         """Arrival-rate estimate for every known atom, in one pass.
 
@@ -261,16 +249,6 @@ class SupplyEstimator:
             else:
                 out[sig] = fill * empirical + (1.0 - fill) * p
         return out
-
-    def count_in_window(self, signature: AtomSignature, now: float) -> int:
-        """Number of check-ins for ``signature`` inside the window.
-
-        Exact up to bucket granularity: events in a partially-expired bucket
-        are still counted until the whole bucket ages out.
-        """
-        sig = frozenset(signature)
-        self._prune(sig, now)
-        return self._counts.get(sig, 0)
 
     @property
     def total_checkins(self) -> int:

@@ -4,8 +4,8 @@ The paper's evaluation runs at planetary scale (hundreds of thousands of
 device check-ins, jobs with thousands of rounds).  This reproduction keeps
 the *structure* — the same workload scenarios, the same eligibility
 categories, the same policies — but scales the sizes so every experiment runs
-on a laptop in seconds to minutes.  EXPERIMENTS.md records, per table and
-figure, which preset was used.
+on a laptop in seconds to minutes.  ``python -m repro.experiments.runner
+--preset NAME`` regenerates every table and figure at one preset.
 
 Three presets are provided:
 
@@ -73,22 +73,12 @@ class ExperimentConfig:
     #: checkpointing among them; ``horizon`` and ``seed`` are derived from
     #: this config's own fields.
     simulation: SimulationConfig = field(default_factory=SimulationConfig)
-    #: How the Venn scheduler maintains its plan between triggers:
-    #: ``"incremental"`` (default, in-place deltas, decision-identical) or
-    #: ``"full"`` (from-scratch rebuild on every trigger — the oracle).
-    #: Forwarded to every ``venn*`` policy built for this experiment.
-    plan_maintenance: str = "incremental"
 
     def __post_init__(self) -> None:
         if self.num_devices <= 0 or self.num_jobs <= 0:
             raise ValueError("num_devices and num_jobs must be positive")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.plan_maintenance not in ("incremental", "full"):
-            raise ValueError(
-                "plan_maintenance must be 'incremental' or 'full', got "
-                f"{self.plan_maintenance!r}"
-            )
         # Keep nested configs consistent with the top-level knobs.  The
         # simulation seed is re-derived from the root seed here, so every
         # ``replace``-based copy (``with_seed``, ``with_scenario``, ...)

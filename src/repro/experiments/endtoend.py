@@ -44,12 +44,9 @@ def run_policy(
     policy_kwargs: Optional[dict] = None,
 ) -> SimulationMetrics:
     """Run one policy against an environment and return its metrics."""
-    kwargs = dict(policy_kwargs or {})
-    if policy_name.startswith("venn"):
-        # The experiment config decides how Venn maintains its plan unless
-        # the caller explicitly overrides it.
-        kwargs.setdefault("plan_maintenance", env.config.plan_maintenance)
-    policy = make_policy(policy_name, seed=env.config.seed_for("policy"), **kwargs)
+    policy = make_policy(
+        policy_name, seed=env.config.seed_for("policy"), **(policy_kwargs or {})
+    )
     sim = Simulator(
         devices=env.devices,
         availability=env.availability,

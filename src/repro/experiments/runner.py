@@ -2,8 +2,9 @@
 
 ``python -m repro.experiments.runner --preset quick`` prints the data behind
 each table and figure of the paper's evaluation, formatted as plain-text
-tables.  The ``default`` preset matches the numbers recorded in
-EXPERIMENTS.md; the ``quick`` preset is a smaller, faster sanity pass.
+tables.  The ``default`` preset is the reproduction's scale; the ``quick``
+preset is a smaller, faster sanity pass, and the one
+``tests/experiments/test_paper_claims.py`` checks the paper's claims on.
 """
 
 from __future__ import annotations

@@ -32,8 +32,7 @@ Fault tolerance
 ---------------
 
 A long sweep must survive one broken cell.  Every cell runs inside an
-exception boundary: a cell that raises is retried up to
-``--max-cell-retries`` times and, still failing, contributes a ``status:
+exception boundary: a cell that raises contributes a ``status:
 "failed"`` row carrying the error and full traceback — the other cells run
 to completion, aggregation skips the failed row, and the process exits
 non-zero.  Rows are flushed to the JSONL file incrementally (one line per
@@ -276,8 +275,8 @@ def run_cosim_cell(cell: SweepCell, preset: str = "quick", smoke: bool = False) 
     return row
 
 
-def _failed_row(cell: SweepCell, exc: BaseException, attempts: int) -> Dict:
-    """The JSONL row of a cell that kept raising after every retry.
+def _failed_row(cell: SweepCell, exc: BaseException) -> Dict:
+    """The JSONL row of a cell that raised.
 
     Carries full provenance plus the error and traceback, so a failed cell
     is diagnosable from the artifact alone.  The traceback is formatted
@@ -295,53 +294,40 @@ def _failed_row(cell: SweepCell, exc: BaseException, attempts: int) -> Dict:
         "traceback": "".join(
             traceback.format_exception(type(exc), exc, exc.__traceback__)
         ),
-        "attempts": attempts,
     }
 
 
-def _run_cell_task(
-    args: Tuple[SweepCell, str, bool, bool, int, bool]
-) -> Dict:
+def _run_cell_task(args: Tuple[SweepCell, str, bool, bool, bool]) -> Dict:
     """Run one cell inside the sweep's exception boundary.
 
-    Retries a raising cell up to ``max_retries`` extra times (transient
-    failures: OOM kills of a neighbour, flaky filesystems), then folds the
-    exception into a ``status: "failed"`` row instead of propagating — one
-    broken cell must not sink the sweep.  ``KeyboardInterrupt`` always
-    propagates (the pool is being torn down).
+    A raising cell becomes a ``status: "failed"`` row instead of
+    propagating — one broken cell must not sink the sweep.  It is not
+    retried: a cell is a deterministic function of its inputs, so a retry
+    raises again.  ``KeyboardInterrupt`` always propagates (the pool is
+    being torn down).
     """
-    cell, preset, smoke, cosim, max_retries, inject_crash = args
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            if inject_crash:
-                raise RuntimeError(
-                    f"injected sweep-cell crash (cell {cell.index})"
-                )
-            if cosim:
-                row = run_cosim_cell(cell, preset=preset, smoke=smoke)
-            else:
-                row = run_cell(cell, preset=preset, smoke=smoke)
-            row["status"] = "ok"
-            return row
-        except KeyboardInterrupt:
-            raise
-        except Exception as exc:
-            if attempts <= max_retries:
-                continue
-            return _failed_row(cell, exc, attempts)
+    cell, preset, smoke, cosim, inject_crash = args
+    try:
+        if inject_crash:
+            raise RuntimeError(f"injected sweep-cell crash (cell {cell.index})")
+        if cosim:
+            row = run_cosim_cell(cell, preset=preset, smoke=smoke)
+        else:
+            row = run_cell(cell, preset=preset, smoke=smoke)
+        row["status"] = "ok"
+        return row
+    except KeyboardInterrupt:
+        raise
+    except Exception as exc:
+        return _failed_row(cell, exc)
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
     """``fork`` where available (workers inherit ``sys.path`` patched by the
-    repo's conftest), else ``spawn`` (needs ``PYTHONPATH=src``).  Overridable
-    via ``REPRO_SWEEP_START_METHOD`` for debugging."""
-    method = os.environ.get("REPRO_SWEEP_START_METHOD")
-    if method is None:
-        method = (
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
+    repo's conftest), else ``spawn`` (needs ``PYTHONPATH=src``)."""
+    method = (
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    )
     return multiprocessing.get_context(method)
 
 
@@ -353,7 +339,6 @@ def run_sweep(
     out_path: Optional[str] = None,
     log: Optional[TextIO] = None,
     cosim: bool = False,
-    max_cell_retries: int = 0,
     inject_crash_cells: Sequence[int] = (),
 ) -> List[Dict]:
     """Run every cell (serially or over a worker pool) and return the rows.
@@ -362,17 +347,15 @@ def run_sweep(
     is given they are written there as JSONL (sorted keys, one row per
     line) so the bytes are reproducible for a fixed matrix and root seed.
     Rows are flushed incrementally — a sweep killed mid-flight leaves every
-    completed cell's row on disk.  A cell that raises is retried
-    ``max_cell_retries`` times, then becomes a ``status: "failed"`` row
-    (see :func:`_run_cell_task`); ``KeyboardInterrupt`` terminates the pool
-    and propagates.  ``cosim=True`` runs each cell through
-    :func:`run_cosim_cell` instead of :func:`run_cell`;
-    ``inject_crash_cells`` deliberately crashes the named cell indices.
+    completed cell's row on disk.  A cell that raises becomes a
+    ``status: "failed"`` row (see :func:`_run_cell_task`);
+    ``KeyboardInterrupt`` terminates the pool and propagates.
+    ``cosim=True`` runs each cell through :func:`run_cosim_cell` instead
+    of :func:`run_cell`; ``inject_crash_cells`` deliberately crashes the
+    named cell indices.
     """
     if workers <= 0:
         raise ValueError("workers must be positive")
-    if max_cell_retries < 0:
-        raise ValueError("max_cell_retries must be non-negative")
     crash_set = set(inject_crash_cells)
     unknown = crash_set - {cell.index for cell in cells}
     if unknown:
@@ -380,7 +363,7 @@ def run_sweep(
             f"inject_crash_cells names unknown cell indices: {sorted(unknown)}"
         )
     tasks = [
-        (cell, preset, smoke, cosim, max_cell_retries, cell.index in crash_set)
+        (cell, preset, smoke, cosim, cell.index in crash_set)
         for cell in cells
     ]
     started = time.perf_counter()
@@ -480,13 +463,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default=None, help="JSONL output path")
     parser.add_argument(
-        "--max-cell-retries",
-        type=int,
-        default=0,
-        help="re-run a raising cell this many extra times before recording "
-        "a failed row (default 0)",
-    )
-    parser.add_argument(
         "--inject-crash-cell",
         type=int,
         action="append",
@@ -534,7 +510,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out_path=args.out,
             log=sys.stderr,
             cosim=args.cosim,
-            max_cell_retries=args.max_cell_retries,
             inject_crash_cells=args.inject_crash_cell or (),
         )
     except KeyboardInterrupt:
@@ -555,8 +530,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for row in failed:
             print(
                 f"  cell {row['cell']} ({row['scenario']}/{row['policy']} "
-                f"seed {row['seed_index']}, {row['attempts']} attempt(s)): "
-                f"{row['error']}",
+                f"seed {row['seed_index']}): {row['error']}",
                 file=sys.stderr,
             )
         return 1

@@ -63,12 +63,7 @@ def build_simulator(
         checkpoint_interval=checkpoint_interval,
     )
     env = build_environment(cfg)
-    kwargs = {}
-    if policy_name.startswith("venn"):
-        kwargs["plan_maintenance"] = cfg.plan_maintenance
-    policy = RecordingPolicy(
-        make_policy(policy_name, seed=cfg.seed_for("policy"), **kwargs)
-    )
+    policy = RecordingPolicy(make_policy(policy_name, seed=cfg.seed_for("policy")))
     return Simulator(
         devices=env.devices,
         availability=env.availability,

@@ -30,7 +30,7 @@ from typing import List, Optional
 #: stream, the metrics or a policy), so a snapshot written before the
 #: change is refused instead of resuming into a graph with missing or stale
 #: attributes.
-SNAPSHOT_FORMAT_VERSION = 12
+SNAPSHOT_FORMAT_VERSION = 13
 
 
 class SnapshotError(ValueError):
@@ -75,10 +75,6 @@ class SimulationSnapshot:
     now: float
     started: bool
     format_version: int = SNAPSHOT_FORMAT_VERSION
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self.payload)
 
 
 class LatestSnapshotStore:

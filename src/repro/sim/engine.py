@@ -98,15 +98,7 @@ import numbers
 import pickle
 import time
 from dataclasses import dataclass, field, replace
-from typing import (
-    Callable,
-    Dict,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Union,
-)
+from typing import Callable, Dict, Optional, Sequence, Set, Union
 
 import numpy as np
 
@@ -231,7 +223,6 @@ class Simulator:
         workload: Union[Workload, Sequence[JobSpec]],
         policy: SchedulingPolicy,
         config: Optional[SimulationConfig] = None,
-        categories: Optional[Mapping[int, str]] = None,
         checkpoint_sink: Optional[Callable[[SimulationSnapshot], None]] = None,
     ) -> None:
         self.config = config or SimulationConfig()
@@ -254,6 +245,7 @@ class Simulator:
             categories = dict(workload.categories)
         else:
             jobs = list(workload)
+            categories = {}
         # The workload's requirements, one per name.  A name is a
         # requirement's identity — atom spaces, the pending pool and the
         # signature tables all key by it — so two different requirements
@@ -267,7 +259,7 @@ class Simulator:
                     f"different requirements"
                 )
         self._requirements = list(by_name.values())
-        self._categories: Dict[int, str] = dict(categories or {})
+        self._categories: Dict[int, str] = categories
         for job in jobs:
             self._categories.setdefault(job.job_id, job.requirement.name)
 
@@ -1390,10 +1382,9 @@ def run_simulation(
     workload: Union[Workload, Sequence[JobSpec]],
     policy: SchedulingPolicy,
     config: Optional[SimulationConfig] = None,
-    categories: Optional[Mapping[int, str]] = None,
 ) -> SimulationMetrics:
     """Convenience wrapper: build a :class:`Simulator` and run it."""
-    sim = Simulator(devices, availability, workload, policy, config, categories)
+    sim = Simulator(devices, availability, workload, policy, config)
     return sim.run()
 
 

@@ -140,9 +140,6 @@ class LatencyConfig:
     #: Bounds of the uniform communication overhead (seconds).
     comm_min: float = 5.0
     comm_max: float = 20.0
-    #: Global multiplier applied to every job's base task duration (lets
-    #: experiments speed up or slow down the whole fleet consistently).
-    duration_scale: float = 1.0
     # --- network-degradation layer (defaults = pristine network) --------- #
     #: Probability that one uplink transfer attempt is lost.  Lost attempts
     #: inflate the communication time (see ``retry_backoff``); a report
@@ -170,7 +167,7 @@ class LatencyConfig:
 
     def __post_init__(self) -> None:
         for name in (
-            "compute_sigma", "comm_min", "comm_max", "duration_scale",
+            "compute_sigma", "comm_min", "comm_max",
             "loss_rate", "max_retries", "retry_backoff",
             "flap_period", "flap_duration", "flap_loss_rate",
         ):
@@ -181,8 +178,6 @@ class LatencyConfig:
             raise ValueError("compute_sigma must be non-negative")
         if self.comm_min < 0 or self.comm_max < self.comm_min:
             raise ValueError("need 0 <= comm_min <= comm_max")
-        if self.duration_scale <= 0:
-            raise ValueError("duration_scale must be positive")
         if not (0.0 <= self.loss_rate <= 1.0):
             raise ValueError("loss_rate must be in [0, 1]")
         if self.max_retries < 0:
@@ -307,13 +302,6 @@ class ResponseLatencyModel:
             self._tier_cache[device_id] = tier
         return tier
 
-    def link_tier_name(self, device_id: int) -> str:
-        """Name of the device's link tier (``"default"`` when untiered)."""
-        tiers = self.config.link_tiers
-        if not tiers:
-            return "default"
-        return tiers[self.link_tier(device_id)][0]
-
     def _comm_scale(self, device_id: int) -> float:
         tiers = self.config.link_tiers
         if not tiers:
@@ -361,7 +349,6 @@ class ResponseLatencyModel:
         z = math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
         compute = (
             job.base_task_duration
-            * cfg.duration_scale
             * speed_factor
             * math.exp(cfg.compute_sigma * z)
         )
@@ -474,7 +461,6 @@ class ResponseLatencyModel:
         )[:, None] + np.arange(4, dtype=np.uint64) * np.uint64(_SM_GAMMA)
         u = _uniform_array(_mix64_array(base)).tolist()
         sigma = cfg.compute_sigma
-        scale = cfg.duration_scale
         comm_min = cfg.comm_min
         comm_span = cfg.comm_max - cfg.comm_min
         out = []
@@ -484,7 +470,6 @@ class ResponseLatencyModel:
             z = math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
             compute = (
                 jobs[i].base_task_duration
-                * scale
                 * speed_factors[i]
                 * math.exp(sigma * z)
             )
@@ -501,7 +486,6 @@ class ResponseLatencyModel:
         cfg = self.config
         compute = (
             job.base_task_duration
-            * cfg.duration_scale
             * device.speed_factor
             * float(np.exp(cfg.compute_sigma**2 / 2.0))
         )
@@ -525,7 +509,6 @@ class ResponseLatencyModel:
         z = stats.norm.ppf(percentile / 100.0)
         compute = (
             job.base_task_duration
-            * cfg.duration_scale
             * device.speed_factor
             * float(np.exp(cfg.compute_sigma * z))
         )

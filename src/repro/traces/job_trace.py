@@ -12,7 +12,7 @@ above/below-average per-round demand).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -122,19 +122,6 @@ class JobDemandTrace:
         """Jobs with above-average *per-round* demand (the "High" pool)."""
         mean = self.mean_demand_per_round
         return [e for e in self.entries if e.demand_per_round >= mean]
-
-    def percentile_split(
-        self, percentiles: Sequence[float] = (25.0, 50.0, 75.0)
-    ) -> Dict[float, List[JobDemandEntry]]:
-        """Entries with total demand below each percentile (Table 2 split)."""
-        if not self.entries:
-            return {p: [] for p in percentiles}
-        totals = np.array([e.total_demand for e in self.entries], dtype=float)
-        out: Dict[float, List[JobDemandEntry]] = {}
-        for p in percentiles:
-            cut = float(np.percentile(totals, p))
-            out[p] = [e for e in self.entries if e.total_demand <= cut]
-        return out
 
 
 class JobTraceGenerator:

@@ -20,14 +20,16 @@ rest are spread evenly over the other three.
 Because this reproduction runs on a laptop-scale simulator rather than a
 planetary device population, the generator supports scaling knobs
 (``rounds_scale``, ``demand_scale``, caps) that shrink job sizes while
-preserving the relative structure of the trace; EXPERIMENTS.md records the
-values used for each reproduced table/figure.
+preserving the relative structure of the trace; the presets of
+:mod:`repro.experiments.config` hold the values every reproduced table and
+figure uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -106,6 +108,12 @@ class WorkloadConfig:
             )
         if not (0.0 < self.bias_fraction <= 1.0):
             raise ValueError("bias_fraction must be in (0, 1]")
+        # NaN fails every comparison below, and an infinite deadline passes
+        # them: check finiteness first, so neither reaches ``generate``.
+        for name in ("mean_interarrival", "deadline_min", "deadline_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite (got {value})")
         if self.mean_interarrival < 0:
             raise ValueError("mean_interarrival must be non-negative")
         if self.deadline_min <= 0 or self.deadline_max < self.deadline_min:
@@ -126,9 +134,6 @@ class Workload:
 
     def __len__(self) -> int:
         return len(self.jobs)
-
-    def jobs_in_category(self, category: str) -> List[JobSpec]:
-        return [j for j in self.jobs if self.categories.get(j.job_id) == category]
 
     @property
     def total_demand(self) -> int:

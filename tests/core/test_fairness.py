@@ -20,6 +20,14 @@ class TestFairnessController:
         long = make_job(rounds=20, base_task_duration=60.0)
         assert default_solo_jct_estimator(long) > default_solo_jct_estimator(short)
 
+    def test_register_defaults_to_the_solo_estimator(self):
+        ctrl = FairnessController(epsilon=1.0)
+        job = make_job(job_id=1, rounds=4, base_task_duration=60.0)
+        ctrl.register_job(job, now=0.0)
+        assert ctrl.fair_share_jct(1, num_active_jobs=3) == (
+            3 * default_solo_jct_estimator(job)
+        )
+
     def test_register_rejects_nonpositive_solo_jct(self):
         ctrl = FairnessController(epsilon=1.0)
         with pytest.raises(ValueError):
@@ -71,17 +79,12 @@ class TestFairnessController:
         )
         assert boosted > 2.0
 
-    def test_meets_fair_share(self):
-        ctrl = FairnessController(epsilon=1.0)
-        ctrl.register_job(make_job(job_id=1), now=0.0, solo_jct=100.0)
-        assert ctrl.meets_fair_share(1, jct=300.0, num_active_jobs=4)
-        assert not ctrl.meets_fair_share(1, jct=500.0, num_active_jobs=4)
-
     def test_forget_job(self):
         ctrl = FairnessController(epsilon=1.0)
         ctrl.register_job(make_job(job_id=1), now=0.0, solo_jct=100.0)
         ctrl.forget_job(1)
-        assert not ctrl.is_tracked(1)
+        # An untracked job's demand is not adjusted.
+        assert ctrl.adjusted_demand(1, 5.0, now=50.0, num_active_jobs=1) == 5.0
         # Forgetting twice is harmless.
         ctrl.forget_job(1)
 

@@ -75,25 +75,6 @@ class TestJobGroupRegistry:
         reg.upsert_job(1, GENERAL, remaining_demand=5, has_open_request=False)
         assert reg.group("general").head() is None
 
-    def test_remove_job_drops_empty_groups(self):
-        reg = JobGroupRegistry()
-        reg.upsert_job(1, HIGH_PERFORMANCE, remaining_demand=5)
-        reg.remove_job(1)
-        assert len(reg) == 0
-        assert "high_performance" not in reg
-
-    def test_group_of_job(self):
-        reg = JobGroupRegistry()
-        reg.upsert_job(1, GENERAL, remaining_demand=5)
-        assert reg.group_of_job(1).key == "general"
-        assert reg.group_of_job(99) is None
-
-    def test_total_remaining_demand(self):
-        reg = JobGroupRegistry()
-        reg.upsert_job(1, GENERAL, remaining_demand=5)
-        reg.upsert_job(2, GENERAL, remaining_demand=7, has_open_request=False)
-        assert reg.group("general").total_remaining_demand == 5
-
     def test_from_jobs_snapshot(self):
         jobs = {
             1: make_job(1, GENERAL, demand=10),

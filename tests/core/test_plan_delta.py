@@ -303,11 +303,11 @@ class TestTriggerClassification:
         sched.on_job_arrival(job1, 0.0)
         sched.on_request_open(self._request(job1, 1), 0.0)
         sched.refresh_plan(1.0)
-        rebuilds = sched.plan_rebuilds
+        rebuilds = sched.plan_profile.full_rebuilds
         sched.on_job_arrival(job2, 2.0)
         sched.on_request_open(self._request(job2, 2), 2.0)
         sched.refresh_plan(3.0)
-        assert sched.plan_rebuilds == rebuilds  # served incrementally
+        assert sched.plan_profile.full_rebuilds == rebuilds  # served incrementally
         assert sched.plan_profile.incremental_updates == 1
         assert sched.plan_profile.triggers[Trigger.JOB_ARRIVAL] == 1
 
@@ -320,10 +320,10 @@ class TestTriggerClassification:
         sched.on_job_arrival(job1, 0.0)
         sched.on_request_open(self._request(job1, 1), 0.0)
         sched.refresh_plan(1.0)
-        rebuilds = sched.plan_rebuilds
+        rebuilds = sched.plan_profile.full_rebuilds
         sched.on_job_arrival(job2, 2.0)
         sched.refresh_plan(3.0)
-        assert sched.plan_rebuilds == rebuilds + 1
+        assert sched.plan_profile.full_rebuilds == rebuilds + 1
         # Two new-requirement arrivals: job1's (first ever) and job2's.
         assert (
             sched.plan_profile.triggers[Trigger.JOB_ARRIVAL_NEW_REQUIREMENT]
@@ -337,10 +337,10 @@ class TestTriggerClassification:
         for job in (job1, job2):
             sched.on_job_arrival(job, 0.0)
         sched.refresh_plan(1.0)
-        rebuilds = sched.plan_rebuilds
+        rebuilds = sched.plan_profile.full_rebuilds
         sched.on_job_finished(2, 2.0)  # last compute_rich job
         sched.refresh_plan(3.0)
-        assert sched.plan_rebuilds == rebuilds + 1
+        assert sched.plan_profile.full_rebuilds == rebuilds + 1
         assert (
             sched.plan_profile.triggers[Trigger.JOB_DEPARTURE_LAST_IN_GROUP]
             == 1

@@ -48,24 +48,6 @@ class TestEligibilityRequirement:
         with pytest.raises(ValueError):
             EligibilityRequirement("x", min_memory=-0.1)
 
-    def test_subsumes(self):
-        assert GENERAL.subsumes(HIGH_PERFORMANCE)
-        assert GENERAL.subsumes(COMPUTE_RICH)
-        assert not HIGH_PERFORMANCE.subsumes(GENERAL)
-        assert COMPUTE_RICH.subsumes(HIGH_PERFORMANCE)
-        assert not COMPUTE_RICH.subsumes(MEMORY_RICH)
-
-    def test_intersects_threshold_requirements(self):
-        # Threshold requirements always share the (1, 1) corner.
-        assert COMPUTE_RICH.intersects(MEMORY_RICH)
-        assert MEMORY_RICH.intersects(COMPUTE_RICH)
-
-    def test_intersects_respects_data_domains(self):
-        emoji = EligibilityRequirement("emoji", data_domain="emoji")
-        speech = EligibilityRequirement("speech", data_domain="speech")
-        assert not emoji.intersects(speech)
-        assert emoji.intersects(GENERAL)
-
 
 class TestSignature:
     def test_signature_of_default_categories(self):
@@ -118,8 +100,9 @@ class TestAtomSpace:
             "compute_rich"
         )
         assert space.eligible_atoms("compute_rich") <= space.eligible_atoms("general")
-        assert space.contains("general", "high_performance")
-        assert not space.contains("high_performance", "general")
+        assert not space.eligible_atoms("general") <= space.eligible_atoms(
+            "high_performance"
+        )
 
     def test_observed_signature_registers_an_atom(self, categories):
         space = AtomSpace(categories)

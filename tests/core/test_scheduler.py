@@ -47,8 +47,6 @@ class TestVennSchedulerConstruction:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             VennScheduler(num_tiers=0)
-        with pytest.raises(ValueError):
-            VennScheduler(demand_mode="banana")
 
     def test_ablation_names(self):
         assert VennScheduler().name == "venn"
@@ -100,18 +98,18 @@ class TestVennSchedulerAssignment:
         chosen = sched.assign(new, now=10.0)
         assert chosen.job_id == 2
 
-    def test_demand_mode_round_uses_request_remaining(self):
-        sched = VennScheduler(seed=0, demand_mode="round")
-        # Job 1: huge total demand but tiny current round; job 2 the reverse.
-        r1 = open_request(sched, make_job(1, GENERAL, demand=3, rounds=50), request_id=1)
+    def test_intra_group_order_uses_total_remaining_demand(self):
+        """§4.2.1 orders by demand over every remaining round, not by the
+        open request's: job 1's small round does not outrank job 2."""
+        sched = VennScheduler(seed=0)
+        open_request(sched, make_job(1, GENERAL, demand=3, rounds=50), request_id=1)
         open_request(sched, make_job(2, GENERAL, demand=10, rounds=1), request_id=2)
         *seen, new = bind_devices(
             sched, [make_device(device_id=i) for i in (*range(5), 999)]
         )
         feed_checkins(sched, seen)
         chosen = sched.assign(new, now=10.0)
-        assert chosen.job_id == 1
-        assert r1.remaining_demand == 3  # not assigned by the engine here
+        assert chosen.job_id == 2
 
     def test_work_conserving_fallback_across_groups(self):
         """When the owning group needs nothing, devices flow to other groups."""
@@ -142,7 +140,8 @@ class TestVennSchedulerAssignment:
         sched = VennScheduler(seed=0)
 
         def refreshes():
-            return sched.plan_rebuilds + sched.plan_profile.incremental_updates
+            profile = sched.plan_profile
+            return profile.full_rebuilds + profile.incremental_updates
 
         bind_devices(sched, [make_device(device_id=i) for i in (1, 2, 3)])
         open_request(sched, make_job(1, GENERAL, demand=5), request_id=1)
@@ -166,14 +165,14 @@ class TestVennSchedulerAssignment:
         bind_devices(sched, [make_device(device_id=i) for i in (1, 2, 3)])
         open_request(sched, make_job(1, GENERAL, demand=5), request_id=1)
         sched.assign(1, 1.0)
-        rebuilds = sched.plan_rebuilds
+        rebuilds = sched.plan_profile.full_rebuilds
         request2 = open_request(sched, make_job(2, GENERAL, demand=5), request_id=2)
         sched.assign(2, 2.0)
-        assert sched.plan_rebuilds > rebuilds
+        assert sched.plan_profile.full_rebuilds > rebuilds
         complete(request2, 3.0)
         sched.on_request_closed(request2, 3.0)
         sched.assign(3, 4.0)
-        assert sched.plan_rebuilds > rebuilds + 1
+        assert sched.plan_profile.full_rebuilds > rebuilds + 1
         assert sched.plan_profile.incremental_updates == 0
 
 
@@ -296,7 +295,7 @@ class TestVennSchedulerLifecycle:
         sched.on_job_finished(1, 10.0)
         assert 1 not in sched.jobs
         assert 1 not in sched._matchers
-        assert not sched.fairness.is_tracked(1)
+        assert 1 not in sched.fairness._records  # forgotten
         (device_id,) = bind_devices(sched, [make_device()])
         assert sched.assign(device_id, 11.0) is None
 

@@ -12,6 +12,13 @@ SIG_A = frozenset({"general"})
 SIG_B = frozenset({"general", "high_performance"})
 
 
+def count_in_window(est, signature, now):
+    """Check-ins of ``signature`` the estimator still holds at ``now`` —
+    the count :meth:`SupplyEstimator.rates` divides by the span."""
+    est._prune(signature, now)
+    return est._counts.get(signature, 0)
+
+
 class TestSupplyEstimator:
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -35,35 +42,21 @@ class TestSupplyEstimator:
         est.record_checkin(SIG_A, 0.0)
         est.record_checkin(SIG_B, 1.0)
         est.record_checkin(SIG_A, 2.0)
-        assert est.count_in_window(SIG_A, 10.0) == 2
-        assert est.count_in_window(SIG_B, 10.0) == 1
+        assert count_in_window(est, SIG_A, 10.0) == 2
+        assert count_in_window(est, SIG_B, 10.0) == 1
 
     def test_old_events_pruned(self):
         est = SupplyEstimator(window=50.0)
         est.record_checkin(SIG_A, 0.0)
         est.record_checkin(SIG_A, 10.0)
         est.record_checkin(SIG_A, 100.0)
-        assert est.count_in_window(SIG_A, 100.0) == 1
+        assert count_in_window(est, SIG_A, 100.0) == 1
 
     def test_out_of_order_rejected(self):
         est = SupplyEstimator()
         est.record_checkin(SIG_A, 50.0)
         with pytest.raises(ValueError):
             est.record_checkin(SIG_A, 10.0)
-
-    def test_rate_for_atoms_sums(self):
-        est = SupplyEstimator(window=100.0)
-        for t in range(0, 100, 10):
-            est.record_checkin(SIG_A if t % 20 == 0 else SIG_B, float(t))
-        total = est.rate_for_atoms([SIG_A, SIG_B], now=95.0)
-        assert total == pytest.approx(est.rate(SIG_A, 95.0) + est.rate(SIG_B, 95.0))
-
-    def test_rate_for_atoms_deduplicates(self):
-        est = SupplyEstimator(window=100.0)
-        est.record_checkin(SIG_A, 1.0)
-        one = est.rate_for_atoms([SIG_A], now=10.0)
-        two = est.rate_for_atoms([SIG_A, frozenset(SIG_A)], now=10.0)
-        assert one == pytest.approx(two)
 
     def test_prior_rates_used_before_observations(self):
         est = SupplyEstimator(window=100.0, prior_rates={SIG_A: 0.5})
@@ -195,7 +188,7 @@ class TestBucketAgingBoundary:
             while cursor < len(events) and events[cursor] <= now:
                 est.record_checkin(SIG_A, events[cursor])
                 cursor += 1
-            got = est.count_in_window(SIG_A, now)
+            got = count_in_window(est, SIG_A, now)
             exact, loose = self._bounds(events[:cursor], now, width)
             assert exact <= got <= loose, (
                 f"count_in_window({now}) = {got} outside exact-window "
@@ -213,9 +206,9 @@ class TestBucketAgingBoundary:
         est = SupplyEstimator(window=self.WINDOW, num_buckets=self.BUCKETS)
         est.record_checkin(SIG_A, 20.0)
         # now - window == 20.0 exactly: the event sits on the closed edge.
-        assert est.count_in_window(SIG_A, 120.0) == 1
+        assert count_in_window(est, SIG_A, 120.0) == 1
         # One bucket later the whole bucket [20, 30) has aged out.
-        assert est.count_in_window(SIG_A, 130.0) == 0
+        assert count_in_window(est, SIG_A, 130.0) == 0
 
     def test_float_boundary_just_below_multiple(self):
         # 29.999999999999996 is the largest float below 30.0: bucket 2,
@@ -226,8 +219,8 @@ class TestBucketAgingBoundary:
         est.record_checkin(SIG_A, t)
         # Bucket [20, 30) retires once (2+1)*10 <= now - 100, i.e. at
         # now >= 130; at any query below that the event is still counted.
-        assert est.count_in_window(SIG_A, 129.9999) == 1
-        assert est.count_in_window(SIG_A, 130.0) == 0
+        assert count_in_window(est, SIG_A, 129.9999) == 1
+        assert count_in_window(est, SIG_A, 130.0) == 0
 
     @given(
         events=st.lists(
@@ -298,7 +291,7 @@ class TestBatchRecordEquivalence:
         assert self._state(batched) == self._state(scalar)
         for sig in table:
             now = data[-1][1] + 50.0
-            assert batched.count_in_window(sig, now) == scalar.count_in_window(
+            assert count_in_window(batched, sig, now) == count_in_window(scalar, 
                 sig, now
             )
             assert batched.rate(sig, now) == scalar.rate(sig, now)

@@ -235,16 +235,6 @@ class TestEnginePlumbing:
             assert copies[1].simulation.seed != cfg.simulation.seed
             assert copies[4].simulation.horizon == 3600.0
 
-    def test_invalid_plan_maintenance_rejected(self):
-        from dataclasses import replace
-
-        import pytest
-
-        from repro.experiments.config import quick_config
-
-        with pytest.raises(ValueError, match="plan_maintenance"):
-            replace(quick_config(), plan_maintenance="lazy")
-
     def test_run_policy_honours_engine_knob(self):
         """endtoend.run_policy inherits the engine choice from the config;
         fleet and single-queue runs agree bit-for-bit."""
@@ -268,3 +258,23 @@ class TestEnginePlumbing:
             j: m.jct for j, m in fleet.jobs.items()
         }
         assert single.total_checkins == fleet.total_checkins
+
+    def test_run_policy_reaches_the_plan_oracle_through_policy_kwargs(self):
+        """The experiment config holds no plan-maintenance field: the
+        from-scratch oracle is a Venn keyword, and it decides as the
+        incremental default does."""
+        from dataclasses import replace
+
+        from repro.experiments.config import quick_config
+        from repro.experiments.endtoend import run_policy
+        from repro.experiments.environment import build_environment
+        from repro.resilience import metrics_digest
+
+        env = build_environment(
+            replace(quick_config(seed=3).with_jobs(4), num_devices=200)
+        )
+        full = run_policy(env, "venn", {"plan_maintenance": "full"})
+        incremental = run_policy(env, "venn")
+        assert full.plan_maintenance["incremental_updates"] == 0
+        assert incremental.plan_maintenance["incremental_updates"] > 0
+        assert metrics_digest(full) == metrics_digest(incremental)

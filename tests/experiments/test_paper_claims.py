@@ -176,16 +176,6 @@ class TestVennComponents:
         }
         assert max(by_tiers[2], by_tiers[3], by_tiers[4]) >= by_tiers[1] * 0.85
 
-    @pytest.mark.parametrize(
-        "variant", [{"enable_reallocation": False}, {"demand_mode": "round"}]
-    )
-    def test_design_variants_run_the_workload(self, config, demand_runs, variant):
-        metrics = run_scenario(
-            config, "even", ("venn",), policy_kwargs={"venn": variant}
-        )["venn"]
-        assert len(metrics.jobs) == config.num_jobs
-        assert speedup(demand_runs["even"]["random"], metrics) > 0
-
 
 class TestAccuracy:
     def test_fig4_contention_costs_accuracy(self):

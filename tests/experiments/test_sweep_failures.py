@@ -1,8 +1,9 @@
 """Fault-tolerant sweep runner: one broken cell must not sink the sweep.
 
-Covers the failed-row contract (provenance + error + traceback +
-attempts), retry accounting, aggregation skipping failed rows, worker-count
-byte-identity *with* a failing cell in the matrix, and the CLI exit code.
+Covers the failed-row contract (provenance + error + traceback, exactly
+those keys), one run per raising cell, aggregation skipping failed rows,
+worker-count byte-identity *with* a failing cell in the matrix, and the CLI
+exit code.
 """
 
 from __future__ import annotations
@@ -17,6 +18,12 @@ from repro.experiments.sweep import plan_cells, run_sweep
 
 TINY_SCENARIOS = ("even", "flash_crowd")
 TINY_POLICIES = ("random",)
+
+#: Every key of a failed row: provenance, status, error and traceback.
+FAILED_ROW_KEYS = {
+    "cell", "scenario", "policy", "seed_index", "entropy",
+    "status", "error", "traceback",
+}
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +43,7 @@ class TestFailedRows:
         assert failed["entropy"] == tiny_cells[0].entropy
         assert "RuntimeError" in failed["error"]
         assert "injected sweep-cell crash" in failed["traceback"]
-        assert failed["attempts"] == 1
+        assert set(failed) == FAILED_ROW_KEYS
         assert ok["status"] == "ok"
         assert ok["average_jct"] > 0
 
@@ -44,21 +51,23 @@ class TestFailedRows:
         rows = run_sweep(tiny_cells, workers=1, inject_crash_cells=(0,))
         assert json.loads(json.dumps(rows[0])) == rows[0]
 
-    def test_retries_are_counted(self, tiny_cells):
-        rows = run_sweep(
-            tiny_cells, workers=1, inject_crash_cells=(0,), max_cell_retries=2
-        )
-        # The injected crash raises on every attempt: 1 try + 2 retries.
-        assert rows[0]["attempts"] == 3
-        assert rows[0]["status"] == "failed"
+    def test_a_raising_cell_runs_once(self, tiny_cells, monkeypatch):
+        """A cell is a deterministic function of its inputs, so it is not
+        retried: a retry would raise the same exception again."""
+        calls = []
+
+        def raising(cell, preset="quick", smoke=False):
+            calls.append(cell.index)
+            raise ValueError("boom")
+
+        monkeypatch.setattr(sweep, "run_cell", raising)
+        rows = run_sweep(tiny_cells, workers=1)
+        assert calls == [cell.index for cell in tiny_cells]
+        assert [row["error"] for row in rows] == ["ValueError: boom"] * 2
 
     def test_unknown_crash_cell_rejected(self, tiny_cells):
         with pytest.raises(ValueError, match="unknown cell"):
             run_sweep(tiny_cells, inject_crash_cells=(99,))
-
-    def test_negative_retries_rejected(self, tiny_cells):
-        with pytest.raises(ValueError, match="max_cell_retries"):
-            run_sweep(tiny_cells, max_cell_retries=-1)
 
 
 class TestWorkerIndependence:
@@ -121,6 +130,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 1
         assert "1 cell(s) failed" in captured.err
+
+    def test_removed_retry_flag_is_an_error(self, capsys):
+        """A script still passing ``--max-cell-retries`` fails loudly
+        rather than running with the flag ignored."""
+        with pytest.raises(SystemExit) as exc:
+            sweep.main(["--smoke", "--max-cell-retries", "2"])
+        assert exc.value.code == 2
+        assert "--max-cell-retries" in capsys.readouterr().err
 
     def test_exit_code_zero_without_failures(self, capsys):
         rc = sweep.main(

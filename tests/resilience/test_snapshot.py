@@ -98,7 +98,7 @@ class TestVectorizedDevicesAcrossSnapshots:
 
     def test_resumed_run_builds_devices_from_the_restored_arrays(self):
         snap = killed_mid_run(**self.MODE)
-        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 12
+        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 13
         resumed = Simulator.resume(snap, crash_at_event=None)
         assert resumed._devices is None
         # Mid-run read on the resumed simulator: the checkpoint's state.
@@ -121,9 +121,9 @@ class TestVectorizedDevicesAcrossSnapshots:
 
     def test_reading_devices_does_not_put_them_into_snapshots(self):
         sim = build_sim(**self.MODE)
-        plain = sim.snapshot().size_bytes
+        plain = len(sim.snapshot().payload)
         assert len(sim.devices) == 40
-        assert sim.snapshot().size_bytes == plain
+        assert len(sim.snapshot().payload) == plain
         assert Simulator.resume(sim.snapshot())._devices is None
 
     def test_scalar_snapshots_still_carry_the_runtimes(self):
@@ -169,7 +169,7 @@ class TestCheckpointing:
         sim = build_sim()
         snap = sim.snapshot()
         assert isinstance(snap, SimulationSnapshot)
-        assert snap.size_bytes == len(snap.payload) > 0
+        assert len(snap.payload) > 0
 
     def test_resume_accepts_raw_bytes(self):
         sim = build_sim()
@@ -400,6 +400,34 @@ class TestCheckpointing:
         )
         with pytest.raises(AttributeError, match="'row'"):
             Simulator.resume(payload, crash_at_event=None).run()
+
+    def test_format_12_snapshot_is_refused_up_front(self, monkeypatch):
+        """Format 12 pickled Venn's ``enable_reallocation``, ``demand_mode``
+        and ``plan_rebuilds`` and the latency config's ``duration_scale``.
+        A format-12 payload decodes, but a run resumed from it would drop
+        any of those knobs it was armed with; the version check refuses it
+        first."""
+        sim = Simulator.resume(killed_mid_run(vectorized=True))
+        venn = sim.policy._inner
+        venn.__dict__.update(
+            enable_reallocation=False, demand_mode="round", plan_rebuilds=3
+        )
+        sim.config.latency.__dict__["duration_scale"] = 2.0
+        monkeypatch.setattr(engine_module, "SNAPSHOT_FORMAT_VERSION", 12)
+        payload = sim.snapshot().payload
+        monkeypatch.undo()
+        with pytest.raises(SnapshotError, match="format version 12 "):
+            Simulator.resume(payload)
+        # Without the check the stale knobs are silently ignored: the run
+        # is the one an unarmed snapshot gives.
+        plain = Simulator.resume(
+            killed_mid_run(vectorized=True), crash_at_event=None
+        )
+        monkeypatch.setattr(
+            engine_module, "_check_format_version", lambda version: None
+        )
+        stale = Simulator.resume(payload, crash_at_event=None)
+        assert stale.run().job_jcts() == plain.run().job_jcts()
 
     def test_resume_reattaches_checkpoint_sink(self):
         """The sink is dropped from snapshots and must be re-suppliable at

@@ -368,7 +368,7 @@ class TestNetworkScenarios:
         model = ResponseLatencyModel(
             cfg.simulation.latency, per_device_entropy=123
         )
-        names = {model.link_tier_name(d) for d in range(300)}
+        names = {tiers[model.link_tier(d)][0] for d in range(300)}
         assert names == {"fiber", "broadband", "cellular"}
 
     def test_regional_outage_transform_knob_validation(self):

@@ -308,6 +308,34 @@ class TestEngineValidation:
         )
 
 
+class TestJobCategories:
+    """A job's metrics category: the workload's category map, else the
+    name of the job's requirement."""
+
+    def _categories(self, workload):
+        devices = [make_device(device_id=i, cpu=0.9, mem=0.9) for i in range(4)]
+        metrics = run_simulation(
+            devices, always_on_trace(4, 2_000.0), workload, FIFOPolicy(),
+            sim_config(2_000.0),
+        )
+        return {job_id: jm.category for job_id, jm in metrics.jobs.items()}
+
+    def test_a_job_list_is_categorised_by_requirement(self):
+        jobs = [make_job(1, GENERAL, demand=2), make_job(2, HIGH_PERFORMANCE, demand=2)]
+        assert self._categories(jobs) == {1: "general", 2: "high_performance"}
+
+    def test_a_workload_map_wins_and_gaps_fall_back(self):
+        from repro.traces.job_trace import JobDemandTrace
+        from repro.traces.workloads import Workload, WorkloadConfig
+
+        jobs = [make_job(1, GENERAL, demand=2), make_job(2, GENERAL, demand=2)]
+        workload = Workload(
+            config=WorkloadConfig(num_jobs=2), jobs=jobs,
+            trace=JobDemandTrace(), categories={1: "keyboard"},
+        )
+        assert self._categories(workload) == {1: "keyboard", 2: "general"}
+
+
 class TestMultiPolicyIntegration:
     def _environment(self):
         rng = np.random.default_rng(0)

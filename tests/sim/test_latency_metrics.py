@@ -23,8 +23,6 @@ class TestLatencyModel:
             LatencyConfig(compute_sigma=-1)
         with pytest.raises(ValueError):
             LatencyConfig(comm_min=10, comm_max=5)
-        with pytest.raises(ValueError):
-            LatencyConfig(duration_scale=0)
 
     def test_durations_positive_and_scale_with_speed(self):
         model = ResponseLatencyModel(per_device_entropy=0)
@@ -61,17 +59,6 @@ class TestLatencyModel:
         model = ResponseLatencyModel(per_device_entropy=3)
         solid = make_device(reliability=1.0)
         assert not any(model.sample_failure(solid) for _ in range(200))
-
-    def test_duration_scale(self):
-        job = make_job(base_task_duration=60.0)
-        device = make_device()
-        base, double = (
-            ResponseLatencyModel(LatencyConfig(duration_scale=s), per_device_entropy=4)
-            for s in (1.0, 2.0)
-        )
-        assert double.expected_duration(job, device) > base.expected_duration(
-            job, device
-        )
 
 
 def _job_metrics(job_id, jct, category="general", total_demand=100, arrival=0.0,

@@ -104,14 +104,14 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "name",
         [
-            "compute_sigma", "comm_min", "comm_max", "duration_scale",
+            "compute_sigma", "comm_min", "comm_max",
             "loss_rate", "max_retries", "retry_backoff",
             "flap_period", "flap_duration", "flap_loss_rate",
         ],
     )
     def test_non_finite_knobs_are_rejected(self, name, value):
-        # NaN slips past every ``x < 0`` check: a NaN duration_scale used
-        # to run a cell in which no job completed, and no error was raised.
+        # NaN slips past every ``x < 0`` check: a NaN knob used to run a
+        # cell in which no job completed, and no error was raised.
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             LatencyConfig(**{name: value})
 
@@ -275,7 +275,7 @@ class TestLinkTiers:
         a, b = self._model(), self._model()
         for device_id in range(200):
             assert a.link_tier(device_id) == b.link_tier(device_id)
-            assert a.link_tier_name(device_id) in ("fast", "slow")
+            assert a.link_tier(device_id) in (0, 1)
 
     def test_fractions_roughly_respected(self):
         model = self._model()
@@ -289,7 +289,6 @@ class TestLinkTiers:
         device = make_device(device_id=17)
         probed, plain = self._model(), self._model()
         probed.link_tier(device.device_id)
-        probed.link_tier_name(device.device_id)
         assert probed.sample_duration(job, device) == plain.sample_duration(
             job, device
         )
@@ -311,7 +310,6 @@ class TestLinkTiers:
     def test_untiered_model_reports_default_tier(self):
         model = ResponseLatencyModel(per_device_entropy=1)
         assert model.link_tier(0) == 0
-        assert model.link_tier_name(0) == "default"
 
     def test_tiers_accept_lists_from_scenario_overrides(self):
         cfg = LatencyConfig(link_tiers=[["a", 0.5, 1.0], ["b", 0.5, 2.0]])

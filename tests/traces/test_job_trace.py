@@ -93,12 +93,6 @@ class TestJobDemandTrace:
         assert low == {0, 1, 3}
         assert high == {2}
 
-    def test_percentile_split_monotone(self):
-        trace = JobTraceGenerator(seed=4).generate(300)
-        split = trace.percentile_split((25.0, 50.0, 75.0))
-        assert len(split[25.0]) <= len(split[50.0]) <= len(split[75.0])
-        assert len(split[75.0]) <= len(trace)
-
     @given(seed=st.integers(min_value=0, max_value=2000))
     @settings(max_examples=20, deadline=None)
     def test_scenario_pools_cover_trace(self, seed):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,19 @@ class TestWorkloadConfig:
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             WorkloadConfig(rounds_scale=0)
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    @pytest.mark.parametrize(
+        "name", ["mean_interarrival", "deadline_min", "deadline_max"]
+    )
+    def test_non_finite_times_are_rejected(self, name, value):
+        # A NaN mean inter-arrival fails ``> 0`` and used to put every
+        # arrival at 0.0; an infinite deadline used to fail only in
+        # ``generate``.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            WorkloadConfig(**{name: value})
 
 
 class TestWorkloadGenerator:
@@ -76,7 +91,8 @@ class TestWorkloadGenerator:
             num_jobs=200, scenario="even", category_bias="compute_heavy"
         )
         wl = WorkloadGenerator(cfg, seed=2).generate()
-        share = len(wl.jobs_in_category("compute_rich")) / len(wl)
+        focal = [j for j in wl.jobs if wl.categories[j.job_id] == "compute_rich"]
+        share = len(focal) / len(wl)
         assert 0.35 < share < 0.65  # ~50% focal
 
     def test_deadline_grows_with_demand(self):

@@ -1,4 +1,5 @@
-"""Per-device PCG64 streams, stepped in lockstep as numpy columns.
+"""Per-device PCG64 streams, stepped in lockstep as numpy columns, and the
+word decoders numpy's draws reduce to on their fast paths.
 
 Every device draws from its own stream, numpy's
 ``default_rng(SeedSequence(entropy, spawn_key=(device_id,)))``.  Because the
@@ -16,12 +17,18 @@ array holding every device id.  PCG64's ``srandom`` and its step are 128-bit
 multiply-adds, done as 64-bit limbs with the ``64 x 64 -> 128`` product split
 into 32-bit halves.
 
-:class:`LockstepPCG64` decodes ``random()`` and the fast paths of numpy's
-ziggurat ``standard_exponential`` / ``standard_normal`` from one word per
-row (tables in :mod:`repro.traces.ziggurat`).  The 1–2 % of words that miss
-the fast path go to numpy's scalar sampler, run on that row's exact pre-draw
-state, and the row's state is read back afterwards — so every row stays in
-lockstep and there is no second per-device code path.
+:func:`decode_random`, :func:`decode_standard_exponential` and
+:func:`decode_standard_normal` turn an array of raw PCG64 output words into
+what numpy's ``random()`` and the fast paths of its ziggurat
+``standard_exponential`` / ``standard_normal`` make of each word (tables in
+:mod:`repro.traces.ziggurat`), with a mask of the words the fast path
+accepts.  Both block-wise generators decode with them: :class:`LockstepPCG64`
+one word per row, the capacity sampler one buffer of its single stream.
+
+:class:`LockstepPCG64` hands the 1–2 % of words that miss the fast path to
+numpy's scalar sampler, run on that row's exact pre-draw state, and reads the
+row's state back afterwards — so every row stays in lockstep and there is no
+second per-device code path.
 """
 
 from __future__ import annotations
@@ -135,6 +142,38 @@ def seed_states(entropy: int, device_ids: Sequence[int]) -> Limbs:
     return (*_step(state_hi, state_lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
+def decode_random(words: np.ndarray) -> np.ndarray:
+    """``Generator.random()`` of each word: its top 53 bits times 2**-53."""
+    return _to_float(words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def decode_standard_exponential(words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``Generator.standard_exponential()``'s ziggurat fast path on each word:
+    ``(values, fast)``, a value being the variate where ``fast`` holds."""
+    ri = words >> np.uint64(3)
+    idx = (ri & np.uint64(0xFF)).view(np.intp)
+    ri >>= np.uint64(8)
+    return _to_float(ri) * WE[idx], ri < KE[idx]
+
+
+def decode_standard_normal(words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``Generator.standard_normal()``'s ziggurat fast path on each word:
+    ``(values, fast)``, a value being the variate where ``fast`` holds."""
+    idx = (words & np.uint64(0xFF)).view(np.intp)
+    rabs = (words >> np.uint64(9)) & np.uint64(0x000FFFFFFFFFFFFF)
+    values = _to_float(rabs) * WI[idx]
+    # Negative where bit 8 of the word is set: that bit moved to the sign
+    # bit of the (non-negative) value.
+    values.view(np.uint64)[...] |= (words << np.uint64(55)) & np.uint64(1 << 63)
+    return values, rabs < KI[idx]
+
+
+def _to_float(small: np.ndarray) -> np.ndarray:
+    """``uint64`` words below 2**53 as exact ``float64``s, converted through
+    their ``int64`` reading (numpy's ``uint64`` conversion is slower)."""
+    return small.view(np.int64).astype(np.float64)
+
+
 def _slow_draws(draw: str, limbs: Limbs) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run numpy's scalar ``Generator.<draw>()`` once per row from the row's
     state; return the variates and the rows' states after the draw."""
@@ -182,49 +221,46 @@ class LockstepPCG64:
         return (value >> rot) | (value << ((np.uint64(64) - rot) & np.uint64(63)))
 
     def random(self) -> np.ndarray:
-        """``Generator.random()``: the top 53 bits of a word, times 2**-53."""
-        return (self._next_uint64() >> np.uint64(11)).astype(np.float64) * (
-            1.0 / 9007199254740992.0
-        )
+        """``Generator.random()``."""
+        return decode_random(self._next_uint64())
 
     def standard_exponential(self) -> np.ndarray:
         """``Generator.standard_exponential()``: the ziggurat's fast path
         decoded here, its misses delegated."""
         before = self.state_hi, self.state_lo
-        ri = self._next_uint64() >> np.uint64(3)
-        idx = (ri & np.uint64(0xFF)).astype(np.intp)
-        ri >>= np.uint64(8)
-        values = ri.astype(np.float64) * WE[idx]
-        self._delegate("standard_exponential", ri >= KE[idx], values, before)
+        values, fast = decode_standard_exponential(self._next_uint64())
+        self._delegate("standard_exponential", fast, values, before)
         return values
 
     def standard_normal(self) -> np.ndarray:
         """``Generator.standard_normal()``: the ziggurat's fast path decoded
         here, its misses delegated."""
         before = self.state_hi, self.state_lo
-        r = self._next_uint64()
-        idx = (r & np.uint64(0xFF)).astype(np.intp)
-        r >>= np.uint64(8)
-        rabs = (r >> np.uint64(1)) & np.uint64(0x000FFFFFFFFFFFFF)
-        values = rabs.astype(np.float64) * WI[idx]
-        np.negative(values, out=values, where=(r & np.uint64(1)).astype(bool))
-        self._delegate("standard_normal", rabs >= KI[idx], values, before)
+        values, fast = decode_standard_normal(self._next_uint64())
+        self._delegate("standard_normal", fast, values, before)
         return values
 
     def _delegate(
         self,
         draw: str,
-        miss: np.ndarray,
+        fast: np.ndarray,
         values: np.ndarray,
         before: Tuple[np.ndarray, np.ndarray],
     ) -> None:
-        """Redo the draws of the ``miss`` rows with numpy's scalar sampler,
-        from the states they had before this draw."""
-        rows = np.flatnonzero(miss)
+        """Redo the draws of the rows not ``fast`` with numpy's scalar
+        sampler, from the states they had before this draw."""
+        rows = np.flatnonzero(~fast)
         if rows.size:
             limbs = (before[0][rows], before[1][rows], self.inc_hi[rows], self.inc_lo[rows])
             after = _slow_draws(draw, limbs)
             values[rows], self.state_hi[rows], self.state_lo[rows] = after
 
 
-__all__ = ["LockstepPCG64", "check_device_ids", "seed_states"]
+__all__ = [
+    "LockstepPCG64",
+    "check_device_ids",
+    "decode_random",
+    "decode_standard_exponential",
+    "decode_standard_normal",
+    "seed_states",
+]

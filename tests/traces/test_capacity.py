@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,19 +59,49 @@ class TestCapacitySampler:
         devices = sampler.sample_devices(50, start_id=100)
         assert [d.device_id for d in devices] == list(range(100, 150))
 
+    @pytest.mark.parametrize("n, start_id", [(5, -3), (5, 2**63 - 2), (1, 2**63)])
+    def test_ids_outside_int64_are_refused_before_any_draw(self, n, start_id):
+        # -3 used to give ids -3..1, and 2**63 - 2 to wrap to -2**63.
+        sampler = CapacitySampler(seed=2)
+        before = sampler._rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"device ids must lie in \[0, 2\*\*63\)"):
+            sampler.sample_devices(n, start_id=start_id)
+        assert sampler._rng.bit_generator.state == before
+
+    def test_ids_reach_the_last_int64(self):
+        devices = CapacitySampler(seed=2).sample_devices(5, start_id=2**63 - 5)
+        assert devices.device_id.tolist() == list(range(2**63 - 5, 2**63))
+
     def test_speed_factor_decreases_with_capacity(self):
-        sampler = CapacitySampler(seed=3)
-        slow_estimates = [sampler.speed_factor(0.05, 0.05) for _ in range(50)]
-        fast_estimates = [sampler.speed_factor(0.95, 0.95) for _ in range(50)]
-        assert np.mean(fast_estimates) < np.mean(slow_estimates)
+        devices = CapacitySampler(seed=3).sample_devices(2000)
+        capability = 0.6 * devices.cpu_score + 0.4 * devices.memory_score
+        weak = devices.speed_factor[capability < np.quantile(capability, 0.1)]
+        strong = devices.speed_factor[capability > np.quantile(capability, 0.9)]
+        assert strong.mean() < weak.mean()
 
     def test_speed_factor_bounded_by_config(self):
         cfg = CapacityConfig(max_slowdown=4.0)
-        sampler = CapacitySampler(cfg, seed=4)
-        factors = [sampler.speed_factor(0.0, 0.0) for _ in range(200)]
-        # Noise is log-normal(0, 0.15): virtually everything below ~2x the base.
-        assert max(factors) < cfg.max_slowdown * 2.0
-        assert min(factors) > 0.0
+        factors = CapacitySampler(cfg, seed=4).sample_devices(2000).speed_factor
+        # Base at most max_slowdown; noise log-normal(0, 0.15): virtually
+        # everything below ~2x the base.
+        assert factors.max() < cfg.max_slowdown * 2.0
+        assert factors.min() > 0.0
+
+    def test_transient_memory_does_not_grow_with_n(self):
+        """The stream is decoded a bounded block of words at a time: what
+        ``sample_devices`` allocates beyond what it returns stays put."""
+
+        def transient(n):
+            tracemalloc.start()
+            try:
+                devices = CapacitySampler(seed=5).sample_devices(n)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(devices) == n
+            return peak - held
+
+        assert transient(80_000) <= transient(20_000)
 
     def test_determinism_under_seed(self):
         a = CapacitySampler(seed=9).sample_devices(20)

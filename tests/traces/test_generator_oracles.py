@@ -1,16 +1,19 @@
 """The block-wise trace generators against their per-device predecessors.
 
-``sample_devices`` and ``_columns`` below are the bodies the capacity sampler
-and the availability model had before they drew a device's domain uniforms
-with one ``random(out=row)``, derived domains, reliability and speed per block
-of devices, and drew sessions as standard variates and then for a block of
-devices in lockstep.  They survive here, and only here, as the oracles the
-generators must match number for number — the way ``test_streams.py`` keeps
-numpy's ``SeedSequence`` construction.
+``sample_devices`` (with the ``speed_factor`` it called) and ``_columns``
+below are the bodies the capacity sampler and the availability model had
+before they drew a device's domain uniforms with one ``random(out=row)``,
+derived domains, reliability and speed per block of devices and then decoded
+their one stream from raw words, and drew sessions as standard variates and
+then for a block of devices in lockstep.  They survive here, and only here,
+as the oracles the generators must match number for number — the generator
+state they leave included — the way ``test_streams.py`` keeps numpy's
+``SeedSequence`` construction.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from typing import Dict, List, Sequence, Tuple
 
@@ -26,12 +29,26 @@ from repro.traces.device_trace import DAY, DiurnalAvailabilityModel, DiurnalConf
 from tests.traces.test_streams import device_streams
 
 
+def speed_factor(self, cpu: float, mem: float) -> float:
+    """Task-duration multiplier for a device with the given scores.
+
+    The strongest devices (score ~1) run at factor ~1; the weakest run up
+    to ``max_slowdown`` times slower, with multiplicative log-normal noise
+    so that two devices with identical scores still differ a little.
+    """
+    cfg = self.config
+    capability = 0.6 * cpu + 0.4 * mem
+    base = 1.0 + (cfg.max_slowdown - 1.0) * (1.0 - capability)
+    noise = float(np.exp(self._rng.normal(0.0, 0.15)))
+    return float(base * noise)
+
+
 def sample_devices(self, n: int, start_id: int = 0) -> List[DeviceProfile]:
     """Sample a population of ``n`` devices."""
     cfg = self.config
     data_domains, p_domain = cfg.data_domains, cfg.domain_probability
     mean_reliability = cfg.mean_reliability
-    random, beta, speed_factor = self._rng.random, self._rng.beta, self.speed_factor
+    random, beta = self._rng.random, self._rng.beta
     devices: List[DeviceProfile] = []
     # One frozenset per distinct domain combination (at most
     # 2**len(data_domains)), shared by every device that drew it.
@@ -49,7 +66,7 @@ def sample_devices(self, n: int, start_id: int = 0) -> List[DeviceProfile]:
         elif reliability < 0.0:
             reliability = 0.0
         devices.append(
-            DeviceProfile(k, cpu, mem, speed_factor(cpu, mem), domains, reliability)
+            DeviceProfile(k, cpu, mem, speed_factor(self, cpu, mem), domains, reliability)
         )
     return devices
 
@@ -160,11 +177,12 @@ def test_sample_devices_matches_the_per_device_oracle(
 @pytest.mark.parametrize("block", [1, 3, 64])
 @pytest.mark.parametrize("num_domains", [0, 6, 70])
 def test_block_size_is_invisible(monkeypatch, block, num_domains):
-    """Many short blocks, a ragged last one, and mask buffers reused across
-    blocks give the oracle's population too."""
+    """Buffers shorter than one device (every device runs past its buffer
+    and is replayed), many short ones and a ragged last one give the
+    oracle's population too."""
     config = CapacityConfig(data_domains=SEVENTY[:num_domains])
     reference = sample_devices(CapacitySampler(config, 11), 200, start_id=5)
-    monkeypatch.setattr(capacity, "_BATCH", block)
+    monkeypatch.setattr(capacity, "_BLOCK_WORDS", block)
     devices = CapacitySampler(config, 11).sample_devices(200, start_id=5)
     assert [_fields(d) for d in devices] == [_fields(d) for d in reference]
 
@@ -180,6 +198,82 @@ def test_seventy_domains_intern_without_overflow():
     combinations = {d.data_domains for d in devices}
     assert len(combinations) < 5_000  # sets repeat, so sharing is exercised
     assert len({id(d.data_domains) for d in devices}) == len(combinations)
+
+
+def _assert_matches_oracle(config, seed, n, start_id=0):
+    new, old = CapacitySampler(config, seed), CapacitySampler(config, seed)
+    devices = new.sample_devices(n, start_id=start_id)
+    reference = sample_devices(old, n, start_id=start_id)
+    assert [_fields(d) for d in devices] == [_fields(d) for d in reference]
+    assert new._rng.bit_generator.state == old._rng.bit_generator.state
+
+
+def _spy(monkeypatch, name):
+    """Replace ``capacity.<name>`` by a wrapper that records each result."""
+    seen = []
+    function = getattr(capacity, name)
+
+    def spy(*args):
+        seen.append(function(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(capacity, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("num_domains", [0, 6, 70])
+def test_misses_are_replayed_by_numpy(monkeypatch, num_domains):
+    """On 5,000 devices some leave a fast path or straddle a buffer's end;
+    numpy's scalar calls draw them, and the population and the generator's
+    state are the per-device loop's."""
+    replays = _spy(monkeypatch, "_replay")
+    _assert_matches_oracle(CapacityConfig(data_domains=SEVENTY[:num_domains]), 5, 5_000)
+    assert 100 < len(replays) < 500
+
+
+def test_a_squeeze_reject_the_log_test_accepts(monkeypatch):
+    """Marsaglia–Tsang's squeeze rejects some X, U pairs that its log test
+    then accepts: those devices are decoded, not replayed."""
+    verdicts = _spy(monkeypatch, "_log_accepts")
+    _assert_matches_oracle(CapacityConfig(), 6, 5_000)
+    accepted = np.concatenate(verdicts)
+    assert accepted.any() and not accepted.all()
+
+
+def test_a_buffer_that_runs_short(monkeypatch):
+    """8,000 devices need more words than one buffer holds: the first block
+    ends at a device that runs past its buffer, and the next block starts
+    where numpy's calls for that device left the stream."""
+    blocks = _spy(monkeypatch, "_decode_block")
+    _assert_matches_oracle(CapacityConfig(), 8, 8_000, start_id=3)
+    sizes = [len(betas) for _, betas, _ in blocks]
+    assert len(sizes) == 2 and sum(sizes) == 8_000
+
+
+@pytest.mark.parametrize("towards", [-np.inf, np.inf])
+@pytest.mark.parametrize("x", [-2.0, -1.0, 0.5, 1.5, 2.5])
+def test_log_test_near_ties_follow_libm(monkeypatch, x, towards):
+    """Around ``U = exp(rhs)`` the two sides of the log test agree to the
+    last bits; the decision is libm's (``math.log``) even where ``np.log``
+    rounds the other way (here: made to, one ulp off)."""
+    b, c = capacity._GAMMA_B, capacity._GAMMA_C
+    v = 1.0 + c * x
+    v = v * v * v
+    rhs = 0.5 * x * x + b * ((1.0 - v) + math.log(v))
+    tie = math.exp(rhs)
+    u = tie + np.arange(-3, 4) * np.spacing(tie)
+    log = np.log
+    monkeypatch.setattr(np, "log", lambda a: np.nextafter(log(a), towards))
+    got = capacity._log_accepts(u, np.full(7, x), np.full(7, v))
+    assert got.tolist() == [math.log(k) < rhs for k in u.tolist()]
+
+
+def test_find_skips_a_match_across_two_words():
+    pattern = np.array([0x0123456789ABCDEF, 0xFEDCBA9876543210], np.uint64).tobytes()
+    raw = bytes(4) + pattern + bytes(4) + pattern
+    assert capacity._find(raw, 0, pattern) == 3
+    assert capacity._find(raw, 4, pattern) == -1
+    assert capacity._find(pattern, 0, pattern) == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""The lockstep per-device streams against numpy's own construction.
+"""The lockstep per-device streams and the word decoders against numpy.
 
 ``default_rng(SeedSequence(entropy, spawn_key=(device_id,)))`` is what the
 availability model used to build per device; it survives here, and only
@@ -6,6 +6,8 @@ here, as the oracle ``repro.traces.streams`` must match draw for draw.
 :func:`device_streams` — one reused ``Generator`` re-seeded per device from
 :func:`seed_states` — is the fast form of that oracle which
 ``test_generator_oracles.py`` drives its per-device session loop with.
+The word decoders, which the lockstep streams and the capacity sampler both
+decode with, are held word by word to numpy's own draws.
 """
 
 from __future__ import annotations
@@ -126,6 +128,30 @@ def test_lockstep_draws_equal_each_devices_generator(monkeypatch, entropy):
             streams.keep(keep)
             refs = [r for r, k in zip(refs, keep) if k]
     assert {"standard_exponential", "standard_normal"} <= set(delegated)
+
+
+@pytest.mark.parametrize("draw", DRAWS)
+def test_decoders_equal_numpy_word_by_word(draw):
+    """The word decoders both generators share: from every word of a stream,
+    numpy's draw takes that one word exactly where the decoder's fast mask
+    holds, and then returns the decoded value (sign of zero included)."""
+    words = np.random.PCG64(3).random_raw(3_000)
+    if draw == "random":
+        values, fast = streams_module.decode_random(words), np.ones(len(words), bool)
+    else:
+        values, fast = getattr(streams_module, f"decode_{draw}")(words)
+    bit_generator = np.random.PCG64(3)
+    sample = getattr(np.random.Generator(bit_generator), draw)
+    start = bit_generator.state
+    for k in range(len(words) - 1):
+        bit_generator.state = start
+        bit_generator.advance(k)
+        value = sample()
+        assert fast[k] == (bit_generator.random_raw() == words[k + 1]), k
+        if fast[k]:
+            assert value == values[k] and np.signbit(value) == np.signbit(values[k]), k
+    # Both ziggurat samplers leave their fast path on some of 3,000 words.
+    assert (~fast).any() == (draw != "random")
 
 
 def test_states_follow_the_order_of_the_ids():

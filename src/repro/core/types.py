@@ -117,12 +117,13 @@ _FLEET_COLUMNS = (
     ("reliability", np.float64),
     ("domain_id", np.int32),
 )
-#: A device's six values side by side, little-endian and unpadded (44 B),
-#: and the ``struct`` reading of one such record into Python values.
-_RECORD = np.dtype(
+#: A device's six values side by side, little-endian and unpadded (44 B):
+#: the record of :meth:`DeviceFleet.from_records`.  Below it, the ``struct``
+#: reading of one such record into Python values.
+FLEET_RECORD = np.dtype(
     [(name, np.dtype(dtype).newbyteorder("<")) for name, dtype in _FLEET_COLUMNS]
 )
-_RECORD_SIZE = _RECORD.itemsize
+_RECORD_SIZE = FLEET_RECORD.itemsize
 _unpack_record = struct.Struct("<qddddi").unpack_from
 
 # A fleet builds profiles from values its construction already checked, so
@@ -160,16 +161,20 @@ class DeviceFleet(Sequence):
     representation, the pattern of
     :class:`~repro.traces.device_trace.DeviceAvailabilityTrace`.  They are
     views of one buffer that keeps a device's six values side by side
-    (44 B), so building a profile reads one record, not six arrays — on a
-    fleet-engine day most builds land on a device no recent event touched,
-    and six cache misses cost more than the build itself.  And:
+    (44 B, :data:`FLEET_RECORD`), so building a profile reads one record,
+    not six arrays — on a fleet-engine day most builds land on a device no
+    recent event touched, and six cache misses cost more than the build
+    itself.  The buffer is written once: column by column from the
+    arguments, or filled by a builder and adopted by :meth:`from_records`
+    (the capacity sampler's way, with no second copy of the columns);
+    :meth:`take` indexes it and unpickling adopts the pickled one.  And:
 
     * it is a ``Sequence[DeviceProfile]``: ``fleet[i]`` builds a frozen
       :class:`DeviceProfile` on every access (nothing is retained, so two
       reads give equal profiles, not the same object), iteration builds
       one per step, and a slice is a fleet (:meth:`take`);
     * ``==`` compares two fleets column by column;
-    * it pickles as its columns;
+    * it pickles as its record buffer and domain sets;
     * :class:`DeviceProfile`'s checks run once, column-wise, at
       construction, with the same messages;
     * :meth:`rows` / :meth:`row` is the one device-id -> row rule.
@@ -185,29 +190,41 @@ class DeviceFleet(Sequence):
         domain_id: Iterable[int],
         domains: Iterable[Iterable[str]],
     ) -> None:
-        columns = [
-            np.asarray(values, dtype=dtype)
-            for values, (_, dtype) in zip(
-                (
-                    device_id,
-                    cpu_score,
-                    memory_score,
-                    speed_factor,
-                    reliability,
-                    domain_id,
-                ),
-                _FLEET_COLUMNS,
-            )
-        ]
-        if columns[0].ndim != 1 or any(
-            column.shape != columns[0].shape for column in columns
+        records = None
+        for (name, dtype), values in zip(
+            _FLEET_COLUMNS,
+            (device_id, cpu_score, memory_score, speed_factor, reliability, domain_id),
         ):
-            raise ValueError("fleet columns must be 1-d and equally long")
-        _, cpu, mem, speed, rel, dom = columns
-        for name, column in (("cpu_score", cpu), ("memory_score", mem)):
+            column = np.asarray(values, dtype=dtype)
+            if records is None and column.ndim == 1:
+                records = np.empty(len(column), dtype=FLEET_RECORD)
+            if records is None or column.shape != records.shape:
+                raise ValueError("fleet columns must be 1-d and equally long")
+            records[name] = column
+        self._check_and_adopt(records, domains)
+
+    @classmethod
+    def from_records(
+        cls, records: np.ndarray, domains: Iterable[Iterable[str]]
+    ) -> "DeviceFleet":
+        """The fleet whose records are ``records``, a 1-d array of
+        :data:`FLEET_RECORD` its builder filled field by field: adopted as
+        they are (made read-only, not copied) once the checks pass."""
+        if records.dtype != FLEET_RECORD or records.ndim != 1:
+            raise ValueError("fleet records must be a 1-d array of FLEET_RECORD")
+        fleet = _new(cls)
+        fleet._check_and_adopt(records, domains)
+        return fleet
+
+    def _check_and_adopt(self, records: np.ndarray, domains) -> None:
+        """:class:`DeviceProfile`'s checks, column-wise, then :meth:`_adopt`."""
+        for name in ("cpu_score", "memory_score"):
+            column = records[name]
             _check(
                 column, (column >= 0.0) & (column <= 1.0), f"{name} must be in [0, 1]"
             )
+        speed, rel = records["speed_factor"], records["reliability"]
+        dom = records["domain_id"]
         _check(
             speed,
             np.isfinite(speed) & (speed > 0),
@@ -222,7 +239,7 @@ class DeviceFleet(Sequence):
             (dom >= 0) & (dom < len(domains)),
             f"domain_id must index the {len(domains)} domain sets",
         )
-        self._adopt(columns, domains)
+        self._adopt(records, domains)
 
     @classmethod
     def of(cls, devices: Iterable[DeviceProfile]) -> "DeviceFleet":
@@ -242,12 +259,10 @@ class DeviceFleet(Sequence):
             tuple(index),
         )
 
-    def _adopt(self, columns, domains: Tuple[frozenset, ...]) -> None:
-        """Store ``columns`` as records, read-only; no checks."""
-        records = np.empty(len(columns[0]), dtype=_RECORD)
-        for (name, _), column in zip(_FLEET_COLUMNS, columns):
-            records[name] = column
+    def _adopt(self, records: np.ndarray, domains: Tuple[frozenset, ...]) -> None:
+        """Hold ``records`` as the fleet's, read-only; no checks."""
         records.flags.writeable = False
+        self._array = records
         for name, _ in _FLEET_COLUMNS:
             setattr(self, name, records[name])
         self.domains = domains
@@ -266,12 +281,13 @@ class DeviceFleet(Sequence):
     def take(self, index) -> "DeviceFleet":
         """The fleet of the devices at ``index`` (a slice or an array of
         positions), in that order."""
-        if not isinstance(index, slice):
-            index = np.asarray(index, dtype=np.intp)
+        if isinstance(index, slice):
+            # A slice is a view: copied, so it does not pin this buffer.
+            records = self._array[index].copy()
+        else:
+            records = self._array[np.asarray(index, dtype=np.intp)]
         fleet = _new(type(self))
-        fleet._adopt(
-            [getattr(self, name)[index] for name, _ in _FLEET_COLUMNS], self.domains
-        )
+        fleet._adopt(records, self.domains)
         return fleet
 
     def __len__(self) -> int:
@@ -358,15 +374,10 @@ class DeviceFleet(Sequence):
     __hash__ = None
 
     def __getstate__(self) -> dict:
-        state = {
-            name: np.ascontiguousarray(getattr(self, name))
-            for name, _ in _FLEET_COLUMNS
-        }
-        state["domains"] = self.domains
-        return state
+        return {"records": self._array, "domains": self.domains}
 
     def __setstate__(self, state: dict) -> None:
-        self._adopt([state[name] for name, _ in _FLEET_COLUMNS], state["domains"])
+        self._adopt(state["records"], state["domains"])
 
     def __repr__(self) -> str:
         return f"DeviceFleet({len(self)} devices, {len(self.domains)} domain sets)"
@@ -602,6 +613,7 @@ __all__ = [
     "Assignment",
     "DeviceFleet",
     "DeviceProfile",
+    "FLEET_RECORD",
     "JobSpec",
     "JobState",
     "RequestState",

@@ -168,7 +168,11 @@ class VectorDeviceState:
                     se_end[codes[co_pos[after]] >> 1],
                 )
         if ci_slots.size:
-            uci = np.unique(ci_slots)
+            # Distinct slots by a sort and an adjacent compare: a plain
+            # np.unique of integers takes numpy's hash path, several times
+            # slower here, and its first call imports numpy.ma.
+            uci = np.sort(ci_slots)
+            uci = uci[np.concatenate(([True], uci[1:] != uci[:-1]))]
             new_sess = se_end[codes[scr_pos[uci]] >> 1]
             sess[uci] = new_sess
             status[uci] = np.where(
@@ -177,7 +181,8 @@ class VectorDeviceState:
         if co_slots.size:
             only = scr_pos[co_slots] < 0
             if only.any():
-                uco = np.unique(co_slots[only])
+                uco = np.sort(co_slots[only])
+                uco = uco[np.concatenate(([True], uco[1:] != uco[:-1]))]
                 off = (status[uco] == STATUS_IDLE) & (
                     scr_send[uco] >= sess[uco]
                 )

@@ -26,10 +26,12 @@ When every draw takes numpy's first-try path a device uses exactly
 ``bit_generator.random_raw`` words at a time, tests every word as a device
 start with numpy's own arithmetic (the word decoders of
 :mod:`repro.traces.streams`, Marsaglia–Tsang's squeeze and log test for the
-gamma), walks the chain of starts, and has numpy's scalar calls draw the ≈ 5 %
-of devices that leave a fast path or run past the block.  Everything derived
-from the draws — domain sets, reliability, speed — is computed per block in
-numpy, straight into the columns of the returned
+gamma), walks the chain of starts, and has the scalar samplers of
+:mod:`repro.traces.streams` — numpy's C slow paths, replicated — draw the
+≈ 5 % of devices that leave a fast path from the words that follow their
+start; a device that runs past the block starts the next one.  Everything
+derived from the draws — domain sets, reliability, speed — is computed per
+block in numpy, straight into the record buffer of the returned
 :class:`~repro.core.types.DeviceFleet`; no ``DeviceProfile`` is built.
 ``_BLOCK_WORDS`` is a memory bound: it caps the block's transients, not the
 work.  The per-device loop survives only as the oracle of
@@ -48,7 +50,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core.requirements import DEFAULT_CATEGORIES, EligibilityRequirement
-from ..core.types import DeviceFleet, DeviceProfile
+from ..core.types import FLEET_RECORD, DeviceFleet, DeviceProfile
 from . import streams
 
 #: Minimum hardware requirements of the three on-device models annotated in
@@ -157,60 +159,46 @@ class CapacitySampler:
         cfg = self.config
         data_domains, p_domain = cfg.data_domains, cfg.domain_probability
         num_domains = len(data_domains)
+        # The fleet's records, filled in place: no second copy of a column.
+        records = np.empty(n, dtype=FLEET_RECORD)
+        records["device_id"] = np.arange(start_id, start_id + n, dtype=np.int64)
         scores = self.sample_scores(n)
-        cpus, mems = scores[:, 0].copy(), scores[:, 1].copy()
+        cpus, mems = records["cpu_score"], records["memory_score"]
+        cpus[:], mems[:] = scores[:, 0], scores[:, 1]
         del scores
-        speeds, reliabilities = np.empty(n), np.empty(n)
-        domain_ids = np.empty(n, dtype=np.int32)
-        key_bytes = num_domains // 8 + 1
         # One frozenset per distinct combination, shared by every device that
-        # drew it; its id is given the first time its mask turns up.
-        by_mask: Dict[bytes, int] = {}
+        # drew it; its id is given in the first block its mask turns up in.
+        by_mask: Dict[object, int] = {}
         domain_index: Dict[frozenset, int] = {}
         bit_generator = self._rng.bit_generator
         span = num_domains + 4
+        # ``carry``: the words, drawn and not yet used, of a device that ran
+        # past its block.  A device takes at least ``span`` words, and that
+        # one more than ``carry`` holds, so no block draws a word past the
+        # last device's: the generator is left where the per-device calls
+        # leave it, with nothing to rewind.
+        carry = np.empty(0, dtype=np.uint64)
         lo = 0
         while lo < n:
-            # ``span`` words a device unless it is replayed: one spare each.
-            left = n - lo
-            words = bit_generator.random_raw(
-                max(span, min(_BLOCK_WORDS, left * (span + 1)))
-            )
-            uniforms, betas, noises = _decode_block(self._rng, words, num_domains, left)
+            size = max(span, len(carry) + 1, min(_BLOCK_WORDS, (n - lo) * span))
+            words = np.concatenate((carry, bit_generator.random_raw(size - len(carry))))
+            uniforms, betas, noises, used = _decode_block(words, num_domains, n - lo)
+            carry = words[used:].copy()
             del words
             block = slice(lo, lo + len(betas))
             lo = block.stop
-            # A device's domain hits packed into bytes (at least one, so that
-            # no domains is a key too): the key of its combination, any width.
-            masks = np.zeros((len(betas), key_bytes), np.uint8)
-            masks[:, : (num_domains + 7) // 8] = np.packbits(
-                uniforms < p_domain, axis=1, bitorder="little"
+            records["domain_id"][block] = _domain_ids(
+                uniforms < p_domain, data_domains, by_mask, domain_index
             )
-            keys = masks.view(f"V{key_bytes}").ravel().tolist()
-            for key in set(keys).difference(by_mask):
-                hits = np.unpackbits(
-                    np.frombuffer(key, np.uint8), count=num_domains, bitorder="little"
-                )
-                domains = frozenset(compress(data_domains, hits.tolist()))
-                by_mask[key] = domain_index.setdefault(domains, len(domain_index))
-            domain_ids[block] = [by_mask[key] for key in keys]
-            reliabilities[block] = np.clip(
+            records["reliability"][block] = np.clip(
                 betas * cfg.mean_reliability / 0.9, 0.0, 1.0
             )
             # Up to max_slowdown times slower on the weakest hardware, times
             # log-normal noise.
             capability = 0.6 * cpus[block] + 0.4 * mems[block]
             base = 1.0 + (cfg.max_slowdown - 1.0) * (1.0 - capability)
-            speeds[block] = base * np.exp(noises)
-        return DeviceFleet(
-            np.arange(start_id, start_id + n, dtype=np.int64),
-            cpus,
-            mems,
-            speeds,
-            reliabilities,
-            domain_ids,
-            tuple(domain_index),
-        )
+            records["speed_factor"][block] = base * np.exp(noises)
+        return DeviceFleet.from_records(records, tuple(domain_index))
 
     # ------------------------------------------------------------------ #
     # Population statistics
@@ -246,11 +234,10 @@ class CapacitySampler:
 
 
 def _decode_block(
-    rng: np.random.Generator, words: np.ndarray, num_domains: int, want: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The draws of up to ``want`` devices, decoded from ``words``: the raw
-    words that ``rng``'s stream holds next, already drawn, so ``rng`` sits
-    past them.
+    words: np.ndarray, num_domains: int, want: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The draws of up to ``want`` devices decoded from ``words``, the next
+    raw words of the sampler's stream, and the number of words they used.
 
     A device draws ``random(out=row)`` (``num_domains`` words), then
     ``beta(9, 1)`` — a gamma(9) by Marsaglia–Tsang (a normal ``X``, a
@@ -259,16 +246,14 @@ def _decode_block(
     numpy's first-try path.  Every word is tested as the start of such a
     device.  The chain of starts from word 0 then moves ``span`` words at a
     time, jumping straight to the first start on its residue mod ``span``
-    that is not one; there numpy's scalar calls draw the device, and the
-    chain resumes where the words the generator draws next sit in
-    ``words``.
+    that is not one; there the scalar samplers of
+    :mod:`repro.traces.streams` draw the device from the words that follow,
+    and the chain resumes at the word after the last one it took.  The
+    block ends at the first device that runs past ``words``: its words,
+    ``words[used:]``, start the next block.
 
-    Returns ``(uniforms, betas, noises)``, one row per device in order, and
-    leaves ``rng`` where the per-device calls would have left it.
-    (``advance`` also clears PCG64's buffered half of a 32-bit draw; the
-    sampler never draws 32-bit values, so there is none to lose.)
+    Returns ``(uniforms, betas, noises, used)``, one row per device in order.
     """
-    bit_generator = rng.bit_generator
     size, span = len(words), num_domains + 4
     u = streams.decode_random(words)
     x, x_fast = streams.decode_standard_normal(words)
@@ -302,51 +287,48 @@ def _decode_block(
     grid = next_miss.reshape(rows, span)[::-1]
     np.minimum.accumulate(grid, axis=0, out=grid)
     del miss, grid
-    raw = words.tobytes()
     # The chain as runs of fast devices (first word, count), each run but
-    # the last followed by one replayed device.
+    # the last followed by one device the scalar samplers drew.
     firsts: List[int] = []
     counts: List[int] = []
-    replays = []
-    pos, at, done = 0, size, 0  # ``at``: the generator's word
+    slow_starts: List[int] = []
+    slow_betas: List[float] = []
+    slow_noises: List[float] = []
+    pos, done = 0, 0
     while True:
         count = min((int(next_miss[pos]) - pos) // span, want - done)
         firsts.append(pos)
         counts.append(count)
         pos += count * span
         done += count
-        bit_generator.advance(pos - at)
         if done == want:
             break
-        # The device at ``pos`` leaves a fast path or runs past the buffer.
-        replays.append(_replay(rng, num_domains))
+        # The device at ``pos`` leaves a fast path or runs past the words.
+        drawn = _draw_device(words, pos + num_domains)
+        if drawn is None:
+            break
+        slow_starts.append(pos)
+        slow_betas.append(drawn[0])
+        slow_noises.append(drawn[1])
+        pos += num_domains + drawn[2]
         done += 1
-        if done == want:
-            break
-        pos = _find(raw, pos + span, bit_generator.random_raw(2).tobytes())
-        if pos < 0:  # past the buffer: the next block starts here
-            bit_generator.advance(-2)
-            break
-        at = pos + 2
     ends = np.cumsum(counts)
     starts = np.repeat(firsts, counts) + span * (
         np.arange(ends[-1]) - np.repeat(ends - counts, counts)
     )
     q = starts + num_domains  # each fast device's X
-    replayed = np.zeros(int(ends[-1]) + len(replays), dtype=bool)
-    replayed[ends[: len(replays)] + np.arange(len(replays))] = True
-    drawn = ~replayed
-    uniforms = np.empty((len(replayed), num_domains))
-    betas, noises = np.empty(len(replayed)), np.empty(len(replayed))
-    uniforms[drawn] = sliding_window_view(u, num_domains)[starts]
+    slow = np.zeros(int(ends[-1]) + len(slow_starts), dtype=bool)
+    slow[ends[: len(slow_starts)] + np.arange(len(slow_starts))] = True
+    fast_rows = ~slow
+    betas, noises = np.empty(len(slow)), np.empty(len(slow))
     gamma = _GAMMA_B * cube[q]
-    betas[drawn] = gamma / (gamma + e[q + 2])
-    noises[drawn] = 0.0 + 0.15 * x[q + 3]  # numpy's loc + scale * z
-    if replays:
-        rows_drawn, betas_drawn, noises_drawn = zip(*replays)
-        uniforms[replayed] = rows_drawn
-        betas[replayed], noises[replayed] = betas_drawn, noises_drawn
-    return uniforms, betas, noises
+    betas[fast_rows] = gamma / (gamma + e[q + 2])
+    noises[fast_rows] = 0.0 + 0.15 * x[q + 3]  # numpy's loc + scale * z
+    betas[slow], noises[slow] = slow_betas, slow_noises
+    starts_all = np.empty(len(slow), dtype=np.intp)
+    starts_all[fast_rows], starts_all[slow] = starts, slow_starts
+    uniforms = sliding_window_view(u, num_domains)[starts_all]
+    return uniforms, betas, noises, pos
 
 
 def _log_accepts(u: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -367,22 +349,64 @@ def _log_accepts(u: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return accepts
 
 
-def _replay(
-    rng: np.random.Generator, num_domains: int
-) -> Tuple[np.ndarray, float, float]:
-    """One device's draws by numpy's own calls, from where ``rng`` sits."""
-    return rng.random(num_domains), rng.beta(9.0, 1.0), rng.normal(0.0, 0.15)
+def _draw_device(words: np.ndarray, at: int) -> Optional[Tuple[float, float, int]]:
+    """``beta(9, 1)`` and ``normal(0, 0.15)`` drawn from ``words[at:]`` by
+    the scalar samplers, with the number of words they took; ``None`` if
+    they run past ``words``.  The words are read ahead as Python ints, a few
+    more than the first-try path takes, and again further ahead in the rare
+    case that the slow paths need more."""
+    ahead = 12
+    while True:
+        chunk = words[at : at + ahead].tolist()
+        source = iter(chunk)
+        next_word = source.__next__
+        try:
+            gamma = streams.standard_gamma(next_word, 9.0)
+            gamma_1 = streams.standard_exponential(next_word(), next_word)
+            noise = 0.0 + 0.15 * streams.standard_normal(next_word(), next_word)
+        except StopIteration:
+            if at + ahead >= len(words):
+                return None
+            ahead *= 4
+            continue
+        beta = gamma / (gamma + gamma_1)
+        return beta, noise, len(chunk) - operator.length_hint(source)
 
 
-def _find(raw: bytes, lo: int, following: bytes) -> int:
-    """The first word from ``lo`` at which ``raw``, a buffer of words as
-    bytes, holds the two words ``following``, or -1.  Two words, so that a
-    chance repeat of the stream's output (2**-128 a position) cannot pass
-    for the resume point."""
-    at = raw.find(following, 8 * lo)
-    while at > 0 and at % 8:
-        at = raw.find(following, at + 1)
-    return at // 8
+def _domain_ids(
+    hits: np.ndarray,
+    data_domains: Sequence[str],
+    by_mask: Dict[object, int],
+    domain_index: Dict[frozenset, int],
+) -> np.ndarray:
+    """The domain id of each row of ``hits`` (a device's domain draws under
+    ``domain_probability``).  A mask not in ``by_mask`` is given the id of
+    its set here (``domain_index``, in id order), shared by every mask that
+    names the same set.
+
+    A mask is its hits packed into bytes, at least one byte more than the
+    domains need, so that no domains is a key too.  Up to 63 domains that is
+    one ``int64``, and one ``np.unique`` over a block's masks (its sorting
+    path) maps the devices to them; wider masks are ``bytes`` keys, looked
+    up one device at a time."""
+    num_domains = len(data_domains)
+    width = 8 if num_domains <= 63 else num_domains // 8 + 1
+    packed = np.zeros((len(hits), width), np.uint8)
+    packed[:, : (num_domains + 7) // 8] = np.packbits(hits, axis=1, bitorder="little")
+    if width == 8:
+        masks, inverse = np.unique(packed.view("<i8").ravel(), return_inverse=True)
+        keys = masks.tolist()
+    else:
+        keys = packed.view(f"V{width}").ravel().tolist()
+    for key in set(keys).difference(by_mask):
+        raw = key.to_bytes(8, "little") if width == 8 else key
+        bits = np.unpackbits(
+            np.frombuffer(raw, np.uint8), count=num_domains, bitorder="little"
+        )
+        domains = frozenset(compress(data_domains, bits.tolist()))
+        by_mask[key] = domain_index.setdefault(domains, len(domain_index))
+    ids = np.array([by_mask[key] for key in keys], dtype=np.int32)
+    return ids[inverse] if width == 8 else ids
 
 
 __all__ = [

@@ -188,7 +188,10 @@ class DeviceAvailabilityTrace:
 
     @property
     def num_devices(self) -> int:
-        return len(np.unique(self.device_ids))
+        # A sort and an adjacent compare: a plain np.unique of integers takes
+        # numpy's slower hash path and imports numpy.ma.
+        ids = np.sort(self.device_ids)
+        return int(ids.size and np.count_nonzero(ids[1:] != ids[:-1]) + 1)
 
 
 class DiurnalAvailabilityModel:

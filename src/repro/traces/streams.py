@@ -25,19 +25,26 @@ what numpy's ``random()`` and the fast paths of its ziggurat
 accepts.  Both block-wise generators decode with them: :class:`LockstepPCG64`
 one word per row, the capacity sampler one buffer of its single stream.
 
-:class:`LockstepPCG64` hands the 1–2 % of words that miss the fast path to
-numpy's scalar sampler, run on that row's exact pre-draw state, and reads the
-row's state back afterwards — so every row stays in lockstep and there is no
-second per-device code path.
+The draws a fast path does not accept — 1–2 % of ziggurat words, and the
+capacity sampler's gamma rejections — are finished by
+:func:`standard_exponential`, :func:`standard_normal` and
+:func:`standard_gamma`: numpy's C samplers replicated over a word source,
+in the same operation order and with :mod:`math`'s ``exp``/``log``/``log1p``,
+which are libm's, as numpy's C calls.  :class:`LockstepPCG64` runs them on a
+missed row's own 128-bit state, stepped as one Python int, and writes the
+state back — so every row stays in lockstep; the capacity sampler runs them
+on the words that follow a device's start in its buffer.  numpy's scalar
+sampler is never called.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+import math
+from typing import Callable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .ziggurat import KE, KI, WE, WI
+from .ziggurat import FE, FI, KE, KI, WE, WI
 
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -45,12 +52,22 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
 
 _U32 = np.uint64(_MASK32)
 _SHIFT32, _SHIFT58 = np.uint64(32), np.uint64(58)
 _MULT_HI = np.uint64(_PCG_MULT >> 64)
 _MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
 _MULT_LO0, _MULT_LO1 = _MULT_LO & _U32, _MULT_LO >> _SHIFT32
+
+# The scalar samplers' tables as Python numbers, and numpy's ziggurat
+# constants (``ziggurat_constants.h``: the base strip's edge ``r`` and 1/r).
+_KE, _WE, _FE = KE.tolist(), WE.tolist(), FE.tolist()
+_KI, _WI, _FI = KI.tolist(), WI.tolist(), FI.tolist()
+_EXP_R = 7.6971174701310497140446280481
+_NOR_R = 3.6541528853610087963519472518
+_NOR_INV_R = 0.27366123732975827203338247596
+_TO_DOUBLE = 1.0 / 9007199254740992.0
 
 #: The ``uint64`` limb columns of some streams, one entry per stream:
 #: ``(state_hi, state_lo, inc_hi, inc_lo)``.
@@ -144,7 +161,7 @@ def seed_states(entropy: int, device_ids: Sequence[int]) -> Limbs:
 
 def decode_random(words: np.ndarray) -> np.ndarray:
     """``Generator.random()`` of each word: its top 53 bits times 2**-53."""
-    return _to_float(words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    return _to_float(words >> np.uint64(11)) * _TO_DOUBLE
 
 
 def decode_standard_exponential(words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -174,23 +191,97 @@ def _to_float(small: np.ndarray) -> np.ndarray:
     return small.view(np.int64).astype(np.float64)
 
 
-def _slow_draws(draw: str, limbs: Limbs) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run numpy's scalar ``Generator.<draw>()`` once per row from the row's
-    state; return the variates and the rows' states after the draw."""
-    bit_generator = np.random.PCG64(0)
-    sample = getattr(np.random.Generator(bit_generator), draw)
-    state = bit_generator.state
-    pcg = state["state"]
-    n = len(limbs[0])
-    values = np.empty(n)
-    after_hi, after_lo = np.empty(n, np.uint64), np.empty(n, np.uint64)
-    for k, (s_hi, s_lo, i_hi, i_lo) in enumerate(zip(*(a.tolist() for a in limbs))):
-        pcg["state"], pcg["inc"] = (s_hi << 64) | s_lo, (i_hi << 64) | i_lo
-        bit_generator.state = state
-        values[k] = sample()
-        after = bit_generator.state["state"]["state"]
-        after_hi[k], after_lo[k] = after >> 64, after & 0xFFFFFFFFFFFFFFFF
-    return values, after_hi, after_lo
+def _next_double(next_word: Callable[[], int]) -> float:
+    """numpy's ``next_double``: the next word's top 53 bits times 2**-53."""
+    return (next_word() >> 11) * _TO_DOUBLE
+
+
+def standard_exponential(word: int, next_word: Callable[[], int]) -> float:
+    """numpy's ``random_standard_exponential`` from its first raw word
+    ``word`` and the words ``next_word`` returns after it, operation for
+    operation: the fast path of :func:`decode_standard_exponential`, else
+    the base strip's tail or the wedge test, which starts over on a new word
+    when it rejects."""
+    while True:
+        ri = word >> 3
+        idx = ri & 0xFF
+        ri >>= 8
+        x = ri * _WE[idx]
+        if ri < _KE[idx]:
+            return x
+        if idx == 0:
+            return _EXP_R - math.log1p(-_next_double(next_word))
+        u = _next_double(next_word)
+        if (_FE[idx - 1] - _FE[idx]) * u + _FE[idx] < math.exp(-x):
+            return x
+        word = next_word()
+
+
+def standard_normal(word: int, next_word: Callable[[], int]) -> float:
+    """numpy's ``random_standard_normal`` from its first raw word ``word``
+    and the words ``next_word`` returns after it, operation for operation:
+    the fast path of :func:`decode_standard_normal`, else the base strip's
+    tail loop or the wedge test, which starts over on a new word when it
+    rejects."""
+    while True:
+        r = word
+        idx = r & 0xFF
+        r >>= 8
+        rabs = (r >> 1) & 0x000FFFFFFFFFFFFF
+        x = rabs * _WI[idx]
+        if r & 1:
+            x = -x
+        if rabs < _KI[idx]:
+            return x
+        if idx == 0:
+            while True:
+                xx = -_NOR_INV_R * math.log1p(-_next_double(next_word))
+                yy = -math.log1p(-_next_double(next_word))
+                if yy + yy > xx * xx:
+                    return -(_NOR_R + xx) if (rabs >> 8) & 1 else _NOR_R + xx
+        u = _next_double(next_word)
+        if (_FI[idx - 1] - _FI[idx]) * u + _FI[idx] < math.exp(-0.5 * x * x):
+            return x
+        word = next_word()
+
+
+def standard_gamma(next_word: Callable[[], int], shape: float) -> float:
+    """numpy's ``random_standard_gamma`` for ``shape > 1`` over the words
+    ``next_word`` returns: Marsaglia–Tsang, operation for operation — a
+    normal ``X`` drawn again while ``V = 1 + cX <= 0``, then a uniform ``U``
+    against the squeeze and the log test, from the start when both reject."""
+    b = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9 * b)
+    while True:
+        while True:
+            x = standard_normal(next_word(), next_word)
+            v = 1.0 + c * x
+            if v > 0.0:
+                break
+        v = v * v * v
+        u = _next_double(next_word)
+        if u < 1.0 - 0.0331 * (x * x) * (x * x):
+            return b * v
+        # C's log(0.0) is -inf, which the log test accepts; math.log raises.
+        if u == 0.0 or math.log(u) < 0.5 * x * x + b * (1.0 - v + math.log(v)):
+            return b * v
+
+
+class _RowStream:
+    """A PCG64 stepped with Python ints: the word source of a row's slow
+    draw, set to the row's ``state`` and ``inc`` first, and the state the
+    draw leaves."""
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, state: int = 0, inc: int = 1) -> None:
+        self.state, self.inc = state, inc
+
+    def next_word(self) -> int:
+        self.state = state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        hi = state >> 64
+        value, rot = (hi ^ state) & _MASK64, hi >> 58
+        return ((value >> rot) | (value << (64 - rot))) & _MASK64
 
 
 class LockstepPCG64:
@@ -226,34 +317,52 @@ class LockstepPCG64:
 
     def standard_exponential(self) -> np.ndarray:
         """``Generator.standard_exponential()``: the ziggurat's fast path
-        decoded here, its misses delegated."""
-        before = self.state_hi, self.state_lo
-        values, fast = decode_standard_exponential(self._next_uint64())
-        self._delegate("standard_exponential", fast, values, before)
+        decoded for every row, its misses resolved row by row."""
+        words = self._next_uint64()
+        values, fast = decode_standard_exponential(words)
+        self._resolve(standard_exponential, words, fast, values)
         return values
 
     def standard_normal(self) -> np.ndarray:
         """``Generator.standard_normal()``: the ziggurat's fast path decoded
-        here, its misses delegated."""
-        before = self.state_hi, self.state_lo
-        values, fast = decode_standard_normal(self._next_uint64())
-        self._delegate("standard_normal", fast, values, before)
+        for every row, its misses resolved row by row."""
+        words = self._next_uint64()
+        values, fast = decode_standard_normal(words)
+        self._resolve(standard_normal, words, fast, values)
         return values
 
-    def _delegate(
+    def _resolve(
         self,
-        draw: str,
+        sample: Callable[[int, Callable[[], int]], float],
+        words: np.ndarray,
         fast: np.ndarray,
         values: np.ndarray,
-        before: Tuple[np.ndarray, np.ndarray],
     ) -> None:
-        """Redo the draws of the rows not ``fast`` with numpy's scalar
-        sampler, from the states they had before this draw."""
+        """Finish the draws of the rows not ``fast`` with the scalar
+        ``sample``, each from its row's word and the words its state gives
+        next, stepped as one Python int; write back the variates and the
+        states the draws leave."""
         rows = np.flatnonzero(~fast)
-        if rows.size:
-            limbs = (before[0][rows], before[1][rows], self.inc_hi[rows], self.inc_lo[rows])
-            after = _slow_draws(draw, limbs)
-            values[rows], self.state_hi[rows], self.state_lo[rows] = after
+        if not rows.size:
+            return
+        state_hi, state_lo = self.state_hi, self.state_lo
+        drawn, after_hi, after_lo = [], [], []
+        stream = _RowStream()
+        next_word = stream.next_word
+        for word, s_hi, s_lo, i_hi, i_lo in zip(
+            words[rows].tolist(),
+            state_hi[rows].tolist(),
+            state_lo[rows].tolist(),
+            self.inc_hi[rows].tolist(),
+            self.inc_lo[rows].tolist(),
+        ):
+            stream.state, stream.inc = (s_hi << 64) | s_lo, (i_hi << 64) | i_lo
+            drawn.append(sample(word, next_word))
+            after_hi.append(stream.state >> 64)
+            after_lo.append(stream.state & _MASK64)
+        values[rows] = drawn
+        state_hi[rows] = after_hi
+        state_lo[rows] = after_lo
 
 
 __all__ = [
@@ -263,4 +372,7 @@ __all__ = [
     "decode_standard_exponential",
     "decode_standard_normal",
     "seed_states",
+    "standard_exponential",
+    "standard_gamma",
+    "standard_normal",
 ]

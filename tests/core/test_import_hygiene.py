@@ -1,7 +1,9 @@
 """``scipy`` is an oracle dependency (``solve_irs_milp``, two tail
 statistics), not a simulation one: importing the package and running a
 simulation must not load it — it costs every bench worker, sweep child and
-CLI ~0.4 s of start-up and ~50 MB of resident memory.
+CLI ~0.4 s of start-up and ~50 MB of resident memory.  Nor may a simulation
+load ``numpy.ma`` (~15 ms), which a plain ``np.unique`` of integers — numpy's
+hash path — imports on its first call.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ for vectorized in (False, True):
     metrics = sim.run()
     assert sim.events_processed > 0 and metrics.total_responses > 0
 assert "scipy" not in sys.modules, "a simulation loaded scipy"
+assert "numpy.ma" not in sys.modules, "a simulation loaded numpy.ma"
 print("clean")
 """
 
@@ -59,4 +62,5 @@ def test_import_and_simulation_leave_scipy_unloaded():
 def test_ci_runs_the_check_and_never_regenerates_goldens():
     workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
     assert "assert 'scipy' not in sys.modules" in workflow
+    assert "assert 'numpy.ma' not in sys.modules" in workflow
     assert "REGEN_GOLDEN" not in workflow

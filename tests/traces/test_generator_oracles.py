@@ -177,9 +177,9 @@ def test_sample_devices_matches_the_per_device_oracle(
 @pytest.mark.parametrize("block", [1, 3, 64])
 @pytest.mark.parametrize("num_domains", [0, 6, 70])
 def test_block_size_is_invisible(monkeypatch, block, num_domains):
-    """Buffers shorter than one device (every device runs past its buffer
-    and is replayed), many short ones and a ragged last one give the
-    oracle's population too."""
+    """Buffers shorter than one device (a device's words are carried over
+    until it fits), many short ones and a ragged last one give the oracle's
+    population too."""
     config = CapacityConfig(data_domains=SEVENTY[:num_domains])
     reference = sample_devices(CapacitySampler(config, 11), 200, start_id=5)
     monkeypatch.setattr(capacity, "_BLOCK_WORDS", block)
@@ -222,13 +222,17 @@ def _spy(monkeypatch, name):
 
 
 @pytest.mark.parametrize("num_domains", [0, 6, 70])
-def test_misses_are_replayed_by_numpy(monkeypatch, num_domains):
+def test_misses_are_drawn_by_the_scalar_samplers(monkeypatch, num_domains):
     """On 5,000 devices some leave a fast path or straddle a buffer's end;
-    numpy's scalar calls draw them, and the population and the generator's
-    state are the per-device loop's."""
-    replays = _spy(monkeypatch, "_replay")
+    the scalar samplers draw them from the words that follow their start,
+    and the population and the generator's state are the per-device
+    loop's."""
+    seen = _spy(monkeypatch, "_draw_device")
     _assert_matches_oracle(CapacityConfig(data_domains=SEVENTY[:num_domains]), 5, 5_000)
-    assert 100 < len(replays) < 500
+    drawn = [d for d in seen if d is not None]
+    assert 100 < len(drawn) < 500
+    # The first-try path takes four words; the slow ones took more.
+    assert max(used for _, _, used in drawn) > 4
 
 
 def test_a_squeeze_reject_the_log_test_accepts(monkeypatch):
@@ -242,12 +246,13 @@ def test_a_squeeze_reject_the_log_test_accepts(monkeypatch):
 
 def test_a_buffer_that_runs_short(monkeypatch):
     """8,000 devices need more words than one buffer holds: the first block
-    ends at a device that runs past its buffer, and the next block starts
-    where numpy's calls for that device left the stream."""
+    ends at a device that runs past its buffer, whose words start the next
+    block; the last blocks draw just the words their devices still need."""
     blocks = _spy(monkeypatch, "_decode_block")
     _assert_matches_oracle(CapacityConfig(), 8, 8_000, start_id=3)
-    sizes = [len(betas) for _, betas, _ in blocks]
-    assert len(sizes) == 2 and sum(sizes) == 8_000
+    sizes = [len(betas) for _, betas, _, _ in blocks]
+    assert len(sizes) > 2 and sum(sizes) == 8_000
+    assert 0 < sizes[0] < 8_000 and blocks[0][3] < capacity._BLOCK_WORDS
 
 
 @pytest.mark.parametrize("towards", [-np.inf, np.inf])
@@ -266,14 +271,6 @@ def test_log_test_near_ties_follow_libm(monkeypatch, x, towards):
     monkeypatch.setattr(np, "log", lambda a: np.nextafter(log(a), towards))
     got = capacity._log_accepts(u, np.full(7, x), np.full(7, v))
     assert got.tolist() == [math.log(k) < rhs for k in u.tolist()]
-
-
-def test_find_skips_a_match_across_two_words():
-    pattern = np.array([0x0123456789ABCDEF, 0xFEDCBA9876543210], np.uint64).tobytes()
-    raw = bytes(4) + pattern + bytes(4) + pattern
-    assert capacity._find(raw, 0, pattern) == 3
-    assert capacity._find(raw, 4, pattern) == -1
-    assert capacity._find(pattern, 0, pattern) == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -340,18 +337,21 @@ def test_lockstep_block_is_invisible(monkeypatch, block):
     _assert_same_columns(model, ids)
 
 
-def test_a_day_delegates_both_slow_draws(monkeypatch):
+def test_a_day_resolves_both_slow_draws(monkeypatch):
     """A 2,000-device day misses the ziggurat fast path for some exponential
-    and some normal draws, so numpy's scalar fallback runs in every test
-    run — and the columns still match the oracle."""
-    delegated = []
+    and some normal draws, so the lockstep streams' scalar samplers run in
+    every test run — and the columns still match the oracle."""
+    resolved = []
 
-    def spy(draw, limbs):
-        delegated.append(draw)
-        return slow_draws(draw, limbs)
+    def spy(sample):
+        def draw(word, next_word):
+            resolved.append(sample.__name__)
+            return sample(word, next_word)
 
-    slow_draws = streams._slow_draws
-    monkeypatch.setattr(streams, "_slow_draws", spy)
+        return draw
+
+    for name in ("standard_exponential", "standard_normal"):
+        monkeypatch.setattr(streams, name, spy(getattr(streams, name)))
     model = DiurnalAvailabilityModel(DiurnalConfig(horizon=DAY), 7)
     _assert_same_columns(model, range(2_000))
-    assert set(delegated) == {"standard_exponential", "standard_normal"}
+    assert set(resolved) == {"standard_exponential", "standard_normal"}

@@ -7,7 +7,8 @@ here, as the oracle ``repro.traces.streams`` must match draw for draw.
 :func:`seed_states` — is the fast form of that oracle which
 ``test_generator_oracles.py`` drives its per-device session loop with.
 The word decoders, which the lockstep streams and the capacity sampler both
-decode with, are held word by word to numpy's own draws.
+decode with, are held word by word to numpy's own draws; the scalar samplers
+of their slow paths are held to numpy in ``test_slow_paths.py``.
 """
 
 from __future__ import annotations
@@ -104,14 +105,17 @@ def test_lockstep_draws_equal_each_devices_generator(monkeypatch, entropy):
     """2,000 rows take enough draws that both ziggurat slow paths run; every
     variate (sign of zero included) and every state after every draw is the
     row's own generator's, also after rows are dropped."""
-    delegated = []
+    resolved = []
 
-    def spy(draw, limbs):
-        delegated.append(draw)
-        return slow_draws(draw, limbs)
+    def spy(sample):
+        def draw(word, next_word):
+            resolved.append(sample.__name__)
+            return sample(word, next_word)
 
-    slow_draws = streams_module._slow_draws
-    monkeypatch.setattr(streams_module, "_slow_draws", spy)
+        return draw
+
+    for name in ("standard_exponential", "standard_normal"):
+        monkeypatch.setattr(streams_module, name, spy(getattr(streams_module, name)))
     ids = list(range(1_990)) + [2**31, 2**32 - 1] + [k * 7919 for k in range(8)]
     ids = list(dict.fromkeys(ids))
     streams = LockstepPCG64(entropy, ids)
@@ -127,7 +131,7 @@ def test_lockstep_draws_equal_each_devices_generator(monkeypatch, entropy):
             keep = np.arange(len(refs)) % 3 != step % 3
             streams.keep(keep)
             refs = [r for r, k in zip(refs, keep) if k]
-    assert {"standard_exponential", "standard_normal"} <= set(delegated)
+    assert {"standard_exponential", "standard_normal"} <= set(resolved)
 
 
 @pytest.mark.parametrize("draw", DRAWS)

@@ -1,16 +1,24 @@
 """The committed ziggurat tables against the installed numpy's sampler.
 
-numpy keeps ``we/ke`` (exponential) and ``wi/ki`` (normal) in C, so
-:mod:`repro.traces.ziggurat` commits them as literals.  This test re-derives
-every entry from numpy itself: it sets a PCG64 state whose next output is a
-chosen word, draws one variate, and reads off the table entry from the value
-(``w``) or from whether the sampler took its fast path (``k``).  It fails,
-naming numpy's version, if numpy's samplers ever stop matching the tables.
+numpy keeps ``we/ke/fe`` (exponential) and ``wi/ki/fi`` (normal) in C, so
+:mod:`repro.traces.ziggurat` commits them as literals.  One test re-derives
+the ``w`` and ``k`` entries from numpy's draws: it sets a PCG64 state whose
+next output is a chosen word, draws one variate, and reads off the table
+entry from the value (``w``) or from whether the sampler took its fast path
+(``k``).  Another reads all six tables from the ``*_double`` symbols of the
+static library numpy installs for extension writers
+(``numpy/random/lib/libnpyrandom.a``), with a small ``ar`` + ELF reader.
+Both fail, naming numpy's version, if numpy's samplers stop matching.
 """
 
 from __future__ import annotations
 
+import struct
+from pathlib import Path
+from typing import Dict, Iterator, Tuple
+
 import numpy as np
+import pytest
 
 from repro.traces import ziggurat
 
@@ -73,5 +81,72 @@ def test_tables_are_the_installed_numpys():
 
 def test_tables_are_typed_for_the_decode():
     for table, dtype in ((ziggurat.KE, np.uint64), (ziggurat.KI, np.uint64),
-                         (ziggurat.WE, np.float64), (ziggurat.WI, np.float64)):
+                         (ziggurat.WE, np.float64), (ziggurat.WI, np.float64),
+                         (ziggurat.FE, np.float64), (ziggurat.FI, np.float64)):
         assert table.dtype == dtype and table.shape == (256,)
+
+
+_ARCHIVE = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+_MEMBER = "src_distributions_distributions.c.o"
+
+
+def _ar_members(data: bytes) -> Iterator[Tuple[str, bytes]]:
+    """``(name, body)`` of each member of a System V / GNU ``ar`` archive."""
+    assert data[:8] == b"!<arch>\n", "not an ar archive"
+    pos, long_names = 8, b""
+    while pos + 60 <= len(data):
+        name = data[pos : pos + 16].decode().rstrip()
+        size = int(data[pos + 48 : pos + 58])
+        body = data[pos + 60 : pos + 60 + size]
+        pos += 60 + size + (size & 1)
+        if name == "//":
+            long_names = body
+        elif name.startswith("/") and name[1:].isdigit():
+            start = int(name[1:])
+            yield long_names[start : long_names.index(b"/\n", start)].decode(), body
+        else:
+            yield name.rstrip("/"), body
+
+
+def _elf_symbols(obj: bytes) -> Dict[str, bytes]:
+    """The bytes of each sized symbol of a little-endian ELF64 object."""
+    (shoff,) = struct.unpack_from("<Q", obj, 0x28)
+    shentsize, shnum = struct.unpack_from("<HH", obj, 0x3A)
+    # (type, file offset, size, link, entry size) of each section.
+    sections = [
+        (kind, offset, size, link, entsize)
+        for _, kind, _, _, offset, size, link, _, _, entsize in (
+            struct.unpack_from("<IIQQQQIIQQ", obj, shoff + k * shentsize)
+            for k in range(shnum)
+        )
+    ]
+    symbols = {}
+    for kind, offset, size, link, entsize in sections:
+        if kind != 2:  # SHT_SYMTAB; its link is its string table
+            continue
+        names = sections[link][1]
+        for k in range(size // entsize):
+            name, _, _, shndx, value, length = struct.unpack_from(
+                "<IBBHQQ", obj, offset + k * entsize
+            )
+            if 0 < shndx < len(sections) and length:
+                label = obj[names + name : obj.index(b"\0", names + name)].decode()
+                start = sections[shndx][1] + value
+                symbols[label] = obj[start : start + length]
+    return symbols
+
+
+def test_tables_are_the_installed_numpys_c_arrays():
+    if not _ARCHIVE.exists():
+        pytest.skip(f"numpy {np.__version__} installs no {_ARCHIVE.name}")
+    members = dict(_ar_members(_ARCHIVE.read_bytes()))
+    if _MEMBER not in members:
+        pytest.skip(f"{_ARCHIVE.name} holds no {_MEMBER}")
+    if members[_MEMBER][:6] != b"\x7fELF\x02\x01":
+        pytest.skip(f"{_MEMBER} is not a little-endian ELF64 object")
+    symbols = _elf_symbols(members[_MEMBER])
+    message = f"numpy {np.__version__} changed its ziggurat tables"
+    for name, dtype in (("ke", "<u8"), ("we", "<f8"), ("fe", "<f8"),
+                        ("ki", "<u8"), ("wi", "<f8"), ("fi", "<f8")):
+        table = np.frombuffer(symbols[f"{name}_double"], dtype)
+        assert table.tolist() == getattr(ziggurat, name.upper()).tolist(), message

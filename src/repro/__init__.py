@@ -49,7 +49,7 @@ from .core import (
     make_policy,
 )
 from .sim import SimulationConfig, SimulationMetrics, Simulator, run_simulation
-from .traces import Workload, WorkloadConfig, WorkloadGenerator, scenario_workload
+from .traces import Workload, WorkloadConfig, WorkloadGenerator
 
 __version__ = "1.0.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "fl",
     "make_policy",
     "run_simulation",
-    "scenario_workload",
     "scenarios",
     "sim",
     "traces",

@@ -5,18 +5,13 @@ from .aggregate import (
     CoSimAggregateRow,
     TargetAggregate,
     aggregate_cosim_rows,
-    aggregate_jsonl,
-    aggregate_metrics,
     aggregate_rows,
     format_aggregates,
     format_cosim_aggregates,
-    load_jsonl,
     metrics_row,
-    write_jsonl,
 )
 from .report import (
     format_cell,
-    format_mapping,
     format_series,
     format_speedup_table,
     format_table,
@@ -25,7 +20,6 @@ from .stats import (
     BreakdownRow,
     average_jct_speedup,
     fairness_satisfaction,
-    geometric_mean,
     jct_breakdown,
     jct_speedup_by_category,
     jct_speedup_by_demand_percentile,
@@ -39,23 +33,17 @@ __all__ = [
     "CoSimAggregateRow",
     "TargetAggregate",
     "aggregate_cosim_rows",
-    "aggregate_jsonl",
-    "aggregate_metrics",
     "aggregate_rows",
     "average_jct_speedup",
     "fairness_satisfaction",
     "format_cell",
-    "format_mapping",
     "format_series",
     "format_aggregates",
     "format_cosim_aggregates",
     "format_speedup_table",
     "format_table",
-    "geometric_mean",
-    "load_jsonl",
     "mean_confidence_interval",
     "metrics_row",
-    "write_jsonl",
     "jct_breakdown",
     "jct_speedup_by_category",
     "jct_speedup_by_demand_percentile",

@@ -10,39 +10,13 @@ just-finished in-memory sweep or a JSONL artifact from CI.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .report import format_table
 from .stats import mean_confidence_interval
-
-
-def write_jsonl(rows: Iterable[Mapping], path: str) -> None:
-    """Write rows as JSON Lines with sorted keys (reproducible bytes)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def load_jsonl(path: str) -> List[Dict]:
-    """Load a JSONL artifact back into a list of row dicts."""
-    rows: List[Dict] = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: invalid JSON row") from exc
-    return rows
 
 
 @dataclass(frozen=True)
@@ -139,11 +113,6 @@ def aggregate_rows(
     return out
 
 
-def aggregate_jsonl(path: str) -> Dict[Tuple[str, str], AggregateRow]:
-    """Convenience: :func:`load_jsonl` + :func:`aggregate_rows`."""
-    return aggregate_rows(load_jsonl(path))
-
-
 def metrics_row(scenario: str, policy: str, metrics) -> Dict:
     """A minimal aggregation row built from one
     :class:`~repro.sim.metrics.SimulationMetrics`.
@@ -161,21 +130,6 @@ def metrics_row(scenario: str, policy: str, metrics) -> Dict:
         "completion_rate": metrics.completion_rate,
         "total_aborts": metrics.total_aborts,
     }
-
-
-def aggregate_metrics(
-    cells: Iterable[Tuple[str, str, object]],
-) -> Dict[Tuple[str, str], AggregateRow]:
-    """Aggregate in-memory ``(scenario, policy, SimulationMetrics)`` cells.
-
-    Replaces the JSONL round-trip for callers that already hold metrics
-    objects (e.g. a just-finished in-process sweep): the cells flow through
-    the same :func:`aggregate_rows` pooling as persisted artifacts, so both
-    paths produce identical summaries.
-    """
-    return aggregate_rows(
-        [metrics_row(scenario, policy, m) for scenario, policy, m in cells]
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -365,12 +319,8 @@ __all__ = [
     "CoSimAggregateRow",
     "TargetAggregate",
     "aggregate_cosim_rows",
-    "aggregate_jsonl",
-    "aggregate_metrics",
     "aggregate_rows",
     "format_aggregates",
     "format_cosim_aggregates",
-    "load_jsonl",
     "metrics_row",
-    "write_jsonl",
 ]

@@ -86,17 +86,8 @@ def format_series(
     return format_table(headers, rows, precision=precision, title=title)
 
 
-def format_mapping(
-    mapping: Mapping[str, object], title: Optional[str] = None, precision: int = 2
-) -> str:
-    """Render a flat key/value mapping."""
-    rows = [[k, v] for k, v in mapping.items()]
-    return format_table(["metric", "value"], rows, precision=precision, title=title)
-
-
 __all__ = [
     "format_cell",
-    "format_mapping",
     "format_series",
     "format_speedup_table",
     "format_table",

@@ -88,14 +88,6 @@ def jct_breakdown(metrics: SimulationMetrics, label: str = "") -> BreakdownRow:
     )
 
 
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean, ignoring non-positive entries."""
-    vals = [v for v in values if v > 0]
-    if not vals:
-        return 0.0
-    return float(np.exp(np.mean(np.log(vals))))
-
-
 def mean_confidence_interval(
     values: Iterable[float], confidence: float = 0.95
 ) -> Tuple[float, float, float]:
@@ -170,7 +162,6 @@ __all__ = [
     "BreakdownRow",
     "average_jct_speedup",
     "fairness_satisfaction",
-    "geometric_mean",
     "jct_breakdown",
     "jct_speedup_by_category",
     "jct_speedup_by_demand_percentile",

@@ -602,7 +602,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         request closes.
 
         The caller must commit every returned proposal at ``now`` before
-        the next consult (see the engine's ``_commit_cohort_vec``).
+        the next consult (see the fleet engine's ``_commit_cohort``).
 
         Signatures whose entire candidate list shows zero ledger demand
         are marked dead for the rest of the cohort: ledger demand is

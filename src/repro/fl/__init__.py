@@ -1,7 +1,7 @@
 """Numpy federated-learning substrate (FEMNIST / FedAvg stand-in)."""
 
 from .datasets import ClientShard, FederatedDataConfig, SyntheticFederatedDataset
-from .fedavg import fedavg_aggregate, fedavg_delta_aggregate
+from .fedavg import fedavg_aggregate
 from .models import FLModel, MLPClassifier, SoftmaxRegression
 from .trainer import (
     FederatedTrainer,
@@ -24,5 +24,4 @@ __all__ = [
     "accuracy_over_time",
     "contention_accuracy_curves",
     "fedavg_aggregate",
-    "fedavg_delta_aggregate",
 ]

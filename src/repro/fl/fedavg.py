@@ -48,21 +48,4 @@ def fedavg_aggregate(
     return (weights[:, None] * stacked).sum(axis=0)
 
 
-def fedavg_delta_aggregate(
-    global_parameters: np.ndarray,
-    client_parameters: Sequence[np.ndarray],
-    client_weights: Optional[Sequence[float]] = None,
-    server_lr: float = 1.0,
-) -> np.ndarray:
-    """FedAvg expressed as a server-side step on the average client delta.
-
-    Equivalent to :func:`fedavg_aggregate` when ``server_lr == 1`` but lets
-    experiments explore server learning rates (a common FedOpt extension).
-    """
-    global_parameters = np.asarray(global_parameters, dtype=float)
-    avg = fedavg_aggregate(client_parameters, client_weights)
-    delta = avg - global_parameters
-    return global_parameters + server_lr * delta
-
-
-__all__ = ["fedavg_aggregate", "fedavg_delta_aggregate"]
+__all__ = ["fedavg_aggregate"]

@@ -37,6 +37,7 @@ import numpy as np
 from .core.types import RequestState, ResourceRequest
 from .resilience.record import RecordingPolicy
 from .sim.device import day_index
+from .sim.fleet import FleetSimulator
 from .sim.vector import STATUS_BUSY
 
 
@@ -83,12 +84,12 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _finished_fleet_run(sim):
-    if sim._shard is None or not sim._finished:
+    if not isinstance(sim, FleetSimulator) or not sim._finished:
         raise ValueError(
             "the run invariants read a finished fleet-engine run "
             "(SimulationConfig(vectorized_dispatch=True), after run())"
         )
-    return sim._shard, sim._vec, sim._metrics
+    return sim._stream, sim._vec, sim._metrics
 
 
 def check_responses(sim, log: AssignmentLog) -> int:
@@ -96,14 +97,14 @@ def check_responses(sim, log: AssignmentLog) -> int:
     or a failure, or still queued on the response heap — over the run, and
     request by request (a request's ``in_flight`` is what is still queued
     for it).  Returns the number of assignments."""
-    shard, _vec, metrics = _finished_fleet_run(sim)
+    stream, _vec, metrics = _finished_fleet_run(sim)
     assignments = len(log.assigned)
     _require(
         len(log.decisions) == assignments,
         f"{len(log.decisions)} decisions recorded, {assignments} logged",
     )
     delivered = metrics.total_responses + metrics.total_failures
-    queued = len(shard.heap)
+    queued = len(stream.heap)
     _require(
         delivered + queued == assignments,
         f"{assignments} assignments, but {delivered} responses delivered "
@@ -123,8 +124,8 @@ def check_responses(sim, log: AssignmentLog) -> int:
 def check_busy_slots(sim) -> int:
     """At the end of the run a slot is ``STATUS_BUSY`` iff exactly one
     queued response names it.  Returns the number of busy slots."""
-    shard, vec, _metrics = _finished_fleet_run(sim)
-    queued = Counter(row[2] for row in shard.heap)
+    stream, vec, _metrics = _finished_fleet_run(sim)
+    queued = Counter(row[2] for row in stream.heap)
     twice = sorted(slot for slot, n in queued.items() if n > 1)
     _require(not twice, f"slots {twice[:5]} have several queued responses")
     busy = np.flatnonzero(vec.status == STATUS_BUSY).tolist()
@@ -142,7 +143,7 @@ def check_stream_cursor(sim) -> int:
     deadline events the loop processes, since a completed round cancels
     its deadline — so the static ones are exactly the stream cursor.
     Returns the cursor."""
-    shard, _vec, metrics = _finished_fleet_run(sim)
+    stream, _vec, metrics = _finished_fleet_run(sim)
     horizon = sim.config.horizon
     arrivals = sum(
         1 for job in sim.jobs.values() if job.spec.arrival_time <= horizon
@@ -155,14 +156,14 @@ def check_stream_cursor(sim) -> int:
         - arrivals
     )
     _require(
-        shard.cursor == static,
-        f"stream cursor {shard.cursor}, but {static} static events processed",
+        stream.cursor == static,
+        f"stream cursor {stream.cursor}, but {static} static events processed",
     )
     _require(
-        0 <= shard.cursor <= shard.st_len,
-        f"stream cursor {shard.cursor} outside [0, {shard.st_len}]",
+        0 <= stream.cursor <= stream.st_len,
+        f"stream cursor {stream.cursor} outside [0, {stream.st_len}]",
     )
-    return shard.cursor
+    return stream.cursor
 
 
 def check_daily_budget(sim, log: AssignmentLog) -> int:

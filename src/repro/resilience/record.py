@@ -1,6 +1,6 @@
 """Decision recording, digests and first-divergence diagnostics.
 
-The repo's identity gates (shard identity, vectorized identity, plan
+The repo's identity gates (fleet-engine identity, vectorized identity, plan
 maintenance, and now kill-and-resume) compare runs by a blake2b digest of
 the assignment sequence.  A digest answers *whether* two runs diverged but
 not *where*; and a wrapper that accumulates a ``hashlib`` object cannot be

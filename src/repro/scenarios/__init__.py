@@ -10,7 +10,6 @@ works without further setup.  See ``docs/SCENARIOS.md``.
 
 from .library import BEYOND_PAPER_SCENARIOS, NETWORK_SCENARIOS
 from .registry import (
-    all_scenarios,
     get_scenario,
     register_scenario,
     scenario_names,
@@ -40,7 +39,6 @@ __all__ = [
     "NETWORK_SCENARIOS",
     "ScenarioSpec",
     "WorkloadTransform",
-    "all_scenarios",
     "assign_priority_tiers",
     "chain_availability_transforms",
     "chain_workload_transforms",

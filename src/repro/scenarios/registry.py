@@ -50,13 +50,7 @@ def scenario_names(tag: Optional[str] = None) -> List[str]:
     return sorted(name for name, s in _REGISTRY.items() if tag in s.tags)
 
 
-def all_scenarios() -> Dict[str, ScenarioSpec]:
-    """Snapshot of the registry (name -> spec)."""
-    return dict(_REGISTRY)
-
-
 __all__ = [
-    "all_scenarios",
     "get_scenario",
     "register_scenario",
     "scenario_names",

@@ -50,10 +50,6 @@ class DeviceRuntime:
     status: DeviceStatus = DeviceStatus.OFFLINE
     #: End of the current availability session (valid while online).
     session_end: float = 0.0
-    #: Job currently being served, if busy.
-    current_job: Optional[int] = None
-    #: Request currently being served, if busy.
-    current_request: Optional[int] = None
     #: Day index (floor(time / 86400)) of the last participation, or None.
     last_participation_day: Optional[int] = None
     #: Total tasks completed successfully.
@@ -96,18 +92,14 @@ class DeviceRuntime:
             # checkout while busy simply records that the session is over.
             return
         self.status = DeviceStatus.OFFLINE
-        self.current_job = None
-        self.current_request = None
 
-    def start_task(self, job_id: int, request_id: int, now: float) -> None:
+    def start_task(self, now: float) -> None:
         if self.status is not DeviceStatus.IDLE:
             raise RuntimeError(
                 f"device {self.device_id} must be idle to start a task "
                 f"(status={self.status.value})"
             )
         self.status = DeviceStatus.BUSY
-        self.current_job = job_id
-        self.current_request = request_id
         self.last_participation_day = day_index(now)
 
     def finish_task(self, now: float, success: bool) -> None:
@@ -117,8 +109,6 @@ class DeviceRuntime:
             self.tasks_completed += 1
         else:
             self.tasks_failed += 1
-        self.current_job = None
-        self.current_request = None
         # The device returns to the pool only if its session is still open.
         self.status = DeviceStatus.IDLE if now < self.session_end else DeviceStatus.OFFLINE
 

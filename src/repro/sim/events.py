@@ -28,8 +28,6 @@ class EventType(enum.Enum):
     DEVICE_RESPONSE = "device_response"
     #: A round's deadline fires (the round aborts unless already complete).
     REQUEST_DEADLINE = "request_deadline"
-    #: The simulation horizon is reached; remaining work is censored.
-    HORIZON = "horizon"
 
 
 @dataclass(slots=True)

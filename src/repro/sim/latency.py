@@ -60,7 +60,7 @@ On top of the compute/comm model, :class:`LatencyConfig` carries a
 Every stochastic network draw goes through the same per-(device, draw)
 counter streams as the compute/comm draws, and the knobs gate the extra
 draws: with the layer off, a run consumes *exactly* the historical draw
-sequence, so golden fixtures and shard/worker bit-identity are preserved.
+sequence, so golden fixtures and engine/worker bit-identity are preserved.
 """
 
 from __future__ import annotations
@@ -281,7 +281,7 @@ class ResponseLatencyModel:
 
         Tier membership is a *static* salted hash of ``(master entropy,
         device_id)`` — not a stream draw — so it never advances the draw
-        counter and is identical for any shard layout.
+        counter and is identical on either engine.
         """
         tiers = self.config.link_tiers
         if not tiers:

@@ -303,35 +303,8 @@ def collect_job_metrics(
     )
 
 
-def speedup_over(
-    baseline: SimulationMetrics, other: SimulationMetrics
-) -> float:
-    """Average-JCT speed-up of ``other`` relative to ``baseline`` (>1 is better)."""
-    other_jct = other.average_jct
-    if other_jct <= 0:
-        return float("inf")
-    return baseline.average_jct / other_jct
-
-
-def per_job_speedups(
-    baseline: SimulationMetrics, other: SimulationMetrics
-) -> Dict[int, float]:
-    """Per-job JCT speed-ups of ``other`` relative to ``baseline``."""
-    base = baseline.job_jcts()
-    new = other.job_jcts()
-    out: Dict[int, float] = {}
-    for job_id, b in base.items():
-        n = new.get(job_id)
-        if n is None or n <= 0:
-            continue
-        out[job_id] = b / n
-    return out
-
-
 __all__ = [
     "JobMetrics",
     "SimulationMetrics",
     "collect_job_metrics",
-    "per_job_speedups",
-    "speedup_over",
 ]

@@ -1,10 +1,9 @@
 """The device stream: the device-physics half of the fleet engine.
 
-The single-queue engine keeps every device's availability events in one
-global heap and computes device eligibility signatures one at a time on the
-hot path.  The fleet engine (``SimulationConfig(vectorized_dispatch=True)``)
-keeps them in one :class:`DeviceShard` — the fleet's device stream — beside
-the coordinator's own queue:
+The reference engine (:mod:`repro.sim.reference`) keeps every device's
+availability events in one global heap.  The fleet engine
+(:mod:`repro.sim.fleet`) keeps them in one :class:`DeviceStream` beside the
+coordinator's own queue:
 
 * the **static event stream** — every check-in / checkout over the horizon —
   is built once as sorted parallel numpy columns instead of millions of
@@ -16,10 +15,10 @@ the coordinator's own queue:
   once, as ``se_end`` (its float64 end): 16 B per event plus 8 B per
   session.  The columns are the only copy: the batched kernels slice them,
   and the per-event readers go through one bounded window of decoded Python
-  rows (:meth:`DeviceShard.refill`, :data:`STREAM_WINDOW` events at a time)
+  rows (:meth:`DeviceStream.refill`, :data:`STREAM_WINDOW` events at a time)
   that follows the stream's monotone cursor;
 * the **response heap** holds the response events the coordinator schedules
-  when it assigns a device (:meth:`DeviceShard.schedule_response`).
+  when it assigns a device (:meth:`DeviceStream.schedule_response`).
 
 The coordinator (the engine) merges the stream with its own queue by
 ``(time, seq)`` — see :func:`make_static_stream` for how ``seq`` is chosen —
@@ -87,7 +86,7 @@ def make_static_stream(
     se_end)``: event time (float64), code (:func:`code_dtype`) and slot
     (int32) per event in stream order, and ``ends`` itself as the session
     end column, read through ``se_end[code >> 1]``.  They stay arrays for
-    the whole run; :meth:`DeviceShard.refill` decodes a window at a time
+    the whole run; :meth:`DeviceStream.refill` decodes a window at a time
     for the per-event readers.
     """
     n = len(starts)
@@ -101,7 +100,7 @@ def make_static_stream(
     return sa_time, code, sa_slot, ends
 
 
-class DeviceShard:
+class DeviceStream:
     """The fleet's device stream: static events and the response heap.
 
     The stream owns the fleet's event streams — the static
@@ -209,12 +208,12 @@ class DeviceShard:
         )
 
 
-def build_shard(
+def build_stream(
     device_ids: np.ndarray,
     availability,
     horizon: float,
     seq_start: int,
-) -> Tuple[DeviceShard, int]:
+) -> Tuple[DeviceStream, int]:
     """Build the fleet's device stream.
 
     ``device_ids`` is the fleet, in any order.  The stream names a device
@@ -238,14 +237,14 @@ def build_shard(
     # check-in) and seq_start + 2i + 1 (its checkout): the single-queue
     # engine's exact enumeration.
     stream = make_static_stream(starts[:k], slots, ends[:k], horizon)
-    return DeviceShard(stream, seq_start), 2 * k
+    return DeviceStream(stream, seq_start), 2 * k
 
 
 __all__ = [
-    "DeviceShard",
+    "DeviceStream",
     "INF_KEY",
     "STREAM_WINDOW",
-    "build_shard",
+    "build_stream",
     "code_dtype",
     "make_static_stream",
 ]

@@ -16,8 +16,6 @@ from .device_trace import (
     DeviceAvailabilityTrace,
     DiurnalAvailabilityModel,
     DiurnalConfig,
-    iter_checkins,
-    merge_traces,
 )
 from .job_trace import JobDemandEntry, JobDemandTrace, JobTraceConfig, JobTraceGenerator
 from .workloads import (
@@ -26,7 +24,6 @@ from .workloads import (
     Workload,
     WorkloadConfig,
     WorkloadGenerator,
-    scenario_workload,
 )
 
 __all__ = [
@@ -48,7 +45,4 @@ __all__ = [
     "Workload",
     "WorkloadConfig",
     "WorkloadGenerator",
-    "iter_checkins",
-    "merge_traces",
-    "scenario_workload",
 ]

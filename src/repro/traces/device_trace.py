@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -310,35 +310,10 @@ class DiurnalAvailabilityModel:
         )
 
 
-def merge_traces(traces: Sequence[DeviceAvailabilityTrace]) -> DeviceAvailabilityTrace:
-    """Merge traces over disjoint device-id ranges into one trace, sessions
-    ordered by ``(start, index of the input trace)`` and, within one input
-    trace, in that trace's order."""
-    if not traces:
-        raise ValueError("need at least one trace")
-    starts = np.concatenate([t.starts for t in traces])
-    order = np.argsort(starts, kind="stable")
-    return DeviceAvailabilityTrace(
-        max(t.horizon for t in traces),
-        device_ids=np.concatenate([t.device_ids for t in traces])[order],
-        starts=starts[order],
-        ends=np.concatenate([t.ends for t in traces])[order],
-    )
-
-
-def iter_checkins(
-    trace: DeviceAvailabilityTrace,
-) -> Iterator[Tuple[float, int, float]]:
-    """Convenience iterator over sorted check-in events."""
-    yield from trace.checkin_events()
-
-
 __all__ = [
     "AvailabilitySession",
     "DAY",
     "DeviceAvailabilityTrace",
     "DiurnalAvailabilityModel",
     "DiurnalConfig",
-    "iter_checkins",
-    "merge_traces",
 ]

@@ -257,35 +257,10 @@ class WorkloadGenerator:
         return Workload(config=cfg, jobs=jobs, trace=trace, categories=category_map)
 
 
-def scenario_workload(
-    scenario: str,
-    num_jobs: int = 50,
-    seed: Optional[int] = None,
-    **overrides,
-) -> Workload:
-    """Convenience helper: generate a workload for one of the named scenarios.
-
-    ``scenario`` may be a demand scenario (``even``, ``small``, ``large``,
-    ``low``, ``high``) or a bias scenario (``general_heavy``,
-    ``compute_heavy``, ``memory_heavy``, ``resource_heavy``); bias scenarios
-    use the even demand distribution, as in §5.4.
-    """
-    if scenario in DEMAND_SCENARIOS:
-        config = WorkloadConfig(num_jobs=num_jobs, scenario=scenario, **overrides)
-    elif scenario in BIAS_SCENARIOS:
-        config = WorkloadConfig(
-            num_jobs=num_jobs, scenario="even", category_bias=scenario, **overrides
-        )
-    else:
-        raise ValueError(f"unknown workload scenario {scenario!r}")
-    return WorkloadGenerator(config, seed=seed).generate()
-
-
 __all__ = [
     "BIAS_SCENARIOS",
     "DEMAND_SCENARIOS",
     "Workload",
     "WorkloadConfig",
     "WorkloadGenerator",
-    "scenario_workload",
 ]

@@ -7,11 +7,9 @@ import pytest
 
 from repro.analysis.aggregate import (
     AggregateRow,
-    aggregate_jsonl,
     aggregate_rows,
     format_aggregates,
-    load_jsonl,
-    write_jsonl,
+    metrics_row,
 )
 from repro.analysis.stats import summarize_run
 from repro.sim.metrics import JobMetrics, SimulationMetrics
@@ -27,35 +25,6 @@ def make_row(scenario="s", policy="venn", jcts=(100.0,), sla=1.0, err=0.0, abort
         "completion_rate": 1.0,
         "total_aborts": aborts,
     }
-
-
-class TestJsonlRoundtrip:
-    def test_write_then_load(self, tmp_path):
-        rows = [make_row(jcts=[1.0, 2.0]), make_row(scenario="t", aborts=3)]
-        path = tmp_path / "out" / "rows.jsonl"  # directory is created
-        write_jsonl(rows, str(path))
-        assert load_jsonl(str(path)) == rows
-
-    def test_sorted_keys_make_bytes_order_independent(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        row = make_row()
-        write_jsonl([row], str(a))
-        write_jsonl([dict(reversed(list(row.items())))], str(b))
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_blank_lines_skipped_and_bad_json_reported(self, tmp_path):
-        path = tmp_path / "rows.jsonl"
-        path.write_text('{"scenario": "s"}\n\n')
-        assert load_jsonl(str(path)) == [{"scenario": "s"}]
-        path.write_text("not-json\n")
-        with pytest.raises(ValueError, match="invalid JSON row"):
-            load_jsonl(str(path))
-
-    def test_aggregate_jsonl_convenience(self, tmp_path):
-        path = tmp_path / "rows.jsonl"
-        write_jsonl([make_row(jcts=[10.0, 30.0])], str(path))
-        aggs = aggregate_jsonl(str(path))
-        assert aggs[("s", "venn")].mean_jct == pytest.approx(20.0)
 
 
 class TestAggregateRows:
@@ -144,7 +113,7 @@ class TestStatsAggregation:
         assert m.sla_attainment(slo_scale=4.0) == pytest.approx(0.5)
 
 
-class TestAggregateMetrics:
+class TestMetricsRow:
     """In-memory aggregation over SimulationMetrics objects."""
 
     def _metrics(self, jcts, policy="venn", horizon=10_000.0):
@@ -158,28 +127,21 @@ class TestAggregateMetrics:
             )
         return m
 
-    def test_matches_row_based_aggregation(self):
-        from repro.analysis.aggregate import aggregate_metrics, metrics_row
-
+    def test_rows_pool_by_scenario_and_policy(self):
         cells = [
             ("even", "venn", self._metrics([100.0, 200.0])),
             ("even", "venn", self._metrics([300.0])),
             ("even", "random", self._metrics([500.0])),
         ]
-        via_metrics = aggregate_metrics(cells)
-        via_rows = aggregate_rows(
-            [metrics_row(s, p, m) for s, p, m in cells]
-        )
-        assert via_metrics == via_rows
-        agg = via_metrics[("even", "venn")]
+        aggs = aggregate_rows([metrics_row(s, p, m) for s, p, m in cells])
+        assert sorted(aggs) == [("even", "random"), ("even", "venn")]
+        agg = aggs[("even", "venn")]
         assert agg.num_cells == 2
         assert agg.num_jobs == 3
         assert agg.mean_jct == pytest.approx(200.0)
 
     def test_censoring_flows_through(self):
-        from repro.analysis.aggregate import aggregate_metrics
-
         m = self._metrics([None], horizon=5_000.0)  # unfinished job
-        agg = aggregate_metrics([("s", "venn", m)])[("s", "venn")]
+        agg = aggregate_rows([metrics_row("s", "venn", m)])[("s", "venn")]
         assert agg.mean_jct == pytest.approx(5_000.0)  # censored to horizon
         assert agg.completion_rate == 0.0

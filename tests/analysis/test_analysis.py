@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.report import (
-    format_mapping,
     format_series,
     format_speedup_table,
     format_table,
@@ -13,7 +12,6 @@ from repro.analysis.report import (
 from repro.analysis.stats import (
     average_jct_speedup,
     fairness_satisfaction,
-    geometric_mean,
     jct_breakdown,
     jct_speedup_by_category,
     jct_speedup_by_demand_percentile,
@@ -81,11 +79,6 @@ class TestStats:
         assert row.total == pytest.approx(row.scheduling_delay + row.response_time)
         assert row.label == "x"
 
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        assert geometric_mean([]) == 0.0
-        assert geometric_mean([-1.0, 0.0]) == 0.0
-
     def test_fairness_satisfaction(self):
         m = metrics_with_jcts("venn", [100.0, 900.0])
         solo = {0: 100.0, 1: 100.0}
@@ -134,7 +127,3 @@ class TestReportFormatting:
     def test_format_series(self):
         text = format_series([1, 2], {"acc": [0.5, 0.6]}, x_label="round")
         assert "round" in text and "acc" in text and "0.600" in text
-
-    def test_format_mapping(self):
-        text = format_mapping({"metric": 1.0}, title="m")
-        assert "metric" in text and "1.00" in text

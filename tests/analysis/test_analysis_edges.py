@@ -15,14 +15,12 @@ import pytest
 
 from repro.analysis.report import (
     format_cell,
-    format_mapping,
     format_series,
     format_table,
 )
 from repro.analysis.stats import (
     average_jct_speedup,
     fairness_satisfaction,
-    geometric_mean,
     jct_breakdown,
     mean_confidence_interval,
     summarize_run,
@@ -144,14 +142,6 @@ class TestMetricsDegeneracy:
         assert summary["completion_rate"] == 0.0
 
 
-class TestGeometricMeanEdges:
-    def test_single_value(self):
-        assert geometric_mean([7.0]) == pytest.approx(7.0)
-
-    def test_non_positive_entries_ignored_not_poisoning(self):
-        assert geometric_mean([0.0, -3.0, 4.0, 1.0]) == pytest.approx(2.0)
-
-
 class TestReportEdges:
     def test_format_table_with_no_rows_prints_headers(self):
         text = format_table(["a", "bb"], [], title="T")
@@ -169,10 +159,6 @@ class TestReportEdges:
             [1.0], {"a": [0.25], "b": [0.5]}, precision=2
         )
         assert "0.25" in text and "0.50" in text
-
-    def test_format_mapping_empty(self):
-        text = format_mapping({}, title="nothing")
-        assert "nothing" in text and "metric" in text
 
     def test_format_cell_bool_not_formatted_as_float(self):
         assert format_cell(True) == "True"

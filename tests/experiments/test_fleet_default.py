@@ -7,8 +7,7 @@ default.  This module holds the three facts that make the default safe:
 * the defaults — ``SimulationConfig()`` and every preset — select the fleet
   engine;
 * the sweep's ``run_cell`` and ``CoSimulation.run`` really run it (a spy on
-  ``Simulator.run`` reads what the run built: only the fleet engine builds
-  a device stream);
+  ``Simulator.run`` reads the class of the engine that ran);
 * on the paper's five demand scenarios under ``random``, ``srsf`` and
   ``venn`` at ``quick``, the sweep rows are byte-identical on the
   single-queue reference (``vectorized_dispatch=False``) and on the fleet
@@ -28,6 +27,7 @@ from repro.experiments.config import get_config
 from repro.experiments.environment import build_environment
 from repro.experiments.sweep import build_cell_environment, plan_cells, run_cell
 from repro.sim.engine import SimulationConfig, Simulator
+from repro.sim.fleet import FleetSimulator
 from repro.traces.workloads import DEMAND_SCENARIOS
 
 from tests.cosim.test_cosim import cosim_base, tiny_cosim_config
@@ -43,7 +43,7 @@ def engines_run(monkeypatch):
 
     def spy(self, *args, **kwargs):
         metrics = real_run(self, *args, **kwargs)
-        seen.append(self._shard is not None)
+        seen.append(isinstance(self, FleetSimulator))
         return metrics
 
     monkeypatch.setattr(Simulator, "run", spy)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.aggregate import aggregate_rows, load_jsonl
+from repro.analysis.aggregate import aggregate_rows
 from repro.experiments.sweep import (
     SMOKE_SCENARIOS,
     SweepCell,
@@ -131,7 +131,7 @@ class TestRunSweep:
     def test_jsonl_roundtrip(self, tiny_cells, tmp_path):
         out = tmp_path / "sweep.jsonl"
         rows = run_sweep(tiny_cells, workers=1, out_path=str(out))
-        assert load_jsonl(str(out)) == rows
+        assert [json.loads(line) for line in out.read_text().splitlines()] == rows
 
     def test_worker_count_validated(self, tiny_cells):
         with pytest.raises(ValueError):

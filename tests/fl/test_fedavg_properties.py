@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fl.fedavg import fedavg_aggregate, fedavg_delta_aggregate
+from repro.fl.fedavg import fedavg_aggregate
 
 
 def _updates_and_weights(rng: np.random.Generator, n: int, dim: int):
@@ -101,17 +101,3 @@ class TestFedAvgProperties:
         )
         np.testing.assert_allclose(zero_weighted, omitted, rtol=1e-9, atol=1e-9)
 
-    @given(case=aggregation_cases(), lr=st.floats(0.0, 2.0))
-    @settings(max_examples=30, deadline=None)
-    def test_delta_aggregate_interpolates(self, case, lr):
-        """Server step: lr=0 keeps the global model, lr=1 reproduces plain
-        FedAvg, in between it interpolates linearly."""
-        n, dim, rng = case
-        updates, weights = _updates_and_weights(rng, n, dim)
-        global_params = rng.normal(size=dim)
-        avg = fedavg_aggregate(updates, weights)
-        stepped = fedavg_delta_aggregate(
-            global_params, updates, weights, server_lr=lr
-        )
-        expected = global_params + lr * (avg - global_params)
-        np.testing.assert_allclose(stepped, expected, rtol=1e-9, atol=1e-9)

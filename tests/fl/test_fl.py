@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fl.datasets import FederatedDataConfig, SyntheticFederatedDataset
-from repro.fl.fedavg import fedavg_aggregate, fedavg_delta_aggregate
+from repro.fl.fedavg import fedavg_aggregate
 from repro.fl.models import MLPClassifier, SoftmaxRegression
 from repro.fl.trainer import (
     FederatedTrainer,
@@ -146,13 +146,6 @@ class TestFedAvg:
             fedavg_aggregate([np.zeros(2), np.zeros(2)], client_weights=[0.0, 0.0])
         with pytest.raises(ValueError):
             fedavg_aggregate([np.zeros(2), np.zeros(2)], client_weights=[-1.0, 2.0])
-
-    def test_delta_aggregate_matches_plain_at_unit_lr(self):
-        global_params = np.array([1.0, 1.0])
-        updates = [np.array([2.0, 0.0]), np.array([0.0, 2.0])]
-        plain = fedavg_aggregate(updates)
-        delta = fedavg_delta_aggregate(global_params, updates, server_lr=1.0)
-        np.testing.assert_allclose(plain, delta)
 
     @given(
         n=st.integers(min_value=1, max_value=8),

@@ -22,6 +22,8 @@ from repro.resilience import (
 import repro.sim.engine as engine_module
 from repro.resilience.snapshot import SNAPSHOT_FORMAT_VERSION
 from repro.sim.engine import Simulator
+from repro.sim.fleet import FleetSimulator
+from repro.sim.reference import ReferenceSimulator
 from tests.resilience.conftest import build_sim, kill_and_resume
 
 ENGINE_MODES = [
@@ -98,7 +100,7 @@ class TestVectorizedDevicesAcrossSnapshots:
 
     def test_resumed_run_builds_devices_from_the_restored_arrays(self):
         snap = killed_mid_run(**self.MODE)
-        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 14
+        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 15
         resumed = Simulator.resume(snap, crash_at_event=None)
         assert resumed._devices is None
         # Mid-run read on the resumed simulator: the checkpoint's state.
@@ -233,18 +235,18 @@ class TestCheckpointing:
         mid-run on a missing attribute; the version check refuses it before
         anything runs."""
         sim = Simulator.resume(killed_mid_run(vectorized=True))
-        shard = sim._shard
-        code = shard.sa_code
+        stream = sim._stream
+        code = stream.sa_code
         format_5_columns = {
-            "sa_time": shard.sa_time,
-            "sa_seq": code.astype("int64") + shard.seq0,
-            "sa_slot": shard.sa_slot.astype("int64"),
-            "sa_send": shard.se_end[code >> 1],
+            "sa_time": stream.sa_time,
+            "sa_seq": code.astype("int64") + stream.seq0,
+            "sa_slot": stream.sa_slot.astype("int64"),
+            "sa_send": stream.se_end[code >> 1],
             "sa_ci": (code & 1) == 0,
         }
         for name in ("sa_code", "se_end", "seq0"):
-            delattr(shard, name)
-        shard.__dict__.update(format_5_columns)
+            delattr(stream, name)
+        stream.__dict__.update(format_5_columns)
         monkeypatch.setattr(engine_module, "SNAPSHOT_FORMAT_VERSION", 5)
         payload = sim.snapshot().payload
         monkeypatch.undo()
@@ -268,7 +270,7 @@ class TestCheckpointing:
         assert sim.config.crash_at_event == 25  # pending at the checkpoint
         vars(sim.config)["fault_plan"] = vars(sim.config).pop("crash_at_event")
         sim.__dict__["_injector"] = None
-        sim._shard.__dict__.update(
+        sim._stream.__dict__.update(
             down_until=0.0, static_skipped=0,
             responses_failed_by_fault=0, responses_delayed_by_fault=0,
         )
@@ -304,7 +306,7 @@ class TestCheckpointing:
         then fail at its first outcome draw, which reads the fleet's
         columns; the version check refuses it before anything runs."""
         sim = Simulator.resume(killed_mid_run(vectorized=True))
-        assert sim._shard.heap  # tasks are in flight at the crash
+        assert sim._stream.heap  # tasks are in flight at the crash
         profiles = list(sim._device_profiles)
         sim._device_profiles = profiles
         sim._vec.profiles = profiles
@@ -334,7 +336,8 @@ class TestCheckpointing:
         with pytest.raises(SimulatedCrash):
             crashed.run()
         sim = Simulator.resume(store.latest)
-        assert not sim._fleet and sim._idle  # idle devices at the checkpoint
+        assert isinstance(sim, ReferenceSimulator)
+        assert sim._idle  # idle devices at the checkpoint
         del sim._idle
         monkeypatch.setattr(engine_module, "SNAPSHOT_FORMAT_VERSION", 9)
         payload = sim.snapshot().payload
@@ -428,6 +431,40 @@ class TestCheckpointing:
         )
         stale = Simulator.resume(payload, crash_at_event=None)
         assert stale.run().job_jcts() == plain.run().job_jcts()
+
+    def test_format_14_snapshot_is_refused_up_front(self, monkeypatch):
+        """Format 14 pickled one ``Simulator`` class for both engines, told
+        apart by a ``_fleet`` flag, and the fleet engine's stream as a
+        ``repro.sim.shard.DeviceShard``; format 15 pickles the engine's own
+        class and a ``repro.sim.stream.DeviceStream``.  A real format-14
+        fleet payload names the deleted module and fails to decode; a
+        reference one decodes — as the fleet engine, the one ``Simulator``
+        picks when unpickling calls it without a config — and is refused
+        by the version check before anything runs."""
+        store = LatestSnapshotStore()
+        crashed = build_sim(
+            crash_at_event=25, checkpoint_interval=10, checkpoint_sink=store
+        )
+        with pytest.raises(SimulatedCrash):
+            crashed.run()
+        sim = Simulator.resume(store.latest)
+        assert type(sim) is ReferenceSimulator
+        sim.__class__ = Simulator  # the format-14 shape
+        sim.__dict__.update(_fleet=False, _shard=None, _vec=None)
+        monkeypatch.setattr(engine_module, "SNAPSHOT_FORMAT_VERSION", 14)
+        payload = sim.snapshot().payload
+        monkeypatch.undo()
+        with pytest.raises(SnapshotError, match="format version 14 "):
+            Simulator.resume(payload)
+        # Without the check the reference state resumes as the fleet
+        # engine and fails at its first read of the device stream.
+        monkeypatch.setattr(
+            engine_module, "_check_format_version", lambda version: None
+        )
+        stale = Simulator.resume(payload, crash_at_event=None)
+        assert type(stale) is FleetSimulator
+        with pytest.raises(AttributeError, match="'_stream'"):
+            stale.run()
 
     def test_resume_reattaches_checkpoint_sink(self):
         """The sink is dropped from snapshots and must be re-suppliable at

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.experiments.config import quick_config
 from repro.scenarios import (
-    all_scenarios,
     get_scenario,
     scenario_names,
     validate_environment,
@@ -53,7 +52,7 @@ def test_every_registered_scenario_yields_valid_environments(base):
         validate_environment(env)
 
 
-@given(base=config_strategy, name=st.sampled_from(sorted(all_scenarios())))
+@given(base=config_strategy, name=st.sampled_from(scenario_names()))
 @settings(max_examples=15, deadline=None)
 def test_scenario_environments_are_reproducible(base, name):
     """Same spec + same base config => identical workload and trace."""

@@ -13,7 +13,6 @@ from repro.scenarios import (
     BEYOND_PAPER_SCENARIOS,
     NETWORK_SCENARIOS,
     ScenarioSpec,
-    all_scenarios,
     get_scenario,
     register_scenario,
     scenario_names,
@@ -75,7 +74,7 @@ class TestRegistry:
             assert get_scenario("tmp_dup").description == "v2"
         finally:
             unregister_scenario("tmp_dup")
-        assert "tmp_dup" not in all_scenarios()
+        assert "tmp_dup" not in scenario_names()
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -36,14 +36,14 @@ class TestDeviceRuntime:
     def test_cannot_check_in_while_busy(self):
         dev = self._runtime()
         dev.check_in(0.0, 100.0)
-        dev.start_task(job_id=1, request_id=1, now=5.0)
+        dev.start_task(now=5.0)
         with pytest.raises(RuntimeError):
             dev.check_in(6.0, 200.0)
 
     def test_task_lifecycle(self):
         dev = self._runtime()
         dev.check_in(0.0, 100.0)
-        dev.start_task(job_id=1, request_id=1, now=5.0)
+        dev.start_task(now=5.0)
         assert dev.status is DeviceStatus.BUSY
         assert not dev.can_take_task(6.0)
         dev.finish_task(now=50.0, success=True)
@@ -53,7 +53,7 @@ class TestDeviceRuntime:
     def test_finish_after_session_end_goes_offline(self):
         dev = self._runtime()
         dev.check_in(0.0, 40.0)
-        dev.start_task(1, 1, now=5.0)
+        dev.start_task(now=5.0)
         dev.finish_task(now=60.0, success=False)
         assert dev.tasks_failed == 1
         assert dev.status is DeviceStatus.OFFLINE
@@ -61,7 +61,7 @@ class TestDeviceRuntime:
     def test_start_task_requires_idle(self):
         dev = self._runtime()
         with pytest.raises(RuntimeError):
-            dev.start_task(1, 1, now=0.0)
+            dev.start_task(now=0.0)
 
     def test_finish_requires_busy(self):
         dev = self._runtime()
@@ -72,7 +72,7 @@ class TestDeviceRuntime:
     def test_daily_limit(self):
         dev = self._runtime()
         dev.check_in(0.0, SECONDS_PER_DAY * 2)
-        dev.start_task(1, 1, now=100.0)
+        dev.start_task(now=100.0)
         dev.finish_task(now=200.0, success=True)
         assert dev.participated_today(300.0)
         assert not dev.can_take_task(300.0, enforce_daily_limit=True)
@@ -83,7 +83,7 @@ class TestDeviceRuntime:
     def test_checkout_while_busy_is_deferred(self):
         dev = self._runtime()
         dev.check_in(0.0, 50.0)
-        dev.start_task(1, 1, 10.0)
+        dev.start_task(10.0)
         dev.check_out()  # no-op while busy
         assert dev.status is DeviceStatus.BUSY
 

@@ -1,6 +1,6 @@
 """Engine-mode identity at scale: every engine configuration on one cell.
 
-The other identity suites (``test_sharded_engine``, ``test_vectorized_engine``,
+The other identity suites (``test_fleet_engine``, ``test_vectorized_engine``,
 ``test_batched_dispatch``, the goldens) use tens to hundreds of devices, where
 the fold kernels, the batched-assign ledger and the decode window see short
 runs.  This module is the one input at *scale*: a 5,000-device x 8-job x 6 h
@@ -24,6 +24,7 @@ from repro.resilience import (
     metrics_digest,
 )
 from repro.sim.engine import SimulationConfig, Simulator
+from repro.sim.fleet import FleetSimulator
 from repro.traces import (
     CapacitySampler,
     DiurnalAvailabilityModel,
@@ -99,14 +100,13 @@ def cell():
 
 def run(cell, maintenance="incremental", policy_cls=VennScheduler, **overrides):
     """One recorded run; returns ``(policy, metrics, events_processed,
-    ran_fleet)``, the last read from what the run built: only the fleet
-    engine builds a device stream."""
+    ran_fleet)``, the last read from the engine ``Simulator`` built."""
     devices, availability, jobs = cell
     policy = RecordingPolicy(policy_cls(seed=SEED, plan_maintenance=maintenance))
     config = SimulationConfig(horizon=HORIZON_S, seed=SEED, **overrides)
     sim = Simulator(devices, availability, jobs, policy, config)
     metrics = sim.run()
-    return policy, metrics, sim.events_processed, sim._shard is not None
+    return policy, metrics, sim.events_processed, isinstance(sim, FleetSimulator)
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,7 @@ class TestEventQueue:
     def test_negative_time_rejected(self):
         q = EventQueue()
         with pytest.raises(ValueError):
-            q.push(-1.0, EventType.HORIZON)
+            q.push(-1.0, EventType.JOB_ARRIVAL)
 
     def test_events_pop_in_time_order(self):
         q = EventQueue()
@@ -58,7 +58,7 @@ class TestEventQueue:
         """Property: popping yields a non-decreasing time sequence."""
         q = EventQueue()
         for t in times:
-            q.push(t, EventType.HORIZON)
+            q.push(t, EventType.JOB_ARRIVAL)
         popped = [q.pop().time for _ in times]
         assert popped == sorted(times)
         assert q.pop() is None

@@ -116,7 +116,7 @@ def run_on(devices, trace, jobs, policy_name, horizon, *, fleet,
     return run_simulation(devices, trace, jobs, policy, config)
 
 
-class TestShardIdentity:
+class TestFleetIdentity:
     @given(
         env_seed=st.integers(0, 10_000),
         policy_name=st.sampled_from(["venn", "random", "srsf"]),
@@ -138,7 +138,7 @@ class TestShardIdentity:
         )
         assert fingerprint(fleet) == fingerprint(legacy)
 
-    def test_single_shard_forced_path_matches_legacy(self):
+    def test_fixed_cell_matches_legacy(self):
         horizon = 50_000.0
         devices, trace, jobs = build_environment(3, 80, 6, horizon)
         legacy = run_on(devices, trace, jobs, "venn", horizon, fleet=False)
@@ -146,7 +146,7 @@ class TestShardIdentity:
         assert fingerprint(forced) == fingerprint(legacy)
 
 
-class TestShardedEngineMechanics:
+class TestFleetEngineMechanics:
     def _env(self):
         horizon = 30_000.0
         devices, trace, jobs = build_environment(5, 40, 4, horizon)

@@ -35,17 +35,17 @@ from repro.traces.workloads import WorkloadConfig, WorkloadGenerator
 
 N = 5_000
 
-#: Budget for everything ``sim/shard.py`` holds at the end of a day, per
+#: Budget for everything ``sim/stream.py`` holds at the end of a day, per
 #: static event: 16 B of columns (time 8 + code 4 + slot 4) + the decode
 #: window (1024 rows x ~290 B, ~17 B/event at this size) measured 33 B/event
 #: (the 8 B per session of ``se_end`` is the trace's sorted end column and
 #: traces under ``traces/device_trace.py``).  With five columns (33 B) and
 #: the per-device signature dict it measured 58 B/event; the list
 #: representation before that, 231 B/event.
-MAX_SHARD_BYTES_PER_STATIC_EVENT = 48
+MAX_STREAM_BYTES_PER_STATIC_EVENT = 48
 
 #: Budget for the traced peak of building the stream, the signature ids and
-#: the device arrays (``Simulator._setup_fleet``), per static event.  What
+#: the device arrays (``FleetSimulator._start``), per static event.  What
 #: is alive at the build's high-water mark, per session (two events): the
 #: sorted session columns (start 8, end 8), the slots (4), the interleaved
 #: event times (16) and ``argsort``'s int64 order (16) beside its int32 copy
@@ -54,9 +54,10 @@ MAX_SHARD_BYTES_PER_STATIC_EVENT = 48
 #: event columns, filtered copies and the signature dict measured 88.
 MAX_BUILD_PEAK_BYTES_PER_STATIC_EVENT = 72
 
-#: Budget for what ``sim/engine.py`` + ``sim/vector.py`` hold per device at
-#: the end of a vectorized day: the state arrays and the two counter lists
-#: (the profiles and their id column are the caller's fleet).  Measured
+#: Budget for what ``sim/engine.py`` + ``sim/fleet.py`` + ``sim/vector.py``
+#: hold per device at the end of a vectorized day: the state arrays and the
+#: two counter lists (the profiles and their id column are the caller's
+#: fleet).  Measured
 #: 31 B; with a contiguous id copy and a by-slot signature list as well,
 #: 45 B; with a list of profiles, 65 B; with the eager ``DeviceRuntime``
 #: dict (172 B) and the ``slot_of`` dict (116 B) as well, 303 B.
@@ -133,14 +134,14 @@ def traced_vectorized_day(cell):
 
 def test_static_stream_costs_columns_plus_a_window(traced_vectorized_day):
     sim, _metrics, snapshot = traced_vectorized_day
-    static_events = sim._shard.st_len
+    static_events = sim._stream.st_len
     assert static_events > 3 * N  # a real day, not a degenerate trace
     assert (
-        held_under(snapshot, "*/sim/shard.py") / static_events
-        <= MAX_SHARD_BYTES_PER_STATIC_EVENT
+        held_under(snapshot, "*/sim/stream.py") / static_events
+        <= MAX_STREAM_BYTES_PER_STATIC_EVENT
     )
     # One identity column, the slot: a stream never holds the ids.
-    assert not hasattr(sim._shard, "sa_dev")
+    assert not hasattr(sim._stream, "sa_dev")
 
 
 def test_building_the_stream_peaks_at_tens_of_bytes_per_event(cell):
@@ -148,11 +149,11 @@ def test_building_the_stream_peaks_at_tens_of_bytes_per_event(cell):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sim._setup_fleet()
+        sim._start()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    static_events = sim._shard.st_len
+    static_events = sim._stream.st_len
     assert static_events > 3 * N
     assert (peak - before) / static_events <= (
         MAX_BUILD_PEAK_BYTES_PER_STATIC_EVENT
@@ -190,7 +191,7 @@ def test_fleet_engine_keeps_no_per_device_dict(traced_vectorized_day, contended_
     nothing the fleet engine or its policy holds is a dict with an entry
     per device, on a light day and on a contended one."""
     for sim in (traced_vectorized_day[0], contended_day):
-        holders = (sim, sim._vec, sim._shard, sim.policy)
+        holders = (sim, sim._vec, sim._stream, sim.policy)
         sizes = {
             (type(holder).__name__, name): len(value)
             for holder in holders
@@ -206,7 +207,9 @@ def test_vectorized_engine_holds_no_per_device_objects(cell, traced_vectorized_d
     # The profiles are the caller's fleet itself: no copy, no list.
     assert sim._vec.profiles is cell[0]
     assert (
-        held_under(snapshot, "*/sim/engine.py", "*/sim/vector.py") / N
+        held_under(
+            snapshot, "*/sim/engine.py", "*/sim/fleet.py", "*/sim/vector.py"
+        ) / N
         <= MAX_ENGINE_BYTES_PER_DEVICE
     )
     # Nothing built the runtimes ...

@@ -1,12 +1,12 @@
 """The single-queue engine's idle set and the dispatch walk over it.
 
-``Simulator._idle`` holds the ids of the devices whose status is IDLE.  It
-is updated at four transitions — check-in, checkout, task start and task
-finish — and a dispatch sweep walks it in ascending id order.  These tests
-hold the set to the device statuses after every event of several churning
-cells, hold the walk to its contract (each idle device offered at most
-once, and only if it may take a task that is pending), and check that the
-set survives a crash and resume.
+``ReferenceSimulator._idle`` holds the ids of the devices whose status is
+IDLE.  It is updated at four transitions — check-in, checkout, task start
+and task finish — and a dispatch sweep walks it in ascending id order.
+These tests hold the set to the device statuses after every event of
+several churning cells, hold the walk to its contract (each idle device
+offered at most once, and only if it may take a task that is pending), and
+check that the set survives a crash and resume.
 """
 
 from __future__ import annotations

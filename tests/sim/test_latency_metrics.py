@@ -11,8 +11,6 @@ from repro.sim.metrics import (
     JobMetrics,
     SimulationMetrics,
     collect_job_metrics,
-    per_job_speedups,
-    speedup_over,
 )
 from tests.conftest import make_device, make_job
 
@@ -156,15 +154,6 @@ class TestSimulationMetrics:
         # Buckets are monotone supersets as p grows.
         ordered = [result[p] for p in (0.0, 1.0, 25.0, 99.0, 100.0)]
         assert ordered[0] == ordered[1] == ordered[2]  # same single-job bucket
-
-    def test_speedup_over(self):
-        slow = SimulationMetrics(policy="slow", horizon=1000.0)
-        fast = SimulationMetrics(policy="fast", horizon=1000.0)
-        slow.jobs[1] = _job_metrics(1, 800.0)
-        fast.jobs[1] = _job_metrics(1, 400.0)
-        assert speedup_over(slow, fast) == pytest.approx(2.0)
-        per_job = per_job_speedups(slow, fast)
-        assert per_job[1] == pytest.approx(2.0)
 
 
 class TestCollectJobMetrics:

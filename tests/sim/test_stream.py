@@ -1,4 +1,4 @@
-"""Unit tests for the device-stream layer (:mod:`repro.sim.shard`).
+"""Unit tests for the device-stream layer (:mod:`repro.sim.stream`).
 
 The fleet engine's correctness rests on two local properties pinned here:
 vectorised signature precompute equals the per-device predicate walk, and
@@ -6,7 +6,7 @@ the device stream carries the single-queue engine's exact sequence
 enumeration in sorted order, naming each device by its slot.  The stream is
 code-encoded (``seq = seq0 + code``); the two-key ``lexsort`` build it
 replaced is kept below as the oracle its decoded rows must equal bit for
-bit.  (End-to-end bit-identity lives in ``tests/sim/test_sharded_engine.py``.)
+bit.  (End-to-end bit-identity lives in ``tests/sim/test_fleet_engine.py``.)
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro.sim.shard as shard_module
+import repro.sim.stream as stream_module
 from repro.core.requirements import (
     COMPUTE_RICH,
     GENERAL,
@@ -30,10 +30,10 @@ from repro.core.requirements import (
     compute_signatures,
     signature_of,
 )
-from repro.sim.shard import (
+from repro.sim.stream import (
     INF_KEY,
-    DeviceShard,
-    build_shard,
+    DeviceStream,
+    build_stream,
     code_dtype,
     make_static_stream,
 )
@@ -176,11 +176,11 @@ def lexsort_stream(starts, slots, ends, seqs, horizon):
     )
 
 
-def decoded(shard):
-    """Every event of ``shard`` as the readers see it: the window rows."""
+def decoded(stream):
+    """Every event of ``stream`` as the readers see it: the window rows."""
     rows, p = [], 0
-    while p < shard.st_len:
-        window, _lo, p = shard.refill(p)
+    while p < stream.st_len:
+        window, _lo, p = stream.refill(p)
         rows.extend(window)
     return rows
 
@@ -269,12 +269,12 @@ class TestStaticStream:
         slots = np.array([d for _, d, _ in sessions], dtype=np.int32)
         ends = np.array([e for _, _, e in sessions], dtype=np.float64)
         seqs = seq0 + 2 * np.arange(len(sessions), dtype=np.int64)
-        with mock.patch.object(shard_module, "code_dtype", lambda n: width):
+        with mock.patch.object(stream_module, "code_dtype", lambda n: width):
             stream = make_static_stream(starts, slots, ends, horizon=8.0)
         assert stream[1].dtype == width
         oracle = lexsort_stream(starts, slots, ends, seqs, horizon=8.0)
         expected = list(zip(*(column.tolist() for column in oracle)))
-        assert exact(decoded(DeviceShard(stream, seq0))) == exact(expected)
+        assert exact(decoded(DeviceStream(stream, seq0))) == exact(expected)
 
 
 def _trace(sessions):
@@ -285,11 +285,11 @@ def _trace(sessions):
     )
 
 
-class TestBuildShard:
+class TestBuildStream:
     def test_stream_and_seq_budget(self):
         ids = np.arange(6)
         trace = _trace([(i, float(i), float(i) + 10.0) for i in range(6)])
-        stream, consumed = build_shard(ids, trace, horizon=100.0, seq_start=2)
+        stream, consumed = build_stream(ids, trace, horizon=100.0, seq_start=2)
         assert consumed == 12  # two seqs per session
         assert sorted(set(stream.sa_slot.tolist())) == list(range(6))
         assert stream.seq0 == 2
@@ -301,7 +301,7 @@ class TestBuildShard:
         """Sparse ids in no order: device 20 is slot 1 (its rank)."""
         ids = np.array([33, 7, 31, 20])
         trace = _trace([(33, 1.0, 5.0), (20, 2.0, 6.0), (7, 3.0, 8.0)])
-        stream, consumed = build_shard(ids, trace, horizon=100.0, seq_start=0)
+        stream, consumed = build_stream(ids, trace, horizon=100.0, seq_start=0)
         assert consumed == 6
         assert stream.sa_slot.tolist() == [3, 1, 0, 3, 1, 0]
         # A decoded window row carries the slot too.
@@ -309,7 +309,7 @@ class TestBuildShard:
 
     def test_sessions_past_horizon_consume_no_seqs(self):
         trace = _trace([(0, 1.0, 5.0), (1, 50.0, 60.0)])
-        stream, consumed = build_shard(
+        stream, consumed = build_stream(
             np.arange(2), trace, horizon=10.0, seq_start=0
         )
         assert consumed == 2  # the t=50 session is beyond the horizon
@@ -323,23 +323,23 @@ class TestBuildShard:
         trace = _trace(
             [(0, 1.0, 5.0), (1, 2.0, 6.0), (2, 3.0, 8.0), (3, 20.0, 30.0)]
         )
-        sh, _ = build_shard(np.arange(4), trace, horizon=100.0, seq_start=4)
-        assert sh.events_through(5.0, 4) == 3
-        assert sh.events_through(5.0, 5) == 4
-        assert sh.events_through(4.0, 10**9) == 3
-        assert sh.events_through(0.5, 10**9) == 0
-        assert sh.events_through(30.0, -1) == 7
-        assert sh.events_through(1e9, 0) == 8
+        stream, _ = build_stream(np.arange(4), trace, horizon=100.0, seq_start=4)
+        assert stream.events_through(5.0, 4) == 3
+        assert stream.events_through(5.0, 5) == 4
+        assert stream.events_through(4.0, 10**9) == 3
+        assert stream.events_through(0.5, 10**9) == 0
+        assert stream.events_through(30.0, -1) == 7
+        assert stream.events_through(1e9, 0) == 8
 
     def test_head_key_merges_static_and_dynamic(self):
         trace = _trace([(0, 4.0, 9.0)])
-        sh, _ = build_shard(np.arange(1), trace, horizon=10.0, seq_start=0)
-        assert sh.head_key() == (4.0, 0)
-        sh.schedule_response(2.0, 99, 0, 1, 1, True)
-        assert sh.head_key() == (2.0, 99)
-        sh.heap.clear()
-        sh.cursor = sh.st_len
-        assert sh.head_key() == INF_KEY
+        stream, _ = build_stream(np.arange(1), trace, horizon=10.0, seq_start=0)
+        assert stream.head_key() == (4.0, 0)
+        stream.schedule_response(2.0, 99, 0, 1, 1, True)
+        assert stream.head_key() == (2.0, 99)
+        stream.heap.clear()
+        stream.cursor = stream.st_len
+        assert stream.head_key() == INF_KEY
 
 
 def four_device_stream():
@@ -347,7 +347,7 @@ def four_device_stream():
     trace = _trace(
         [(0, 1.0, 5.0), (1, 2.0, 6.0), (2, 3.0, 8.0), (3, 20.0, 30.0)]
     )
-    stream, _ = build_shard(np.arange(4), trace, horizon=100.0, seq_start=0)
+    stream, _ = build_stream(np.arange(4), trace, horizon=100.0, seq_start=0)
     return stream
 
 
@@ -357,7 +357,7 @@ class TestStreamWindow:
     def test_head_key_refills_after_the_cursor_leaves_the_window(
         self, monkeypatch
     ):
-        monkeypatch.setattr(shard_module, "STREAM_WINDOW", 2)
+        monkeypatch.setattr(stream_module, "STREAM_WINDOW", 2)
         stream = four_device_stream()
         assert stream.head_key() == (1.0, stream.seq0 + int(stream.sa_code[0]))
         assert (stream.w_lo, stream.w_hi) == (0, 2)
@@ -365,7 +365,7 @@ class TestStreamWindow:
         assert stream.head_key() == (8.0, stream.seq0 + int(stream.sa_code[5]))
         assert (stream.w_lo, stream.w_hi) == (5, 7)
 
-    @pytest.mark.parametrize("window", [1, 3, shard_module.STREAM_WINDOW])
+    @pytest.mark.parametrize("window", [1, 3, stream_module.STREAM_WINDOW])
     def test_head_key_walks_static_events_and_responses_in_key_order(
         self, monkeypatch, window
     ):
@@ -374,7 +374,7 @@ class TestStreamWindow:
         sources in ascending ``(time, seq)`` order.  Responses take seqs
         after the stream's, so a response tied in time with a static event
         comes after it."""
-        monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
+        monkeypatch.setattr(stream_module, "STREAM_WINDOW", window)
         stream = four_device_stream()
         static = list(
             zip(stream.sa_time.tolist(), (stream.seq0 + stream.sa_code).tolist())
@@ -397,7 +397,7 @@ class TestStreamWindow:
         assert stream.cursor == stream.st_len and not stream.heap
 
     def test_refill_clamps_at_the_stream_end(self, monkeypatch):
-        monkeypatch.setattr(shard_module, "STREAM_WINDOW", 3)
+        monkeypatch.setattr(stream_module, "STREAM_WINDOW", 3)
         stream = four_device_stream()
         rows, lo, hi = stream.refill(6)
         assert (lo, hi) == (6, 8)

@@ -1,5 +1,5 @@
 """The static stream's decode window changes wall time and memory, never
-results (:data:`repro.sim.shard.STREAM_WINDOW`).
+results (:data:`repro.sim.stream.STREAM_WINDOW`).
 
 The fleet engine keeps its static device stream as numpy columns and
 decodes ``STREAM_WINDOW`` events at a time into Python rows for the
@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-import repro.sim.shard as shard_module
+import repro.sim.stream as stream_module
 from repro.core.requirements import GENERAL, EligibilityRequirement
 from repro.core.scheduler import VennScheduler
 from repro.core.types import JobSpec
@@ -60,12 +60,12 @@ def golden_sim(name: str, fleet: bool = True) -> Simulator:
 @pytest.mark.parametrize("name", ["uncontended", "contended"])
 def test_golden_scenarios_identical_at_tiny_windows(monkeypatch, name):
     expected = fingerprint(golden_sim(name, fleet=False))
-    assert shard_module.STREAM_WINDOW > max(WINDOWS)
+    assert stream_module.STREAM_WINDOW > max(WINDOWS)
     for window in WINDOWS:
-        monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
+        monkeypatch.setattr(stream_module, "STREAM_WINDOW", window)
         sim = golden_sim(name)
         assert fingerprint(sim) == expected, window
-        assert len(sim._shard.w_rows) <= window
+        assert len(sim._stream.w_rows) <= window
 
 
 def starved_sim(fleet: bool = True) -> Simulator:
@@ -96,15 +96,15 @@ def starved_sim(fleet: bool = True) -> Simulator:
 def test_long_pending_slices_identical_at_tiny_windows(monkeypatch):
     expected = fingerprint(starved_sim(fleet=False))
     refills_by_reader = set()
-    refill = shard_module.DeviceShard.refill
+    refill = stream_module.DeviceStream.refill
 
     def counting_refill(self, p):
         refills_by_reader.add(sys._getframe(1).f_code.co_name)
         return refill(self, p)
 
-    monkeypatch.setattr(shard_module.DeviceShard, "refill", counting_refill)
+    monkeypatch.setattr(stream_module.DeviceStream, "refill", counting_refill)
     for window in WINDOWS:
-        monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
+        monkeypatch.setattr(stream_module, "STREAM_WINDOW", window)
         assert fingerprint(starved_sim()) == expected, window
     # Every windowed reader of the fleet engine refilled mid-run.
     assert refills_by_reader == {"head_key", "_drain_events"}
@@ -113,16 +113,16 @@ def test_long_pending_slices_identical_at_tiny_windows(monkeypatch):
 @pytest.mark.parametrize("window", WINDOWS)
 def test_snapshot_mid_window_resumes_identically(monkeypatch, window):
     expected = fingerprint(build_sim())  # single-queue
-    monkeypatch.setattr(shard_module, "STREAM_WINDOW", window)
+    monkeypatch.setattr(stream_module, "STREAM_WINDOW", window)
     crashed = build_sim(vectorized=True, crash_at_event=25)
     with pytest.raises(SimulatedCrash):
         crashed.run()
-    stream = crashed._shard
+    stream = crashed._stream
     if window > 1:
         # The crash point sits strictly inside a decoded window.
         assert stream.w_lo < stream.cursor < stream.w_hi
     resumed = Simulator.resume(crashed.snapshot(), crash_at_event=None)
     # The stream pickles as columns; the window is rebuilt at the cursor.
-    assert resumed._shard.w_rows == [] and resumed._shard.w_hi == 0
-    assert resumed._shard.cursor > 0
+    assert resumed._stream.w_rows == [] and resumed._stream.w_hi == 0
+    assert resumed._stream.cursor > 0
     assert fingerprint(resumed) == expected

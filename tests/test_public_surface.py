@@ -7,9 +7,10 @@ public ``def`` whose name is referenced nowhere in those trees except inside
 its own body and in ``__all__``.
 
 A reference is a name load (``foo``), an attribute (``x.foo``) or a string
-equal to the name (``getattr(x, "foo")``).  Matching is by name, so a
-definition counts as used when any same-named one is; the guard can miss a
-dead method, never flag a live one.
+equal to the name (``getattr(x, "foo")``).  An import is not one: a name
+that a package ``__init__`` only re-exports has no caller.  Matching is by
+name, so a definition counts as used when any same-named one is; the guard
+can miss a dead method, never flag a live one.
 
 The allowlist holds oracles: definitions only tests call, kept because they
 check code that runs.
@@ -29,11 +30,17 @@ ORACLES: Dict[str, str] = {
     "repro.core.ilp:IRSInstance.is_feasible_assignment": (
         "checks that the exact MILP's output is a feasible assignment"
     ),
+    "repro.core.ilp:solve_irs_bruteforce": (
+        "the exhaustive search the exact MILP's optimum is checked against"
+    ),
     "repro.core.irs:SchedulingPlan.ordered_jobs_for": (
         "the linear preference walk the plan's AtomIndex candidates equal"
     ),
     "repro.invariants:check_run": (
         "checks a finished fleet run's invariants without a twin"
+    ),
+    "repro.resilience.record:describe_metrics_divergence": (
+        "the engine-identity gate's report of the first differing metric"
     ),
     "repro.sim.latency:ResponseLatencyModel.expected_duration": (
         "closed-form mean the latency sampler's draws are checked against"
@@ -105,8 +112,6 @@ def _references(tree: ast.Module) -> Iterator[Tuple[str, int]]:
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
-        elif isinstance(node, ast.alias):
-            name = node.name.rpartition(".")[2]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             name = node.value
             if not name.isidentifier():
@@ -159,8 +164,8 @@ def test_every_oracle_exists_and_has_no_other_caller():
 
 def test_the_guard_counts_only_references_that_call(tmp_path):
     """The scan on a small tree: a definition used only by itself, by
-    ``__all__``, by a docstring or by a test is flagged; a call, an
-    import, an attribute read or a ``getattr`` string is a reference."""
+    ``__all__``, by a docstring, by a test or by a re-export is flagged; a
+    call, an attribute read or a ``getattr`` string is a reference."""
     pkg = tmp_path / "src" / "pkg"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text(
@@ -194,6 +199,7 @@ def test_the_guard_counts_only_references_that_call(tmp_path):
         "from pkg.mod import tested\ntested()\n"
     )
     assert uncalled_definitions(tmp_path) == [
+        "pkg.mod:imported",
         "pkg.mod:listed",
         "pkg.mod:mentioned",
         "pkg.mod:recursive",

@@ -13,7 +13,6 @@ from repro.traces.device_trace import (
     DeviceAvailabilityTrace,
     DiurnalAvailabilityModel,
     DiurnalConfig,
-    merge_traces,
 )
 
 
@@ -139,49 +138,6 @@ class TestAvailabilityCurveAndMerge:
         assert counts.max() == 2
         assert counts[0] == 1  # only device 0 online at t=0
         assert counts[-1] == 0
-
-    def test_merge_traces(self):
-        t1 = DeviceAvailabilityTrace(
-            horizon=50.0, sessions=[AvailabilitySession(0, 0.0, 10.0)]
-        )
-        t2 = DeviceAvailabilityTrace(
-            horizon=100.0, sessions=[AvailabilitySession(1, 5.0, 20.0)]
-        )
-        merged = merge_traces([t1, t2])
-        assert merged.horizon == 100.0
-        assert len(merged.sessions) == 2
-        starts = [s.start for s in merged.sessions]
-        assert starts == sorted(starts)
-
-    def test_merge_same_start_within_one_trace(self):
-        """Regression: the healing edge of ``regional_outage`` gives thousands
-        of sessions of one trace the same start; the heap of
-        ``(start, trace_index, session)`` tuples then compared sessions and
-        raised ``TypeError``.  Order is (start, input trace, input position)."""
-        t0 = DeviceAvailabilityTrace(
-            horizon=100.0,
-            sessions=[
-                AvailabilitySession(3, 50.0, 60.0),
-                AvailabilitySession(1, 50.0, 90.0),
-                AvailabilitySession(2, 10.0, 20.0),
-            ],
-        )
-        t1 = DeviceAvailabilityTrace(
-            horizon=100.0,
-            sessions=[
-                AvailabilitySession(9, 50.0, 55.0),
-                AvailabilitySession(8, 5.0, 6.0),
-            ],
-        )
-        merged = merge_traces([t0, t1])
-        assert [s.device_id for s in merged.sessions] == [8, 2, 3, 1, 9]
-        assert merged.checkin_events() == sorted(
-            t0.checkin_events() + t1.checkin_events()
-        )
-
-    def test_merge_requires_input(self):
-        with pytest.raises(ValueError):
-            merge_traces([])
 
     @given(
         n=st.integers(min_value=1, max_value=50),

@@ -14,8 +14,18 @@ from repro.traces.workloads import (
     DEMAND_SCENARIOS,
     WorkloadConfig,
     WorkloadGenerator,
-    scenario_workload,
 )
+
+
+def named_workload(scenario, num_jobs=50, seed=None, **overrides):
+    """A workload of one named scenario; a bias scenario draws the even
+    demand distribution (§5.4)."""
+    if scenario in BIAS_SCENARIOS:
+        overrides.update(scenario="even", category_bias=scenario)
+    else:
+        overrides.update(scenario=scenario)
+    config = WorkloadConfig(num_jobs=num_jobs, **overrides)
+    return WorkloadGenerator(config, seed=seed).generate()
 
 
 class TestWorkloadConfig:
@@ -101,32 +111,28 @@ class TestWorkloadGenerator:
         assert jobs[0].round_deadline <= jobs[-1].round_deadline
 
     def test_small_scenario_has_smaller_total_demand_than_large(self):
-        small = scenario_workload("small", num_jobs=60, seed=5, max_rounds=0, max_demand=0)
-        large = scenario_workload("large", num_jobs=60, seed=5, max_rounds=0, max_demand=0)
+        small = named_workload("small", num_jobs=60, seed=5, max_rounds=0, max_demand=0)
+        large = named_workload("large", num_jobs=60, seed=5, max_rounds=0, max_demand=0)
         assert small.total_demand < large.total_demand
 
     def test_low_scenario_has_smaller_round_demand_than_high(self):
-        low = scenario_workload("low", num_jobs=60, seed=5, max_demand=0)
-        high = scenario_workload("high", num_jobs=60, seed=5, max_demand=0)
+        low = named_workload("low", num_jobs=60, seed=5, max_demand=0)
+        high = named_workload("high", num_jobs=60, seed=5, max_demand=0)
         mean_low = np.mean([j.demand_per_round for j in low.jobs])
         mean_high = np.mean([j.demand_per_round for j in high.jobs])
         assert mean_low < mean_high
 
     def test_determinism_under_seed(self):
-        a = scenario_workload("even", num_jobs=20, seed=11)
-        b = scenario_workload("even", num_jobs=20, seed=11)
+        a = named_workload("even", num_jobs=20, seed=11)
+        b = named_workload("even", num_jobs=20, seed=11)
         assert [j.demand_per_round for j in a.jobs] == [
             j.demand_per_round for j in b.jobs
         ]
         assert [j.arrival_time for j in a.jobs] == [j.arrival_time for j in b.jobs]
 
-    def test_scenario_workload_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            scenario_workload("unknown-scenario")
-
     @pytest.mark.parametrize("scenario", DEMAND_SCENARIOS + tuple(BIAS_SCENARIOS))
     def test_every_named_scenario_generates(self, scenario):
-        wl = scenario_workload(scenario, num_jobs=10, seed=1)
+        wl = named_workload(scenario, num_jobs=10, seed=1)
         assert len(wl) == 10
 
     @given(
@@ -137,7 +143,7 @@ class TestWorkloadGenerator:
     @settings(max_examples=30, deadline=None)
     def test_workload_invariants(self, num_jobs, seed, scenario):
         """Property: every generated job is valid and consistently categorised."""
-        wl = scenario_workload(scenario, num_jobs=num_jobs, seed=seed)
+        wl = named_workload(scenario, num_jobs=num_jobs, seed=seed)
         assert len(wl) == num_jobs
         for job in wl.jobs:
             assert job.demand_per_round > 0

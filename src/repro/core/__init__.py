@@ -40,7 +40,6 @@ from .requirements import (
 from .scheduler import VennScheduler
 from .supply import SupplyEstimator
 from .types import (
-    Assignment,
     DeviceProfile,
     JobSpec,
     JobState,
@@ -49,7 +48,6 @@ from .types import (
 )
 
 __all__ = [
-    "Assignment",
     "AtomIndex",
     "AtomSpace",
     "BasePolicy",

@@ -470,7 +470,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         return self._plan
 
     # ------------------------------------------------------------------ #
-    # Assignment
+    # Assigning devices
     # ------------------------------------------------------------------ #
     def _tier_decision_for(self, request: ResourceRequest) -> TierDecision:
         decision = self._tier_decisions.get(request.request_id)

@@ -474,14 +474,10 @@ class ResourceRequest:
     min_reports: int
     round_index: int = 0
     state: RequestState = RequestState.PENDING
-    #: Device ids assigned so far (in assignment order).
-    assigned: list = field(default_factory=list)
-    #: ``device_id -> assignment time`` for O(1) membership tests and time
-    #: lookups on the check-in/response hot paths (kept in sync by
-    #: :meth:`record_assignment`).
+    #: ``device_id -> assignment time`` of the devices assigned so far, in
+    #: assignment order: O(1) membership tests and time lookups on the
+    #: check-in/response hot paths.
     assigned_ids: dict = field(default_factory=dict)
-    #: Assignment times corresponding to ``assigned``.
-    assigned_times: list = field(default_factory=list)
     #: Device ids that reported back, with report times.
     responses: dict = field(default_factory=dict)
     #: Time at which the demand was fully acquired (end of scheduling delay).
@@ -497,14 +493,15 @@ class ResourceRequest:
     #: multi-day runs.
     in_flight: int = 0
     #: Devices still needed to fully satisfy this request.  Maintained by
-    #: :meth:`record_assignment` (always ``max(0, demand - len(assigned))``)
+    #: :meth:`record_assignment` (always
+    #: ``max(0, demand - len(assigned_ids))``)
     #: instead of being recomputed per read: this is one of the hottest
     #: fields in the simulator (every candidate walked at every check-in
     #: reads it).
     remaining_demand: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self.remaining_demand = max(0, self.demand - len(self.assigned))
+        self.remaining_demand = max(0, self.demand - len(self.assigned_ids))
 
     @property
     def is_open(self) -> bool:
@@ -529,11 +526,9 @@ class ResourceRequest:
             raise ValueError(
                 f"device {device_id} is already assigned to this request"
             )
-        self.assigned.append(device_id)
         self.assigned_ids[device_id] = now
-        self.assigned_times.append(now)
         self.in_flight += 1
-        self.remaining_demand = max(0, self.demand - len(self.assigned))
+        self.remaining_demand = max(0, self.demand - len(self.assigned_ids))
         if self.remaining_demand == 0:
             self.state = RequestState.COLLECTING
             self.acquired_time = now
@@ -559,12 +554,10 @@ class ResourceRequest:
                 raise ValueError(
                     f"device {device_id} is already assigned to this request"
                 )
-        self.assigned.extend(device_ids)
         for device_id in device_ids:
             assigned_ids[device_id] = now
-        self.assigned_times.extend([now] * len(device_ids))
         self.in_flight += len(device_ids)
-        self.remaining_demand = max(0, self.demand - len(self.assigned))
+        self.remaining_demand = max(0, self.demand - len(assigned_ids))
         if self.remaining_demand == 0:
             self.state = RequestState.COLLECTING
             self.acquired_time = now
@@ -599,18 +592,7 @@ class ResourceRequest:
         return self.close_time - self.submit_time
 
 
-@dataclass
-class Assignment:
-    """A single device-to-request assignment decision made by a policy."""
-
-    device_id: int
-    job_id: int
-    request_id: int
-    time: float
-
-
 __all__ = [
-    "Assignment",
     "DeviceFleet",
     "DeviceProfile",
     "FLEET_RECORD",

@@ -235,10 +235,6 @@ def large_config(seed: int = 7) -> ExperimentConfig:
     )
 
 
-#: Named presets for the experiment runner / examples.
-PRESETS: Dict[str, "ExperimentConfig"] = {}
-
-
 def get_config(name: str = "default", seed: int = 7) -> ExperimentConfig:
     """Look up a preset by name (``quick``, ``default`` or ``large``)."""
     builders = {

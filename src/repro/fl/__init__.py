@@ -2,7 +2,7 @@
 
 from .datasets import ClientShard, FederatedDataConfig, SyntheticFederatedDataset
 from .fedavg import fedavg_aggregate
-from .models import FLModel, MLPClassifier, SoftmaxRegression
+from .models import SoftmaxRegression
 from .trainer import (
     FederatedTrainer,
     TrainerConfig,
@@ -13,10 +13,8 @@ from .trainer import (
 
 __all__ = [
     "ClientShard",
-    "FLModel",
     "FederatedDataConfig",
     "FederatedTrainer",
-    "MLPClassifier",
     "SoftmaxRegression",
     "SyntheticFederatedDataset",
     "TrainerConfig",

@@ -1,19 +1,13 @@
-"""Numpy models used by the federated-learning substrate.
+"""The numpy model of the federated-learning substrate.
 
-Two models are provided, mirroring the paper's use of two architectures
-(ResNet-18 and MobileNet-V2) at very different cost points:
-
-* :class:`SoftmaxRegression` — a linear softmax classifier;
-* :class:`MLPClassifier` — a one-hidden-layer network with ReLU.
-
-Both expose the same flat-parameter-vector interface so that FedAvg
-aggregation (:mod:`repro.fl.fedavg`) can treat them uniformly.
+:class:`SoftmaxRegression` is a linear softmax classifier behind a
+flat-parameter-vector interface, so FedAvg aggregation
+(:mod:`repro.fl.fedavg`) works on plain vectors.
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -30,45 +24,7 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-class FLModel(abc.ABC):
-    """Interface every federated model implements."""
-
-    @abc.abstractmethod
-    def get_parameters(self) -> np.ndarray:
-        """Return the model parameters as one flat vector (a copy)."""
-
-    @abc.abstractmethod
-    def set_parameters(self, flat: np.ndarray) -> None:
-        """Load parameters from a flat vector."""
-
-    @abc.abstractmethod
-    def train_steps(
-        self,
-        features: np.ndarray,
-        labels: np.ndarray,
-        lr: float,
-        epochs: int,
-        batch_size: int,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        """Run local SGD on one client's shard."""
-
-    @abc.abstractmethod
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Predicted class labels."""
-
-    def accuracy(self, features: np.ndarray, labels: np.ndarray) -> float:
-        """Classification accuracy on a labelled set."""
-        if len(labels) == 0:
-            return 0.0
-        return float(np.mean(self.predict(features) == labels))
-
-    @abc.abstractmethod
-    def clone(self) -> "FLModel":
-        """A new model of the same shape with copied parameters."""
-
-
-class SoftmaxRegression(FLModel):
+class SoftmaxRegression:
     """Multinomial logistic regression trained with mini-batch SGD."""
 
     def __init__(
@@ -84,6 +40,7 @@ class SoftmaxRegression(FLModel):
 
     # -- parameter vector interface -------------------------------------- #
     def get_parameters(self) -> np.ndarray:
+        """The model parameters as one flat vector (a copy)."""
         return np.concatenate([self.weights.ravel(), self.bias.ravel()]).copy()
 
     def set_parameters(self, flat: np.ndarray) -> None:
@@ -103,6 +60,12 @@ class SoftmaxRegression(FLModel):
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return np.argmax(self._logits(features), axis=1)
+
+    def accuracy(self, features: np.ndarray, labels: np.ndarray) -> float:
+        """Classification accuracy on a labelled set."""
+        if len(labels) == 0:
+            return 0.0
+        return float(np.mean(self.predict(features) == labels))
 
     def loss(self, features: np.ndarray, labels: np.ndarray) -> float:
         probs = self.predict_proba(features)
@@ -138,110 +101,10 @@ class SoftmaxRegression(FLModel):
                 self.bias -= lr * grad_b
 
     def clone(self) -> "SoftmaxRegression":
+        """A new model of the same shape with copied parameters."""
         model = SoftmaxRegression(self.num_features, self.num_classes, self.l2)
         model.set_parameters(self.get_parameters())
         return model
 
 
-class MLPClassifier(FLModel):
-    """One-hidden-layer ReLU network trained with mini-batch SGD."""
-
-    def __init__(
-        self,
-        num_features: int,
-        num_classes: int,
-        hidden: int = 64,
-        l2: float = 1e-4,
-        seed: Optional[int] = None,
-    ) -> None:
-        if hidden <= 0:
-            raise ValueError("hidden size must be positive")
-        self.num_features = num_features
-        self.num_classes = num_classes
-        self.hidden = hidden
-        self.l2 = float(l2)
-        rng = np.random.default_rng(seed)
-        scale1 = np.sqrt(2.0 / num_features)
-        scale2 = np.sqrt(2.0 / hidden)
-        self.w1 = rng.normal(0.0, scale1, size=(num_features, hidden))
-        self.b1 = np.zeros(hidden)
-        self.w2 = rng.normal(0.0, scale2, size=(hidden, num_classes))
-        self.b2 = np.zeros(num_classes)
-
-    # -- parameter vector interface -------------------------------------- #
-    def get_parameters(self) -> np.ndarray:
-        return np.concatenate(
-            [self.w1.ravel(), self.b1.ravel(), self.w2.ravel(), self.b2.ravel()]
-        ).copy()
-
-    def set_parameters(self, flat: np.ndarray) -> None:
-        sizes = [
-            self.num_features * self.hidden,
-            self.hidden,
-            self.hidden * self.num_classes,
-            self.num_classes,
-        ]
-        if flat.shape != (sum(sizes),):
-            raise ValueError(f"expected parameter vector of length {sum(sizes)}")
-        i = 0
-        self.w1 = flat[i : i + sizes[0]].reshape(self.num_features, self.hidden).copy()
-        i += sizes[0]
-        self.b1 = flat[i : i + sizes[1]].copy()
-        i += sizes[1]
-        self.w2 = flat[i : i + sizes[2]].reshape(self.hidden, self.num_classes).copy()
-        i += sizes[2]
-        self.b2 = flat[i : i + sizes[3]].copy()
-
-    # -- training / inference --------------------------------------------- #
-    def _forward(self, features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        hidden = np.maximum(0.0, features @ self.w1 + self.b1)
-        logits = hidden @ self.w2 + self.b2
-        return hidden, logits
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        _, logits = self._forward(features)
-        return np.argmax(logits, axis=1)
-
-    def train_steps(
-        self,
-        features: np.ndarray,
-        labels: np.ndarray,
-        lr: float,
-        epochs: int = 1,
-        batch_size: int = 32,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        rng = rng or np.random.default_rng()
-        n = len(labels)
-        if n == 0:
-            return
-        onehot = _one_hot(labels, self.num_classes)
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                X, Y = features[idx], onehot[idx]
-                hidden = np.maximum(0.0, X @ self.w1 + self.b1)
-                logits = hidden @ self.w2 + self.b2
-                probs = _softmax(logits)
-                grad_logits = (probs - Y) / len(idx)
-                grad_w2 = hidden.T @ grad_logits + self.l2 * self.w2
-                grad_b2 = grad_logits.sum(axis=0)
-                grad_hidden = grad_logits @ self.w2.T
-                grad_hidden[hidden <= 0] = 0.0
-                grad_w1 = X.T @ grad_hidden + self.l2 * self.w1
-                grad_b1 = grad_hidden.sum(axis=0)
-                self.w2 -= lr * grad_w2
-                self.b2 -= lr * grad_b2
-                self.w1 -= lr * grad_w1
-                self.b1 -= lr * grad_b1
-
-    def clone(self) -> "MLPClassifier":
-        model = MLPClassifier(
-            self.num_features, self.num_classes, self.hidden, self.l2
-        )
-        model.set_parameters(self.get_parameters())
-        return model
-
-
-__all__ = ["FLModel", "MLPClassifier", "SoftmaxRegression"]
+__all__ = ["SoftmaxRegression"]

@@ -37,13 +37,13 @@ participant sets ⇒ byte-identical parameter trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .datasets import SyntheticFederatedDataset
 from .fedavg import fedavg_aggregate
-from .models import FLModel, SoftmaxRegression
+from .models import SoftmaxRegression
 
 
 @dataclass
@@ -92,7 +92,6 @@ class FederatedTrainer:
         self,
         dataset: SyntheticFederatedDataset,
         config: Optional[TrainerConfig] = None,
-        model_factory: Optional[Callable[[], FLModel]] = None,
         seed: Optional[int] = None,
     ) -> None:
         self.dataset = dataset
@@ -103,12 +102,7 @@ class FederatedTrainer:
         # keeps the streams well-defined for seed=None too (random entropy,
         # but still internally order-independent).
         self._entropy = np.random.SeedSequence(seed).entropy
-        if model_factory is None:
-            model_factory = lambda: SoftmaxRegression(  # noqa: E731
-                dataset.num_features, dataset.num_classes
-            )
-        self.model_factory = model_factory
-        self.model: FLModel = model_factory()
+        self.model = SoftmaxRegression(dataset.num_features, dataset.num_classes)
 
     def _select_clients(self, client_pool: Sequence[int]) -> List[int]:
         k = min(self.config.clients_per_round, len(client_pool))
@@ -223,10 +217,6 @@ class FederatedTrainer:
             history.accuracies.append(acc)
             history.participant_counts.append(n)
         return history
-
-    def reset(self) -> None:
-        """Re-initialise the global model."""
-        self.model = self.model_factory()
 
 
 def contention_accuracy_curves(

@@ -30,7 +30,7 @@ from typing import List, Optional
 #: stream, the metrics or a policy), so a snapshot written before the
 #: change is refused instead of resuming into a graph with missing or stale
 #: attributes.
-SNAPSHOT_FORMAT_VERSION = 15
+SNAPSHOT_FORMAT_VERSION = 16
 
 
 class SnapshotError(ValueError):

@@ -52,10 +52,6 @@ class DeviceRuntime:
     session_end: float = 0.0
     #: Day index (floor(time / 86400)) of the last participation, or None.
     last_participation_day: Optional[int] = None
-    #: Total tasks completed successfully.
-    tasks_completed: int = 0
-    #: Total tasks that failed (dropout or offline before finishing).
-    tasks_failed: int = 0
     #: The profile's device id, denormalised onto the runtime object: this
     #: is read millions of times per large run and a stored attribute beats
     #: a forwarding property on the hot path.
@@ -102,13 +98,9 @@ class DeviceRuntime:
         self.status = DeviceStatus.BUSY
         self.last_participation_day = day_index(now)
 
-    def finish_task(self, now: float, success: bool) -> None:
+    def finish_task(self, now: float) -> None:
         if self.status is not DeviceStatus.BUSY:
             raise RuntimeError(f"device {self.device_id} is not executing a task")
-        if success:
-            self.tasks_completed += 1
-        else:
-            self.tasks_failed += 1
         # The device returns to the pool only if its session is still open.
         self.status = DeviceStatus.IDLE if now < self.session_end else DeviceStatus.OFFLINE
 

@@ -33,12 +33,6 @@ class PendingRequestPool:
     def __bool__(self) -> bool:
         return bool(self._jobs)
 
-    def __contains__(self, job_id: int) -> bool:
-        return job_id in self._jobs
-
-    def __len__(self) -> int:
-        return len(self._jobs)
-
     def add(self, job_id: int, requirement_name: str) -> None:
         """A request opened (or re-opened) with unmet demand."""
         old = self._jobs.get(job_id)

@@ -104,7 +104,6 @@ from ..resilience.snapshot import (
 )
 from ..traces.device_trace import DeviceAvailabilityTrace
 from ..traces.workloads import Workload
-from .device import DeviceRuntime
 from .dispatch import PendingRequestPool
 from .events import Event, EventQueue, EventType
 from .job import JobRuntime
@@ -312,9 +311,6 @@ class Simulator:
         self._requests: Dict[int, ResourceRequest] = {}
         self._deadline_events: Dict[int, Event] = {}
         self._pending = PendingRequestPool()
-        #: ``DeviceRuntime`` objects by id: the reference engine's device
-        #: state; on the fleet engine a view of its arrays, built on read.
-        self._devices: Optional[Dict[int, DeviceRuntime]] = None
         #: ``(fleet, sig_ids, sig_table)``: the population and its
         #: eligibility signatures over ``_requirements``, as handed to the
         #: policy (``bind_fleet``) and read by the engine's own checks.
@@ -407,11 +403,6 @@ class Simulator:
     def events_processed(self) -> int:
         """Number of events handled so far (exposed for benchmarks)."""
         return self._events_processed
-
-    @property
-    def devices(self) -> Dict[int, DeviceRuntime]:
-        """``DeviceRuntime`` objects by device id."""
-        return self._devices
 
     # ------------------------------------------------------------------ #
     # Checkpoint / restore (docs/RESILIENCE.md)
@@ -634,24 +625,20 @@ class Simulator:
     def _evict_request(self, request: ResourceRequest) -> None:
         """Forget a closed request whose last in-flight response has fired.
 
-        Closed requests used to accumulate in ``_requests`` (and in their
-        job's ``request_history``) for the whole run — unbounded growth on
-        multi-round workloads.  Once a request is closed *and* its
-        ``in_flight`` counter hits zero, no future event can reference it:
-        every response it scheduled has fired, its deadline event was popped
-        or cancelled, and policies were already told it closed.  Called from
-        the response handlers (straggler drained), the completion path and
-        the deadline abort; the ``request is None`` branches in the response
-        handlers are thereby unreachable for well-formed streams but kept as
-        a safety net.
+        Closed requests used to accumulate in ``_requests`` for the whole
+        run — unbounded growth on multi-round workloads.  Once a request is
+        closed *and* its ``in_flight`` counter hits zero, no future event
+        can reference it: every response it scheduled has fired, its
+        deadline event was popped or cancelled, and policies were already
+        told it closed.  Called from the response handlers (straggler
+        drained), the completion path and the deadline abort; the
+        ``request is None`` branches in the response handlers are thereby
+        unreachable for well-formed streams but kept as a safety net.
         """
         self._requests.pop(request.request_id, None)
-        job = self.jobs.get(request.job_id)
-        if job is not None:
-            job.release_request(request)
 
     # ------------------------------------------------------------------ #
-    # Assignment
+    # Assigning devices
     # ------------------------------------------------------------------ #
     def _consult(self, device_id: int) -> Optional[ResourceRequest]:
         """Offer one device to the policy (both engines' per-device consult).

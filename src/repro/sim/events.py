@@ -34,14 +34,13 @@ class EventType(enum.Enum):
 class Event:
     """A single scheduled event.
 
-    Only ``time`` and ``seq`` take part in ordering, and events are never
-    compared themselves: the queue keys its heap on ``(time, seq)`` tuples.
-    The event-specific data lives in fixed slotted fields (device id,
-    request id, ...); unused fields keep their sentinel defaults.
+    Events are never compared themselves: the queue keys its heap on
+    ``(time, seq)`` tuples and the sequence number lives only there.  The
+    event-specific data lives in fixed slotted fields (device id, request
+    id, ...); unused fields keep their sentinel defaults.
     """
 
     time: float
-    seq: int
     type: EventType
     device_id: int = -1
     request_id: int = -1
@@ -69,22 +68,14 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: list = []
         self._counter = itertools.count()
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
 
     def push(self, time: float, type: EventType, **fields: Any) -> Event:
         """Schedule an event and return it (so callers may cancel it later)."""
         if time < 0:
             raise ValueError("event time must be non-negative")
         seq = next(self._counter)
-        event = Event(time=time, seq=seq, type=type, **fields)
+        event = Event(time=time, type=type, **fields)
         heapq.heappush(self._heap, (time, seq, event))
-        self._size += 1
         return event
 
     def next_seq(self) -> int:
@@ -113,14 +104,12 @@ class EventQueue:
         """``(time, seq)`` of the next non-cancelled event, or ``None``."""
         while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-            self._size -= 1
         return self._heap[0][:2] if self._heap else None
 
     def pop(self) -> Optional[Event]:
         """Pop the earliest non-cancelled event, or ``None`` when empty."""
         while self._heap:
             event = heapq.heappop(self._heap)[2]
-            self._size -= 1
             if not event.cancelled:
                 return event
         return None

@@ -20,13 +20,13 @@ the golden fixtures and the decision/metrics hashes of
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..core.requirements import compute_signatures
 from ..core.types import ResourceRequest
-from .device import SECONDS_PER_DAY, DeviceRuntime, DeviceStatus, day_index
+from .device import SECONDS_PER_DAY, day_index
 from .engine import Simulator
 from .events import EventType
 from .stream import INF_KEY, DeviceStream, build_stream
@@ -50,7 +50,7 @@ class FleetSimulator(Simulator):
         super().__init__(*args, **kwargs)
         #: The device stream and the device arrays, built by :meth:`_start`
         #: so their construction is part of the measured run.  A device is
-        #: its slot here: :attr:`devices` stays unbuilt until read.
+        #: its slot here.
         self._stream: Optional[DeviceStream] = None
         self._vec: Optional[VectorDeviceState] = None
         #: Deferred assignments awaiting their batched latency draw:
@@ -61,11 +61,6 @@ class FleetSimulator(Simulator):
         #: engine commits the proposals in bulk.  ``None`` — a policy
         #: without the hook — keeps every sweep on per-device consults.
         self._policy_bulk_assign = getattr(self.policy, "assign_batch_bulk", None)
-
-    def __getstate__(self) -> dict:
-        state = super().__getstate__()
-        state["_devices"] = None  # a view of the arrays, rebuilt on read
-        return state
 
     def _start(self) -> None:
         """Build the device stream and seed the coordinator queue.
@@ -121,9 +116,7 @@ class FleetSimulator(Simulator):
                         self._post_event_hook()
                     continue
                 # Dynamic stream event: a device response.
-                t, _seq, slot, request_id, _job_id, success = heapq.heappop(
-                    stream.heap
-                )
+                t, _seq, slot, request_id, success = heapq.heappop(stream.heap)
                 self.now = t
                 self._on_stream_response(slot, request_id, success)
             else:
@@ -282,10 +275,8 @@ class FleetSimulator(Simulator):
         if request is not None:
             request.in_flight -= 1
         if success:
-            vec.tasks_completed[slot] += 1
             self._metrics.total_responses += 1
         else:
-            vec.tasks_failed[slot] += 1
             self._metrics.total_failures += 1
         # The session end cannot change inside this handler (folds never
         # run here), so one array read serves both the status transition
@@ -317,7 +308,7 @@ class FleetSimulator(Simulator):
 
     def _refund_aborted(self, request: ResourceRequest) -> None:
         vec = self._vec
-        slots = vec.profiles.rows(request.assigned)
+        slots = vec.profiles.rows(list(request.assigned_ids))
         vec.last_day[slots[vec.status[slots] != STATUS_BUSY]] = -1
 
     def _try_assign(self, slot: int, device_id: int) -> None:
@@ -360,7 +351,7 @@ class FleetSimulator(Simulator):
             fleet.reliability[slots],
             now=now,
         )
-        for (slot, job, request, seq, send), (duration, dropped) in zip(
+        for (slot, _job, request, seq, send), (duration, dropped) in zip(
             buf, outcomes
         ):
             finishes_in_session = now + duration <= send
@@ -369,9 +360,7 @@ class FleetSimulator(Simulator):
                 finish_time = now + duration
             else:
                 finish_time = min(now + duration, max(send, now))
-            schedule_response(
-                finish_time, seq, slot, request.request_id, job.job_id, success
-            )
+            schedule_response(finish_time, seq, slot, request.request_id, success)
 
     def _dispatch_idle_devices(self) -> None:
         """Mask-based twin of the reference engine's idle-set walk.
@@ -536,51 +525,6 @@ class FleetSimulator(Simulator):
             request.record_assignments_bulk(device_ids, now)
             if request.remaining_demand == 0:
                 pending.remove(request.job_id)
-
-    # ------------------------------------------------------------------ #
-    # The ``devices`` view
-    # ------------------------------------------------------------------ #
-    @property
-    def devices(self) -> Dict[int, DeviceRuntime]:
-        """``DeviceRuntime`` objects by device id, built from the arrays on
-        first read and refreshed once, when the run finalises (a mid-run
-        read shows the state as of the first read; snapshots do not carry
-        it).  The engine itself never reads them."""
-        if self._devices is None:
-            self._build_devices()
-        return self._devices
-
-    def _build_devices(self) -> None:
-        """Create the runtimes (first call); once the run has its arrays,
-        copy their state onto them."""
-        if self._devices is None:
-            self._devices = {
-                d.device_id: DeviceRuntime(profile=d) for d in self._device_profiles
-            }
-        vec = self._vec
-        if vec is None:
-            return
-        status_of = (DeviceStatus.OFFLINE, DeviceStatus.IDLE, DeviceStatus.BUSY)
-        devices = self._devices
-        for device_id, status, sess, day, completed, failed in zip(
-            vec.profiles.device_id.tolist(),
-            vec.status.tolist(),
-            vec.sess.tolist(),
-            vec.last_day.tolist(),
-            vec.tasks_completed,
-            vec.tasks_failed,
-        ):
-            device = devices[device_id]
-            device.status = status_of[status]
-            device.session_end = sess
-            device.last_participation_day = day if day >= 0 else None
-            device.tasks_completed = completed
-            device.tasks_failed = failed
-
-    def _finalise(self) -> None:
-        if self._devices is not None:
-            self._build_devices()
-        super()._finalise()
 
 
 __all__ = ["FleetSimulator"]

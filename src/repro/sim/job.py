@@ -46,8 +46,6 @@ class JobRuntime:
     #: Completed / attempted round records.
     rounds: List[RoundRecord] = field(default_factory=list)
     completion_time: Optional[float] = None
-    #: All requests ever issued (useful for metrics / debugging).
-    request_history: List[ResourceRequest] = field(default_factory=list)
 
     @property
     def job_id(self) -> int:
@@ -93,7 +91,6 @@ class JobRuntime:
             round_index=self.current_round,
         )
         self.open_request = request
-        self.request_history.append(request)
         self._round_record()  # ensure the record exists
         return request
 
@@ -120,25 +117,6 @@ class JobRuntime:
             self.completion_time = now
             return True
         return False
-
-    def release_request(self, request: ResourceRequest) -> None:
-        """Drop one closed request from the history.
-
-        Called by the engine once the request's last in-flight response has
-        fired (nothing can reference it again); together with the engine's
-        request-table eviction this keeps multi-day runs from retaining
-        every request ever opened.  A job's requests open strictly one at a
-        time, so evictions arrive in near-FIFO order and the head check
-        settles the common case without a scan.
-        """
-        history = self.request_history
-        if history and history[0] is request:
-            del history[0]
-            return
-        for i, held in enumerate(history):
-            if held is request:
-                del history[i]
-                return
 
     def abort_round(self, now: float) -> None:
         """The current attempt missed its deadline; it will be retried."""

@@ -66,6 +66,7 @@ sequence, so golden fixtures and engine/worker bit-identity are preserved.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -174,6 +175,15 @@ class LatencyConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite (got {value})")
+        # A count, not a float: the attempt loop ranges over it.  A JSON
+        # override gives ``3.0``, which would only fail at the first lossy
+        # draw, mid-run.
+        retries = self.max_retries
+        if isinstance(retries, bool) or not isinstance(retries, numbers.Integral):
+            raise TypeError(
+                f"max_retries must be an int (got {type(retries).__name__} "
+                f"{retries!r})"
+            )
         if self.compute_sigma < 0:
             raise ValueError("compute_sigma must be non-negative")
         if self.comm_min < 0 or self.comm_max < self.comm_min:

@@ -15,7 +15,7 @@ is :class:`~repro.sim.engine.Simulator`'s, shared with the fleet engine.
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Dict, Set
 
 from ..core.requirements import intern_signatures, signature_of
 from ..core.types import ResourceRequest
@@ -31,7 +31,8 @@ class ReferenceSimulator(Simulator):
         super().__init__(*args, **kwargs)
         #: Ids of the devices whose status is IDLE.
         self._idle: Set[int] = set()
-        self._devices = {
+        #: The device state: one ``DeviceRuntime`` per device, by id.
+        self._devices: Dict[int, DeviceRuntime] = {
             d.device_id: DeviceRuntime(profile=d) for d in self._device_profiles
         }
         # The exact per-device walk, not the fleet engine's vectorised
@@ -125,7 +126,7 @@ class ReferenceSimulator(Simulator):
         request = self._requests.get(event.request_id)
         if request is not None:
             request.in_flight -= 1
-        device.finish_task(self.now, success)
+        device.finish_task(self.now)
         if device.is_idle:
             self._idle.add(device.device_id)
         if success:
@@ -153,13 +154,13 @@ class ReferenceSimulator(Simulator):
             self._try_assign(device)
 
     def _refund_aborted(self, request: ResourceRequest) -> None:
-        for device_id in request.assigned:
+        for device_id in request.assigned_ids:
             device = self._devices[device_id]
             if device.status is not DeviceStatus.BUSY:
                 device.last_participation_day = None
 
     # ------------------------------------------------------------------ #
-    # Assignment
+    # Assigning devices
     # ------------------------------------------------------------------ #
     def _try_assign(self, device: DeviceRuntime) -> None:
         request = self._consult(device.device_id)
@@ -185,7 +186,6 @@ class ReferenceSimulator(Simulator):
             EventType.DEVICE_RESPONSE,
             device_id=device.device_id,
             request_id=request.request_id,
-            job_id=job.job_id,
             success=success,
         )
 

@@ -123,8 +123,8 @@ class DeviceStream:
         self.w_lo = 0
         self.w_hi = 0
         #: Dynamic (response) min-heap of
-        #: ``(time, seq, slot, request_id, job_id, success)`` tuples.
-        self.heap: List[Tuple[float, int, int, int, int, bool]] = []
+        #: ``(time, seq, slot, request_id, success)`` tuples.
+        self.heap: List[Tuple[float, int, int, int, bool]] = []
 
     def __getstate__(self) -> dict:
         # Snapshots carry the columns, never the decoded window: a resumed
@@ -198,14 +198,11 @@ class DeviceStream:
         seq: int,
         slot: int,
         request_id: int,
-        job_id: int,
         success: bool,
     ) -> None:
         """The coordinator assigned a device; its (pre-drawn) response
         fires at ``time``."""
-        heapq.heappush(
-            self.heap, (time, seq, slot, request_id, job_id, success)
-        )
+        heapq.heappush(self.heap, (time, seq, slot, request_id, success))
 
 
 def build_stream(

@@ -9,8 +9,6 @@ slot is the only name the engine has for a device:
 * ``status`` — 0 offline / 1 idle / 2 busy (``int8``),
 * ``sess`` — end of the current availability session,
 * ``last_day`` — calendar day of the last participation (``-1`` = never),
-* ``tasks_completed`` / ``tasks_failed`` — per-device outcome counters
-  (plain lists: they are only ever touched one slot at a time),
 * ``sig_id`` — index into the interned eligibility-signature table.
 
 Long runs of static check-in/checkout events with no pending demand (so
@@ -73,11 +71,6 @@ class VectorDeviceState:
         self.status = np.zeros(n, dtype=np.int8)
         self.sess = np.zeros(n, dtype=np.float64)
         self.last_day = np.full(n, -1, dtype=np.int64)
-        # Plain lists, not arrays: these counters are only ever touched one
-        # slot at a time (response handling) and read back at finalisation,
-        # where list indexing is several times cheaper.
-        self.tasks_completed = [0] * n
-        self.tasks_failed = [0] * n
         self.sig_table: List[FrozenSet[str]] = list(sig_table)
         self.sig_id = sig_ids
         # Fold scratch, reset to the init values after every fold via the

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.fl.datasets import FederatedDataConfig, SyntheticFederatedDataset
 from repro.fl.fedavg import fedavg_aggregate
-from repro.fl.models import MLPClassifier, SoftmaxRegression
+from repro.fl.models import SoftmaxRegression
 from repro.fl.trainer import (
     FederatedTrainer,
     TrainerConfig,
@@ -79,26 +79,23 @@ class TestDataset:
 
 
 class TestModels:
-    @pytest.mark.parametrize("model_cls", [SoftmaxRegression, MLPClassifier])
-    def test_parameter_roundtrip(self, model_cls):
-        model = model_cls(num_features=8, num_classes=3)
+    def test_parameter_roundtrip(self):
+        model = SoftmaxRegression(num_features=8, num_classes=3)
         params = model.get_parameters()
         model.set_parameters(params * 0 + 0.5)
         np.testing.assert_allclose(model.get_parameters(), 0.5)
 
-    @pytest.mark.parametrize("model_cls", [SoftmaxRegression, MLPClassifier])
-    def test_set_parameters_validates_shape(self, model_cls):
-        model = model_cls(num_features=8, num_classes=3)
+    def test_set_parameters_validates_shape(self):
+        model = SoftmaxRegression(num_features=8, num_classes=3)
         with pytest.raises(ValueError):
             model.set_parameters(np.zeros(3))
 
-    @pytest.mark.parametrize("model_cls", [SoftmaxRegression, MLPClassifier])
-    def test_training_improves_accuracy(self, model_cls):
+    def test_training_improves_accuracy(self):
         rng = np.random.default_rng(0)
         ds = small_dataset()
         X = np.concatenate([ds.shard(c).features for c in ds.client_ids()])
         y = np.concatenate([ds.shard(c).labels for c in ds.client_ids()])
-        model = model_cls(num_features=16, num_classes=5)
+        model = SoftmaxRegression(num_features=16, num_classes=5)
         before = model.accuracy(ds.test_features, ds.test_labels)
         model.train_steps(X, y, lr=0.2, epochs=5, batch_size=32, rng=rng)
         after = model.accuracy(ds.test_features, ds.test_labels)
@@ -124,7 +121,7 @@ class TestModels:
         with pytest.raises(ValueError):
             SoftmaxRegression(num_features=0, num_classes=2)
         with pytest.raises(ValueError):
-            MLPClassifier(num_features=4, num_classes=2, hidden=0)
+            SoftmaxRegression(num_features=4, num_classes=1)
 
 
 class TestFedAvg:
@@ -192,15 +189,6 @@ class TestTrainer:
         trainer = FederatedTrainer(small_dataset(), seed=0)
         with pytest.raises(ValueError):
             trainer.run_round([])
-
-    def test_reset_restores_fresh_model(self):
-        ds = small_dataset()
-        trainer = FederatedTrainer(ds, TrainerConfig(clients_per_round=10), seed=0)
-        trainer.train(3)
-        trained_acc = trainer.model.accuracy(ds.test_features, ds.test_labels)
-        trainer.reset()
-        fresh_acc = trainer.model.accuracy(ds.test_features, ds.test_labels)
-        assert fresh_acc <= trained_acc
 
     def test_contention_curves_monotone_in_pool_size(self):
         """More concurrent jobs → smaller pools → final accuracy not better."""

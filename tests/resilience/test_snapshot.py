@@ -47,7 +47,6 @@ def killed_mid_run(**mode) -> SimulationSnapshot:
     )
     with pytest.raises(SimulatedCrash):
         crashed.run()
-    assert crashed._devices is None  # nobody read them before the crash
     return store.latest
 
 
@@ -92,48 +91,25 @@ class TestExactResume:
         assert metrics_digest(res_metrics) == metrics_digest(metrics)
 
 
-class TestVectorizedDevicesAcrossSnapshots:
-    """On the vectorized engine ``sim.devices`` is a view of the arrays,
-    built on first read; snapshots never carry it."""
+class TestDeviceStateAcrossSnapshots:
+    """The fleet engine's device state is its arrays, and a snapshot carries
+    them; the reference engine's is its ``DeviceRuntime`` objects."""
 
-    MODE = {"vectorized": True}
-
-    def test_resumed_run_builds_devices_from_the_restored_arrays(self):
-        snap = killed_mid_run(**self.MODE)
-        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 15
+    def test_fleet_snapshots_carry_the_arrays_and_no_runtimes(self):
+        snap = killed_mid_run(vectorized=True)
+        assert snap.started and snap.format_version == SNAPSHOT_FORMAT_VERSION == 16
         resumed = Simulator.resume(snap, crash_at_event=None)
-        assert resumed._devices is None
-        # Mid-run read on the resumed simulator: the checkpoint's state.
+        assert not hasattr(resumed, "_devices")
         vec = resumed._vec
-        mid = resumed.devices
-        assert len(mid) == len(vec.profiles)
-        assert sum(d.tasks_completed for d in mid.values()) == sum(
-            vec.tasks_completed
-        )
-        assert sum(d.is_online for d in mid.values()) == int(
-            (vec.status != 0).sum()
-        ) > 0
-        # ... and the same objects are brought up to date when it finishes.
-        metrics = resumed.run()
-        assert resumed.devices is mid
-        assert sum(d.tasks_completed for d in mid.values()) == (
-            metrics.total_responses
-        ) > 0
-        assert sum(d.tasks_failed for d in mid.values()) == metrics.total_failures
-
-    def test_reading_devices_does_not_put_them_into_snapshots(self):
-        sim = build_sim(**self.MODE)
-        plain = len(sim.snapshot().payload)
-        assert len(sim.devices) == 40
-        assert len(sim.snapshot().payload) == plain
-        assert Simulator.resume(sim.snapshot())._devices is None
+        assert len(vec.status) == len(vec.profiles) == 40
+        assert int((vec.status != 0).sum()) > 0  # the checkpoint's state
+        assert resumed.run().total_responses > 0
 
     def test_scalar_snapshots_still_carry_the_runtimes(self):
         sim = build_sim()  # single-queue: its runtimes are the state
         resumed = Simulator.resume(sim.snapshot())
-        assert resumed._devices is not None
         assert resumed._devices is not sim._devices
-        assert list(resumed.devices) == list(sim.devices)
+        assert list(resumed._devices) == list(sim._devices)
 
 
 class TestCheckpointing:
@@ -464,6 +440,33 @@ class TestCheckpointing:
         stale = Simulator.resume(payload, crash_at_event=None)
         assert type(stale) is FleetSimulator
         with pytest.raises(AttributeError, match="'_stream'"):
+            stale.run()
+
+    def test_format_15_snapshot_is_refused_up_front(self, monkeypatch):
+        """Format 15 pickled three records of a request's assignments, each
+        job's request history, per-device task counters, each event's
+        sequence number and a job id in every response-heap row; format 16
+        keeps one ``device_id -> time`` dict and drops the rest.  A real
+        format-15 fleet payload decodes, and a run resumed from it fails
+        at the first response it pops; the version check refuses it
+        first."""
+        sim = Simulator.resume(killed_mid_run(vectorized=True))
+        heap = sim._stream.heap
+        assert heap  # responses are in flight at the crash
+        heap[:] = [  # the format-15 row: (time, seq, slot, request, job, ok)
+            (t, seq, slot, rid, sim._requests[rid].job_id, ok)
+            for t, seq, slot, rid, ok in heap
+        ]
+        monkeypatch.setattr(engine_module, "SNAPSHOT_FORMAT_VERSION", 15)
+        payload = sim.snapshot().payload
+        monkeypatch.undo()
+        with pytest.raises(SnapshotError, match="format version 15 "):
+            Simulator.resume(payload)
+        monkeypatch.setattr(
+            engine_module, "_check_format_version", lambda version: None
+        )
+        stale = Simulator.resume(payload, crash_at_event=None)
+        with pytest.raises(ValueError, match="too many values to unpack"):
             stale.run()
 
     def test_resume_reattaches_checkpoint_sink(self):

@@ -46,16 +46,14 @@ class TestDeviceRuntime:
         dev.start_task(now=5.0)
         assert dev.status is DeviceStatus.BUSY
         assert not dev.can_take_task(6.0)
-        dev.finish_task(now=50.0, success=True)
-        assert dev.tasks_completed == 1
+        dev.finish_task(now=50.0)
         assert dev.is_idle  # session still open
 
     def test_finish_after_session_end_goes_offline(self):
         dev = self._runtime()
         dev.check_in(0.0, 40.0)
         dev.start_task(now=5.0)
-        dev.finish_task(now=60.0, success=False)
-        assert dev.tasks_failed == 1
+        dev.finish_task(now=60.0)
         assert dev.status is DeviceStatus.OFFLINE
 
     def test_start_task_requires_idle(self):
@@ -67,13 +65,13 @@ class TestDeviceRuntime:
         dev = self._runtime()
         dev.check_in(0.0, 10.0)
         with pytest.raises(RuntimeError):
-            dev.finish_task(5.0, success=True)
+            dev.finish_task(5.0)
 
     def test_daily_limit(self):
         dev = self._runtime()
         dev.check_in(0.0, SECONDS_PER_DAY * 2)
         dev.start_task(now=100.0)
-        dev.finish_task(now=200.0, success=True)
+        dev.finish_task(now=200.0)
         assert dev.participated_today(300.0)
         assert not dev.can_take_task(300.0, enforce_daily_limit=True)
         assert dev.can_take_task(300.0, enforce_daily_limit=False)

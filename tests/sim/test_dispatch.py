@@ -11,7 +11,7 @@ class TestPendingRequestPool:
         assert not pool
         pool.add(1, "general")
         pool.add(2, "high_performance")
-        assert len(pool) == 2 and 1 in pool
+        assert pool
         assert pool.pending_requirements() == {"general", "high_performance"}
         pool.remove(2)
         assert pool.pending_requirements() == {"general"}
@@ -21,9 +21,11 @@ class TestPendingRequestPool:
     def test_reopen_replaces_previous_request(self):
         pool = PendingRequestPool()
         pool.add(1, "general")
+        version = pool.names_version
         pool.add(1, "general")  # retry after abort
-        assert len(pool) == 1
-        assert pool.pending_requirements() == {"general"}
+        assert pool.names_version == version
+        pool.remove(1)
+        assert not pool and pool.pending_requirements() == set()
 
     def test_requirement_multiset(self):
         pool = PendingRequestPool()

@@ -13,8 +13,7 @@ class TestEventQueue:
     def test_pop_empty_returns_none(self):
         q = EventQueue()
         assert q.pop() is None
-        assert not q
-        assert len(q) == 0
+        assert q.peek_key() is None
 
     def test_negative_time_rejected(self):
         q = EventQueue()

@@ -10,9 +10,7 @@ object identity, so a regression fails here before it shows as RSS:
   it used to cost — and building it peaks at tens of bytes per event too;
 * on the vectorized engine a device is its slot: the engine keeps arrays and
   no per-device Python object (no ``DeviceRuntime`` fleet, no profile list,
-  no id -> slot or id -> signature dict, in the engine or its policy)
-  unless somebody reads ``sim.devices``, which then agrees with the arrays
-  field for field;
+  no id -> slot or id -> signature dict, in the engine or its policy);
 * a sampled population is a ``DeviceFleet``: five 8-byte values and one
   4-byte value per device, no ``DeviceProfile`` object, and one
   ``frozenset`` per distinct domain combination.
@@ -27,7 +25,6 @@ import pytest
 from repro.core.baselines import make_policy
 from repro.core.scheduler import VennScheduler
 from repro.core.types import DeviceFleet
-from repro.sim.device import DeviceStatus
 from repro.sim.engine import SimulationConfig, Simulator
 from repro.traces.capacity import DEFAULT_DATA_DOMAINS, CapacitySampler
 from repro.traces.device_trace import DAY, DiurnalAvailabilityModel, DiurnalConfig
@@ -55,13 +52,13 @@ MAX_STREAM_BYTES_PER_STATIC_EVENT = 48
 MAX_BUILD_PEAK_BYTES_PER_STATIC_EVENT = 72
 
 #: Budget for what ``sim/engine.py`` + ``sim/fleet.py`` + ``sim/vector.py``
-#: hold per device at the end of a vectorized day: the state arrays and the
-#: two counter lists (the profiles and their id column are the caller's
-#: fleet).  Measured
-#: 31 B; with a contiguous id copy and a by-slot signature list as well,
-#: 45 B; with a list of profiles, 65 B; with the eager ``DeviceRuntime``
-#: dict (172 B) and the ``slot_of`` dict (116 B) as well, 303 B.
-MAX_ENGINE_BYTES_PER_DEVICE = 56
+#: hold per device at the end of a vectorized day: the state arrays (the
+#: profiles and their id column are the caller's fleet).  Measured 17 B;
+#: with the two per-device task counter lists as well, 31-33 B; with a
+#: contiguous id copy and a by-slot signature list as well, 45 B; with a
+#: list of profiles, 65 B; with the eager ``DeviceRuntime`` dict (172 B)
+#: and the ``slot_of`` dict (116 B) as well, 303 B.
+MAX_ENGINE_BYTES_PER_DEVICE = 30
 
 #: Budget for what ``CapacitySampler.sample_devices`` returns, per device:
 #: the fleet's records (device id, four scores 8 B each, domain id 4 B) are
@@ -101,21 +98,6 @@ def held_under(snapshot, *patterns):
             [tracemalloc.Filter(True, pattern)]
         ).statistics("filename")
     )
-
-
-def assert_devices_mirror_arrays(sim):
-    vec = sim._vec
-    status_of = (DeviceStatus.OFFLINE, DeviceStatus.IDLE, DeviceStatus.BUSY)
-    assert list(sim.devices) == [d.device_id for d in sim._device_profiles]
-    for slot, device_id in enumerate(vec.profiles.device_id.tolist()):
-        device = sim.devices[device_id]
-        day = int(vec.last_day[slot])
-        assert device.profile == vec.profiles[slot]
-        assert device.status is status_of[vec.status[slot]]
-        assert device.session_end == vec.sess[slot]
-        assert device.last_participation_day == (day if day >= 0 else None)
-        assert device.tasks_completed == vec.tasks_completed[slot]
-        assert device.tasks_failed == vec.tasks_failed[slot]
 
 
 @pytest.fixture(scope="module")
@@ -212,24 +194,9 @@ def test_vectorized_engine_holds_no_per_device_objects(cell, traced_vectorized_d
         ) / N
         <= MAX_ENGINE_BYTES_PER_DEVICE
     )
-    # Nothing built the runtimes ...
-    assert sim._devices is None
-    # ... until somebody asks: then they are the arrays, field for field.
-    assert_devices_mirror_arrays(sim)
-    assert metrics.total_responses == sum(
-        d.tasks_completed for d in sim.devices.values()
-    ) > 0
-
-
-def test_devices_read_before_the_run_are_brought_up_to_date_after_it(cell):
-    sim = simulator(cell, vectorized_dispatch=True)
-    before = sim.devices
-    assert len(before) == N
-    assert all(d.status is DeviceStatus.OFFLINE for d in before.values())
-    sim.run()
-    assert sim.devices is before  # same objects, refreshed at finalise
-    assert_devices_mirror_arrays(sim)
-    assert any(d.tasks_completed for d in before.values())
+    # No runtimes at all: the reference engine's device state.
+    assert not hasattr(sim, "_devices")
+    assert metrics.total_responses > 0
 
 
 def test_a_sampled_population_holds_columns_only():

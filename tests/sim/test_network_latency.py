@@ -93,6 +93,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             LatencyConfig(retry_backoff=0.0)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["2.5", "3.0", "True"])
+    def test_max_retries_must_be_an_int(self, value):
+        """A float count (``3.0`` is what a JSON scenario override gives)
+        used to pass construction and raise ``TypeError`` from the retry
+        loop at the first lossy draw, mid-run; a bool passed as a count.
+        Both are refused up front, as ``SimulationConfig`` refuses its."""
+        with pytest.raises(TypeError, match="max_retries must be an int"):
+            LatencyConfig(loss_rate=0.5, max_retries=value)
+
+    def test_a_numpy_int_max_retries_runs(self):
+        model = ResponseLatencyModel(
+            LatencyConfig(loss_rate=0.5, max_retries=np.int64(2)),
+            per_device_entropy=1,
+        )
+        duration, _dropped = model.sample_outcome(make_job(), make_device())
+        assert duration > 0
+
     def test_flap_duration_requires_period(self):
         with pytest.raises(ValueError):
             LatencyConfig(flap_duration=10.0)

@@ -8,7 +8,7 @@ wants an id — or the reverse — would go unnoticed.  Here the ids are sparse
 (``7 + 13k``) and the input is shuffled.  The fleet engine must still
 reproduce the single-queue engine's decision hash, metrics digest and event
 count, on a cell that aborts rounds (the deadline refund translates
-``request.assigned`` ids to slots).  The fleet engine is the program's
+``request.assigned_ids`` to slots).  The fleet engine is the program's
 default, so every run here names its engine (``fleet=``) and the twins'
 oracle side is ``vectorized_dispatch=False``.  ``tests/sim/test_run_invariants.py``
 also holds the fleet run of this cell to the twin-free invariants of
@@ -91,16 +91,17 @@ def test_cell_has_sparse_shuffled_ids(cell):
 
 
 def test_fleet_matches_single_queue_through_aborted_rounds(cell):
-    reference, ref_metrics, _sim = run(cell, fleet=False)
+    reference, ref_metrics, ref_sim = run(cell, fleet=False)
     assert ref_metrics.total_aborts >= 1  # the deadline refund path ran
     assert ref_metrics.total_failures >= 1
     fleet, _m, sim = run(cell, fleet=True)
     assert fleet == reference
-    # The lazily built runtimes are keyed by id, not by slot.
-    assert sorted(sim.devices) == sorted(d.device_id for d in cell[0])
-    assert sum(d.tasks_failed for d in sim.devices.values()) == (
-        ref_metrics.total_failures
-    )
+    # The arrays are by slot (ascending id), the reference's runtimes by
+    # id: their daily budgets agree device for device.
+    ids = sim._vec.profiles.device_id.tolist()
+    assert ids == sorted(d.device_id for d in cell[0])
+    days = [ref_sim._devices[i].last_participation_day for i in ids]
+    assert [-1 if d is None else d for d in days] == sim._vec.last_day.tolist()
 
 
 @pytest.mark.parametrize("policy_name", [p for p in POLICY_NAMES if p != "venn"])

@@ -335,7 +335,7 @@ class TestBuildStream:
         trace = _trace([(0, 4.0, 9.0)])
         stream, _ = build_stream(np.arange(1), trace, horizon=10.0, seq_start=0)
         assert stream.head_key() == (4.0, 0)
-        stream.schedule_response(2.0, 99, 0, 1, 1, True)
+        stream.schedule_response(2.0, 99, 0, 1, True)
         assert stream.head_key() == (2.0, 99)
         stream.heap.clear()
         stream.cursor = stream.st_len
@@ -384,7 +384,7 @@ class TestStreamWindow:
             (8.0, 102),
         ]
         for k, (t, seq) in enumerate(responses):
-            stream.schedule_response(t, seq, k % 4, k, 1, True)
+            stream.schedule_response(t, seq, k % 4, k, True)
         walked = []
         while stream.head_key() != INF_KEY:
             key = stream.head_key()
@@ -405,7 +405,7 @@ class TestStreamWindow:
 
     def test_pickle_drops_the_window_and_keeps_the_state(self):
         stream = four_device_stream()
-        stream.schedule_response(4.0, 100, 0, 7, 1, True)
+        stream.schedule_response(4.0, 100, 0, 7, True)
         stream.cursor = 3
         key = stream.head_key()
         assert stream.w_rows  # decoded by head_key

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.baselines import FIFOPolicy, make_policy
+from repro.core.baselines import make_policy
 from repro.core.requirements import COMPUTE_RICH, GENERAL, MEMORY_RICH
 from repro.core.types import JobSpec
 from repro.sim.engine import SimulationConfig, run_simulation
@@ -298,25 +298,3 @@ class TestVectorizedEngineIdentity:
         scalar = run_snapshot(policy_name, vectorized=False)
         vec = run_snapshot(policy_name, vectorized=True)
         assert vec == scalar, f"vectorized({policy_name}) diverged"
-
-    def test_runtime_state_synced_back_after_run(self):
-        """After a vectorized run the per-device DeviceRuntime objects must
-        reflect the final array state (status, counters, last day)."""
-        devices, trace, jobs = small_scenario()
-        config = SimulationConfig(
-            horizon=30_000.0, seed=9,
-            latency=LatencyConfig(compute_sigma=0.0, comm_min=10.0,
-                                  comm_max=10.0),
-            vectorized_dispatch=True, enforce_daily_limit=True,
-        )
-        from repro.sim.engine import Simulator
-
-        sim = Simulator(devices, trace, jobs, FIFOPolicy(), config)
-        metrics = sim.run()
-        runtimes = sim.devices
-        completed = sum(r.tasks_completed for r in runtimes.values())
-        failed = sum(r.tasks_failed for r in runtimes.values())
-        assert completed == metrics.total_responses
-        assert failed == metrics.total_failures
-        assert any(r.last_participation_day is not None
-                   for r in runtimes.values())

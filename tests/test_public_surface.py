@@ -1,10 +1,11 @@
-"""Every public function or method under ``src/`` has a caller outside the tests.
+"""Every public class, function or method under ``src/`` has a caller
+outside the tests.
 
 A definition that only a test calls is surface nobody uses: it must still be
 documented, kept correct and carried through every refactor.  This guard
 parses ``src/``, ``bench/`` and ``examples/`` with :mod:`ast` and fails on a
-public ``def`` whose name is referenced nowhere in those trees except inside
-its own body and in ``__all__``.
+public ``class`` or ``def`` whose name is referenced nowhere in those trees
+except inside its own body and in ``__all__``.
 
 A reference is a name load (``foo``), an attribute (``x.foo``) or a string
 equal to the name (``getattr(x, "foo")``).  An import is not one: a name
@@ -76,7 +77,8 @@ def _is_public(name: str) -> bool:
 
 def _definitions(tree: ast.Module) -> Iterator[Tuple[str, str, int, int]]:
     """``(name, qualified name, first line, last line)`` of every public
-    function and method reachable through public classes."""
+    class, and every public function and method reachable through public
+    classes."""
 
     def walk(body, prefix: str) -> Iterator[Tuple[str, str, int, int]]:
         for node in body:
@@ -89,6 +91,12 @@ def _definitions(tree: ast.Module) -> Iterator[Tuple[str, str, int, int]]:
                         node.end_lineno,
                     )
             elif isinstance(node, ast.ClassDef) and _is_public(node.name):
+                yield (
+                    node.name,
+                    prefix + node.name,
+                    node.lineno,
+                    node.end_lineno,
+                )
                 yield from walk(node.body, prefix + node.name + ".")
 
     yield from walk(tree.body, "")
@@ -165,7 +173,9 @@ def test_every_oracle_exists_and_has_no_other_caller():
 def test_the_guard_counts_only_references_that_call(tmp_path):
     """The scan on a small tree: a definition used only by itself, by
     ``__all__``, by a docstring, by a test or by a re-export is flagged; a
-    call, an attribute read or a ``getattr`` string is a reference."""
+    call, an attribute read or a ``getattr`` string is a reference.  A
+    class is a definition too: one built only by its own methods is
+    flagged, one that a caller builds is not."""
     pkg = tmp_path / "src" / "pkg"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text(
@@ -186,19 +196,24 @@ def test_the_guard_counts_only_references_that_call(tmp_path):
         "    def _private(self): pass\n"
         "class _Hidden:\n"
         "    def shown(self): pass\n"
+        "class Lonely:\n"
+        "    def clone(self):\n"
+        "        return Lonely()\n"
         "def user(box):\n"
         "    box.read()\n"
+        "    box.clone()\n"
         "    return getattr(box, 'by_name')\n"
     )
     (tmp_path / "examples").mkdir()
     (tmp_path / "examples" / "demo.py").write_text(
-        "from pkg.mod import user\nuser(None)\n"
+        "from pkg.mod import Box, user\nuser(Box())\n"
     )
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "test_bench.py").write_text(
         "from pkg.mod import tested\ntested()\n"
     )
     assert uncalled_definitions(tmp_path) == [
+        "pkg.mod:Lonely",
         "pkg.mod:imported",
         "pkg.mod:listed",
         "pkg.mod:mentioned",

@@ -50,6 +50,23 @@ def killed_mid_run(**mode) -> SimulationSnapshot:
     return store.latest
 
 
+def end_device_state(sim: Simulator) -> list:
+    """Each device's status, session end and last participation day, by id:
+    the fleet engine's arrays, or the reference engine's runtimes."""
+    if isinstance(sim, FleetSimulator):
+        vec = sim._vec
+        return sorted(
+            zip(
+                vec.profiles.device_id.tolist(), vec.status.tolist(),
+                vec.sess.tolist(), vec.last_day.tolist(),
+            )
+        )
+    return sorted(
+        (device_id, d.status, d.session_end, d.last_participation_day)
+        for device_id, d in sim._devices.items()
+    )
+
+
 class TestExactResume:
     @pytest.mark.parametrize("mode", ENGINE_MODES)
     def test_kill_and_resume_is_bit_identical(self, mode):
@@ -59,6 +76,18 @@ class TestExactResume:
         assert resumed.policy.decisions == reference.policy.decisions
         assert metrics_digest(res_metrics) == metrics_digest(ref_metrics)
         assert resumed.events_processed == reference.events_processed
+
+    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    def test_kill_and_resume_leaves_the_same_device_state(self, mode):
+        """Device state is not in the metrics: a resumed run must also end
+        with every device where its uninterrupted twin left it."""
+        reference, _, resumed, _ = kill_and_resume(
+            at_event=25, checkpoint_every=10, **mode
+        )
+        expected = end_device_state(reference)
+        assert len(expected) == 40
+        assert end_device_state(resumed) == expected
+        assert any(day is not None and day >= 0 for *_, day in expected)
 
     @pytest.mark.parametrize("mode", ENGINE_MODES)
     def test_crash_before_first_checkpoint_replays_from_scratch(self, mode):

@@ -478,8 +478,8 @@ class ResourceRequest:
     #: assignment order: O(1) membership tests and time lookups on the
     #: check-in/response hot paths.
     assigned_ids: dict = field(default_factory=dict)
-    #: Device ids that reported back, with report times.
-    responses: dict = field(default_factory=dict)
+    #: Device ids that reported back.
+    responses: set = field(default_factory=set)
     #: Time at which the demand was fully acquired (end of scheduling delay).
     acquired_time: Optional[float] = None
     #: Time at which the request reached a terminal state.
@@ -562,11 +562,11 @@ class ResourceRequest:
             self.state = RequestState.COLLECTING
             self.acquired_time = now
 
-    def record_response(self, device_id: int, now: float) -> None:
-        """Record a successful device report at time ``now``."""
+    def record_response(self, device_id: int) -> None:
+        """Record a successful device report."""
         if device_id not in self.assigned_ids:
             raise ValueError(f"device {device_id} was never assigned to this request")
-        self.responses[device_id] = now
+        self.responses.add(device_id)
 
     @property
     def scheduling_delay(self) -> Optional[float]:

@@ -23,14 +23,15 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 
-#: Version of the pickled simulator graph, embedded in the payload itself
-#: (so raw ``bytes`` carry it too) and in :class:`SimulationSnapshot`.  Bump
-#: it in any change that alters what ``Simulator.snapshot`` pickles (a field
-#: added to or removed from ``Simulator``, ``SimulationConfig``, the device
-#: stream, the metrics or a policy), so a snapshot written before the
-#: change is refused instead of resuming into a graph with missing or stale
-#: attributes.
-SNAPSHOT_FORMAT_VERSION = 16
+#: Version of the pickled simulator graph, stored once, inside the payload
+#: (``Simulator.__getstate__``), so raw ``bytes`` carry it too.  Bump it in
+#: any change that alters what ``Simulator.snapshot`` pickles, so a snapshot
+#: written before the change is refused instead of resuming into a graph
+#: with missing or stale attributes.  The rule is enforced, not kept by
+#: hand: ``tests/resilience/test_snapshot_layout.py`` derives the layout
+#: from the pickled graph of both engines and fails when it moves without a
+#: bump, or the version moves without it.
+SNAPSHOT_FORMAT_VERSION = 17
 
 
 class SnapshotError(ValueError):
@@ -62,19 +63,17 @@ class SimulatedCrash(RuntimeError):
 class SimulationSnapshot:
     """One full-state checkpoint of a :class:`~repro.sim.engine.Simulator`.
 
-    ``payload`` is the pickled simulator; ``events_processed`` / ``now`` /
-    ``started`` describe the capture point without deserialising (a
-    pre-run snapshot has ``started=False`` — resuming it replays the whole
-    run from scratch); ``format_version`` is the
-    :data:`SNAPSHOT_FORMAT_VERSION` the payload was written under, checked
-    by :meth:`~repro.sim.engine.Simulator.resume`.
+    ``payload`` is the pickled simulator, with the
+    :data:`SNAPSHOT_FORMAT_VERSION` it was written under inside it;
+    ``events_processed`` / ``now`` / ``started`` describe the capture point
+    without deserialising (a pre-run snapshot has ``started=False`` —
+    resuming it replays the whole run from scratch).
     """
 
     payload: bytes
     events_processed: int
     now: float
     started: bool
-    format_version: int = SNAPSHOT_FORMAT_VERSION
 
 
 class LatestSnapshotStore:

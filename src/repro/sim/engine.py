@@ -194,16 +194,6 @@ class SimulationConfig:
 _KEEP_CRASH = object()
 
 
-def _check_format_version(version) -> None:
-    """Refuse a snapshot written under another ``SNAPSHOT_FORMAT_VERSION``
-    (``None``: a payload from before the version was embedded)."""
-    if version != SNAPSHOT_FORMAT_VERSION:
-        raise SnapshotError(
-            f"snapshot format version {version} cannot be resumed by this "
-            f"engine (expects {SNAPSHOT_FORMAT_VERSION})"
-        )
-
-
 class Simulator:
     """Discrete-event CL simulator binding devices, jobs and a policy.
 
@@ -414,8 +404,8 @@ class Simulator:
         # keeping last_snapshot would nest payloads snowball-style.
         state["_checkpoint_sink"] = None
         state["last_snapshot"] = None
-        # The version travels inside the payload, so raw bytes are checked
-        # by ``resume`` as strictly as a SimulationSnapshot wrapper.
+        # The version is stored here only, so ``resume`` checks raw bytes
+        # and a SimulationSnapshot alike.
         state["_format_version"] = SNAPSHOT_FORMAT_VERSION
         return state
 
@@ -457,15 +447,13 @@ class Simulator:
 
         Raises :class:`~repro.resilience.SnapshotError` for a payload that
         is empty, truncated or otherwise undecodable, and for a snapshot
-        written under another format version — the version is embedded in
-        the payload, so raw ``bytes`` are checked too; ``TypeError`` for a
-        well-formed pickle of something that is not a simulator.
+        written under another format version — the version is stored only
+        in the payload, so raw ``bytes`` are checked alike; ``TypeError``
+        for a well-formed pickle of something that is not a simulator.
         """
-        if isinstance(snapshot, SimulationSnapshot):
-            _check_format_version(snapshot.format_version)
-            payload = snapshot.payload
-        else:
-            payload = snapshot
+        payload = (
+            snapshot.payload if isinstance(snapshot, SimulationSnapshot) else snapshot
+        )
         try:
             sim = pickle.loads(payload)
         except Exception as exc:
@@ -480,7 +468,13 @@ class Simulator:
                 f"snapshot does not contain a {cls.__name__} "
                 f"(got {type(sim).__name__})"
             )
-        _check_format_version(sim.__dict__.pop("_format_version", None))
+        # ``None``: a payload from before the version was embedded.
+        version = sim.__dict__.pop("_format_version", None)
+        if version != SNAPSHOT_FORMAT_VERSION:
+            raise SnapshotError(
+                f"snapshot format version {version} cannot be resumed by this "
+                f"engine (expects {SNAPSHOT_FORMAT_VERSION})"
+            )
         sim._checkpoint_sink = checkpoint_sink
         sim.last_snapshot = None
         if crash_at_event is not _KEEP_CRASH:

@@ -54,7 +54,7 @@ class FleetSimulator(Simulator):
         self._stream: Optional[DeviceStream] = None
         self._vec: Optional[VectorDeviceState] = None
         #: Deferred assignments awaiting their batched latency draw:
-        #: ``(slot, job, request, seq, session_end)``.
+        #: ``(slot, request, seq, session_end)``.
         self._assign_buf: list = []
         #: Bulk decision path: policies exposing ``assign_batch_bulk``
         #: (Venn) resolve a whole dispatch cohort in one call and the
@@ -286,7 +286,7 @@ class FleetSimulator(Simulator):
         sess_open = now < vec.sess[slot]
         vec.status[slot] = STATUS_IDLE if sess_open else STATUS_OFFLINE
         if success and request is not None and request.is_open:
-            request.record_response(device_id, now)
+            request.record_response(device_id)
             self.policy.on_response(request, device_id, now)
             self._maybe_complete_request(request)
         elif request is not None and not request.is_open:
@@ -320,11 +320,10 @@ class FleetSimulator(Simulator):
         request = self._consult(device_id)
         if request is None:
             return
-        job = self.jobs[request.job_id]
         vec.status[slot] = STATUS_BUSY
         vec.last_day[slot] = int(self.now // SECONDS_PER_DAY)
         self._assign_buf.append(
-            (slot, job, request, self.queue.next_seq(), float(vec.sess[slot]))
+            (slot, request, self.queue.next_seq(), float(vec.sess[slot]))
         )
 
     def _flush_assignments(self) -> None:
@@ -343,17 +342,16 @@ class FleetSimulator(Simulator):
         now = self.now
         schedule_response = self._stream.schedule_response
         fleet = self._vec.profiles
+        jobs = self.jobs
         slots = [entry[0] for entry in buf]
         outcomes = self.latency.sample_outcomes_batch(
-            [entry[1].spec for entry in buf],
+            [jobs[entry[1].job_id].spec for entry in buf],
             fleet.device_id[slots],
             fleet.speed_factor[slots],
             fleet.reliability[slots],
             now=now,
         )
-        for (slot, _job, request, seq, send), (duration, dropped) in zip(
-            buf, outcomes
-        ):
+        for (slot, request, seq, send), (duration, dropped) in zip(buf, outcomes):
             finishes_in_session = now + duration <= send
             success = (not dropped) and finishes_in_session
             if success:
@@ -503,25 +501,24 @@ class FleetSimulator(Simulator):
         day = int(now // SECONDS_PER_DAY)
         jobs = self.jobs
         pending = self._pending
-        #: request_id -> (request, job, [device_ids]) accumulated in order.
+        #: request_id -> (request, [device_ids]) accumulated in order.
         grouped: dict = {}
         for i, request in proposals:
             slot = slots[i]
             device_id = device_ids[i]
             entry = grouped.get(request.request_id)
             if entry is None:
-                job = jobs.get(request.job_id)
-                if job is None:
+                if request.job_id not in jobs:
                     raise ValueError(
                         f"policy assigned device {device_id} to "
                         f"unknown job {request.job_id}"
                     )
-                grouped[request.request_id] = entry = (request, job, [])
-            entry[2].append(device_id)
+                grouped[request.request_id] = entry = (request, [])
+            entry[1].append(device_id)
             status[slot] = STATUS_BUSY
             last_day[slot] = day
-            buf.append((slot, entry[1], request, next_seq(), float(sess[slot])))
-        for request, job, device_ids in grouped.values():
+            buf.append((slot, request, next_seq(), float(sess[slot])))
+        for request, device_ids in grouped.values():
             request.record_assignments_bulk(device_ids, now)
             if request.remaining_demand == 0:
                 pending.remove(request.job_id)

@@ -135,7 +135,7 @@ class ReferenceSimulator(Simulator):
             self._metrics.total_failures += 1
 
         if success and request is not None and request.is_open:
-            request.record_response(device.device_id, self.now)
+            request.record_response(device.device_id)
             self.policy.on_response(request, device.device_id, self.now)
             self._maybe_complete_request(request)
         elif request is not None and not request.is_open:

@@ -168,14 +168,14 @@ class TestResourceRequest:
     def test_response_requires_assignment(self):
         req = self._request(demand=2)
         with pytest.raises(ValueError):
-            req.record_response(55, 20.0)
+            req.record_response(55)
 
     def test_response_collection_time(self):
         req = self._request(demand=2)
         req.record_assignment(1, 12.0)
         req.record_assignment(2, 14.0)
-        req.record_response(1, 20.0)
-        req.record_response(2, 30.0)
+        req.record_response(1)
+        req.record_response(2)
         req.state = RequestState.COMPLETED
         req.close_time = 30.0
         assert req.response_collection_time == pytest.approx(16.0)

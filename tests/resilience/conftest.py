@@ -65,8 +65,10 @@ def build_sim(
     enforce_daily_limit: bool = False,
     jobs=None,
     seed: int = 99,
+    policy=None,
 ) -> Simulator:
-    """A fresh, fully deterministic small simulator (RecordingPolicy-wrapped)."""
+    """A fresh, fully deterministic small simulator (by default under a
+    RecordingPolicy-wrapped Venn)."""
     devices, trace, default_jobs = small_environment(horizon=horizon)
     config = SimulationConfig(
         horizon=horizon,
@@ -81,7 +83,7 @@ def build_sim(
         devices=devices,
         availability=trace,
         workload=jobs if jobs is not None else default_jobs,
-        policy=RecordingPolicy(VennScheduler()),
+        policy=policy if policy is not None else RecordingPolicy(VennScheduler()),
         config=config,
         checkpoint_sink=checkpoint_sink,
     )

@@ -101,13 +101,13 @@ class TestJobRuntime:
         r1 = job.open_round_request(1, now=10.0)
         assert job.state is JobState.RUNNING
         r1.record_assignment(7, 12.0)
-        r1.record_response(7, 20.0)
+        r1.record_response(7)
         finished = job.complete_round(now=20.0)
         assert not finished
         assert job.current_round == 1
         r2 = job.open_round_request(2, now=21.0)
         r2.record_assignment(8, 25.0)
-        r2.record_response(8, 30.0)
+        r2.record_response(8)
         finished = job.complete_round(now=30.0)
         assert finished
         assert job.is_finished
@@ -124,7 +124,7 @@ class TestJobRuntime:
         job = self._job(rounds=1, demand=1)
         r = job.open_round_request(1, 0.0)
         r.record_assignment(1, 1.0)
-        r.record_response(1, 2.0)
+        r.record_response(1)
         job.complete_round(2.0)
         with pytest.raises(RuntimeError):
             job.open_round_request(2, 3.0)
@@ -144,8 +144,8 @@ class TestJobRuntime:
         r2 = job.open_round_request(2, now=600.0)
         r2.record_assignment(1, 610.0)
         r2.record_assignment(2, 620.0)
-        r2.record_response(1, 700.0)
-        r2.record_response(2, 720.0)
+        r2.record_response(1)
+        r2.record_response(2)
         job.complete_round(720.0)
         assert job.is_finished
         assert job.rounds[0].aborted_attempts == 1
@@ -154,7 +154,7 @@ class TestJobRuntime:
         job = self._job(rounds=1, demand=1)
         r = job.open_round_request(1, now=100.0)
         r.record_assignment(5, 160.0)
-        r.record_response(5, 200.0)
+        r.record_response(5)
         job.complete_round(200.0)
         record = job.rounds[0]
         assert record.completed
@@ -174,7 +174,7 @@ class TestJobRuntime:
         job = self._job(rounds=1, demand=1)
         r = job.open_round_request(1, 0.0)
         r.record_assignment(1, 1.0)
-        r.record_response(1, 2.0)
+        r.record_response(1)
         job.complete_round(2.0)
         job.cancel(5.0)
         assert job.state is JobState.FINISHED

@@ -9,6 +9,7 @@ from repro.core.baselines import FIFOPolicy, RandomMatchingPolicy, SRSFPolicy, m
 from repro.core.policy import BasePolicy
 from repro.core.requirements import GENERAL, HIGH_PERFORMANCE, EligibilityRequirement
 from repro.core.scheduler import VennScheduler
+from repro.core.types import ResourceRequest
 from repro.sim.engine import SimulationConfig, Simulator, run_simulation
 from repro.sim.latency import LatencyConfig
 from repro.traces.device_trace import AvailabilitySession, DeviceAvailabilityTrace
@@ -284,6 +285,40 @@ class TestEngineValidation:
         config.vectorized_dispatch = vectorized
         with pytest.raises(ValueError, match="ineligible device 0"):
             run_simulation(devices, trace, [job], BadPolicy(), config)
+
+    @pytest.mark.parametrize(
+        "vectorized, bulk",
+        [(False, False), (True, False), (True, True)],
+        ids=["reference", "fleet", "fleet-bulk"],
+    )
+    def test_assignment_to_unknown_job_detected(self, vectorized, bulk):
+        """A request naming a job the simulator does not run is refused on
+        the per-device consult and on the fleet engine's bulk commit."""
+        stray = ResourceRequest(
+            request_id=99, job_id=42, demand=1, submit_time=0.0,
+            deadline=100.0, min_reports=1,
+        )
+
+        class StrayPolicy(BasePolicy):
+            name = "stray"
+
+            def assign(self, device_id, now):
+                return None if bulk else stray
+
+        if bulk:
+            StrayPolicy.assign_batch_bulk = (
+                lambda self, device_ids, now: (len(device_ids), [(0, stray)])
+            )
+        config = sim_config(1_000.0)
+        config.vectorized_dispatch = vectorized
+        with pytest.raises(ValueError, match="device 0 to unknown job 42"):
+            run_simulation(
+                [make_device(device_id=0)], always_on_trace(1, 1_000.0),
+                # Arriving after the check-in, the job's request is offered
+                # the idle device by a dispatch sweep (the bulk path).
+                [make_job(1, demand=1, rounds=1, arrival=10.0)], StrayPolicy(),
+                config,
+            )
 
     @pytest.mark.parametrize("vectorized", [False, True], ids=["reference", "fleet"])
     def test_reused_requirement_name_rejected(self, vectorized):

@@ -161,7 +161,7 @@ class TestCollectJobMetrics:
         runtime = JobRuntime(spec=make_job(job_id=4, demand=1, rounds=1, arrival=10.0))
         request = runtime.open_round_request(1, now=20.0)
         request.record_assignment(3, 30.0)
-        request.record_response(3, 45.0)
+        request.record_response(3)
         runtime.complete_round(45.0)
         jm = collect_job_metrics(runtime, category="memory_rich")
         assert jm.completed

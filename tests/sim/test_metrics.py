@@ -170,8 +170,8 @@ class TestCollectJobMetrics:
         request = runtime.open_round_request(1, 10.0)
         request.record_assignment(1, 20.0)
         request.record_assignment(2, 30.0)
-        request.record_response(1, 40.0)
-        request.record_response(2, 50.0)
+        request.record_response(1)
+        request.record_response(2)
         runtime.complete_round(50.0)
         return runtime
 
@@ -260,7 +260,7 @@ class TestRoundDurations:
         runtime = JobRuntime(spec=make_job(job_id=9, demand=1, rounds=1, arrival=10.0))
         request = runtime.open_round_request(1, now=20.0)
         request.record_assignment(3, 30.0)
-        request.record_response(3, 45.0)
+        request.record_response(3)
         runtime.complete_round(45.0)
         jm = collect_job_metrics(runtime)
         assert jm.round_durations == [pytest.approx(25.0)]

@@ -23,8 +23,7 @@ from .ilp import IRSInstance, IRSSolution, solve_irs_bruteforce, solve_irs_milp
 from .irs import GroupAllocation, SchedulingPlan, build_plan
 from .job_group import GroupJobEntry, JobGroup, JobGroupRegistry
 from .matching import TierDecision, TierMatcher, device_capacity_metric
-from .plan_delta import PlanDelta, PlanMaintainer, Trigger
-from .profile import PlanMaintenanceProfile
+from .plan_delta import PlanDelta, PlanMaintainer
 from .policy import BasePolicy, SchedulingPolicy
 from .requirements import (
     COMPUTE_RICH,
@@ -37,7 +36,7 @@ from .requirements import (
     compute_signatures,
     signature_of,
 )
-from .scheduler import VennScheduler
+from .scheduler import PlanMaintenanceProfile, VennScheduler
 from .supply import SupplyEstimator
 from .types import (
     DeviceProfile,
@@ -83,7 +82,6 @@ __all__ = [
     "SupplyEstimator",
     "TierDecision",
     "TierMatcher",
-    "Trigger",
     "UniformRandomPolicy",
     "VennScheduler",
     "build_plan",

@@ -22,20 +22,19 @@ An index is tied to the plan it was built from.  A *full* plan rebuild
 replaces the plan object and the index dies with it — the invalidation
 discipline the paper describes for the plan itself.  Under incremental plan
 maintenance (:mod:`repro.core.plan_delta`) the plan is mutated in place
-instead, and the index is **epoch-versioned**: :meth:`AtomIndex.patch`
-re-flattens only the signatures whose candidate tuples actually changed
-(dirty groups' job tuples, atoms whose preference list moved) and bumps
-``epoch``, so a trigger that touches one group re-flattens a handful of
-atoms instead of rebuilding the whole index.
+instead, and :meth:`AtomIndex.patch` re-flattens only the signatures whose
+candidate tuples actually changed (dirty groups' job tuples, atoms whose
+preference list moved), so a trigger that touches one group re-flattens a
+handful of atoms instead of rebuilding the whole index.
 
-``epoch`` is also a published invalidation key: the scheduler's live-
-candidate memo (the batched decision path's
-``(plan_version, epoch) -> candidates`` cache,
-:meth:`repro.core.scheduler.VennScheduler._live_candidates`) relies on
-every content-changing :meth:`patch` bumping it.  A patch that mutated
-candidates without bumping ``epoch`` would serve stale candidate lists to
-whole signature cohorts, so the bump is part of the method's contract,
-not an implementation detail.
+The scheduler's live-candidate memo
+(:meth:`repro.core.scheduler.VennScheduler._live_candidates`) is keyed on
+``VennScheduler.plan_version`` alone.  That holds because :meth:`patch`
+has one caller, :meth:`~repro.core.plan_delta.PlanMaintainer.apply`, whose
+one caller, the incremental branch of ``VennScheduler.refresh_plan``,
+bumps ``plan_version`` right after it: a new caller of :meth:`patch` that
+does not bump ``plan_version`` would serve stale candidate lists to whole
+signature cohorts.
 
 A crucial guarantee the index preserves: every candidate group key it yields
 for a signature is *contained in* that signature, so a device is eligible
@@ -70,12 +69,9 @@ class AtomIndex:
         "_fallback_cache",
         "_group_jobs",
         "_group_order",
-        "epoch",
     )
 
     def __init__(self, plan: "SchedulingPlan") -> None:
-        #: Patch generation: 0 for a freshly built index, +1 per patch.
-        self.epoch: int = 0
         #: Per-group candidate tuples, flattened once.
         self._group_jobs: Dict[str, CandidateList] = {
             key: tuple((key, job_id) for job_id in jobs)
@@ -150,7 +146,6 @@ class AtomIndex:
             patched += 1
         if (dirty or group_order_changed) and self._fallback_cache:
             self._fallback_cache.clear()
-        self.epoch += 1
         return patched
 
 

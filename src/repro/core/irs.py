@@ -42,7 +42,7 @@ so a check-in costs a dictionary lookup plus a walk over candidates instead
 of re-flattening group preference lists.  The index is built lazily once per
 plan; a full rebuild replaces the plan (and with it the index), while the
 incremental maintenance layer (:mod:`repro.core.plan_delta`) mutates the
-plan in place and patches the live index epoch-by-epoch.
+plan in place and patches the live index.
 :meth:`SchedulingPlan.ordered_jobs_for` retains the original linear
 flattening and serves as the reference ("legacy scan") implementation the
 equivalence tests compare the index against.

@@ -12,10 +12,10 @@ simulated day, and they dominate the event loop once check-ins are O(1).
 
 This module makes the plan pay only for what changed:
 
-* :class:`Trigger` / :class:`PlanDelta` — the dirty-set layer.  Every
-  scheduler lifecycle hook classifies its trigger (request arrival,
-  request completion, job arrival/departure, ...) and records which job
-  groups it touched, instead of a single boolean dirty flag.
+* :class:`PlanDelta` — the dirty-set layer.  Every scheduler lifecycle
+  hook (request arrival and completion, job arrival and departure) records
+  which job groups it touched, or that only a full rebuild is safe,
+  instead of a single boolean dirty flag.
 * :class:`PlanMaintainer` — consumes the accumulated delta at the next
   ``assign`` and mutates the existing plan in place:
 
@@ -33,8 +33,8 @@ This module makes the plan pay only for what changed:
     refreshed allocation is bit-identical to a from-scratch rebuild — and
     they are skipped entirely when no group state changed and no atom's
     supply estimate moved;
-  - the live :class:`~repro.core.atom_index.AtomIndex` is patched
-    epoch-by-epoch (:meth:`AtomIndex.patch`) for just the signatures whose
+  - the live :class:`~repro.core.atom_index.AtomIndex` is patched in
+    place (:meth:`AtomIndex.patch`) for just the signatures whose
     candidate tuples changed, instead of dying with the plan.
 
 Full ``build_plan`` remains the **oracle**: requirement-set changes (a job
@@ -80,37 +80,6 @@ from .requirements import (
 
 #: Valid values of the scheduler's ``plan_maintenance`` knob.
 PLAN_MAINTENANCE_MODES: Tuple[str, ...] = ("incremental", "full")
-
-
-class Trigger:
-    """Classification of the events that invalidate the scheduling plan.
-
-    String constants (not an enum) so they serialise directly into profile
-    snapshots and benchmark artifacts.
-    """
-
-    #: A job arrived whose requirement is already live — its group exists.
-    JOB_ARRIVAL = "job_arrival"
-    #: A job arrived with a requirement the plan has never seen: the atom
-    #: space changes, so a full rebuild is required.
-    JOB_ARRIVAL_NEW_REQUIREMENT = "job_arrival_new_requirement"
-    #: A job left but other jobs still share its requirement.
-    JOB_DEPARTURE = "job_departure"
-    #: The last job of a requirement left: the atom space shrinks, full
-    #: rebuild required.
-    JOB_DEPARTURE_LAST_IN_GROUP = "job_departure_last_in_group"
-    #: A job opened a new per-round resource request.
-    REQUEST_ARRIVAL = "request_arrival"
-    #: A request reached a terminal state (completed or aborted).
-    REQUEST_COMPLETION = "request_completion"
-    #: An update where no job/group ordering input changed — only the
-    #: supply estimates drifted (recorded at update time).
-    SUPPLY_DRIFT = "supply_drift"
-    #: Fairness ε > 0 makes adjusted demands time-dependent for every job;
-    #: incremental maintenance falls back to the full oracle.
-    FAIRNESS_ACTIVE = "fairness_active"
-    #: ``plan_maintenance="full"`` or no plan adopted yet.
-    FORCED_FULL = "forced_full"
 
 
 @dataclass
@@ -200,10 +169,6 @@ class PlanMaintainer:
     def plan(self) -> Optional[SchedulingPlan]:
         return self._plan
 
-    @property
-    def adopted(self) -> bool:
-        return self._plan is not None
-
     def reset(self) -> None:
         """Drop adopted state (the next refresh must be a full rebuild)."""
         self._plan = None
@@ -270,16 +235,16 @@ class PlanMaintainer:
         rates: Mapping[AtomSignature, float],
         space: AtomSpace,
         supply_version: int,
-        profile=None,
-    ) -> SchedulingPlan:
+    ) -> int:
         """Serve the accumulated delta by updating the plan in place.
 
-        Preconditions (enforced by the scheduler's trigger classification):
+        Preconditions (enforced by the scheduler's ``refresh_plan``):
         a plan has been adopted, the requirement set is unchanged since the
         last full rebuild, adjusted demands are time-independent (fairness
         ε == 0), and ``job_states`` covers every job whose ordering inputs
         may have changed since the last refresh (the scheduler's
-        demand-dirty set).  Returns the (mutated) plan.
+        demand-dirty set).  Returns the number of atom signatures the
+        index patch re-flattened (0 when the plan has no index yet).
         """
         plan = self._plan
         if plan is None:
@@ -337,8 +302,6 @@ class PlanMaintainer:
             plan.job_order[key] = [
                 e.job_id for e in self._groups[key].ordered_jobs()
             ]
-        if profile is not None:
-            profile.groups_resorted += len(dirty)
 
         # ---- Refresh eligible atoms only when the atom universe grew ---- #
         atoms_changed = (
@@ -350,16 +313,12 @@ class PlanMaintainer:
             self._supply_version = supply_version
             self._space_atom_count = len(space.atoms)
 
-        # ---- Supply-drift classification / allocation re-run ------------ #
+        # ---- Allocation re-run, or keep when nothing it reads moved ----- #
         old_allocations = plan.allocations
         queue_changed = any(
             float(group.queue_length) != old_allocations[key].queue_length
             for key, group in self._groups.items()
         )
-        if not dirty and profile is not None:
-            profile.record_trigger(Trigger.SUPPLY_DRIFT)
-            profile.supply_only_refreshes += 1
-
         group_order_changed = False
         if (
             not atoms_changed
@@ -372,8 +331,6 @@ class PlanMaintainer:
             # kept allocation is the one the oracle would recompute, bit
             # for bit.  Dirty groups' job orders were still re-sorted above
             # and are patched below.
-            if profile is not None:
-                profile.allocation_skips += 1
             prefs = plan.atom_preferences
             changed_atoms: List[AtomSignature] = _atoms_listing(prefs, dirty)
         else:
@@ -388,8 +345,6 @@ class PlanMaintainer:
             group_order = _phase23_allocate(
                 allocations, self._eligible, rates, reallocate=True
             )
-            if profile is not None:
-                profile.allocation_reruns += 1
             self._last_rates = dict(rates)
 
             # ---- Diff decision-relevant output ---------------------------- #
@@ -426,6 +381,7 @@ class PlanMaintainer:
             plan.allocations = allocations
 
         index = plan._index
+        patched = 0
         if index is not None and (
             changed_atoms or dirty or group_order_changed
         ):
@@ -435,17 +391,13 @@ class PlanMaintainer:
                 changed_atoms=changed_atoms,
                 group_order_changed=group_order_changed,
             )
-            if profile is not None:
-                profile.index_patches += 1
-                profile.index_atoms_patched += patched
 
         delta.clear()
-        return plan
+        return patched
 
 
 __all__ = [
     "PLAN_MAINTENANCE_MODES",
     "PlanDelta",
     "PlanMaintainer",
-    "Trigger",
 ]

@@ -22,8 +22,8 @@ candidate tuple, so a check-in is a few lookups plus a walk over the
 (usually short) candidate prefix.
 
 How an invalidated plan is brought up to date is governed by the
-``plan_maintenance`` knob: ``"incremental"`` (default) classifies every
-trigger (:class:`~repro.core.plan_delta.Trigger`) and serves
+``plan_maintenance`` knob: ``"incremental"`` (default) marks what each
+trigger touched on a :class:`~repro.core.plan_delta.PlanDelta` and serves
 single-group triggers by mutating the existing plan in place through a
 :class:`~repro.core.plan_delta.PlanMaintainer` — re-sorting only the dirty
 group, re-running allocation through the exact ``build_plan`` phase code,
@@ -31,13 +31,16 @@ and patching the live index; ``"full"`` preserves the paper-literal
 from-scratch :meth:`VennScheduler.rebuild_plan` on every trigger and serves
 as the oracle for equivalence tests.  Requirement-set changes and active
 fairness (ε > 0) always fall back to the oracle.  Both modes make
-bit-identical scheduling decisions; the per-run counters live in
-``VennScheduler.plan_profile``.
+bit-identical scheduling decisions.  :class:`PlanMaintenanceProfile` counts
+how the refreshes were served (``VennScheduler.plan_profile``); the engine
+copies it into ``SimulationMetrics.plan_maintenance``, where
+``python3 -m bench`` reads its ``core.plan_*`` metrics.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 import numpy as np
@@ -46,12 +49,39 @@ from .fairness import FairnessController
 from .irs import SchedulingPlan, build_plan
 from .job_group import JobGroupRegistry
 from .matching import NO_TIER, TierDecision, TierMatcher, device_capacity_metric
-from .plan_delta import PLAN_MAINTENANCE_MODES, PlanMaintainer, Trigger
+from .plan_delta import PLAN_MAINTENANCE_MODES, PlanMaintainer
 from .policy import BasePolicy, SeededRngMixin
-from .profile import PlanMaintenanceProfile
 from .requirements import AtomSpace
 from .supply import SupplyEstimator
 from .types import JobSpec, RequestState, ResourceRequest
+
+
+@dataclass
+class PlanMaintenanceProfile:
+    """How one run's plan refreshes were served, and what they cost.
+
+    Bumped on the maintenance paths only, never per check-in.  The
+    sim/core layering keeps it here: ``repro.sim`` reads it, and
+    ``repro.core`` never imports ``repro.sim``.
+    """
+
+    #: Full ``build_plan`` runs (atom space, registry and plan from scratch).
+    full_rebuilds: int = 0
+    #: In-place incremental plan updates (each one a full rebuild avoided).
+    incremental_updates: int = 0
+    #: Atom signatures re-flattened by in-place ``AtomIndex`` patches.
+    index_atoms_patched: int = 0
+    #: Wall time spent maintaining the plan, either path (seconds).
+    maintenance_time_s: float = 0.0
+
+    def as_dict(self) -> Dict[str, object]:
+        """JSON-ready snapshot (``SimulationMetrics.plan_maintenance``)."""
+        return {
+            "full_rebuilds": self.full_rebuilds,
+            "incremental_updates": self.incremental_updates,
+            "index_atoms_patched": self.index_atoms_patched,
+            "maintenance_time_s": round(self.maintenance_time_s, 6),
+        }
 
 
 class VennScheduler(SeededRngMixin, BasePolicy):
@@ -124,8 +154,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         self._matchers: Dict[int, TierMatcher] = {}
         #: Cached tier decision per open request id.
         self._tier_decisions: Dict[int, TierDecision] = {}
-        #: Per-run plan-maintenance counters + wall time (see
-        #: :class:`~repro.core.profile.PlanMaintenanceProfile`).
+        #: Per-run plan-maintenance counters + wall time.
         self.plan_profile = PlanMaintenanceProfile()
         self._maintainer = PlanMaintainer()
         #: Jobs whose ordering inputs may have changed since the last plan
@@ -135,10 +164,10 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         #: — and O(changed) instead of O(all jobs) per refresh.
         self._demand_dirty: set = set()
         #: signature -> pruned live-candidate entries for the *current*
-        #: decision surface, valid for exactly one ``(plan_version,
-        #: index.epoch)`` generation (see :meth:`_live_candidates`).
+        #: decision surface, valid for exactly one ``plan_version`` (see
+        #: :meth:`_live_candidates`).
         self._live_memo: Dict = {}
-        self._live_memo_key = (-1, -1)
+        self._live_memo_key = -1
         # Derive the ablation-aware display name.
         if not self.enable_scheduling and self.enable_matching:
             self.name = "venn_wo_sched"
@@ -148,7 +177,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
             self.name = "fifo"
 
     # ------------------------------------------------------------------ #
-    # Lifecycle hooks (each one classifies its plan-invalidation trigger)
+    # Lifecycle hooks (each one marks what its trigger invalidated)
     # ------------------------------------------------------------------ #
     @property
     def _incremental_enabled(self) -> bool:
@@ -182,14 +211,10 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         ):
             # Known requirement: the atom space — and with it every cached
             # device signature — is unchanged; only this group is dirty.
-            self.plan_profile.record_trigger(Trigger.JOB_ARRIVAL)
             self._maintainer.delta.mark_group(job.requirement.name)
             self._demand_dirty.add(job.job_id)
         else:
             if self._incremental_enabled:
-                self.plan_profile.record_trigger(
-                    Trigger.JOB_ARRIVAL_NEW_REQUIREMENT
-                )
                 self._maintainer.delta.mark_full()
             self._forget_atom_space()  # requirement set changed
         self._plan_dirty = True
@@ -206,14 +231,10 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         ):
             # Other jobs keep the requirement alive: the group survives and
             # the atom space is unchanged.
-            self.plan_profile.record_trigger(Trigger.JOB_DEPARTURE)
             self._maintainer.delta.mark_removed(job_id, job.requirement.name)
             self._demand_dirty.discard(job_id)
         else:
             if self._incremental_enabled:
-                self.plan_profile.record_trigger(
-                    Trigger.JOB_DEPARTURE_LAST_IN_GROUP
-                )
                 self._maintainer.delta.mark_full()
             self._forget_atom_space()
         self._plan_dirty = True
@@ -223,7 +244,6 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         if self._incremental_enabled:
             job = self.jobs.get(request.job_id)
             if job is not None:
-                self.plan_profile.record_trigger(Trigger.REQUEST_ARRIVAL)
                 self._maintainer.delta.mark_group(job.requirement.name)
                 self._demand_dirty.add(request.job_id)
         self._plan_dirty = True
@@ -239,7 +259,6 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         if self._incremental_enabled:
             job = self.jobs.get(request.job_id)
             if job is not None:
-                self.plan_profile.record_trigger(Trigger.REQUEST_COMPLETION)
                 self._maintainer.delta.mark_group(job.requirement.name)
                 self._demand_dirty.add(request.job_id)
         self._plan_dirty = True
@@ -398,7 +417,7 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         self._plan_dirty = False
         self.plan_version += 1
         self.plan_profile.full_rebuilds += 1
-        self.plan_profile.full_rebuild_time_s += time.perf_counter() - t0
+        self.plan_profile.maintenance_time_s += time.perf_counter() - t0
         return self._plan
 
     def _job_states(self) -> Iterator:
@@ -430,39 +449,34 @@ class VennScheduler(SeededRngMixin, BasePolicy):
     def refresh_plan(self, now: float) -> SchedulingPlan:
         """Bring the plan up to date using the configured maintenance mode.
 
-        No-op when the plan is clean.  Chooses between the in-place delta
-        path and the full oracle according to the accumulated
-        :class:`~repro.core.plan_delta.PlanDelta` classification."""
+        No-op when the plan is clean.  The full oracle serves it when
+        incremental maintenance is off (``"full"`` mode or fairness ε > 0),
+        when the accumulated :class:`~repro.core.plan_delta.PlanDelta` needs
+        a full rebuild, or when the maintainer holds no plan or another
+        one; the in-place delta path serves every other refresh."""
         if not self._plan_dirty:
             return self._plan
         maintainer = self._maintainer
-        if not self._incremental_enabled:
-            if self.plan_maintenance == "incremental":
-                # Incremental was requested but fairness is active.
-                self.plan_profile.record_trigger(Trigger.FAIRNESS_ACTIVE)
-            return self.rebuild_plan(now)
         if (
-            maintainer.delta.needs_full
-            or not maintainer.adopted
+            not self._incremental_enabled
+            or maintainer.delta.needs_full
             or maintainer.plan is not self._plan
         ):
-            if not maintainer.adopted:
-                self.plan_profile.record_trigger(Trigger.FORCED_FULL)
             return self.rebuild_plan(now)
         t0 = time.perf_counter()
-        plan = maintainer.apply(
+        profile = self.plan_profile
+        profile.index_atoms_patched += maintainer.apply(
             job_states=self._job_states(),
             rates=self.supply.rates(now),
             space=self._ensure_atom_space(),
             supply_version=self.supply.signature_version,
-            profile=self.plan_profile,
         )
         self._demand_dirty.clear()
         self._plan_dirty = False
         self.plan_version += 1
-        self.plan_profile.incremental_updates += 1
-        self.plan_profile.incremental_time_s += time.perf_counter() - t0
-        return plan
+        profile.incremental_updates += 1
+        profile.maintenance_time_s += time.perf_counter() - t0
+        return self._plan
 
     @property
     def plan(self) -> SchedulingPlan:
@@ -488,36 +502,31 @@ class VennScheduler(SeededRngMixin, BasePolicy):
         *static* flattening of the plan — it still lists jobs whose request
         closed or whose demand is already satisfied, and the scalar walk
         re-discovers that per check-in.  This memo resolves each signature
-        once per ``(plan_version, index.epoch)`` generation to the entries
-        that can still matter: ``(job_id, request)`` for candidates whose
-        request is open with unmet demand at resolution time.
+        once per ``plan_version`` to the entries that can still matter:
+        ``(job_id, request)`` for candidates whose request is open with
+        unmet demand at resolution time.
 
-        Pruning is exact for the whole generation: demand never *rises*
+        Pruning is exact for the whole ``plan_version``: demand never *rises*
         and a closed request never reopens without a lifecycle trigger,
         every lifecycle trigger marks the plan dirty, and every consult
         refreshes a dirty plan (bumping ``plan_version``) before touching
         the memo — so a pruned candidate is one the scalar walk would have
-        skipped at every remaining consult of this generation.  Entries
-        that die *mid-generation* (demand satisfied by a commit) stay in
+        skipped at every remaining consult of this version.  Entries
+        that die *mid-version* (demand satisfied by a commit) stay in
         the list and are re-checked per device, exactly like the scalar
         walk.  Tier decisions resolve through :meth:`_tier_decision_for`
         at the same walk positions as the scalar path, so the matcher's
         rng draw order is untouched.
         """
-        index = self._plan._index
-        if index is None:
-            index = self._plan.index()
-            self.plan_profile.index_rebuilds += 1
-        key = (self.plan_version, index.epoch)
-        if key != self._live_memo_key:
-            self._live_memo_key = key
+        if self.plan_version != self._live_memo_key:
+            self._live_memo_key = self.plan_version
             self._live_memo = {}
         memo = self._live_memo
         live = memo.get(signature)
         if live is None:
             open_requests = self.open_requests
             live = []
-            for _group_key, job_id in index.candidates(signature):
+            for _group_key, job_id in self._plan.index().candidates(signature):
                 request = open_requests.get(job_id)
                 if (
                     request is not None

@@ -251,11 +251,6 @@ class SupplyEstimator:
         return out
 
     @property
-    def total_checkins(self) -> int:
-        """Total number of check-ins ever recorded (window-independent)."""
-        return self._total_checkins
-
-    @property
     def signature_version(self) -> int:
         """Monotonic version of the observed-signature *set*.
 

@@ -4,7 +4,7 @@ The engine's :meth:`~repro.sim.engine.Simulator.snapshot` captures the
 *entire* simulation state by pickling the simulator object graph — event
 queue heap and sequence counter, device runtimes / struct-of-arrays
 vector state, the device stream's cursor and response heap, scheduling plan +
-atom-index epoch, supply-estimator buckets, the RNG master key with every
+its atom index, supply-estimator buckets, the RNG master key with every
 per-device draw counter, and all in-flight resource requests.  The pickle
 memo preserves the shared-reference structure (engine ↔ policy ↔ stream
 state point at the same objects), which is what makes the restored graph
@@ -31,7 +31,7 @@ from typing import List, Optional
 #: hand: ``tests/resilience/test_snapshot_layout.py`` derives the layout
 #: from the pickled graph of both engines and fails when it moves without a
 #: bump, or the version moves without it.
-SNAPSHOT_FORMAT_VERSION = 17
+SNAPSHOT_FORMAT_VERSION = 18
 
 
 class SnapshotError(ValueError):

@@ -64,10 +64,10 @@ the long collection phases of large rounds.  Custom policies must not rely
 on being offered devices while they have no unmet demand.
 
 Policies that maintain a scheduling plan (Venn) expose a
-:class:`~repro.core.profile.PlanMaintenanceProfile`; the engine snapshots it
-into ``SimulationMetrics.plan_maintenance`` at the end of the run so
-benchmarks and sweeps can report rebuilds avoided, index patch sizes and
-the plan-maintenance time share without reaching into the policy.
+:class:`~repro.core.scheduler.PlanMaintenanceProfile`; the engine copies it
+into ``SimulationMetrics.plan_maintenance`` at the end of the run, so
+``python3 -m bench`` reads full rebuilds, incremental updates, index atoms
+patched and plan-maintenance time without reaching into the policy.
 
 Crash safety (``docs/RESILIENCE.md``)
 -------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -62,18 +61,21 @@ class EventQueue:
 
     Internally the heap holds ``(time, seq, event)`` tuples: ``seq`` is a
     unique insertion counter, so comparisons never reach the event object
-    and ties break by insertion order, exactly as before.
+    and ties break by insertion order, exactly as before.  The counter is a
+    plain int, the next number to hand out: snapshots pickle the queue, and
+    Python 3.12 deprecates pickling an ``itertools.count`` (3.14 removes it).
     """
 
     def __init__(self) -> None:
         self._heap: list = []
-        self._counter = itertools.count()
+        self._counter = 0
 
     def push(self, time: float, type: EventType, **fields: Any) -> Event:
         """Schedule an event and return it (so callers may cancel it later)."""
         if time < 0:
             raise ValueError("event time must be non-negative")
-        seq = next(self._counter)
+        seq = self._counter
+        self._counter = seq + 1
         event = Event(time=time, type=type, **fields)
         heapq.heappush(self._heap, (time, seq, event))
         return event
@@ -86,7 +88,9 @@ class EventQueue:
         :meth:`push`, so dynamic events sort identically whether they live
         in this queue or in the stream's.
         """
-        return next(self._counter)
+        seq = self._counter
+        self._counter = seq + 1
+        return seq
 
     def reserve(self, count: int) -> None:
         """Skip ``count`` sequence numbers.
@@ -97,8 +101,7 @@ class EventQueue:
         """
         if count < 0:
             raise ValueError("count must be non-negative")
-        if count:
-            self._counter = itertools.count(next(self._counter) + count)
+        self._counter += count
 
     def peek_key(self) -> Optional[tuple]:
         """``(time, seq)`` of the next non-cancelled event, or ``None``."""

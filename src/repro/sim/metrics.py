@@ -4,7 +4,9 @@ The paper's primary metric is the average job completion time (JCT); its
 analysis figures additionally break JCT into scheduling delay and response
 collection time (Figure 1 / Figure 5) and slice improvements by job size and
 eligibility category (Tables 2 and 3).  This module computes all of those
-from the simulator's per-job round records.
+from the simulator's per-job round records.  A Venn run also reports how
+its plan was kept up to date: ``SimulationMetrics.plan_maintenance`` holds
+the four plan-maintenance values ``python3 -m bench`` reads.
 """
 
 from __future__ import annotations
@@ -75,8 +77,10 @@ class SimulationMetrics:
     #: Total aborted round attempts across all jobs.
     total_aborts: int = 0
     #: Plan-maintenance profile snapshot (policies that expose a
-    #: ``plan_profile``, i.e. Venn; ``None`` otherwise).  See
-    #: :class:`repro.core.profile.PlanMaintenanceProfile`.
+    #: ``plan_profile``, i.e. Venn; ``None`` otherwise): ``full_rebuilds``,
+    #: ``incremental_updates``, ``index_atoms_patched`` and
+    #: ``maintenance_time_s``.  See
+    #: :class:`repro.core.scheduler.PlanMaintenanceProfile`.
     plan_maintenance: Optional[Dict[str, object]] = None
 
     # ------------------------------------------------------------------ #

@@ -305,7 +305,7 @@ class TestVennSchedulerLifecycle:
         feed_checkins(
             sched, bind_devices(sched, [make_device(device_id=i) for i in range(10)])
         )
-        assert sched.supply.total_checkins == 10
+        assert sched.supply._total_checkins == 10
 
     def test_rebuild_plan_with_no_jobs(self):
         sched = VennScheduler(seed=0)

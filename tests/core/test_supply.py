@@ -27,7 +27,7 @@ class TestSupplyEstimator:
     def test_empty_estimator_rate_zero(self):
         est = SupplyEstimator()
         assert est.rate(SIG_A, now=100.0) == 0.0
-        assert est.total_checkins == 0
+        assert est._total_checkins == 0
 
     def test_basic_rate(self):
         est = SupplyEstimator(window=100.0)
@@ -256,7 +256,7 @@ class TestBatchRecordEquivalence:
             {sig: list(map(tuple, ring)) for sig, ring in est._buckets.items()},
             dict(est._counts),
             est.signature_version,
-            est.total_checkins,
+            est._total_checkins,
             est._first_event_time,
             est._last_event_time,
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +52,14 @@ class TestEventQueue:
         assert (event.device_id, event.success) == (9, True)
         # Fields the push did not set keep their sentinel defaults.
         assert (event.request_id, event.job_id, event.session_end) == (-1, -1, 0.0)
+
+    def test_pickled_queue_holds_no_itertools_object(self):
+        """The sequence counter pickles as a plain int: Python 3.12
+        deprecates pickling ``itertools.count`` and 3.14 removes it."""
+        q = EventQueue()
+        q.push(1.0, EventType.JOB_ARRIVAL)
+        q.reserve(5)
+        assert b"itertools" not in pickle.dumps(q)
 
     @given(times=st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=200))
     @settings(max_examples=40, deadline=None)
